@@ -1,7 +1,7 @@
 // Kernel and execution-engine benchmarks — the C++ analogue of Listing 1
 // and the other per-iteration sweeps.
 //
-// Four layers:
+// Modes:
 //  * A fused-vs-unfused execution-engine comparison that times whole
 //    solver iterations both ways (same problem, same iteration counts —
 //    the engine is bitwise-equivalent) and writes the result as
@@ -39,14 +39,6 @@
 //       ./bench/bench_kernels --spmv [--mesh 96] [--spmv-mesh 512]
 //                             [--ranks 2] [--reps 3] [--sweeps 50]
 //                             [--out BENCH_PR7.json]
-//  * A pipelined-engine comparison: fixed-iteration solves of the three
-//    chain targets (PPCG matrix-powers inner steps, Jacobi's save+update
-//    pair, Chebyshev's iterate+residual pair) in 2-D and 3-D at fused /
-//    tiled / pipelined over the same row-blocks, asserting identical
-//    iteration counts.  Emits BENCH_PR8.json.
-//       ./bench/bench_kernels --pipeline [--mesh 512] [--mesh3d 40]
-//                             [--ranks 4] [--reps 3] [--tile 8]
-//                             [--out BENCH_PR8.json]
 //  * A mixed-precision comparison: fp64 vs fp32 storage at fixed
 //    iteration counts (pure element-size streaming, identical schedules)
 //    plus a convergent mixed (fp32 inner + fp64 refinement guard) rider
@@ -196,7 +188,7 @@ void BM_ChebyStepUnfusedPair(benchmark::State& state) {
 BENCHMARK(BM_ChebyStepUnfusedPair)->Arg(64)->Arg(256)->Arg(512);
 
 void BM_ChebyStepFused(benchmark::State& state) {
-  // The same iteration body as ONE row-lagged pass (fused engine).
+  // The same iteration body behind one call (cheby_step).
   const int n = static_cast<int>(state.range(0));
   auto cl = make_chunk(n);
   Chunk2D& c = cl->chunk(0);
@@ -931,144 +923,6 @@ int run_server_bench(const Args& args) {
   return all_identical ? 0 : 1;
 }
 
-// ---- pipelined execution engine (BENCH_PR8) ------------------------------
-
-/// Fixed-iteration configurations for the pipeline comparison: the three
-/// chain targets (PPCG's matrix-powers inner steps, Jacobi's save+update
-/// pair, Chebyshev's iterate+residual pair).  eps is unreachable so every
-/// engine runs the same capped iteration count and the tiled-vs-pipelined
-/// comparison is pure scheduling.
-std::vector<EngineCase> pipeline_bench_cases() {
-  std::vector<EngineCase> cases;
-  SolverConfig ppcg;
-  ppcg.type = SolverType::kPPCG;
-  ppcg.eps = 1e-300;
-  ppcg.eigen_cg_iters = 8;
-  ppcg.max_iters = 16;
-  ppcg.halo_depth = 4;   // matrix-powers: d-step trapezoidal chains
-  ppcg.inner_steps = 10;
-  cases.push_back({"ppcg-mp4", ppcg});
-  SolverConfig cheby;
-  cheby.type = SolverType::kChebyshev;
-  cheby.eps = 1e-300;
-  cheby.eigen_cg_iters = 10;
-  cheby.max_iters = 40;
-  cases.push_back({"chebyshev", cheby});
-  SolverConfig jacobi;
-  jacobi.type = SolverType::kJacobi;
-  jacobi.eps = 1e-300;
-  jacobi.max_iters = 100;
-  cases.push_back({"jacobi", jacobi});
-  return cases;
-}
-
-int run_pipeline_bench(const Args& args) {
-  log::set_level(log::Level::kError);  // fixed-iteration runs hit max_iters
-  const int mesh2d = args.get_int("mesh", 512);
-  const int mesh3d = args.get_int("mesh3d", 40);
-  const int ranks = args.get_int("ranks", 4);
-  const int reps = args.get_int("reps", 3);
-  const int tile = args.get_int("tile", 8);
-  const std::string out_path = args.get("out", "BENCH_PR8.json");
-
-  io::JsonValue doc = io::JsonValue::object();
-  doc.set("benchmark",
-          "pipelined execution engine: cross-kernel row-block chains (PR8)");
-  doc.set("mesh_2d", mesh2d);
-  doc.set("mesh_3d", mesh3d);
-  doc.set("ranks", ranks);
-  doc.set("threads", num_threads());
-  doc.set("reps", reps);
-  doc.set("tile_rows", tile);
-  io::JsonValue arr = io::JsonValue::array();
-
-  bool all_identical = true;
-  double ppcg_pipe_vs_tiled = 0.0;
-  double jacobi_pipe_vs_tiled = 0.0;
-  for (const EngineCase& ec : pipeline_bench_cases()) {
-    io::JsonValue entry = io::JsonValue::object();
-    entry.set("solver", ec.name);
-    for (const int dims : {2, 3}) {
-      InputDeck deck = decks::hot_block(mesh2d, 1);
-      if (dims == 3) {
-        deck.dims = 3;
-        deck.x_cells = deck.y_cells = deck.z_cells = mesh3d;
-        deck.zmin = deck.xmin;
-        deck.zmax = deck.xmax;
-      }
-      deck.solver = ec.cfg;
-
-      struct Config {
-        int tile_rows;
-        bool pipeline;
-        double best = 0.0;
-        int iters = 0;
-      };
-      // Fused untiled, tiled, pipelined over the same row-blocks —
-      // round-robin with a warmup round, like the tile scan.
-      std::vector<Config> configs = {
-          {0, false}, {tile, false}, {tile, true}};
-      for (int rep = -1; rep < reps; ++rep) {
-        for (std::size_t i = 0; i < configs.size(); ++i) {
-          Config& c = configs[(i + static_cast<std::size_t>(rep + 1)) %
-                              configs.size()];
-          deck.solver.fuse_kernels = true;
-          deck.solver.tile_rows = c.tile_rows;
-          deck.solver.pipeline = c.pipeline;
-          const double s = time_fixed_once(deck, ranks, &c.iters);
-          if (rep <= 0 || s < c.best) c.best = s;
-        }
-      }
-      const bool identical = configs[0].iters == configs[1].iters &&
-                             configs[0].iters == configs[2].iters;
-      all_identical = all_identical && identical;
-      const long long cells = dims == 3
-                                  ? 1LL * mesh3d * mesh3d * mesh3d
-                                  : 1LL * mesh2d * mesh2d;
-      const double fused = configs[0].best;
-      const double tiled = configs[1].best;
-      const double piped = configs[2].best;
-      const double pipe_vs_tiled = piped > 0.0 ? tiled / piped : 0.0;
-      io::JsonValue d = io::JsonValue::object();
-      d.set("cells", cells);
-      d.set("iters", configs[0].iters);
-      d.set("fused_seconds", fused);
-      d.set("tiled_seconds", tiled);
-      d.set("pipelined_seconds", piped);
-      d.set("pipelined_speedup_vs_tiled", pipe_vs_tiled);
-      d.set("pipelined_speedup_vs_fused",
-            piped > 0.0 ? fused / piped : 0.0);
-      d.set("identical_iterations", identical);
-      entry.set(dims == 3 ? "3d" : "2d", std::move(d));
-      if (ec.name == "ppcg-mp4") {
-        ppcg_pipe_vs_tiled = std::max(ppcg_pipe_vs_tiled, pipe_vs_tiled);
-      }
-      if (ec.name == "jacobi") {
-        jacobi_pipe_vs_tiled = std::max(jacobi_pipe_vs_tiled, pipe_vs_tiled);
-      }
-      std::printf("%-10s %dD fused %.4fs  tiled(b%d) %.4fs  "
-                  "pipelined %.4fs  (pipe/tiled %.2fx, iters %d%s)\n",
-                  ec.name.c_str(), dims, fused, tile, tiled, piped,
-                  pipe_vs_tiled, configs[0].iters,
-                  identical ? "" : " MISMATCH");
-    }
-    arr.push_back(std::move(entry));
-  }
-  doc.set("solvers", std::move(arr));
-  doc.set("identical_iterations", all_identical);
-  doc.set("ppcg_pipelined_speedup_vs_tiled", ppcg_pipe_vs_tiled);
-  doc.set("jacobi_pipelined_speedup_vs_tiled", jacobi_pipe_vs_tiled);
-
-  std::ofstream out(out_path);
-  if (!out.is_open()) {
-    std::fprintf(stderr, "cannot open %s\n", out_path.c_str());
-    return 1;
-  }
-  out << doc.dump(2) << "\n";
-  std::printf("pipelined engine comparison -> %s\n", out_path.c_str());
-  return all_identical ? 0 : 1;
-}
-
 // ---- mixed-precision execution layer (BENCH_PR9) -------------------------
 
 /// Fixed-iteration configurations for the fp64-vs-fp32 bandwidth A/B: eps
@@ -1428,7 +1282,6 @@ int main(int argc, char** argv) {
   try {
     const Args args(argc, argv);
     if (args.has("precision")) return run_precision_bench(args);
-    if (args.has("pipeline")) return run_pipeline_bench(args);
     if (args.has("spmv")) return run_spmv_bench(args);
     if (args.has("server")) return run_server_bench(args);
     if (args.has("tile-scan")) return run_tile_scan(args);

@@ -132,26 +132,6 @@ def extract_pr7(doc):
     return metrics
 
 
-def extract_pr8(doc):
-    """pipelined engine: per-geometry cells/iters in each solver entry."""
-    metrics = {}
-    for entry in doc["solvers"]:
-        name = entry["solver"]
-        for dims in ("2d", "3d"):
-            d = entry[dims]
-            cells = d["cells"]
-            iters = d["iters"]
-            for kind, key in (
-                ("fused", "fused_seconds"),
-                ("tiled", "tiled_seconds"),
-                ("pipelined", "pipelined_seconds"),
-            ):
-                m = per_cell_iter(d[key], cells, iters)
-                if m is not None:
-                    metrics[f"{name}/{dims}/{kind}"] = m
-    return metrics
-
-
 def extract_pr9(doc):
     """mixed-precision layer: fixed-iteration fp64/fp32 series on mesh^2
     cells, plus the convergent mixed and fp64 riders on conv_mesh^2."""
@@ -181,7 +161,6 @@ EXTRACTORS = (
     ("2-D vs 3-D", extract_pr4),
     ("solve-server", extract_pr6),
     ("assembled operators", extract_pr7),
-    ("pipelined execution engine", extract_pr8),
     ("mixed-precision execution layer", extract_pr9),
 )
 

@@ -6,7 +6,7 @@
 // Run:  ./examples/design_space_sweep [--mesh 48] [--ranks 4] [--steps 1]
 //           [--solvers cg,ppcg,chebyshev,mg-pcg] [--precons none,jac_diag]
 //           [--depths 1,4] [--meshes 32,48] [--threads 0] [--fused 0,1]
-//           [--tiles 0,32] [--pipeline 0,1] [--geometry 2d,3d]
+//           [--tiles 0,32] [--geometry 2d,3d]
 //           [--operators stencil,csr,sell-c-sigma]
 //           [--precisions double,single,mixed] [--deck path/to/tea.in]
 //           [--csv out.csv] [--json out.json] [--route-db route_db.json]
@@ -81,7 +81,6 @@ int run(const Args& args) {
                                         "--threads");
     spec.fused = split_int_list(args.get("fused", "0,1"), "--fused");
     spec.tile_rows = split_int_list(args.get("tiles", "0"), "--tiles");
-    spec.pipeline = split_int_list(args.get("pipeline", "0"), "--pipeline");
     spec.geometries.clear();  // empty = inherit the deck's geometry
     if (args.has("geometry")) {
       for (const std::string& g :
@@ -112,14 +111,14 @@ int run(const Args& args) {
   std::printf("design-space sweep: %zu cells (%zu solvers x %zu precons x "
               "%zu depths x %zu meshes x %zu thread counts x %zu engines x "
               "%zu tile heights x %zu geometries x %zu operators x "
-              "%zu pipeline modes x %zu precisions), %d ranks\n\n",
+              "%zu precisions), %d ranks\n\n",
               spec.num_cases(), spec.solvers.size(), spec.precons.size(),
               spec.halo_depths.size(),
               spec.mesh_sizes.empty() ? 1 : spec.mesh_sizes.size(),
               spec.thread_counts.size(), spec.fused.size(),
               spec.tile_rows.size(),
               spec.geometries.empty() ? 1 : spec.geometries.size(),
-              spec.operators.size(), spec.pipeline.size(),
+              spec.operators.size(),
               spec.precisions.empty() ? 1 : spec.precisions.size(),
               spec.ranks);
 

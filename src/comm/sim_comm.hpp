@@ -187,170 +187,6 @@ class SimCluster {
         });
   }
 
-  // ---- pipelined execution (cross-kernel row-block chaining) -------------
-  // The pipelined layer of the fused engine (SolverConfig::pipeline):
-  // wherever a solver runs a CHAIN of dependent tile passes with no
-  // reduction or halo exchange between them — the matrix-powers Chebyshev
-  // steps of PPCG's inner loop, Jacobi's save+update pair, Chebyshev's
-  // iterate+residual pair — the chain runs as one trapezoidal (skewed)
-  // schedule: each thread pushes its own row-blocks through ALL stages of
-  // the chain, synchronising point-to-point on neighbouring blocks'
-  // BlockTicks instead of at team-wide barriers.  A chain stage is the
-  // tiled engine's two-phase sweep: a main pass A (the stencil sweep,
-  // with the 2-D in-block row-lagged update) and a deferred edge pass E
-  // (the block-edge rows in 2-D; the whole block in 3-D and over
-  // assembled operators, which is what turns the 3-D schedule into a
-  // cross-plane lag — plane l−1 updates while the stencil sweeps plane
-  // l+1).  Results are bitwise identical to the tiled/fused/unfused
-  // engines: the per-row arithmetic cores are shared and reductions
-  // combine row-then-rank ordered, so any dependency-respecting schedule
-  // produces the same cells.
-  //
-  // Tick protocol (per block, per chain; stages s = 0..S-1):
-  //   tick 2s+1 published after A_s(b), 2s+2 after E_s(b).
-  //   A_s(b) needs tick >= 2s   on blocks [b−R, b+R]  (E_{s−1} done:
-  //          the values it reads are final, s > 0 only).
-  //   E_s(b) needs tick >= 2s+1 on blocks [b−R, b+R]  (A_s done: nobody
-  //          still reads the pristine rows E overwrites).
-  // R is the dependency reach of one operator application measured in
-  // blocks (chain_block_reach).  Both true and anti-dependencies are
-  // covered, for any dependency whose row distance is within R blocks.
-  //
-  // Each thread owns a contiguous range of the flattened (rank, block)
-  // space — the tiled engine's partition — and traverses it skewed:
-  //   for bb ascending:  for s = 0..S-1:  A_s(bb − 2Rs); E_s(bb − 2Rs − R)
-  // which runs every owned task in an order consistent with the global
-  // lexicographic order (bb, s, A-before-E).  Every dependency above
-  // points strictly earlier in that order, so threads never deadlock, and
-  // same-thread dependencies need no ticks at all — a rank wholly owned
-  // by one thread (threads <= ranks, the NUMA-pinned mode) runs its chain
-  // with zero atomics.  Inter-rank dependencies do not exist inside a
-  // chain (halo data is fixed between exchanges).
-
-  /// Dependency reach of one operator application on `c`, in BLOCKS of
-  /// the tile grid over `b` — how far a block's stencil/matrix rows reach
-  /// into neighbouring blocks.  Pure function of (chunk, bounds, tiling).
-  [[nodiscard]] static int chain_block_reach(const Chunk& c, const Bounds& b,
-                                             int tile_rows) {
-    const int rows = b.khi - b.klo;
-    const int per_plane = num_row_tiles(rows, tile_rows);
-    if (c.op_kind() == OperatorKind::kStencil) {
-      // 5-point: the k±1 rows are the adjacent blocks.  7-point adds the
-      // l±1 planes at the same k-range — exactly per_plane blocks away in
-      // the flattened (plane, k-block) grid, and the interval [b−R, b+R]
-      // with R = per_plane also covers the ±1 k-neighbours.
-      return c.dims() == 3 ? std::max(1, per_plane) : 1;
-    }
-    // Assembled operators: reach is row_reach flattened interior rows,
-    // and the flattened block sequence covers contiguous ascending row
-    // ranges (each plane's k-blocks in order), so a row window maps to a
-    // block window.  Blocks are `h` rows except a plane's last (shorter)
-    // block; the bounds below over-count rather than model that exactly.
-    const int h = (tile_rows <= 0 || tile_rows >= rows) ? rows : tile_rows;
-    const int reach = std::max(1, c.csr()->row_reach);
-    const int nt = num_tiles(b, tile_rows);
-    int r;
-    if (reach >= rows) {
-      r = ((reach + rows - 1) / rows + 1) * per_plane;  // whole planes
-    } else {
-      const bool uniform = (per_plane == 1) || (rows % h == 0);
-      r = (reach - 1) / h + (uniform ? 1 : 2);
-    }
-    return std::max(1, std::min(nt - 1, r));
-  }
-
-  /// Run a `stages`-stage kernel chain through the pipelined schedule.
-  /// `bounds_of(rank, chunk)` is the chain's WIDEST sweep box (the fixed
-  /// tile grid — matrix-powers stages shrink inside it, clipping their
-  /// tiles); `main_pass(rank, chunk, s, tb)` / `edge_pass(rank, chunk, s,
-  /// tb)` run stage s's two phases on tile `tb` of that grid, clipped to
-  /// the stage's own bounds by the caller.  Implies an entry barrier (the
-  /// previous phase's writes are visible) but NO exit barrier — the next
-  /// team collective's entry barrier orders the chain's last writes, so
-  /// follow a chain with a collective, not a bare tile pass.
-  /// team == nullptr falls back to a serial stage-by-stage sweep.
-  template <class BoundsFn, class MainFn, class EdgeFn>
-  void run_pipeline_chain(const Team* team, int tile_rows, int stages,
-                          BoundsFn&& bounds_of, MainFn&& main_pass,
-                          EdgeFn&& edge_pass) {
-    if (stages <= 0) return;
-    if (team == nullptr) {
-      for (int s = 0; s < stages; ++s) {
-        for_each_tile(nullptr, tile_rows, bounds_of,
-                      [&](int r, Chunk& c, const Bounds& tb) {
-                        main_pass(r, c, s, tb);
-                      });
-        for_each_tile(nullptr, tile_rows, bounds_of,
-                      [&](int r, Chunk& c, const Bounds& tb) {
-                        edge_pass(r, c, s, tb);
-                      });
-      }
-      return;
-    }
-    const int nr = nranks();
-    const int nthreads = team->num_threads();
-    // Per-rank tile grids — a pure function of (rank, chunk), so every
-    // thread computes identical offsets, counts and reaches.
-    std::vector<int> off(static_cast<std::size_t>(nr) + 1, 0);
-    std::vector<int> reach(static_cast<std::size_t>(nr), 1);
-    for (int r = 0; r < nr; ++r) {
-      Chunk& c = *chunks_[static_cast<std::size_t>(r)];
-      const Bounds b = bounds_of(r, c);
-      off[static_cast<std::size_t>(r) + 1] =
-          off[static_cast<std::size_t>(r)] + num_tiles(b, tile_rows);
-      reach[static_cast<std::size_t>(r)] = chain_block_reach(c, b, tile_rows);
-    }
-    const int total = off[static_cast<std::size_t>(nr)];
-    if (pipeline_ticks_.size() < static_cast<std::size_t>(total)) {
-      // First chain at this size: grow the tick array behind a barrier
-      // pair.  The size check is uniform (nobody writes between chains).
-      team->barrier();
-      team->single(
-          [&] { pipeline_ticks_.ensure(static_cast<std::size_t>(total)); });
-    }
-    team->barrier();  // entry: the previous phase's writes are visible
-    // Ownership: the tiled engine's partition of the flattened block
-    // space — whole ranks per thread when threads <= ranks (the NUMA
-    // first-touch mapping), else the balanced contiguous flat split of
-    // Team::for_range_2d.
-    std::int64_t lo = 0;
-    std::int64_t hi = 0;
-    {
-      const std::int64_t tid = team->thread_id();
-      if (nthreads <= nr) {
-        const std::int64_t q = nr / nthreads;
-        const std::int64_t rem = nr % nthreads;
-        const std::int64_t rlo = q * tid + std::min<std::int64_t>(tid, rem);
-        const std::int64_t rhi = rlo + q + (tid < rem ? 1 : 0);
-        lo = off[static_cast<std::size_t>(rlo)];
-        hi = off[static_cast<std::size_t>(rhi)];
-      } else {
-        const std::int64_t q = total / nthreads;
-        const std::int64_t rem = total % nthreads;
-        lo = q * tid + std::min<std::int64_t>(tid, rem);
-        hi = lo + q + (tid < rem ? 1 : 0);
-      }
-    }
-    for (std::int64_t f = lo; f < hi; ++f) {
-      pipeline_ticks_.reset(static_cast<std::size_t>(f));
-    }
-    team->barrier();  // all owned ticks zeroed before any task runs
-    for (int r = 0; r < nr && off[static_cast<std::size_t>(r)] < hi; ++r) {
-      const int base = off[static_cast<std::size_t>(r)];
-      const int nt = off[static_cast<std::size_t>(r) + 1] - base;
-      if (base + nt <= lo || nt == 0) continue;
-      run_chain_segment(r, base, nt,
-                        static_cast<int>(std::max<std::int64_t>(lo, base)) -
-                            base,
-                        static_cast<int>(
-                            std::min<std::int64_t>(hi, base + nt)) -
-                            base,
-                        reach[static_cast<std::size_t>(r)], stages, tile_rows,
-                        bounds_of, main_pass, edge_pass);
-    }
-    // No exit barrier (see contract above).
-  }
-
   /// Combine the per-row partials already deposited in every chunk's
   /// `row_scratch()[ρ]` (one slot per interior row, ρ = l·ny + k): each
   /// rank's rows sum in row order, then the ranks in rank order — bitwise
@@ -515,67 +351,6 @@ class SimCluster {
   void reset_stats() { stats_.reset(); }
 
  private:
-  /// One thread's skewed traversal of its owned blocks [alo, ahi) of rank
-  /// r's chain (nt blocks total, reach R, `stages` stages).  `base` is
-  /// the rank's offset into the flat tick array.  See run_pipeline_chain
-  /// for the schedule and the tick protocol.
-  template <class BoundsFn, class MainFn, class EdgeFn>
-  void run_chain_segment(int r, int base, int nt, int alo, int ahi,
-                         int block_reach, int stages, int tile_rows,
-                         BoundsFn& bounds_of, MainFn& main_pass,
-                         EdgeFn& edge_pass) {
-    Chunk& c = *chunks_[static_cast<std::size_t>(r)];
-    const Bounds b = bounds_of(r, c);
-    const int rows = b.khi - b.klo;
-    const int h = (tile_rows <= 0 || tile_rows >= rows) ? rows : tile_rows;
-    const int per_plane = num_row_tiles(rows, tile_rows);
-    const int R = block_reach;
-    // A rank wholly owned by one thread needs no ticks: the skewed order
-    // itself satisfies every dependency (E_{s−1}(t+R) precedes A_s(t) and
-    // A_s(t+R) precedes E_s(t) at the same skew index).
-    const bool solo = (alo == 0 && ahi == nt);
-    const auto tile_box = [&](int t) {
-      Bounds tb = b;
-      tb.llo = b.llo + t / per_plane;
-      tb.lhi = tb.llo + 1;
-      tb.klo = b.klo + (t % per_plane) * h;
-      tb.khi = std::min(b.khi, tb.klo + h);
-      return tb;
-    };
-    const auto wait_window = [&](int t, int min_tick) {
-      const int w0 = std::max(0, t - R);
-      const int w1 = std::min(nt - 1, t + R);
-      for (int q = w0; q <= w1; ++q) {
-        if (q >= alo && q < ahi) continue;  // own block: serial order
-        pipeline_ticks_.wait_for(static_cast<std::size_t>(base + q),
-                                 min_tick);
-      }
-    };
-    const int bb_end = ahi + 2 * R * (stages - 1) + R;
-    for (int bb = alo; bb < bb_end; ++bb) {
-      for (int s = 0; s < stages; ++s) {
-        const int ta = bb - 2 * R * s;
-        if (ta >= alo && ta < ahi) {
-          if (!solo && s > 0) wait_window(ta, 2 * s);
-          main_pass(r, c, s, tile_box(ta));
-          if (!solo) {
-            pipeline_ticks_.publish(static_cast<std::size_t>(base + ta),
-                                    2 * s + 1);
-          }
-        }
-        const int te = ta - R;
-        if (te >= alo && te < ahi) {
-          if (!solo) wait_window(te, 2 * s + 1);
-          edge_pass(r, c, s, tile_box(te));
-          if (!solo) {
-            pipeline_ticks_.publish(static_cast<std::size_t>(base + te),
-                                    2 * s + 2);
-          }
-        }
-      }
-    }
-  }
-
   /// Shared implementation of all exchange overloads.  Takes the field
   /// list as pointer + count so the initializer_list forms forward their
   /// backing array directly — no per-call (and in the Team path,
@@ -610,9 +385,6 @@ class SimCluster {
   /// Shared scratch for the Team-aware rank-ordered reductions.
   std::vector<double> team_partials_;
   std::vector<std::pair<double, double>> team_partials2_;
-  /// Per-(rank, block) progress ticks of the pipelined engine's chains
-  /// (lazily grown to the flattened block count; see run_pipeline_chain).
-  BlockTicks pipeline_ticks_;
 };
 
 /// Compatibility spelling from before the dimension-generic core.

@@ -93,8 +93,7 @@ constexpr const char* kKnownKeys[] = {
     "tl_ppcg_inner_steps", "tl_eigen_cg_iters",
     "tl_cheby_presteps", "tl_halo_depth",
     "tl_cg_fuse_reductions", "tl_fuse_kernels",
-    "tl_tile_rows",   "tl_pipeline",
-    "tl_coefficient",
+    "tl_tile_rows",   "tl_coefficient",
     "tl_operator",    "tl_precision",
     "tl_route_db",    "tl_route_learn",
     "tl_route_demote_ratio",
@@ -102,8 +101,7 @@ constexpr const char* kKnownKeys[] = {
     "sweep_solvers",  "sweep_precons",
     "sweep_halo_depths", "sweep_mesh_sizes",
     "sweep_threads",  "sweep_fused",
-    "sweep_tile_rows", "sweep_pipeline",
-    "sweep_geometry",
+    "sweep_tile_rows", "sweep_geometry",
     "sweep_operator", "sweep_precision",
     "sweep_ranks"};
 
@@ -323,8 +321,6 @@ InputDeck InputDeck::parse(std::istream& in) {
     } else if (key == "tl_tile_rows") {
       deck.solver.tile_rows =
           (value == "auto") ? -1 : static_cast<int>(to_double(value, key));
-    } else if (key == "tl_pipeline") {
-      deck.solver.pipeline = to_flag(value, key);
     } else if (key == "tl_operator") {
       deck.solver.op = operator_kind_from_string(value);
     } else if (key == "tl_precision") {
@@ -356,8 +352,6 @@ InputDeck InputDeck::parse(std::istream& in) {
       deck.sweep.fused = split_int_list(value, key);
     } else if (key == "sweep_tile_rows") {
       deck.sweep.tile_rows = split_int_list(value, key);
-    } else if (key == "sweep_pipeline") {
-      deck.sweep.pipeline = split_int_list(value, key);
     } else if (key == "sweep_geometry") {
       deck.sweep.geometries.clear();
       for (const std::string& g : split_list(value, key)) {
@@ -435,7 +429,6 @@ std::string InputDeck::to_string() const {
     }
     os << "\n";
   }
-  if (solver.pipeline) os << "tl_pipeline\n";
   if (solver.op != OperatorKind::kStencil) {
     os << "tl_operator=" << tealeaf::to_string(solver.op) << "\n";
   }
@@ -469,9 +462,6 @@ std::string InputDeck::to_string() const {
     join("sweep_threads", sweep.thread_counts, [](int t) { return t; });
     join("sweep_fused", sweep.fused, [](int f) { return f; });
     join("sweep_tile_rows", sweep.tile_rows, [](int t) { return t; });
-    if (sweep.pipeline != std::vector<int>{0}) {
-      join("sweep_pipeline", sweep.pipeline, [](int p) { return p; });
-    }
     if (!sweep.geometries.empty()) {
       join("sweep_geometry", sweep.geometries,
            [](int d) { return d == 3 ? "3d" : "2d"; });

@@ -29,7 +29,6 @@ std::string SweepCase::label() const {
      << mesh_n << "/t" << threads;
   if (fused) os << "/fused";
   if (tile_rows != 0) os << "/b" << tile_rows;
-  if (pipeline) os << "/pipe";
   if (dims == 3) os << "/3d";
   if (op != "stencil") os << "/" << op;
   if (precision == "single") os << "/f32";
@@ -68,12 +67,9 @@ std::vector<SweepCase> enumerate_cases(const SweepSpec& spec, int base_mesh,
               for (const int tile : spec.tile_rows) {
                 for (const int dims : geometries) {
                   for (const std::string& op : operators) {
-                    for (const int pipe : spec.pipeline) {
-                      for (const std::string& prec : precisions) {
-                        cases.push_back({solver, precon, depth, mesh,
-                                         threads, fused != 0, tile, dims, op,
-                                         pipe != 0, prec});
-                      }
+                    for (const std::string& prec : precisions) {
+                      cases.push_back({solver, precon, depth, mesh, threads,
+                                       fused != 0, tile, dims, op, prec});
                     }
                   }
                 }
@@ -287,7 +283,6 @@ SweepReport run_sweep(const InputDeck& base, const SweepSpec& spec,
     deck.solver.fuse_kernels = cs.fused;
     deck.solver.tile_rows = cs.tile_rows;
     deck.solver.op = operator_kind_from_string(cs.op);
-    deck.solver.pipeline = cs.pipeline;
     deck.solver.precision = precision_from_string(cs.precision);
 
     const bool mg_pcg = cs.solver == "mg-pcg";
@@ -296,12 +291,6 @@ SweepReport run_sweep(const InputDeck& base, const SweepSpec& spec,
       // would silently measure the untiled path.
       out.skipped = true;
       out.skip_reason = "row tiling requires the fused execution engine";
-    } else if (cs.pipeline && !cs.fused) {
-      // Likewise the pipelined engine schedules the fused engine's
-      // row-blocks; an unfused×pipelined cell has no pipelined path.
-      out.skipped = true;
-      out.skip_reason =
-          "cross-kernel pipelining requires the fused execution engine";
     } else if (mg_pcg && deck.solver.op != OperatorKind::kStencil) {
       out.skipped = true;
       out.skip_reason =
@@ -329,9 +318,6 @@ SweepReport run_sweep(const InputDeck& base, const SweepSpec& spec,
       } else if (cs.tile_rows != 0) {
         out.skipped = true;
         out.skip_reason = "mg-pcg's fused path does not row-tile";
-      } else if (cs.pipeline) {
-        out.skipped = true;
-        out.skip_reason = "mg-pcg's fused path does not pipeline";
       }
     } else {
       deck.solver.type = solver_type_from_string(cs.solver);
@@ -420,9 +406,8 @@ namespace {
 
 constexpr const char* kCsvColumns[] = {
     "solver",      "precon",        "halo_depth",   "mesh",
-    "threads",     "fused",         "tile_rows",    "pipeline",
-    "geometry",    "operator",      "precision",    "sweep_ranks",
-    "sweep_steps",
+    "threads",     "fused",         "tile_rows",    "geometry",
+    "operator",    "precision",     "sweep_ranks",  "sweep_steps",
     "status",      "converged",     "iterations",   "inner_steps",
     "spmv",        "reductions",    "exchanges",    "messages",
     "message_bytes", "final_norm",  "solve_seconds", "comm_seconds",
@@ -477,12 +462,11 @@ std::vector<std::string> SweepReport::to_csv_lines() const {
         c.skipped ? "skipped" : (!c.fail_reason.empty() ? "failed" : "ok");
     csv.row(c.config.solver, to_string(c.config.precon), c.config.halo_depth,
             c.config.mesh_n, c.config.threads, c.config.fused ? 1 : 0,
-            c.config.tile_rows, c.config.pipeline ? 1 : 0,
-            c.config.dims == 3 ? "3d" : "2d",
+            c.config.tile_rows, c.config.dims == 3 ? "3d" : "2d",
             c.config.op, c.config.precision, ranks, steps, status,
-            c.converged ? 1 : 0,
-            c.iterations, c.inner_steps, c.spmv, c.reductions, c.exchanges,
-            c.messages, c.message_bytes, fmt_double(c.final_norm),
+            c.converged ? 1 : 0, c.iterations, c.inner_steps, c.spmv,
+            c.reductions, c.exchanges, c.messages, c.message_bytes,
+            fmt_double(c.final_norm),
             fmt_double(c.solve_seconds), fmt_double(c.comm_seconds),
             fmt_double(speedup[i]), rank_of[i]);
   }
@@ -522,29 +506,28 @@ SweepReport SweepReport::from_csv_lines(
     out.config.threads = csv_int(f[4], "threads");
     out.config.fused = csv_int(f[5], "fused") != 0;
     out.config.tile_rows = csv_int(f[6], "tile_rows");
-    out.config.pipeline = csv_int(f[7], "pipeline") != 0;
-    TEA_REQUIRE(f[8] == "2d" || f[8] == "3d", "sweep csv: bad geometry");
-    out.config.dims = f[8] == "3d" ? 3 : 2;
-    operator_kind_from_string(f[9]);  // throws on an unknown kind
-    out.config.op = f[9];
-    out.config.precision = to_string(precision_from_string(f[10]));
-    report.ranks = csv_int(f[11], "sweep_ranks");
-    report.steps = csv_int(f[12], "sweep_steps");
-    out.skipped = f[13] == "skipped";
+    TEA_REQUIRE(f[7] == "2d" || f[7] == "3d", "sweep csv: bad geometry");
+    out.config.dims = f[7] == "3d" ? 3 : 2;
+    (void)operator_kind_from_string(f[8]);  // throws on an unknown kind
+    out.config.op = f[8];
+    out.config.precision = to_string(precision_from_string(f[9]));
+    report.ranks = csv_int(f[10], "sweep_ranks");
+    report.steps = csv_int(f[11], "sweep_steps");
+    out.skipped = f[12] == "skipped";
     // The CSV form reduces fail_reason to the status keyword (free-text
     // reasons may contain commas); JSON carries the full text.
-    if (f[13] == "failed") out.fail_reason = "failed";
-    out.converged = csv_int(f[14], "converged") != 0;
-    out.iterations = csv_int(f[15], "iterations");
-    out.inner_steps = csv_ll(f[16], "inner_steps");
-    out.spmv = csv_ll(f[17], "spmv");
-    out.reductions = csv_ll(f[18], "reductions");
-    out.exchanges = csv_ll(f[19], "exchanges");
-    out.messages = csv_ll(f[20], "messages");
-    out.message_bytes = csv_ll(f[21], "message_bytes");
-    out.final_norm = csv_double(f[22], "final_norm");
-    out.solve_seconds = csv_double(f[23], "solve_seconds");
-    out.comm_seconds = csv_double(f[24], "comm_seconds");
+    if (f[12] == "failed") out.fail_reason = "failed";
+    out.converged = csv_int(f[13], "converged") != 0;
+    out.iterations = csv_int(f[14], "iterations");
+    out.inner_steps = csv_ll(f[15], "inner_steps");
+    out.spmv = csv_ll(f[16], "spmv");
+    out.reductions = csv_ll(f[17], "reductions");
+    out.exchanges = csv_ll(f[18], "exchanges");
+    out.messages = csv_ll(f[19], "messages");
+    out.message_bytes = csv_ll(f[20], "message_bytes");
+    out.final_norm = csv_double(f[21], "final_norm");
+    out.solve_seconds = csv_double(f[22], "solve_seconds");
+    out.comm_seconds = csv_double(f[23], "comm_seconds");
     // The last two columns (speedup, rank) are derived; recomputed on
     // demand from the parsed cells.
     report.cells.push_back(std::move(out));
@@ -568,7 +551,6 @@ io::JsonValue SweepReport::to_json() const {
     cell.set("threads", c.config.threads);
     cell.set("fused", c.config.fused);
     cell.set("tile_rows", c.config.tile_rows);
-    cell.set("pipeline", c.config.pipeline);
     cell.set("geometry", c.config.dims == 3 ? "3d" : "2d");
     cell.set("operator", c.config.op);
     cell.set("precision", c.config.precision);
@@ -612,6 +594,10 @@ SweepReport SweepReport::from_json(const io::JsonValue& doc) {
   const io::JsonValue& arr = doc.at("cells");
   for (std::size_t i = 0; i < arr.size(); ++i) {
     const io::JsonValue& cell = arr.at(i);
+    // Sweeps recorded before the pipelined schedule was retired carry a
+    // "pipeline" flag.  false is the route that still exists; a true
+    // cell names a route that no longer does, so it is dropped.
+    if (cell.contains("pipeline") && cell.at("pipeline").as_bool()) continue;
     SweepOutcome out;
     out.config.solver = cell.at("solver").as_string();
     out.config.precon = precon_type_from_string(cell.at("precon").as_string());
@@ -625,15 +611,12 @@ SweepReport SweepReport::from_json(const io::JsonValue& doc) {
       out.config.tile_rows =
           static_cast<int>(cell.at("tile_rows").as_number());
     }
-    if (cell.contains("pipeline")) {
-      out.config.pipeline = cell.at("pipeline").as_bool();
-    }
     if (cell.contains("geometry")) {
       out.config.dims = cell.at("geometry").as_string() == "3d" ? 3 : 2;
     }
     if (cell.contains("operator")) {
       out.config.op = cell.at("operator").as_string();
-      operator_kind_from_string(out.config.op);  // throws on unknown
+      (void)operator_kind_from_string(out.config.op);  // throws on unknown
     }
     if (cell.contains("precision")) {
       out.config.precision =

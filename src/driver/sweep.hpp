@@ -26,17 +26,14 @@ struct SweepCase {
   /// Operator representation: "stencil" | "csr" | "sell-c-sigma"
   /// (SolverConfig::op — the ninth design-space axis).
   std::string op = "stencil";
-  /// Run through the pipelined execution engine (cross-kernel row-block
-  /// chaining; SolverConfig::pipeline — the tenth design-space axis).
-  bool pipeline = false;
   /// Storage precision: "double" | "single" | "mixed"
-  /// (SolverConfig::precision — the eleventh design-space axis).
+  /// (SolverConfig::precision — the tenth design-space axis).
   std::string precision = "double";
 
   /// Compact identifier, e.g. "ppcg/jac_diag/d4/n64/t2" (fused cells
-  /// carry a trailing "/fused", tiled cells "/fused/b<rows>", pipelined
-  /// cells "/pipe", 3-D cells "/3d", assembled-operator cells "/csr" or
-  /// "/sell-c-sigma", reduced-precision cells "/f32" or "/mixed").
+  /// carry a trailing "/fused", tiled cells "/fused/b<rows>", 3-D cells
+  /// "/3d", assembled-operator cells "/csr" or "/sell-c-sigma",
+  /// reduced-precision cells "/f32" or "/mixed").
   [[nodiscard]] std::string label() const;
 };
 
@@ -104,7 +101,7 @@ struct SweepReport {
 
 /// Expand the axes into the full cross-product in deterministic order:
 /// solvers → preconditioners → halo depths → mesh sizes → threads →
-/// fused → tile rows → geometries → operators → pipeline → precision,
+/// fused → tile rows → geometries → operators → precision,
 /// each axis in its declared order (precision entries are canonicalised,
 /// so "fp32" enumerates as "single").
 /// `base_mesh` substitutes for an empty mesh-size axis and `base_dims`

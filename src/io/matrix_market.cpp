@@ -174,7 +174,6 @@ CsrMatrix csr_from_triplets(const TripletMatrix& m, const Chunk& c) {
   csr.row_ptr.assign(static_cast<std::size_t>(m.n) + 1, 0);
   csr.cols.reserve(m.entries.size());
   csr.vals.reserve(m.entries.size());
-  int reach = 1;
   for (std::int64_t r = 0; r < m.n; ++r) {
     auto& row = rows[static_cast<std::size_t>(r)];
     std::sort(row.begin(), row.end(),
@@ -185,18 +184,15 @@ CsrMatrix csr_from_triplets(const TripletMatrix& m, const Chunk& c) {
                 if (ad != bd) return ad;  // diagonal first
                 return a.col < b.col;
               });
-    const int kr = static_cast<int>(r / nx);
     for (const auto& e : row) {
       const int jc = static_cast<int>(e.col % nx);
       const int kc = static_cast<int>(e.col / nx);
       csr.cols.push_back(static_cast<std::int64_t>(geom.index(jc, kc, 0)));
       csr.vals.push_back(e.val);
-      reach = std::max(reach, std::abs(kc - kr));
     }
     csr.row_ptr[static_cast<std::size_t>(r) + 1] =
         static_cast<std::int64_t>(csr.vals.size());
   }
-  csr.row_reach = reach;
   return csr;
 }
 

@@ -47,8 +47,8 @@ ScalingSeries measured_series(std::string label,
 class ScalingModel::Cost {
  public:
   Cost(const MachineSpec& spec, const GlobalMesh& mesh, int nodes,
-       int tile_rows = 0, bool pipeline = false, double elem_scale = 1.0)
-      : spec_(spec), nodes_(nodes), dims_(mesh.dims), pipeline_(pipeline) {
+       int tile_rows = 0, double elem_scale = 1.0)
+      : spec_(spec), nodes_(nodes), dims_(mesh.dims) {
     const long long want_ranks =
         static_cast<long long>(nodes) * spec.ranks_per_node;
     // The decomposition cannot exceed one cell per rank per axis; clamp
@@ -80,7 +80,7 @@ class ScalingModel::Cost {
     // intermediate field resident between its phases, so those sweeps
     // stream the blocked bytes/cell variant instead.  An `auto` height
     // (-1) resolves here, where the modelled chunk width is known —
-    // mirroring what solve_linear_system does with the real chunk.
+    // mirroring what run_solver does with the real chunk.
     if (tile_rows < 0) tile_rows = auto_tile_rows(spec, cnx_, 2);
     if (tile_rows > 0 && spec.l2_kb > 0.0) {
       // fp32 solves stream 4-byte elements (elem_scale 0.5), so the same
@@ -112,21 +112,6 @@ class ScalingModel::Cost {
   void sweep_blocked(double streaming_bytes, double blocked_bytes,
                      int ext = 0) {
     sweep(blocked_ ? blocked_bytes : streaming_bytes, ext);
-  }
-
-  /// A sweep the pipelined engine runs as part of a chain: when the
-  /// row-block fits L2 AND pipelining is on, a block's deferred edge pass
-  /// fires as soon as its neighbours' main passes are done — while the
-  /// block is still cache-resident — instead of after a team barrier and
-  /// a whole second traversal, so the chained variant's bytes apply.
-  /// Otherwise falls back to the tiled/streaming pricing.
-  void sweep_chained(double streaming_bytes, double blocked_bytes,
-                     double chained_bytes, int ext = 0) {
-    if (pipeline_ && blocked_) {
-      sweep(chained_bytes, ext);
-    } else {
-      sweep_blocked(streaming_bytes, blocked_bytes, ext);
-    }
   }
 
   /// One halo exchange of `nfields` fields at `depth` (one phase per
@@ -203,7 +188,6 @@ class ScalingModel::Cost {
   double scale_ = 1.0;
   double seconds_ = 0.0;
   bool blocked_ = false;
-  bool pipeline_ = false;
 };
 
 ScalingModel::ScalingModel(MachineSpec spec, GlobalMesh2D mesh,
@@ -239,14 +223,6 @@ constexpr double kBytesJacobi = 56.0;     // copy sweep + main sweep
 constexpr double kBytesChebyFusedBlocked = 40.0;
 constexpr double kBytesJacobiBlocked = 40.0;
 
-// Chained variants (pipelined execution engine): the deferred edge rows
-// update while the block is still L2-resident from the main pass (the
-// tiled path re-streams them after a full-chunk traversal plus barrier),
-// and the chain amortises the per-phase synchronisation — modelled as a
-// further half of the intermediate's 8 bytes/cell re-read saved.
-constexpr double kBytesChebyFusedChained = 36.0;
-constexpr double kBytesJacobiChained = 36.0;
-
 }  // namespace
 
 double ScalingModel::run_seconds(const SolverRunSummary& run,
@@ -256,7 +232,7 @@ double ScalingModel::run_seconds(const SolverRunSummary& run,
   // bandwidth case.  The per-step field setup, the fp64 refinement guard
   // and the energy recovery stay at full width.
   const double fscale = run.precision == Precision::kDouble ? 1.0 : 0.5;
-  Cost cost(spec_, mesh_, nodes, run.tile_rows, run.pipeline, fscale);
+  Cost cost(spec_, mesh_, nodes, run.tile_rows, fscale);
   const bool diag = run.precon == PreconType::kJacobiDiag;
   const bool block = run.precon == PreconType::kJacobiBlock;
   // 7-point stencil sweeps stream the extra Kz face-coefficient field.
@@ -304,8 +280,7 @@ double ScalingModel::run_seconds(const SolverRunSummary& run,
     case SolverType::kJacobi: {
       for (int i = 0; i < run.outer_iters; ++i) {
         cost.exchange(1, 1);
-        cost.sweep_chained(kBytesJacobi + kface, kBytesJacobiBlocked + kface,
-                           kBytesJacobiChained + kface);
+        cost.sweep_blocked(kBytesJacobi + kface, kBytesJacobiBlocked + kface);
         cost.reduce();
       }
       break;
@@ -337,9 +312,8 @@ double ScalingModel::run_seconds(const SolverRunSummary& run,
       for (int i = 0; i < run.outer_iters; ++i) {
         cost.exchange(1, 1);
         cost.sweep(bytes_smvp);
-        cost.sweep_chained(kBytesChebyFused + diag_extra,
-                           kBytesChebyFusedBlocked + diag_extra,
-                           kBytesChebyFusedChained + diag_extra);
+        cost.sweep_blocked(kBytesChebyFused + diag_extra,
+                           kBytesChebyFusedBlocked + diag_extra);
         if ((i + 1) % run.cheby_check_interval == 0) cost.reduce();
       }
       break;
@@ -366,9 +340,8 @@ double ScalingModel::run_seconds(const SolverRunSummary& run,
             cost.sweep(24.0, ext);        // sd update
             cost.sweep(24.0, ext);        // z += sd
           } else {
-            cost.sweep_chained(kBytesChebyFused + diag_extra,
-                               kBytesChebyFusedBlocked + diag_extra,
-                               kBytesChebyFusedChained + diag_extra, ext);
+            cost.sweep_blocked(kBytesChebyFused + diag_extra,
+                               kBytesChebyFusedBlocked + diag_extra, ext);
           }
         }
       };

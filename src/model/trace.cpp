@@ -20,7 +20,6 @@ SolverRunSummary SolverRunSummary::from(const SolverConfig& cfg,
   // knob says.  -1 (auto) is kept symbolic; the scaling model resolves
   // it against the modelled machine's L2 and chunk width.
   run.tile_rows = cfg.fuse_kernels ? cfg.tile_rows : 0;
-  run.pipeline = cfg.fuse_kernels && cfg.pipeline;
   run.precision = cfg.precision;
   run.refine_steps = stats.refine_steps;
   run.eigen_cg_iters = stats.eigen_cg_iters;

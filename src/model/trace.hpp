@@ -27,12 +27,6 @@ struct SolverRunSummary {
   /// the scaling model uses this to pick the blocked-cache bytes/cell
   /// variants.
   int tile_rows = 0;
-  /// Whether the pipelined execution engine ran (cross-kernel row-block
-  /// chaining; false under the unfused engine whatever the knob says).
-  /// Pipelining never changes the communication structure — the scaling
-  /// model uses it to pick the chained bytes/cell variants when the
-  /// row-block also fits the modelled L2.
-  bool pipeline = false;
 
   /// Storage precision the solve ran with (SolverConfig::precision).
   /// single/mixed solves stream 4-byte elements through every solver-loop

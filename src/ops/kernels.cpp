@@ -72,22 +72,24 @@ inline double smvp_dot_row(const View& A, const Field<S>& src, Field<S>& dst,
   return acc;
 }
 
-/// One row of smvp_dot2: writes the pair (Σ other·src, Σ dst·src).
+/// One row of smvp_dot2: writes the pair (Σ other·src, Σ dst·src).  The
+/// operator apply and the dot products run as separate j-loops over the
+/// row (still in L1 for the second loop): a single loop carrying two fp64
+/// reductions does not vectorize, and was slower than the unfused
+/// smvp + dot + dot.  Each sum still accumulates in ascending j.
 template <class View, class S = typename View::Scalar>
 inline void smvp_dot2_row(const View& A, const Field<S>& src, Field<S>& dst,
                           const Field<S>& other, const Bounds& b,
                           const Bounds& in, int k, int l, double* pair_out) {
-  const bool row_in = (k >= in.klo && k < in.khi && l >= in.llo &&
-                       l < in.lhi);
+  for (int j = b.jlo; j < b.jhi; ++j) dst(j, k, l) = A.apply(src, j, k, l);
   double dot_other = 0.0;
   double dot_dst = 0.0;
-  for (int j = b.jlo; j < b.jhi; ++j) {
-    const S w = A.apply(src, j, k, l);
-    dst(j, k, l) = w;
-    if (row_in && j >= in.jlo && j < in.jhi) {
+  if (k >= in.klo && k < in.khi && l >= in.llo && l < in.lhi) {
+    const int j1 = std::min(b.jhi, in.jhi);
+    for (int j = std::max(b.jlo, in.jlo); j < j1; ++j) {
       const double sv = static_cast<double>(src(j, k, l));
       dot_other += static_cast<double>(other(j, k, l)) * sv;
-      dot_dst += static_cast<double>(w) * sv;
+      dot_dst += static_cast<double>(dst(j, k, l)) * sv;
     }
   }
   pair_out[0] = dot_other;
@@ -140,7 +142,10 @@ inline void cg_calc_ur_row(Chunk& c, double alpha, int k, int l) {
   }
 }
 
-/// One row of the pointwise Chronopoulos-Gear update.
+/// One row of the pointwise Chronopoulos-Gear update.  One j-loop per
+/// field: a single loop over all six fields did not vectorize and was
+/// slower than the separate vector kernels it replaces.  Per-cell
+/// arithmetic is unchanged.
 template <class View>
 inline void cg_chrono_update_row(Chunk& c, const View& A, double alpha,
                                  double beta, bool diag, bool local, int k,
@@ -154,16 +159,16 @@ inline void cg_chrono_update_row(Chunk& c, const View& A, double alpha,
   const auto& w = c.field_t<S>(FieldId::kW);
   const S a = static_cast<S>(alpha);
   const S bt = static_cast<S>(beta);
-  for (int j = 0; j < c.nx(); ++j) {
-    const S pv = z(j, k, l) + bt * p(j, k, l);
-    p(j, k, l) = pv;
-    const S sv = w(j, k, l) + bt * sd(j, k, l);
-    sd(j, k, l) = sv;
-    u(j, k, l) += a * pv;
-    r(j, k, l) -= a * sv;
-    if (local) {
-      z(j, k, l) = diag ? r(j, k, l) / A.diag(j, k, l) : r(j, k, l);
-    }
+  const int nx = c.nx();
+  for (int j = 0; j < nx; ++j) p(j, k, l) = z(j, k, l) + bt * p(j, k, l);
+  for (int j = 0; j < nx; ++j) sd(j, k, l) = w(j, k, l) + bt * sd(j, k, l);
+  for (int j = 0; j < nx; ++j) u(j, k, l) += a * p(j, k, l);
+  for (int j = 0; j < nx; ++j) r(j, k, l) -= a * sd(j, k, l);
+  if (!local) return;
+  if (diag) {
+    for (int j = 0; j < nx; ++j) z(j, k, l) = r(j, k, l) / A.diag(j, k, l);
+  } else {
+    for (int j = 0; j < nx; ++j) z(j, k, l) = r(j, k, l);
   }
 }
 
@@ -303,38 +308,16 @@ template <class View, class S = typename View::Scalar>
 void cheby_step_impl(Chunk& c, const View& A, Field<S>& res, Field<S>& dir,
                      Field<S>& acc, double alpha, double beta,
                      bool diag_precon, const Bounds& b) {
+  // Two sweeps: w = A·dir over the whole box, then the fused update.  A
+  // row-lagged single sweep (update row ρ−L as soon as w row ρ is in
+  // place) computes the same cells but ran 2–5× slower than this on one
+  // x86-64 core at 64²–1024² chunks.
   auto& w = c.field_t<S>(FieldId::kW);
-  // Row-lagged fusion: the stencil of flattened row ρ reads dir rows up
-  // to ρ+L, so row ρ−L may be updated as soon as w row ρ is in place —
-  // dir values feeding every operator application are pristine, as in the
-  // two-pass form.  L comes from the view: 1 for 2-D stencils, the rows-
-  // per-plane for 3-D ones, and the assembled matrices' measured row
-  // reach (which degenerates to a clean two-pass sweep when it spans the
-  // box).
-  const int W = b.khi - b.klo;
-  const int nrows = b.rows();
-  const int L = A.lag(b);
-  const auto row_of = [&](int rho, int* k, int* l) {
-    *l = b.llo + rho / W;
-    *k = b.klo + rho % W;
-  };
-  for (int rho = 0; rho < nrows; ++rho) {
-    int k = 0, l = 0;
-    row_of(rho, &k, &l);
-    for (int j = b.jlo; j < b.jhi; ++j) {
-      w(j, k, l) = A.apply(dir, j, k, l);
-    }
-    if (rho >= L) {
-      row_of(rho - L, &k, &l);
-      cheby_update_row(A, res, dir, acc, w, alpha, beta, diag_precon, b, k,
-                       l);
-    }
-  }
-  for (int rho = std::max(0, nrows - L); rho < nrows; ++rho) {
-    int k = 0, l = 0;
-    row_of(rho, &k, &l);
-    cheby_update_row(A, res, dir, acc, w, alpha, beta, diag_precon, b, k, l);
-  }
+  const Field<S>& src = dir;
+  for_rows(b, [&](int l, int k) {
+    for (int j = b.jlo; j < b.jhi; ++j) w(j, k, l) = A.apply(src, j, k, l);
+  });
+  cheby_fused_update_impl(c, A, res, dir, acc, alpha, beta, diag_precon, b);
 }
 
 template <class View, class S = typename View::Scalar>
@@ -344,12 +327,12 @@ void cheby_step_tile_impl(Chunk& c, const View& A, Field<S>& res,
                           const Bounds& tb) {
   auto& w = c.field_t<S>(FieldId::kW);
   if constexpr (View::kInBlockLag) {
-    // In-block row-lagged fusion, as in the untiled cheby_step, except
-    // rows tb.klo and tb.khi-1 stay un-updated: a neighbouring block's
-    // stencil reads dir(klo-1..klo) / dir(khi-1..khi), so those rows must
-    // keep their pristine values until every block's stencil sweep is
-    // done (team barrier), after which cheby_step_tile_edges finishes
-    // them.
+    // In-block row-lagged fusion: row k-1 updates as soon as w row k is
+    // in place, except rows tb.klo and tb.khi-1 stay un-updated: a
+    // neighbouring block's stencil reads dir(klo-1..klo) /
+    // dir(khi-1..khi), so those rows must keep their pristine values
+    // until every block's stencil sweep is done (team barrier), after
+    // which cheby_step_tile_edges finishes them.
     for (int k = tb.klo; k < tb.khi; ++k) {
       for (int j = b.jlo; j < b.jhi; ++j) {
         w(j, k, 0) = A.apply(dir, j, k, 0);

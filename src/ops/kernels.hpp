@@ -128,11 +128,10 @@ void cheby_fused_update(Chunk& c, FieldId res, FieldId dir, FieldId acc,
                         double alpha, double beta, bool diag_precon,
                         const Bounds& bounds);
 
-// ---- fused single-pass kernels (the fused execution engine) -------------
-// Each kernel below collapses a sequence of the sweeps above into one pass
-// over the fields, cell-for-cell in the same evaluation and accumulation
-// order — results are bitwise identical to the unfused composition, so the
-// sweep engine can A/B the two execution modes on speed alone.
+// ---- fused kernels ----------------------------------------------------------
+// Each kernel below replaces a sequence of the calls above, cell-for-cell
+// in the same evaluation and accumulation order — results are bitwise
+// identical to the composition.  Both schedules run them.
 
 /// Fused CG update + preconditioner apply + ⟨r,z⟩ in ONE pass over the
 /// interior (unfused: cg_calc_ur, apply_preconditioner, dot — three
@@ -142,15 +141,10 @@ void cheby_fused_update(Chunk& c, FieldId res, FieldId dir, FieldId acc,
 /// the strips couple cells vertically.
 [[nodiscard]] double calc_ur_dot(Chunk& c, double alpha, PreconType precon);
 
-/// Fused Chebyshev recurrence step in ONE row-lagged pass over `bounds`
-/// (unfused: smvp + cheby_fused_update — two sweeps):
-///   w = A·dir;  res −= w;  dir = α·dir + β·M⁻¹·res;  acc += dir.
-/// The stencil of flattened row ρ reads dir rows up to ρ+L away, where
-/// L = 1 in 2-D (the k±1 neighbours) and L = rows-per-plane in 3-D (the
-/// l±1 neighbours), so the update lags L rows behind the stencil sweep;
-/// dir values feeding every stencil are the pristine pre-update values,
-/// exactly as in the unfused two-pass form.  Only local preconditioners
-/// (identity/diagonal) fuse.
+/// One Chebyshev recurrence step over `bounds`:
+///   w = A·dir;  res −= w;  dir = α·dir + β·M⁻¹·res;  acc += dir
+/// — the stencil sweep, then the cheby_fused_update sweep.  Only local
+/// preconditioners (identity/diagonal) take this form.
 void cheby_step(Chunk& c, FieldId res, FieldId dir, FieldId acc,
                 double alpha, double beta, bool diag_precon,
                 const Bounds& bounds);
@@ -225,9 +219,9 @@ void cg_chrono_update_rows(Chunk& c, double alpha, double beta,
 
 /// Tile `tb` of the fused Chebyshev step: computes w = A·dir for all rows
 /// of the tile and applies as much of the update in-pass as the stencil
-/// dependences allow.  2-D: the in-block row-lagged update of the
-/// untiled cheby_step, with the first and last row of the block deferred
-/// (a neighbouring block's stencil still reads their pristine `dir`).
+/// dependences allow.  2-D: an in-block row-lagged update, with the first
+/// and last row of the block deferred (a neighbouring block's stencil
+/// still reads their pristine `dir`).
 /// 3-D: every row of a plane is read by the adjacent planes' stencils, so
 /// the whole update defers.  After a team barrier,
 /// `cheby_step_tile_edges` finishes the deferred rows.  The per-cell

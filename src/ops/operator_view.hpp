@@ -22,8 +22,6 @@ namespace tealeaf {
 ///                                (the Jacobi-update accumulation)
 ///   coupling_k(j,k,l,dk)        the *signed* off-diagonal entry toward
 ///                                (j, k+dk, l) — block-Jacobi's sub/sup
-///   lag(b)                       rows a deferred-update sweep must trail
-///                                the operator application by
 ///
 /// Every view is additionally templated on the storage scalar `T`
 /// (exposed as `View::Scalar`): elementwise arithmetic runs in T, so the
@@ -105,10 +103,6 @@ struct StencilView {
 
   [[nodiscard]] T coupling_k(int j, int k, int l, int dk) const {
     return dk < 0 ? -(*ky)(j, k, l) : -(*ky)(j, k + 1, l);
-  }
-
-  [[nodiscard]] int lag(const Bounds& b) const {
-    return Dims == 3 ? b.khi - b.klo : 1;
   }
 };
 
@@ -229,9 +223,6 @@ struct CsrViewT {
     const std::int64_t target = m->cols[m->row_ptr[row(j, k + dk, l)]];
     return detail::row_coupling(cursor(row(j, k, l)), target);
   }
-  [[nodiscard]] int lag(const Bounds&) const {
-    return std::max(1, m->row_reach);
-  }
 };
 
 using CsrView = CsrViewT<double>;
@@ -272,9 +263,6 @@ struct SellViewT {
   [[nodiscard]] T coupling_k(int j, int k, int l, int dk) const {
     const std::int64_t target = cursor(row(j, k + dk, l)).col(0);
     return detail::row_coupling(cursor(row(j, k, l)), target);
-  }
-  [[nodiscard]] int lag(const Bounds&) const {
-    return std::max(1, m->row_reach);
   }
 };
 

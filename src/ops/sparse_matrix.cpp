@@ -27,11 +27,8 @@ CsrMatrixT<T> assemble_from_stencil_t(const Chunk& c) {
   m.row_ptr.resize(m.nrows + 1);
   m.cols.resize(m.nrows * per_row);
   m.vals.resize(m.nrows * per_row);
-  // One inter-plane column hop moves the flattened row index by ny; one
-  // inter-row hop moves it by 1.  Boundary-face zeros are kept, so every
-  // row has the full stencil arity and the pairwise accumulation in the
-  // kernels never regroups.
-  m.row_reach = three_d ? ny : 1;
+  // Boundary-face zeros are kept, so every row has the full stencil arity
+  // and the pairwise accumulation in the kernels never regroups.
 
   std::int64_t e = 0;
   for (std::int64_t r = 0; r <= m.nrows; ++r) m.row_ptr[r] = r * per_row;
@@ -96,7 +93,6 @@ SellMatrixT<T> sell_from_csr_t(const CsrMatrixT<T>& csr, int C, int sigma) {
   s.chunk_c = C;
   s.sigma = sigma;
   s.nrows = csr.nrows;
-  s.row_reach = csr.row_reach;
   s.row_len.resize(csr.nrows);
   for (std::int64_t r = 0; r < csr.nrows; ++r)
     s.row_len[r] = csr.row_len(r);

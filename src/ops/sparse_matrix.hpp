@@ -33,10 +33,6 @@ struct CsrMatrixT {
   std::vector<std::int64_t> cols;     ///< Field storage offsets
   std::vector<T> vals;                ///< signed entry values, diag first
 
-  /// Greatest |Δ(l·ny + k)| between a row and any column it references —
-  /// the row lag a Chebyshev-style deferred-update sweep must respect.
-  int row_reach = 1;
-
   [[nodiscard]] std::int64_t nnz() const {
     return static_cast<std::int64_t>(vals.size());
   }
@@ -69,7 +65,6 @@ struct SellMatrixT {
   std::vector<int> row_len;             ///< row → true entry count
   std::vector<std::int64_t> cols;       ///< padded, slice-column-major
   std::vector<T> vals;                  ///< padded, slice-column-major
-  int row_reach = 1;
 
   [[nodiscard]] double fill_ratio() const;  ///< padded / true nnz
 };

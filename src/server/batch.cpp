@@ -39,7 +39,7 @@ void solve_batched(std::vector<BatchItem>& items) {
         sub_team_slot(region.thread_id(), region.num_threads(), ngroups);
     Team sub(slot.local_id, slot.size, bars[slot.group].get());
 
-    // Each sub-team pipelines through its strided share of the batch.
+    // Each sub-team works through its strided share of the batch.
     // No region-wide barrier between items: sub-teams are independent
     // (distinct clusters) and their SpinBarrier alone orders each solve.
     for (int idx = slot.group; idx < nitems; idx += ngroups) {

@@ -18,7 +18,7 @@ struct BatchItem {
 
 /// Solve every item of the batch inside ONE parallel region: the region's
 /// threads are partitioned into min(nitems, nthreads) sub-teams, each
-/// sub-team runs whole solves via run_solver_team and pipelines through
+/// sub-team runs whole solves via run_solver_team and works through
 /// the items assigned to it (item k goes to sub-team k mod ngroups).
 ///
 /// Because every solver's team form derives all control flow from

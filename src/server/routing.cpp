@@ -18,7 +18,6 @@ namespace {
 void append_axis_suffixes(std::ostringstream& os, const RouteEntry& e) {
   if (e.config.fuse_kernels) os << "/fused";
   if (e.config.tile_rows != 0) os << "/b" << e.config.tile_rows;
-  if (e.config.pipeline) os << "/pipe";
   if (e.dims == 3) os << "/3d";
   if (e.config.op != OperatorKind::kStencil) {
     os << "/" << to_string(e.config.op);
@@ -61,10 +60,6 @@ RouteEntry RouteEntry::validated() const {
       throw TeaError("route " + label() +
                      ": mg-pcg's fused path does not row-tile");
     }
-    if (config.pipeline) {
-      throw TeaError("route " + label() +
-                     ": mg-pcg's fused path does not pipeline");
-    }
     if (config.op != OperatorKind::kStencil) {
       throw TeaError("route " + label() +
                      ": mg-pcg rebuilds its hierarchy from the face "
@@ -99,7 +94,6 @@ RoutingTable RoutingTable::from_sweep(const SweepReport& report) {
     mc.entry.config.halo_depth = cell.config.halo_depth;
     mc.entry.config.fuse_kernels = cell.config.fused;
     mc.entry.config.tile_rows = cell.config.tile_rows;
-    mc.entry.config.pipeline = cell.config.pipeline;
     mc.entry.config.op = operator_kind_from_string(cell.config.op);
     mc.entry.config.precision = precision_from_string(cell.config.precision);
     mc.entry.threads = cell.config.threads;

@@ -83,7 +83,6 @@ SolveServer::Routed SolveServer::route_request(const SolveRequest& req,
   r.config.halo_depth = best.config.halo_depth;
   r.config.fuse_kernels = best.config.fuse_kernels;
   r.config.tile_rows = best.config.tile_rows;
-  r.config.pipeline = best.config.pipeline;
   r.config.op = best.config.op;
   r.config.precision = best.config.precision;
   r.label = best.label();
@@ -292,7 +291,6 @@ std::vector<SolveResult> SolveServer::drain() {
               retry.halo_depth = e.config.halo_depth;
               retry.fuse_kernels = e.config.fuse_kernels;
               retry.tile_rows = e.config.tile_rows;
-              retry.pipeline = e.config.pipeline;
               retry.op = e.config.op;
               // The session's shape was keyed on the first route's
               // precision, so the retry keeps it rather than adopting the
@@ -470,7 +468,6 @@ RunResult SolveServer::run(const InputDeck& deck, int nranks) {
         retry.halo_depth = e.config.halo_depth;
         retry.fuse_kernels = e.config.fuse_kernels;
         retry.tile_rows = e.config.tile_rows;
-        retry.pipeline = e.config.pipeline;
         retry.op = e.config.op;
         retry.precision = e.config.precision;
         route_key = e.route_key();

@@ -4,6 +4,7 @@
 
 #include "ops/kernels.hpp"
 #include "precon/preconditioner.hpp"
+#include "solvers/schedule.hpp"
 #include "util/error.hpp"
 #include "util/timer.hpp"
 
@@ -42,12 +43,23 @@ double cg_setup(SimCluster2D& cl, PreconType precon, const Team* team) {
 }
 
 double cg_iteration(SimCluster2D& cl, PreconType precon, double rro,
-                    CGRecurrence* rec, bool* breakdown, const Team* team) {
+                    CGRecurrence* rec, bool* breakdown, const Team* team,
+                    int tile_rows) {
+  const auto interior = [](int, Chunk2D& c) { return interior_bounds(c); };
   cl.exchange(team, {FieldId::kP}, 1);
-  const double pw = cl.sum_over_chunks(team, [](int, Chunk2D& c) {
-    return kernels::smvp_dot(c, FieldId::kP, FieldId::kW,
-                             interior_bounds(c));
-  });
+  const double pw =
+      tile_rows > 0
+          ? cl.sum_rows_over_chunks(
+                team, tile_rows,
+                [](int, Chunk2D& c, const Bounds& tb) {
+                  kernels::smvp_dot_rows(c, FieldId::kP, FieldId::kW,
+                                         interior_bounds(c), tb,
+                                         c.row_scratch());
+                })
+          : cl.sum_over_chunks(team, [](int, Chunk2D& c) {
+              return kernels::smvp_dot(c, FieldId::kP, FieldId::kW,
+                                       interior_bounds(c));
+            });
   if (!(pw > 0.0)) {
     // Numerical breakdown (pw <= 0 or NaN).  Callers running inside a
     // sweep pass a flag and record the failure; direct library use keeps
@@ -62,28 +74,47 @@ double cg_iteration(SimCluster2D& cl, PreconType precon, double rro,
   }
   const double alpha = rro / pw;
 
+  // u += α·p, r −= α·w, z = M⁻¹r and ⟨r,z⟩ in one pass (calc_ur_dot).
   double rrn;
-  if (precon == PreconType::kNone) {
-    rrn = cl.sum_over_chunks(team, [&](int, Chunk2D& c) {
-      kernels::cg_calc_ur(c, alpha);
-      return kernels::norm2_sq(c, FieldId::kR);
+  if (tile_rows > 0 && precon == PreconType::kJacobiBlock) {
+    // The strip solve couples rows: row-tile the pointwise update, run
+    // the solve per rank, then the row-tiled ⟨r,z⟩.
+    cl.for_each_tile(team, tile_rows, interior,
+                     [&](int, Chunk2D& c, const Bounds& tb) {
+                       kernels::cg_calc_ur_rows(c, alpha, tb);
+                     });
+    phase_barrier(team);
+    cl.for_each_chunk(team, [](int, Chunk2D& c) {
+      kernels::block_jacobi_solve(c, FieldId::kR, FieldId::kZ);
     });
+    rrn = cl.sum_rows_over_chunks(
+        team, tile_rows, [](int, Chunk2D& c, const Bounds& tb) {
+          kernels::dot_rows(c, FieldId::kR, FieldId::kZ, tb, c.row_scratch());
+        });
+  } else if (tile_rows > 0) {
+    rrn = cl.sum_rows_over_chunks(
+        team, tile_rows, [&](int, Chunk2D& c, const Bounds& tb) {
+          kernels::calc_ur_dot_rows(c, alpha, precon, tb, c.row_scratch());
+        });
   } else {
-    cl.for_each_chunk(team, [&](int, Chunk2D& c) {
-      kernels::cg_calc_ur(c, alpha);
-      kernels::apply_preconditioner(c, precon, FieldId::kR, FieldId::kZ);
-    });
-    rrn = cl.sum_over_chunks(team, [](int, const Chunk2D& c) {
-      return kernels::dot(c, FieldId::kR, FieldId::kZ);
+    rrn = cl.sum_over_chunks(team, [&](int, Chunk2D& c) {
+      return kernels::calc_ur_dot(c, alpha, precon);
     });
   }
 
   const double beta = rrn / rro;
   const FieldId zsrc =
       (precon == PreconType::kNone) ? FieldId::kR : FieldId::kZ;
-  cl.for_each_chunk(team, [&](int, Chunk2D& c) {
-    kernels::xpby(c, FieldId::kP, zsrc, beta, interior_bounds(c));
-  });
+  if (tile_rows > 0) {
+    cl.for_each_tile(team, tile_rows, interior,
+                     [&](int, Chunk2D& c, const Bounds& tb) {
+                       kernels::xpby(c, FieldId::kP, zsrc, beta, tb);
+                     });
+  } else {
+    cl.for_each_chunk(team, [&](int, Chunk2D& c) {
+      kernels::xpby(c, FieldId::kP, zsrc, beta, interior_bounds(c));
+    });
+  }
 
   if (rec != nullptr) {
     rec->alphas.push_back(alpha);
@@ -92,139 +123,85 @@ double cg_iteration(SimCluster2D& cl, PreconType precon, double rro,
   return rrn;
 }
 
-SolveStats CGSolver::solve_fused(SimCluster2D& cl,
-                                 const SolverConfig& cfg) {
-  // Chronopoulos-Gear CG: recurrences reordered so that ⟨r,z⟩ and
-  // ⟨w,z⟩ are computed back-to-back and travel in ONE allreduce —
-  // the §VII future-work "multiple dot products combined into a single
-  // communication step".  Field roles: z = M⁻¹r, sd = A·p (the "s"
-  // vector), w = A·z.
+SolveStats CGSolver::solve_classic(SimCluster2D& cl, const SolverConfig& cfg,
+                                   const Team* team) {
   Timer timer;
   SolveStats st;
 
-  const auto precon_and_w = [&] {
-    // z = M⁻¹·r; exchange z; w = A·z; return fused partials (⟨r,z⟩,⟨w,z⟩).
-    cl.for_each_chunk([&](int, Chunk2D& c) {
-      kernels::apply_preconditioner(c, cfg.precon, FieldId::kR, FieldId::kZ);
-    });
-    cl.exchange({FieldId::kZ}, 1);
-    std::vector<std::pair<double, double>> partials(
-        static_cast<std::size_t>(cl.nranks()));
-    cl.for_each_chunk([&](int r, Chunk2D& c) {
-      kernels::smvp(c, FieldId::kZ, FieldId::kW, interior_bounds(c));
-      partials[r] = {kernels::dot(c, FieldId::kR, FieldId::kZ),
-                     kernels::dot(c, FieldId::kW, FieldId::kZ)};
-    });
-    return cl.reduce_sum2(partials);
-  };
-
-  // Bootstrap: r = u0 − A·u, then the first fused preconditioned step.
-  cl.exchange({FieldId::kU}, 1);
-  cl.for_each_chunk([&](int, Chunk2D& c) {
-    kernels::calc_residual(c);
-    if (cfg.precon == PreconType::kJacobiBlock) kernels::block_jacobi_init(c);
-  });
-  auto [gamma, delta] = precon_and_w();
+  double rro = cg_setup(cl, cfg.precon, team);
   ++st.spmv_applies;
-  st.initial_norm = std::sqrt(std::fabs(gamma));
+  st.initial_norm = std::sqrt(std::fabs(rro));
   if (st.initial_norm == 0.0) {
+    // Zero right-hand side: the initial guess is already exact.
     st.converged = true;
     st.solve_seconds = timer.elapsed_s();
     return st;
   }
   const double target = cfg.eps * st.initial_norm;
 
-  // p = z, s(=sd) = w.
-  cl.for_each_chunk([](int, Chunk2D& c) {
-    kernels::copy(c, FieldId::kP, FieldId::kZ, interior_bounds(c));
-    kernels::copy(c, FieldId::kSd, FieldId::kW, interior_bounds(c));
-  });
-  if (!(delta > 0.0)) {
-    st.breakdown = true;
-    st.breakdown_reason = "fused CG breakdown: ⟨A·z, z⟩ <= 0";
-    st.final_norm = st.initial_norm;
-    st.solve_seconds = timer.elapsed_s();
-    return st;
-  }
-  double alpha = gamma / delta;
-
+  double rrn = rro;
   while (st.outer_iters < cfg.max_iters) {
-    // x += α·p, r −= α·s.
-    cl.for_each_chunk([&](int, Chunk2D& c) {
-      const Bounds in = interior_bounds(c);
-      kernels::axpy(c, FieldId::kU, alpha, FieldId::kP, in);
-      kernels::axpy(c, FieldId::kR, -alpha, FieldId::kSd, in);
-    });
-    const auto [gamma_new, delta_new] = precon_and_w();
+    // Every thread computed the same rank-ordered sums, so the breakdown
+    // and convergence branches are uniform across the team.
+    bool broke = false;
+    rrn = cg_iteration(cl, cfg.precon, rro, nullptr, &broke, team,
+                       cfg.tile_rows);
     ++st.spmv_applies;
-    ++st.outer_iters;
-    if (std::sqrt(std::fabs(gamma_new)) <= target) {
-      st.converged = true;
-      gamma = gamma_new;
-      break;
-    }
-    const double beta = gamma_new / gamma;
-    alpha = gamma_new / (delta_new - beta * gamma_new / alpha);
-    if (!std::isfinite(alpha)) {
+    if (broke) {
       st.breakdown = true;
-      st.breakdown_reason = "fused CG recurrence breakdown";
-      gamma = gamma_new;
+      st.breakdown_reason = kPwBreakdown;
       break;
     }
-    // p = z + β·p, s = w + β·s.
-    cl.for_each_chunk([&](int, Chunk2D& c) {
-      const Bounds in = interior_bounds(c);
-      kernels::xpby(c, FieldId::kP, FieldId::kZ, beta, in);
-      kernels::xpby(c, FieldId::kSd, FieldId::kW, beta, in);
-    });
-    gamma = gamma_new;
+    rro = rrn;
+    ++st.outer_iters;
+    if (std::sqrt(std::fabs(rrn)) <= target) {
+      st.converged = true;
+      break;
+    }
   }
-  st.final_norm = std::sqrt(std::fabs(gamma));
+  st.final_norm = std::sqrt(std::fabs(rrn));
   st.solve_seconds = timer.elapsed_s();
   return st;
 }
 
-SolveStats CGSolver::solve_team_chrono(SimCluster2D& cl,
-                                       const SolverConfig& cfg,
-                                       const Team& team) {
-  // The fused-execution-engine form of the Chronopoulos-Gear recurrence:
-  // the WHOLE solve runs on the caller's team — bootstrap, every
-  // iteration's single-pass vector update (cg_chrono_update), the
-  // team-aware z exchange and the operator apply with both dot products
-  // folded in (smvp_dot2).  Arithmetic is bitwise identical to
-  // solve_fused.  With cfg.tile_rows > 0 both sweeps run row-blocked
-  // through the tiled engine — bitwise identical again (shared per-row
-  // kernel cores, ordered combination).  All control scalars derive from
-  // team reductions, so every thread follows the same path and returns
-  // the same stats.
+SolveStats CGSolver::solve_chrono(SimCluster2D& cl, const SolverConfig& cfg,
+                                  const Team* team) {
+  // Chronopoulos-Gear CG: recurrences reordered so that ⟨r,z⟩ and ⟨w,z⟩
+  // are computed back-to-back and travel in ONE allreduce — the §VII
+  // future-work "multiple dot products combined into a single
+  // communication step".  Field roles: z = M⁻¹r, sd = A·p (the "s"
+  // vector), w = A·z.  Each iteration is one fused vector update
+  // (cg_chrono_update), the z exchange and the operator apply with both
+  // dot products folded in (smvp_dot2) — row-tiled when cfg.tile_rows > 0.
   Timer timer;
   SolveStats st;
   const int tile = cfg.tile_rows;
   const bool block = (cfg.precon == PreconType::kJacobiBlock);
   const auto interior = [](int, Chunk2D& c) { return interior_bounds(c); };
-  const auto smvp_dot2_pair = [&](const Team* t) {
+  const auto smvp_dot2_pair = [&] {
     if (tile > 0) {
       return cl.sum2_rows_over_chunks(
-          t, tile, [](int, Chunk2D& c, const Bounds& tb) {
+          team, tile, [](int, Chunk2D& c, const Bounds& tb) {
             kernels::smvp_dot2_rows(c, FieldId::kZ, FieldId::kW, FieldId::kR,
                                     interior_bounds(c), tb,
                                     c.row_scratch());
           });
     }
-    return cl.sum2_over_chunks(t, [](int, Chunk2D& c) {
+    return cl.sum2_over_chunks(team, [](int, Chunk2D& c) {
       return kernels::smvp_dot2(c, FieldId::kZ, FieldId::kW, FieldId::kR,
                                 interior_bounds(c));
     });
   };
 
-  cl.exchange(&team, {FieldId::kU}, 1);
-  cl.for_each_chunk(&team, [&](int, Chunk2D& c) {
+  // Bootstrap: r = u0 − A·u, z = M⁻¹r, then the first fused pair.
+  cl.exchange(team, {FieldId::kU}, 1);
+  cl.for_each_chunk(team, [&](int, Chunk2D& c) {
     kernels::calc_residual(c);
     if (block) kernels::block_jacobi_init(c);
     kernels::apply_preconditioner(c, cfg.precon, FieldId::kR, FieldId::kZ);
   });
-  cl.exchange(&team, {FieldId::kZ}, 1);
-  const auto gd = smvp_dot2_pair(&team);
+  cl.exchange(team, {FieldId::kZ}, 1);
+  const auto gd = smvp_dot2_pair();
   double gamma = gd.first;
   double delta = gd.second;
   ++st.spmv_applies;
@@ -247,7 +224,7 @@ SolveStats CGSolver::solve_team_chrono(SimCluster2D& cl,
 
   while (st.outer_iters < cfg.max_iters) {
     if (tile > 0) {
-      cl.for_each_tile(&team, tile, interior,
+      cl.for_each_tile(team, tile, interior,
                        [&](int, Chunk2D& c, const Bounds& tb) {
                          kernels::cg_chrono_update_rows(c, alpha, beta,
                                                         cfg.precon, tb);
@@ -255,18 +232,18 @@ SolveStats CGSolver::solve_team_chrono(SimCluster2D& cl,
       if (block) {
         // The strip solve reads every r row of its rank: order it
         // against the row-blocked pointwise update.
-        team.barrier();
-        cl.for_each_chunk(&team, [](int, Chunk2D& c) {
+        phase_barrier(team);
+        cl.for_each_chunk(team, [](int, Chunk2D& c) {
           kernels::block_jacobi_solve(c, FieldId::kR, FieldId::kZ);
         });
       }
     } else {
-      cl.for_each_chunk(&team, [&](int, Chunk2D& c) {
+      cl.for_each_chunk(team, [&](int, Chunk2D& c) {
         kernels::cg_chrono_update(c, alpha, beta, cfg.precon);
       });
     }
-    cl.exchange(&team, {FieldId::kZ}, 1);
-    const auto gd_it = smvp_dot2_pair(&team);
+    cl.exchange(team, {FieldId::kZ}, 1);
+    const auto gd_it = smvp_dot2_pair();
     const double gamma_new = gd_it.first;
     const double delta_new = gd_it.second;
     ++st.spmv_applies;
@@ -291,162 +268,17 @@ SolveStats CGSolver::solve_team_chrono(SimCluster2D& cl,
   return st;
 }
 
-SolveStats CGSolver::solve_team_classic(SimCluster2D& cl,
-                                        const SolverConfig& cfg,
-                                        const Team& team) {
-  // Classic CG through the fused execution engine: the whole solve —
-  // setup and every iteration's exchange phases, smvp+dot, the
-  // update/precondition/dot triple (single-pass calc_ur_dot) and the
-  // direction update — runs on the caller's team inside ONE region.
-  // With cfg.tile_rows > 0 every sweep runs row-blocked (and, with more
-  // threads than ranks, 2-D scheduled) — bitwise identical either way.
-  Timer timer;
-  SolveStats st;
-  const int tile = cfg.tile_rows;
-  const auto interior = [](int, Chunk2D& c) { return interior_bounds(c); };
-
-  double rro = cg_setup(cl, cfg.precon, &team);
-  ++st.spmv_applies;
-  st.initial_norm = std::sqrt(std::fabs(rro));
-  if (st.initial_norm == 0.0) {
-    st.converged = true;
-    st.solve_seconds = timer.elapsed_s();
-    return st;
-  }
-  const double target = cfg.eps * st.initial_norm;
-
-  double rrn = rro;
-  while (st.outer_iters < cfg.max_iters) {
-    cl.exchange(&team, {FieldId::kP}, 1);
-    const double pw =
-        tile > 0
-            ? cl.sum_rows_over_chunks(
-                  &team, tile,
-                  [](int, Chunk2D& c, const Bounds& tb) {
-                    kernels::smvp_dot_rows(c, FieldId::kP, FieldId::kW,
-                                           interior_bounds(c), tb,
-                                           c.row_scratch());
-                  })
-            : cl.sum_over_chunks(&team, [](int, Chunk2D& c) {
-                return kernels::smvp_dot(c, FieldId::kP, FieldId::kW,
-                                         interior_bounds(c));
-              });
-    ++st.spmv_applies;
-    // Every thread computed the same rank-ordered sum, so the breakdown
-    // branch is uniform across the team.
-    if (!(pw > 0.0)) {
-      st.breakdown = true;
-      st.breakdown_reason = kPwBreakdown;
-      break;
-    }
-    const double alpha = rro / pw;
-    double rrn_t;
-    if (tile > 0 && cfg.precon == PreconType::kJacobiBlock) {
-      // The strip solve couples rows: row-tile the pointwise update,
-      // run the solve per rank, then the row-tiled ⟨r,z⟩.
-      cl.for_each_tile(&team, tile, interior,
-                       [&](int, Chunk2D& c, const Bounds& tb) {
-                         kernels::cg_calc_ur_rows(c, alpha, tb);
-                       });
-      team.barrier();
-      cl.for_each_chunk(&team, [](int, Chunk2D& c) {
-        kernels::block_jacobi_solve(c, FieldId::kR, FieldId::kZ);
-      });
-      rrn_t = cl.sum_rows_over_chunks(
-          &team, tile, [](int, Chunk2D& c, const Bounds& tb) {
-            kernels::dot_rows(c, FieldId::kR, FieldId::kZ, tb,
-                              c.row_scratch());
-          });
-    } else if (tile > 0) {
-      rrn_t = cl.sum_rows_over_chunks(
-          &team, tile, [&](int, Chunk2D& c, const Bounds& tb) {
-            kernels::calc_ur_dot_rows(c, alpha, cfg.precon, tb,
-                                      c.row_scratch());
-          });
-    } else {
-      rrn_t = cl.sum_over_chunks(&team, [&](int, Chunk2D& c) {
-        return kernels::calc_ur_dot(c, alpha, cfg.precon);
-      });
-    }
-    const double beta = rrn_t / rro;
-    const FieldId zsrc =
-        (cfg.precon == PreconType::kNone) ? FieldId::kR : FieldId::kZ;
-    if (tile > 0) {
-      cl.for_each_tile(&team, tile, interior,
-                       [&](int, Chunk2D& c, const Bounds& tb) {
-                         kernels::xpby(c, FieldId::kP, zsrc, beta, tb);
-                       });
-    } else {
-      cl.for_each_chunk(&team, [&](int, Chunk2D& c) {
-        kernels::xpby(c, FieldId::kP, zsrc, beta, interior_bounds(c));
-      });
-    }
-    rrn = rrn_t;
-    rro = rrn;
-    ++st.outer_iters;
-    if (std::sqrt(std::fabs(rrn)) <= target) {
-      st.converged = true;
-      break;
-    }
-  }
-  st.final_norm = std::sqrt(std::fabs(rrn));
-  st.solve_seconds = timer.elapsed_s();
-  return st;
-}
-
 SolveStats CGSolver::solve_team(SimCluster2D& cl, const SolverConfig& cfg,
-                                const Team& team) {
-  return cfg.fuse_cg_reductions ? solve_team_chrono(cl, cfg, team)
-                                : solve_team_classic(cl, cfg, team);
+                                const Team* team) {
+  return cfg.fuse_cg_reductions ? solve_chrono(cl, cfg, team)
+                                : solve_classic(cl, cfg, team);
 }
 
 SolveStats CGSolver::solve(SimCluster2D& cl, const SolverConfig& cfg) {
   cfg.validate();
-  if (cfg.fuse_kernels) {
-    // Fused execution engine: hoist ONE region around the whole solve and
-    // run the team-injected form on it.
-    SolveStats out;
-    parallel_region([&](Team& t) {
-      const SolveStats st = solve_team(cl, cfg, t);
-      t.single([&] { out = st; });
-    });
-    return out;
-  }
-  if (cfg.fuse_cg_reductions) return solve_fused(cl, cfg);
-  Timer timer;
-  SolveStats st;
-
-  double rro = cg_setup(cl, cfg.precon);
-  ++st.spmv_applies;
-  st.initial_norm = std::sqrt(std::fabs(rro));
-  if (st.initial_norm == 0.0) {
-    // Zero right-hand side: the initial guess is already exact.
-    st.converged = true;
-    st.solve_seconds = timer.elapsed_s();
-    return st;
-  }
-  const double target = cfg.eps * st.initial_norm;
-
-  double rrn = rro;
-  while (st.outer_iters < cfg.max_iters) {
-    bool broke = false;
-    rrn = cg_iteration(cl, cfg.precon, rro, nullptr, &broke);
-    ++st.spmv_applies;
-    if (broke) {
-      st.breakdown = true;
-      st.breakdown_reason = kPwBreakdown;
-      break;
-    }
-    rro = rrn;
-    ++st.outer_iters;
-    if (std::sqrt(std::fabs(rrn)) <= target) {
-      st.converged = true;
-      break;
-    }
-  }
-  st.final_norm = std::sqrt(std::fabs(rrn));
-  st.solve_seconds = timer.elapsed_s();
-  return st;
+  return run_scheduled(cfg, [&](const SolverConfig& c, const Team* t) {
+    return solve_team(cl, c, t);
+  });
 }
 
 }  // namespace tealeaf

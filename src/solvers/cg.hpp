@@ -19,24 +19,26 @@ namespace tealeaf {
 double cg_setup(SimCluster2D& cl, PreconType precon,
                 const Team* team = nullptr);
 
-/// One CG iteration (upstream tea_leaf_cg_calc_* kernels):
+/// One classic CG iteration (upstream tea_leaf_cg_calc_* kernels):
 ///   exchange(p,1); w = A·p; pw = ⟨p,w⟩;  α = rro/pw
 ///   u += α·p; r −= α·w; z = M⁻¹r; rrn = ⟨r,z⟩;  β = rrn/rro;  p = z + β·p
 /// Two global reductions.  Appends (α, β) to `rec` when non-null (used by
-/// the Chebyshev/PPCG eigenvalue presteps).  Returns rrn.
+/// the Chebyshev/PPCG eigenvalue presteps).  Returns rrn.  This is the one
+/// classic-CG step: CGSolver's classic body and the presteps both run it.
 ///
 /// A numerical breakdown (⟨p, A·p⟩ <= 0 or NaN) is reported through
 /// `breakdown` when supplied — the iteration leaves u/r untouched and
 /// returns rro — so sweep-driven solves can record the failure and
 /// continue; with breakdown == nullptr it throws TeaError instead.
 ///
-/// Team-aware like cg_setup.  Callers running inside a region MUST pass
-/// `breakdown` (an exception crossing the region boundary would terminate
-/// the process) and per-thread `rec` storage; the appended (α, β) are
-/// identical on every thread.
+/// Team-aware like cg_setup, and row-tiled through the tiled engine when
+/// tile_rows > 0 (bitwise identical either way).  Callers running inside
+/// a region MUST pass `breakdown` (an exception crossing the region
+/// boundary would terminate the process) and per-thread `rec` storage;
+/// the appended (α, β) are identical on every thread.
 double cg_iteration(SimCluster2D& cl, PreconType precon, double rro,
                     CGRecurrence* rec, bool* breakdown = nullptr,
-                    const Team* team = nullptr);
+                    const Team* team = nullptr, int tile_rows = 0);
 
 /// The standard conjugate-gradient solver (paper §III-A): the baseline
 /// whose strong-scaling is limited by the two global dot products per
@@ -47,31 +49,29 @@ class CGSolver {
   /// declared when √|⟨r,M⁻¹r⟩| falls below eps × its initial value.
   /// With cfg.fuse_cg_reductions the Chronopoulos-Gear recurrence is
   /// used instead: one fused allreduce per iteration (paper §VII).
-  /// With cfg.fuse_kernels either recurrence runs through the fused
-  /// execution engine — the whole solve inside one hoisted parallel
-  /// region with single-pass kernels — with bitwise-identical numerics.
+  /// cfg.fuse_kernels picks the schedule (see run_scheduled); the
+  /// numerics are bitwise identical either way.
   static SolveStats solve(SimCluster2D& cl, const SolverConfig& cfg);
 
-  /// Team-injected fused solve: the ENTIRE solve runs on `team` inside
-  /// the caller's already-open parallel region.  Every thread of the
-  /// team must call this with identical arguments; all loop-control
-  /// scalars derive from rank-ordered team reductions, so control flow
-  /// is uniform and the returned stats are identical on every thread
-  /// (up to each thread's own wall-clock).  `team` may be a sub-team —
-  /// the batch engine runs one request per sub-team concurrently.
-  /// cfg must be pre-validated (validation throws; regions cannot).
-  /// Honours cfg.fuse_cg_reductions (Chronopoulos-Gear vs classic).
+  /// The solver body on a nullable team.  With a Team the ENTIRE solve
+  /// runs on it inside the caller's already-open parallel region: every
+  /// thread of the team must call this with identical arguments; all
+  /// loop-control scalars derive from rank-ordered team reductions, so
+  /// control flow is uniform and the returned stats are identical on
+  /// every thread (up to each thread's own wall-clock).  `team` may be a
+  /// sub-team — the batch engine runs one request per sub-team
+  /// concurrently.  team == nullptr runs the standalone collectives, one
+  /// region each.  cfg must be pre-validated (validation throws; regions
+  /// cannot).  Honours cfg.fuse_cg_reductions (Chronopoulos-Gear vs
+  /// classic) — two recurrences, not two schedules.
   static SolveStats solve_team(SimCluster2D& cl, const SolverConfig& cfg,
-                               const Team& team);
+                               const Team* team);
 
  private:
-  static SolveStats solve_fused(SimCluster2D& cl, const SolverConfig& cfg);
-  static SolveStats solve_team_chrono(SimCluster2D& cl,
-                                      const SolverConfig& cfg,
-                                      const Team& team);
-  static SolveStats solve_team_classic(SimCluster2D& cl,
-                                       const SolverConfig& cfg,
-                                       const Team& team);
+  static SolveStats solve_classic(SimCluster2D& cl, const SolverConfig& cfg,
+                                  const Team* team);
+  static SolveStats solve_chrono(SimCluster2D& cl, const SolverConfig& cfg,
+                                 const Team* team);
 };
 
 }  // namespace tealeaf

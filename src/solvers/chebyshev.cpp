@@ -6,6 +6,7 @@
 #include "precon/preconditioner.hpp"
 #include "solvers/cg.hpp"
 #include "solvers/cheby_coef.hpp"
+#include "solvers/schedule.hpp"
 #include "util/error.hpp"
 #include "util/log.hpp"
 #include "util/timer.hpp"
@@ -33,89 +34,39 @@ void cheby_bootstrap(SimCluster2D& cl, PreconType precon, double theta,
   });
 }
 
-/// One Chebyshev iteration: r −= A·p; p = α·p + β·M⁻¹·r; u += p.
-/// Standalone unfused form (one region per kernel).
-void cheby_iteration(SimCluster2D& cl, PreconType precon, double alpha,
-                     double beta) {
-  cl.exchange({FieldId::kP}, 1);
-  cl.for_each_chunk([&](int, Chunk2D& c) {
-    const Bounds in = interior_bounds(c);
-    kernels::smvp(c, FieldId::kP, FieldId::kW, in);
-    if (precon == PreconType::kJacobiBlock) {
-      kernels::axpy(c, FieldId::kR, -1.0, FieldId::kW, in);
-      kernels::block_jacobi_solve(c, FieldId::kR, FieldId::kZ);
-      kernels::axpby(c, FieldId::kP, alpha, beta, FieldId::kZ, in);
-      kernels::axpy(c, FieldId::kU, 1.0, FieldId::kP, in);
-    } else {
-      kernels::cheby_fused_update(c, FieldId::kR, FieldId::kP, FieldId::kU,
-                                  alpha, beta,
-                                  precon == PreconType::kJacobiDiag, in);
-    }
-  });
-}
-
-/// The same iteration on the caller's team (the fused execution engine):
-/// team exchange, the single-pass cheby_step (or the block-Jacobi
-/// composition) and — on check iterations — the team ‖r‖² reduction,
-/// whose return value is identical on every thread.  Bitwise identical
-/// to cheby_iteration.
+/// One Chebyshev iteration: r −= A·p; p = α·p + β·M⁻¹·r; u += p — the
+/// fused cheby_step (or the block-Jacobi composition), then on check
+/// iterations the ‖r‖² reduction, whose value is identical on every
+/// thread.  Team-aware like the solver collectives (nullptr = standalone).
 ///
 /// With tile_rows > 0 the step runs through the tiled engine instead:
 /// row-blocked stencil passes with in-block row lagging, a barrier, then
 /// the deferred block-edge updates — still bitwise identical (same
 /// per-cell arithmetic; see kernels::cheby_step_tile).  Block-Jacobi's
 /// strip solve couples rows, so that composition stays per-rank.
-/// With `pipeline` the iterate runs as a ONE-stage chain of the pipelined
-/// engine: the barrier between the stencil pass and the deferred edge
-/// updates becomes per-block tick waits, and on check iterations the
-/// residual's per-row dot partials deposit right inside the edge pass —
-/// block b's rows are final the moment its edge pass ran, so the ‖r‖²
-/// sweep costs no extra pass and no extra barrier (the row/rank-ordered
-/// combine keeps the value bitwise identical).  Block-Jacobi's strip
-/// solve couples rows, so that composition runs the per-rank path.
-double cheby_iteration_team(SimCluster2D& cl, PreconType precon, double alpha,
-                            double beta, bool check, int tile_rows,
-                            bool pipeline, const Team& t) {
+double cheby_iterate(SimCluster2D& cl, PreconType precon, double alpha,
+                     double beta, bool check, int tile_rows,
+                     const Team* team) {
   const bool diag = (precon == PreconType::kJacobiDiag);
   const int tile = (precon == PreconType::kJacobiBlock) ? 0 : tile_rows;
-  const bool pipe = pipeline && precon != PreconType::kJacobiBlock;
   const auto interior = [](int, Chunk2D& c) { return interior_bounds(c); };
-  cl.exchange(&t, {FieldId::kP}, 1);
-  if (pipe) {
-    cl.run_pipeline_chain(
-        &t, tile, /*stages=*/1, interior,
-        [&](int, Chunk2D& c, int, const Bounds& tb) {
-          kernels::cheby_step_tile(c, FieldId::kR, FieldId::kP, FieldId::kU,
-                                   alpha, beta, diag, interior_bounds(c), tb);
-        },
-        [&](int, Chunk2D& c, int, const Bounds& tb) {
-          kernels::cheby_step_tile_edges(c, FieldId::kR, FieldId::kP,
-                                         FieldId::kU, alpha, beta, diag,
-                                         interior_bounds(c), tb);
-          if (check) {
-            kernels::dot_rows(c, FieldId::kR, FieldId::kR, tb,
-                              c.row_scratch());
-          }
-        });
-    if (!check) return 0.0;
-    return cl.combine_row_partials(&t);
-  }
+  cl.exchange(team, {FieldId::kP}, 1);
   if (tile > 0) {
-    cl.for_each_tile(&t, tile, interior,
+    cl.for_each_tile(team, tile, interior,
                      [&](int, Chunk2D& c, const Bounds& tb) {
                        kernels::cheby_step_tile(
                            c, FieldId::kR, FieldId::kP, FieldId::kU, alpha,
                            beta, diag, interior_bounds(c), tb);
                      });
-    t.barrier();  // edge rows must see every block's stencil pass done
-    cl.for_each_tile(&t, tile, interior,
+    phase_barrier(team);  // edge rows must see every block's stencil pass
+    cl.for_each_tile(team, tile, interior,
                      [&](int, Chunk2D& c, const Bounds& tb) {
                        kernels::cheby_step_tile_edges(
                            c, FieldId::kR, FieldId::kP, FieldId::kU, alpha,
                            beta, diag, interior_bounds(c), tb);
                      });
   } else {
-    cl.for_each_chunk(&t, [&](int, Chunk2D& c) {
+    cl.for_each_chunk(team, [&](int, Chunk2D& c) {
       const Bounds in = interior_bounds(c);
       if (precon == PreconType::kJacobiBlock) {
         kernels::smvp(c, FieldId::kP, FieldId::kW, in);
@@ -131,12 +82,12 @@ double cheby_iteration_team(SimCluster2D& cl, PreconType precon, double alpha,
   }
   if (!check) return 0.0;
   return tile > 0 ? cl.sum_rows_over_chunks(
-                        &t, tile,
+                        team, tile,
                         [](int, Chunk2D& c, const Bounds& tb) {
                           kernels::dot_rows(c, FieldId::kR, FieldId::kR, tb,
                                             c.row_scratch());
                         })
-                  : cl.sum_over_chunks(&t, [](int, const Chunk2D& c) {
+                  : cl.sum_over_chunks(team, [](int, const Chunk2D& c) {
                       return kernels::norm2_sq(c, FieldId::kR);
                     });
 }
@@ -213,19 +164,10 @@ SolveStats ChebyshevSolver::solve_team(SimCluster2D& cl,
   double rr = bb_rr;
   while (st.eigen_cg_iters + step < cfg.max_iters) {
     const bool check = (step + 1) % cfg.cheby_check_interval == 0;
-    if (team != nullptr) {
-      const double rr_t = cheby_iteration_team(
-          cl, cfg.precon, cc.alphas[step], cc.betas[step], check,
-          cfg.tile_rows, cfg.pipeline, *team);
-      if (check) rr = rr_t;
-    } else {
-      cheby_iteration(cl, cfg.precon, cc.alphas[step], cc.betas[step]);
-      if (check) {
-        rr = cl.sum_over_chunks([](int, const Chunk2D& c) {
-          return kernels::norm2_sq(c, FieldId::kR);
-        });
-      }
-    }
+    const double rr_t = cheby_iterate(cl, cfg.precon, cc.alphas[step],
+                                      cc.betas[step], check, cfg.tile_rows,
+                                      team);
+    if (check) rr = rr_t;
     ++step;
     ++st.spmv_applies;
     if (check && std::sqrt(rr) <= target_rr) {
@@ -245,15 +187,9 @@ SolveStats ChebyshevSolver::solve_team(SimCluster2D& cl,
 SolveStats ChebyshevSolver::solve(SimCluster2D& cl,
                                   const SolverConfig& cfg) {
   cfg.validate();
-  if (cfg.fuse_kernels) {
-    SolveStats out;
-    parallel_region([&](Team& t) {
-      const SolveStats st = solve_team(cl, cfg, &t);
-      t.single([&] { out = st; });
-    });
-    return out;
-  }
-  return solve_team(cl, cfg, nullptr);
+  return run_scheduled(cfg, [&](const SolverConfig& c, const Team* t) {
+    return solve_team(cl, c, t);
+  });
 }
 
 }  // namespace tealeaf

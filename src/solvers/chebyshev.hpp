@@ -15,10 +15,10 @@ class ChebyshevSolver {
  public:
   static SolveStats solve(SimCluster2D& cl, const SolverConfig& cfg);
 
-  /// Nullable-team form: with a Team the ENTIRE solve — presteps,
-  /// bootstrap and recurrence — runs fused on the caller's already-open
-  /// parallel region (see CGSolver::solve_team for the contract); with
-  /// team == nullptr it runs the standalone unfused path.  Honours
+  /// The solver body on a nullable team: with a Team the ENTIRE solve —
+  /// presteps, bootstrap and recurrence — runs on the caller's
+  /// already-open parallel region (see CGSolver::solve_team for the
+  /// contract); with team == nullptr each collective opens its own.  Honours
   /// cfg.eig_hint_min/max: when set, the CG presteps are skipped and the
   /// polynomial is built directly on the hinted interval (the session
   /// cache's amortisation path).

@@ -3,22 +3,21 @@
 #include <cmath>
 
 #include "ops/kernels.hpp"
+#include "solvers/schedule.hpp"
 #include "util/timer.hpp"
 
 namespace tealeaf {
 
 SolveStats JacobiSolver::solve_team(SimCluster2D& cl, const SolverConfig& cfg,
-                                    const Team& team) {
-  // The fused execution engine's Jacobi: the whole solve inside the
-  // caller's ONE region, with the optional tiled two-phase sweep (save
-  // rows, barrier, update rows) when cfg.tile_rows > 0.  All loop-control
-  // state is computed identically on every thread (team reductions are
+                                    const Team* team) {
+  // One sweep per iteration: the whole-chunk jacobi_iterate, or with
+  // cfg.tile_rows > 0 the tiled two-phase sweep.  All loop-control state
+  // is computed identically on every thread (team reductions are
   // rank/row-ordered), so the sweep loop and its early exits are uniform
   // across the team.
   Timer timer;
   SolveStats st;
   const int tile = cfg.tile_rows;
-  const bool pipeline = cfg.pipeline;
 
   // Tiled two-phase sweep: each block runs jacobi_tile (2-D: cache-fused
   // save with the update row-lagged one row behind; 3-D: save-only, since
@@ -28,40 +27,26 @@ SolveStats JacobiSolver::solve_team(SimCluster2D& cl, const SolverConfig& cfg,
   // finishes exactly the rows the first deferred — deposit per-row error
   // partials into the chunk's row scratch, and combine_row_partials
   // reduces them.
-  //
-  // The pipelined engine runs the same save+update pair as ONE chain:
-  // the team barrier between the phases becomes per-block tick waits, so
-  // a block's deferred rows update as soon as its neighbours' saves are
-  // done — in 3-D, plane l−1 updates while the saves sweep plane l+1.
   const auto interior = [](int, Chunk2D& c) { return interior_bounds(c); };
-  const auto tile_body = [](int, Chunk2D& c, const Bounds& tb) {
-    kernels::jacobi_tile(c, tb, c.row_scratch());
-  };
-  const auto edge_body = [](int, Chunk2D& c, const Bounds& tb) {
-    kernels::jacobi_tile_edges(c, tb, c.row_scratch());
-  };
 
   double initial_err = 0.0;
   while (st.outer_iters < cfg.max_iters) {
-    cl.exchange(&team, {FieldId::kU}, 1);
+    cl.exchange(team, {FieldId::kU}, 1);
     double err;
-    if (pipeline) {
-      cl.run_pipeline_chain(&team, tile, /*stages=*/1, interior,
-                            [&](int r, Chunk2D& c, int, const Bounds& tb) {
-                              tile_body(r, c, tb);
-                            },
-                            [&](int r, Chunk2D& c, int, const Bounds& tb) {
-                              edge_body(r, c, tb);
-                            });
-      err = cl.combine_row_partials(&team);
-    } else if (tile > 0) {
-      cl.for_each_tile(&team, tile, interior, tile_body);
-      team.barrier();  // edge rows read every block's saved rows
-      cl.for_each_tile(&team, tile, interior, edge_body);
-      err = cl.combine_row_partials(&team);
+    if (tile > 0) {
+      cl.for_each_tile(team, tile, interior,
+                       [](int, Chunk2D& c, const Bounds& tb) {
+                         kernels::jacobi_tile(c, tb, c.row_scratch());
+                       });
+      phase_barrier(team);  // edge rows read every block's saved rows
+      cl.for_each_tile(team, tile, interior,
+                       [](int, Chunk2D& c, const Bounds& tb) {
+                         kernels::jacobi_tile_edges(c, tb, c.row_scratch());
+                       });
+      err = cl.combine_row_partials(team);
     } else {
       err = cl.sum_over_chunks(
-          &team, [](int, Chunk2D& c) { return kernels::jacobi_iterate(c); });
+          team, [](int, Chunk2D& c) { return kernels::jacobi_iterate(c); });
     }
     ++st.outer_iters;
     ++st.spmv_applies;  // one operator-equivalent sweep
@@ -85,40 +70,9 @@ SolveStats JacobiSolver::solve_team(SimCluster2D& cl, const SolverConfig& cfg,
 
 SolveStats JacobiSolver::solve(SimCluster2D& cl, const SolverConfig& cfg) {
   cfg.validate();
-  if (cfg.fuse_kernels) {
-    SolveStats out;
-    parallel_region([&](Team& t) {
-      const SolveStats st = solve_team(cl, cfg, t);
-      t.single([&] { out = st; });
-    });
-    return out;
-  }
-  Timer timer;
-  SolveStats st;
-
-  double initial_err = 0.0;
-  while (st.outer_iters < cfg.max_iters) {
-    cl.exchange({FieldId::kU}, 1);
-    const double err = cl.sum_over_chunks(
-        [](int, Chunk2D& c) { return kernels::jacobi_iterate(c); });
-    ++st.outer_iters;
-    ++st.spmv_applies;  // one operator-equivalent sweep
-    if (st.outer_iters == 1) {
-      initial_err = err;
-      st.initial_norm = err;
-      if (err == 0.0) {
-        st.converged = true;
-        break;
-      }
-    }
-    st.final_norm = err;
-    if (err <= cfg.eps * initial_err) {
-      st.converged = true;
-      break;
-    }
-  }
-  st.solve_seconds = timer.elapsed_s();
-  return st;
+  return run_scheduled(cfg, [&](const SolverConfig& c, const Team* t) {
+    return solve_team(cl, c, t);
+  });
 }
 
 }  // namespace tealeaf

@@ -13,13 +13,12 @@ class JacobiSolver {
  public:
   static SolveStats solve(SimCluster2D& cl, const SolverConfig& cfg);
 
-  /// Team-injected fused solve: the ENTIRE solve runs on `team` inside
-  /// the caller's already-open parallel region (see CGSolver::solve_team
-  /// for the contract).  One region for the whole solve strictly reduces
-  /// fork/join versus the per-batch regions of the wrapper path, and the
-  /// iterates/iteration counts stay bitwise identical.
+  /// The solver body on a nullable team (see CGSolver::solve_team for
+  /// the contract): with a Team the ENTIRE solve runs inside the caller's
+  /// already-open parallel region; with nullptr each collective opens its
+  /// own.  Iterates and iteration counts are bitwise identical either way.
   static SolveStats solve_team(SimCluster2D& cl, const SolverConfig& cfg,
-                               const Team& team);
+                               const Team* team);
 };
 
 }  // namespace tealeaf

@@ -1,11 +1,11 @@
 #include "solvers/ppcg.hpp"
 
-#include <algorithm>
 #include <cmath>
 
 #include "ops/kernels.hpp"
 #include "precon/preconditioner.hpp"
 #include "solvers/cg.hpp"
+#include "solvers/schedule.hpp"
 #include "util/error.hpp"
 #include "util/log.hpp"
 #include "util/timer.hpp"
@@ -19,22 +19,6 @@ constexpr const char* kRzBreakdown =
     "PPCG breakdown: ⟨r, M⁻¹r⟩ <= 0 (indefinite polynomial preconditioner — "
     "eigenvalue estimates too tight?)";
 
-/// Intersection of a chain tile (cut from the widest stage's grid) with a
-/// later stage's shrunken bounds — the pipelined matrix-powers trapezoid.
-Bounds clip_tile(Bounds tb, const Bounds& sb) {
-  tb.jlo = std::max(tb.jlo, sb.jlo);
-  tb.jhi = std::min(tb.jhi, sb.jhi);
-  tb.klo = std::max(tb.klo, sb.klo);
-  tb.khi = std::min(tb.khi, sb.khi);
-  tb.llo = std::max(tb.llo, sb.llo);
-  tb.lhi = std::min(tb.lhi, sb.lhi);
-  return tb;
-}
-
-bool empty_tile(const Bounds& tb) {
-  return tb.jhi <= tb.jlo || tb.khi <= tb.klo || tb.lhi <= tb.llo;
-}
-
 }  // namespace
 
 void PPCGSolver::apply_inner(SimCluster2D& cl, const SolverConfig& cfg,
@@ -43,20 +27,10 @@ void PPCGSolver::apply_inner(SimCluster2D& cl, const SolverConfig& cfg,
   const int d = cfg.halo_depth;
   const bool diag = (cfg.precon == PreconType::kJacobiDiag);
   const bool block = (cfg.precon == PreconType::kJacobiBlock);
-  // With a Team the caller has already hoisted the parallel region and
-  // enabled the fused kernels; without one this is the seed's unfused
-  // path, region-per-kernel.  Row tiling (and with it 2-D scheduling) is
-  // a further layer of the fused engine; block-Jacobi's strip solve
-  // couples rows, so that composition never tiles (nor pipelines).  The
-  // pipelined engine (cfg.pipeline) goes one layer further still: the d
-  // Chebyshev steps between two matrix-powers exchanges become ONE
-  // trapezoidal chain — each row-block runs all d shrinking extended
-  // sweeps back-to-back, waiting on neighbouring blocks' progress ticks
-  // instead of at the per-step team barriers.
-  const bool fused = (team != nullptr);
-  const int tile = (fused && !block) ? cfg.tile_rows : 0;
-  const bool pipe = fused && !block && cfg.pipeline;
-  const bool blocked = (tile > 0) || pipe;
+  // Row tiling (and with it 2-D scheduling) is a layer of the fused
+  // schedule; block-Jacobi's strip solve couples rows, so that
+  // composition never tiles.
+  const int tile = block ? 0 : cfg.tile_rows;
   TEA_ASSERT(!block || d == 1,
              "block-Jacobi with matrix powers rejected by validate()");
 
@@ -64,7 +38,7 @@ void PPCGSolver::apply_inner(SimCluster2D& cl, const SolverConfig& cfg,
   // powers the first extended sweep needs it valid through the overlap,
   // which costs one depth-d exchange; at depth 1 no exchange is needed
   // because the bootstrap touches only the interior.
-  if (blocked) {
+  if (tile > 0) {
     cl.for_each_tile(team, tile,
                      [](int, Chunk2D& c) { return interior_bounds(c); },
                      [](int, Chunk2D& c, const Bounds& tb) {
@@ -80,8 +54,8 @@ void PPCGSolver::apply_inner(SimCluster2D& cl, const SolverConfig& cfg,
   // Bootstrap (the degree-0 term): sd = M⁻¹·rtemp/θ, z = sd, computed on
   // bounds extended d-1 cells so the following sweeps can shrink.
   int ext = d - 1;
-  if (team != nullptr && d == 1) team->barrier();  // rtemp copy visible
-  if (blocked) {
+  if (d == 1) phase_barrier(team);  // rtemp copy visible
+  if (tile > 0) {
     const auto boot_bounds = [ext](int, Chunk2D& c) {
       return extended_bounds(c, ext);
     };
@@ -107,66 +81,6 @@ void PPCGSolver::apply_inner(SimCluster2D& cl, const SolverConfig& cfg,
     });
   }
 
-  if (pipe) {
-    // Pipelined engine: every run of steps between two matrix-powers
-    // exchanges is ONE chain.  Stage s of a chain sweeps at extension
-    // ext0 − s; the tile grid is fixed on the chain's widest (first
-    // stage) bounds and each stage clips its tiles to its own shrunken
-    // box, so clipping — not re-gridding — realises the trapezoid.  The
-    // exchange cadence is exactly the barrier path's (same messages,
-    // same bytes); only the per-step team barriers disappear.
-    int step = 1;
-    while (step <= cfg.inner_steps) {
-      if (ext == 0) {
-        if (d == 1) {
-          cl.exchange(team, {FieldId::kSd}, 1);
-        } else {
-          cl.exchange(team, {FieldId::kSd, FieldId::kRtemp}, d);
-        }
-        ext = d;
-      }
-      const int stages = std::min(ext, cfg.inner_steps - step + 1);
-      const int ext0 = ext - 1;  // first stage's sweep extension
-      const int step0 = step;
-      const auto chain_bounds = [ext0](int, Chunk2D& c) {
-        return extended_bounds(c, ext0);
-      };
-      cl.run_pipeline_chain(
-          team, tile, stages, chain_bounds,
-          [&](int, Chunk2D& c, int s, const Bounds& tb) {
-            const Bounds sb = extended_bounds(c, ext0 - s);
-            const Bounds ctb = clip_tile(tb, sb);
-            if (empty_tile(ctb)) return;
-            kernels::cheby_step_tile(c, FieldId::kRtemp, FieldId::kSd,
-                                     FieldId::kZ,
-                                     cc.alphas[static_cast<std::size_t>(
-                                         step0 + s - 1)],
-                                     cc.betas[static_cast<std::size_t>(
-                                         step0 + s - 1)],
-                                     diag, sb, ctb);
-          },
-          [&](int, Chunk2D& c, int s, const Bounds& tb) {
-            const Bounds sb = extended_bounds(c, ext0 - s);
-            const Bounds ctb = clip_tile(tb, sb);
-            if (empty_tile(ctb)) return;
-            kernels::cheby_step_tile_edges(c, FieldId::kRtemp, FieldId::kSd,
-                                           FieldId::kZ,
-                                           cc.alphas[static_cast<std::size_t>(
-                                               step0 + s - 1)],
-                                           cc.betas[static_cast<std::size_t>(
-                                               step0 + s - 1)],
-                                           diag, sb, ctb);
-          });
-      step += stages;
-      ext -= stages;
-    }
-    if (st != nullptr) {
-      st->spmv_applies += cfg.inner_steps;
-      st->inner_steps += cfg.inner_steps;
-    }
-    return;
-  }
-
   for (int step = 1; step <= cfg.inner_steps; ++step) {
     if (ext == 0) {
       // All overlap layers consumed: swap a fresh depth-d halo.  At depth
@@ -178,11 +92,11 @@ void PPCGSolver::apply_inner(SimCluster2D& cl, const SolverConfig& cfg,
         cl.exchange(team, {FieldId::kSd, FieldId::kRtemp}, d);
       }
       ext = d;
-    } else if (team != nullptr) {
+    } else {
       // No exchange this step: the redundant-overlap sweeps still read
       // one cell beyond their own block, so order against the previous
       // extended sweep explicitly.
-      team->barrier();
+      phase_barrier(team);
     }
     --ext;
     const double alpha = cc.alphas[static_cast<std::size_t>(step - 1)];
@@ -197,7 +111,7 @@ void PPCGSolver::apply_inner(SimCluster2D& cl, const SolverConfig& cfg,
                              c, FieldId::kRtemp, FieldId::kSd, FieldId::kZ,
                              alpha, beta, diag, extended_bounds(c, ext), tb);
                        });
-      team->barrier();  // edge rows wait for every block's stencil pass
+      phase_barrier(team);  // edge rows wait for every block's stencil pass
       cl.for_each_tile(team, tile, step_bounds,
                        [&](int, Chunk2D& c, const Bounds& tb) {
                          kernels::cheby_step_tile_edges(
@@ -213,13 +127,9 @@ void PPCGSolver::apply_inner(SimCluster2D& cl, const SolverConfig& cfg,
           kernels::block_jacobi_solve(c, FieldId::kRtemp, FieldId::kW);
           kernels::axpby(c, FieldId::kSd, alpha, beta, FieldId::kW, b);
           kernels::axpy(c, FieldId::kZ, 1.0, FieldId::kSd, b);
-        } else if (fused) {
+        } else {
           kernels::cheby_step(c, FieldId::kRtemp, FieldId::kSd, FieldId::kZ,
                               alpha, beta, diag, b);
-        } else {
-          kernels::smvp(c, FieldId::kSd, FieldId::kW, b);
-          kernels::cheby_fused_update(c, FieldId::kRtemp, FieldId::kSd,
-                                      FieldId::kZ, alpha, beta, diag, b);
         }
       });
     }
@@ -290,38 +200,32 @@ SolveStats PPCGSolver::solve_team(SimCluster2D& cl, const SolverConfig& cfg,
   const ChebyCoefs cc =
       chebyshev_coefficients(est.eigmin, est.eigmax, cfg.inner_steps);
 
-  // One body serves both execution engines: team == nullptr runs the
-  // seed's standalone collectives (region per kernel); with a Team the
-  // same sequence workshares inside the caller's single hoisted region —
-  // row-blocked through the tiled engine when cfg.tile_rows > 0.  Every
-  // scalar below derives from rank/row-ordered team reductions, so its
-  // value — and every branch on it — is identical on every thread.
-  const int tile = (team != nullptr) ? cfg.tile_rows : 0;
-  // The pipelined engine's outer ops run the row-blocked forms even at
-  // tile_rows == 0: the chains of apply_inner end without an exit
-  // barrier, and the row-blocked collectives' entry barriers (plus the
-  // explicit one after cg_calc_ur) are what orders the outer ops against
-  // the chains' block schedule.  Bitwise identical either way.
-  const bool blocked = team != nullptr && (tile > 0 || cfg.pipeline);
+  // team == nullptr runs the standalone collectives (region per call);
+  // with a Team the same sequence workshares inside the caller's single
+  // hoisted region — row-blocked through the tiled engine when
+  // cfg.tile_rows > 0.  Every scalar below derives from rank/row-ordered
+  // team reductions, so its value — and every branch on it — is
+  // identical on every thread.
+  const int tile = cfg.tile_rows;
   const auto interior = [](int, Chunk2D& c) { return interior_bounds(c); };
-  /// ⟨r, z⟩ in both engines (row-blocked when tiled; identical value).
-  const auto dot_rz = [&](const Team* t) {
-    if (t != nullptr && blocked) {
+  /// ⟨r, z⟩ (row-blocked when tiled; identical value).
+  const auto dot_rz = [&] {
+    if (tile > 0) {
       return cl.sum_rows_over_chunks(
-          t, tile, [](int, Chunk2D& c, const Bounds& tb) {
+          team, tile, [](int, Chunk2D& c, const Bounds& tb) {
             kernels::dot_rows(c, FieldId::kR, FieldId::kZ, tb,
                               c.row_scratch());
           });
     }
-    return cl.sum_over_chunks(t, [](int, const Chunk2D& c) {
+    return cl.sum_over_chunks(team, [](int, const Chunk2D& c) {
       return kernels::dot(c, FieldId::kR, FieldId::kZ);
     });
   };
 
   // --- restart the outer PCG with the polynomial preconditioner ---------
   apply_inner(cl, cfg, cc, nullptr, team);
-  rro = dot_rz(team);
-  if (team != nullptr && blocked) {
+  rro = dot_rz();
+  if (tile > 0) {
     cl.for_each_tile(team, tile, interior,
                      [](int, Chunk2D& c, const Bounds& tb) {
                        kernels::copy(c, FieldId::kP, FieldId::kZ, tb);
@@ -347,7 +251,7 @@ SolveStats PPCGSolver::solve_team(SimCluster2D& cl, const SolverConfig& cfg,
     // and both reductions.
     cl.exchange(team, {FieldId::kP}, 1);
     const double pw =
-        (team != nullptr && blocked)
+        tile > 0
             ? cl.sum_rows_over_chunks(
                   team, tile,
                   [](int, Chunk2D& c, const Bounds& tb) {
@@ -367,23 +271,23 @@ SolveStats PPCGSolver::solve_team(SimCluster2D& cl, const SolverConfig& cfg,
       return finish(rrn);
     }
     const double alpha = rro / pw;
-    if (team != nullptr && blocked) {
+    if (tile > 0) {
       cl.for_each_tile(team, tile, interior,
                        [&](int, Chunk2D& c, const Bounds& tb) {
                          kernels::cg_calc_ur_rows(c, alpha, tb);
                        });
       // apply_inner's first pass copies r: order it against the
-      // row-blocked update (the 1-D fused path keeps the same
-      // rank→thread mapping, so only the tiled schedule needs this).
-      team->barrier();
+      // row-blocked update (the untiled path keeps the same rank→thread
+      // mapping, so only the tiled schedule needs this).
+      phase_barrier(team);
     } else {
       cl.for_each_chunk(
           team, [&](int, Chunk2D& c) { kernels::cg_calc_ur(c, alpha); });
     }
     apply_inner(cl, cfg, cc, nullptr, team);
-    const double rrn_t = dot_rz(team);
+    const double rrn_t = dot_rz();
     const double beta = rrn_t / rro;
-    if (team != nullptr && blocked) {
+    if (tile > 0) {
       cl.for_each_tile(team, tile, interior,
                        [&](int, Chunk2D& c, const Bounds& tb) {
                          kernels::xpby(c, FieldId::kP, FieldId::kZ, beta,
@@ -417,15 +321,9 @@ SolveStats PPCGSolver::solve(SimCluster2D& cl, const SolverConfig& cfg) {
   cfg.validate();
   TEA_REQUIRE(cfg.halo_depth <= cl.halo_depth(),
               "cluster halo allocation too shallow for matrix-powers depth");
-  if (cfg.fuse_kernels) {
-    SolveStats out;
-    parallel_region([&](Team& t) {
-      const SolveStats st = solve_team(cl, cfg, &t);
-      t.single([&] { out = st; });
-    });
-    return out;
-  }
-  return solve_team(cl, cfg, nullptr);
+  return run_scheduled(cfg, [&](const SolverConfig& c, const Team* t) {
+    return solve_team(cl, c, t);
+  });
 }
 
 }  // namespace tealeaf

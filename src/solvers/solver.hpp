@@ -31,23 +31,11 @@ namespace tealeaf {
 /// — the solve-server's batch engine runs one request per sub-team,
 /// concurrently, inside ONE region.  cfg must be pre-validated and the
 /// cluster's halo deep enough for cfg.halo_depth (preconditions throw,
-/// and exceptions must not escape a parallel region).  Always executes
-/// through the fused engine — the only region-safe engine — which is
-/// bitwise identical to the unfused path.
+/// and exceptions must not escape a parallel region).  Always runs the
+/// fused schedule on `team`, which is bitwise identical to the unfused
+/// one.
 [[nodiscard]] SolveStats run_solver_team(
     SimCluster2D& cl, const SolverConfig& cfg, const Team& team,
     const MachineSpec& machine = machines::spruce_hybrid());
-
-/// Pre-PR6 entry point.  SolveSession (src/api/solve_api.hpp) is the
-/// supported way to run solves now — it owns the cluster set-up this
-/// function assumes the caller did by hand.  See README "Migrating to
-/// SolveSession".
-[[deprecated(
-    "use SolveSession::solve (src/api/solve_api.hpp) or run_solver; see "
-    "README 'Migrating to SolveSession'")]]
-[[nodiscard]] inline SolveStats solve_linear_system(SimCluster2D& cl,
-                                                    const SolverConfig& cfg) {
-  return run_solver(cl, cfg);
-}
 
 }  // namespace tealeaf

@@ -51,8 +51,8 @@ std::size_t SweepSpec::num_cases() const {
   const std::size_t ops = operators.empty() ? 1 : operators.size();
   const std::size_t precs = precisions.empty() ? 1 : precisions.size();
   return solvers.size() * precons.size() * halo_depths.size() * meshes *
-         thread_counts.size() * fused.size() * tile_rows.size() *
-         pipeline.size() * geoms * ops * precs;
+         thread_counts.size() * fused.size() * tile_rows.size() * geoms * ops *
+         precs;
 }
 
 void SweepSpec::validate() const {
@@ -78,11 +78,6 @@ void SweepSpec::validate() const {
   TEA_REQUIRE(!tile_rows.empty(), "sweep: tile-rows axis must be non-empty");
   for (const int t : tile_rows) {
     TEA_REQUIRE(t >= 0, "sweep: tile-rows values must be >= 0 (0 = untiled)");
-  }
-  TEA_REQUIRE(!pipeline.empty(), "sweep: pipeline axis must be non-empty");
-  for (const int p : pipeline) {
-    TEA_REQUIRE(p == 0 || p == 1,
-                "sweep: pipeline axis values must be 0 or 1");
   }
   for (const int d : geometries) {
     TEA_REQUIRE(d == 2 || d == 3, "sweep: geometry values must be 2d or 3d");
@@ -147,14 +142,6 @@ SolverConfig SolverConfig::validated() const {
         "would silently measure the untiled sweeps.  Did you mean "
         "tl_fuse_kernels = 1 (run the fused engine) or tl_tile_rows = 0 "
         "(untiled)?");
-  }
-  if (pipeline && !fuse_kernels) {
-    throw TeaError(
-        "tl_pipeline requests the pipelined execution engine, but "
-        "fuse_kernels is off — the pipeline schedules the fused engine's "
-        "row-blocks and the unfused path would silently measure the "
-        "unpipelined sweeps.  Did you mean tl_fuse_kernels = 1 (run the "
-        "fused engine) or tl_pipeline = 0?");
   }
   if (has_eig_hints() &&
       (type == SolverType::kJacobi || type == SolverType::kCG)) {

@@ -92,12 +92,13 @@ struct SolverConfig {
   /// classic CG; off by default.
   bool fuse_cg_reductions = false;
 
-  /// Run the solver through the fused kernel execution engine: ONE
-  /// hoisted parallel region per iteration (worksharing loops, team
-  /// reductions and team-aware halo exchanges inside) and single-pass
-  /// fused kernels (Listing 1's smvp+dot generalised to the whole
-  /// iteration).  Numerically bitwise identical to the unfused path —
-  /// the sweep engine A/Bs the two modes as a pure-speed design axis.
+  /// Run the solver body on the fused schedule: ONE hoisted parallel
+  /// region around the whole solve (worksharing loops, team reductions
+  /// and team-aware halo exchanges inside).  Off, the same body opens one
+  /// region per collective.  Both schedules run the same fused kernels
+  /// (Listing 1's smvp+dot generalised to the whole iteration), so they
+  /// are numerically bitwise identical — the sweep engine A/Bs them as a
+  /// pure-speed design axis (see run_scheduled).
   bool fuse_kernels = false;
 
   /// Row-block height of the tiled execution engine (tl_tile_rows).
@@ -111,22 +112,6 @@ struct SolverConfig {
   /// Tiling is a layer of the fused engine; the unfused path ignores it.
   /// Iterates and iteration counts are bitwise identical for every value.
   int tile_rows = 0;
-
-  /// Run the pipelined execution engine (tl_pipeline): the third tier
-  /// above fused and tiled.  Wherever consecutive kernels of one solver
-  /// iteration are separated by no reduction and no halo exchange (the
-  /// PPCG inner Chebyshev steps between matrix-powers exchanges, the
-  /// Jacobi save+update chain, Chebyshev's iterate+residual pair), each
-  /// row-block flows through the WHOLE kernel chain on its owning thread,
-  /// synchronising point-to-point on neighbouring blocks' progress ticks
-  /// (BlockTicks) instead of at team-wide barriers — trapezoidal (skewed)
-  /// block scheduling.  In 3-D the same scheme plane-lags the tiled
-  /// engine's deferred edge pass (update plane l−1 while the stencil
-  /// sweeps plane l+1).  A layer of the fused engine like tile_rows;
-  /// tile_rows == 0 pipelines whole-chunk blocks.  Bitwise identical to
-  /// tiled/fused/unfused — per-row arithmetic and the row/rank-ordered
-  /// reductions are shared, only the schedule changes.
-  bool pipeline = false;
 
   /// Operator representation the solve traverses (tl_operator).  kStencil
   /// is the classic matrix-free path; kCsr / kSellCSigma run the same
@@ -183,13 +168,6 @@ struct SweepSpec {
   /// cells — tiling is a layer of the fused engine — so tiled×unfused
   /// cells are enumerated but skipped.
   std::vector<int> tile_rows = {0};
-  /// Pipelined-engine axis (`sweep_pipeline = 0,1`): the tenth
-  /// design-space dimension, A/B-ing SolverConfig::pipeline.  Pipelined
-  /// cells only combine with fused cells (the pipeline schedules the
-  /// fused engine's row-blocks), so pipeline×unfused cells are enumerated
-  /// but skipped, as are mg-pcg×pipeline cells (the multigrid engine pair
-  /// has no block pipeline).
-  std::vector<int> pipeline = {0};
   /// Geometry axis (`sweep_geometry = 2d,3d`): the eighth design-space
   /// dimension.  A 3-D cell runs the 7-point operator on a mesh_n³ brick
   /// through the same unified core (labels carry a trailing "/3d", the
@@ -206,7 +184,7 @@ struct SweepSpec {
   /// other combinations are enumerated but skipped.
   std::vector<std::string> operators = {"stencil"};
   /// Precision axis (`sweep_precision = double,single,mixed`): the
-  /// eleventh design-space dimension, A/B-ing SolverConfig::precision
+  /// tenth design-space dimension, A/B-ing SolverConfig::precision
   /// (labels carry `/f32` or `/mixed`, CSV/JSON a `precision` column).
   /// mg-pcg cells stay double-only, so other combinations are enumerated
   /// but skipped.

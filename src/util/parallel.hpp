@@ -5,7 +5,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <thread>
-#include <vector>
 
 #include "util/error.hpp"
 
@@ -35,7 +34,7 @@ inline bool in_parallel_region() {
 }
 
 /// CPU spin-wait hint: tells the core a busy-wait iteration is in flight
-/// (frees pipeline resources for the sibling hyperthread and softens the
+/// (frees execution resources for the sibling hyperthread and softens the
 /// memory-order flush when the awaited line finally changes).  `pause` on
 /// x86, `yield` on ARM, nothing elsewhere — purely a hint, never required
 /// for correctness.
@@ -92,61 +91,10 @@ class SpinBarrier {
   // The counter absorbs one fetch_add per arrival while the earlier
   // arrivals poll the sense flag; padding each to its own cache line
   // keeps every arrival's read-modify-write from invalidating the line
-  // the spinners are polling (the pipelined engine barriers finely
-  // enough for that coherence traffic to show).
+  // the spinners are polling.
   alignas(64) std::atomic<int> count_{0};
   alignas(64) std::atomic<bool> sense_{false};
   int nthreads_;
-};
-
-/// Per-block progress counters — the pipelined execution engine's
-/// dependency primitive.  Each row-block of a kernel chain owns one
-/// cache-line-padded atomic "tick" that the owning thread bumps as the
-/// block advances through the chain's stages; a thread about to touch a
-/// neighbouring block's rows waits for that block's tick instead of the
-/// whole team reaching a barrier.  Point-to-point block dependencies
-/// replace O(stages) full barriers per chain.
-///
-/// Protocol: ticks are zeroed (by each block's owner) behind a barrier at
-/// chain entry, then only ever increase during the chain; `publish` is a
-/// release so every field write the stage made is visible to a `wait_for`
-/// acquire that observes the tick.
-class BlockTicks {
- public:
-  /// Grow to at least `n` blocks.  NOT thread-safe — size before the
-  /// parallel region (re-sizing keeps no old state; the chain protocol
-  /// re-zeroes per chain anyway).
-  void ensure(std::size_t n) {
-    if (ticks_.size() < n) ticks_ = std::vector<PaddedTick>(n);
-  }
-
-  [[nodiscard]] std::size_t size() const { return ticks_.size(); }
-
-  void reset(std::size_t b) {
-    ticks_[b].v.store(0, std::memory_order_relaxed);
-  }
-
-  void publish(std::size_t b, int tick) {
-    ticks_[b].v.store(tick, std::memory_order_release);
-  }
-
-  /// Spin until block `b` has published at least `tick`.
-  void wait_for(std::size_t b, int tick) const {
-    int spins = 0;
-    while (ticks_[b].v.load(std::memory_order_acquire) < tick) {
-      cpu_pause();
-      if (++spins >= 4096) {
-        std::this_thread::yield();
-        spins = 0;
-      }
-    }
-  }
-
- private:
-  struct alignas(64) PaddedTick {
-    std::atomic<int> v{0};
-  };
-  std::vector<PaddedTick> ticks_;
 };
 
 /// Handle to one thread of a hoisted parallel region (the fused kernel

@@ -3,8 +3,6 @@
 #include "api/solve_api.hpp"
 #include "driver/decks.hpp"
 #include "driver/tealeaf_app.hpp"
-#include "solvers/solver.hpp"
-#include "test_helpers.hpp"
 #include "util/error.hpp"
 
 namespace tealeaf {
@@ -134,21 +132,6 @@ TEST(SolverConfigValidated, RejectsInconsistentCombosWithGuidance) {
   ok.fuse_kernels = true;
   ok.tile_rows = 16;
   EXPECT_NO_THROW((void)ok.validated());
-}
-
-TEST(DeprecatedShim, SolveLinearSystemStillDispatches) {
-  auto a = testing::make_test_problem(16, 2, 2);
-  auto b = testing::make_test_problem(16, 2, 2);
-  SolverConfig cfg;
-  cfg.type = SolverType::kCG;
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  const SolveStats legacy = solve_linear_system(*a, cfg);
-#pragma GCC diagnostic pop
-  const SolveStats current = run_solver(*b, cfg);
-  EXPECT_EQ(legacy.final_norm, current.final_norm);
-  EXPECT_EQ(legacy.outer_iters, current.outer_iters);
-  EXPECT_EQ(testing::max_field_diff(*a, *b, FieldId::kU), 0.0);
 }
 
 }  // namespace

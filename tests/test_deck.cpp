@@ -453,5 +453,22 @@ TEST(RoutingDeck, RejectsBadValuesAndSuggestsMistypedKeys) {
   expect_suggestion("tl_route_bd=x.json", "tl_route_bd", "tl_route_db");
 }
 
+TEST(Deck, RetiredPipelineKeysAreUnknown) {
+  // The pipelined schedule is gone; decks that still ask for it fail
+  // loudly instead of silently running another schedule.
+  for (const char* line :
+       {"tl_pipeline", "tl_pipeline=1", "sweep_pipeline=0,1"}) {
+    try {
+      InputDeck::parse_string(
+          std::string("*tea\nx_cells=8\ny_cells=8\nend_step=1\n") + line +
+          "\nstate 1 density=1 energy=1\n*endtea\n");
+      FAIL() << line << " must not be accepted";
+    } catch (const TeaError& e) {
+      EXPECT_NE(std::string(e.what()).find("unknown key"), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 }  // namespace
 }  // namespace tealeaf

@@ -1,0 +1,401 @@
+// Golden iterate checksums: every native solver route, pinned to values
+// recorded from an earlier build rather than to another engine's output.
+//
+// The cross-engine tests (fused ≡ unfused ≡ tiled) prove consistency
+// between schedules, but once the schedules share one solver body they
+// would agree even if that body changed its arithmetic.  This suite shares
+// no code path with a refactor of the solvers: each cell solves a small
+// test problem and compares a 64-bit FNV-1a hash of the interior `u` bit
+// patterns, the iteration and operator-apply counts, and the CommStats
+// reduction and message counts against the table below.
+//
+// Cells: solver variant × schedule {unfused, fused, tiled b6} × geometry
+// {2d, 3d} × operator {stencil, csr} × precision {double, mixed}.  The
+// three schedules of one (variant, geometry, operator, precision) must
+// carry identical values; the table still lists each cell so a schedule
+// that drifts is named.  Every solve stops at a small iteration cap:
+// convergence is not the point, and the fused cells' per-iteration
+// barriers get expensive when ctest runs many threaded tests at once.
+//
+// The values come from the repo's default x86-64 build flags (Release,
+// no -march), which is what CI builds.  A build with other flags may
+// contract floating-point differently (e.g. FMA under -march=native) and
+// fail this suite without a solver change.  A failing cell prints the row
+// it produced, in the table's format.
+
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
+#include <iterator>
+#include <string>
+
+#include "comm/gather.hpp"
+#include "solvers/solver.hpp"
+#include "test_helpers.hpp"
+#include "util/log.hpp"
+
+namespace tealeaf {
+namespace {
+
+using testing::install_operator;
+using testing::make_test_problem;
+using testing::make_test_problem_3d;
+
+struct Variant {
+  const char* name;
+  SolverType type;
+  PreconType precon;
+  bool chrono;    ///< CG's Chronopoulos–Gear recurrence
+  int halo_depth; ///< matrix-powers depth on the stencil (csr uses 1)
+};
+
+// clang-format off
+const Variant kVariants[] = {
+    {"jacobi",          SolverType::kJacobi,    PreconType::kNone,        false, 1},
+    {"cg",              SolverType::kCG,        PreconType::kNone,        false, 1},
+    {"cg-block",        SolverType::kCG,        PreconType::kJacobiBlock, false, 1},
+    {"cg-chrono-diag",  SolverType::kCG,        PreconType::kJacobiDiag,  true,  1},
+    {"cg-chrono-block", SolverType::kCG,        PreconType::kJacobiBlock, true,  1},
+    {"cheby-diag",      SolverType::kChebyshev, PreconType::kJacobiDiag,  false, 1},
+    {"cheby-block",     SolverType::kChebyshev, PreconType::kJacobiBlock, false, 1},
+    {"ppcg-mp2",        SolverType::kPPCG,      PreconType::kNone,        false, 2},
+    {"ppcg-block",      SolverType::kPPCG,      PreconType::kJacobiBlock, false, 1},
+};
+// clang-format on
+
+struct Golden {
+  const char* cell;
+  std::uint64_t u_hash;
+  int outer_iters;
+  long long spmv_applies;
+  long long reductions;
+  long long messages;
+};
+
+// clang-format off
+const Golden kGolden[] = {
+    {"jacobi/unfused/2d/stencil/double", 0x23302c693c78459bull, 25, 25, 25, 50},
+    {"jacobi/unfused/2d/stencil/mixed", 0xef1fff71cf7f41c5ull, 150, 150, 157, 314},
+    {"jacobi/unfused/2d/csr/double", 0x23302c693c78459bull, 25, 25, 25, 50},
+    {"jacobi/unfused/2d/csr/mixed", 0xef1fff71cf7f41c5ull, 150, 150, 157, 314},
+    {"jacobi/unfused/3d/stencil/double", 0xcf9160199e86ffc8ull, 25, 25, 25, 50},
+    {"jacobi/unfused/3d/stencil/mixed", 0xbfc8bf8f6429169aull, 125, 125, 131, 262},
+    {"jacobi/unfused/3d/csr/double", 0xcf9160199e86ffc8ull, 25, 25, 25, 50},
+    {"jacobi/unfused/3d/csr/mixed", 0xbfc8bf8f6429169aull, 125, 125, 131, 262},
+    {"jacobi/fused/2d/stencil/double", 0x23302c693c78459bull, 25, 25, 25, 50},
+    {"jacobi/fused/2d/stencil/mixed", 0xef1fff71cf7f41c5ull, 150, 150, 157, 314},
+    {"jacobi/fused/2d/csr/double", 0x23302c693c78459bull, 25, 25, 25, 50},
+    {"jacobi/fused/2d/csr/mixed", 0xef1fff71cf7f41c5ull, 150, 150, 157, 314},
+    {"jacobi/fused/3d/stencil/double", 0xcf9160199e86ffc8ull, 25, 25, 25, 50},
+    {"jacobi/fused/3d/stencil/mixed", 0xbfc8bf8f6429169aull, 125, 125, 131, 262},
+    {"jacobi/fused/3d/csr/double", 0xcf9160199e86ffc8ull, 25, 25, 25, 50},
+    {"jacobi/fused/3d/csr/mixed", 0xbfc8bf8f6429169aull, 125, 125, 131, 262},
+    {"jacobi/tiled-b6/2d/stencil/double", 0x23302c693c78459bull, 25, 25, 25, 50},
+    {"jacobi/tiled-b6/2d/stencil/mixed", 0xef1fff71cf7f41c5ull, 150, 150, 157, 314},
+    {"jacobi/tiled-b6/2d/csr/double", 0x23302c693c78459bull, 25, 25, 25, 50},
+    {"jacobi/tiled-b6/2d/csr/mixed", 0xef1fff71cf7f41c5ull, 150, 150, 157, 314},
+    {"jacobi/tiled-b6/3d/stencil/double", 0xcf9160199e86ffc8ull, 25, 25, 25, 50},
+    {"jacobi/tiled-b6/3d/stencil/mixed", 0xbfc8bf8f6429169aull, 125, 125, 131, 262},
+    {"jacobi/tiled-b6/3d/csr/double", 0xcf9160199e86ffc8ull, 25, 25, 25, 50},
+    {"jacobi/tiled-b6/3d/csr/mixed", 0xbfc8bf8f6429169aull, 125, 125, 131, 262},
+    {"cg/unfused/2d/stencil/double", 0x3ee1c92a306bb328ull, 25, 26, 51, 52},
+    {"cg/unfused/2d/stencil/mixed", 0x3f0f5f3a75000b8eull, 75, 78, 157, 164},
+    {"cg/unfused/2d/csr/double", 0x3ee1c92a306bb328ull, 25, 26, 51, 52},
+    {"cg/unfused/2d/csr/mixed", 0x3f0f5f3a75000b8eull, 75, 78, 157, 164},
+    {"cg/unfused/3d/stencil/double", 0xb22158056342a427ull, 25, 26, 51, 52},
+    {"cg/unfused/3d/stencil/mixed", 0xd70199ae4ff965c6ull, 50, 52, 105, 110},
+    {"cg/unfused/3d/csr/double", 0xb22158056342a427ull, 25, 26, 51, 52},
+    {"cg/unfused/3d/csr/mixed", 0xd70199ae4ff965c6ull, 50, 52, 105, 110},
+    {"cg/fused/2d/stencil/double", 0x3ee1c92a306bb328ull, 25, 26, 51, 52},
+    {"cg/fused/2d/stencil/mixed", 0x3f0f5f3a75000b8eull, 75, 78, 157, 164},
+    {"cg/fused/2d/csr/double", 0x3ee1c92a306bb328ull, 25, 26, 51, 52},
+    {"cg/fused/2d/csr/mixed", 0x3f0f5f3a75000b8eull, 75, 78, 157, 164},
+    {"cg/fused/3d/stencil/double", 0xb22158056342a427ull, 25, 26, 51, 52},
+    {"cg/fused/3d/stencil/mixed", 0xd70199ae4ff965c6ull, 50, 52, 105, 110},
+    {"cg/fused/3d/csr/double", 0xb22158056342a427ull, 25, 26, 51, 52},
+    {"cg/fused/3d/csr/mixed", 0xd70199ae4ff965c6ull, 50, 52, 105, 110},
+    {"cg/tiled-b6/2d/stencil/double", 0x3ee1c92a306bb328ull, 25, 26, 51, 52},
+    {"cg/tiled-b6/2d/stencil/mixed", 0x3f0f5f3a75000b8eull, 75, 78, 157, 164},
+    {"cg/tiled-b6/2d/csr/double", 0x3ee1c92a306bb328ull, 25, 26, 51, 52},
+    {"cg/tiled-b6/2d/csr/mixed", 0x3f0f5f3a75000b8eull, 75, 78, 157, 164},
+    {"cg/tiled-b6/3d/stencil/double", 0xb22158056342a427ull, 25, 26, 51, 52},
+    {"cg/tiled-b6/3d/stencil/mixed", 0xd70199ae4ff965c6ull, 50, 52, 105, 110},
+    {"cg/tiled-b6/3d/csr/double", 0xb22158056342a427ull, 25, 26, 51, 52},
+    {"cg/tiled-b6/3d/csr/mixed", 0xd70199ae4ff965c6ull, 50, 52, 105, 110},
+    {"cg-block/unfused/2d/stencil/double", 0x0309ea1afc79e7dfull, 25, 26, 51, 52},
+    {"cg-block/unfused/2d/stencil/mixed", 0x2234210f014a914eull, 48, 50, 101, 106},
+    {"cg-block/unfused/2d/csr/double", 0x0309ea1afc79e7dfull, 25, 26, 51, 52},
+    {"cg-block/unfused/2d/csr/mixed", 0x2234210f014a914eull, 48, 50, 101, 106},
+    {"cg-block/unfused/3d/stencil/double", 0x518a04cd382bff16ull, 25, 26, 51, 52},
+    {"cg-block/unfused/3d/stencil/mixed", 0x59895664adf8286aull, 49, 51, 103, 108},
+    {"cg-block/unfused/3d/csr/double", 0x518a04cd382bff16ull, 25, 26, 51, 52},
+    {"cg-block/unfused/3d/csr/mixed", 0x59895664adf8286aull, 49, 51, 103, 108},
+    {"cg-block/fused/2d/stencil/double", 0x0309ea1afc79e7dfull, 25, 26, 51, 52},
+    {"cg-block/fused/2d/stencil/mixed", 0x2234210f014a914eull, 48, 50, 101, 106},
+    {"cg-block/fused/2d/csr/double", 0x0309ea1afc79e7dfull, 25, 26, 51, 52},
+    {"cg-block/fused/2d/csr/mixed", 0x2234210f014a914eull, 48, 50, 101, 106},
+    {"cg-block/fused/3d/stencil/double", 0x518a04cd382bff16ull, 25, 26, 51, 52},
+    {"cg-block/fused/3d/stencil/mixed", 0x59895664adf8286aull, 49, 51, 103, 108},
+    {"cg-block/fused/3d/csr/double", 0x518a04cd382bff16ull, 25, 26, 51, 52},
+    {"cg-block/fused/3d/csr/mixed", 0x59895664adf8286aull, 49, 51, 103, 108},
+    {"cg-block/tiled-b6/2d/stencil/double", 0x0309ea1afc79e7dfull, 25, 26, 51, 52},
+    {"cg-block/tiled-b6/2d/stencil/mixed", 0x2234210f014a914eull, 48, 50, 101, 106},
+    {"cg-block/tiled-b6/2d/csr/double", 0x0309ea1afc79e7dfull, 25, 26, 51, 52},
+    {"cg-block/tiled-b6/2d/csr/mixed", 0x2234210f014a914eull, 48, 50, 101, 106},
+    {"cg-block/tiled-b6/3d/stencil/double", 0x518a04cd382bff16ull, 25, 26, 51, 52},
+    {"cg-block/tiled-b6/3d/stencil/mixed", 0x59895664adf8286aull, 49, 51, 103, 108},
+    {"cg-block/tiled-b6/3d/csr/double", 0x518a04cd382bff16ull, 25, 26, 51, 52},
+    {"cg-block/tiled-b6/3d/csr/mixed", 0x59895664adf8286aull, 49, 51, 103, 108},
+    {"cg-chrono-diag/unfused/2d/stencil/double", 0xa7392af65d8f5263ull, 25, 26, 26, 54},
+    {"cg-chrono-diag/unfused/2d/stencil/mixed", 0xb53c7ef8c18c86b7ull, 75, 78, 82, 170},
+    {"cg-chrono-diag/unfused/2d/csr/double", 0xa7392af65d8f5263ull, 25, 26, 26, 54},
+    {"cg-chrono-diag/unfused/2d/csr/mixed", 0xb53c7ef8c18c86b7ull, 75, 78, 82, 170},
+    {"cg-chrono-diag/unfused/3d/stencil/double", 0xebde34dcf86a833cull, 25, 26, 26, 54},
+    {"cg-chrono-diag/unfused/3d/stencil/mixed", 0x5eed19f1fa05a96aull, 75, 78, 82, 170},
+    {"cg-chrono-diag/unfused/3d/csr/double", 0xebde34dcf86a833cull, 25, 26, 26, 54},
+    {"cg-chrono-diag/unfused/3d/csr/mixed", 0x5eed19f1fa05a96aull, 75, 78, 82, 170},
+    {"cg-chrono-diag/fused/2d/stencil/double", 0xa7392af65d8f5263ull, 25, 26, 26, 54},
+    {"cg-chrono-diag/fused/2d/stencil/mixed", 0xb53c7ef8c18c86b7ull, 75, 78, 82, 170},
+    {"cg-chrono-diag/fused/2d/csr/double", 0xa7392af65d8f5263ull, 25, 26, 26, 54},
+    {"cg-chrono-diag/fused/2d/csr/mixed", 0xb53c7ef8c18c86b7ull, 75, 78, 82, 170},
+    {"cg-chrono-diag/fused/3d/stencil/double", 0xebde34dcf86a833cull, 25, 26, 26, 54},
+    {"cg-chrono-diag/fused/3d/stencil/mixed", 0x5eed19f1fa05a96aull, 75, 78, 82, 170},
+    {"cg-chrono-diag/fused/3d/csr/double", 0xebde34dcf86a833cull, 25, 26, 26, 54},
+    {"cg-chrono-diag/fused/3d/csr/mixed", 0x5eed19f1fa05a96aull, 75, 78, 82, 170},
+    {"cg-chrono-diag/tiled-b6/2d/stencil/double", 0xa7392af65d8f5263ull, 25, 26, 26, 54},
+    {"cg-chrono-diag/tiled-b6/2d/stencil/mixed", 0xb53c7ef8c18c86b7ull, 75, 78, 82, 170},
+    {"cg-chrono-diag/tiled-b6/2d/csr/double", 0xa7392af65d8f5263ull, 25, 26, 26, 54},
+    {"cg-chrono-diag/tiled-b6/2d/csr/mixed", 0xb53c7ef8c18c86b7ull, 75, 78, 82, 170},
+    {"cg-chrono-diag/tiled-b6/3d/stencil/double", 0xebde34dcf86a833cull, 25, 26, 26, 54},
+    {"cg-chrono-diag/tiled-b6/3d/stencil/mixed", 0x5eed19f1fa05a96aull, 75, 78, 82, 170},
+    {"cg-chrono-diag/tiled-b6/3d/csr/double", 0xebde34dcf86a833cull, 25, 26, 26, 54},
+    {"cg-chrono-diag/tiled-b6/3d/csr/mixed", 0x5eed19f1fa05a96aull, 75, 78, 82, 170},
+    {"cg-chrono-block/unfused/2d/stencil/double", 0x115e1a18f3c23514ull, 25, 26, 26, 54},
+    {"cg-chrono-block/unfused/2d/stencil/mixed", 0xca3961017203788aull, 48, 50, 53, 110},
+    {"cg-chrono-block/unfused/2d/csr/double", 0x115e1a18f3c23514ull, 25, 26, 26, 54},
+    {"cg-chrono-block/unfused/2d/csr/mixed", 0xca3961017203788aull, 48, 50, 53, 110},
+    {"cg-chrono-block/unfused/3d/stencil/double", 0x0bb0a4a6f57fc4e8ull, 25, 26, 26, 54},
+    {"cg-chrono-block/unfused/3d/stencil/mixed", 0x6906e29c836d6be7ull, 49, 51, 54, 112},
+    {"cg-chrono-block/unfused/3d/csr/double", 0x0bb0a4a6f57fc4e8ull, 25, 26, 26, 54},
+    {"cg-chrono-block/unfused/3d/csr/mixed", 0x6906e29c836d6be7ull, 49, 51, 54, 112},
+    {"cg-chrono-block/fused/2d/stencil/double", 0x115e1a18f3c23514ull, 25, 26, 26, 54},
+    {"cg-chrono-block/fused/2d/stencil/mixed", 0xca3961017203788aull, 48, 50, 53, 110},
+    {"cg-chrono-block/fused/2d/csr/double", 0x115e1a18f3c23514ull, 25, 26, 26, 54},
+    {"cg-chrono-block/fused/2d/csr/mixed", 0xca3961017203788aull, 48, 50, 53, 110},
+    {"cg-chrono-block/fused/3d/stencil/double", 0x0bb0a4a6f57fc4e8ull, 25, 26, 26, 54},
+    {"cg-chrono-block/fused/3d/stencil/mixed", 0x6906e29c836d6be7ull, 49, 51, 54, 112},
+    {"cg-chrono-block/fused/3d/csr/double", 0x0bb0a4a6f57fc4e8ull, 25, 26, 26, 54},
+    {"cg-chrono-block/fused/3d/csr/mixed", 0x6906e29c836d6be7ull, 49, 51, 54, 112},
+    {"cg-chrono-block/tiled-b6/2d/stencil/double", 0x115e1a18f3c23514ull, 25, 26, 26, 54},
+    {"cg-chrono-block/tiled-b6/2d/stencil/mixed", 0xca3961017203788aull, 48, 50, 53, 110},
+    {"cg-chrono-block/tiled-b6/2d/csr/double", 0x115e1a18f3c23514ull, 25, 26, 26, 54},
+    {"cg-chrono-block/tiled-b6/2d/csr/mixed", 0xca3961017203788aull, 48, 50, 53, 110},
+    {"cg-chrono-block/tiled-b6/3d/stencil/double", 0x0bb0a4a6f57fc4e8ull, 25, 26, 26, 54},
+    {"cg-chrono-block/tiled-b6/3d/stencil/mixed", 0x6906e29c836d6be7ull, 49, 51, 54, 112},
+    {"cg-chrono-block/tiled-b6/3d/csr/double", 0x0bb0a4a6f57fc4e8ull, 25, 26, 26, 54},
+    {"cg-chrono-block/tiled-b6/3d/csr/mixed", 0x6906e29c836d6be7ull, 49, 51, 54, 112},
+    {"cheby-diag/unfused/2d/stencil/double", 0xf5deb94d54370bf7ull, 25, 26, 28, 52},
+    {"cheby-diag/unfused/2d/stencil/mixed", 0x3200ba4be0aa324bull, 75, 78, 46, 164},
+    {"cheby-diag/unfused/2d/csr/double", 0xf5deb94d54370bf7ull, 25, 26, 28, 52},
+    {"cheby-diag/unfused/2d/csr/mixed", 0x3200ba4be0aa324bull, 75, 78, 46, 164},
+    {"cheby-diag/unfused/3d/stencil/double", 0x9876af19bf945702ull, 25, 26, 28, 52},
+    {"cheby-diag/unfused/3d/stencil/mixed", 0x123a694b68aa8408ull, 100, 104, 54, 218},
+    {"cheby-diag/unfused/3d/csr/double", 0x9876af19bf945702ull, 25, 26, 28, 52},
+    {"cheby-diag/unfused/3d/csr/mixed", 0x123a694b68aa8408ull, 100, 104, 54, 218},
+    {"cheby-diag/fused/2d/stencil/double", 0xf5deb94d54370bf7ull, 25, 26, 28, 52},
+    {"cheby-diag/fused/2d/stencil/mixed", 0x3200ba4be0aa324bull, 75, 78, 46, 164},
+    {"cheby-diag/fused/2d/csr/double", 0xf5deb94d54370bf7ull, 25, 26, 28, 52},
+    {"cheby-diag/fused/2d/csr/mixed", 0x3200ba4be0aa324bull, 75, 78, 46, 164},
+    {"cheby-diag/fused/3d/stencil/double", 0x9876af19bf945702ull, 25, 26, 28, 52},
+    {"cheby-diag/fused/3d/stencil/mixed", 0x123a694b68aa8408ull, 100, 104, 54, 218},
+    {"cheby-diag/fused/3d/csr/double", 0x9876af19bf945702ull, 25, 26, 28, 52},
+    {"cheby-diag/fused/3d/csr/mixed", 0x123a694b68aa8408ull, 100, 104, 54, 218},
+    {"cheby-diag/tiled-b6/2d/stencil/double", 0xf5deb94d54370bf7ull, 25, 26, 28, 52},
+    {"cheby-diag/tiled-b6/2d/stencil/mixed", 0x3200ba4be0aa324bull, 75, 78, 46, 164},
+    {"cheby-diag/tiled-b6/2d/csr/double", 0xf5deb94d54370bf7ull, 25, 26, 28, 52},
+    {"cheby-diag/tiled-b6/2d/csr/mixed", 0x3200ba4be0aa324bull, 75, 78, 46, 164},
+    {"cheby-diag/tiled-b6/3d/stencil/double", 0x9876af19bf945702ull, 25, 26, 28, 52},
+    {"cheby-diag/tiled-b6/3d/stencil/mixed", 0x123a694b68aa8408ull, 100, 104, 54, 218},
+    {"cheby-diag/tiled-b6/3d/csr/double", 0x9876af19bf945702ull, 25, 26, 28, 52},
+    {"cheby-diag/tiled-b6/3d/csr/mixed", 0x123a694b68aa8408ull, 100, 104, 54, 218},
+    {"cheby-block/unfused/2d/stencil/double", 0x805f7f14da5c90a4ull, 25, 26, 28, 52},
+    {"cheby-block/unfused/2d/stencil/mixed", 0xda0a17badb7ac6feull, 50, 52, 38, 110},
+    {"cheby-block/unfused/2d/csr/double", 0x805f7f14da5c90a4ull, 25, 26, 28, 52},
+    {"cheby-block/unfused/2d/csr/mixed", 0xda0a17badb7ac6feull, 50, 52, 38, 110},
+    {"cheby-block/unfused/3d/stencil/double", 0x3fbbdbf518af0171ull, 25, 26, 28, 52},
+    {"cheby-block/unfused/3d/stencil/mixed", 0x304d6e815d23018eull, 75, 78, 46, 164},
+    {"cheby-block/unfused/3d/csr/double", 0x3fbbdbf518af0171ull, 25, 26, 28, 52},
+    {"cheby-block/unfused/3d/csr/mixed", 0x304d6e815d23018eull, 75, 78, 46, 164},
+    {"cheby-block/fused/2d/stencil/double", 0x805f7f14da5c90a4ull, 25, 26, 28, 52},
+    {"cheby-block/fused/2d/stencil/mixed", 0xda0a17badb7ac6feull, 50, 52, 38, 110},
+    {"cheby-block/fused/2d/csr/double", 0x805f7f14da5c90a4ull, 25, 26, 28, 52},
+    {"cheby-block/fused/2d/csr/mixed", 0xda0a17badb7ac6feull, 50, 52, 38, 110},
+    {"cheby-block/fused/3d/stencil/double", 0x3fbbdbf518af0171ull, 25, 26, 28, 52},
+    {"cheby-block/fused/3d/stencil/mixed", 0x304d6e815d23018eull, 75, 78, 46, 164},
+    {"cheby-block/fused/3d/csr/double", 0x3fbbdbf518af0171ull, 25, 26, 28, 52},
+    {"cheby-block/fused/3d/csr/mixed", 0x304d6e815d23018eull, 75, 78, 46, 164},
+    {"cheby-block/tiled-b6/2d/stencil/double", 0x805f7f14da5c90a4ull, 25, 26, 28, 52},
+    {"cheby-block/tiled-b6/2d/stencil/mixed", 0xda0a17badb7ac6feull, 50, 52, 38, 110},
+    {"cheby-block/tiled-b6/2d/csr/double", 0x805f7f14da5c90a4ull, 25, 26, 28, 52},
+    {"cheby-block/tiled-b6/2d/csr/mixed", 0xda0a17badb7ac6feull, 50, 52, 38, 110},
+    {"cheby-block/tiled-b6/3d/stencil/double", 0x3fbbdbf518af0171ull, 25, 26, 28, 52},
+    {"cheby-block/tiled-b6/3d/stencil/mixed", 0x304d6e815d23018eull, 75, 78, 46, 164},
+    {"cheby-block/tiled-b6/3d/csr/double", 0x3fbbdbf518af0171ull, 25, 26, 28, 52},
+    {"cheby-block/tiled-b6/3d/csr/mixed", 0x304d6e815d23018eull, 75, 78, 46, 164},
+    {"ppcg-mp2/unfused/2d/stencil/double", 0x58054b4b5b2a7ac7ull, 20, 75, 42, 114},
+    {"ppcg-mp2/unfused/2d/stencil/mixed", 0x390500343cb4c253ull, 21, 89, 49, 140},
+    {"ppcg-mp2/unfused/2d/csr/double", 0x58054b4b5b2a7ac7ull, 20, 75, 42, 150},
+    {"ppcg-mp2/unfused/2d/csr/mixed", 0x390500343cb4c253ull, 21, 89, 49, 184},
+    {"ppcg-mp2/unfused/3d/stencil/double", 0x7e8d76da980a1c3full, 18, 61, 38, 94},
+    {"ppcg-mp2/unfused/3d/stencil/mixed", 0x542aefad94efd274ull, 20, 82, 47, 130},
+    {"ppcg-mp2/unfused/3d/csr/double", 0x7e8d76da980a1c3full, 18, 61, 38, 122},
+    {"ppcg-mp2/unfused/3d/csr/mixed", 0x542aefad94efd274ull, 20, 82, 47, 170},
+    {"ppcg-mp2/fused/2d/stencil/double", 0x58054b4b5b2a7ac7ull, 20, 75, 42, 114},
+    {"ppcg-mp2/fused/2d/stencil/mixed", 0x390500343cb4c253ull, 21, 89, 49, 140},
+    {"ppcg-mp2/fused/2d/csr/double", 0x58054b4b5b2a7ac7ull, 20, 75, 42, 150},
+    {"ppcg-mp2/fused/2d/csr/mixed", 0x390500343cb4c253ull, 21, 89, 49, 184},
+    {"ppcg-mp2/fused/3d/stencil/double", 0x7e8d76da980a1c3full, 18, 61, 38, 94},
+    {"ppcg-mp2/fused/3d/stencil/mixed", 0x542aefad94efd274ull, 20, 82, 47, 130},
+    {"ppcg-mp2/fused/3d/csr/double", 0x7e8d76da980a1c3full, 18, 61, 38, 122},
+    {"ppcg-mp2/fused/3d/csr/mixed", 0x542aefad94efd274ull, 20, 82, 47, 170},
+    {"ppcg-mp2/tiled-b6/2d/stencil/double", 0x58054b4b5b2a7ac7ull, 20, 75, 42, 114},
+    {"ppcg-mp2/tiled-b6/2d/stencil/mixed", 0x390500343cb4c253ull, 21, 89, 49, 140},
+    {"ppcg-mp2/tiled-b6/2d/csr/double", 0x58054b4b5b2a7ac7ull, 20, 75, 42, 150},
+    {"ppcg-mp2/tiled-b6/2d/csr/mixed", 0x390500343cb4c253ull, 21, 89, 49, 184},
+    {"ppcg-mp2/tiled-b6/3d/stencil/double", 0x7e8d76da980a1c3full, 18, 61, 38, 94},
+    {"ppcg-mp2/tiled-b6/3d/stencil/mixed", 0x542aefad94efd274ull, 20, 82, 47, 130},
+    {"ppcg-mp2/tiled-b6/3d/csr/double", 0x7e8d76da980a1c3full, 18, 61, 38, 122},
+    {"ppcg-mp2/tiled-b6/3d/csr/mixed", 0x542aefad94efd274ull, 20, 82, 47, 170},
+    {"ppcg-block/unfused/2d/stencil/double", 0xfb61dd02ab90b34cull, 17, 54, 36, 108},
+    {"ppcg-block/unfused/2d/stencil/mixed", 0x74235b1e5b83bb83ull, 18, 68, 43, 142},
+    {"ppcg-block/unfused/2d/csr/double", 0xfb61dd02ab90b34cull, 17, 54, 36, 108},
+    {"ppcg-block/unfused/2d/csr/mixed", 0x74235b1e5b83bb83ull, 18, 68, 43, 142},
+    {"ppcg-block/unfused/3d/stencil/double", 0xeaa5018211b9c877ull, 18, 61, 38, 122},
+    {"ppcg-block/unfused/3d/stencil/mixed", 0xd8d0a04f08e09968ull, 20, 82, 47, 170},
+    {"ppcg-block/unfused/3d/csr/double", 0xeaa5018211b9c877ull, 18, 61, 38, 122},
+    {"ppcg-block/unfused/3d/csr/mixed", 0xd8d0a04f08e09968ull, 20, 82, 47, 170},
+    {"ppcg-block/fused/2d/stencil/double", 0xfb61dd02ab90b34cull, 17, 54, 36, 108},
+    {"ppcg-block/fused/2d/stencil/mixed", 0x74235b1e5b83bb83ull, 18, 68, 43, 142},
+    {"ppcg-block/fused/2d/csr/double", 0xfb61dd02ab90b34cull, 17, 54, 36, 108},
+    {"ppcg-block/fused/2d/csr/mixed", 0x74235b1e5b83bb83ull, 18, 68, 43, 142},
+    {"ppcg-block/fused/3d/stencil/double", 0xeaa5018211b9c877ull, 18, 61, 38, 122},
+    {"ppcg-block/fused/3d/stencil/mixed", 0xd8d0a04f08e09968ull, 20, 82, 47, 170},
+    {"ppcg-block/fused/3d/csr/double", 0xeaa5018211b9c877ull, 18, 61, 38, 122},
+    {"ppcg-block/fused/3d/csr/mixed", 0xd8d0a04f08e09968ull, 20, 82, 47, 170},
+    {"ppcg-block/tiled-b6/2d/stencil/double", 0xfb61dd02ab90b34cull, 17, 54, 36, 108},
+    {"ppcg-block/tiled-b6/2d/stencil/mixed", 0x74235b1e5b83bb83ull, 18, 68, 43, 142},
+    {"ppcg-block/tiled-b6/2d/csr/double", 0xfb61dd02ab90b34cull, 17, 54, 36, 108},
+    {"ppcg-block/tiled-b6/2d/csr/mixed", 0x74235b1e5b83bb83ull, 18, 68, 43, 142},
+    {"ppcg-block/tiled-b6/3d/stencil/double", 0xeaa5018211b9c877ull, 18, 61, 38, 122},
+    {"ppcg-block/tiled-b6/3d/stencil/mixed", 0xd8d0a04f08e09968ull, 20, 82, 47, 170},
+    {"ppcg-block/tiled-b6/3d/csr/double", 0xeaa5018211b9c877ull, 18, 61, 38, 122},
+    {"ppcg-block/tiled-b6/3d/csr/mixed", 0xd8d0a04f08e09968ull, 20, 82, 47, 170},
+};
+// clang-format on
+
+std::uint64_t hash_interior_u(const SimCluster& cl) {
+  const Field<double> u = gather_field(cl, FieldId::kU);
+  std::uint64_t h = 14695981039346656037ull;  // FNV-1a offset basis
+  for (int l = 0; l < u.nz(); ++l) {
+    for (int k = 0; k < u.ny(); ++k) {
+      for (int j = 0; j < u.nx(); ++j) {
+        const double v = u(j, k, l);
+        std::uint64_t bits = 0;
+        std::memcpy(&bits, &v, sizeof bits);
+        for (int b = 0; b < 8; ++b) {
+          h ^= (bits >> (8 * b)) & 0xffu;
+          h *= 1099511628211ull;  // FNV-1a prime
+        }
+      }
+    }
+  }
+  return h;
+}
+
+const Golden* find_golden(const std::string& cell) {
+  for (const Golden& g : kGolden) {
+    if (cell == g.cell) return &g;
+  }
+  return nullptr;
+}
+
+std::string row_of(const Golden& g) {
+  char buf[256];
+  std::snprintf(buf, sizeof buf,
+                "{\"%s\", 0x%016llxull, %d, %lld, %lld, %lld},", g.cell,
+                static_cast<unsigned long long>(g.u_hash), g.outer_iters,
+                g.spmv_applies, g.reductions, g.messages);
+  return buf;
+}
+
+TEST(GoldenIterates, EveryRouteReproducesItsRecordedChecksum) {
+  log::set_level(log::Level::kError);  // capped solves warn at max_iters
+  struct Schedule {
+    const char* name;
+    bool fused;
+    int tile_rows;
+  };
+  const Schedule schedules[] = {
+      {"unfused", false, 0}, {"fused", true, 0}, {"tiled-b6", true, 6}};
+  int checked = 0;
+  for (const Variant& v : kVariants) {
+    for (const Schedule& s : schedules) {
+      for (const int dims : {2, 3}) {
+        for (const OperatorKind op :
+             {OperatorKind::kStencil, OperatorKind::kCsr}) {
+          for (const Precision prec : {Precision::kDouble, Precision::kMixed}) {
+            SolverConfig cfg;
+            cfg.type = v.type;
+            cfg.precon = v.precon;
+            cfg.fuse_cg_reductions = v.chrono;
+            cfg.halo_depth = op == OperatorKind::kStencil ? v.halo_depth : 1;
+            cfg.op = op;
+            cfg.precision = prec;
+            cfg.fuse_kernels = s.fused;
+            cfg.tile_rows = s.tile_rows;
+            cfg.eps = v.type == SolverType::kJacobi ? 1e-5 : 1e-9;
+            cfg.max_iters = 25;
+            cfg.eigen_cg_iters = 12;
+            cfg.inner_steps = 6;
+            cfg.cheby_check_interval = 5;
+
+            auto cl = dims == 3 ? make_test_problem_3d(10, 2, 2)
+                                : make_test_problem(20, 2, 2);
+            install_operator(*cl, op);
+            const SolveStats st = run_solver(*cl, cfg);
+
+            const std::string cell = std::string(v.name) + "/" + s.name +
+                                     "/" + (dims == 3 ? "3d" : "2d") + "/" +
+                                     to_string(op) + "/" + to_string(prec);
+            const Golden got{cell.c_str(),
+                             hash_interior_u(*cl),
+                             st.outer_iters,
+                             st.spmv_applies,
+                             static_cast<long long>(cl->stats().reductions),
+                             static_cast<long long>(cl->stats().messages)};
+            const Golden* want = find_golden(cell);
+            ++checked;
+            if (want == nullptr) {
+              ADD_FAILURE() << "no golden row for " << cell
+                            << "; produced:\n" << row_of(got);
+              continue;
+            }
+            EXPECT_TRUE(want->u_hash == got.u_hash &&
+                        want->outer_iters == got.outer_iters &&
+                        want->spmv_applies == got.spmv_applies &&
+                        want->reductions == got.reductions &&
+                        want->messages == got.messages)
+                << "cell " << cell << "\n  want " << row_of(*want)
+                << "\n  got  " << row_of(got);
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(checked, static_cast<int>(std::size(kGolden)));
+}
+
+}  // namespace
+}  // namespace tealeaf

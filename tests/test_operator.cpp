@@ -128,7 +128,6 @@ TEST(AssembleFromStencil, LayoutMatchesTheBitwiseContract) {
   ASSERT_EQ(m.nrows, 64);
   EXPECT_EQ(m.nnz(), 64 * 5);  // boundary zeros kept: full arity everywhere
   EXPECT_EQ(m.nnz_per_row(), 5.0);
-  EXPECT_EQ(m.row_reach, 1);  // 2-D: columns stay within adjacent rows
 
   const Field<double>& geom = c.u();
   for (int k = 0; k < 8; ++k) {
@@ -150,13 +149,11 @@ TEST(AssembleFromStencil, LayoutMatchesTheBitwiseContract) {
   }
 }
 
-TEST(AssembleFromStencil, ThreeDRowsReachAcrossPlanes) {
+TEST(AssembleFromStencil, ThreeDRowsCarrySevenEntries) {
   auto cl = make_test_problem_3d(6, 1, 2, 4.0);
   const CsrMatrix m = assemble_from_stencil(cl->chunk(0));
   EXPECT_EQ(m.nrows, 216);
   EXPECT_EQ(m.nnz_per_row(), 7.0);
-  // One inter-plane hop moves the flattened (l·ny + k) row index by ny.
-  EXPECT_EQ(m.row_reach, 6);
 }
 
 TEST(SellFromCsr, StoragePermutationPreservesEveryRowExactly) {
@@ -167,7 +164,6 @@ TEST(SellFromCsr, StoragePermutationPreservesEveryRowExactly) {
   ASSERT_EQ(s.nrows, csr.nrows);
   EXPECT_EQ(s.chunk_c, 8);
   EXPECT_EQ(s.sigma, 64);
-  EXPECT_EQ(s.row_reach, csr.row_reach);
   // Uniform row lengths: the σ sort is the identity and padding only
   // covers the ragged final slice (144 rows → 18 full slices, no pad).
   EXPECT_EQ(s.fill_ratio(), 1.0);
@@ -315,7 +311,6 @@ TEST(MatrixMarket, CsrFromTripletsMapsRowsOntoTheGridDiagFirst) {
   const CsrMatrix m = io::csr_from_triplets(trips, c);
 
   ASSERT_EQ(m.nrows, 16);
-  EXPECT_EQ(m.row_reach, 1);
   const Field<double>& geom = c.u();
   for (std::int64_t r = 0; r < m.nrows; ++r) {
     const int j = static_cast<int>(r % 4), k = static_cast<int>(r / 4);

@@ -1,4 +1,4 @@
-// The mixed-precision execution layer's contract (eleventh design-space
+// The mixed-precision execution layer's contract (tenth design-space
 // axis):
 //   * tl_precision = double is BITWISE identical to the historical fp64
 //     path — allocating (but not activating) the fp32 bank must not
@@ -36,14 +36,13 @@ using testing::max_field_diff;
 
 // ---- fp64 path: bitwise unperturbed by the precision layer ---------------
 
-enum class Engine { kUnfused, kFused, kTiled, kPipelined };
+enum class Engine { kUnfused, kFused, kTiled };
 
 const char* engine_name(Engine e) {
   switch (e) {
     case Engine::kUnfused: return "unfused";
     case Engine::kFused: return "fused";
     case Engine::kTiled: return "tiled";
-    case Engine::kPipelined: return "pipelined";
   }
   return "?";
 }
@@ -70,11 +69,6 @@ TEST_P(Fp64BitwiseIdentity, Fp32BankDoesNotPerturbDoubleSolves) {
     case Engine::kTiled:
       cfg.fuse_kernels = true;
       cfg.tile_rows = 6;
-      break;
-    case Engine::kPipelined:
-      cfg.fuse_kernels = true;
-      cfg.tile_rows = 4;
-      cfg.pipeline = true;
       break;
   }
 
@@ -114,8 +108,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(
         ::testing::Values(SolverType::kJacobi, SolverType::kCG,
                           SolverType::kChebyshev, SolverType::kPPCG),
-        ::testing::Values(Engine::kUnfused, Engine::kFused, Engine::kTiled,
-                          Engine::kPipelined),
+        ::testing::Values(Engine::kUnfused, Engine::kFused, Engine::kTiled),
         ::testing::Values(2, 3),
         ::testing::Values(OperatorKind::kStencil, OperatorKind::kCsr,
                           OperatorKind::kSellCSigma)));

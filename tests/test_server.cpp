@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -143,6 +145,69 @@ TEST(RoutingTable, RoundTripsThroughSweepJson) {
   EXPECT_EQ(table.size(), 4u);
   EXPECT_EQ(table.route(2, 16, 2).front().label(),
             "ppcg/jac_diag/d2/n16/fused");
+}
+
+TEST(RoutingTable, DropsCellsOfTheRetiredPipelinedSchedule) {
+  // Sweeps recorded before the pipelined schedule was retired carry a
+  // per-cell "pipeline" flag: false names a route that still exists, true
+  // one that does not.  Mark the fastest cell pipelined.
+  const io::JsonValue doc = synthetic_report().to_json();
+  const io::JsonValue& cells = doc.at("cells");
+  io::JsonValue flagged = io::JsonValue::array();
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    io::JsonValue cell = cells.at(i);
+    cell.set("pipeline", i == 0);
+    flagged.push_back(std::move(cell));
+  }
+  io::JsonValue old = doc;
+  old.set("cells", std::move(flagged));
+  const RoutingTable table = RoutingTable::from_json_string(old.dump(2));
+  EXPECT_EQ(table.size(), 3u);
+  EXPECT_EQ(table.route(2, 16, 2).front().label(), "cg/none/d1/n16/fused");
+}
+
+std::vector<std::string> route_labels(const RoutingTable& table, int mesh_n) {
+  std::vector<std::string> labels;
+  for (const RouteEntry& e : table.route(2, mesh_n, 2)) {
+    labels.push_back(e.label());
+  }
+  return labels;
+}
+
+TEST(RoutingTable, CommittedServerRoutesStillLoadAndRank) {
+  // The end-to-end benchmark's route table predates the retirement of the
+  // pipelined schedule: every cell carries "pipeline": false.  It must
+  // still yield all 64 cells (36 of them routable) and rank the
+  // server_mix shapes (2-D, 64² and 128², 2 ranks) exactly as before.
+  const std::string path =
+      std::string(TEALEAF_DECKS_DIR) + "/../bench/e2e/server_routes.json";
+  std::ifstream in(path);
+  ASSERT_TRUE(in.is_open()) << path;
+  std::stringstream text;
+  text << in.rdbuf();
+  EXPECT_EQ(SweepReport::from_json_string(text.str()).cells.size(), 64u);
+  const RoutingTable table = RoutingTable::from_json_file(path);
+  EXPECT_EQ(table.size(), 36u);
+  const std::vector<std::string> want64 = {
+      "cg/jac_diag/d1/n64/fused",        "cg/none/d1/n64/fused",
+      "cg/jac_diag/d1/n64",              "ppcg/none/d4/n64",
+      "cg/none/d1/n64",                  "ppcg/jac_diag/d4/n64",
+      "ppcg/none/d4/n64/fused",          "ppcg/jac_diag/d1/n64",
+      "ppcg/jac_diag/d1/n64/fused",      "chebyshev/jac_diag/d1/n64",
+      "ppcg/none/d1/n64",                "chebyshev/jac_diag/d1/n64/fused",
+      "chebyshev/none/d1/n64",           "ppcg/none/d1/n64/fused",
+      "chebyshev/none/d1/n64/fused",     "ppcg/jac_diag/d4/n64/fused"};
+  const std::vector<std::string> want128 = {
+      "cg/jac_diag/d1/n128/fused",       "ppcg/none/d4/n128",
+      "cg/none/d1/n128/fused",           "cg/jac_diag/d1/n128",
+      "cg/none/d1/n128",                 "ppcg/none/d1/n128",
+      "ppcg/jac_diag/d4/n128",           "ppcg/jac_diag/d1/n128",
+      "ppcg/none/d4/n128/fused",         "ppcg/none/d1/n128/fused",
+      "chebyshev/none/d1/n128",          "chebyshev/jac_diag/d1/n128",
+      "ppcg/jac_diag/d1/n128/fused",     "ppcg/jac_diag/d4/n128/fused",
+      "chebyshev/jac_diag/d1/n128/fused", "chebyshev/none/d1/n128/fused"};
+  EXPECT_EQ(route_labels(table, 64), want64);
+  EXPECT_EQ(route_labels(table, 128), want128);
 }
 
 TEST(SolveServer, MixedShapeStreamBatchesPerShapeInArrivalOrder) {

@@ -252,6 +252,13 @@ TEST_F(SweepRun, CsvRoundTrips) {
   std::vector<std::string> corrupt = lines;
   corrupt[1].replace(corrupt[1].find(",1,"), 3, ",x,");
   EXPECT_THROW(SweepReport::from_csv_lines(corrupt), TeaError);
+
+  // A table written before the pipelined schedule was retired carries an
+  // extra pipeline column after tile_rows: its header no longer matches.
+  std::vector<std::string> old_table = lines;
+  old_table[0].replace(old_table[0].find(",tile_rows,"), 11,
+                       ",tile_rows,pipeline,");
+  EXPECT_THROW(SweepReport::from_csv_lines(old_table), TeaError);
 }
 
 TEST_F(SweepRun, JsonRoundTrips) {
@@ -590,7 +597,7 @@ TEST(SweepGeometryAxis, SlabCellMatches2DIterationCounts) {
 }
 
 
-TEST(SweepPrecisionAxis, EnumeratesAsEleventhInnermostAxis) {
+TEST(SweepPrecisionAxis, EnumeratesAsTenthInnermostAxis) {
   SweepSpec spec;
   spec.solvers = {"cg"};
   spec.fused = {0, 1};
