@@ -21,7 +21,7 @@ int main(int argc, char** argv) {
   std::printf("Ablation: fused-reduction CG (Chronopoulos-Gear, paper "
               "SVII future work)\n\n");
 
-  SolverConfig classic;
+  SolverConfig classic = paper_engine_config();
   classic.type = SolverType::kCG;
   classic.eps = 1e-8;
   SolverConfig fused = classic;

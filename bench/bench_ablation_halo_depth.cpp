@@ -32,7 +32,7 @@ int main(int argc, char** argv) {
   // reuse the depth-1 iteration structure across depths (validated by
   // tests/test_matrix_powers.cpp).  20 inner steps so that even depth-16
   // halos are actually consumed by the inner loop (⌊m/d⌋ ≥ 1).
-  SolverConfig cfg;
+  SolverConfig cfg = paper_engine_config();
   cfg.type = SolverType::kPPCG;
   cfg.eps = 1e-8;
   cfg.inner_steps = 20;

@@ -29,10 +29,10 @@ int main(int argc, char** argv) {
 
   // Measure CG-1 and PPCG-1 structure (paper gathered only depth 1 on
   // Spruce due to machine-time constraints).
-  SolverConfig cg;
+  SolverConfig cg = paper_engine_config();
   cg.type = SolverType::kCG;
   cg.eps = 1e-8;
-  SolverConfig ppcg;
+  SolverConfig ppcg = paper_engine_config();
   ppcg.type = SolverType::kPPCG;
   ppcg.eps = 1e-8;
   ppcg.inner_steps = 10;

@@ -23,7 +23,7 @@ int main(int argc, char** argv) {
   std::printf("(structure measured at %d^2, projected to %d^2)\n\n",
               measure_n, project_n);
 
-  SolverConfig ppcg1;
+  SolverConfig ppcg1 = paper_engine_config();
   ppcg1.type = SolverType::kPPCG;
   ppcg1.eps = 1e-8;
   ppcg1.inner_steps = 10;

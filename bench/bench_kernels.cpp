@@ -358,6 +358,7 @@ int run_engine_comparison(const Args& args) {
   for (const EngineCase& ec : engine_cases()) {
     InputDeck deck = decks::hot_block(mesh, steps);
     deck.solver = ec.cfg;
+    deck.solver.tile_rows = 0;  // the committed baseline A/Bs untiled engines
     EngineResult res;
     res.name = ec.name;
     deck.solver.fuse_kernels = false;
@@ -811,6 +812,7 @@ std::vector<EngineCase> server_bench_cases() {
   cg.eps = 1e-300;
   cg.max_iters = 30;
   cg.fuse_kernels = true;
+  cg.tile_rows = 0;  // untiled, like the committed baseline
   cases.push_back({"cg", cg});
   SolverConfig cheby = cg;
   cheby.type = SolverType::kChebyshev;
@@ -935,6 +937,7 @@ std::vector<EngineCase> precision_bench_cases() {
   cg.eps = 1e-300;
   cg.max_iters = 30;
   cg.fuse_kernels = true;
+  cg.tile_rows = 0;  // untiled, like the committed baseline
   cases.push_back({"cg", cg});
   SolverConfig cheby = cg;
   cheby.type = SolverType::kChebyshev;
@@ -1219,6 +1222,7 @@ int run_spmv_bench(const Args& args) {
     InputDeck deck = decks::hot_block(mesh, 1);
     deck.solver = ec.cfg;
     deck.solver.fuse_kernels = true;
+    deck.solver.tile_rows = 0;  // untiled, like the committed baseline
 
     struct Config {
       OperatorKind op;

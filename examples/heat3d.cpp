@@ -7,15 +7,19 @@
 // including the fused execution engine and row tiling (--fused, --tile).
 //
 // Run:  ./examples/heat3d [--mesh 24] [--ranks 8] [--steps 3] [--depth 2]
-//                         [--fused 1] [--tile 8]
+//                         [--fused 0|1] [--tile 8]
+// Without --fused/--tile the solve takes the library defaults: the fused
+// schedule with auto row tiles (--tile -1).
 
 #include <cmath>
 #include <cstdio>
+#include <string>
 
 #include "comm/sim_comm.hpp"
 #include "ops/kernels.hpp"
 #include "solvers/solver.hpp"
 #include "util/args.hpp"
+#include "util/error.hpp"
 
 int main(int argc, char** argv) {
   using namespace tealeaf;
@@ -58,14 +62,23 @@ int main(int argc, char** argv) {
   cfg.eigen_cg_iters = 15;
   cfg.eps = 1e-9;
   cfg.max_iters = 50000;
-  cfg.fuse_kernels = args.get_int("fused", 0) != 0;
-  cfg.tile_rows = args.get_int("tile", 0);
+  cfg.fuse_kernels = args.get_int("fused", cfg.fuse_kernels ? 1 : 0) != 0;
+  cfg.tile_rows = args.get_int("tile", cfg.tile_rows);
+
+  try {
+    cfg = cfg.validated();  // e.g. --fused 0 --tile 8 is a contradiction
+  } catch (const TeaError& e) {
+    std::fprintf(stderr, "heat3d error: %s\n", e.what());
+    return 1;
+  }
+  const std::string tile =
+      cfg.tile_rows < 0 ? "auto" : std::to_string(cfg.tile_rows);
 
   std::printf("heat3d: %d^3 cells on %d simulated ranks (%dx%dx%d), "
-              "PPCG depth %d%s\n", n, cl.nranks(),
+              "PPCG depth %d [%s, tile %s]\n", n, cl.nranks(),
               cl.decomposition().px(), cl.decomposition().py(),
               cl.decomposition().pz(), depth,
-              cfg.fuse_kernels ? " [fused engine]" : "");
+              cfg.fuse_kernels ? "fused" : "unfused", tile.c_str());
 
   const double rx = dt / (mesh.dx() * mesh.dx());
   const double ry = dt / (mesh.dy() * mesh.dy());

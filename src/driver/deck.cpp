@@ -419,15 +419,11 @@ std::string InputDeck::to_string() const {
   os << "tl_eigen_cg_iters=" << solver.eigen_cg_iters << "\n";
   os << "tl_halo_depth=" << solver.halo_depth << "\n";
   if (solver.fuse_cg_reductions) os << "tl_cg_fuse_reductions\n";
-  if (solver.fuse_kernels) os << "tl_fuse_kernels\n";
-  if (solver.tile_rows != 0) {
-    os << "tl_tile_rows=";
-    if (solver.tile_rows < 0) {
-      os << "auto";
-    } else {
-      os << solver.tile_rows;
-    }
-    os << "\n";
+  // Engine keys are written whenever they differ from the defaults
+  // (fused, auto tiles), so an unfused or untiled deck round-trips.
+  if (!solver.fuse_kernels) os << "tl_fuse_kernels=0\n";
+  if (solver.tile_rows >= 0) {
+    os << "tl_tile_rows=" << solver.tile_rows << "\n";
   }
   if (solver.op != OperatorKind::kStencil) {
     os << "tl_operator=" << tealeaf::to_string(solver.op) << "\n";

@@ -56,9 +56,12 @@ RouteEntry RouteEntry::validated() const {
       throw TeaError("route " + label() +
                      ": matrix-powers halo depth applies to PPCG only");
     }
-    if (config.tile_rows != 0) {
+    // `auto` (the default) lets the engine pick, and mg-pcg picks
+    // untiled; only an explicit height is a contradiction.
+    if (config.tile_rows > 0) {
       throw TeaError("route " + label() +
-                     ": mg-pcg's fused path does not row-tile");
+                     ": mg-pcg's fused path does not row-tile — did you "
+                     "mean tile_rows = 0 (or auto)?");
     }
     if (config.op != OperatorKind::kStencil) {
       throw TeaError("route " + label() +

@@ -74,7 +74,8 @@ struct RouteEntry {
 
   /// Construction-time misuse check, mirroring the sweep's skip rules:
   /// config.validated() plus the mg-pcg constraints (no preconditioner,
-  /// depth 1, no row tiling).  Returns *this.
+  /// depth 1, no explicit row-tile height — `auto` means untiled there).
+  /// Returns *this.
   [[nodiscard]] RouteEntry validated() const;
 };
 

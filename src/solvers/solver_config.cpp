@@ -134,7 +134,9 @@ void SolverConfig::validate() const {
 
 SolverConfig SolverConfig::validated() const {
   validate();
-  if (tile_rows != 0 && !fuse_kernels) {
+  // `auto` (-1) lets the engine pick, and the unfused schedule picks
+  // untiled; only an explicit height contradicts it.
+  if (tile_rows > 0 && !fuse_kernels) {
     throw TeaError(
         "tile_rows = " + std::to_string(tile_rows) +
         " requests the tiled execution engine, but fuse_kernels is off — "

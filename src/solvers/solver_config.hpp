@@ -94,24 +94,29 @@ struct SolverConfig {
 
   /// Run the solver body on the fused schedule: ONE hoisted parallel
   /// region around the whole solve (worksharing loops, team reductions
-  /// and team-aware halo exchanges inside).  Off, the same body opens one
-  /// region per collective.  Both schedules run the same fused kernels
-  /// (Listing 1's smvp+dot generalised to the whole iteration), so they
-  /// are numerically bitwise identical — the sweep engine A/Bs them as a
-  /// pure-speed design axis (see run_scheduled).
-  bool fuse_kernels = false;
+  /// and team-aware halo exchanges inside) — the default.  Off, the same
+  /// body opens one region per collective (the paper's baseline).  Both
+  /// schedules run the same fused kernels (Listing 1's smvp+dot
+  /// generalised to the whole iteration), so they are numerically bitwise
+  /// identical — the sweep engine A/Bs them as a pure-speed design axis
+  /// (see run_scheduled).
+  bool fuse_kernels = true;
 
   /// Row-block height of the tiled execution engine (tl_tile_rows).
   /// > 0: fused sweeps iterate over row-blocks of this many rows so the
   ///      per-block working set fits in L2, and the engine workshares
   ///      (rank, row-block) pairs over the whole thread team when there
   ///      are more threads than simulated ranks.
-  ///   0: untiled (whole-chunk sweeps, one block per rank) — the default.
-  ///  -1: "auto" — derived at solve time from the modelled machine's
-  ///      per-core L2 and the chunk width (see auto_tile_rows).
-  /// Tiling is a layer of the fused engine; the unfused path ignores it.
-  /// Iterates and iteration counts are bitwise identical for every value.
-  int tile_rows = 0;
+  ///   0: untiled (whole-chunk sweeps, one block per rank).
+  ///  -1: "auto", the default — the engine picks: derived at solve time
+  ///      from the modelled machine's per-core L2 and the chunk width (see
+  ///      auto_tile_rows) where the engine tiles, untiled where it cannot
+  ///      (the unfused schedule, mg-pcg) or where one block would cover
+  ///      the whole 2-D chunk (see run_solver).
+  /// Tiling is a layer of the fused engine, so an explicit height needs
+  /// fuse_kernels (validated()).  Iterates and iteration counts are
+  /// bitwise identical for every value.
+  int tile_rows = -1;
 
   /// Operator representation the solve traverses (tl_operator).  kStencil
   /// is the classic matrix-free path; kCsr / kSellCSigma run the same
@@ -137,8 +142,9 @@ struct SolverConfig {
 
   /// Construction-time misuse check: everything `validate()` rejects PLUS
   /// the silently-misleading combinations the solvers historically
-  /// tolerated — e.g. tile_rows != 0 under the unfused engine, which
-  /// would quietly measure the untiled path.  Errors carry did-you-mean
+  /// tolerated — e.g. an explicit tile_rows > 0 under the unfused engine,
+  /// which would quietly measure the untiled path (`auto` is accepted
+  /// there and means untiled).  Errors carry did-you-mean
   /// guidance in the deck parser's style.  Returns *this so call sites
   /// can build-and-validate in one expression:
   ///   SolveSession s(deck);  s.solve(cfg.validated());

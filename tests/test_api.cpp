@@ -132,6 +132,14 @@ TEST(SolverConfigValidated, RejectsInconsistentCombosWithGuidance) {
   ok.fuse_kernels = true;
   ok.tile_rows = 16;
   EXPECT_NO_THROW((void)ok.validated());
+
+  // The default engine is fused with auto tiles, and `auto` means "the
+  // engine picks": the unfused schedule picks untiled instead of throwing.
+  EXPECT_TRUE(SolverConfig{}.fuse_kernels);
+  EXPECT_EQ(SolverConfig{}.tile_rows, -1);
+  SolverConfig unfused_auto;
+  unfused_auto.fuse_kernels = false;
+  EXPECT_NO_THROW((void)unfused_auto.validated());
 }
 
 }  // namespace

@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <string>
+
+#include "comm/gather.hpp"
 #include "driver/deck.hpp"
 #include "driver/decks.hpp"
+#include "driver/tealeaf_app.hpp"
 
 namespace tealeaf {
 namespace {
@@ -467,6 +472,92 @@ TEST(Deck, RetiredPipelineKeysAreUnknown) {
       EXPECT_NE(std::string(e.what()).find("unknown key"), std::string::npos)
           << e.what();
     }
+  }
+}
+
+// ---- engine keys: fused + auto by default --------------------------------
+
+/// A small 3-D CG deck carrying `engine_keys` (possibly none).
+std::string engine_deck(const std::string& engine_keys) {
+  return "*tea\ntl_geometry=3d\nx_cells=10\ny_cells=10\nz_cells=10\n"
+         "end_step=1\ntl_use_cg\ntl_eps=1e-10\n" +
+         engine_keys +
+         "state 1 density=1 energy=1\n"
+         "state 2 density=0.5 energy=10 geometry=rectangle xmin=2 xmax=5 "
+         "ymin=2 ymax=5\n*endtea\n";
+}
+
+struct EngineDeckCase {
+  const char* name;
+  const char* keys;
+  bool fused;     ///< parsed SolverConfig::fuse_kernels
+  int tile_rows;  ///< parsed SolverConfig::tile_rows
+};
+
+const EngineDeckCase kEngineDecks[] = {
+    {"unfused", "tl_fuse_kernels=0\ntl_tile_rows=0\n", false, 0},
+    // `auto` under the unfused schedule means untiled.
+    {"unfused-auto", "tl_fuse_kernels=0\n", false, -1},
+    {"fused-untiled", "tl_fuse_kernels\ntl_tile_rows=0\n", true, 0},
+    {"fused-b8", "tl_fuse_kernels\ntl_tile_rows=8\n", true, 8},
+    {"default", "", true, -1},
+};
+
+TEST(EngineDeck, DefaultIsFusedAutoAndEveryEngineSolvesLikeUnfused) {
+  // 3-D, 2 ranks, CG: the engine decides who computes and when, never
+  // what — same u bits, iteration counts and communication.
+  struct Outcome {
+    SolveStats stats;
+    CommStats comm;
+    Field<double> u;
+  };
+  const auto solve = [](const InputDeck& deck) {
+    TeaLeafApp app(deck, 2);
+    const SolveStats st = app.step();
+    return Outcome{st, app.cluster().stats(),
+                   gather_field(app.cluster(), FieldId::kU)};
+  };
+  const Outcome ref =
+      solve(InputDeck::parse_string(engine_deck(kEngineDecks[0].keys)));
+  ASSERT_TRUE(ref.stats.converged);
+  for (const EngineDeckCase& e : kEngineDecks) {
+    const InputDeck deck = InputDeck::parse_string(engine_deck(e.keys));
+    EXPECT_EQ(deck.solver.fuse_kernels, e.fused) << e.name;
+    EXPECT_EQ(deck.solver.tile_rows, e.tile_rows) << e.name;
+    // SolveSession::reset compares decks through to_string, so an
+    // unfused or untiled deck must not re-parse as the default engine.
+    const InputDeck back = InputDeck::parse_string(deck.to_string());
+    EXPECT_EQ(back.solver.fuse_kernels, e.fused) << e.name;
+    EXPECT_EQ(back.solver.tile_rows, e.tile_rows) << e.name;
+    EXPECT_EQ(back.to_string(), deck.to_string()) << e.name;
+
+    const Outcome got = solve(deck);
+    ASSERT_TRUE(got.stats.converged) << e.name;
+    EXPECT_EQ(got.stats.outer_iters, ref.stats.outer_iters) << e.name;
+    EXPECT_EQ(got.stats.spmv_applies, ref.stats.spmv_applies) << e.name;
+    EXPECT_EQ(got.stats.final_norm, ref.stats.final_norm) << e.name;
+    EXPECT_EQ(got.comm.exchange_calls, ref.comm.exchange_calls) << e.name;
+    EXPECT_EQ(got.comm.messages, ref.comm.messages) << e.name;
+    EXPECT_EQ(got.comm.message_bytes, ref.comm.message_bytes) << e.name;
+    EXPECT_EQ(got.comm.reductions, ref.comm.reductions) << e.name;
+    ASSERT_EQ(got.u.size(), ref.u.size()) << e.name;
+    EXPECT_EQ(std::memcmp(got.u.data(), ref.u.data(),
+                          ref.u.size() * sizeof(double)),
+              0)
+        << e.name << ": u differs bitwise";
+  }
+}
+
+TEST(EngineDeck, ExplicitTileHeightUnderTheUnfusedScheduleThrows) {
+  TeaLeafApp app(InputDeck::parse_string(
+                     engine_deck("tl_fuse_kernels=0\ntl_tile_rows=8\n")),
+                 2);
+  try {
+    (void)app.step();
+    FAIL() << "an unfused solve cannot honour an explicit tile height";
+  } catch (const TeaError& e) {
+    EXPECT_NE(std::string(e.what()).find("Did you mean"), std::string::npos)
+        << e.what();
   }
 }
 

@@ -195,6 +195,10 @@ TEST_P(FusedEngineEquivalence, SameIterationsResidualsAndCommStats) {
   cfg.op = ec.op;
   cfg.eps = (ec.type == SolverType::kJacobi) ? 1e-5 : 1e-10;
   cfg.max_iters = (ec.type == SolverType::kJacobi) ? 100000 : 10000;
+  // The unfused, untiled baseline, named explicitly: the defaults are the
+  // fused schedule with auto tiles.
+  cfg.fuse_kernels = false;
+  cfg.tile_rows = 0;
 
   auto a = make_test_problem(32, 4, std::max(2, ec.halo_depth), 8.0);
   auto b = make_test_problem(32, 4, std::max(2, ec.halo_depth), 8.0);

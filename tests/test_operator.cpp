@@ -531,6 +531,19 @@ TEST(OperatorRouting, LabelsCarryTheKindAndMgPcgRejectsAssembled) {
     EXPECT_NE(std::string(err.what()).find("stencil"), std::string::npos)
         << err.what();
   }
+
+  // The default `auto` tile height means untiled on mg-pcg; only an
+  // explicit height contradicts its untiled fused path.
+  mg.config.op = OperatorKind::kStencil;
+  EXPECT_NO_THROW((void)mg.validated());
+  mg.config.tile_rows = 8;
+  try {
+    (void)mg.validated();
+    FAIL() << "mg-pcg's fused path does not row-tile";
+  } catch (const TeaError& err) {
+    EXPECT_NE(std::string(err.what()).find("row-tile"), std::string::npos)
+        << err.what();
+  }
 }
 
 TEST(OperatorServer, MatrixMarketDeckSolvesEndToEnd) {

@@ -62,9 +62,12 @@ TEST_P(Fp64BitwiseIdentity, Fp32BankDoesNotPerturbDoubleSolves) {
   cfg.inner_steps = 8;
   switch (engine) {
     case Engine::kUnfused:
+      cfg.fuse_kernels = false;
+      cfg.tile_rows = 0;
       break;
     case Engine::kFused:
       cfg.fuse_kernels = true;
+      cfg.tile_rows = 0;
       break;
     case Engine::kTiled:
       cfg.fuse_kernels = true;

@@ -284,6 +284,7 @@ TEST_P(TiledEngineEquivalence, BitwiseIdenticalToUntiledFused) {
   cfg.halo_depth = tc.halo_depth;
   cfg.fuse_cg_reductions = tc.chrono;
   cfg.fuse_kernels = true;
+  cfg.tile_rows = 0;  // the untiled fused baseline (the default is auto)
   cfg.op = tc.op;
   cfg.eps = (tc.type == SolverType::kJacobi) ? 1e-5 : 1e-10;
   cfg.max_iters = (tc.type == SolverType::kJacobi) ? 100000 : 10000;
@@ -383,6 +384,7 @@ TEST(TiledScheduling, MoreThreadsThanRanksStaysBitwiseIdentical) {
   SolverConfig cfg;
   cfg.type = SolverType::kCG;
   cfg.fuse_kernels = true;
+  cfg.tile_rows = 0;
   cfg.eps = 1e-10;
 
   auto a = make_test_problem(32, 2, 2, 8.0);
@@ -427,6 +429,7 @@ TEST(AutoTile, AutoConfigSolvesBitwiseIdenticalToUntiled) {
   SolverConfig cfg;
   cfg.type = SolverType::kCG;
   cfg.fuse_kernels = true;
+  cfg.tile_rows = 0;
   cfg.eps = 1e-10;
   auto a = make_test_problem(32, 4, 2, 8.0);
   auto b = make_test_problem(32, 4, 2, 8.0);
@@ -449,6 +452,8 @@ TEST(JacobiBatch, BatchedFusedMatchesUnfusedAcrossBatchBoundaries) {
   cfg.type = SolverType::kJacobi;
   cfg.eps = 1e-6;
   cfg.max_iters = 100000;
+  cfg.fuse_kernels = false;
+  cfg.tile_rows = 0;
   auto a = make_test_problem(24, 2, 2, 4.0);
   auto b = make_test_problem(24, 2, 2, 4.0);
   SolverConfig fused = cfg;
@@ -614,8 +619,12 @@ TEST(TileDeck, BooleanFlagsAcceptExplicitValues) {
 // ---- scaling model: blocked-cache variant --------------------------------
 
 TEST(TiledModel, BlockedBytesVariantSpeedsUpCacheFittingTiles) {
+  // The untiled reference must say so: the default config (fused, auto
+  // tiles) would already price the blocked variant.
   SolverConfig cfg;
   cfg.type = SolverType::kJacobi;
+  cfg.fuse_kernels = false;
+  cfg.tile_rows = 0;
   SolveStats stats;
   stats.outer_iters = 200;
   SolverRunSummary run = SolverRunSummary::from(cfg, stats, 1024);
