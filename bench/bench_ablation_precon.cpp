@@ -5,6 +5,7 @@
 // and report the reduction for diagonal and block Jacobi.
 
 #include <cstdio>
+#include <utility>
 
 #include "bench_common.hpp"
 #include "solvers/cg.hpp"
@@ -39,10 +40,16 @@ int main(int argc, char** argv) {
       kernels::init_conduction(c, deck.coefficient, dt / (dx * dx),
                                dt / (dx * dx));
     });
-    double rro = cg_setup(cl, precon);
+    // Every thread records the same recurrence; thread 0's is kept.
     CGRecurrence rec;
-    for (int i = 0; i < lanczos_steps; ++i)
-      rro = cg_iteration(cl, precon, rro, &rec);
+    parallel_region([&](const Team& team) {
+      CGRecurrence mine;
+      double rro = cg_setup(cl, precon, team);
+      bool broke = false;
+      for (int i = 0; i < lanczos_steps && !broke; ++i)
+        rro = cg_iteration(cl, precon, rro, &mine, broke, team);
+      team.single([&] { rec = std::move(mine); });
+    });
     const EigenEstimate est = estimate_eigenvalues(rec, 1.0, 1.0);
     const double kappa = est.eigmax / est.eigmin;
     if (precon == PreconType::kNone) kappa_none = kappa;

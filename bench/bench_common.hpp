@@ -16,14 +16,13 @@
 
 namespace tealeaf::bench {
 
-/// A solver configuration on the paper's engine: unfused kernels over
-/// untiled sweeps.  The figure and ablation harnesses start from it, so
-/// their modelled curves price the schedule the paper ran; the library
-/// default (fused, auto row tiles) would make the model take its
-/// blocked-bytes variant on every machine with an L2.
+/// A solver configuration on the paper's engine: untiled sweeps.  The
+/// figure and ablation harnesses start from it, so their modelled curves
+/// price the streaming sweeps the paper ran; the library default (auto
+/// row tiles) would make the model take its blocked-bytes variant on
+/// every machine with an L2.
 inline SolverConfig paper_engine_config() {
   SolverConfig cfg;
-  cfg.fuse_kernels = false;
   cfg.tile_rows = 0;
   return cfg;
 }

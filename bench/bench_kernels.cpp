@@ -2,27 +2,25 @@
 // and the other per-iteration sweeps.
 //
 // Modes:
-//  * A fused-vs-unfused execution-engine comparison that times whole
-//    solver iterations both ways (same problem, same iteration counts —
-//    the engine is bitwise-equivalent) and writes the result as
-//    BENCH_PR2.json, the first point of the repo's recorded perf
-//    trajectory.  Always available; needs no external library.
+//  * An execution-engine timing of whole untiled solves per solver,
+//    each paired with the same solve at tile height 8 (untimed; the
+//    engine is bitwise-equivalent, so the iteration counts must agree),
+//    written as BENCH_PR2.json, the first point of the repo's recorded
+//    perf trajectory.  Always available; needs no external library.
 //       ./bench/bench_kernels [--mesh 48] [--ranks 8] [--reps 5]
 //                             [--steps 1] [--out BENCH_PR2.json]
 //  * A tile-size scan of the tiled execution engine: fixed-iteration
-//    solves per solver at unfused / fused-untiled / fused-tiled for a
-//    ladder of row-block heights (plus the auto-derived one), emitting
-//    BENCH_PR3.json.  The Jacobi rows double as the batched-sweep
-//    numbers (its fused path hosts 16 sweeps per hoisted region).
+//    solves per solver untiled and tiled for a ladder of row-block
+//    heights (plus the auto-derived one), emitting BENCH_PR3.json.
 //       ./bench/bench_kernels --tile-scan [--mesh 1024] [--ranks 4]
 //                             [--reps 3] [--out BENCH_PR3.json]
 //  * A dimension comparison of the unified core (the tea3d fork is
 //    retired; 3-D runs the same engine): per solver, fixed-iteration
-//    2-D (n²) vs 3-D (m³, similar cell count) solves at unfused /
-//    fused / fused+tiled, reporting the per-dimension engine speedups
-//    and the 3-D-vs-2-D cost per cell·iteration.  The mg-pcg baseline
-//    rides along (unfused vs fused; its dimension-generic multigrid
-//    hierarchy covers both geometries).  Emits BENCH_PR4.json.
+//    2-D (n²) vs 3-D (m³, similar cell count) solves untiled and tiled,
+//    reporting the tiled speedup and the 3-D-vs-2-D cost per
+//    cell·iteration.  The mg-pcg baseline rides along (its
+//    dimension-generic multigrid hierarchy covers both geometries),
+//    paired with the same solve at one thread.  Emits BENCH_PR4.json.
 //       ./bench/bench_kernels --dim 3 [--mesh 64] [--mesh3d 16]
 //                             [--ranks 4] [--reps 3] [--tile 8]
 //                             [--out BENCH_PR4.json]
@@ -281,22 +279,11 @@ BENCHMARK(BM_JacobiSweep)->Arg(64)->Arg(256);
 
 #endif  // TEALEAF_HAVE_BENCHMARK
 
-// ---- fused-vs-unfused execution-engine comparison -----------------------
+// ---- execution-engine timing (BENCH_PR2) --------------------------------
 
 struct EngineCase {
   std::string name;
   SolverConfig cfg;
-};
-
-struct EngineResult {
-  std::string name;
-  double unfused_seconds = 0.0;
-  double fused_seconds = 0.0;
-  int unfused_iters = 0;
-  int fused_iters = 0;
-  [[nodiscard]] double speedup() const {
-    return fused_seconds > 0.0 ? unfused_seconds / fused_seconds : 0.0;
-  }
 };
 
 std::vector<EngineCase> engine_cases() {
@@ -354,49 +341,36 @@ int run_engine_comparison(const Args& args) {
   const int steps = args.get_int("steps", 1);
   const std::string out_path = args.get("out", "BENCH_PR2.json");
 
-  std::vector<EngineResult> results;
-  for (const EngineCase& ec : engine_cases()) {
-    InputDeck deck = decks::hot_block(mesh, steps);
-    deck.solver = ec.cfg;
-    deck.solver.tile_rows = 0;  // the committed baseline A/Bs untiled engines
-    EngineResult res;
-    res.name = ec.name;
-    deck.solver.fuse_kernels = false;
-    res.unfused_seconds =
-        time_solves(deck, ranks, reps, steps, &res.unfused_iters);
-    deck.solver.fuse_kernels = true;
-    res.fused_seconds = time_solves(deck, ranks, reps, steps, &res.fused_iters);
-    std::printf(
-        "%-10s unfused %.6fs  fused %.6fs  speedup %.2fx  iters %d/%d%s\n",
-        res.name.c_str(), res.unfused_seconds, res.fused_seconds,
-        res.speedup(), res.unfused_iters, res.fused_iters,
-        res.unfused_iters == res.fused_iters ? "" : "  MISMATCH");
-    results.push_back(res);
-  }
-
-  double best_speedup = 0.0;
   io::JsonValue doc = io::JsonValue::object();
-  doc.set("benchmark", "fused-vs-unfused execution engine (PR2)");
+  doc.set("benchmark", "fused execution engine (PR2)");
   doc.set("mesh", mesh);
   doc.set("ranks", ranks);
   doc.set("threads", num_threads());
   doc.set("reps", reps);
   doc.set("steps", steps);
   io::JsonValue arr = io::JsonValue::array();
-  for (const EngineResult& r : results) {
+  for (const EngineCase& ec : engine_cases()) {
+    InputDeck deck = decks::hot_block(mesh, steps);
+    deck.solver = ec.cfg;
+    deck.solver.tile_rows = 0;  // the committed baseline times untiled solves
+    int fused_iters = 0;
+    const double fused_seconds =
+        time_solves(deck, ranks, reps, steps, &fused_iters);
+    // Bitwise partner (not timed into the record): the same solve tiled.
+    deck.solver.tile_rows = 8;
+    int tiled_iters = 0;
+    (void)time_solves(deck, ranks, 1, steps, &tiled_iters);
+    std::printf("%-10s fused %.6fs  iters %d (tiled b8: %d)%s\n",
+                ec.name.c_str(), fused_seconds, fused_iters, tiled_iters,
+                fused_iters == tiled_iters ? "" : "  MISMATCH");
     io::JsonValue cell = io::JsonValue::object();
-    cell.set("solver", r.name);
-    cell.set("unfused_seconds", r.unfused_seconds);
-    cell.set("fused_seconds", r.fused_seconds);
-    cell.set("speedup", r.speedup());
-    cell.set("unfused_iters", r.unfused_iters);
-    cell.set("fused_iters", r.fused_iters);
-    cell.set("identical_iterations", r.unfused_iters == r.fused_iters);
+    cell.set("solver", ec.name);
+    cell.set("fused_seconds", fused_seconds);
+    cell.set("fused_iters", fused_iters);
+    cell.set("identical_iterations", fused_iters == tiled_iters);
     arr.push_back(std::move(cell));
-    best_speedup = std::max(best_speedup, r.speedup());
   }
   doc.set("solvers", std::move(arr));
-  doc.set("max_speedup", best_speedup);
 
   std::ofstream out(out_path);
   if (!out.is_open()) {
@@ -404,8 +378,8 @@ int run_engine_comparison(const Args& args) {
     return 1;
   }
   out << doc.dump(2) << "\n";
-  std::printf("max speedup %.2fx at %d threads -> %s\n", best_speedup,
-              num_threads(), out_path.c_str());
+  std::printf("engine timing at %d threads -> %s\n", num_threads(),
+              out_path.c_str());
   return 0;
 }
 
@@ -487,24 +461,21 @@ int run_tile_scan(const Args& args) {
   io::JsonValue arr = io::JsonValue::array();
 
   double worst_tiled_vs_fused = 0.0;
-  double jacobi_fused_speedup = 0.0;
   for (const EngineCase& ec : tile_scan_cases()) {
     InputDeck deck = decks::hot_block(mesh, 1);
     deck.solver = ec.cfg;
 
-    // Configurations of this solver: unfused, fused-untiled, the tile
-    // ladder.  Repetitions interleave round-robin so slow drift of the
-    // machine (thermals, co-tenants) biases no configuration.
+    // Configurations of this solver: untiled, then the tile ladder.
+    // Repetitions interleave round-robin so slow drift of the machine
+    // (thermals, co-tenants) biases no configuration.
     struct Config {
-      bool fused;
       int tile_rows;
       double best = 0.0;
       int iters = 0;
     };
     std::vector<Config> configs;
-    configs.push_back({false, 0});
-    configs.push_back({true, 0});
-    for (const int rows : tiles) configs.push_back({true, rows});
+    configs.push_back({0});
+    for (const int rows : tiles) configs.push_back({rows});
     // One untimed warmup round, then best-of-reps.  Round-robin with the
     // starting position rotated every rep, so neither slow machine drift
     // nor any position-in-cycle effect biases one configuration.
@@ -512,27 +483,26 @@ int run_tile_scan(const Args& args) {
       for (std::size_t i = 0; i < configs.size(); ++i) {
         Config& c = configs[(i + static_cast<std::size_t>(rep + 1)) %
                             configs.size()];
-        deck.solver.fuse_kernels = c.fused;
         deck.solver.tile_rows = c.tile_rows;
         const double seconds = time_fixed_once(deck, ranks, &c.iters);
         if (rep <= 0 || seconds < c.best) c.best = seconds;
       }
     }
-    const double unfused = configs[0].best;
-    const int unfused_iters = configs[0].iters;
-    const double fused = configs[1].best;
-    const int fused_iters = configs[1].iters;
+    const double fused = configs[0].best;
+    const int fused_iters = configs[0].iters;
 
     io::JsonValue tile_arr = io::JsonValue::array();
     double best_tiled = 0.0;
     int best_tile = 0;
-    for (std::size_t ci = 2; ci < configs.size(); ++ci) {
+    bool identical = true;
+    for (std::size_t ci = 1; ci < configs.size(); ++ci) {
       const Config& c = configs[ci];
       io::JsonValue cell = io::JsonValue::object();
       cell.set("tile_rows", c.tile_rows);
       cell.set("seconds", c.best);
       cell.set("speedup_vs_fused", c.best > 0.0 ? fused / c.best : 0.0);
       cell.set("identical_iterations", c.iters == fused_iters);
+      identical = identical && c.iters == fused_iters;
       tile_arr.push_back(std::move(cell));
       if (best_tile == 0 || c.best < best_tiled) {
         best_tiled = c.best;
@@ -542,37 +512,27 @@ int run_tile_scan(const Args& args) {
 
     io::JsonValue entry = io::JsonValue::object();
     entry.set("solver", ec.name);
-    entry.set("iters", unfused_iters);
-    entry.set("unfused_seconds", unfused);
+    entry.set("iters", fused_iters);
     entry.set("fused_untiled_seconds", fused);
-    entry.set("fused_speedup_vs_unfused",
-              fused > 0.0 ? unfused / fused : 0.0);
     entry.set("tiles", std::move(tile_arr));
     entry.set("best_tile_rows", best_tile);
     entry.set("best_tiled_seconds", best_tiled);
     entry.set("tiled_speedup_vs_fused",
               best_tiled > 0.0 ? fused / best_tiled : 0.0);
-    entry.set("identical_iterations", fused_iters == unfused_iters);
+    entry.set("identical_iterations", identical);
     arr.push_back(std::move(entry));
 
     const double ratio = best_tiled > 0.0 ? fused / best_tiled : 0.0;
     if (worst_tiled_vs_fused == 0.0 || ratio < worst_tiled_vs_fused) {
       worst_tiled_vs_fused = ratio;
     }
-    if (ec.name == "jacobi" && fused > 0.0) {
-      // The batched-sweep fix headline: the best fused configuration
-      // (batched, tiled or not) against the unfused baseline.
-      jacobi_fused_speedup = unfused / std::min(fused, best_tiled);
-    }
     std::printf(
-        "%-10s unfused %.4fs  fused %.4fs  best tile b%-4d %.4fs  "
+        "%-10s fused %.4fs  best tile b%-4d %.4fs  "
         "(tiled/fused %.2fx, iters %d)\n",
-        ec.name.c_str(), unfused, fused, best_tile, best_tiled, ratio,
-        unfused_iters);
+        ec.name.c_str(), fused, best_tile, best_tiled, ratio, fused_iters);
   }
   doc.set("solvers", std::move(arr));
   doc.set("min_tiled_speedup_vs_fused", worst_tiled_vs_fused);
-  doc.set("jacobi_best_fused_speedup_vs_unfused", jacobi_fused_speedup);
 
   std::ofstream out(out_path);
   if (!out.is_open()) {
@@ -580,8 +540,8 @@ int run_tile_scan(const Args& args) {
     return 1;
   }
   out << doc.dump(2) << "\n";
-  std::printf("jacobi batched fused vs unfused %.2fx -> %s\n",
-              jacobi_fused_speedup, out_path.c_str());
+  std::printf("worst best-tiled vs untiled %.2fx -> %s\n",
+              worst_tiled_vs_fused, out_path.c_str());
   return 0;
 }
 
@@ -622,21 +582,16 @@ std::vector<EngineCase> dim_compare_cases() {
 /// One fixed-iteration MG-PCG solve (either dimension) on the deck's
 /// undecomposed grid, via the sweep's shared step runner so the bench
 /// always measures exactly the configuration the sweep ranks.  Returns
-/// solve seconds (hierarchy setup excluded — the per-iteration engines
-/// are what the fused/unfused axis A/Bs) and the iteration count.
-double time_mg_pcg_once(const InputDeck& base, bool fused, int max_iters,
-                        int* iters) {
+/// the result; its solve seconds exclude the hierarchy setup.
+MGPCGResult mg_pcg_fixed_once(const InputDeck& base, int max_iters) {
   InputDeck deck = base;
   deck.solver.type = SolverType::kCG;  // only sizes the halo allocation
   deck.solver.halo_depth = 1;
   TeaLeafApp app(deck, /*nranks=*/1);
   MGPreconditionedCG::Options opt;
-  opt.eps = 1e-300;  // unreachable: every engine runs max_iters exactly
+  opt.eps = 1e-300;  // unreachable: every run takes max_iters exactly
   opt.max_iters = max_iters;
-  opt.fused = fused;
-  const MGPCGResult res = mg_pcg_step(app, deck, opt);
-  *iters = res.iterations;
-  return res.solve_seconds;
+  return mg_pcg_step(app, deck, opt);
 }
 
 int run_dim_compare(const Args& args) {
@@ -674,22 +629,19 @@ int run_dim_compare(const Args& args) {
       deck.solver = ec.cfg;
 
       struct Config {
-        bool fused;
         int tile_rows;
         double best = 0.0;
         int iters = 0;
       };
-      std::vector<Config> configs = {{false, 0}, {true, 0}, {true, tile}};
+      std::vector<Config> configs = {{0}, {tile}};
       for (int rep = -1; rep < reps; ++rep) {  // first round is warmup
         for (Config& c : configs) {
-          deck.solver.fuse_kernels = c.fused;
           deck.solver.tile_rows = c.tile_rows;
           const double s = time_fixed_once(deck, ranks, &c.iters);
           if (rep <= 0 || s < c.best) c.best = s;
         }
       }
-      const bool identical = configs[0].iters == configs[1].iters &&
-                             configs[0].iters == configs[2].iters;
+      const bool identical = configs[0].iters == configs[1].iters;
       all_identical = all_identical && identical;
       const long long cells = dims == 3
                                   ? 1LL * mesh3d * mesh3d * mesh3d
@@ -697,25 +649,21 @@ int run_dim_compare(const Args& args) {
       io::JsonValue d = io::JsonValue::object();
       d.set("cells", cells);
       d.set("iters", configs[0].iters);
-      d.set("unfused_seconds", configs[0].best);
-      d.set("fused_seconds", configs[1].best);
-      d.set("tiled_seconds", configs[2].best);
-      d.set("fused_speedup_vs_unfused",
-            configs[1].best > 0.0 ? configs[0].best / configs[1].best : 0.0);
+      d.set("fused_seconds", configs[0].best);
+      d.set("tiled_seconds", configs[1].best);
       d.set("tiled_speedup_vs_fused",
-            configs[2].best > 0.0 ? configs[1].best / configs[2].best : 0.0);
+            configs[1].best > 0.0 ? configs[0].best / configs[1].best : 0.0);
       const double per_cell_iter =
           configs[0].iters > 0
-              ? configs[1].best /
+              ? configs[0].best /
                     (static_cast<double>(cells) * configs[0].iters)
               : 0.0;
       d.set("fused_seconds_per_cell_iter", per_cell_iter);
       d.set("identical_iterations", identical);
       entry.set(dims == 3 ? "3d" : "2d", std::move(d));
-      std::printf("%-10s %dD unfused %.4fs fused %.4fs tiled(b%d) %.4fs "
-                  "(iters %d%s)\n",
-                  ec.name.c_str(), dims, configs[0].best, configs[1].best,
-                  tile, configs[2].best, configs[0].iters,
+      std::printf("%-10s %dD fused %.4fs tiled(b%d) %.4fs (iters %d%s)\n",
+                  ec.name.c_str(), dims, configs[0].best, tile,
+                  configs[1].best, configs[0].iters,
                   identical ? "" : " MISMATCH");
     }
     const double s2 = entry.at("2d").at("fused_seconds_per_cell_iter")
@@ -729,7 +677,8 @@ int run_dim_compare(const Args& args) {
 
   // The mg-pcg baseline rides the same comparison now that the multigrid
   // hierarchy is dimension-generic: fixed-iteration solves per geometry
-  // at unfused vs fused (mg-pcg's engine axis has no row tiling).
+  // (mg-pcg has no row tiling), each paired with the same solve at one
+  // thread — untimed, and bitwise equal by the row-ordered reductions.
   {
     const int mg_iters = 8;
     io::JsonValue entry = io::JsonValue::object();
@@ -742,42 +691,36 @@ int run_dim_compare(const Args& args) {
         deck.zmin = deck.xmin;
         deck.zmax = deck.xmax;
       }
-      struct Config {
-        bool fused;
-        double best = 0.0;
-        int iters = 0;
-      };
-      std::vector<Config> configs = {{false}, {true}};
+      MGPCGResult team;
+      double best = 0.0;
       for (int rep = -1; rep < reps; ++rep) {  // first round is warmup
-        for (Config& c : configs) {
-          const double s = time_mg_pcg_once(deck, c.fused, mg_iters,
-                                            &c.iters);
-          if (rep <= 0 || s < c.best) c.best = s;
-        }
+        team = mg_pcg_fixed_once(deck, mg_iters);
+        if (rep <= 0 || team.solve_seconds < best) best = team.solve_seconds;
       }
-      const bool identical = configs[0].iters == configs[1].iters;
+      MGPCGResult one;
+      {
+        const ThreadScope one_thread(1);
+        one = mg_pcg_fixed_once(deck, mg_iters);
+      }
+      const bool identical = team.iterations == one.iterations &&
+                             team.final_norm == one.final_norm;
       all_identical = all_identical && identical;
       const long long cells = dims == 3
                                   ? 1LL * mesh3d * mesh3d * mesh3d
                                   : 1LL * mesh2d * mesh2d;
       io::JsonValue d = io::JsonValue::object();
       d.set("cells", cells);
-      d.set("iters", configs[0].iters);
-      d.set("unfused_seconds", configs[0].best);
-      d.set("fused_seconds", configs[1].best);
-      d.set("fused_speedup_vs_unfused",
-            configs[1].best > 0.0 ? configs[0].best / configs[1].best : 0.0);
+      d.set("iters", team.iterations);
+      d.set("fused_seconds", best);
       const double per_cell_iter =
-          configs[0].iters > 0
-              ? configs[1].best /
-                    (static_cast<double>(cells) * configs[0].iters)
+          team.iterations > 0
+              ? best / (static_cast<double>(cells) * team.iterations)
               : 0.0;
       d.set("fused_seconds_per_cell_iter", per_cell_iter);
       d.set("identical_iterations", identical);
       entry.set(dims == 3 ? "3d" : "2d", std::move(d));
-      std::printf("%-10s %dD unfused %.4fs fused %.4fs (iters %d%s)\n",
-                  "mg-pcg", dims, configs[0].best, configs[1].best,
-                  configs[0].iters, identical ? "" : " MISMATCH");
+      std::printf("%-10s %dD fused %.4fs (iters %d%s)\n", "mg-pcg", dims,
+                  best, team.iterations, identical ? "" : " MISMATCH");
     }
     const double s2 = entry.at("2d").at("fused_seconds_per_cell_iter")
                           .as_number();
@@ -811,7 +754,6 @@ std::vector<EngineCase> server_bench_cases() {
   cg.type = SolverType::kCG;
   cg.eps = 1e-300;
   cg.max_iters = 30;
-  cg.fuse_kernels = true;
   cg.tile_rows = 0;  // untiled, like the committed baseline
   cases.push_back({"cg", cg});
   SolverConfig cheby = cg;
@@ -936,7 +878,6 @@ std::vector<EngineCase> precision_bench_cases() {
   cg.type = SolverType::kCG;
   cg.eps = 1e-300;
   cg.max_iters = 30;
-  cg.fuse_kernels = true;
   cg.tile_rows = 0;  // untiled, like the committed baseline
   cases.push_back({"cg", cg});
   SolverConfig cheby = cg;
@@ -1221,7 +1162,6 @@ int run_spmv_bench(const Args& args) {
   for (const EngineCase& ec : tile_scan_cases()) {
     InputDeck deck = decks::hot_block(mesh, 1);
     deck.solver = ec.cfg;
-    deck.solver.fuse_kernels = true;
     deck.solver.tile_rows = 0;  // untiled, like the committed baseline
 
     struct Config {

@@ -85,8 +85,7 @@ int run(const tealeaf::Args& args) {
     cfg.type = solver_type_from_string(c.config.solver);
     cfg.precon = c.config.precon;
     cfg.halo_depth = c.config.halo_depth;
-    cfg.fuse_kernels = c.config.fused;  // project the engine the cell ran
-    cfg.tile_rows = c.config.tile_rows;
+    cfg.tile_rows = c.config.tile_rows;  // project the engine the cell ran
     const SolverRunSummary measured =
         bench::measure_crooked_pipe(mesh, cfg, ranks);
     const SolverRunSummary projected = project_to_mesh(measured, 4000);

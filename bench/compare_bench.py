@@ -41,18 +41,13 @@ def per_cell_iter(seconds, cells, iters):
 
 
 def extract_pr2(doc):
-    """fused-vs-unfused engine comparison: mesh^2 cells, per-solver iters."""
+    """execution-engine timing: mesh^2 cells, per-solver iters."""
     cells = doc["mesh"] ** 2
     metrics = {}
     for entry in doc["solvers"]:
-        name = entry["solver"]
-        for kind, secs_key, iters_key in (
-            ("unfused", "unfused_seconds", "unfused_iters"),
-            ("fused", "fused_seconds", "fused_iters"),
-        ):
-            m = per_cell_iter(entry[secs_key], cells, entry[iters_key])
-            if m is not None:
-                metrics[f"{name}/{kind}"] = m
+        m = per_cell_iter(entry["fused_seconds"], cells, entry["fused_iters"])
+        if m is not None:
+            metrics[f"{entry['solver']}/fused"] = m
     return metrics
 
 
@@ -64,7 +59,6 @@ def extract_pr3(doc):
         name = entry["solver"]
         iters = entry["iters"]
         for kind, key in (
-            ("unfused", "unfused_seconds"),
             ("fused", "fused_untiled_seconds"),
             ("best-tiled", "best_tiled_seconds"),
         ):
@@ -84,12 +78,11 @@ def extract_pr4(doc):
             cells = d["cells"]
             iters = d["iters"]
             for kind, key in (
-                ("unfused", "unfused_seconds"),
                 ("fused", "fused_seconds"),
                 ("tiled", "tiled_seconds"),
             ):
                 if key not in d:
-                    continue  # mg-pcg's engine axis has no row tiling
+                    continue  # mg-pcg has no row tiling
                 m = per_cell_iter(d[key], cells, iters)
                 if m is not None:
                     metrics[f"{name}/{dims}/{kind}"] = m
@@ -156,7 +149,7 @@ def extract_pr9(doc):
 
 
 EXTRACTORS = (
-    ("fused-vs-unfused", extract_pr2),
+    ("execution engine (PR2)", extract_pr2),
     ("tile-size scan", extract_pr3),
     ("2-D vs 3-D", extract_pr4),
     ("solve-server", extract_pr6),

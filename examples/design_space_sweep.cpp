@@ -1,11 +1,10 @@
 // The paper's purpose, as one command: sweep the solver design space
 // (solver × preconditioner × matrix-powers depth × mesh size × threads ×
-// execution engine × tile height) over a deck and emit a ranked result
-// table as CSV + JSON.
+// tile height) over a deck and emit a ranked result table as CSV + JSON.
 //
 // Run:  ./examples/design_space_sweep [--mesh 48] [--ranks 4] [--steps 1]
 //           [--solvers cg,ppcg,chebyshev,mg-pcg] [--precons none,jac_diag]
-//           [--depths 1,4] [--meshes 32,48] [--threads 0] [--fused 0,1]
+//           [--depths 1,4] [--meshes 32,48] [--threads 0]
 //           [--tiles 0,32] [--geometry 2d,3d]
 //           [--operators stencil,csr,sell-c-sigma]
 //           [--precisions double,single,mixed] [--deck path/to/tea.in]
@@ -79,7 +78,6 @@ int run(const Args& args) {
         args.get("meshes", std::to_string(base.x_cells) + ",32"), "--meshes");
     spec.thread_counts = split_int_list(args.get("threads", "0"),
                                         "--threads");
-    spec.fused = split_int_list(args.get("fused", "0,1"), "--fused");
     spec.tile_rows = split_int_list(args.get("tiles", "0"), "--tiles");
     spec.geometries.clear();  // empty = inherit the deck's geometry
     if (args.has("geometry")) {
@@ -109,14 +107,13 @@ int run(const Args& args) {
   opts.echo = true;
 
   std::printf("design-space sweep: %zu cells (%zu solvers x %zu precons x "
-              "%zu depths x %zu meshes x %zu thread counts x %zu engines x "
+              "%zu depths x %zu meshes x %zu thread counts x "
               "%zu tile heights x %zu geometries x %zu operators x "
               "%zu precisions), %d ranks\n\n",
               spec.num_cases(), spec.solvers.size(), spec.precons.size(),
               spec.halo_depths.size(),
               spec.mesh_sizes.empty() ? 1 : spec.mesh_sizes.size(),
-              spec.thread_counts.size(), spec.fused.size(),
-              spec.tile_rows.size(),
+              spec.thread_counts.size(), spec.tile_rows.size(),
               spec.geometries.empty() ? 1 : spec.geometries.size(),
               spec.operators.size(),
               spec.precisions.empty() ? 1 : spec.precisions.size(),

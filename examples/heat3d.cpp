@@ -4,12 +4,12 @@
 //
 // Since the dimension-generic core retired the tea3d fork, this example
 // runs through exactly the same mesh/comm/solver stack as every 2-D run —
-// including the fused execution engine and row tiling (--fused, --tile).
+// including the execution engine's row tiling (--tile).
 //
 // Run:  ./examples/heat3d [--mesh 24] [--ranks 8] [--steps 3] [--depth 2]
-//                         [--fused 0|1] [--tile 8]
-// Without --fused/--tile the solve takes the library defaults: the fused
-// schedule with auto row tiles (--tile -1).
+//                         [--tile 8]
+// Without --tile the solve takes the library default: auto row tiles
+// (--tile -1).
 
 #include <cmath>
 #include <cstdio>
@@ -62,11 +62,10 @@ int main(int argc, char** argv) {
   cfg.eigen_cg_iters = 15;
   cfg.eps = 1e-9;
   cfg.max_iters = 50000;
-  cfg.fuse_kernels = args.get_int("fused", cfg.fuse_kernels ? 1 : 0) != 0;
   cfg.tile_rows = args.get_int("tile", cfg.tile_rows);
 
   try {
-    cfg = cfg.validated();  // e.g. --fused 0 --tile 8 is a contradiction
+    cfg = cfg.validated();  // e.g. --tile -2 is not a tile height
   } catch (const TeaError& e) {
     std::fprintf(stderr, "heat3d error: %s\n", e.what());
     return 1;
@@ -75,10 +74,9 @@ int main(int argc, char** argv) {
       cfg.tile_rows < 0 ? "auto" : std::to_string(cfg.tile_rows);
 
   std::printf("heat3d: %d^3 cells on %d simulated ranks (%dx%dx%d), "
-              "PPCG depth %d [%s, tile %s]\n", n, cl.nranks(),
+              "PPCG depth %d [tile %s]\n", n, cl.nranks(),
               cl.decomposition().px(), cl.decomposition().py(),
-              cl.decomposition().pz(), depth,
-              cfg.fuse_kernels ? "fused" : "unfused", tile.c_str());
+              cl.decomposition().pz(), depth, tile.c_str());
 
   const double rx = dt / (mesh.dx() * mesh.dx());
   const double ry = dt / (mesh.dy() * mesh.dy());

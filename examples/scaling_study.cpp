@@ -37,9 +37,8 @@ int main(int argc, char** argv) {
     deck.solver.halo_depth = std::max(1, depth);
     deck.solver.eps = 1e-8;
     deck.solver.max_iters = 100000;
-    // The paper's unfused, untiled engine, so the model prices streaming
-    // sweeps rather than the default's L2-blocked row tiles.
-    deck.solver.fuse_kernels = false;
+    // The paper's untiled engine, so the model prices streaming sweeps
+    // rather than the default's L2-blocked row tiles.
     deck.solver.tile_rows = 0;
     TeaLeafApp app(deck, 4);
     const SolveStats st = app.step();

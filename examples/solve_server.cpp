@@ -23,7 +23,7 @@
 // --waves N drains the stream in N slices so what wave k learns re-routes
 // wave k+1; --db persists the accumulated RouteDatabase across runs
 // (merge-on-load); --adversarial seeds the table with a deliberately
-// mislabeled best route (an unfused chebyshev entry "measured" at 0.1 µs)
+// mislabeled best route (a chebyshev entry "measured" at 0.1 µs)
 // so the run demonstrates online demotion converging onto the genuinely
 // fastest route.  Promotion/demotion events and a per-route attribution
 // table (requests, p50, observed-vs-predicted ratio, demotions) make the
@@ -81,7 +81,7 @@ tealeaf::SolveRequest make_mtx_request(int n, const std::string& path) {
   return req;
 }
 
-/// An adversarially WRONG seed table: an unfused chebyshev entry claims
+/// An adversarially WRONG seed table: a chebyshev entry claims
 /// to be absurdly fast (0.1 µs — no solve on any machine is), while the
 /// honest cg/ppcg entries carry pessimistically slow predictions.  With
 /// learning on, the measured latencies expose the lie: the chebyshev
@@ -93,13 +93,12 @@ tealeaf::RoutingTable adversarial_table(int mesh, int mesh2, int ranks) {
   report.ranks = ranks;
   report.steps = 1;
   const auto add = [&report](const std::string& solver, PreconType precon,
-                             int depth, bool fused, int mesh_n,
-                             double seconds, int iters) {
+                             int depth, int mesh_n, double seconds,
+                             int iters) {
     SweepOutcome cell;
     cell.config.solver = solver;
     cell.config.precon = precon;
     cell.config.halo_depth = depth;
-    cell.config.fused = fused;
     cell.config.mesh_n = mesh_n;
     cell.converged = true;
     cell.iterations = iters;
@@ -107,9 +106,9 @@ tealeaf::RoutingTable adversarial_table(int mesh, int mesh2, int ranks) {
     report.cells.push_back(cell);
   };
   for (const int n : {mesh, mesh2}) {
-    add("chebyshev", PreconType::kNone, 1, false, n, 1e-7, 50);  // the lie
-    add("cg", PreconType::kNone, 1, true, n, 5.0, 60);
-    add("ppcg", PreconType::kJacobiDiag, 2, true, n, 6.0, 40);
+    add("chebyshev", PreconType::kNone, 1, n, 1e-7, 50);  // the lie
+    add("cg", PreconType::kNone, 1, n, 5.0, 60);
+    add("ppcg", PreconType::kJacobiDiag, 2, n, 6.0, 40);
   }
   return RoutingTable::from_sweep(report);
 }

@@ -13,14 +13,13 @@ namespace {
 
 /// Row-ordered dot product: per-row partials land in `row_sums`, then
 /// every thread sums the rows in flattened (plane, row) order — all
-/// threads return the same value, bitwise equal to the serial
-/// accumulation.
-double reduce_rows(const Team* team, int nrows,
+/// threads return the same value, whatever the thread count.
+double reduce_rows(const Team& team, int nrows,
                    std::vector<double>& row_sums) {
-  phase_barrier(team);
+  team.barrier();
   double total = 0.0;
   for (int row = 0; row < nrows; ++row) total += row_sums[row];
-  phase_barrier(team);  // row_sums free for the next reduction
+  team.barrier();  // row_sums free for the next reduction
   return total;
 }
 
@@ -95,24 +94,23 @@ MGPCGResult MGPreconditionedCG::solve(const Field<double>& rhs,
   const auto row_k = [this](int row) { return row % ny_; };
   const auto row_l = [this](int row) { return row / ny_; };
 
-  // One body serves both engines (team == nullptr: serial, the Fig. 7
-  // baseline; with a Team: every row loop — V-cycle smoothers included —
-  // workshares inside one hoisted region per iteration).  All loop
-  // control derives from row-ordered reductions, uniform across the
-  // team.  Breakdown cannot throw from inside an OpenMP region, so it is
-  // flagged and rethrown outside.
+  // Every row loop — V-cycle smoothers included — workshares inside one
+  // region around the whole solve.  All loop control derives from
+  // row-ordered reductions, uniform across the team.  Breakdown cannot
+  // throw from inside an OpenMP region, so it is flagged and rethrown
+  // outside.
   bool breakdown = false;
   int iters = 0;
   bool converged = false;
   double final_metric = 0.0;
-  const auto run = [&](const Team* team) {
-    for_rows(team, nrows, [&](int row) {
+  parallel_region([&](const Team& team) {
+    team.for_range(0, nrows, [&](int row) {
       kernels::mg_residual_row(A, rhs, u, r, row_k(row), row_l(row));
     });
-    phase_barrier(team);
+    team.barrier();
 
     mg_->v_cycle(r, z, team);
-    for_rows(team, nrows, [&](int row) {
+    team.for_range(0, nrows, [&](int row) {
       const int k = row_k(row);
       const int l = row_l(row);
       double acc = 0.0;
@@ -124,12 +122,10 @@ MGPCGResult MGPreconditionedCG::solve(const Field<double>& rhs,
     });
     double rz = reduce_rows(team, nrows, row_sums);
     const double initial_norm = std::sqrt(std::fabs(rz));
-    if (team == nullptr || team->thread_id() == 0) {
-      res.initial_norm = initial_norm;
-    }
+    team.single([&] { res.initial_norm = initial_norm; });
     if (initial_norm == 0.0) {
       // Uniform branch; write the flag from one thread only.
-      if (team == nullptr || team->thread_id() == 0) converged = true;
+      team.single([&] { converged = true; });
       return;
     }
     const double target = opt_.eps * initial_norm;
@@ -138,18 +134,18 @@ MGPCGResult MGPreconditionedCG::solve(const Field<double>& rhs,
     int it = 0;
     bool conv = false;
     while (it < opt_.max_iters) {
-      for_rows(team, nrows, [&](int row) {
+      team.for_range(0, nrows, [&](int row) {
         row_sums[static_cast<std::size_t>(row)] =
             kernels::mg_smvp_dot_row(A, p, w, row_k(row), row_l(row));
       });
       const double pw = reduce_rows(team, nrows, row_sums);
       if (!(pw > 0.0)) {
         // Uniform: every thread saw the same pw; one writes the flag.
-        if (team == nullptr || team->thread_id() == 0) breakdown = true;
+        team.single([&] { breakdown = true; });
         break;
       }
       const double alpha = rz / pw;
-      for_rows(team, nrows, [&](int row) {
+      team.for_range(0, nrows, [&](int row) {
         const int k = row_k(row);
         const int l = row_l(row);
         for (int j = 0; j < nx_; ++j) {
@@ -157,9 +153,9 @@ MGPCGResult MGPreconditionedCG::solve(const Field<double>& rhs,
           r(j, k, l) -= alpha * w(j, k, l);
         }
       });
-      phase_barrier(team);
+      team.barrier();
       mg_->v_cycle(r, z, team);
-      for_rows(team, nrows, [&](int row) {
+      team.for_range(0, nrows, [&](int row) {
         const int k = row_k(row);
         const int l = row_l(row);
         double acc = 0.0;
@@ -168,13 +164,13 @@ MGPCGResult MGPreconditionedCG::solve(const Field<double>& rhs,
       });
       const double rz_new = reduce_rows(team, nrows, row_sums);
       const double beta = rz_new / rz;
-      for_rows(team, nrows, [&](int row) {
+      team.for_range(0, nrows, [&](int row) {
         const int k = row_k(row);
         const int l = row_l(row);
         for (int j = 0; j < nx_; ++j)
           p(j, k, l) = z(j, k, l) + beta * p(j, k, l);
       });
-      phase_barrier(team);
+      team.barrier();
       rz = rz_new;
       metric = rz_new;
       ++it;
@@ -184,18 +180,12 @@ MGPCGResult MGPreconditionedCG::solve(const Field<double>& rhs,
       }
     }
     // Every thread computed the same scalars; publish from one.
-    if (team == nullptr || team->thread_id() == 0) {
+    team.single([&] {
       iters = it;
       converged = conv;
       final_metric = metric;
-    }
-  };
-
-  if (opt_.fused) {
-    parallel_region([&](Team& t) { run(&t); });
-  } else {
-    run(nullptr);
-  }
+    });
+  });
   TEA_REQUIRE(!breakdown, "MG-PCG breakdown: ⟨p, A·p⟩ <= 0");
   res.iterations = iters;
   res.converged = converged;

@@ -29,19 +29,16 @@ struct MGPCGResult {
 /// counts, residual norms and iterates exactly.
 ///
 /// Runs on the undecomposed global grid; its distributed communication
-/// cost is modelled analytically in src/model (DESIGN.md §2.3).
+/// cost is modelled analytically in src/model (DESIGN.md §2.3).  A solve
+/// is one parallel region whose row loops (including every V-cycle
+/// smoother sweep) workshare over the thread team; dot products reduce
+/// per-row partials in row order, so iterates are bitwise independent of
+/// the thread count.
 class MGPreconditionedCG {
  public:
   struct Options {
     double eps = 1e-10;
     int max_iters = 1000;
-    /// Run the solve through the fused execution engine: one hoisted
-    /// parallel region per CG iteration whose row loops (including every
-    /// V-cycle smoother sweep) workshare over the thread team.  Dot
-    /// products reduce per-row partials in row order, so the fused solve
-    /// is bitwise identical to the serial baseline — the design-space
-    /// sweep A/Bs the two on speed alone, like the native solvers.
-    bool fused = false;
     Multigrid::Options mg;
   };
 

@@ -171,61 +171,61 @@ void Multigrid::build(const Field<double>& kx_fine,
   }
 }
 
-void Multigrid::smooth(MGLevel& lv, int sweeps, const Team* team) {
+void Multigrid::smooth(MGLevel& lv, int sweeps, const Team& team) {
   const kernels::MGOperatorView A = lv.op();
   for (int s = 0; s < sweeps; ++s) {
     // Damped Jacobi: u += ω·(rhs − A·u)/diag, using res as the old-u copy
     // so the sweep is a true simultaneous update.
-    for_rows(team, lv.num_rows(), [&](int row) {
+    team.for_range(0, lv.num_rows(), [&](int row) {
       const int l = row / lv.ny;
       const int k = row % lv.ny;
       for (int j = 0; j < lv.nx; ++j) lv.res(j, k, l) = lv.u(j, k, l);
     });
-    phase_barrier(team);  // the update stencil reads res rows (k±1, l±1)
-    for_rows(team, lv.num_rows(), [&](int row) {
+    team.barrier();  // the update stencil reads res rows (k±1, l±1)
+    team.for_range(0, lv.num_rows(), [&](int row) {
       kernels::mg_smooth_row(A, lv.rhs, lv.res, lv.u, opt_.omega,
                              row % lv.ny, row / lv.ny);
     });
-    phase_barrier(team);  // the next sweep's copy reads the updated u
+    team.barrier();  // the next sweep's copy reads the updated u
   }
 }
 
-void Multigrid::compute_residual(MGLevel& lv, const Team* team) {
+void Multigrid::compute_residual(MGLevel& lv, const Team& team) {
   const kernels::MGOperatorView A = lv.op();
-  for_rows(team, lv.num_rows(), [&](int row) {
+  team.for_range(0, lv.num_rows(), [&](int row) {
     kernels::mg_residual_row(A, lv.rhs, lv.u, lv.res, row % lv.ny,
                              row / lv.ny);
   });
-  phase_barrier(team);
+  team.barrier();
 }
 
 void Multigrid::restrict_residual(const MGLevel& fine, MGLevel& coarse,
-                                  const Team* team) {
-  for_rows(team, coarse.num_rows(), [&](int row) {
+                                  const Team& team) {
+  team.for_range(0, coarse.num_rows(), [&](int row) {
     kernels::mg_restrict_row(fine.res, fine.nx, fine.ny, fine.nz,
                              coarse.rhs, coarse.u, coarse.nx, coarse.ny,
                              coarse.nz, row % coarse.ny, row / coarse.ny);
   });
-  phase_barrier(team);
+  team.barrier();
 }
 
 void Multigrid::prolong_add(const MGLevel& coarse, MGLevel& fine,
-                            const Team* team) {
-  for_rows(team, fine.num_rows(), [&](int row) {
+                            const Team& team) {
+  team.for_range(0, fine.num_rows(), [&](int row) {
     kernels::mg_prolong_row(coarse.u, coarse.nx, coarse.ny, coarse.nz,
                             fine.u, fine.nx, fine.ny, fine.nz,
                             row % fine.ny, row / fine.ny);
   });
-  phase_barrier(team);
+  team.barrier();
 }
 
 void Multigrid::v_cycle(const Field<double>& rhs, Field<double>& out,
-                        const Team* team) {
+                        const Team& team) {
   MGLevel& top = levels_.front();
   TEA_REQUIRE(rhs.nx() == top.nx && rhs.ny() == top.ny &&
                   rhs.nz() == top.nz,
               "rhs shape must match the fine grid");
-  for_rows(team, top.num_rows(), [&](int row) {
+  team.for_range(0, top.num_rows(), [&](int row) {
     const int l = row / top.ny;
     const int k = row % top.ny;
     for (int j = 0; j < top.nx; ++j) {
@@ -233,7 +233,7 @@ void Multigrid::v_cycle(const Field<double>& rhs, Field<double>& out,
       top.u(j, k, l) = 0.0;
     }
   });
-  phase_barrier(team);
+  team.barrier();
 
   const int nl = num_levels();
   for (int l = 0; l < nl - 1; ++l) {
@@ -247,12 +247,12 @@ void Multigrid::v_cycle(const Field<double>& rhs, Field<double>& out,
     smooth(levels_[l], opt_.nu_post, team);
   }
 
-  for_rows(team, top.num_rows(), [&](int row) {
+  team.for_range(0, top.num_rows(), [&](int row) {
     const int l = row / top.ny;
     const int k = row % top.ny;
     for (int j = 0; j < top.nx; ++j) out(j, k, l) = top.u(j, k, l);
   });
-  phase_barrier(team);
+  team.barrier();
 }
 
 }  // namespace tealeaf

@@ -85,13 +85,13 @@ class Multigrid {
   /// out ≈ A⁻¹·rhs via one V-cycle from a zero initial guess.
   /// `rhs`/`out` are interior-indexed fields of the fine grid shape.
   ///
-  /// With a Team (the fused mg-pcg path) every smoother/residual/transfer
-  /// row loop workshares over the team with barriers between dependent
-  /// phases; all threads of the region must call with the same arguments.
-  /// Bitwise identical to the serial form — the per-row arithmetic is
-  /// shared.
+  /// Runs inside the caller's parallel region: every smoother/residual/
+  /// transfer row loop workshares over `team` with barriers between
+  /// dependent phases, and all threads of the team must call with the
+  /// same arguments.  Every row's arithmetic is independent of the
+  /// thread count, so the result is bitwise identical at any count.
   void v_cycle(const Field<double>& rhs, Field<double>& out,
-               const Team* team = nullptr);
+               const Team& team);
 
   [[nodiscard]] int dims() const { return dims_; }
   [[nodiscard]] int num_levels() const {
@@ -107,11 +107,11 @@ class Multigrid {
  private:
   void build(const Field<double>& kx_fine, const Field<double>& ky_fine,
              const Field<double>* kz_fine, int nx, int ny, int nz);
-  void smooth(MGLevel& lv, int sweeps, const Team* team);
-  void compute_residual(MGLevel& lv, const Team* team);
+  void smooth(MGLevel& lv, int sweeps, const Team& team);
+  void compute_residual(MGLevel& lv, const Team& team);
   void restrict_residual(const MGLevel& fine, MGLevel& coarse,
-                         const Team* team);
-  void prolong_add(const MGLevel& coarse, MGLevel& fine, const Team* team);
+                         const Team& team);
+  void prolong_add(const MGLevel& coarse, MGLevel& fine, const Team& team);
 
   std::vector<MGLevel> levels_;
   Options opt_;

@@ -26,101 +26,104 @@ SimCluster::SimCluster(const GlobalMesh& mesh, int nranks, int halo_depth)
 }
 
 void SimCluster::exchange(std::initializer_list<FieldId> fields, int depth) {
-  exchange_impl(nullptr, fields.begin(), static_cast<int>(fields.size()),
-                depth);
+  exchange_impl(fields.begin(), static_cast<int>(fields.size()), depth);
 }
 
 void SimCluster::exchange(const std::vector<FieldId>& fields, int depth) {
-  exchange_impl(nullptr, fields.data(), static_cast<int>(fields.size()),
-                depth);
+  exchange_impl(fields.data(), static_cast<int>(fields.size()), depth);
 }
 
-void SimCluster::exchange(const Team* team,
+void SimCluster::exchange(const Team& team,
                           std::initializer_list<FieldId> fields, int depth) {
   exchange_impl(team, fields.begin(), static_cast<int>(fields.size()), depth);
 }
 
-void SimCluster::exchange(const Team* team,
+void SimCluster::exchange(const Team& team,
                           const std::vector<FieldId>& fields, int depth) {
   exchange_impl(team, fields.data(), static_cast<int>(fields.size()), depth);
 }
 
-void SimCluster::exchange_impl(const Team* team, const FieldId* fields,
+// Phase ordering matters in both forms: x completes for all ranks before y
+// starts so that the y messages carry fresh corner columns, and (in 3-D) z
+// runs last carrying the xy-halo rows so edges and corners propagate (see
+// class comment).
+
+void SimCluster::exchange_impl(const FieldId* fields, int nfields,
+                               int depth) {
+  TEA_REQUIRE(depth >= 1 && depth <= halo_depth_,
+              "exchange depth exceeds allocated halo");
+  if (nfields == 0) return;
+  ++stats_.exchange_calls;
+  parallel_for(0, nranks(), [&](std::int64_t r) {
+    exchange_x_rank(static_cast<int>(r), fields, nfields, depth);
+  });
+  parallel_for(0, nranks(), [&](std::int64_t r) {
+    exchange_y_rank(static_cast<int>(r), fields, nfields, depth);
+  });
+  if (mesh_.dims == 3) {
+    parallel_for(0, nranks(), [&](std::int64_t r) {
+      exchange_z_rank(static_cast<int>(r), fields, nfields, depth);
+    });
+  }
+  account_exchange(nfields, depth);
+}
+
+void SimCluster::exchange_impl(const Team& team, const FieldId* fields,
                                int nfields, int depth) {
-  // Contract check.  In the Team path this runs inside the hoisted
-  // region, where a throw would terminate the process (see
-  // parallel_region's docs) — callers must validate the depth before
-  // entering the region, as the solvers do via SolverConfig/halo checks.
+  // Contract check inside the solve's region, where a throw would
+  // terminate the process (see parallel_region's docs) — callers must
+  // validate the depth before entering the region, as the solvers do via
+  // SolverConfig/halo checks.
   TEA_REQUIRE(depth >= 1 && depth <= halo_depth_,
               "exchange depth exceeds allocated halo");
   if (nfields == 0) return;
   const bool has_z = (mesh_.dims == 3);
-  // Phase ordering matters: x completes for all ranks before y starts so
-  // that the y messages carry fresh corner columns, and (in 3-D) z runs
-  // last carrying the xy-halo rows so edges and corners propagate (see
-  // class comment).
-  if (team == nullptr) {
-    ++stats_.exchange_calls;
-    parallel_for(0, nranks(), [&](std::int64_t r) {
-      exchange_x_rank(static_cast<int>(r), fields, nfields, depth);
-    });
-    parallel_for(0, nranks(), [&](std::int64_t r) {
-      exchange_y_rank(static_cast<int>(r), fields, nfields, depth);
-    });
-    if (has_z) {
-      parallel_for(0, nranks(), [&](std::int64_t r) {
-        exchange_z_rank(static_cast<int>(r), fields, nfields, depth);
-      });
-    }
-    account_exchange(nfields, depth);
-    return;
-  }
-  // Team-aware path (hoisted region): explicit barriers replace the
-  // implicit joins — producers must finish before the x phase reads
-  // interiors, and each later phase carries the earlier phases' halos.
-  // With more threads than ranks each phase workshares (rank, face)
-  // pairs — the per-face copies touch disjoint halo regions.
-  team->barrier();
-  if (team->num_threads() > nranks()) {
-    team->for_range(0, 2 * nranks(), [&](std::int64_t i) {
+  // Explicit barriers replace the implicit joins of the standalone form —
+  // producers must finish before the x phase reads interiors, and each
+  // later phase carries the earlier phases' halos.  With more threads than
+  // ranks each phase workshares (rank, face) pairs — the per-face copies
+  // touch disjoint halo regions.
+  team.barrier();
+  if (team.num_threads() > nranks()) {
+    team.for_range(0, 2 * nranks(), [&](std::int64_t i) {
       exchange_x_rank_face(static_cast<int>(i >> 1),
                            (i & 1) ? Face::kRight : Face::kLeft, fields,
                            nfields, depth);
     });
-    team->barrier();
-    team->for_range(0, 2 * nranks(), [&](std::int64_t i) {
+    team.barrier();
+    team.for_range(0, 2 * nranks(), [&](std::int64_t i) {
       exchange_y_rank_face(static_cast<int>(i >> 1),
                            (i & 1) ? Face::kTop : Face::kBottom, fields,
                            nfields, depth);
     });
     if (has_z) {
-      team->barrier();
-      team->for_range(0, 2 * nranks(), [&](std::int64_t i) {
+      team.barrier();
+      team.for_range(0, 2 * nranks(), [&](std::int64_t i) {
         exchange_z_rank_face(static_cast<int>(i >> 1),
                              (i & 1) ? Face::kFront : Face::kBack, fields,
                              nfields, depth);
       });
     }
   } else {
-    team->for_range(0, nranks(), [&](std::int64_t r) {
+    team.for_range(0, nranks(), [&](std::int64_t r) {
       exchange_x_rank(static_cast<int>(r), fields, nfields, depth);
     });
-    team->barrier();
-    team->for_range(0, nranks(), [&](std::int64_t r) {
+    team.barrier();
+    team.for_range(0, nranks(), [&](std::int64_t r) {
       exchange_y_rank(static_cast<int>(r), fields, nfields, depth);
     });
     if (has_z) {
-      team->barrier();
-      team->for_range(0, nranks(), [&](std::int64_t r) {
+      team.barrier();
+      team.for_range(0, nranks(), [&](std::int64_t r) {
         exchange_z_rank(static_cast<int>(r), fields, nfields, depth);
       });
     }
   }
-  team->single([&] {
+  team.single([&] {
     ++stats_.exchange_calls;
     account_exchange(nfields, depth);
   });
-  team->barrier();
+  team.barrier();
 }
 
 void SimCluster::exchange_x_rank(int rank, const FieldId* fields,

@@ -35,13 +35,13 @@ namespace tealeaf {
 /// and edge data exactly as upstream TeaLeaf's staged MPI exchange does —
 /// required for matrix-powers halo depths > 1.
 ///
-/// Every collective has two forms: the standalone form opens its own
-/// parallel region (one fork/join per call), and a Team-aware form that
-/// workshares inside an already-open `parallel_region` — the fused
-/// execution engine's path, which hoists one region around a whole solver
-/// iteration.  Team forms return/compute identical values (per-rank
-/// partials reduced in rank order) and record identical CommStats, so
-/// fused and unfused runs are bitwise comparable.
+/// Every solver body runs its collectives in Team-aware form, worksharing
+/// inside the one `parallel_region` the solve opens.  Work outside a
+/// solver body — session prepare, the mixed-precision fp64 guard
+/// residual, test and harness set-up — uses the standalone forms of
+/// `exchange`, `for_each_chunk` and `sum_over_chunks`, which open their
+/// own region per call.  Both forms compute identical values (per-rank
+/// partials reduced in rank order) and record identical CommStats.
 class SimCluster {
  public:
   /// Decompose `mesh` over `nranks` ranks, allocating every chunk with
@@ -67,15 +67,14 @@ class SimCluster {
   void exchange(std::initializer_list<FieldId> fields, int depth);
   void exchange(const std::vector<FieldId>& fields, int depth);
 
-  /// Team-aware halo exchange for use inside a hoisted parallel region:
-  /// same data motion and accounting as the standalone form, worksharing
-  /// over ranks through `team` with barriers between the axis phases
-  /// (and entry/exit barriers so neighbouring kernel phases can skip
-  /// their own).  Pass team == nullptr to fall back to the standalone
-  /// form — lets one code path serve both execution modes.
-  void exchange(const Team* team, std::initializer_list<FieldId> fields,
+  /// Team-aware halo exchange for use inside a parallel region: same
+  /// data motion and accounting as the standalone form, worksharing over
+  /// ranks through `team` with barriers between the axis phases (and
+  /// entry/exit barriers so neighbouring kernel phases can skip their
+  /// own).
+  void exchange(const Team& team, std::initializer_list<FieldId> fields,
                 int depth);
-  void exchange(const Team* team, const std::vector<FieldId>& fields,
+  void exchange(const Team& team, const std::vector<FieldId>& fields,
                 int depth);
 
   /// Global sum of one partial value per rank, accumulated in rank order
@@ -96,21 +95,17 @@ class SimCluster {
     });
   }
 
-  /// Team-aware form: workshares the ranks through `team` (nullptr falls
-  /// back to the standalone form).  No implied barrier.
+  /// Team-aware form: workshares the ranks through `team`.  No implied
+  /// barrier.
   template <class Body>
-  void for_each_chunk(const Team* team, Body&& body) {
-    if (team == nullptr) {
-      for_each_chunk(std::forward<Body>(body));
-      return;
-    }
-    team->for_range(0, nranks(), [&](std::int64_t r) {
+  void for_each_chunk(const Team& team, Body&& body) {
+    team.for_range(0, nranks(), [&](std::int64_t r) {
       body(static_cast<int>(r), *chunks_[r]);
     });
   }
 
   // ---- tiled execution (cache-blocked fused kernels) ---------------------
-  // The tiling layer of the fused execution engine: sweeps cut into
+  // The tiling layer of the execution engine: sweeps cut into
   // row-blocks of `tile_rows` rows (<= 0: whole chunk, one block per rank)
   // so the per-block working set fits in L2.  A "row" is one unit-stride
   // line of cells; 3-D sweeps tile the flattened (plane, row) space, so
@@ -143,7 +138,7 @@ class SimCluster {
   /// row-block.  `bounds_of` must be a pure function of (rank, chunk).
   /// No implied barrier.
   template <class BoundsFn, class Body>
-  void for_each_tile(const Team* team, int tile_rows, BoundsFn&& bounds_of,
+  void for_each_tile(const Team& team, int tile_rows, BoundsFn&& bounds_of,
                      Body&& body) {
     const auto run_tile = [&](int r, Chunk& c, const Bounds& b, int t) {
       const int rows = b.khi - b.klo;
@@ -156,25 +151,16 @@ class SimCluster {
       tb.khi = std::min(b.khi, tb.klo + h);
       body(r, c, tb);
     };
-    const auto run_rank = [&](int r) {
-      Chunk& c = *chunks_[static_cast<std::size_t>(r)];
-      const Bounds b = bounds_of(r, c);
-      const int nt = num_tiles(b, tile_rows);
-      for (int t = 0; t < nt; ++t) run_tile(r, c, b, t);
-    };
-    if (team == nullptr) {
-      parallel_for(0, nranks(), [&](std::int64_t r) {
-        run_rank(static_cast<int>(r));
+    if (team.num_threads() <= nranks()) {
+      team.for_range(0, nranks(), [&](std::int64_t r) {
+        Chunk& c = *chunks_[static_cast<std::size_t>(r)];
+        const Bounds b = bounds_of(static_cast<int>(r), c);
+        const int nt = num_tiles(b, tile_rows);
+        for (int t = 0; t < nt; ++t) run_tile(static_cast<int>(r), c, b, t);
       });
       return;
     }
-    if (team->num_threads() <= nranks()) {
-      team->for_range(0, nranks(), [&](std::int64_t r) {
-        run_rank(static_cast<int>(r));
-      });
-      return;
-    }
-    team->for_range_2d(
+    team.for_range_2d(
         nranks(),
         [&](std::int64_t r) -> std::int64_t {
           Chunk& c = *chunks_[static_cast<std::size_t>(r)];
@@ -195,32 +181,15 @@ class SimCluster {
   /// the partials.  Counts ONE allreduce.  Implies barriers, including
   /// one on entry so the deposits of a preceding (differently-scheduled)
   /// tile pass are visible.
-  double combine_row_partials(const Team* team) {
-    const auto rank_total = [&](int r) {
+  double combine_row_partials(const Team& team) {
+    team.barrier();
+    team.for_range(0, nranks(), [&](std::int64_t r) {
       const Chunk& c = *chunks_[static_cast<std::size_t>(r)];
       double p = 0.0;
       for (int rho = 0; rho < c.num_rows(); ++rho) p += c.row_scratch()[rho];
-      return p;
-    };
-    if (team == nullptr) {
-      double total = 0.0;
-      for (int r = 0; r < nranks(); ++r) total += rank_total(r);
-      ++stats_.reductions;
-      return total;
-    }
-    team->barrier();
-    team->for_range(0, nranks(), [&](std::int64_t r) {
-      team_partials_[static_cast<std::size_t>(r)] =
-          rank_total(static_cast<int>(r));
+      team_partials_[static_cast<std::size_t>(r)] = p;
     });
-    team->barrier();
-    double total = 0.0;
-    for (int r = 0; r < nranks(); ++r) {
-      total += team_partials_[static_cast<std::size_t>(r)];
-    }
-    team->single([&] { ++stats_.reductions; });
-    team->barrier();
-    return total;
+    return reduce_team_partials(team);
   }
 
   /// Tiled team reduction: `body(rank, chunk, tb)` sweeps the interior
@@ -230,9 +199,9 @@ class SimCluster {
   /// including one on entry so the sweep may read fields a preceding
   /// (differently-scheduled) tile pass wrote.
   template <class Body>
-  double sum_rows_over_chunks(const Team* team, int tile_rows, Body&& body) {
+  double sum_rows_over_chunks(const Team& team, int tile_rows, Body&& body) {
     const auto interior = [](int, Chunk& c) { return interior_bounds(c); };
-    if (team != nullptr) team->barrier();
+    team.barrier();
     for_each_tile(team, tile_rows, interior, body);
     return combine_row_partials(team);
   }
@@ -241,11 +210,14 @@ class SimCluster {
   /// the pair (row_scratch[2ρ], row_scratch[2ρ+1]) per row.
   /// ONE allreduce.
   template <class Body>
-  std::pair<double, double> sum2_rows_over_chunks(const Team* team,
+  std::pair<double, double> sum2_rows_over_chunks(const Team& team,
                                                   int tile_rows,
                                                   Body&& body) {
     const auto interior = [](int, Chunk& c) { return interior_bounds(c); };
-    const auto rank_pair = [&](int r) {
+    team.barrier();
+    for_each_tile(team, tile_rows, interior, body);
+    team.barrier();
+    team.for_range(0, nranks(), [&](std::int64_t r) {
       const Chunk& c = *chunks_[static_cast<std::size_t>(r)];
       double a = 0.0;
       double b = 0.0;
@@ -253,37 +225,9 @@ class SimCluster {
         a += c.row_scratch()[2 * rho];
         b += c.row_scratch()[2 * rho + 1];
       }
-      return std::pair<double, double>{a, b};
-    };
-    if (team == nullptr) {
-      for_each_tile(nullptr, tile_rows, interior, body);
-      double a = 0.0;
-      double b = 0.0;
-      for (int r = 0; r < nranks(); ++r) {
-        const auto [pa, pb] = rank_pair(r);
-        a += pa;
-        b += pb;
-      }
-      ++stats_.reductions;
-      return {a, b};
-    }
-    team->barrier();
-    for_each_tile(team, tile_rows, interior, body);
-    team->barrier();
-    team->for_range(0, nranks(), [&](std::int64_t r) {
-      team_partials2_[static_cast<std::size_t>(r)] =
-          rank_pair(static_cast<int>(r));
+      team_partials2_[static_cast<std::size_t>(r)] = {a, b};
     });
-    team->barrier();
-    double a = 0.0;
-    double b = 0.0;
-    for (int r = 0; r < nranks(); ++r) {
-      a += team_partials2_[static_cast<std::size_t>(r)].first;
-      b += team_partials2_[static_cast<std::size_t>(r)].second;
-    }
-    team->single([&] { ++stats_.reductions; });
-    team->barrier();
-    return {a, b};
+    return reduce_team_partials2(team);
   }
 
   /// Evaluate `body(rank, chunk) -> double` on every rank and globally
@@ -302,48 +246,23 @@ class SimCluster {
   /// same sum, bitwise equal to the standalone form.  Counts ONE
   /// allreduce.  Implies barriers (before the reduce and before return).
   template <class Body>
-  double sum_over_chunks(const Team* team, Body&& body) {
-    if (team == nullptr) return sum_over_chunks(std::forward<Body>(body));
-    team->for_range(0, nranks(), [&](std::int64_t r) {
+  double sum_over_chunks(const Team& team, Body&& body) {
+    team.for_range(0, nranks(), [&](std::int64_t r) {
       team_partials_[static_cast<std::size_t>(r)] =
           body(static_cast<int>(r), *chunks_[r]);
     });
-    team->barrier();
-    double total = 0.0;
-    for (int r = 0; r < nranks(); ++r) {
-      total += team_partials_[static_cast<std::size_t>(r)];
-    }
-    team->single([&] { ++stats_.reductions; });
-    team->barrier();  // buffer is free for the next collective
-    return total;
+    return reduce_team_partials(team);
   }
 
   /// Team-aware fused pair reduction: the Team analogue of reduce_sum2,
   /// with `body(rank, chunk)` returning the two partials.  ONE allreduce.
   template <class Body>
-  std::pair<double, double> sum2_over_chunks(const Team* team, Body&& body) {
-    if (team == nullptr) {
-      std::vector<std::pair<double, double>> partials(
-          static_cast<std::size_t>(nranks()));
-      parallel_for(0, nranks(), [&](std::int64_t r) {
-        partials[r] = body(static_cast<int>(r), *chunks_[r]);
-      });
-      return reduce_sum2(partials);
-    }
-    team->for_range(0, nranks(), [&](std::int64_t r) {
+  std::pair<double, double> sum2_over_chunks(const Team& team, Body&& body) {
+    team.for_range(0, nranks(), [&](std::int64_t r) {
       team_partials2_[static_cast<std::size_t>(r)] =
           body(static_cast<int>(r), *chunks_[r]);
     });
-    team->barrier();
-    double a = 0.0;
-    double b = 0.0;
-    for (int r = 0; r < nranks(); ++r) {
-      a += team_partials2_[static_cast<std::size_t>(r)].first;
-      b += team_partials2_[static_cast<std::size_t>(r)].second;
-    }
-    team->single([&] { ++stats_.reductions; });
-    team->barrier();
-    return {a, b};
+    return reduce_team_partials2(team);
   }
 
   [[nodiscard]] CommStats& stats() { return stats_; }
@@ -351,11 +270,39 @@ class SimCluster {
   void reset_stats() { stats_.reset(); }
 
  private:
-  /// Shared implementation of all exchange overloads.  Takes the field
-  /// list as pointer + count so the initializer_list forms forward their
-  /// backing array directly — no per-call (and in the Team path,
-  /// per-thread) vector allocation on the hot fused path.
-  void exchange_impl(const Team* team, const FieldId* fields, int nfields,
+  /// Rank-ordered sum of the per-rank partials in team_partials_ (pairs:
+  /// team_partials2_), returned on every thread.  Counts ONE allreduce.
+  /// Implies barriers: before the sum, and before return so the buffer is
+  /// free for the next collective.
+  double reduce_team_partials(const Team& team) {
+    team.barrier();
+    double total = 0.0;
+    for (int r = 0; r < nranks(); ++r) {
+      total += team_partials_[static_cast<std::size_t>(r)];
+    }
+    team.single([&] { ++stats_.reductions; });
+    team.barrier();
+    return total;
+  }
+  std::pair<double, double> reduce_team_partials2(const Team& team) {
+    team.barrier();
+    double a = 0.0;
+    double b = 0.0;
+    for (int r = 0; r < nranks(); ++r) {
+      a += team_partials2_[static_cast<std::size_t>(r)].first;
+      b += team_partials2_[static_cast<std::size_t>(r)].second;
+    }
+    team.single([&] { ++stats_.reductions; });
+    team.barrier();
+    return {a, b};
+  }
+
+  /// Implementations of the standalone and Team-aware exchange overloads.
+  /// They take the field list as pointer + count so the initializer_list
+  /// forms forward their backing array directly — no per-call (and in the
+  /// Team path, per-thread) vector allocation inside a solve.
+  void exchange_impl(const FieldId* fields, int nfields, int depth);
+  void exchange_impl(const Team& team, const FieldId* fields, int nfields,
                      int depth);
   /// Per-rank copy bodies of the axis phases (shared by the standalone
   /// and Team-aware forms).  The per-face splits are the unit of 2-D

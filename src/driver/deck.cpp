@@ -67,8 +67,8 @@ double to_double(const std::string& s, const std::string& key) {
   }
 }
 
-/// Boolean tl_* flags: bare (`tl_fuse_kernels`) or explicit
-/// (`tl_fuse_kernels=0`).  A non-boolean value is an error — a mistyped
+/// Boolean tl_* flags: bare (`tl_route_learn`) or explicit
+/// (`tl_route_learn=0`).  A non-boolean value is an error — a mistyped
 /// value must not silently enable the knob.
 bool to_flag(const std::string& s, const std::string& key) {
   if (s.empty() || s == "1" || s == "true" || s == "on") return true;
@@ -100,10 +100,9 @@ constexpr const char* kKnownKeys[] = {
     "matrix_file",
     "sweep_solvers",  "sweep_precons",
     "sweep_halo_depths", "sweep_mesh_sizes",
-    "sweep_threads",  "sweep_fused",
-    "sweep_tile_rows", "sweep_geometry",
-    "sweep_operator", "sweep_precision",
-    "sweep_ranks"};
+    "sweep_threads",  "sweep_tile_rows",
+    "sweep_geometry", "sweep_operator",
+    "sweep_precision", "sweep_ranks"};
 
 /// Levenshtein distance, small-string edition (deck keys are short).
 std::size_t edit_distance(const std::string& a, const std::string& b) {
@@ -317,7 +316,16 @@ InputDeck InputDeck::parse(std::istream& in) {
     } else if (key == "tl_cg_fuse_reductions") {
       deck.solver.fuse_cg_reductions = to_flag(value, key);
     } else if (key == "tl_fuse_kernels") {
-      deck.solver.fuse_kernels = to_flag(value, key);
+      // Every solve runs the fused schedule; the key stays readable for
+      // decks written while the unfused one existed, and asking for that
+      // one fails loudly instead of silently running the other.
+      if (!to_flag(value, key)) {
+        throw TeaError(
+            "deck: tl_fuse_kernels=" + value +
+            " asks for the unfused schedule, which was removed — every "
+            "solve runs fused.  Drop the key (or tl_tile_rows=0 for "
+            "untiled sweeps).");
+      }
     } else if (key == "tl_tile_rows") {
       deck.solver.tile_rows =
           (value == "auto") ? -1 : static_cast<int>(to_double(value, key));
@@ -348,8 +356,6 @@ InputDeck InputDeck::parse(std::istream& in) {
       deck.sweep.mesh_sizes = split_int_list(value, key);
     } else if (key == "sweep_threads") {
       deck.sweep.thread_counts = split_int_list(value, key);
-    } else if (key == "sweep_fused") {
-      deck.sweep.fused = split_int_list(value, key);
     } else if (key == "sweep_tile_rows") {
       deck.sweep.tile_rows = split_int_list(value, key);
     } else if (key == "sweep_geometry") {
@@ -419,9 +425,8 @@ std::string InputDeck::to_string() const {
   os << "tl_eigen_cg_iters=" << solver.eigen_cg_iters << "\n";
   os << "tl_halo_depth=" << solver.halo_depth << "\n";
   if (solver.fuse_cg_reductions) os << "tl_cg_fuse_reductions\n";
-  // Engine keys are written whenever they differ from the defaults
-  // (fused, auto tiles), so an unfused or untiled deck round-trips.
-  if (!solver.fuse_kernels) os << "tl_fuse_kernels=0\n";
+  // The tile height is written whenever it differs from the default
+  // (auto), so an untiled or fixed-height deck round-trips.
   if (solver.tile_rows >= 0) {
     os << "tl_tile_rows=" << solver.tile_rows << "\n";
   }
@@ -456,7 +461,6 @@ std::string InputDeck::to_string() const {
       join("sweep_mesh_sizes", sweep.mesh_sizes, [](int n) { return n; });
     }
     join("sweep_threads", sweep.thread_counts, [](int t) { return t; });
-    join("sweep_fused", sweep.fused, [](int f) { return f; });
     join("sweep_tile_rows", sweep.tile_rows, [](int t) { return t; });
     if (!sweep.geometries.empty()) {
       join("sweep_geometry", sweep.geometries,

@@ -17,17 +17,12 @@
 #include "util/parallel.hpp"
 #include "util/timer.hpp"
 
-#if defined(TEALEAF_HAVE_OPENMP)
-#include <omp.h>
-#endif
-
 namespace tealeaf {
 
 std::string SweepCase::label() const {
   std::ostringstream os;
   os << solver << "/" << to_string(precon) << "/d" << halo_depth << "/n"
-     << mesh_n << "/t" << threads;
-  if (fused) os << "/fused";
+     << mesh_n << "/t" << threads << "/fused";
   if (tile_rows != 0) os << "/b" << tile_rows;
   if (dims == 3) os << "/3d";
   if (op != "stencil") os << "/" << op;
@@ -63,14 +58,12 @@ std::vector<SweepCase> enumerate_cases(const SweepSpec& spec, int base_mesh,
       for (const int depth : spec.halo_depths) {
         for (const int mesh : meshes) {
           for (const int threads : spec.thread_counts) {
-            for (const int fused : spec.fused) {
-              for (const int tile : spec.tile_rows) {
-                for (const int dims : geometries) {
-                  for (const std::string& op : operators) {
-                    for (const std::string& prec : precisions) {
-                      cases.push_back({solver, precon, depth, mesh, threads,
-                                       fused != 0, tile, dims, op, prec});
-                    }
+            for (const int tile : spec.tile_rows) {
+              for (const int dims : geometries) {
+                for (const std::string& op : operators) {
+                  for (const std::string& prec : precisions) {
+                    cases.push_back({solver, precon, depth, mesh, threads,
+                                     tile, dims, op, prec});
                   }
                 }
               }
@@ -99,29 +92,6 @@ double price_comm(const CommStats& stats, const MachineSpec& machine,
          static_cast<double>(stats.reductions) * 2.0 * hops *
              machine.reduce_alpha_us * 1.0e-6;
 }
-
-/// RAII thread-count override (no-op without OpenMP or when threads == 0).
-class ThreadScope {
- public:
-  explicit ThreadScope(int threads) {
-#if defined(TEALEAF_HAVE_OPENMP)
-    if (threads > 0) {
-      saved_ = omp_get_max_threads();
-      omp_set_num_threads(threads);
-    }
-#else
-    (void)threads;
-#endif
-  }
-  ~ThreadScope() {
-#if defined(TEALEAF_HAVE_OPENMP)
-    if (saved_ > 0) omp_set_num_threads(saved_);
-#endif
-  }
-
- private:
-  int saved_ = 0;
-};
 
 /// Run one cell with a SolverType solver through the SolveSession facade
 /// (the same entry path TeaLeafApp and the solve server use).
@@ -161,8 +131,7 @@ void run_native_cell(const InputDeck& deck, int ranks, int steps,
 /// PETSc+BoomerAMG stand-in), so the cell always runs on one simulated
 /// rank and records no halo traffic; its cost is dominated by the
 /// per-step hierarchy setup.
-void run_mg_pcg_cell(InputDeck deck, int steps, bool fused,
-                     SweepOutcome& out) {
+void run_mg_pcg_cell(InputDeck deck, int steps, SweepOutcome& out) {
   deck.solver.type = SolverType::kCG;  // only sizes the halo allocation
   deck.solver.halo_depth = 1;
   SolveSession session(deck, /*nranks=*/1);
@@ -171,7 +140,6 @@ void run_mg_pcg_cell(InputDeck deck, int steps, bool fused,
   MGPreconditionedCG::Options opt;
   opt.eps = deck.solver.eps;
   opt.max_iters = deck.solver.max_iters;
-  opt.fused = fused;
 
   out.converged = true;
   for (int s = 0; s < steps; ++s) {
@@ -280,18 +248,12 @@ SweepReport run_sweep(const InputDeck& base, const SweepSpec& spec,
     deck.end_step = steps;
     deck.solver.precon = cs.precon;
     deck.solver.halo_depth = cs.halo_depth;
-    deck.solver.fuse_kernels = cs.fused;
     deck.solver.tile_rows = cs.tile_rows;
     deck.solver.op = operator_kind_from_string(cs.op);
     deck.solver.precision = precision_from_string(cs.precision);
 
     const bool mg_pcg = cs.solver == "mg-pcg";
-    if (cs.tile_rows != 0 && !cs.fused) {
-      // Row tiling is a layer of the fused engine; an unfused×tiled cell
-      // would silently measure the untiled path.
-      out.skipped = true;
-      out.skip_reason = "row tiling requires the fused execution engine";
-    } else if (mg_pcg && deck.solver.op != OperatorKind::kStencil) {
+    if (mg_pcg && deck.solver.op != OperatorKind::kStencil) {
       out.skipped = true;
       out.skip_reason =
           "mg-pcg rebuilds its hierarchy from the face coefficients and "
@@ -307,8 +269,7 @@ SweepReport run_sweep(const InputDeck& base, const SweepSpec& spec,
           "re-assemble in fp32";
     } else if (mg_pcg) {
       // MG *is* the preconditioner and uses no matrix-powers halo.  Its
-      // fused path hoists the V-cycle row loops into one team region per
-      // iteration (sweep_fused applies); row tiling does not.
+      // V-cycle row loops workshare in one region per solve, untiled.
       if (cs.precon != PreconType::kNone) {
         out.skipped = true;
         out.skip_reason = "mg-pcg embeds multigrid as its preconditioner";
@@ -317,7 +278,7 @@ SweepReport run_sweep(const InputDeck& base, const SweepSpec& spec,
         out.skip_reason = "matrix-powers halo depth applies to PPCG only";
       } else if (cs.tile_rows != 0) {
         out.skipped = true;
-        out.skip_reason = "mg-pcg's fused path does not row-tile";
+        out.skip_reason = "mg-pcg does not row-tile";
       }
     } else {
       deck.solver.type = solver_type_from_string(cs.solver);
@@ -333,7 +294,7 @@ SweepReport run_sweep(const InputDeck& base, const SweepSpec& spec,
       ThreadScope threads(cs.threads);
       try {
         if (mg_pcg) {
-          run_mg_pcg_cell(deck, steps, cs.fused, out);
+          run_mg_pcg_cell(deck, steps, out);
         } else {
           run_native_cell(deck, spec.ranks, steps, opts.machine, out);
         }
@@ -406,12 +367,12 @@ namespace {
 
 constexpr const char* kCsvColumns[] = {
     "solver",      "precon",        "halo_depth",   "mesh",
-    "threads",     "fused",         "tile_rows",    "geometry",
-    "operator",    "precision",     "sweep_ranks",  "sweep_steps",
-    "status",      "converged",     "iterations",   "inner_steps",
-    "spmv",        "reductions",    "exchanges",    "messages",
-    "message_bytes", "final_norm",  "solve_seconds", "comm_seconds",
-    "speedup",     "rank"};
+    "threads",     "tile_rows",     "geometry",     "operator",
+    "precision",   "sweep_ranks",   "sweep_steps",  "status",
+    "converged",   "iterations",    "inner_steps",  "spmv",
+    "reductions",  "exchanges",     "messages",     "message_bytes",
+    "final_norm",  "solve_seconds", "comm_seconds", "speedup",
+    "rank"};
 
 /// Strict numeric cell parsers: the whole cell must convert, and failures
 /// surface as TeaError like every other malformed-input path.
@@ -461,8 +422,8 @@ std::vector<std::string> SweepReport::to_csv_lines() const {
     const char* status =
         c.skipped ? "skipped" : (!c.fail_reason.empty() ? "failed" : "ok");
     csv.row(c.config.solver, to_string(c.config.precon), c.config.halo_depth,
-            c.config.mesh_n, c.config.threads, c.config.fused ? 1 : 0,
-            c.config.tile_rows, c.config.dims == 3 ? "3d" : "2d",
+            c.config.mesh_n, c.config.threads, c.config.tile_rows,
+            c.config.dims == 3 ? "3d" : "2d",
             c.config.op, c.config.precision, ranks, steps, status,
             c.converged ? 1 : 0, c.iterations, c.inner_steps, c.spmv,
             c.reductions, c.exchanges, c.messages, c.message_bytes,
@@ -504,30 +465,29 @@ SweepReport SweepReport::from_csv_lines(
     out.config.halo_depth = csv_int(f[2], "halo_depth");
     out.config.mesh_n = csv_int(f[3], "mesh");
     out.config.threads = csv_int(f[4], "threads");
-    out.config.fused = csv_int(f[5], "fused") != 0;
-    out.config.tile_rows = csv_int(f[6], "tile_rows");
-    TEA_REQUIRE(f[7] == "2d" || f[7] == "3d", "sweep csv: bad geometry");
-    out.config.dims = f[7] == "3d" ? 3 : 2;
-    (void)operator_kind_from_string(f[8]);  // throws on an unknown kind
-    out.config.op = f[8];
-    out.config.precision = to_string(precision_from_string(f[9]));
-    report.ranks = csv_int(f[10], "sweep_ranks");
-    report.steps = csv_int(f[11], "sweep_steps");
-    out.skipped = f[12] == "skipped";
+    out.config.tile_rows = csv_int(f[5], "tile_rows");
+    TEA_REQUIRE(f[6] == "2d" || f[6] == "3d", "sweep csv: bad geometry");
+    out.config.dims = f[6] == "3d" ? 3 : 2;
+    (void)operator_kind_from_string(f[7]);  // throws on an unknown kind
+    out.config.op = f[7];
+    out.config.precision = to_string(precision_from_string(f[8]));
+    report.ranks = csv_int(f[9], "sweep_ranks");
+    report.steps = csv_int(f[10], "sweep_steps");
+    out.skipped = f[11] == "skipped";
     // The CSV form reduces fail_reason to the status keyword (free-text
     // reasons may contain commas); JSON carries the full text.
-    if (f[12] == "failed") out.fail_reason = "failed";
-    out.converged = csv_int(f[13], "converged") != 0;
-    out.iterations = csv_int(f[14], "iterations");
-    out.inner_steps = csv_ll(f[15], "inner_steps");
-    out.spmv = csv_ll(f[16], "spmv");
-    out.reductions = csv_ll(f[17], "reductions");
-    out.exchanges = csv_ll(f[18], "exchanges");
-    out.messages = csv_ll(f[19], "messages");
-    out.message_bytes = csv_ll(f[20], "message_bytes");
-    out.final_norm = csv_double(f[21], "final_norm");
-    out.solve_seconds = csv_double(f[22], "solve_seconds");
-    out.comm_seconds = csv_double(f[23], "comm_seconds");
+    if (f[11] == "failed") out.fail_reason = "failed";
+    out.converged = csv_int(f[12], "converged") != 0;
+    out.iterations = csv_int(f[13], "iterations");
+    out.inner_steps = csv_ll(f[14], "inner_steps");
+    out.spmv = csv_ll(f[15], "spmv");
+    out.reductions = csv_ll(f[16], "reductions");
+    out.exchanges = csv_ll(f[17], "exchanges");
+    out.messages = csv_ll(f[18], "messages");
+    out.message_bytes = csv_ll(f[19], "message_bytes");
+    out.final_norm = csv_double(f[20], "final_norm");
+    out.solve_seconds = csv_double(f[21], "solve_seconds");
+    out.comm_seconds = csv_double(f[22], "comm_seconds");
     // The last two columns (speedup, rank) are derived; recomputed on
     // demand from the parsed cells.
     report.cells.push_back(std::move(out));
@@ -549,7 +509,6 @@ io::JsonValue SweepReport::to_json() const {
     cell.set("halo_depth", c.config.halo_depth);
     cell.set("mesh", c.config.mesh_n);
     cell.set("threads", c.config.threads);
-    cell.set("fused", c.config.fused);
     cell.set("tile_rows", c.config.tile_rows);
     cell.set("geometry", c.config.dims == 3 ? "3d" : "2d");
     cell.set("operator", c.config.op);
@@ -594,19 +553,18 @@ SweepReport SweepReport::from_json(const io::JsonValue& doc) {
   const io::JsonValue& arr = doc.at("cells");
   for (std::size_t i = 0; i < arr.size(); ++i) {
     const io::JsonValue& cell = arr.at(i);
-    // Sweeps recorded before the pipelined schedule was retired carry a
-    // "pipeline" flag.  false is the route that still exists; a true
-    // cell names a route that no longer does, so it is dropped.
+    // Sweeps recorded before the pipelined and unfused schedules were
+    // retired carry "pipeline" and "fused" flags.  A cell that names a
+    // retired schedule ("pipeline": true or "fused": false) measured a
+    // route that no longer exists, so it is dropped.
     if (cell.contains("pipeline") && cell.at("pipeline").as_bool()) continue;
+    if (cell.contains("fused") && !cell.at("fused").as_bool()) continue;
     SweepOutcome out;
     out.config.solver = cell.at("solver").as_string();
     out.config.precon = precon_type_from_string(cell.at("precon").as_string());
     out.config.halo_depth = static_cast<int>(cell.at("halo_depth").as_number());
     out.config.mesh_n = static_cast<int>(cell.at("mesh").as_number());
     out.config.threads = static_cast<int>(cell.at("threads").as_number());
-    if (cell.contains("fused")) {
-      out.config.fused = cell.at("fused").as_bool();
-    }
     if (cell.contains("tile_rows")) {
       out.config.tile_rows =
           static_cast<int>(cell.at("tile_rows").as_number());

@@ -20,8 +20,7 @@ struct SweepCase {
   int halo_depth = 1;  ///< matrix-powers depth (PPCG)
   int mesh_n = 0;      ///< square mesh edge of this run
   int threads = 0;     ///< worker threads (0 = runtime default)
-  bool fused = false;  ///< run through the fused kernel execution engine
-  int tile_rows = 0;   ///< fused-engine row-block height (0 = untiled)
+  int tile_rows = 0;   ///< engine row-block height (0 = untiled)
   int dims = 2;        ///< problem geometry: 2 (5-point) or 3 (7-point, n³)
   /// Operator representation: "stencil" | "csr" | "sell-c-sigma"
   /// (SolverConfig::op — the ninth design-space axis).
@@ -30,8 +29,8 @@ struct SweepCase {
   /// (SolverConfig::precision — the tenth design-space axis).
   std::string precision = "double";
 
-  /// Compact identifier, e.g. "ppcg/jac_diag/d4/n64/t2" (fused cells
-  /// carry a trailing "/fused", tiled cells "/fused/b<rows>", 3-D cells
+  /// Compact identifier, e.g. "ppcg/jac_diag/d4/n64/t2/fused" (every cell
+  /// runs the fused schedule; tiled cells add "/b<rows>", 3-D cells
   /// "/3d", assembled-operator cells "/csr" or "/sell-c-sigma",
   /// reduced-precision cells "/f32" or "/mixed").
   [[nodiscard]] std::string label() const;
@@ -101,7 +100,7 @@ struct SweepReport {
 
 /// Expand the axes into the full cross-product in deterministic order:
 /// solvers → preconditioners → halo depths → mesh sizes → threads →
-/// fused → tile rows → geometries → operators → precision,
+/// tile rows → geometries → operators → precision,
 /// each axis in its declared order (precision entries are canonicalised,
 /// so "fp32" enumerates as "single").
 /// `base_mesh` substitutes for an empty mesh-size axis and `base_dims`

@@ -15,11 +15,9 @@ SolverRunSummary SolverRunSummary::from(const SolverConfig& cfg,
   run.inner_steps = cfg.inner_steps;
   run.cheby_check_interval = cfg.cheby_check_interval;
   run.fused_cg = cfg.fuse_cg_reductions;
-  // Record the tile height that actually EXECUTED: tiling is a layer of
-  // the fused engine, so an unfused config runs untiled whatever the
-  // knob says.  -1 (auto) is kept symbolic; the scaling model resolves
-  // it against the modelled machine's L2 and chunk width.
-  run.tile_rows = cfg.fuse_kernels ? cfg.tile_rows : 0;
+  // -1 (auto) is kept symbolic; the scaling model resolves it against
+  // the modelled machine's L2 and chunk width.
+  run.tile_rows = cfg.tile_rows;
   run.precision = cfg.precision;
   run.refine_steps = stats.refine_steps;
   run.eigen_cg_iters = stats.eigen_cg_iters;

@@ -20,8 +20,7 @@ struct SolverRunSummary {
   int inner_steps = 10;    ///< PPCG inner Chebyshev steps per outer
   int cheby_check_interval = 20;
   bool fused_cg = false;   ///< Chronopoulos-Gear single-reduction CG
-  /// Row-block height the tiled execution engine actually ran with
-  /// (0 = untiled — including any tile knob under the unfused engine;
+  /// Row-block height the tiled execution engine ran with (0 = untiled;
   /// -1 = auto, resolved by the scaling model against the modelled
   /// machine's L2).  The communication structure is unchanged by tiling;
   /// the scaling model uses this to pick the blocked-cache bytes/cell

@@ -16,7 +16,10 @@ namespace {
 
 /// Shared tail of label() and route_key(): every axis past the mesh size.
 void append_axis_suffixes(std::ostringstream& os, const RouteEntry& e) {
-  if (e.config.fuse_kernels) os << "/fused";
+  // Every route runs the one (fused) schedule; the segment stays because
+  // persisted route databases key evidence by it, and unfused keys of
+  // older databases must not start matching the surviving route.
+  os << "/fused";
   if (e.config.tile_rows != 0) os << "/b" << e.config.tile_rows;
   if (e.dims == 3) os << "/3d";
   if (e.config.op != OperatorKind::kStencil) {
@@ -60,7 +63,7 @@ RouteEntry RouteEntry::validated() const {
     // untiled; only an explicit height is a contradiction.
     if (config.tile_rows > 0) {
       throw TeaError("route " + label() +
-                     ": mg-pcg's fused path does not row-tile — did you "
+                     ": mg-pcg does not row-tile — did you "
                      "mean tile_rows = 0 (or auto)?");
     }
     if (config.op != OperatorKind::kStencil) {
@@ -95,7 +98,6 @@ RoutingTable RoutingTable::from_sweep(const SweepReport& report) {
     }
     mc.entry.config.precon = cell.config.precon;
     mc.entry.config.halo_depth = cell.config.halo_depth;
-    mc.entry.config.fuse_kernels = cell.config.fused;
     mc.entry.config.tile_rows = cell.config.tile_rows;
     mc.entry.config.op = operator_kind_from_string(cell.config.op);
     mc.entry.config.precision = precision_from_string(cell.config.precision);

@@ -36,13 +36,13 @@ struct ObserveOutcome {
 
 /// One routable configuration: a sweep cell that converged, reduced to
 /// what the server needs to reproduce it — solver × preconditioner ×
-/// matrix-powers depth × execution engine (fused/tile_rows), plus the
+/// matrix-powers depth × tile height, plus the
 /// evidence (measured or model-projected seconds) that ranked it.
 struct RouteEntry {
   /// "jacobi" | "cg" | "chebyshev" | "ppcg" | "mg-pcg".  For the four
   /// native solvers `config.type` agrees with this; "mg-pcg" is the
   /// undecomposed multigrid baseline, which is not a SolverConfig type —
-  /// `config` then carries only eps/max_iters/fuse_kernels.
+  /// `config` then carries only eps/max_iters.
   std::string solver;
   SolverConfig config;
   int threads = 0;      ///< thread count the cell was measured with

@@ -81,7 +81,6 @@ SolveServer::Routed SolveServer::route_request(const SolveRequest& req,
   if (best.native()) r.config.type = best.config.type;
   r.config.precon = best.config.precon;
   r.config.halo_depth = best.config.halo_depth;
-  r.config.fuse_kernels = best.config.fuse_kernels;
   r.config.tile_rows = best.config.tile_rows;
   r.config.op = best.config.op;
   r.config.precision = best.config.precision;
@@ -103,7 +102,6 @@ SolveStats SolveServer::solve_solo(SolveSession& session,
     MGPreconditionedCG::Options opt;
     opt.eps = cfg.eps;
     opt.max_iters = cfg.max_iters;
-    opt.fused = cfg.fuse_kernels;
     const MGPCGResult mg = mg_pcg_step(session.cluster(), deck, opt);
     SolveStats st;
     st.converged = mg.converged;
@@ -289,7 +287,6 @@ std::vector<SolveResult> SolveServer::drain() {
               if (e.native()) retry.type = e.config.type;
               retry.precon = e.config.precon;
               retry.halo_depth = e.config.halo_depth;
-              retry.fuse_kernels = e.config.fuse_kernels;
               retry.tile_rows = e.config.tile_rows;
               retry.op = e.config.op;
               // The session's shape was keyed on the first route's
@@ -466,7 +463,6 @@ RunResult SolveServer::run(const InputDeck& deck, int nranks) {
         if (e.native()) retry.type = e.config.type;
         retry.precon = e.config.precon;
         retry.halo_depth = e.config.halo_depth;
-        retry.fuse_kernels = e.config.fuse_kernels;
         retry.tile_rows = e.config.tile_rows;
         retry.op = e.config.op;
         retry.precision = e.config.precision;

@@ -5,7 +5,6 @@
 #include "ops/kernels.hpp"
 #include "precon/preconditioner.hpp"
 #include "solvers/schedule.hpp"
-#include "util/error.hpp"
 #include "util/timer.hpp"
 
 namespace tealeaf {
@@ -17,9 +16,8 @@ constexpr const char* kPwBreakdown =
 
 }  // namespace
 
-double cg_setup(SimCluster2D& cl, PreconType precon, const Team* team) {
-  // team == nullptr: standalone collectives (one region per call).  With
-  // a Team every collective workshares on it; the chunk sweeps between
+double cg_setup(SimCluster2D& cl, PreconType precon, const Team& team) {
+  // Every collective workshares on the team; the chunk sweeps between
   // reductions reuse the same rank→thread mapping, so no extra barriers
   // are needed (each thread reads only fields it wrote itself).
   cl.exchange(team, {FieldId::kU}, 1);
@@ -43,7 +41,7 @@ double cg_setup(SimCluster2D& cl, PreconType precon, const Team* team) {
 }
 
 double cg_iteration(SimCluster2D& cl, PreconType precon, double rro,
-                    CGRecurrence* rec, bool* breakdown, const Team* team,
+                    CGRecurrence* rec, bool& breakdown, const Team& team,
                     int tile_rows) {
   const auto interior = [](int, Chunk2D& c) { return interior_bounds(c); };
   cl.exchange(team, {FieldId::kP}, 1);
@@ -61,16 +59,10 @@ double cg_iteration(SimCluster2D& cl, PreconType precon, double rro,
                                        interior_bounds(c));
             });
   if (!(pw > 0.0)) {
-    // Numerical breakdown (pw <= 0 or NaN).  Callers running inside a
-    // sweep pass a flag and record the failure; direct library use keeps
-    // the loud contract-violation behaviour.  Team callers always pass
-    // the flag (the value is identical on every thread, so the branch is
-    // uniform; a throw would cross the region boundary).
-    if (breakdown != nullptr) {
-      *breakdown = true;
-      return rro;
-    }
-    TEA_REQUIRE(pw > 0.0, kPwBreakdown);
+    // Numerical breakdown (pw <= 0 or NaN).  The value is identical on
+    // every thread, so the branch is uniform.
+    breakdown = true;
+    return rro;
   }
   const double alpha = rro / pw;
 
@@ -83,7 +75,7 @@ double cg_iteration(SimCluster2D& cl, PreconType precon, double rro,
                      [&](int, Chunk2D& c, const Bounds& tb) {
                        kernels::cg_calc_ur_rows(c, alpha, tb);
                      });
-    phase_barrier(team);
+    team.barrier();
     cl.for_each_chunk(team, [](int, Chunk2D& c) {
       kernels::block_jacobi_solve(c, FieldId::kR, FieldId::kZ);
     });
@@ -124,7 +116,7 @@ double cg_iteration(SimCluster2D& cl, PreconType precon, double rro,
 }
 
 SolveStats CGSolver::solve_classic(SimCluster2D& cl, const SolverConfig& cfg,
-                                   const Team* team) {
+                                   const Team& team) {
   Timer timer;
   SolveStats st;
 
@@ -144,7 +136,7 @@ SolveStats CGSolver::solve_classic(SimCluster2D& cl, const SolverConfig& cfg,
     // Every thread computed the same rank-ordered sums, so the breakdown
     // and convergence branches are uniform across the team.
     bool broke = false;
-    rrn = cg_iteration(cl, cfg.precon, rro, nullptr, &broke, team,
+    rrn = cg_iteration(cl, cfg.precon, rro, nullptr, broke, team,
                        cfg.tile_rows);
     ++st.spmv_applies;
     if (broke) {
@@ -165,7 +157,7 @@ SolveStats CGSolver::solve_classic(SimCluster2D& cl, const SolverConfig& cfg,
 }
 
 SolveStats CGSolver::solve_chrono(SimCluster2D& cl, const SolverConfig& cfg,
-                                  const Team* team) {
+                                  const Team& team) {
   // Chronopoulos-Gear CG: recurrences reordered so that ⟨r,z⟩ and ⟨w,z⟩
   // are computed back-to-back and travel in ONE allreduce — the §VII
   // future-work "multiple dot products combined into a single
@@ -232,7 +224,7 @@ SolveStats CGSolver::solve_chrono(SimCluster2D& cl, const SolverConfig& cfg,
       if (block) {
         // The strip solve reads every r row of its rank: order it
         // against the row-blocked pointwise update.
-        phase_barrier(team);
+        team.barrier();
         cl.for_each_chunk(team, [](int, Chunk2D& c) {
           kernels::block_jacobi_solve(c, FieldId::kR, FieldId::kZ);
         });
@@ -269,16 +261,15 @@ SolveStats CGSolver::solve_chrono(SimCluster2D& cl, const SolverConfig& cfg,
 }
 
 SolveStats CGSolver::solve_team(SimCluster2D& cl, const SolverConfig& cfg,
-                                const Team* team) {
+                                const Team& team) {
   return cfg.fuse_cg_reductions ? solve_chrono(cl, cfg, team)
                                 : solve_classic(cl, cfg, team);
 }
 
 SolveStats CGSolver::solve(SimCluster2D& cl, const SolverConfig& cfg) {
   cfg.validate();
-  return run_scheduled(cfg, [&](const SolverConfig& c, const Team* t) {
-    return solve_team(cl, c, t);
-  });
+  return solve_in_region(
+      [&](const Team& t) { return solve_team(cl, cfg, t); });
 }
 
 }  // namespace tealeaf

@@ -12,12 +12,9 @@ namespace tealeaf {
 /// selected; z = M⁻¹r; p = z (or r).  Returns rro = ⟨r, M⁻¹r⟩ (one global
 /// reduction).  Upstream: tea_leaf_cg_init_kernel.
 ///
-/// team == nullptr (the default) runs the standalone collectives; with a
-/// Team the same sequence workshares inside the caller's hoisted region
-/// (every thread returns the identical rank-ordered sum) — this is the
-/// form the team-injected solves and the batch engine use.
-double cg_setup(SimCluster2D& cl, PreconType precon,
-                const Team* team = nullptr);
+/// Workshares on `team` inside the caller's parallel region; every
+/// thread returns the identical rank-ordered sum.
+double cg_setup(SimCluster2D& cl, PreconType precon, const Team& team);
 
 /// One classic CG iteration (upstream tea_leaf_cg_calc_* kernels):
 ///   exchange(p,1); w = A·p; pw = ⟨p,w⟩;  α = rro/pw
@@ -26,19 +23,16 @@ double cg_setup(SimCluster2D& cl, PreconType precon,
 /// the Chebyshev/PPCG eigenvalue presteps).  Returns rrn.  This is the one
 /// classic-CG step: CGSolver's classic body and the presteps both run it.
 ///
-/// A numerical breakdown (⟨p, A·p⟩ <= 0 or NaN) is reported through
-/// `breakdown` when supplied — the iteration leaves u/r untouched and
-/// returns rro — so sweep-driven solves can record the failure and
-/// continue; with breakdown == nullptr it throws TeaError instead.
+/// A numerical breakdown (⟨p, A·p⟩ <= 0 or NaN) sets `breakdown` — the
+/// iteration leaves u/r untouched and returns rro — so the solve can
+/// report the failure instead of throwing across its region boundary.
 ///
 /// Team-aware like cg_setup, and row-tiled through the tiled engine when
-/// tile_rows > 0 (bitwise identical either way).  Callers running inside
-/// a region MUST pass `breakdown` (an exception crossing the region
-/// boundary would terminate the process) and per-thread `rec` storage;
-/// the appended (α, β) are identical on every thread.
+/// tile_rows > 0 (bitwise identical either way).  `rec` is per-thread
+/// storage; the appended (α, β) are identical on every thread.
 double cg_iteration(SimCluster2D& cl, PreconType precon, double rro,
-                    CGRecurrence* rec, bool* breakdown = nullptr,
-                    const Team* team = nullptr, int tile_rows = 0);
+                    CGRecurrence* rec, bool& breakdown, const Team& team,
+                    int tile_rows = 0);
 
 /// The standard conjugate-gradient solver (paper §III-A): the baseline
 /// whose strong-scaling is limited by the two global dot products per
@@ -49,29 +43,26 @@ class CGSolver {
   /// declared when √|⟨r,M⁻¹r⟩| falls below eps × its initial value.
   /// With cfg.fuse_cg_reductions the Chronopoulos-Gear recurrence is
   /// used instead: one fused allreduce per iteration (paper §VII).
-  /// cfg.fuse_kernels picks the schedule (see run_scheduled); the
-  /// numerics are bitwise identical either way.
+  /// The whole solve runs in one parallel region (see solve_in_region).
   static SolveStats solve(SimCluster2D& cl, const SolverConfig& cfg);
 
-  /// The solver body on a nullable team.  With a Team the ENTIRE solve
-  /// runs on it inside the caller's already-open parallel region: every
-  /// thread of the team must call this with identical arguments; all
-  /// loop-control scalars derive from rank-ordered team reductions, so
-  /// control flow is uniform and the returned stats are identical on
-  /// every thread (up to each thread's own wall-clock).  `team` may be a
-  /// sub-team — the batch engine runs one request per sub-team
-  /// concurrently.  team == nullptr runs the standalone collectives, one
-  /// region each.  cfg must be pre-validated (validation throws; regions
-  /// cannot).  Honours cfg.fuse_cg_reductions (Chronopoulos-Gear vs
-  /// classic) — two recurrences, not two schedules.
+  /// The solver body: the ENTIRE solve runs on `team` inside the caller's
+  /// already-open parallel region.  Every thread of the team must call
+  /// this with identical arguments; all loop-control scalars derive from
+  /// rank-ordered team reductions, so control flow is uniform and the
+  /// returned stats are identical on every thread (up to each thread's
+  /// own wall-clock).  `team` may be a sub-team — the batch engine runs
+  /// one request per sub-team concurrently.  cfg must be pre-validated
+  /// (validation throws; regions cannot).  Honours cfg.fuse_cg_reductions
+  /// (Chronopoulos-Gear vs classic) — two recurrences, not two schedules.
   static SolveStats solve_team(SimCluster2D& cl, const SolverConfig& cfg,
-                               const Team* team);
+                               const Team& team);
 
  private:
   static SolveStats solve_classic(SimCluster2D& cl, const SolverConfig& cfg,
-                                  const Team* team);
+                                  const Team& team);
   static SolveStats solve_chrono(SimCluster2D& cl, const SolverConfig& cfg,
-                                 const Team* team);
+                                 const Team& team);
 };
 
 }  // namespace tealeaf

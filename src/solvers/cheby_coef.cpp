@@ -28,6 +28,19 @@ ChebyCoefs chebyshev_coefficients(double eigmin, double eigmax, int nsteps) {
   return cc;
 }
 
+std::string try_chebyshev_polynomial(const CGRecurrence* rec,
+                                     double safety_lo, double safety_hi,
+                                     int nsteps, EigenEstimate& est,
+                                     ChebyCoefs& cc) {
+  try {
+    if (rec != nullptr) est = estimate_eigenvalues(*rec, safety_lo, safety_hi);
+    cc = chebyshev_coefficients(est.eigmin, est.eigmax, nsteps);
+  } catch (const TeaError& e) {
+    return e.what();
+  }
+  return {};
+}
+
 double chebyshev_tm(int m, double x) {
   TEA_REQUIRE(x >= 1.0, "stable evaluation requires x >= 1");
   return std::cosh(static_cast<double>(m) * std::acosh(x));

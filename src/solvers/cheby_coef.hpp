@@ -1,6 +1,9 @@
 #pragma once
 
+#include <string>
 #include <vector>
+
+#include "solvers/eigen_estimate.hpp"
 
 namespace tealeaf {
 
@@ -20,6 +23,21 @@ struct ChebyCoefs {
 
 [[nodiscard]] ChebyCoefs chebyshev_coefficients(double eigmin, double eigmax,
                                                 int nsteps);
+
+/// The polynomial of one Chebyshev-accelerated solve: when `rec` is
+/// non-null, `est` is first estimated from it (estimate_eigenvalues), then
+/// `cc` holds the coefficients on [est.eigmin, est.eigmax].  For solver
+/// bodies inside a parallel region, where an exception would terminate
+/// the process: returns the message estimate_eigenvalues or
+/// chebyshev_coefficients would throw (a recurrence with no usable
+/// spectrum), or "" on success.  Every thread of a team holds the same
+/// recurrence, so every thread gets the same answer.
+[[nodiscard]] std::string try_chebyshev_polynomial(const CGRecurrence* rec,
+                                                   double safety_lo,
+                                                   double safety_hi,
+                                                   int nsteps,
+                                                   EigenEstimate& est,
+                                                   ChebyCoefs& cc);
 
 /// The paper's iteration-count bounds (eqs. 4-7) for a degree-m Chebyshev
 /// polynomial preconditioner on a spectrum [eigmin, eigmax]:

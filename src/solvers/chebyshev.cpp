@@ -7,7 +7,6 @@
 #include "solvers/cg.hpp"
 #include "solvers/cheby_coef.hpp"
 #include "solvers/schedule.hpp"
-#include "util/error.hpp"
 #include "util/log.hpp"
 #include "util/timer.hpp"
 
@@ -16,10 +15,9 @@ namespace tealeaf {
 namespace {
 
 /// dir = M⁻¹·r / θ on every chunk, then u += dir (the recurrence
-/// bootstrap).  Handles all three preconditioner kinds.  Team-aware like
-/// the solver collectives (nullptr = standalone).
+/// bootstrap).  Handles all three preconditioner kinds.
 void cheby_bootstrap(SimCluster2D& cl, PreconType precon, double theta,
-                     const Team* team) {
+                     const Team& team) {
   cl.for_each_chunk(team, [&](int, Chunk2D& c) {
     const Bounds in = interior_bounds(c);
     if (precon == PreconType::kJacobiBlock) {
@@ -37,7 +35,7 @@ void cheby_bootstrap(SimCluster2D& cl, PreconType precon, double theta,
 /// One Chebyshev iteration: r −= A·p; p = α·p + β·M⁻¹·r; u += p — the
 /// fused cheby_step (or the block-Jacobi composition), then on check
 /// iterations the ‖r‖² reduction, whose value is identical on every
-/// thread.  Team-aware like the solver collectives (nullptr = standalone).
+/// thread.
 ///
 /// With tile_rows > 0 the step runs through the tiled engine instead:
 /// row-blocked stencil passes with in-block row lagging, a barrier, then
@@ -46,7 +44,7 @@ void cheby_bootstrap(SimCluster2D& cl, PreconType precon, double theta,
 /// strip solve couples rows, so that composition stays per-rank.
 double cheby_iterate(SimCluster2D& cl, PreconType precon, double alpha,
                      double beta, bool check, int tile_rows,
-                     const Team* team) {
+                     const Team& team) {
   const bool diag = (precon == PreconType::kJacobiDiag);
   const int tile = (precon == PreconType::kJacobiBlock) ? 0 : tile_rows;
   const auto interior = [](int, Chunk2D& c) { return interior_bounds(c); };
@@ -58,7 +56,7 @@ double cheby_iterate(SimCluster2D& cl, PreconType precon, double alpha,
                            c, FieldId::kR, FieldId::kP, FieldId::kU, alpha,
                            beta, diag, interior_bounds(c), tb);
                      });
-    phase_barrier(team);  // edge rows must see every block's stencil pass
+    team.barrier();  // edge rows must see every block's stencil pass
     cl.for_each_tile(team, tile, interior,
                      [&](int, Chunk2D& c, const Bounds& tb) {
                        kernels::cheby_step_tile_edges(
@@ -96,7 +94,7 @@ double cheby_iterate(SimCluster2D& cl, PreconType precon, double alpha,
 
 SolveStats ChebyshevSolver::solve_team(SimCluster2D& cl,
                                        const SolverConfig& cfg,
-                                       const Team* team) {
+                                       const Team& team) {
   Timer timer;
   SolveStats st;
 
@@ -116,7 +114,18 @@ SolveStats ChebyshevSolver::solve_team(SimCluster2D& cl,
   });
   const double target_rr = cfg.eps * std::sqrt(bb_rr);
 
+  // Breakdown before the Chebyshev phase: the presteps' recurrence.
+  const auto broke_down = [&](const std::string& reason) {
+    st.breakdown = true;
+    st.breakdown_reason = reason;
+    st.outer_iters = st.eigen_cg_iters;
+    st.final_norm = std::sqrt(std::fabs(rro));
+    st.solve_seconds = timer.elapsed_s();
+    return st;
+  };
+
   EigenEstimate est;
+  CGRecurrence rec;
   if (cfg.has_eig_hints()) {
     // Hinted interval: skip the CG presteps entirely and build the
     // polynomial on [hint_min, hint_max] (the session cache's
@@ -126,20 +135,14 @@ SolveStats ChebyshevSolver::solve_team(SimCluster2D& cl,
     est.eigmax = cfg.eig_hint_max;
   } else {
     // --- CG presteps: eigenvalue estimation (paper §III-D) --------------
-    CGRecurrence rec;
     const double cg_target = cfg.eps * st.initial_norm;
     for (int i = 0;
          i < cfg.eigen_cg_iters && st.outer_iters + i < cfg.max_iters; ++i) {
       bool broke = false;
-      rro = cg_iteration(cl, cfg.precon, rro, &rec, &broke, team);
+      rro = cg_iteration(cl, cfg.precon, rro, &rec, broke, team);
       ++st.spmv_applies;
       if (broke) {
-        st.breakdown = true;
-        st.breakdown_reason = "Chebyshev prestep breakdown: ⟨p, A·p⟩ <= 0";
-        st.outer_iters = st.eigen_cg_iters;
-        st.final_norm = std::sqrt(std::fabs(rro));
-        st.solve_seconds = timer.elapsed_s();
-        return st;
+        return broke_down("Chebyshev prestep breakdown: ⟨p, A·p⟩ <= 0");
       }
       ++st.eigen_cg_iters;
       if (std::sqrt(std::fabs(rro)) <= cg_target) {
@@ -151,12 +154,14 @@ SolveStats ChebyshevSolver::solve_team(SimCluster2D& cl,
         return st;
       }
     }
-    est = estimate_eigenvalues(rec, cfg.eig_safety_lo, cfg.eig_safety_hi);
   }
+  ChebyCoefs cc;
+  const std::string why = try_chebyshev_polynomial(
+      cfg.has_eig_hints() ? nullptr : &rec, cfg.eig_safety_lo,
+      cfg.eig_safety_hi, cfg.max_iters, est, cc);
+  if (!why.empty()) return broke_down(why);
   st.eigmin = est.eigmin;
   st.eigmax = est.eigmax;
-  const ChebyCoefs cc =
-      chebyshev_coefficients(est.eigmin, est.eigmax, cfg.max_iters);
 
   // --- Chebyshev phase ---------------------------------------------------
   cheby_bootstrap(cl, cfg.precon, cc.theta, team);
@@ -178,7 +183,7 @@ SolveStats ChebyshevSolver::solve_team(SimCluster2D& cl,
   st.outer_iters = st.eigen_cg_iters + step;
   st.final_norm = std::sqrt(rr);
   st.solve_seconds = timer.elapsed_s();
-  if (!st.converged && (team == nullptr || team->thread_id() == 0)) {
+  if (!st.converged && team.thread_id() == 0) {
     log::warn() << "Chebyshev hit max_iters with ‖r‖ = " << st.final_norm;
   }
   return st;
@@ -187,9 +192,8 @@ SolveStats ChebyshevSolver::solve_team(SimCluster2D& cl,
 SolveStats ChebyshevSolver::solve(SimCluster2D& cl,
                                   const SolverConfig& cfg) {
   cfg.validate();
-  return run_scheduled(cfg, [&](const SolverConfig& c, const Team* t) {
-    return solve_team(cl, c, t);
-  });
+  return solve_in_region(
+      [&](const Team& t) { return solve_team(cl, cfg, t); });
 }
 
 }  // namespace tealeaf

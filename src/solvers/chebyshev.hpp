@@ -15,15 +15,15 @@ class ChebyshevSolver {
  public:
   static SolveStats solve(SimCluster2D& cl, const SolverConfig& cfg);
 
-  /// The solver body on a nullable team: with a Team the ENTIRE solve —
-  /// presteps, bootstrap and recurrence — runs on the caller's
-  /// already-open parallel region (see CGSolver::solve_team for the
-  /// contract); with team == nullptr each collective opens its own.  Honours
-  /// cfg.eig_hint_min/max: when set, the CG presteps are skipped and the
-  /// polynomial is built directly on the hinted interval (the session
-  /// cache's amortisation path).
+  /// The solver body: the ENTIRE solve — presteps, bootstrap and
+  /// recurrence — runs on `team` inside the caller's already-open
+  /// parallel region (see CGSolver::solve_team for the contract).
+  /// Honours cfg.eig_hint_min/max: when set, the CG presteps are skipped
+  /// and the polynomial is built directly on the hinted interval (the
+  /// session cache's amortisation path).  A prestep recurrence that
+  /// yields no usable spectrum is reported as a breakdown.
   static SolveStats solve_team(SimCluster2D& cl, const SolverConfig& cfg,
-                               const Team* team);
+                               const Team& team);
 };
 
 }  // namespace tealeaf

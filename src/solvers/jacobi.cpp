@@ -9,7 +9,7 @@
 namespace tealeaf {
 
 SolveStats JacobiSolver::solve_team(SimCluster2D& cl, const SolverConfig& cfg,
-                                    const Team* team) {
+                                    const Team& team) {
   // One sweep per iteration: the whole-chunk jacobi_iterate, or with
   // cfg.tile_rows > 0 the tiled two-phase sweep.  All loop-control state
   // is computed identically on every thread (team reductions are
@@ -38,7 +38,7 @@ SolveStats JacobiSolver::solve_team(SimCluster2D& cl, const SolverConfig& cfg,
                        [](int, Chunk2D& c, const Bounds& tb) {
                          kernels::jacobi_tile(c, tb, c.row_scratch());
                        });
-      phase_barrier(team);  // edge rows read every block's saved rows
+      team.barrier();  // edge rows read every block's saved rows
       cl.for_each_tile(team, tile, interior,
                        [](int, Chunk2D& c, const Bounds& tb) {
                          kernels::jacobi_tile_edges(c, tb, c.row_scratch());
@@ -70,9 +70,8 @@ SolveStats JacobiSolver::solve_team(SimCluster2D& cl, const SolverConfig& cfg,
 
 SolveStats JacobiSolver::solve(SimCluster2D& cl, const SolverConfig& cfg) {
   cfg.validate();
-  return run_scheduled(cfg, [&](const SolverConfig& c, const Team* t) {
-    return solve_team(cl, c, t);
-  });
+  return solve_in_region(
+      [&](const Team& t) { return solve_team(cl, cfg, t); });
 }
 
 }  // namespace tealeaf

@@ -13,12 +13,11 @@ class JacobiSolver {
  public:
   static SolveStats solve(SimCluster2D& cl, const SolverConfig& cfg);
 
-  /// The solver body on a nullable team (see CGSolver::solve_team for
-  /// the contract): with a Team the ENTIRE solve runs inside the caller's
-  /// already-open parallel region; with nullptr each collective opens its
-  /// own.  Iterates and iteration counts are bitwise identical either way.
+  /// The solver body: the ENTIRE solve runs on `team` inside the
+  /// caller's already-open parallel region (see CGSolver::solve_team for
+  /// the contract).
   static SolveStats solve_team(SimCluster2D& cl, const SolverConfig& cfg,
-                               const Team* team);
+                               const Team& team);
 };
 
 }  // namespace tealeaf

@@ -23,13 +23,12 @@ constexpr const char* kRzBreakdown =
 
 void PPCGSolver::apply_inner(SimCluster2D& cl, const SolverConfig& cfg,
                              const ChebyCoefs& cc, SolveStats* st,
-                             const Team* team) {
+                             const Team& team) {
   const int d = cfg.halo_depth;
   const bool diag = (cfg.precon == PreconType::kJacobiDiag);
   const bool block = (cfg.precon == PreconType::kJacobiBlock);
-  // Row tiling (and with it 2-D scheduling) is a layer of the fused
-  // schedule; block-Jacobi's strip solve couples rows, so that
-  // composition never tiles.
+  // Block-Jacobi's strip solve couples rows, so that composition never
+  // tiles.
   const int tile = block ? 0 : cfg.tile_rows;
   TEA_ASSERT(!block || d == 1,
              "block-Jacobi with matrix powers rejected by validate()");
@@ -54,7 +53,7 @@ void PPCGSolver::apply_inner(SimCluster2D& cl, const SolverConfig& cfg,
   // Bootstrap (the degree-0 term): sd = M⁻¹·rtemp/θ, z = sd, computed on
   // bounds extended d-1 cells so the following sweeps can shrink.
   int ext = d - 1;
-  if (d == 1) phase_barrier(team);  // rtemp copy visible
+  if (d == 1) team.barrier();  // rtemp copy visible
   if (tile > 0) {
     const auto boot_bounds = [ext](int, Chunk2D& c) {
       return extended_bounds(c, ext);
@@ -96,7 +95,7 @@ void PPCGSolver::apply_inner(SimCluster2D& cl, const SolverConfig& cfg,
       // No exchange this step: the redundant-overlap sweeps still read
       // one cell beyond their own block, so order against the previous
       // extended sweep explicitly.
-      phase_barrier(team);
+      team.barrier();
     }
     --ext;
     const double alpha = cc.alphas[static_cast<std::size_t>(step - 1)];
@@ -111,7 +110,7 @@ void PPCGSolver::apply_inner(SimCluster2D& cl, const SolverConfig& cfg,
                              c, FieldId::kRtemp, FieldId::kSd, FieldId::kZ,
                              alpha, beta, diag, extended_bounds(c, ext), tb);
                        });
-      phase_barrier(team);  // edge rows wait for every block's stencil pass
+      team.barrier();  // edge rows wait for every block's stencil pass
       cl.for_each_tile(team, tile, step_bounds,
                        [&](int, Chunk2D& c, const Bounds& tb) {
                          kernels::cheby_step_tile_edges(
@@ -141,7 +140,7 @@ void PPCGSolver::apply_inner(SimCluster2D& cl, const SolverConfig& cfg,
 }
 
 SolveStats PPCGSolver::solve_team(SimCluster2D& cl, const SolverConfig& cfg,
-                                  const Team* team) {
+                                  const Team& team) {
   Timer timer;
   SolveStats st;
 
@@ -159,14 +158,14 @@ SolveStats PPCGSolver::solve_team(SimCluster2D& cl, const SolverConfig& cfg,
     st.outer_iters += st.eigen_cg_iters;
     st.final_norm = std::sqrt(std::fabs(metric));
     st.solve_seconds = timer.elapsed_s();
-    if (!st.converged && !st.breakdown &&
-        (team == nullptr || team->thread_id() == 0)) {
+    if (!st.converged && !st.breakdown && team.thread_id() == 0) {
       log::warn() << "PPCG hit max_iters with metric " << st.final_norm;
     }
     return st;
   };
 
   EigenEstimate est;
+  CGRecurrence rec;
   if (cfg.has_eig_hints()) {
     // Hinted interval: skip the CG presteps and build the polynomial on
     // [hint_min, hint_max] directly (the session cache's amortisation
@@ -177,10 +176,9 @@ SolveStats PPCGSolver::solve_team(SimCluster2D& cl, const SolverConfig& cfg,
     est.eigmax = cfg.eig_hint_max;
   } else {
     // --- CG presteps: eigenvalue estimation (paper §III-D) --------------
-    CGRecurrence rec;
     for (int i = 0; i < cfg.eigen_cg_iters; ++i) {
       bool broke = false;
-      rro = cg_iteration(cl, cfg.precon, rro, &rec, &broke, team);
+      rro = cg_iteration(cl, cfg.precon, rro, &rec, broke, team);
       ++st.spmv_applies;
       if (broke) {
         st.breakdown = true;
@@ -193,19 +191,23 @@ SolveStats PPCGSolver::solve_team(SimCluster2D& cl, const SolverConfig& cfg,
         return finish(rro);
       }
     }
-    est = estimate_eigenvalues(rec, cfg.eig_safety_lo, cfg.eig_safety_hi);
+  }
+  ChebyCoefs cc;
+  const std::string why = try_chebyshev_polynomial(
+      cfg.has_eig_hints() ? nullptr : &rec, cfg.eig_safety_lo,
+      cfg.eig_safety_hi, cfg.inner_steps, est, cc);
+  if (!why.empty()) {
+    st.breakdown = true;
+    st.breakdown_reason = why;
+    return finish(rro);
   }
   st.eigmin = est.eigmin;
   st.eigmax = est.eigmax;
-  const ChebyCoefs cc =
-      chebyshev_coefficients(est.eigmin, est.eigmax, cfg.inner_steps);
 
-  // team == nullptr runs the standalone collectives (region per call);
-  // with a Team the same sequence workshares inside the caller's single
-  // hoisted region — row-blocked through the tiled engine when
-  // cfg.tile_rows > 0.  Every scalar below derives from rank/row-ordered
-  // team reductions, so its value — and every branch on it — is
-  // identical on every thread.
+  // The sequence below workshares inside the caller's region — row-blocked
+  // through the tiled engine when cfg.tile_rows > 0.  Every scalar derives
+  // from rank/row-ordered team reductions, so its value — and every
+  // branch on it — is identical on every thread.
   const int tile = cfg.tile_rows;
   const auto interior = [](int, Chunk2D& c) { return interior_bounds(c); };
   /// ⟨r, z⟩ (row-blocked when tiled; identical value).
@@ -245,8 +247,8 @@ SolveStats PPCGSolver::solve_team(SimCluster2D& cl, const SolverConfig& cfg,
 
   double rrn = rro;
   while (st.eigen_cg_iters + st.outer_iters < cfg.max_iters) {
-    // With a Team this whole body runs in the caller's ONE hoisted
-    // region: p exchange, fused smvp+dot, u/r update, the inner
+    // This whole body runs in the caller's ONE region: p exchange, fused
+    // smvp+dot, u/r update, the inner
     // Chebyshev application (including its matrix-powers exchanges)
     // and both reductions.
     cl.exchange(team, {FieldId::kP}, 1);
@@ -279,7 +281,7 @@ SolveStats PPCGSolver::solve_team(SimCluster2D& cl, const SolverConfig& cfg,
       // apply_inner's first pass copies r: order it against the
       // row-blocked update (the untiled path keeps the same rank→thread
       // mapping, so only the tiled schedule needs this).
-      phase_barrier(team);
+      team.barrier();
     } else {
       cl.for_each_chunk(
           team, [&](int, Chunk2D& c) { kernels::cg_calc_ur(c, alpha); });
@@ -321,9 +323,8 @@ SolveStats PPCGSolver::solve(SimCluster2D& cl, const SolverConfig& cfg) {
   cfg.validate();
   TEA_REQUIRE(cfg.halo_depth <= cl.halo_depth(),
               "cluster halo allocation too shallow for matrix-powers depth");
-  return run_scheduled(cfg, [&](const SolverConfig& c, const Team* t) {
-    return solve_team(cl, c, t);
-  });
+  return solve_in_region(
+      [&](const Team& t) { return solve_team(cl, cfg, t); });
 }
 
 }  // namespace tealeaf

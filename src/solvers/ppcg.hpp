@@ -23,27 +23,26 @@ class PPCGSolver {
  public:
   static SolveStats solve(SimCluster2D& cl, const SolverConfig& cfg);
 
-  /// The solver body on a nullable team: with a Team the ENTIRE solve —
-  /// presteps, restart and outer loop — runs on the caller's already-open
-  /// parallel region (see CGSolver::solve_team for the contract); with
-  /// nullptr each collective opens its own region.  Honours
+  /// The solver body: the ENTIRE solve — presteps, restart and outer
+  /// loop — runs on `team` inside the caller's already-open parallel
+  /// region (see CGSolver::solve_team for the contract).  Honours
   /// cfg.eig_hint_min/max (skip the presteps, build the polynomial on the
   /// hinted interval); a stale hint surfaces as the ⟨r, M⁻¹r⟩ breakdown
-  /// flag.  Caller must pre-check cfg.validate() and the cluster's halo
+  /// flag, a prestep recurrence with no usable spectrum as a breakdown
+  /// too.  Caller must pre-check cfg.validate() and the cluster's halo
   /// depth against cfg.halo_depth — preconditions throw, and regions
   /// cannot.
   static SolveStats solve_team(SimCluster2D& cl, const SolverConfig& cfg,
-                               const Team* team);
+                               const Team& team);
 
   /// Apply the inner Chebyshev preconditioner: z = B(A)·r on every chunk.
   /// Exposed for tests (depth-equivalence and trace validation).
   /// Updates `spmv_applies`/`inner_steps` counters in `st` when non-null.
-  /// With a Team the application workshares inside the caller's hoisted
-  /// parallel region; with nullptr each sweep opens its own region.  Row
-  /// tiled when cfg.tile_rows > 0 (bitwise identical results).
+  /// Workshares on `team` inside the caller's parallel region; row tiled
+  /// when cfg.tile_rows > 0 (bitwise identical results).
   static void apply_inner(SimCluster2D& cl, const SolverConfig& cfg,
                           const ChebyCoefs& cc, SolveStats* st,
-                          const Team* team = nullptr);
+                          const Team& team);
 };
 
 }  // namespace tealeaf

@@ -288,16 +288,16 @@ SolveStats run_solver_team(SimCluster2D& cl, const SolverConfig& cfg,
   SolveStats stats;
   switch (resolved.type) {
     case SolverType::kJacobi:
-      stats = JacobiSolver::solve_team(cl, resolved, &team);
+      stats = JacobiSolver::solve_team(cl, resolved, team);
       break;
     case SolverType::kCG:
-      stats = CGSolver::solve_team(cl, resolved, &team);
+      stats = CGSolver::solve_team(cl, resolved, team);
       break;
     case SolverType::kChebyshev:
-      stats = ChebyshevSolver::solve_team(cl, resolved, &team);
+      stats = ChebyshevSolver::solve_team(cl, resolved, team);
       break;
     case SolverType::kPPCG:
-      stats = PPCGSolver::solve_team(cl, resolved, &team);
+      stats = PPCGSolver::solve_team(cl, resolved, team);
       break;
     default: TEA_ASSERT(false, "invalid solver type");
   }

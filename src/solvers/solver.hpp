@@ -32,9 +32,8 @@ namespace tealeaf {
 /// — the solve-server's batch engine runs one request per sub-team,
 /// concurrently, inside ONE region.  cfg must be pre-validated and the
 /// cluster's halo deep enough for cfg.halo_depth (preconditions throw,
-/// and exceptions must not escape a parallel region).  Always runs the
-/// fused schedule on `team`, which is bitwise identical to the unfused
-/// one.
+/// and exceptions must not escape a parallel region).  Bitwise identical
+/// to run_solver, which opens a region of its own.
 [[nodiscard]] SolveStats run_solver_team(
     SimCluster2D& cl, const SolverConfig& cfg, const Team& team,
     const MachineSpec& machine = machines::spruce_hybrid());

@@ -51,8 +51,7 @@ std::size_t SweepSpec::num_cases() const {
   const std::size_t ops = operators.empty() ? 1 : operators.size();
   const std::size_t precs = precisions.empty() ? 1 : precisions.size();
   return solvers.size() * precons.size() * halo_depths.size() * meshes *
-         thread_counts.size() * fused.size() * tile_rows.size() * geoms * ops *
-         precs;
+         thread_counts.size() * tile_rows.size() * geoms * ops * precs;
 }
 
 void SweepSpec::validate() const {
@@ -70,10 +69,6 @@ void SweepSpec::validate() const {
   }
   for (const int t : thread_counts) {
     TEA_REQUIRE(t >= 0, "sweep: thread counts must be >= 0");
-  }
-  TEA_REQUIRE(!fused.empty(), "sweep: fused axis must be non-empty");
-  for (const int f : fused) {
-    TEA_REQUIRE(f == 0 || f == 1, "sweep: fused axis values must be 0 or 1");
   }
   TEA_REQUIRE(!tile_rows.empty(), "sweep: tile-rows axis must be non-empty");
   for (const int t : tile_rows) {
@@ -102,6 +97,15 @@ void SolverConfig::validate() const {
               "eig_safety_lo must be in (0, 1]");
   TEA_REQUIRE(eig_safety_hi >= 1.0, "eig_safety_hi must be >= 1");
   TEA_REQUIRE(cheby_check_interval >= 1, "check interval must be >= 1");
+  if (type == SolverType::kChebyshev && max_iters < 2 && !has_eig_hints()) {
+    // The presteps share the iteration cap, and the Lanczos estimate
+    // needs two of them; the solve would only find out inside its region.
+    throw TeaError(
+        "max_iters = " + std::to_string(max_iters) +
+        " caps the Chebyshev solver at one CG prestep, but its eigenvalue "
+        "estimate needs at least two.  Did you mean tl_max_iters >= 2, or "
+        "eigenvalue hints (which skip the presteps)?");
+  }
   if (halo_depth > 1) {
     TEA_REQUIRE(type == SolverType::kPPCG,
                 "matrix-powers halo depth > 1 only applies to PPCG");
@@ -134,17 +138,6 @@ void SolverConfig::validate() const {
 
 SolverConfig SolverConfig::validated() const {
   validate();
-  // `auto` (-1) lets the engine pick, and the unfused schedule picks
-  // untiled; only an explicit height contradicts it.
-  if (tile_rows > 0 && !fuse_kernels) {
-    throw TeaError(
-        "tile_rows = " + std::to_string(tile_rows) +
-        " requests the tiled execution engine, but fuse_kernels is off — "
-        "row tiling is a layer of the fused engine and the unfused path "
-        "would silently measure the untiled sweeps.  Did you mean "
-        "tl_fuse_kernels = 1 (run the fused engine) or tl_tile_rows = 0 "
-        "(untiled)?");
-  }
   if (has_eig_hints() &&
       (type == SolverType::kJacobi || type == SolverType::kCG)) {
     throw TeaError(

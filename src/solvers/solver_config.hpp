@@ -92,17 +92,10 @@ struct SolverConfig {
   /// classic CG; off by default.
   bool fuse_cg_reductions = false;
 
-  /// Run the solver body on the fused schedule: ONE hoisted parallel
-  /// region around the whole solve (worksharing loops, team reductions
-  /// and team-aware halo exchanges inside) — the default.  Off, the same
-  /// body opens one region per collective (the paper's baseline).  Both
-  /// schedules run the same fused kernels (Listing 1's smvp+dot
-  /// generalised to the whole iteration), so they are numerically bitwise
-  /// identical — the sweep engine A/Bs them as a pure-speed design axis
-  /// (see run_scheduled).
-  bool fuse_kernels = true;
-
-  /// Row-block height of the tiled execution engine (tl_tile_rows).
+  /// Row-block height of the tiled execution engine (tl_tile_rows).  Every
+  /// solve runs as ONE parallel region around the whole solve
+  /// (worksharing loops, team reductions and team-aware halo exchanges
+  /// inside; see solve_in_region); this knob only cuts its sweeps.
   /// > 0: fused sweeps iterate over row-blocks of this many rows so the
   ///      per-block working set fits in L2, and the engine workshares
   ///      (rank, row-block) pairs over the whole thread team when there
@@ -111,11 +104,9 @@ struct SolverConfig {
   ///  -1: "auto", the default — the engine picks: derived at solve time
   ///      from the modelled machine's per-core L2 and the chunk width (see
   ///      auto_tile_rows) where the engine tiles, untiled where it cannot
-  ///      (the unfused schedule, mg-pcg) or where one block would cover
-  ///      the whole 2-D chunk (see run_solver).
-  /// Tiling is a layer of the fused engine, so an explicit height needs
-  /// fuse_kernels (validated()).  Iterates and iteration counts are
-  /// bitwise identical for every value.
+  ///      (mg-pcg) or where one block would cover the whole 2-D chunk
+  ///      (see run_solver).
+  /// Iterates and iteration counts are bitwise identical for every value.
   int tile_rows = -1;
 
   /// Operator representation the solve traverses (tl_operator).  kStencil
@@ -137,14 +128,15 @@ struct SolverConfig {
 
   /// Throws TeaError on inconsistent combinations, e.g. block-Jacobi with
   /// matrix-powers depth > 1 (the strips would need fresh whole-block
-  /// data every inner step — paper §IV-C2 last paragraph).
+  /// data every inner step — paper §IV-C2 last paragraph), or any
+  /// combination a solve would otherwise only discover inside its
+  /// parallel region, where it cannot throw.
   void validate() const;
 
   /// Construction-time misuse check: everything `validate()` rejects PLUS
   /// the silently-misleading combinations the solvers historically
-  /// tolerated — e.g. an explicit tile_rows > 0 under the unfused engine,
-  /// which would quietly measure the untiled path (`auto` is accepted
-  /// there and means untiled).  Errors carry did-you-mean
+  /// tolerated — e.g. eigenvalue hints on a solver that has no presteps
+  /// to replace.  Errors carry did-you-mean
   /// guidance in the deck parser's style.  Returns *this so call sites
   /// can build-and-validate in one expression:
   ///   SolveSession s(deck);  s.solve(cfg.validated());
@@ -166,13 +158,8 @@ struct SweepSpec {
   std::vector<int> halo_depths = {1};    ///< matrix-powers depth (PPCG)
   std::vector<int> mesh_sizes;           ///< empty = the base deck's mesh
   std::vector<int> thread_counts = {0};  ///< 0 = runtime default threads
-  /// Execution-engine axis (0 = unfused, 1 = fused kernels): the sixth
-  /// design-space dimension, A/B-ing SolverConfig::fuse_kernels.
-  std::vector<int> fused = {0};
-  /// Tile-height axis (SolverConfig::tile_rows; 0 = untiled): the seventh
-  /// design-space dimension.  Non-zero values only combine with fused
-  /// cells — tiling is a layer of the fused engine — so tiled×unfused
-  /// cells are enumerated but skipped.
+  /// Tile-height axis (SolverConfig::tile_rows; 0 = untiled): the
+  /// execution-engine dimension of the design space.
   std::vector<int> tile_rows = {0};
   /// Geometry axis (`sweep_geometry = 2d,3d`): the eighth design-space
   /// dimension.  A 3-D cell runs the 7-point operator on a mesh_n³ brick

@@ -241,9 +241,9 @@ inline SubTeamSlot sub_team_slot(int tid, int nthreads, int ngroups) {
 }
 
 /// Open ONE parallel region and run `body(team)` on every thread.  This
-/// is the hoisted fork/join of the fused execution engine: kernels and
-/// exchanges inside the body workshare through the Team instead of each
-/// opening (and paying for) their own region.
+/// is the one fork/join of every solve: kernels and exchanges inside the
+/// body workshare through the Team instead of each opening (and paying
+/// for) their own region.
 ///
 /// `body` must be region-safe: all threads must take the same control
 /// path through barriers, and values derived from team reductions are
@@ -270,24 +270,32 @@ void parallel_region(const Body& body) {
 #endif
 }
 
-/// Row loop shared by serial and Team-workshared code paths: identical
-/// per-row code either way, so a fused/team variant stays bitwise equal
-/// to its serial baseline (the mg-pcg engine pair relies on this).
-/// team == nullptr runs rows 0..ny-1 serially in order; with a Team the
-/// rows workshare via for_range.  No implied barrier.
-template <class Body>
-void for_rows(const Team* team, int ny, const Body& body) {
-  if (team == nullptr) {
-    for (int k = 0; k < ny; ++k) body(k);
-    return;
+/// RAII override of the thread count later regions run with (no-op when
+/// threads == 0 or without OpenMP); the previous count is restored on
+/// scope exit.
+class ThreadScope {
+ public:
+  explicit ThreadScope(int threads) {
+#if defined(TEALEAF_HAVE_OPENMP)
+    if (threads > 0) {
+      saved_ = omp_get_max_threads();
+      omp_set_num_threads(threads);
+    }
+#else
+    (void)threads;
+#endif
   }
-  team->for_range(0, ny, [&](std::int64_t k) { body(static_cast<int>(k)); });
-}
+  ~ThreadScope() {
+#if defined(TEALEAF_HAVE_OPENMP)
+    if (saved_ > 0) omp_set_num_threads(saved_);
+#endif
+  }
+  ThreadScope(const ThreadScope&) = delete;
+  ThreadScope& operator=(const ThreadScope&) = delete;
 
-/// Barrier between dependent row phases (no-op serially).
-inline void phase_barrier(const Team* team) {
-  if (team != nullptr) team->barrier();
-}
+ private:
+  int saved_ = 0;
+};
 
 /// Parallel loop over [begin, end).  `body(i)` must be safe to run
 /// concurrently for distinct i.  Falls back to serial without OpenMP.

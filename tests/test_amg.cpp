@@ -20,6 +20,11 @@ std::unique_ptr<SimCluster2D> mg_problem(int n, double rx_ry = 8.0) {
   return make_test_problem(n, 1, 2, rx_ry);
 }
 
+/// One V-cycle the way mg-pcg runs it: inside a parallel region.
+void v_cycle(Multigrid& mg, const Field<double>& rhs, Field<double>& out) {
+  parallel_region([&](const Team& team) { mg.v_cycle(rhs, out, team); });
+}
+
 TEST(Multigrid, HierarchyShrinksToCoarseFloor) {
   auto cl = mg_problem(64);
   const Chunk2D& c = cl->chunk(0);
@@ -58,7 +63,7 @@ TEST(Multigrid, VCycleContractsResidual) {
 
   const double r0 = resnorm();
   Field2D<double> z(64, 64, 1, 0.0);
-  mg.v_cycle(rhs, z);
+  v_cycle(mg, rhs, z);
   for (int k = 0; k < 64; ++k)
     for (int j = 0; j < 64; ++j) u(j, k) += z(j, k);
   const double r1 = resnorm();
@@ -255,7 +260,7 @@ TEST(Multigrid3D, VCycleContractsOnAnisotropic2DGrid) {
     for (int j = 0; j < nx; ++j)
       rhs(j, k) = std::sin(0.2 * j) * std::cos(0.5 * k);
   Field<double> z(nx, ny, 1, 0.0);
-  mg.v_cycle(rhs, z);
+  v_cycle(mg, rhs, z);
   double rr = 0.0, r0 = 0.0;
   for (int k = 0; k < ny; ++k) {
     for (int j = 0; j < nx; ++j) {
@@ -300,7 +305,7 @@ TEST(Multigrid3D, VCycleContractsResidual3D) {
 
   const double r0 = resnorm();
   Field<double> z = Field<double>::make3d(n, n, n, 1, 0.0);
-  mg.v_cycle(rhs, z);
+  v_cycle(mg, rhs, z);
   for (int l = 0; l < n; ++l)
     for (int k = 0; k < n; ++k)
       for (int j = 0; j < n; ++j) u(j, k, l) += z(j, k, l);
@@ -338,8 +343,8 @@ TEST(Multigrid3D, SinglePlaneVCycleMatches2DExactly) {
   }
   Field<double> z2(n, n, 1, 0.0);
   Field<double> z3 = Field<double>::make3d(n, n, 1, 1, 0.0);
-  mg2.v_cycle(rhs2, z2);
-  mg3.v_cycle(rhs3, z3);
+  v_cycle(mg2, rhs2, z2);
+  v_cycle(mg3, rhs3, z3);
   for (int k = 0; k < n; ++k)
     for (int j = 0; j < n; ++j)
       ASSERT_EQ(z2(j, k), z3(j, k, 0)) << "(" << j << "," << k << ")";
@@ -433,84 +438,35 @@ TEST(MGPCG3D, MatchesTeaLeafCGSolution3D) {
 
 TEST(MGPCG3D, SinglePlaneSolveMatches2DExactly) {
   // The satellite contract: the slab solve reproduces the 2-D iteration
-  // count, both residual norms and the iterate itself exactly — in both
-  // execution engines.
-  for (const bool fused : {false, true}) {
-    const int n = 24;
-    auto d2 = make_test_problem(n, 1, 2, 6.0);
-    auto d3 = make_test_problem_slab3d(n, 1, 2, 6.0);
-    Chunk& c2 = d2->chunk(0);
-    Chunk& c3 = d3->chunk(0);
-    MGPreconditionedCG::Options opt;
-    opt.fused = fused;
-    auto s2 = MGPreconditionedCG::from_chunk(c2, opt);
-    auto s3 = MGPreconditionedCG::from_chunk(c3, opt);
+  // count, both residual norms and the iterate itself exactly.
+  const int n = 24;
+  auto d2 = make_test_problem(n, 1, 2, 6.0);
+  auto d3 = make_test_problem_slab3d(n, 1, 2, 6.0);
+  Chunk& c2 = d2->chunk(0);
+  Chunk& c3 = d3->chunk(0);
+  auto s2 = MGPreconditionedCG::from_chunk(c2);
+  auto s3 = MGPreconditionedCG::from_chunk(c3);
 
-    Field<double> rhs2(n, n, 0, 0.0);
-    Field<double> rhs3 = Field<double>::make3d(n, n, 1, 0, 0.0);
-    for (int k = 0; k < n; ++k)
-      for (int j = 0; j < n; ++j) {
-        rhs2(j, k) = c2.u0()(j, k);
-        rhs3(j, k, 0) = c3.u0()(j, k, 0);
-        ASSERT_EQ(rhs2(j, k), rhs3(j, k, 0));
-      }
-    Field<double> u2(n, n, 1, 0.0);
-    Field<double> u3 = Field<double>::make3d(n, n, 1, 1, 0.0);
-    const MGPCGResult r2 = s2.solve(rhs2, u2);
-    const MGPCGResult r3 = s3.solve(rhs3, u3);
-    ASSERT_TRUE(r2.converged);
-    ASSERT_TRUE(r3.converged);
-    EXPECT_EQ(r3.iterations, r2.iterations) << "fused=" << fused;
-    EXPECT_EQ(r3.initial_norm, r2.initial_norm) << "fused=" << fused;
-    EXPECT_EQ(r3.final_norm, r2.final_norm) << "fused=" << fused;
-    for (int k = 0; k < n; ++k)
-      for (int j = 0; j < n; ++j)
-        ASSERT_EQ(u2(j, k), u3(j, k, 0))
-            << "fused=" << fused << " (" << j << "," << k << ")";
-  }
-}
-
-TEST(MGPCG3D, FusedBitwiseIdenticalToUnfused) {
-  // Engine equivalence in BOTH dimensions, the way test_geometry3d
-  // enforces it for the native solvers.
-  for (const int dims : {2, 3}) {
-    const int n = dims == 3 ? 12 : 24;
-    auto cl = dims == 3 ? make_test_problem_3d(n, 1, 2, 6.0)
-                        : make_test_problem(n, 1, 2, 6.0);
-    Chunk& c = cl->chunk(0);
-    const auto rhs_field = [&] {
-      Field<double> rhs =
-          dims == 3 ? Field<double>::make3d(n, n, n, 0, 0.0)
-                    : Field<double>(n, n, 0, 0.0);
-      for (int l = 0; l < c.nz(); ++l)
-        for (int k = 0; k < n; ++k)
-          for (int j = 0; j < n; ++j) rhs(j, k, l) = c.u0()(j, k, l);
-      return rhs;
-    };
-    const Field<double> rhs = rhs_field();
-    const auto solve_with = [&](bool fused, Field<double>& u) {
-      MGPreconditionedCG::Options opt;
-      opt.fused = fused;
-      auto solver = MGPreconditionedCG::from_chunk(c, opt);
-      return solver.solve(rhs, u);
-    };
-    Field<double> uu = dims == 3 ? Field<double>::make3d(n, n, n, 1, 0.0)
-                                 : Field<double>(n, n, 1, 0.0);
-    Field<double> uf = dims == 3 ? Field<double>::make3d(n, n, n, 1, 0.0)
-                                 : Field<double>(n, n, 1, 0.0);
-    const MGPCGResult ru = solve_with(false, uu);
-    const MGPCGResult rf = solve_with(true, uf);
-    ASSERT_TRUE(ru.converged) << dims << "D";
-    ASSERT_TRUE(rf.converged) << dims << "D";
-    EXPECT_EQ(rf.iterations, ru.iterations) << dims << "D";
-    EXPECT_EQ(rf.initial_norm, ru.initial_norm) << dims << "D";
-    EXPECT_EQ(rf.final_norm, ru.final_norm) << dims << "D";
-    for (int l = 0; l < c.nz(); ++l)
-      for (int k = 0; k < n; ++k)
-        for (int j = 0; j < n; ++j)
-          ASSERT_EQ(uu(j, k, l), uf(j, k, l))
-              << dims << "D (" << j << "," << k << "," << l << ")";
-  }
+  Field<double> rhs2(n, n, 0, 0.0);
+  Field<double> rhs3 = Field<double>::make3d(n, n, 1, 0, 0.0);
+  for (int k = 0; k < n; ++k)
+    for (int j = 0; j < n; ++j) {
+      rhs2(j, k) = c2.u0()(j, k);
+      rhs3(j, k, 0) = c3.u0()(j, k, 0);
+      ASSERT_EQ(rhs2(j, k), rhs3(j, k, 0));
+    }
+  Field<double> u2(n, n, 1, 0.0);
+  Field<double> u3 = Field<double>::make3d(n, n, 1, 1, 0.0);
+  const MGPCGResult r2 = s2.solve(rhs2, u2);
+  const MGPCGResult r3 = s3.solve(rhs3, u3);
+  ASSERT_TRUE(r2.converged);
+  ASSERT_TRUE(r3.converged);
+  EXPECT_EQ(r3.iterations, r2.iterations);
+  EXPECT_EQ(r3.initial_norm, r2.initial_norm);
+  EXPECT_EQ(r3.final_norm, r2.final_norm);
+  for (int k = 0; k < n; ++k)
+    for (int j = 0; j < n; ++j)
+      ASSERT_EQ(u2(j, k), u3(j, k, 0)) << "(" << j << "," << k << ")";
 }
 
 }  // namespace

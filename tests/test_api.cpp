@@ -115,12 +115,6 @@ TEST(SessionCache, EvictsLeastRecentShapeWholeWhenOverCapacity) {
 }
 
 TEST(SolverConfigValidated, RejectsInconsistentCombosWithGuidance) {
-  SolverConfig cfg;
-  cfg.type = SolverType::kCG;
-  cfg.tile_rows = 64;
-  cfg.fuse_kernels = false;
-  EXPECT_THROW((void)cfg.validated(), TeaError);
-
   SolverConfig hints;
   hints.type = SolverType::kCG;
   hints.eig_hint_min = 1.0;
@@ -129,17 +123,27 @@ TEST(SolverConfigValidated, RejectsInconsistentCombosWithGuidance) {
 
   SolverConfig ok;
   ok.type = SolverType::kPPCG;
-  ok.fuse_kernels = true;
   ok.tile_rows = 16;
   EXPECT_NO_THROW((void)ok.validated());
 
-  // The default engine is fused with auto tiles, and `auto` means "the
-  // engine picks": the unfused schedule picks untiled instead of throwing.
-  EXPECT_TRUE(SolverConfig{}.fuse_kernels);
+  // The default engine picks its own tile height.
   EXPECT_EQ(SolverConfig{}.tile_rows, -1);
-  SolverConfig unfused_auto;
-  unfused_auto.fuse_kernels = false;
-  EXPECT_NO_THROW((void)unfused_auto.validated());
+
+  // One iteration leaves Chebyshev one CG prestep, too few for its
+  // eigenvalue estimate: rejected before the solve's region opens.
+  SolverConfig cheby;
+  cheby.type = SolverType::kChebyshev;
+  cheby.max_iters = 1;
+  try {
+    (void)cheby.validated();
+    FAIL() << "max_iters = 1 cannot estimate Chebyshev's eigenvalues";
+  } catch (const TeaError& e) {
+    EXPECT_NE(std::string(e.what()).find("Did you mean"), std::string::npos)
+        << e.what();
+  }
+  cheby.eig_hint_min = 1.0;  // hints replace the presteps
+  cheby.eig_hint_max = 5.0;
+  EXPECT_NO_THROW((void)cheby.validated());
 }
 
 }  // namespace

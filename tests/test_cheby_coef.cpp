@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "solvers/cheby_coef.hpp"
 #include "util/error.hpp"
@@ -44,6 +45,27 @@ TEST(ChebyCoefs, InputValidation) {
   EXPECT_THROW(chebyshev_coefficients(-1.0, 2.0, 4), TeaError);
   EXPECT_THROW(chebyshev_coefficients(2.0, 1.0, 4), TeaError);
   EXPECT_THROW(chebyshev_coefficients(1.0, 2.0, 0), TeaError);
+}
+
+TEST(ChebyCoefs, PolynomialReportsAnUnusableSpectrumInsteadOfThrowing) {
+  // A recurrence with a negative beta has no real Lanczos spectrum; the
+  // form solver bodies call inside their parallel region hands back the
+  // message instead of throwing across the region boundary.
+  CGRecurrence rec;
+  rec.alphas = {0.5, 0.4};
+  rec.betas = {-0.1, 0.2};
+  EigenEstimate est;
+  ChebyCoefs cc;
+  const std::string why = try_chebyshev_polynomial(&rec, 1.0, 1.0, 4, est, cc);
+  EXPECT_NE(why.find("negative beta"), std::string::npos) << why;
+
+  // Without a recurrence the given interval is used as is.
+  est.eigmin = 0.5;
+  est.eigmax = 4.5;
+  EXPECT_EQ(try_chebyshev_polynomial(nullptr, 1.0, 1.0, 8, est, cc), "");
+  EXPECT_DOUBLE_EQ(cc.theta, 2.5);
+  est.eigmax = est.eigmin;  // collapsed interval
+  EXPECT_NE(try_chebyshev_polynomial(nullptr, 1.0, 1.0, 8, est, cc), "");
 }
 
 TEST(ChebyTm, MatchesPolynomialDefinition) {

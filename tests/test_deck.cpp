@@ -459,10 +459,10 @@ TEST(RoutingDeck, RejectsBadValuesAndSuggestsMistypedKeys) {
 }
 
 TEST(Deck, RetiredPipelineKeysAreUnknown) {
-  // The pipelined schedule is gone; decks that still ask for it fail
-  // loudly instead of silently running another schedule.
-  for (const char* line :
-       {"tl_pipeline", "tl_pipeline=1", "sweep_pipeline=0,1"}) {
+  // The pipelined and unfused schedules are gone; decks that still sweep
+  // them fail loudly instead of silently running another schedule.
+  for (const char* line : {"tl_pipeline", "tl_pipeline=1",
+                           "sweep_pipeline=0,1", "sweep_fused=0,1"}) {
     try {
       InputDeck::parse_string(
           std::string("*tea\nx_cells=8\ny_cells=8\nend_step=1\n") + line +
@@ -490,20 +490,16 @@ std::string engine_deck(const std::string& engine_keys) {
 struct EngineDeckCase {
   const char* name;
   const char* keys;
-  bool fused;     ///< parsed SolverConfig::fuse_kernels
   int tile_rows;  ///< parsed SolverConfig::tile_rows
 };
 
 const EngineDeckCase kEngineDecks[] = {
-    {"unfused", "tl_fuse_kernels=0\ntl_tile_rows=0\n", false, 0},
-    // `auto` under the unfused schedule means untiled.
-    {"unfused-auto", "tl_fuse_kernels=0\n", false, -1},
-    {"fused-untiled", "tl_fuse_kernels\ntl_tile_rows=0\n", true, 0},
-    {"fused-b8", "tl_fuse_kernels\ntl_tile_rows=8\n", true, 8},
-    {"default", "", true, -1},
+    {"untiled", "tl_tile_rows=0\n", 0},
+    {"b6", "tl_tile_rows=6\n", 6},
+    {"default", "", -1},
 };
 
-TEST(EngineDeck, DefaultIsFusedAutoAndEveryEngineSolvesLikeUnfused) {
+TEST(EngineDeck, DefaultIsAutoAndEveryTileHeightSolvesLikeUntiled) {
   // 3-D, 2 ranks, CG: the engine decides who computes and when, never
   // what — same u bits, iteration counts and communication.
   struct Outcome {
@@ -522,12 +518,10 @@ TEST(EngineDeck, DefaultIsFusedAutoAndEveryEngineSolvesLikeUnfused) {
   ASSERT_TRUE(ref.stats.converged);
   for (const EngineDeckCase& e : kEngineDecks) {
     const InputDeck deck = InputDeck::parse_string(engine_deck(e.keys));
-    EXPECT_EQ(deck.solver.fuse_kernels, e.fused) << e.name;
     EXPECT_EQ(deck.solver.tile_rows, e.tile_rows) << e.name;
     // SolveSession::reset compares decks through to_string, so an
-    // unfused or untiled deck must not re-parse as the default engine.
+    // untiled or fixed-height deck must not re-parse as the default.
     const InputDeck back = InputDeck::parse_string(deck.to_string());
-    EXPECT_EQ(back.solver.fuse_kernels, e.fused) << e.name;
     EXPECT_EQ(back.solver.tile_rows, e.tile_rows) << e.name;
     EXPECT_EQ(back.to_string(), deck.to_string()) << e.name;
 
@@ -548,17 +542,46 @@ TEST(EngineDeck, DefaultIsFusedAutoAndEveryEngineSolvesLikeUnfused) {
   }
 }
 
-TEST(EngineDeck, ExplicitTileHeightUnderTheUnfusedScheduleThrows) {
-  TeaLeafApp app(InputDeck::parse_string(
-                     engine_deck("tl_fuse_kernels=0\ntl_tile_rows=8\n")),
-                 2);
-  try {
-    (void)app.step();
-    FAIL() << "an unfused solve cannot honour an explicit tile height";
-  } catch (const TeaError& e) {
-    EXPECT_NE(std::string(e.what()).find("Did you mean"), std::string::npos)
-        << e.what();
+TEST(EngineDeck, FuseKernelsKeyIsAcceptedOnlyForTheSurvivingSchedule) {
+  // Decks written while the unfused schedule existed may still carry the
+  // key: turning it on is the only schedule there is, so it changes
+  // nothing and is never written back.
+  const std::string none = InputDeck::parse_string(engine_deck("")).to_string();
+  for (const char* keys : {"tl_fuse_kernels\n", "tl_fuse_kernels=1\n"}) {
+    const InputDeck deck = InputDeck::parse_string(engine_deck(keys));
+    EXPECT_EQ(deck.to_string(), none) << keys;
+    EXPECT_EQ(InputDeck::parse_string(deck.to_string()).to_string(), none)
+        << keys;
   }
+  // Asking for the unfused schedule names its removal.
+  for (const char* keys : {"tl_fuse_kernels=0\n", "tl_fuse_kernels=off\n"}) {
+    try {
+      (void)InputDeck::parse_string(engine_deck(keys));
+      FAIL() << keys << " must not silently run the fused schedule";
+    } catch (const TeaError& e) {
+      EXPECT_NE(std::string(e.what()).find("unfused schedule, which was "
+                                           "removed"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(EngineDeck, ChebyshevWithOneIterationIsAnErrorNotAnAbort) {
+  // One iteration leaves Chebyshev a single CG prestep, too few for its
+  // eigenvalue estimate.  Found inside the solve's parallel region that
+  // would terminate the process; the deck is rejected up front instead.
+  const std::string text =
+      "*tea\nx_cells=32\ny_cells=32\nend_step=1\ntl_use_chebyshev\n"
+      "tl_max_iters=1\nstate 1 density=1 energy=1\n"
+      "state 2 density=0.5 energy=10 geometry=rectangle xmin=2 xmax=5 "
+      "ymin=2 ymax=5\n*endtea\n";
+  EXPECT_THROW(
+      {
+        TeaLeafApp app(InputDeck::parse_string(text), 4);
+        (void)app.step();
+      },
+      TeaError);
 }
 
 }  // namespace

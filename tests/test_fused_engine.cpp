@@ -1,20 +1,17 @@
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <vector>
 
 #include "driver/decks.hpp"
 #include "driver/tealeaf_app.hpp"
 #include "ops/kernels.hpp"
 #include "solvers/cg.hpp"
-#include "solvers/solver.hpp"
 #include "test_helpers.hpp"
 #include "util/parallel.hpp"
 
 namespace tealeaf {
 namespace {
 
-using testing::install_operator;
 using testing::make_test_problem;
 using testing::max_field_diff;
 
@@ -76,7 +73,7 @@ TEST(TeamCluster, SumOverChunksMatchesStandaloneBitwise) {
   cl->reset_stats();
   double team_total = 0.0;
   parallel_region([&](Team& t) {
-    const double v = cl->sum_over_chunks(&t, [](int, const Chunk2D& c) {
+    const double v = cl->sum_over_chunks(t, [](int, const Chunk2D& c) {
       return kernels::norm2_sq(c, FieldId::kU);
     });
     t.single([&] { team_total = v; });
@@ -90,7 +87,7 @@ TEST(TeamCluster, TeamExchangeMatchesStandalone) {
   auto b = make_test_problem(32, 6, 3);
   a->exchange({FieldId::kU, FieldId::kDensity}, 3);
   parallel_region([&](Team& t) {
-    b->exchange(&t, {FieldId::kU, FieldId::kDensity}, 3);
+    b->exchange(t, {FieldId::kU, FieldId::kDensity}, 3);
   });
   for (int r = 0; r < a->nranks(); ++r) {
     const Chunk2D& ca = a->chunk(r);
@@ -146,7 +143,7 @@ TEST(FusedKernels, CalcUrDotMatchesComposedSweeps) {
     auto a = make_test_problem(20, 2, 2);
     auto b = make_test_problem(20, 2, 2);
     for (auto* cl : {a.get(), b.get()}) {
-      cg_setup(*cl, precon);
+      parallel_region([&](const Team& t) { (void)cg_setup(*cl, precon, t); });
       cl->exchange({FieldId::kP}, 1);
       cl->for_each_chunk([](int, Chunk2D& c) {
         kernels::smvp(c, FieldId::kP, FieldId::kW, interior_bounds(c));
@@ -171,140 +168,32 @@ TEST(FusedKernels, CalcUrDotMatchesComposedSweeps) {
   }
 }
 
-// ---- fused vs unfused whole-solver property test ------------------------
-
-struct EngineCase {
-  SolverType type;
-  PreconType precon;
-  int halo_depth;
-  bool chrono;  // fuse_cg_reductions (CG only)
-  // Both configs share the operator kind, so assembled cases check the
-  // fused ≡ unfused contract on the CSR / SELL-C-σ SpMV paths too.
-  OperatorKind op = OperatorKind::kStencil;
-};
-
-class FusedEngineEquivalence : public ::testing::TestWithParam<EngineCase> {};
-
-TEST_P(FusedEngineEquivalence, SameIterationsResidualsAndCommStats) {
-  const EngineCase ec = GetParam();
-  SolverConfig cfg;
-  cfg.type = ec.type;
-  cfg.precon = ec.precon;
-  cfg.halo_depth = ec.halo_depth;
-  cfg.fuse_cg_reductions = ec.chrono;
-  cfg.op = ec.op;
-  cfg.eps = (ec.type == SolverType::kJacobi) ? 1e-5 : 1e-10;
-  cfg.max_iters = (ec.type == SolverType::kJacobi) ? 100000 : 10000;
-  // The unfused, untiled baseline, named explicitly: the defaults are the
-  // fused schedule with auto tiles.
-  cfg.fuse_kernels = false;
-  cfg.tile_rows = 0;
-
-  auto a = make_test_problem(32, 4, std::max(2, ec.halo_depth), 8.0);
-  auto b = make_test_problem(32, 4, std::max(2, ec.halo_depth), 8.0);
-  install_operator(*a, ec.op);
-  install_operator(*b, ec.op);
-  SolverConfig fused_cfg = cfg;
-  fused_cfg.fuse_kernels = true;
-  const SolveStats su = run_solver(*a, cfg);
-  const SolveStats sf = run_solver(*b, fused_cfg);
-
-  ASSERT_TRUE(su.converged);
-  ASSERT_TRUE(sf.converged);
-  // The fused engine reorders nothing: per-rank kernels do the same
-  // per-cell arithmetic in the same order and reductions sum the same
-  // rank-ordered partials, so iteration counts must match exactly and
-  // residuals to a tight ULP tolerance.
-  EXPECT_EQ(sf.outer_iters, su.outer_iters);
-  EXPECT_EQ(sf.inner_steps, su.inner_steps);
-  EXPECT_EQ(sf.spmv_applies, su.spmv_applies);
-  EXPECT_EQ(sf.eigen_cg_iters, su.eigen_cg_iters);
-  EXPECT_NEAR(sf.final_norm, su.final_norm,
-              4e-15 * std::max(1.0, su.final_norm));
-  EXPECT_NEAR(sf.initial_norm, su.initial_norm, 4e-15 * su.initial_norm);
-  const double uscale = std::fabs(a->chunk(0).u()(0, 0)) + 1.0;
-  EXPECT_LT(max_field_diff(*a, *b, FieldId::kU), 1e-12 * uscale);
-
-  // Same communication: the engine changes where the fork/join happens,
-  // not what travels.
-  EXPECT_EQ(a->stats().exchange_calls, b->stats().exchange_calls);
-  EXPECT_EQ(a->stats().messages, b->stats().messages);
-  EXPECT_EQ(a->stats().message_bytes, b->stats().message_bytes);
-  EXPECT_EQ(a->stats().reductions, b->stats().reductions);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    AllSolversAndPrecons, FusedEngineEquivalence,
-    ::testing::Values(
-        EngineCase{SolverType::kJacobi, PreconType::kNone, 1, false},
-        EngineCase{SolverType::kCG, PreconType::kNone, 1, false},
-        EngineCase{SolverType::kCG, PreconType::kJacobiDiag, 1, false},
-        EngineCase{SolverType::kCG, PreconType::kJacobiBlock, 1, false},
-        EngineCase{SolverType::kCG, PreconType::kNone, 1, true},
-        EngineCase{SolverType::kCG, PreconType::kJacobiDiag, 1, true},
-        EngineCase{SolverType::kCG, PreconType::kJacobiBlock, 1, true},
-        EngineCase{SolverType::kChebyshev, PreconType::kNone, 1, false},
-        EngineCase{SolverType::kChebyshev, PreconType::kJacobiDiag, 1, false},
-        EngineCase{SolverType::kChebyshev, PreconType::kJacobiBlock, 1,
-                   false},
-        EngineCase{SolverType::kPPCG, PreconType::kNone, 1, false},
-        EngineCase{SolverType::kPPCG, PreconType::kJacobiDiag, 1, false},
-        EngineCase{SolverType::kPPCG, PreconType::kJacobiBlock, 1, false},
-        EngineCase{SolverType::kPPCG, PreconType::kNone, 4, false},
-        EngineCase{SolverType::kPPCG, PreconType::kJacobiDiag, 4, false},
-        // Assembled operators (CSR / SELL-C-σ, halo depth 1 by contract):
-        // the same fused ≡ unfused guarantee holds on the SpMV-from-matrix
-        // paths for every solver family and preconditioner.
-        EngineCase{SolverType::kJacobi, PreconType::kNone, 1, false,
-                   OperatorKind::kCsr},
-        EngineCase{SolverType::kCG, PreconType::kNone, 1, false,
-                   OperatorKind::kCsr},
-        EngineCase{SolverType::kCG, PreconType::kJacobiBlock, 1, false,
-                   OperatorKind::kCsr},
-        EngineCase{SolverType::kCG, PreconType::kJacobiDiag, 1, true,
-                   OperatorKind::kCsr},
-        EngineCase{SolverType::kChebyshev, PreconType::kJacobiDiag, 1, false,
-                   OperatorKind::kCsr},
-        EngineCase{SolverType::kPPCG, PreconType::kNone, 1, false,
-                   OperatorKind::kCsr},
-        EngineCase{SolverType::kCG, PreconType::kNone, 1, false,
-                   OperatorKind::kSellCSigma},
-        EngineCase{SolverType::kCG, PreconType::kJacobiBlock, 1, false,
-                   OperatorKind::kSellCSigma},
-        EngineCase{SolverType::kChebyshev, PreconType::kNone, 1, false,
-                   OperatorKind::kSellCSigma},
-        EngineCase{SolverType::kPPCG, PreconType::kJacobiDiag, 1, false,
-                   OperatorKind::kSellCSigma}),
-    [](const auto& info) {
-      const EngineCase& ec = info.param;
-      std::string name = std::string(to_string(ec.type)) + "_" +
-                         to_string(ec.precon) + "_d" +
-                         std::to_string(ec.halo_depth);
-      if (ec.chrono) name += "_chrono";
-      if (ec.op == OperatorKind::kCsr) name += "_csr";
-      if (ec.op == OperatorKind::kSellCSigma) name += "_sell";
-      return name;
-    });
-
 // ---- breakdown reporting ------------------------------------------------
 
-TEST(Breakdown, CgIterationReportsInsteadOfThrowingWhenFlagged) {
+TEST(Breakdown, CgIterationReportsInsteadOfThrowing) {
   auto cl = make_test_problem(16, 2, 2);
-  const double rro = cg_setup(*cl, PreconType::kNone);
+  double rro = 0.0;
+  parallel_region([&](const Team& t) {
+    const double v = cg_setup(*cl, PreconType::kNone, t);
+    t.single([&] { rro = v; });
+  });
   ASSERT_GT(rro, 0.0);
   // Doctor the state: p = 0 makes ⟨p, A·p⟩ = 0, the classic breakdown.
   cl->for_each_chunk([](int, Chunk2D& c) {
     c.p().fill(0.0);
   });
   bool broke = false;
-  const double rrn =
-      cg_iteration(*cl, PreconType::kNone, rro, nullptr, &broke);
+  double rrn = 0.0;
+  parallel_region([&](const Team& t) {
+    bool b = false;
+    const double v = cg_iteration(*cl, PreconType::kNone, rro, nullptr, b, t);
+    t.single([&] {
+      broke = b;
+      rrn = v;
+    });
+  });
   EXPECT_TRUE(broke);
   EXPECT_EQ(rrn, rro);  // state untouched, metric handed back
-
-  // Without the flag the contract-violation behaviour is preserved.
-  cl->for_each_chunk([](int, Chunk2D& c) { c.p().fill(0.0); });
-  EXPECT_THROW(cg_iteration(*cl, PreconType::kNone, rro, nullptr), TeaError);
 }
 
 /// PPCG configuration that reliably breaks down: two eigenvalue presteps
@@ -324,18 +213,14 @@ InputDeck breakdown_deck() {
 }
 
 TEST(Breakdown, PPCGReportsIndefinitePolynomialPreconditioner) {
-  for (const bool fused : {false, true}) {
-    InputDeck deck = breakdown_deck();
-    deck.solver.fuse_kernels = fused;
-    TeaLeafApp app(deck, 2);
-    const SolveStats st = app.step();
-    EXPECT_TRUE(st.breakdown) << "fused=" << fused;
-    EXPECT_FALSE(st.converged) << "fused=" << fused;
-    EXPECT_FALSE(st.breakdown_reason.empty()) << "fused=" << fused;
-    // Breakdown is detected within a few outer iterations, not after
-    // burning the whole iteration budget on a diverging solve.
-    EXPECT_LT(st.outer_iters - st.eigen_cg_iters, 10) << "fused=" << fused;
-  }
+  TeaLeafApp app(breakdown_deck(), 2);
+  const SolveStats st = app.step();
+  EXPECT_TRUE(st.breakdown);
+  EXPECT_FALSE(st.converged);
+  EXPECT_FALSE(st.breakdown_reason.empty());
+  // Breakdown is detected within a few outer iterations, not after
+  // burning the whole iteration budget on a diverging solve.
+  EXPECT_LT(st.outer_iters - st.eigen_cg_iters, 10);
 }
 
 }  // namespace

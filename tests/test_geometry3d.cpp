@@ -3,15 +3,17 @@
 //    cell-plane (nz = 1) has Kz ≡ 0, so the 7-point operator degenerates
 //    to the 5-point one and EVERY per-iteration scalar (rro, alpha, beta),
 //    iteration count and iterate must reproduce the 2-D solver's exactly,
-//    for every solver × preconditioner × execution-engine cell.
-//  * 3-D engine equivalence — the fused and tiled execution engines are
-//    bitwise identical to the unfused path in 3-D, enforced exactly the
-//    way test_tiled_engine.cpp enforces it in 2-D.
+//    for every solver × preconditioner × tile-height cell.
+//  * 3-D engine equivalence — the tiled execution engine is bitwise
+//    identical to the untiled one in 3-D, enforced exactly the way
+//    test_tiled_engine.cpp enforces it in 2-D.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "solvers/cg.hpp"
 #include "solvers/solver.hpp"
@@ -41,15 +43,30 @@ TEST(CrossDimension, SlabCGRecurrenceScalarsMatch2DExactly) {
         PreconType::kJacobiBlock}) {
     auto d2 = make_test_problem(16, 2, 2);
     auto d3 = make_slab_problem(16, 2, 2);
-    double rro2 = cg_setup(*d2, precon);
-    double rro3 = cg_setup(*d3, precon);
-    ASSERT_EQ(rro2, rro3) << to_string(precon);
+    // Eight CG iterations on one cluster: the rro after setup and after
+    // each iteration, and the recurrence (thread 0's copy).
+    const auto run_cg = [&](SimCluster& cl, CGRecurrence& rec) {
+      std::vector<double> rros;
+      parallel_region([&](const Team& t) {
+        CGRecurrence mine;
+        std::vector<double> seen{cg_setup(cl, precon, t)};
+        bool broke = false;
+        for (int i = 0; i < 8 && !broke; ++i) {
+          seen.push_back(
+              cg_iteration(cl, precon, seen.back(), &mine, broke, t));
+        }
+        t.single([&] {
+          rec = std::move(mine);
+          rros = std::move(seen);
+        });
+      });
+      return rros;
+    };
     CGRecurrence rec2, rec3;
-    for (int i = 0; i < 8; ++i) {
-      rro2 = cg_iteration(*d2, precon, rro2, &rec2, nullptr);
-      rro3 = cg_iteration(*d3, precon, rro3, &rec3, nullptr);
-      ASSERT_EQ(rro2, rro3) << to_string(precon) << " iter " << i;
-    }
+    const std::vector<double> rro2 = run_cg(*d2, rec2);
+    const std::vector<double> rro3 = run_cg(*d3, rec3);
+    ASSERT_EQ(rro2.size(), 9u) << to_string(precon);
+    EXPECT_EQ(rro2, rro3) << to_string(precon);
     ASSERT_EQ(rec2.alphas.size(), rec3.alphas.size());
     for (std::size_t i = 0; i < rec2.alphas.size(); ++i) {
       EXPECT_EQ(rec2.alphas[i], rec3.alphas[i])
@@ -64,7 +81,6 @@ struct EngineCell {
   SolverType type;
   PreconType precon;
   bool chrono;
-  bool fused;
   int tile_rows;
   int halo_depth = 1;
 };
@@ -74,7 +90,6 @@ std::string cell_name(const EngineCell& ec) {
                      to_string(ec.precon) + "_d" +
                      std::to_string(ec.halo_depth);
   if (ec.chrono) name += "_chrono";
-  if (ec.fused) name += "_fused";
   if (ec.tile_rows != 0) name += "_b" + std::to_string(ec.tile_rows);
   return name;
 }
@@ -85,7 +100,6 @@ SolverConfig cell_config(const EngineCell& ec) {
   cfg.precon = ec.precon;
   cfg.halo_depth = ec.halo_depth;
   cfg.fuse_cg_reductions = ec.chrono;
-  cfg.fuse_kernels = ec.fused;
   cfg.tile_rows = ec.tile_rows;
   cfg.eps = (ec.type == SolverType::kJacobi) ? 1e-5 : 1e-10;
   cfg.max_iters = (ec.type == SolverType::kJacobi) ? 100000 : 10000;
@@ -127,43 +141,35 @@ TEST_P(CrossDimensionCell, SlabSolveMatches2DExactly) {
 INSTANTIATE_TEST_SUITE_P(
     SolverPreconEngine, CrossDimensionCell,
     ::testing::Values(
-        EngineCell{SolverType::kJacobi, PreconType::kNone, false, false, 0},
-        EngineCell{SolverType::kJacobi, PreconType::kNone, false, true, 0},
-        EngineCell{SolverType::kJacobi, PreconType::kNone, false, true, 3},
-        EngineCell{SolverType::kCG, PreconType::kNone, false, false, 0},
-        EngineCell{SolverType::kCG, PreconType::kNone, false, true, 0},
-        EngineCell{SolverType::kCG, PreconType::kNone, false, true, 3},
-        EngineCell{SolverType::kCG, PreconType::kJacobiDiag, false, true, 3},
-        EngineCell{SolverType::kCG, PreconType::kJacobiBlock, false, true,
-                   3},
-        EngineCell{SolverType::kCG, PreconType::kNone, true, false, 0},
-        EngineCell{SolverType::kCG, PreconType::kJacobiDiag, true, true, 3},
-        EngineCell{SolverType::kChebyshev, PreconType::kNone, false, false,
-                   0},
-        EngineCell{SolverType::kChebyshev, PreconType::kJacobiDiag, false,
-                   true, 3},
-        EngineCell{SolverType::kChebyshev, PreconType::kJacobiBlock, false,
-                   true, 0},
-        EngineCell{SolverType::kPPCG, PreconType::kNone, false, false, 0},
-        EngineCell{SolverType::kPPCG, PreconType::kJacobiDiag, false, true,
-                   3},
-        EngineCell{SolverType::kPPCG, PreconType::kNone, false, true, 3, 3}),
+        EngineCell{SolverType::kJacobi, PreconType::kNone, false, 0},
+        EngineCell{SolverType::kJacobi, PreconType::kNone, false, 3},
+        EngineCell{SolverType::kCG, PreconType::kNone, false, 0},
+        EngineCell{SolverType::kCG, PreconType::kNone, false, 3},
+        EngineCell{SolverType::kCG, PreconType::kJacobiDiag, false, 3},
+        EngineCell{SolverType::kCG, PreconType::kJacobiBlock, false, 3},
+        EngineCell{SolverType::kCG, PreconType::kNone, true, 0},
+        EngineCell{SolverType::kCG, PreconType::kJacobiDiag, true, 3},
+        EngineCell{SolverType::kChebyshev, PreconType::kNone, false, 0},
+        EngineCell{SolverType::kChebyshev, PreconType::kJacobiDiag, false, 3},
+        EngineCell{SolverType::kChebyshev, PreconType::kJacobiBlock, false, 0},
+        EngineCell{SolverType::kPPCG, PreconType::kNone, false, 0},
+        EngineCell{SolverType::kPPCG, PreconType::kJacobiDiag, false, 3},
+        EngineCell{SolverType::kPPCG, PreconType::kNone, false, 3, 3}),
     [](const auto& info) { return cell_name(info.param); });
 
-// ---- 3-D fused/tiled vs unfused: bitwise ---------------------------------
+// ---- 3-D tiled vs untiled: bitwise ---------------------------------------
 
 class Engine3DEquivalence : public ::testing::TestWithParam<EngineCell> {};
 
-TEST_P(Engine3DEquivalence, BitwiseIdenticalToUnfused3D) {
+TEST_P(Engine3DEquivalence, BitwiseIdenticalToUntiled3D) {
   const EngineCell ec = GetParam();
   SolverConfig cfg = cell_config(ec);
   const int halo = std::max(2, ec.halo_depth);
   auto a = make_test_problem_3d(10, 4, halo, 6.0);
   auto b = make_test_problem_3d(10, 4, halo, 6.0);
-  SolverConfig unfused = cfg;
-  unfused.fuse_kernels = false;
-  unfused.tile_rows = 0;
-  const SolveStats su = run_solver(*a, unfused);
+  SolverConfig untiled = cfg;
+  untiled.tile_rows = 0;
+  const SolveStats su = run_solver(*a, untiled);
   const SolveStats st = run_solver(*b, cfg);
   ASSERT_TRUE(su.converged);
   ASSERT_TRUE(st.converged);
@@ -174,7 +180,7 @@ TEST_P(Engine3DEquivalence, BitwiseIdenticalToUnfused3D) {
   EXPECT_EQ(st.initial_norm, su.initial_norm);
   EXPECT_EQ(st.final_norm, su.final_norm);
   EXPECT_EQ(max_field_diff(*a, *b, FieldId::kU), 0.0);
-  // The engines change the schedule, never the data motion.
+  // Tiling changes the schedule, never the data motion.
   EXPECT_EQ(a->stats().exchange_calls, b->stats().exchange_calls);
   EXPECT_EQ(a->stats().messages, b->stats().messages);
   EXPECT_EQ(a->stats().message_bytes, b->stats().message_bytes);
@@ -182,33 +188,27 @@ TEST_P(Engine3DEquivalence, BitwiseIdenticalToUnfused3D) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    AllSolversFusedAndTiled, Engine3DEquivalence,
+    AllSolversTiled, Engine3DEquivalence,
     ::testing::Values(
-        EngineCell{SolverType::kJacobi, PreconType::kNone, false, true, 0},
-        EngineCell{SolverType::kJacobi, PreconType::kNone, false, true, 1},
-        EngineCell{SolverType::kJacobi, PreconType::kNone, false, true, 4},
-        EngineCell{SolverType::kCG, PreconType::kNone, false, true, 0},
-        EngineCell{SolverType::kCG, PreconType::kNone, false, true, 1},
-        EngineCell{SolverType::kCG, PreconType::kNone, false, true, 4},
-        EngineCell{SolverType::kCG, PreconType::kNone, false, true, 1000},
-        EngineCell{SolverType::kCG, PreconType::kJacobiDiag, false, true, 3},
-        EngineCell{SolverType::kCG, PreconType::kJacobiBlock, false, true,
-                   3},
-        EngineCell{SolverType::kCG, PreconType::kNone, true, true, 4},
-        EngineCell{SolverType::kCG, PreconType::kJacobiDiag, true, true, 2},
-        EngineCell{SolverType::kCG, PreconType::kJacobiBlock, true, true, 5},
-        EngineCell{SolverType::kChebyshev, PreconType::kNone, false, true,
-                   3},
-        EngineCell{SolverType::kChebyshev, PreconType::kJacobiDiag, false,
-                   true, 2},
-        EngineCell{SolverType::kChebyshev, PreconType::kJacobiBlock, false,
-                   true, 0},
-        EngineCell{SolverType::kPPCG, PreconType::kNone, false, true, 3},
-        EngineCell{SolverType::kPPCG, PreconType::kJacobiDiag, false, true,
-                   2},
-        EngineCell{SolverType::kPPCG, PreconType::kNone, false, true, 3, 3},
-        EngineCell{SolverType::kPPCG, PreconType::kJacobiDiag, false, true,
-                   1, 2}),
+        EngineCell{SolverType::kJacobi, PreconType::kNone, false, 6},
+        EngineCell{SolverType::kJacobi, PreconType::kNone, false, 1},
+        EngineCell{SolverType::kJacobi, PreconType::kNone, false, 4},
+        EngineCell{SolverType::kCG, PreconType::kNone, false, 6},
+        EngineCell{SolverType::kCG, PreconType::kNone, false, 1},
+        EngineCell{SolverType::kCG, PreconType::kNone, false, 4},
+        EngineCell{SolverType::kCG, PreconType::kNone, false, 1000},
+        EngineCell{SolverType::kCG, PreconType::kJacobiDiag, false, 3},
+        EngineCell{SolverType::kCG, PreconType::kJacobiBlock, false, 3},
+        EngineCell{SolverType::kCG, PreconType::kNone, true, 4},
+        EngineCell{SolverType::kCG, PreconType::kJacobiDiag, true, 2},
+        EngineCell{SolverType::kCG, PreconType::kJacobiBlock, true, 5},
+        EngineCell{SolverType::kChebyshev, PreconType::kNone, false, 3},
+        EngineCell{SolverType::kChebyshev, PreconType::kJacobiDiag, false, 2},
+        EngineCell{SolverType::kChebyshev, PreconType::kJacobiBlock, false, 6},
+        EngineCell{SolverType::kPPCG, PreconType::kNone, false, 3},
+        EngineCell{SolverType::kPPCG, PreconType::kJacobiDiag, false, 2},
+        EngineCell{SolverType::kPPCG, PreconType::kNone, false, 3, 3},
+        EngineCell{SolverType::kPPCG, PreconType::kJacobiDiag, false, 1, 2}),
     [](const auto& info) { return cell_name(info.param); });
 
 }  // namespace

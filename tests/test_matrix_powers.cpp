@@ -93,13 +93,18 @@ TEST(MatrixPowers, InnerApplyBitwiseAcrossDepths) {
   cfg.type = SolverType::kPPCG;
   cfg.inner_steps = 12;
   cfg.halo_depth = 1;
+  const auto apply_inner = [&](SimCluster2D& cl) {
+    parallel_region([&](const Team& t) {
+      PPCGSolver::apply_inner(cl, cfg, cc, nullptr, t);
+    });
+  };
   auto ref = build(1);
-  PPCGSolver::apply_inner(*ref, cfg, cc, nullptr);
+  apply_inner(*ref);
 
   for (const int depth : {2, 3, 4, 6}) {
     auto cl = build(depth);
     cfg.halo_depth = depth;
-    PPCGSolver::apply_inner(*cl, cfg, cc, nullptr);
+    apply_inner(*cl);
     EXPECT_LT(max_field_diff(*ref, *cl, FieldId::kZ), 1e-12)
         << "depth " << depth;
   }

@@ -458,9 +458,9 @@ TEST(SweepOperatorAxis, EnumeratesInnermostAndLabels) {
   const std::vector<SweepCase> cases = enumerate_cases(spec, 16);
   ASSERT_EQ(cases.size(), 3u);
   ASSERT_EQ(spec.num_cases(), 3u);
-  EXPECT_EQ(cases[0].label(), "cg/none/d1/n16/t0");
-  EXPECT_EQ(cases[1].label(), "cg/none/d1/n16/t0/csr");
-  EXPECT_EQ(cases[2].label(), "cg/none/d1/n16/t0/sell-c-sigma");
+  EXPECT_EQ(cases[0].label(), "cg/none/d1/n16/t0/fused");
+  EXPECT_EQ(cases[1].label(), "cg/none/d1/n16/t0/fused/csr");
+  EXPECT_EQ(cases[2].label(), "cg/none/d1/n16/t0/fused/sell-c-sigma");
   spec.operators = {"csc"};
   EXPECT_THROW(spec.validate(), TeaError);
 }

@@ -36,23 +36,13 @@ using testing::max_field_diff;
 
 // ---- fp64 path: bitwise unperturbed by the precision layer ---------------
 
-enum class Engine { kUnfused, kFused, kTiled };
-
-const char* engine_name(Engine e) {
-  switch (e) {
-    case Engine::kUnfused: return "unfused";
-    case Engine::kFused: return "fused";
-    case Engine::kTiled: return "tiled";
-  }
-  return "?";
-}
-
-using Fp64Case = std::tuple<SolverType, Engine, int, OperatorKind>;
+/// (solver, tile height, geometry, operator).
+using Fp64Case = std::tuple<SolverType, int, int, OperatorKind>;
 
 class Fp64BitwiseIdentity : public ::testing::TestWithParam<Fp64Case> {};
 
 TEST_P(Fp64BitwiseIdentity, Fp32BankDoesNotPerturbDoubleSolves) {
-  const auto [type, engine, dims, op] = GetParam();
+  const auto [type, tile_rows, dims, op] = GetParam();
   SolverConfig cfg;
   cfg.type = type;
   cfg.op = op;
@@ -60,20 +50,8 @@ TEST_P(Fp64BitwiseIdentity, Fp32BankDoesNotPerturbDoubleSolves) {
   cfg.max_iters = (type == SolverType::kJacobi) ? 60000 : 10000;
   cfg.eigen_cg_iters = 15;
   cfg.inner_steps = 8;
-  switch (engine) {
-    case Engine::kUnfused:
-      cfg.fuse_kernels = false;
-      cfg.tile_rows = 0;
-      break;
-    case Engine::kFused:
-      cfg.fuse_kernels = true;
-      cfg.tile_rows = 0;
-      break;
-    case Engine::kTiled:
-      cfg.fuse_kernels = true;
-      cfg.tile_rows = 6;
-      break;
-  }
+  cfg.tile_rows = tile_rows;
+  const std::string engine = "tile " + std::to_string(tile_rows);
 
   const auto make = [&] {
     return dims == 3 ? make_test_problem_3d(10, 2, 2)
@@ -82,7 +60,7 @@ TEST_P(Fp64BitwiseIdentity, Fp32BankDoesNotPerturbDoubleSolves) {
   auto ref = make();
   install_operator(*ref, op);
   const SolveStats ss = run_solver(*ref, cfg);
-  ASSERT_TRUE(ss.converged) << engine_name(engine);
+  ASSERT_TRUE(ss.converged) << engine;
 
   // Same problem, but every chunk carries the (inactive) fp32 field bank
   // and the config names its precision explicitly.  kDouble never touches
@@ -93,17 +71,17 @@ TEST_P(Fp64BitwiseIdentity, Fp32BankDoesNotPerturbDoubleSolves) {
   SolverConfig dcfg = cfg;
   dcfg.precision = Precision::kDouble;
   const SolveStats sd = run_solver(*cl, dcfg);
-  ASSERT_TRUE(sd.converged) << engine_name(engine);
+  ASSERT_TRUE(sd.converged) << engine;
 
-  EXPECT_EQ(sd.outer_iters, ss.outer_iters) << engine_name(engine);
-  EXPECT_EQ(sd.inner_steps, ss.inner_steps) << engine_name(engine);
-  EXPECT_EQ(sd.eigen_cg_iters, ss.eigen_cg_iters) << engine_name(engine);
-  EXPECT_EQ(sd.spmv_applies, ss.spmv_applies) << engine_name(engine);
-  EXPECT_EQ(sd.initial_norm, ss.initial_norm) << engine_name(engine);
-  EXPECT_EQ(sd.final_norm, ss.final_norm) << engine_name(engine);
+  EXPECT_EQ(sd.outer_iters, ss.outer_iters) << engine;
+  EXPECT_EQ(sd.inner_steps, ss.inner_steps) << engine;
+  EXPECT_EQ(sd.eigen_cg_iters, ss.eigen_cg_iters) << engine;
+  EXPECT_EQ(sd.spmv_applies, ss.spmv_applies) << engine;
+  EXPECT_EQ(sd.initial_norm, ss.initial_norm) << engine;
+  EXPECT_EQ(sd.final_norm, ss.final_norm) << engine;
   EXPECT_EQ(sd.refine_steps, 0);
   EXPECT_EQ(max_field_diff(*ref, *cl, FieldId::kU), 0.0)
-      << engine_name(engine);
+      << engine;
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -111,7 +89,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(
         ::testing::Values(SolverType::kJacobi, SolverType::kCG,
                           SolverType::kChebyshev, SolverType::kPPCG),
-        ::testing::Values(Engine::kUnfused, Engine::kFused, Engine::kTiled),
+        ::testing::Values(0, 6),
         ::testing::Values(2, 3),
         ::testing::Values(OperatorKind::kStencil, OperatorKind::kCsr,
                           OperatorKind::kSellCSigma)));

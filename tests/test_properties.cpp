@@ -133,15 +133,26 @@ class CGMonotonicity : public ::testing::TestWithParam<int> {};
 
 TEST_P(CGMonotonicity, MetricContractsOverall) {
   auto cl = make_test_problem(24, GetParam(), 2, 8.0);
-  double rro = cg_setup(*cl, PreconType::kNone);
-  const double initial = rro;
-  double lowest = rro;
+  double initial = 0.0;
+  double rro = 0.0;
   int increases = 0;
-  for (int i = 0; i < 60; ++i) {
-    rro = cg_iteration(*cl, PreconType::kNone, rro, nullptr);
-    if (rro > lowest) ++increases;
-    lowest = std::min(lowest, rro);
-  }
+  parallel_region([&](const Team& t) {
+    double r = cg_setup(*cl, PreconType::kNone, t);
+    const double r0 = r;
+    double lowest = r;
+    int ups = 0;
+    bool broke = false;
+    for (int i = 0; i < 60 && !broke; ++i) {
+      r = cg_iteration(*cl, PreconType::kNone, r, nullptr, broke, t);
+      if (r > lowest) ++ups;
+      lowest = std::min(lowest, r);
+    }
+    t.single([&] {
+      initial = r0;
+      rro = r;
+      increases = ups;
+    });
+  });
   // CG's ‖r‖₂ is not strictly monotone, but it must trend firmly down.
   EXPECT_LT(rro, 1e-4 * initial);
   EXPECT_LT(increases, 30);

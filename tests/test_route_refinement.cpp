@@ -33,20 +33,19 @@ std::string slurp(const std::string& path) {
 
 /// Two-entry table on one measured shape: a "fast" chebyshev entry whose
 /// prediction will turn out to be a lie, and an honest (pessimistically
-/// predicted) fused-CG entry ranked second.
+/// predicted) CG entry ranked second.
 SweepReport two_route_report(int mesh_n, double cheby_seconds,
                              double cg_seconds) {
   SweepReport rep;
   rep.ranks = 2;
   rep.steps = 1;
-  const auto add = [&](const std::string& solver, PreconType pre, bool fused,
+  const auto add = [&](const std::string& solver, PreconType pre,
                        double seconds, const std::string& precision) {
     SweepOutcome cell;
     cell.config.solver = solver;
     cell.config.precon = pre;
     cell.config.halo_depth = 1;
     cell.config.mesh_n = mesh_n;
-    cell.config.fused = fused;
     cell.config.dims = 2;
     cell.config.precision = precision;
     cell.converged = true;
@@ -54,8 +53,8 @@ SweepReport two_route_report(int mesh_n, double cheby_seconds,
     cell.solve_seconds = seconds;
     rep.cells.push_back(cell);
   };
-  add("chebyshev", PreconType::kNone, false, cheby_seconds, "double");
-  add("cg", PreconType::kNone, true, cg_seconds, "double");
+  add("chebyshev", PreconType::kNone, cheby_seconds, "double");
+  add("cg", PreconType::kNone, cg_seconds, "double");
   return rep;
 }
 
@@ -192,13 +191,13 @@ TEST(RouteRefinement, MispredictedRouteDemotedAfterNObservations) {
   std::vector<RouteEntry> ranked = table.route(2, 16, 2);
   ASSERT_EQ(ranked.size(), 2u);
   EXPECT_EQ(ranked[0].solver, "chebyshev");
-  EXPECT_EQ(ranked[0].route_key(), "chebyshev/none/d1");
+  EXPECT_EQ(ranked[0].route_key(), "chebyshev/none/d1/fused");
   EXPECT_EQ(ranked[0].predicted_seconds, 1e-7);
 
   // Two observations at 5 ms: not yet enough to demote.
   for (int i = 0; i < 2; ++i) {
     const ObserveOutcome o =
-        table.observe(2, 16, 2, "chebyshev/none/d1", 5e-3, 1e-7);
+        table.observe(2, 16, 2, "chebyshev/none/d1/fused", 5e-3, 1e-7);
     EXPECT_FALSE(o.demoted);
     EXPECT_EQ(o.observations, i + 1);
   }
@@ -207,7 +206,7 @@ TEST(RouteRefinement, MispredictedRouteDemotedAfterNObservations) {
   // The third trips the ratio (5e-3 / 1e-7 >> 2): demoted, and the
   // next-ranked honest route takes over.
   const ObserveOutcome o =
-      table.observe(2, 16, 2, "chebyshev/none/d1", 5e-3, 1e-7);
+      table.observe(2, 16, 2, "chebyshev/none/d1/fused", 5e-3, 1e-7);
   EXPECT_TRUE(o.demoted);
   EXPECT_TRUE(o.newly_demoted);
   ranked = table.route(2, 16, 2);
@@ -231,16 +230,16 @@ TEST(RouteRefinement, FreshEvidenceInsideRatioPromotesAgain) {
   learn.ewma_alpha = 1.0;  // newest sample IS the EWMA: exact control
   table.set_learning(learn);
 
-  table.observe(2, 16, 2, "chebyshev/none/d1", 0.05, 1e-2);
+  table.observe(2, 16, 2, "chebyshev/none/d1/fused", 0.05, 1e-2);
   const ObserveOutcome demoted =
-      table.observe(2, 16, 2, "chebyshev/none/d1", 0.05, 1e-2);
+      table.observe(2, 16, 2, "chebyshev/none/d1/fused", 0.05, 1e-2);
   EXPECT_TRUE(demoted.newly_demoted);
   EXPECT_EQ(table.route(2, 16, 2)[0].solver, "cg");
 
   // Latency back inside the ratio (say the machine was warming up):
   // the route is promoted again — latency demotions are not tattoos.
   const ObserveOutcome promoted =
-      table.observe(2, 16, 2, "chebyshev/none/d1", 1.5e-2, 1e-2);
+      table.observe(2, 16, 2, "chebyshev/none/d1/fused", 1.5e-2, 1e-2);
   EXPECT_TRUE(promoted.newly_promoted);
   EXPECT_FALSE(promoted.demoted);
   EXPECT_EQ(table.route(2, 16, 2)[0].solver, "chebyshev");
@@ -250,7 +249,7 @@ TEST(RouteRefinement, BreakdownDemotesImmediatelyAndPermanently) {
   RoutingTable table =
       RoutingTable::from_sweep(two_route_report(16, 1e-2, 5.0));
   const ObserveOutcome o =
-      table.observe_breakdown(2, 16, 2, "chebyshev/none/d1");
+      table.observe_breakdown(2, 16, 2, "chebyshev/none/d1/fused");
   EXPECT_TRUE(o.demoted);
   EXPECT_TRUE(o.newly_demoted);
   EXPECT_EQ(table.route(2, 16, 2)[0].solver, "cg");
@@ -259,7 +258,7 @@ TEST(RouteRefinement, BreakdownDemotesImmediatelyAndPermanently) {
   // on this operator — only a rebuilt database forgives that.
   for (int i = 0; i < 5; ++i) {
     const ObserveOutcome again =
-        table.observe(2, 16, 2, "chebyshev/none/d1", 1e-2, 1e-2);
+        table.observe(2, 16, 2, "chebyshev/none/d1/fused", 1e-2, 1e-2);
     EXPECT_TRUE(again.demoted);
     EXPECT_FALSE(again.newly_promoted);
   }
@@ -281,27 +280,27 @@ TEST(RouteRefinement, PrecisionKeysNeverLeak) {
 
   const std::vector<RouteEntry> before = table.route(2, 16, 2);
   ASSERT_EQ(before.size(), 3u);
-  EXPECT_EQ(before[0].route_key(), "chebyshev/none/d1");
-  EXPECT_EQ(before[1].route_key(), "chebyshev/none/d1/mixed");
+  EXPECT_EQ(before[0].route_key(), "chebyshev/none/d1/fused");
+  EXPECT_EQ(before[1].route_key(), "chebyshev/none/d1/fused/mixed");
 
   // Demote ONLY the mixed cell.
   const ObserveOutcome o =
-      table.observe(2, 16, 2, "chebyshev/none/d1/mixed", 5e-3, 1e-7);
+      table.observe(2, 16, 2, "chebyshev/none/d1/fused/mixed", 5e-3, 1e-7);
   EXPECT_TRUE(o.newly_demoted);
 
   const std::vector<RouteEntry> after = table.route(2, 16, 2);
-  EXPECT_EQ(after[0].route_key(), "chebyshev/none/d1");  // fp64 untouched
+  EXPECT_EQ(after[0].route_key(), "chebyshev/none/d1/fused");  // fp64 untouched
   EXPECT_FALSE(after[0].demoted);
   EXPECT_EQ(after[0].observations, 0);
   EXPECT_TRUE(after.back().demoted);
-  EXPECT_EQ(after.back().route_key(), "chebyshev/none/d1/mixed");
+  EXPECT_EQ(after.back().route_key(), "chebyshev/none/d1/fused/mixed");
 
   // And the database keys are distinct cells.
   EXPECT_NE(table.database().find(RoutingTable::shape_key(2, 16, 2),
-                                  "chebyshev/none/d1/mixed"),
+                                  "chebyshev/none/d1/fused/mixed"),
             nullptr);
   EXPECT_EQ(table.database().find(RoutingTable::shape_key(2, 16, 2),
-                                  "chebyshev/none/d1"),
+                                  "chebyshev/none/d1/fused"),
             nullptr);
 }
 
@@ -369,8 +368,8 @@ TEST(RouteRefinement, ServerConvergesOntoFastestRouteAndPersists) {
   }
   // Three observations demote the lie; requests 4 and 5 run the honest
   // fused-CG route.
-  EXPECT_EQ(labels[0], "chebyshev/none/d1/n16");
-  EXPECT_EQ(labels[2], "chebyshev/none/d1/n16");
+  EXPECT_EQ(labels[0], "chebyshev/none/d1/n16/fused");
+  EXPECT_EQ(labels[2], "chebyshev/none/d1/n16/fused");
   EXPECT_EQ(labels[3], "cg/none/d1/n16/fused");
   EXPECT_EQ(labels[4], "cg/none/d1/n16/fused");
   EXPECT_EQ(server.stats().route_observations, 5);
@@ -412,7 +411,7 @@ TEST(RouteRefinement, RunHonoursDeckLearningKeys) {
   // The run demoted the lie after two steps and saved the database.
   const RouteDatabase db = RouteDatabase::load(db_path);
   const RouteObservation* cheby =
-      db.find("2d/n16/r2", "chebyshev/none/d1");
+      db.find("2d/n16/r2", "chebyshev/none/d1/fused");
   ASSERT_NE(cheby, nullptr);
   EXPECT_TRUE(cheby->demoted);
   const RouteObservation* cg = db.find("2d/n16/r2", "cg/none/d1/fused");

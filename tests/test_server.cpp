@@ -4,6 +4,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "api/solve_api.hpp"
@@ -21,7 +22,6 @@ namespace {
 SolverConfig native_config(SolverType t) {
   SolverConfig cfg;
   cfg.type = t;
-  cfg.fuse_kernels = true;
   cfg.max_iters = 20000;
   // Jacobi's convergence rate makes tight tolerances impractical on the
   // test problem; the bitwise comparison does not care about depth.
@@ -88,23 +88,22 @@ SweepReport synthetic_report() {
   rep.ranks = 2;
   rep.steps = 1;
   const auto add = [&](const std::string& solver, PreconType pre, int depth,
-                       bool fused, double seconds, int iters) {
+                       double seconds, int iters) {
     SweepOutcome cell;
     cell.config.solver = solver;
     cell.config.precon = pre;
     cell.config.halo_depth = depth;
     cell.config.mesh_n = 16;
-    cell.config.fused = fused;
     cell.config.dims = 2;
     cell.converged = true;
     cell.iterations = iters;
     cell.solve_seconds = seconds;
     rep.cells.push_back(cell);
   };
-  add("ppcg", PreconType::kJacobiDiag, 2, true, 0.010, 12);
-  add("cg", PreconType::kNone, 1, true, 0.020, 40);
-  add("jacobi", PreconType::kNone, 1, true, 0.300, 900);
-  add("mg-pcg", PreconType::kNone, 1, true, 0.050, 8);
+  add("ppcg", PreconType::kJacobiDiag, 2, 0.010, 12);
+  add("cg", PreconType::kNone, 1, 0.020, 40);
+  add("jacobi", PreconType::kNone, 1, 0.300, 900);
+  add("mg-pcg", PreconType::kNone, 1, 0.050, 8);
   return rep;
 }
 
@@ -147,23 +146,28 @@ TEST(RoutingTable, RoundTripsThroughSweepJson) {
             "ppcg/jac_diag/d2/n16/fused");
 }
 
-TEST(RoutingTable, DropsCellsOfTheRetiredPipelinedSchedule) {
-  // Sweeps recorded before the pipelined schedule was retired carry a
-  // per-cell "pipeline" flag: false names a route that still exists, true
-  // one that does not.  Mark the fastest cell pipelined.
-  const io::JsonValue doc = synthetic_report().to_json();
-  const io::JsonValue& cells = doc.at("cells");
-  io::JsonValue flagged = io::JsonValue::array();
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    io::JsonValue cell = cells.at(i);
-    cell.set("pipeline", i == 0);
-    flagged.push_back(std::move(cell));
+TEST(RoutingTable, DropsCellsOfRetiredSchedules) {
+  // Sweeps recorded before the pipelined and unfused schedules were
+  // retired carry per-cell "pipeline" and "fused" flags; a cell whose
+  // flag names a retired schedule names a route that no longer exists.
+  // Mark the fastest cell that way.
+  for (const auto& [key, retired] :
+       {std::pair{"pipeline", true}, std::pair{"fused", false}}) {
+    const io::JsonValue doc = synthetic_report().to_json();
+    const io::JsonValue& cells = doc.at("cells");
+    io::JsonValue flagged = io::JsonValue::array();
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+      io::JsonValue cell = cells.at(i);
+      cell.set(key, i == 0 ? retired : !retired);
+      flagged.push_back(std::move(cell));
+    }
+    io::JsonValue old = doc;
+    old.set("cells", std::move(flagged));
+    const RoutingTable table = RoutingTable::from_json_string(old.dump(2));
+    EXPECT_EQ(table.size(), 3u) << key;
+    EXPECT_EQ(table.route(2, 16, 2).front().label(), "cg/none/d1/n16/fused")
+        << key;
   }
-  io::JsonValue old = doc;
-  old.set("cells", std::move(flagged));
-  const RoutingTable table = RoutingTable::from_json_string(old.dump(2));
-  EXPECT_EQ(table.size(), 3u);
-  EXPECT_EQ(table.route(2, 16, 2).front().label(), "cg/none/d1/n16/fused");
 }
 
 std::vector<std::string> route_labels(const RoutingTable& table, int mesh_n) {
@@ -176,35 +180,29 @@ std::vector<std::string> route_labels(const RoutingTable& table, int mesh_n) {
 
 TEST(RoutingTable, CommittedServerRoutesStillLoadAndRank) {
   // The end-to-end benchmark's route table predates the retirement of the
-  // pipelined schedule: every cell carries "pipeline": false.  It must
-  // still yield all 64 cells (36 of them routable) and rank the
-  // server_mix shapes (2-D, 64² and 128², 2 ranks) exactly as before.
+  // pipelined and unfused schedules: every cell carries "pipeline": false
+  // and half of them "fused": false.  Those unfused cells measured a
+  // route that no longer exists and are dropped; the fused half must
+  // still yield 32 cells (18 of them routable) and rank the server_mix
+  // shapes (2-D, 64² and 128², 2 ranks) exactly as before.
   const std::string path =
       std::string(TEALEAF_DECKS_DIR) + "/../bench/e2e/server_routes.json";
   std::ifstream in(path);
   ASSERT_TRUE(in.is_open()) << path;
   std::stringstream text;
   text << in.rdbuf();
-  EXPECT_EQ(SweepReport::from_json_string(text.str()).cells.size(), 64u);
+  EXPECT_EQ(SweepReport::from_json_string(text.str()).cells.size(), 32u);
   const RoutingTable table = RoutingTable::from_json_file(path);
-  EXPECT_EQ(table.size(), 36u);
+  EXPECT_EQ(table.size(), 18u);
   const std::vector<std::string> want64 = {
       "cg/jac_diag/d1/n64/fused",        "cg/none/d1/n64/fused",
-      "cg/jac_diag/d1/n64",              "ppcg/none/d4/n64",
-      "cg/none/d1/n64",                  "ppcg/jac_diag/d4/n64",
-      "ppcg/none/d4/n64/fused",          "ppcg/jac_diag/d1/n64",
-      "ppcg/jac_diag/d1/n64/fused",      "chebyshev/jac_diag/d1/n64",
-      "ppcg/none/d1/n64",                "chebyshev/jac_diag/d1/n64/fused",
-      "chebyshev/none/d1/n64",           "ppcg/none/d1/n64/fused",
+      "ppcg/none/d4/n64/fused",          "ppcg/jac_diag/d1/n64/fused",
+      "chebyshev/jac_diag/d1/n64/fused", "ppcg/none/d1/n64/fused",
       "chebyshev/none/d1/n64/fused",     "ppcg/jac_diag/d4/n64/fused"};
   const std::vector<std::string> want128 = {
-      "cg/jac_diag/d1/n128/fused",       "ppcg/none/d4/n128",
-      "cg/none/d1/n128/fused",           "cg/jac_diag/d1/n128",
-      "cg/none/d1/n128",                 "ppcg/none/d1/n128",
-      "ppcg/jac_diag/d4/n128",           "ppcg/jac_diag/d1/n128",
-      "ppcg/none/d4/n128/fused",         "ppcg/none/d1/n128/fused",
-      "chebyshev/none/d1/n128",          "chebyshev/jac_diag/d1/n128",
-      "ppcg/jac_diag/d1/n128/fused",     "ppcg/jac_diag/d4/n128/fused",
+      "cg/jac_diag/d1/n128/fused",        "cg/none/d1/n128/fused",
+      "ppcg/none/d4/n128/fused",          "ppcg/none/d1/n128/fused",
+      "ppcg/jac_diag/d1/n128/fused",      "ppcg/jac_diag/d4/n128/fused",
       "chebyshev/jac_diag/d1/n128/fused", "chebyshev/none/d1/n128/fused"};
   EXPECT_EQ(route_labels(table, 64), want64);
   EXPECT_EQ(route_labels(table, 128), want128);
@@ -428,7 +426,6 @@ TEST(ServerPrecision, RoutesMixedCellsAndFiltersDoubleOnlyBaselines) {
   SweepOutcome cell;
   cell.config.solver = "cg";
   cell.config.mesh_n = 16;
-  cell.config.fused = true;
   cell.config.dims = 2;
   cell.config.precision = "mixed";
   cell.converged = true;

@@ -24,12 +24,12 @@ TEST(SweepEnumeration, FullCrossProductInDeclaredOrder) {
   ASSERT_EQ(cases.size(), 2u * 2u * 2u * 2u * 1u);
 
   // Axis nesting: solver outermost, threads innermost.
-  EXPECT_EQ(cases[0].label(), "cg/none/d1/n16/t0");
-  EXPECT_EQ(cases[1].label(), "cg/none/d1/n24/t0");
-  EXPECT_EQ(cases[2].label(), "cg/none/d4/n16/t0");
-  EXPECT_EQ(cases[4].label(), "cg/jac_diag/d1/n16/t0");
-  EXPECT_EQ(cases[8].label(), "ppcg/none/d1/n16/t0");
-  EXPECT_EQ(cases.back().label(), "ppcg/jac_diag/d4/n24/t0");
+  EXPECT_EQ(cases[0].label(), "cg/none/d1/n16/t0/fused");
+  EXPECT_EQ(cases[1].label(), "cg/none/d1/n24/t0/fused");
+  EXPECT_EQ(cases[2].label(), "cg/none/d4/n16/t0/fused");
+  EXPECT_EQ(cases[4].label(), "cg/jac_diag/d1/n16/t0/fused");
+  EXPECT_EQ(cases[8].label(), "ppcg/none/d1/n16/t0/fused");
+  EXPECT_EQ(cases.back().label(), "ppcg/jac_diag/d4/n24/t0/fused");
 
   // Enumeration is deterministic: a second call yields identical cells.
   const std::vector<SweepCase> again = enumerate_cases(spec, 48);
@@ -89,22 +89,6 @@ TEST(SweepDeck, ParsesAndRoundTripsSweepSection) {
   EXPECT_EQ(back.sweep.mesh_sizes, deck.sweep.mesh_sizes);
   EXPECT_EQ(back.sweep.thread_counts, deck.sweep.thread_counts);
   EXPECT_EQ(back.sweep.ranks, deck.sweep.ranks);
-}
-
-TEST(SweepDeck, FusedAxisAndEngineToggleRoundTrip) {
-  const InputDeck deck = InputDeck::parse_string(
-      "*tea\n"
-      "x_cells=16\ny_cells=16\nend_step=1\n"
-      "tl_fuse_kernels\n"
-      "sweep_solvers=cg\n"
-      "sweep_fused=0,1\n"
-      "state 1 density=1.0 energy=1.0\n"
-      "*endtea\n");
-  EXPECT_TRUE(deck.solver.fuse_kernels);
-  EXPECT_EQ(deck.sweep.fused, (std::vector<int>{0, 1}));
-  const InputDeck back = InputDeck::parse_string(deck.to_string());
-  EXPECT_TRUE(back.solver.fuse_kernels);
-  EXPECT_EQ(back.sweep.fused, deck.sweep.fused);
 }
 
 TEST(SweepDeck, NonSweepDecksStayNonSweep) {
@@ -209,9 +193,9 @@ TEST(SweepDesignQuestions, PPCGCutsReductionsAndDepthCutsExchanges) {
     }
     throw TeaError("no cell " + label);
   };
-  const SweepOutcome& cg = cell("cg/none/d1/n32/t0");
-  const SweepOutcome& ppcg1 = cell("ppcg/none/d1/n32/t0");
-  const SweepOutcome& ppcg4 = cell("ppcg/none/d4/n32/t0");
+  const SweepOutcome& cg = cell("cg/none/d1/n32/t0/fused");
+  const SweepOutcome& ppcg1 = cell("ppcg/none/d1/n32/t0/fused");
+  const SweepOutcome& ppcg4 = cell("ppcg/none/d4/n32/t0/fused");
   ASSERT_TRUE(cg.converged && ppcg1.converged && ppcg4.converged);
   EXPECT_LT(ppcg1.reductions, cg.reductions);
   EXPECT_LT(ppcg4.exchanges, ppcg1.exchanges);
@@ -253,12 +237,14 @@ TEST_F(SweepRun, CsvRoundTrips) {
   corrupt[1].replace(corrupt[1].find(",1,"), 3, ",x,");
   EXPECT_THROW(SweepReport::from_csv_lines(corrupt), TeaError);
 
-  // A table written before the pipelined schedule was retired carries an
-  // extra pipeline column after tile_rows: its header no longer matches.
-  std::vector<std::string> old_table = lines;
-  old_table[0].replace(old_table[0].find(",tile_rows,"), 11,
-                       ",tile_rows,pipeline,");
-  EXPECT_THROW(SweepReport::from_csv_lines(old_table), TeaError);
+  // A table written before the pipelined or unfused schedule was retired
+  // carries an extra pipeline or fused column: its header no longer
+  // matches.
+  for (const char* retired : {",tile_rows,pipeline,", ",fused,tile_rows,"}) {
+    std::vector<std::string> old_table = lines;
+    old_table[0].replace(old_table[0].find(",tile_rows,"), 11, retired);
+    EXPECT_THROW(SweepReport::from_csv_lines(old_table), TeaError) << retired;
+  }
 }
 
 TEST_F(SweepRun, JsonRoundTrips) {
@@ -321,64 +307,44 @@ TEST(SweepDeckDriven, DeckSweepSectionDrivesRun) {
   }
 }
 
-TEST(SweepFusedAxis, EnumeratesAsSixthInnermostAxis) {
-  SweepSpec spec;
-  spec.solvers = {"cg"};
-  spec.fused = {0, 1};
-  const std::vector<SweepCase> cases = enumerate_cases(spec, 16);
-  ASSERT_EQ(cases.size(), 2u);
-  ASSERT_EQ(spec.num_cases(), 2u);
-  EXPECT_EQ(cases[0].label(), "cg/none/d1/n16/t0");
-  EXPECT_EQ(cases[1].label(), "cg/none/d1/n16/t0/fused");
-  spec.fused = {2};
-  EXPECT_THROW(spec.validate(), TeaError);
-}
-
-TEST(SweepFusedAxis, FusedAndUnfusedCellsConvergeIdentically) {
+TEST(SweepEngineAxis, TiledAndUntiledCellsConvergeIdentically) {
   InputDeck base = decks::hot_block(16, 1);
   base.solver.eps = 1e-8;
   SweepSpec spec;
   spec.solvers = {"cg", "ppcg", "mg-pcg"};
-  spec.fused = {0, 1};
+  spec.tile_rows = {0, 6};
   spec.ranks = 2;
   const SweepReport rep = run_sweep(base, spec);
   ASSERT_EQ(rep.cells.size(), 6u);
 
-  // mg-pcg's fused path hoists its V-cycle row loops into one team
-  // region per iteration: the sixth axis no longer skips the baseline,
-  // and the engine stays a pure-speed axis (identical iterations).
-  const SweepOutcome& mg_unfused = rep.cells[4];
-  const SweepOutcome& mg_fused = rep.cells[5];
-  ASSERT_EQ(mg_fused.config.solver, "mg-pcg");
-  ASSERT_TRUE(mg_fused.config.fused);
-  EXPECT_FALSE(mg_fused.skipped);
-  EXPECT_TRUE(mg_fused.converged);
-  EXPECT_EQ(mg_fused.iterations, mg_unfused.iterations);
-  EXPECT_EQ(mg_fused.final_norm, mg_unfused.final_norm);
+  // mg-pcg runs untiled only: its tiled cell is a reasoned skip.
+  ASSERT_EQ(rep.cells[4].config.solver, "mg-pcg");
+  EXPECT_FALSE(rep.cells[4].skipped);
+  EXPECT_TRUE(rep.cells[4].converged);
+  EXPECT_TRUE(rep.cells[5].skipped);
 
-  // Native solvers: the engine is a pure-speed axis — identical
-  // iteration counts and communication per fused/unfused pair.
+  // Native solvers: the tile height is a pure-speed axis — identical
+  // iteration counts and communication per untiled/tiled pair.
   for (const std::size_t i : {0u, 2u}) {
-    const SweepOutcome& unfused = rep.cells[i];
-    const SweepOutcome& fused = rep.cells[i + 1];
-    ASSERT_FALSE(unfused.config.fused);
-    ASSERT_TRUE(fused.config.fused);
-    EXPECT_TRUE(unfused.converged) << unfused.config.label();
-    EXPECT_TRUE(fused.converged) << fused.config.label();
-    EXPECT_EQ(fused.iterations, unfused.iterations);
-    EXPECT_EQ(fused.inner_steps, unfused.inner_steps);
-    EXPECT_EQ(fused.reductions, unfused.reductions);
-    EXPECT_EQ(fused.message_bytes, unfused.message_bytes);
+    const SweepOutcome& untiled = rep.cells[i];
+    const SweepOutcome& tiled = rep.cells[i + 1];
+    ASSERT_EQ(untiled.config.tile_rows, 0);
+    ASSERT_EQ(tiled.config.tile_rows, 6);
+    EXPECT_TRUE(untiled.converged) << untiled.config.label();
+    EXPECT_TRUE(tiled.converged) << tiled.config.label();
+    EXPECT_EQ(tiled.iterations, untiled.iterations);
+    EXPECT_EQ(tiled.inner_steps, untiled.inner_steps);
+    EXPECT_EQ(tiled.reductions, untiled.reductions);
+    EXPECT_EQ(tiled.message_bytes, untiled.message_bytes);
   }
 
-  // The fused flag survives both serialisation round trips.
+  // Labels survive both serialisation round trips.
   const SweepReport csv_back = SweepReport::from_csv_lines(rep.to_csv_lines());
   const SweepReport json_back =
       SweepReport::from_json_string(rep.to_json().dump(2));
   for (std::size_t i = 0; i < rep.cells.size(); ++i) {
-    EXPECT_EQ(csv_back.cells[i].config.fused, rep.cells[i].config.fused);
-    EXPECT_EQ(json_back.cells[i].config.fused, rep.cells[i].config.fused);
     EXPECT_EQ(csv_back.cells[i].config.label(), rep.cells[i].config.label());
+    EXPECT_EQ(json_back.cells[i].config.label(), rep.cells[i].config.label());
   }
 }
 
@@ -394,7 +360,7 @@ TEST(SweepBreakdown, BreakdownRowFailsWithoutAbortingTheSweep) {
   base.solver.eps = 1e-8;
   base.solver.max_iters = 20000;
   base.sweep.solvers = {"cg", "ppcg"};
-  base.sweep.fused = {0, 1};
+  base.sweep.tile_rows = {0, 6};
   base.sweep.ranks = 2;
 
   const SweepReport rep = run_sweep(base);
@@ -450,18 +416,18 @@ TEST(SweepScalingBridge, SpeedupsComeFromScalingModelHelper) {
 
 // ---- eighth axis: geometry (2d | 3d) -------------------------------------
 
-TEST(SweepGeometryAxis, EnumeratesAsEighthInnermostAxis) {
+TEST(SweepGeometryAxis, EnumeratesInsideTheTileAxis) {
   SweepSpec spec;
   spec.solvers = {"cg"};
-  spec.fused = {0, 1};
+  spec.tile_rows = {0, 8};
   spec.geometries = {2, 3};
   const std::vector<SweepCase> cases = enumerate_cases(spec, 16);
   ASSERT_EQ(cases.size(), 4u);
   ASSERT_EQ(spec.num_cases(), 4u);
-  EXPECT_EQ(cases[0].label(), "cg/none/d1/n16/t0");
-  EXPECT_EQ(cases[1].label(), "cg/none/d1/n16/t0/3d");
-  EXPECT_EQ(cases[2].label(), "cg/none/d1/n16/t0/fused");
-  EXPECT_EQ(cases[3].label(), "cg/none/d1/n16/t0/fused/3d");
+  EXPECT_EQ(cases[0].label(), "cg/none/d1/n16/t0/fused");
+  EXPECT_EQ(cases[1].label(), "cg/none/d1/n16/t0/fused/3d");
+  EXPECT_EQ(cases[2].label(), "cg/none/d1/n16/t0/fused/b8");
+  EXPECT_EQ(cases[3].label(), "cg/none/d1/n16/t0/fused/b8/3d");
   spec.geometries = {4};
   EXPECT_THROW(spec.validate(), TeaError);
 }
@@ -513,13 +479,13 @@ TEST(SweepGeometryAxis, RanksConverged2DAnd3DRowsAndRoundTrips) {
 TEST(SweepGeometryAxis, NoMgPcg3DCellIsEverSkipped) {
   // The last hole of the design-space matrix (ROADMAP "3-D mg-pcg"): the
   // mg-pcg × 3d cross-product contributes zero skipped cells across the
-  // engine and mesh axes, and each cell ranks as a converged row.
+  // thread and mesh axes, and each cell ranks as a converged row.
   InputDeck base = decks::hot_block(12, 1);
   base.solver.eps = 1e-8;
   SweepSpec spec;
   spec.solvers = {"mg-pcg"};
   spec.mesh_sizes = {8, 12};
-  spec.fused = {0, 1};
+  spec.thread_counts = {1, 2};
   spec.geometries = {3};
   spec.ranks = 2;
   const SweepReport rep = run_sweep(base, spec);
@@ -531,8 +497,8 @@ TEST(SweepGeometryAxis, NoMgPcg3DCellIsEverSkipped) {
   }
   EXPECT_EQ(rep.ranking().size(), 4u);
 
-  // The engine axis stays pure speed in 3-D: fused and unfused mg-pcg
-  // cells run identical iteration counts and final norms.
+  // The thread axis stays pure speed in 3-D: mg-pcg cells at one and two
+  // threads run identical iteration counts and final norms.
   for (const std::size_t i : {0u, 2u}) {
     EXPECT_EQ(rep.cells[i + 1].iterations, rep.cells[i].iterations);
     EXPECT_EQ(rep.cells[i + 1].final_norm, rep.cells[i].final_norm);
@@ -541,23 +507,20 @@ TEST(SweepGeometryAxis, NoMgPcg3DCellIsEverSkipped) {
 
 TEST(SweepGeometryAxis, SkipPlumbingStillFiresForInvalidCombos) {
   // Retiring the mg-pcg × 3d skip must not have loosened the genuinely
-  // invalid combinations: tiled × unfused still records a reasoned skip
-  // (in both geometries), as do mg-pcg's preconditioner/depth/tile
-  // contracts.
+  // invalid combinations: mg-pcg's tile contract still records a reasoned
+  // skip (in both geometries), as do its preconditioner/depth contracts.
   InputDeck base = decks::hot_block(12, 1);
   base.solver.eps = 1e-8;
   SweepSpec spec;
-  spec.solvers = {"cg", "mg-pcg"};
-  spec.fused = {0};
+  spec.solvers = {"mg-pcg"};
   spec.tile_rows = {4};
   spec.geometries = {2, 3};
   spec.ranks = 2;
   const SweepReport rep = run_sweep(base, spec);
-  ASSERT_EQ(rep.cells.size(), 4u);
+  ASSERT_EQ(rep.cells.size(), 2u);
   for (const SweepOutcome& c : rep.cells) {
     EXPECT_TRUE(c.skipped) << c.config.label();
-    EXPECT_NE(c.skip_reason.find("row tiling requires the fused"),
-              std::string::npos)
+    EXPECT_NE(c.skip_reason.find("does not row-tile"), std::string::npos)
         << c.skip_reason;
   }
 
@@ -600,18 +563,18 @@ TEST(SweepGeometryAxis, SlabCellMatches2DIterationCounts) {
 TEST(SweepPrecisionAxis, EnumeratesAsTenthInnermostAxis) {
   SweepSpec spec;
   spec.solvers = {"cg"};
-  spec.fused = {0, 1};
+  spec.tile_rows = {0, 8};
   spec.precisions = {"double", "fp32", "mixed"};  // alias canonicalises
   const std::vector<SweepCase> cases = enumerate_cases(spec, 16);
   ASSERT_EQ(cases.size(), 6u);
   ASSERT_EQ(spec.num_cases(), 6u);
   // Precision is the innermost axis and its label suffix comes last.
-  EXPECT_EQ(cases[0].label(), "cg/none/d1/n16/t0");
-  EXPECT_EQ(cases[1].label(), "cg/none/d1/n16/t0/f32");
-  EXPECT_EQ(cases[2].label(), "cg/none/d1/n16/t0/mixed");
-  EXPECT_EQ(cases[3].label(), "cg/none/d1/n16/t0/fused");
-  EXPECT_EQ(cases[4].label(), "cg/none/d1/n16/t0/fused/f32");
-  EXPECT_EQ(cases[5].label(), "cg/none/d1/n16/t0/fused/mixed");
+  EXPECT_EQ(cases[0].label(), "cg/none/d1/n16/t0/fused");
+  EXPECT_EQ(cases[1].label(), "cg/none/d1/n16/t0/fused/f32");
+  EXPECT_EQ(cases[2].label(), "cg/none/d1/n16/t0/fused/mixed");
+  EXPECT_EQ(cases[3].label(), "cg/none/d1/n16/t0/fused/b8");
+  EXPECT_EQ(cases[4].label(), "cg/none/d1/n16/t0/fused/b8/f32");
+  EXPECT_EQ(cases[5].label(), "cg/none/d1/n16/t0/fused/b8/mixed");
   EXPECT_EQ(cases[1].precision, "single");  // canonical name, not the alias
   spec.precisions = {"half"};
   EXPECT_THROW(spec.validate(), TeaError);
@@ -634,7 +597,7 @@ TEST(SweepPrecisionAxis, RanksConvergedCellsAndRoundTrips) {
   EXPECT_FALSE(rep.cells[1].skipped);
   EXPECT_TRUE(rep.cells[0].converged) << rep.cells[0].config.label();
   EXPECT_TRUE(rep.cells[1].converged) << rep.cells[1].config.label();
-  EXPECT_EQ(rep.cells[1].config.label(), "cg/none/d1/n16/t0/mixed");
+  EXPECT_EQ(rep.cells[1].config.label(), "cg/none/d1/n16/t0/fused/mixed");
 
   // mg-pcg stays double-only: the mixed cell is a reasoned skip, the
   // double cell runs.

@@ -16,10 +16,6 @@
 #include "test_helpers.hpp"
 #include "util/parallel.hpp"
 
-#if defined(TEALEAF_HAVE_OPENMP)
-#include <omp.h>
-#endif
-
 namespace tealeaf {
 namespace {
 
@@ -200,14 +196,18 @@ TEST(TiledKernels, CalcUrDotRowsMatchesFullKernel) {
     auto b = make_test_problem(20, 2, 2);
     fill_work_fields(*a, 2);
     fill_work_fields(*b, 2);
-    const double unfused = a->sum_over_chunks([&](int, Chunk2D& c) {
+    const double untiled = a->sum_over_chunks([&](int, Chunk2D& c) {
       return kernels::calc_ur_dot(c, 0.61, precon);
     });
-    const double tiled = b->sum_rows_over_chunks(
-        nullptr, 3, [&](int, Chunk2D& c, const Bounds& tb) {
-          kernels::calc_ur_dot_rows(c, 0.61, precon, tb, c.row_scratch());
-        });
-    EXPECT_EQ(tiled, unfused) << to_string(precon);
+    double tiled = 0.0;
+    parallel_region([&](const Team& t) {
+      const double v = b->sum_rows_over_chunks(
+          t, 3, [&](int, Chunk2D& c, const Bounds& tb) {
+            kernels::calc_ur_dot_rows(c, 0.61, precon, tb, c.row_scratch());
+          });
+      t.single([&] { tiled = v; });
+    });
+    EXPECT_EQ(tiled, untiled) << to_string(precon);
     for (const FieldId f : {FieldId::kU, FieldId::kR}) {
       EXPECT_EQ(max_field_diff(*a, *b, f), 0.0) << to_string(precon);
     }
@@ -221,8 +221,9 @@ TEST(TiledKernels, JacobiTwoPhaseMatchesFusedSweep) {
   b->exchange({FieldId::kU}, 1);
   const double full = a->sum_over_chunks(
       [](int, Chunk2D& c) { return kernels::jacobi_iterate(c); });
-  const double tiled = [&] {
-    b->for_each_tile(nullptr, 5,
+  double tiled = 0.0;
+  parallel_region([&](const Team& t) {
+    b->for_each_tile(t, 5,
                      [](int, Chunk2D& c) {
                        Bounds bb = interior_bounds(c);
                        bb.klo -= 1;
@@ -232,11 +233,12 @@ TEST(TiledKernels, JacobiTwoPhaseMatchesFusedSweep) {
                      [](int, Chunk2D& c, const Bounds& tb) {
                        kernels::jacobi_save_rows(c, tb);
                      });
-    return b->sum_rows_over_chunks(
-        nullptr, 5, [](int, Chunk2D& c, const Bounds& tb) {
+    const double v = b->sum_rows_over_chunks(
+        t, 5, [](int, Chunk2D& c, const Bounds& tb) {
           kernels::jacobi_update_rows(c, tb, c.row_scratch());
         });
-  }();
+    t.single([&] { tiled = v; });
+  });
   EXPECT_EQ(tiled, full);
   EXPECT_EQ(max_field_diff(*a, *b, FieldId::kU), 0.0);
 }
@@ -250,7 +252,7 @@ TEST(TiledCluster, SumRowsMatchesSumOverChunksBitwise) {
     double tiled = 0.0;
     parallel_region([&](Team& t) {
       const double v = cl->sum_rows_over_chunks(
-          &t, tile, [](int, Chunk2D& c, const Bounds& tb) {
+          t, tile, [](int, Chunk2D& c, const Bounds& tb) {
             kernels::dot_rows(c, FieldId::kU, FieldId::kU, tb,
                               c.row_scratch());
           });
@@ -283,8 +285,7 @@ TEST_P(TiledEngineEquivalence, BitwiseIdenticalToUntiledFused) {
   cfg.precon = tc.precon;
   cfg.halo_depth = tc.halo_depth;
   cfg.fuse_cg_reductions = tc.chrono;
-  cfg.fuse_kernels = true;
-  cfg.tile_rows = 0;  // the untiled fused baseline (the default is auto)
+  cfg.tile_rows = 0;  // the untiled baseline (the default is auto)
   cfg.op = tc.op;
   cfg.eps = (tc.type == SolverType::kJacobi) ? 1e-5 : 1e-10;
   cfg.max_iters = (tc.type == SolverType::kJacobi) ? 100000 : 10000;
@@ -335,7 +336,10 @@ INSTANTIATE_TEST_SUITE_P(
         TiledCase{SolverType::kChebyshev, PreconType::kNone, 1, false, 5},
         TiledCase{SolverType::kChebyshev, PreconType::kJacobiDiag, 1, false,
                   4},
+        TiledCase{SolverType::kChebyshev, PreconType::kJacobiBlock, 1, false,
+                  6},
         TiledCase{SolverType::kPPCG, PreconType::kNone, 1, false, 5},
+        TiledCase{SolverType::kPPCG, PreconType::kJacobiBlock, 1, false, 6},
         TiledCase{SolverType::kPPCG, PreconType::kJacobiDiag, 1, false, 3},
         TiledCase{SolverType::kPPCG, PreconType::kNone, 4, false, 5},
         TiledCase{SolverType::kPPCG, PreconType::kJacobiDiag, 4, false, 1},
@@ -352,15 +356,23 @@ INSTANTIATE_TEST_SUITE_P(
                   OperatorKind::kCsr},
         TiledCase{SolverType::kChebyshev, PreconType::kNone, 1, false, 4,
                   OperatorKind::kCsr},
+        TiledCase{SolverType::kChebyshev, PreconType::kJacobiDiag, 1, false,
+                  6, OperatorKind::kCsr},
+        TiledCase{SolverType::kPPCG, PreconType::kNone, 1, false, 6,
+                  OperatorKind::kCsr},
         TiledCase{SolverType::kPPCG, PreconType::kJacobiDiag, 1, false, 5,
                   OperatorKind::kCsr},
         TiledCase{SolverType::kCG, PreconType::kNone, 1, false, 7,
                   OperatorKind::kSellCSigma},
         TiledCase{SolverType::kCG, PreconType::kJacobiBlock, 1, false, 3,
                   OperatorKind::kSellCSigma},
+        TiledCase{SolverType::kChebyshev, PreconType::kNone, 1, false, 6,
+                  OperatorKind::kSellCSigma},
         TiledCase{SolverType::kChebyshev, PreconType::kJacobiDiag, 1, false, 5,
                   OperatorKind::kSellCSigma},
         TiledCase{SolverType::kPPCG, PreconType::kNone, 1, false, 1000,
+                  OperatorKind::kSellCSigma},
+        TiledCase{SolverType::kPPCG, PreconType::kJacobiDiag, 1, false, 6,
                   OperatorKind::kSellCSigma}),
     [](const auto& info) {
       const TiledCase& tc = info.param;
@@ -383,7 +395,6 @@ TEST(TiledScheduling, MoreThreadsThanRanksStaysBitwiseIdentical) {
   // row-block) 2-D schedule engages.
   SolverConfig cfg;
   cfg.type = SolverType::kCG;
-  cfg.fuse_kernels = true;
   cfg.tile_rows = 0;
   cfg.eps = 1e-10;
 
@@ -391,13 +402,13 @@ TEST(TiledScheduling, MoreThreadsThanRanksStaysBitwiseIdentical) {
   const SolveStats su = run_solver(*a, cfg);
   ASSERT_TRUE(su.converged);
 
-  const int saved = omp_get_max_threads();
-  omp_set_num_threads(5);  // > 2 ranks → flat (rank, block) pairs
   auto b = make_test_problem(32, 2, 2, 8.0);
   SolverConfig tiled = cfg;
   tiled.tile_rows = 3;
-  const SolveStats st = run_solver(*b, tiled);
-  omp_set_num_threads(saved);
+  const SolveStats st = [&] {
+    const ThreadScope five(5);  // > 2 ranks → flat (rank, block) pairs
+    return run_solver(*b, tiled);
+  }();
 
   ASSERT_TRUE(st.converged);
   EXPECT_EQ(st.outer_iters, su.outer_iters);
@@ -428,7 +439,6 @@ TEST(AutoTile, DerivesFromMachineL2AndFallsBack) {
 TEST(AutoTile, AutoConfigSolvesBitwiseIdenticalToUntiled) {
   SolverConfig cfg;
   cfg.type = SolverType::kCG;
-  cfg.fuse_kernels = true;
   cfg.tile_rows = 0;
   cfg.eps = 1e-10;
   auto a = make_test_problem(32, 4, 2, 8.0);
@@ -443,26 +453,25 @@ TEST(AutoTile, AutoConfigSolvesBitwiseIdenticalToUntiled) {
   EXPECT_EQ(max_field_diff(*a, *b, FieldId::kU), 0.0);
 }
 
-// ---- batched fused Jacobi ------------------------------------------------
+// ---- Jacobi sweeps --------------------------------------------------------
 
-TEST(JacobiBatch, BatchedFusedMatchesUnfusedAcrossBatchBoundaries) {
-  // Enough iterations to cross several 16-sweep batches; the fused path
-  // must stop on exactly the same sweep as the unfused path.
+TEST(JacobiBatch, TiledMatchesUntiledOverManySweeps) {
+  // Many sweeps: the tiled path must stop on exactly the same sweep as
+  // the untiled one.
   SolverConfig cfg;
   cfg.type = SolverType::kJacobi;
   cfg.eps = 1e-6;
   cfg.max_iters = 100000;
-  cfg.fuse_kernels = false;
   cfg.tile_rows = 0;
   auto a = make_test_problem(24, 2, 2, 4.0);
   auto b = make_test_problem(24, 2, 2, 4.0);
-  SolverConfig fused = cfg;
-  fused.fuse_kernels = true;
+  SolverConfig tiled = cfg;
+  tiled.tile_rows = 6;
   const SolveStats su = run_solver(*a, cfg);
-  const SolveStats sf = run_solver(*b, fused);
+  const SolveStats sf = run_solver(*b, tiled);
   ASSERT_TRUE(su.converged);
   ASSERT_TRUE(sf.converged);
-  ASSERT_GT(su.outer_iters, 16) << "problem too easy to cross a batch";
+  ASSERT_GT(su.outer_iters, 16) << "problem too easy";
   EXPECT_EQ(sf.outer_iters, su.outer_iters);
   EXPECT_EQ(sf.initial_norm, su.initial_norm);
   EXPECT_EQ(sf.final_norm, su.final_norm);
@@ -476,27 +485,26 @@ TEST(JacobiBatch, MaxItersStopsMidBatch) {
   cfg.type = SolverType::kJacobi;
   cfg.eps = 1e-14;
   cfg.max_iters = 21;  // not a multiple of the 16-sweep batch
-  cfg.fuse_kernels = true;
   auto cl = make_test_problem(24, 2, 2, 4.0);
   const SolveStats st = run_solver(*cl, cfg);
   EXPECT_FALSE(st.converged);
   EXPECT_EQ(st.outer_iters, 21);
 }
 
-// ---- sweep seventh axis --------------------------------------------------
+// ---- sweep tile axis ------------------------------------------------------
 
-TEST(SweepTileAxis, EnumeratesAsSeventhInnermostAxis) {
+TEST(SweepTileAxis, EnumeratesAfterThreads) {
   SweepSpec spec;
   spec.solvers = {"cg"};
-  spec.fused = {0, 1};
+  spec.thread_counts = {0, 2};
   spec.tile_rows = {0, 8};
   const std::vector<SweepCase> cases = enumerate_cases(spec, 16);
   ASSERT_EQ(cases.size(), 4u);
   ASSERT_EQ(spec.num_cases(), 4u);
-  EXPECT_EQ(cases[0].label(), "cg/none/d1/n16/t0");
-  EXPECT_EQ(cases[1].label(), "cg/none/d1/n16/t0/b8");
-  EXPECT_EQ(cases[2].label(), "cg/none/d1/n16/t0/fused");
-  EXPECT_EQ(cases[3].label(), "cg/none/d1/n16/t0/fused/b8");
+  EXPECT_EQ(cases[0].label(), "cg/none/d1/n16/t0/fused");
+  EXPECT_EQ(cases[1].label(), "cg/none/d1/n16/t0/fused/b8");
+  EXPECT_EQ(cases[2].label(), "cg/none/d1/n16/t2/fused");
+  EXPECT_EQ(cases[3].label(), "cg/none/d1/n16/t2/fused/b8");
   spec.tile_rows = {-2};
   EXPECT_THROW(spec.validate(), TeaError);
 }
@@ -506,30 +514,24 @@ TEST(SweepTileAxis, TiledCellsMatchUntiledAndRoundTrip) {
   base.solver.eps = 1e-8;
   SweepSpec spec;
   spec.solvers = {"cg", "mg-pcg"};
-  spec.fused = {0, 1};
   spec.tile_rows = {0, 4};
   spec.ranks = 2;
   const SweepReport rep = run_sweep(base, spec);
-  ASSERT_EQ(rep.cells.size(), 8u);
+  ASSERT_EQ(rep.cells.size(), 4u);
 
-  // cg: unfused, unfused/b4 (skipped), fused, fused/b4.
+  // cg: untiled, b4.
   EXPECT_FALSE(rep.cells[0].skipped);
-  EXPECT_TRUE(rep.cells[1].skipped);  // tiling needs the fused engine
-  EXPECT_FALSE(rep.cells[2].skipped);
-  EXPECT_FALSE(rep.cells[3].skipped);
-  EXPECT_EQ(rep.cells[3].config.tile_rows, 4);
-  EXPECT_TRUE(rep.cells[3].converged);
-  EXPECT_EQ(rep.cells[3].iterations, rep.cells[0].iterations);
-  EXPECT_EQ(rep.cells[3].final_norm, rep.cells[2].final_norm);
-  EXPECT_EQ(rep.cells[3].message_bytes, rep.cells[2].message_bytes);
+  EXPECT_FALSE(rep.cells[1].skipped);
+  EXPECT_EQ(rep.cells[1].config.tile_rows, 4);
+  EXPECT_TRUE(rep.cells[1].converged);
+  EXPECT_EQ(rep.cells[1].iterations, rep.cells[0].iterations);
+  EXPECT_EQ(rep.cells[1].final_norm, rep.cells[0].final_norm);
+  EXPECT_EQ(rep.cells[1].message_bytes, rep.cells[0].message_bytes);
 
-  // mg-pcg: fused runs now; its tiled cells are skipped.
-  EXPECT_FALSE(rep.cells[4].skipped);
-  EXPECT_TRUE(rep.cells[5].skipped);
-  EXPECT_FALSE(rep.cells[6].skipped);
-  EXPECT_TRUE(rep.cells[7].skipped);
-  EXPECT_TRUE(rep.cells[6].converged);
-  EXPECT_EQ(rep.cells[6].iterations, rep.cells[4].iterations);
+  // mg-pcg runs untiled; its tiled cell is skipped.
+  EXPECT_FALSE(rep.cells[2].skipped);
+  EXPECT_TRUE(rep.cells[2].converged);
+  EXPECT_TRUE(rep.cells[3].skipped);
 
   // The tile column survives both serialisation round trips.
   const SweepReport csv_back = SweepReport::from_csv_lines(rep.to_csv_lines());
@@ -603,27 +605,26 @@ TEST(TileDeck, KnobOutsideTeaBlockIsRejected) {
 TEST(TileDeck, BooleanFlagsAcceptExplicitValues) {
   const InputDeck off = InputDeck::parse_string(
       "*tea\nx_cells=8\ny_cells=8\nend_step=1\n"
-      "tl_fuse_kernels=0\nstate 1 density=1 energy=1\n*endtea\n");
-  EXPECT_FALSE(off.solver.fuse_kernels);
+      "tl_cg_fuse_reductions=0\nstate 1 density=1 energy=1\n*endtea\n");
+  EXPECT_FALSE(off.solver.fuse_cg_reductions);
   const InputDeck on = InputDeck::parse_string(
       "*tea\nx_cells=8\ny_cells=8\nend_step=1\n"
-      "tl_fuse_kernels=true\nstate 1 density=1 energy=1\n*endtea\n");
-  EXPECT_TRUE(on.solver.fuse_kernels);
+      "tl_cg_fuse_reductions=true\nstate 1 density=1 energy=1\n*endtea\n");
+  EXPECT_TRUE(on.solver.fuse_cg_reductions);
   EXPECT_THROW(InputDeck::parse_string(
                    "*tea\nx_cells=8\ny_cells=8\nend_step=1\n"
-                   "tl_fuse_kernels=maybe\nstate 1 density=1 energy=1\n"
-                   "*endtea\n"),
+                   "tl_cg_fuse_reductions=maybe\nstate 1 density=1 "
+                   "energy=1\n*endtea\n"),
                TeaError);
 }
 
 // ---- scaling model: blocked-cache variant --------------------------------
 
 TEST(TiledModel, BlockedBytesVariantSpeedsUpCacheFittingTiles) {
-  // The untiled reference must say so: the default config (fused, auto
-  // tiles) would already price the blocked variant.
+  // The untiled reference must say so: the default config (auto tiles)
+  // would already price the blocked variant.
   SolverConfig cfg;
   cfg.type = SolverType::kJacobi;
-  cfg.fuse_kernels = false;
   cfg.tile_rows = 0;
   SolveStats stats;
   stats.outer_iters = 200;
@@ -652,20 +653,16 @@ TEST(TiledModel, BlockedBytesVariantSpeedsUpCacheFittingTiles) {
   }(), 1));
 }
 
-TEST(TiledModel, SummaryRecordsEffectiveTileHeightAndResolvesAuto) {
-  // An unfused config runs untiled whatever the knob says: the summary
-  // must record that, or the model would price phantom cache blocking.
+TEST(TiledModel, SummaryRecordsTileHeightAndResolvesAuto) {
   SolverConfig cfg;
   cfg.type = SolverType::kJacobi;
   cfg.tile_rows = 128;
-  cfg.fuse_kernels = false;
   SolveStats stats;
   stats.outer_iters = 100;
-  EXPECT_EQ(SolverRunSummary::from(cfg, stats, 256).tile_rows, 0);
+  EXPECT_EQ(SolverRunSummary::from(cfg, stats, 256).tile_rows, 128);
 
   // `auto` stays symbolic in the summary and resolves inside the model
   // against the modelled chunk width, like the real engine does.
-  cfg.fuse_kernels = true;
   cfg.tile_rows = -1;
   SolverRunSummary run = SolverRunSummary::from(cfg, stats, 1024);
   EXPECT_EQ(run.tile_rows, -1);
