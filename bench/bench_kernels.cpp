@@ -154,60 +154,35 @@ BENCHMARK(BM_SmvpExtendedBounds)
     ->Args({256, 8})
     ->Args({256, 16});
 
-void BM_ChebyFusedUpdate(benchmark::State& state) {
+void BM_ChebyStepTile(benchmark::State& state) {
+  // One Chebyshev step as the solvers run it at one block per chunk: the
+  // tile pass (stencil sweep + inner-row update), then the edge rows.
   const int n = static_cast<int>(state.range(0));
   auto cl = make_chunk(n);
   Chunk2D& c = cl->chunk(0);
-  kernels::smvp(c, FieldId::kP, FieldId::kW, interior_bounds(c));
+  const Bounds in = interior_bounds(c);
   for (auto _ : state) {
-    kernels::cheby_fused_update(c, FieldId::kRtemp, FieldId::kSd,
-                                FieldId::kZ, 0.5, 0.1, true,
-                                interior_bounds(c));
+    kernels::cheby_step_tile(c, FieldId::kRtemp, FieldId::kSd, FieldId::kZ,
+                             0.5, 0.1, true, in, in);
+    kernels::cheby_step_tile_edges(c, FieldId::kRtemp, FieldId::kSd,
+                                   FieldId::kZ, 0.5, 0.1, true, in, in);
     benchmark::DoNotOptimize(c.z()(0, 0));
   }
   state.SetItemsProcessed(state.iterations() * n * n);
 }
-BENCHMARK(BM_ChebyFusedUpdate)->Arg(64)->Arg(256)->Arg(512);
-
-void BM_ChebyStepUnfusedPair(benchmark::State& state) {
-  // The unfused Chebyshev iteration body: smvp sweep + update sweep.
-  const int n = static_cast<int>(state.range(0));
-  auto cl = make_chunk(n);
-  Chunk2D& c = cl->chunk(0);
-  for (auto _ : state) {
-    kernels::smvp(c, FieldId::kSd, FieldId::kW, interior_bounds(c));
-    kernels::cheby_fused_update(c, FieldId::kRtemp, FieldId::kSd,
-                                FieldId::kZ, 0.5, 0.1, true,
-                                interior_bounds(c));
-    benchmark::DoNotOptimize(c.z()(0, 0));
-  }
-  state.SetItemsProcessed(state.iterations() * n * n);
-}
-BENCHMARK(BM_ChebyStepUnfusedPair)->Arg(64)->Arg(256)->Arg(512);
-
-void BM_ChebyStepFused(benchmark::State& state) {
-  // The same iteration body behind one call (cheby_step).
-  const int n = static_cast<int>(state.range(0));
-  auto cl = make_chunk(n);
-  Chunk2D& c = cl->chunk(0);
-  for (auto _ : state) {
-    kernels::cheby_step(c, FieldId::kRtemp, FieldId::kSd, FieldId::kZ, 0.5,
-                        0.1, true, interior_bounds(c));
-    benchmark::DoNotOptimize(c.z()(0, 0));
-  }
-  state.SetItemsProcessed(state.iterations() * n * n);
-}
-BENCHMARK(BM_ChebyStepFused)->Arg(64)->Arg(256)->Arg(512);
+BENCHMARK(BM_ChebyStepTile)->Arg(64)->Arg(256)->Arg(512);
 
 void BM_CalcUrDotFused(benchmark::State& state) {
   // Fused u/r update + diag preconditioner + ⟨r,z⟩: one pass vs three.
   const int n = static_cast<int>(state.range(0));
   auto cl = make_chunk(n);
   Chunk2D& c = cl->chunk(0);
-  kernels::smvp(c, FieldId::kP, FieldId::kW, interior_bounds(c));
+  const Bounds in = interior_bounds(c);
+  kernels::smvp(c, FieldId::kP, FieldId::kW, in);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        kernels::calc_ur_dot(c, 1e-3, PreconType::kJacobiDiag));
+    kernels::calc_ur_dot_rows(c, 1e-3, PreconType::kJacobiDiag, in,
+                              c.row_scratch());
+    benchmark::DoNotOptimize(c.row_scratch()[0]);
   }
   state.SetItemsProcessed(state.iterations() * n * n);
 }
@@ -217,10 +192,11 @@ void BM_CalcUrDotUnfusedTriple(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   auto cl = make_chunk(n);
   Chunk2D& c = cl->chunk(0);
-  kernels::smvp(c, FieldId::kP, FieldId::kW, interior_bounds(c));
+  const Bounds in = interior_bounds(c);
+  kernels::smvp(c, FieldId::kP, FieldId::kW, in);
   for (auto _ : state) {
-    kernels::cg_calc_ur(c, 1e-3);
-    kernels::diag_solve(c, FieldId::kR, FieldId::kZ, interior_bounds(c));
+    kernels::cg_calc_ur_rows(c, 1e-3, in);
+    kernels::diag_solve(c, FieldId::kR, FieldId::kZ, in);
     benchmark::DoNotOptimize(kernels::dot(c, FieldId::kR, FieldId::kZ));
   }
   state.SetItemsProcessed(state.iterations() * n * n);
@@ -270,8 +246,11 @@ void BM_JacobiSweep(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   auto cl = make_chunk(n);
   Chunk2D& c = cl->chunk(0);
+  const Bounds in = interior_bounds(c);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(kernels::jacobi_iterate(c));
+    kernels::jacobi_tile(c, in, c.row_scratch());
+    kernels::jacobi_tile_edges(c, in, c.row_scratch());
+    benchmark::DoNotOptimize(c.row_scratch()[0]);
   }
   state.SetItemsProcessed(state.iterations() * n * n);
 }

@@ -43,29 +43,18 @@ void SimCluster::exchange(const Team& team,
   exchange_impl(team, fields.data(), static_cast<int>(fields.size()), depth);
 }
 
-// Phase ordering matters in both forms: x completes for all ranks before y
-// starts so that the y messages carry fresh corner columns, and (in 3-D) z
-// runs last carrying the xy-halo rows so edges and corners propagate (see
-// class comment).
+// Phase ordering matters: x completes for all ranks before y starts so
+// that the y messages carry fresh corner columns, and (in 3-D) z runs last
+// carrying the xy-halo rows so edges and corners propagate (see class
+// comment).
 
 void SimCluster::exchange_impl(const FieldId* fields, int nfields,
                                int depth) {
+  // Validated before the region, where a throw would terminate.
   TEA_REQUIRE(depth >= 1 && depth <= halo_depth_,
               "exchange depth exceeds allocated halo");
-  if (nfields == 0) return;
-  ++stats_.exchange_calls;
-  parallel_for(0, nranks(), [&](std::int64_t r) {
-    exchange_x_rank(static_cast<int>(r), fields, nfields, depth);
-  });
-  parallel_for(0, nranks(), [&](std::int64_t r) {
-    exchange_y_rank(static_cast<int>(r), fields, nfields, depth);
-  });
-  if (mesh_.dims == 3) {
-    parallel_for(0, nranks(), [&](std::int64_t r) {
-      exchange_z_rank(static_cast<int>(r), fields, nfields, depth);
-    });
-  }
-  account_exchange(nfields, depth);
+  parallel_region(
+      [&](Team& t) { exchange_impl(t, fields, nfields, depth); });
 }
 
 void SimCluster::exchange_impl(const Team& team, const FieldId* fields,
@@ -78,8 +67,7 @@ void SimCluster::exchange_impl(const Team& team, const FieldId* fields,
               "exchange depth exceeds allocated halo");
   if (nfields == 0) return;
   const bool has_z = (mesh_.dims == 3);
-  // Explicit barriers replace the implicit joins of the standalone form —
-  // producers must finish before the x phase reads interiors, and each
+  // Producers must finish before the x phase reads interiors, and each
   // later phase carries the earlier phases' halos.  With more threads than
   // ranks each phase workshares (rank, face) pairs — the per-face copies
   // touch disjoint halo regions.
@@ -300,28 +288,6 @@ void SimCluster::account_exchange(int nfields, int depth) {
       }
     }
   }
-}
-
-double SimCluster::reduce_sum(const std::vector<double>& partials) {
-  TEA_REQUIRE(static_cast<int>(partials.size()) == nranks(),
-              "one partial per rank required");
-  ++stats_.reductions;
-  double total = 0.0;
-  for (const double p : partials) total += p;
-  return total;
-}
-
-std::pair<double, double> SimCluster::reduce_sum2(
-    const std::vector<std::pair<double, double>>& partials) {
-  TEA_REQUIRE(static_cast<int>(partials.size()) == nranks(),
-              "one partial per rank required");
-  ++stats_.reductions;
-  double a = 0.0, b = 0.0;
-  for (const auto& [pa, pb] : partials) {
-    a += pa;
-    b += pb;
-  }
-  return {a, b};
 }
 
 }  // namespace tealeaf

@@ -20,28 +20,28 @@ namespace tealeaf {
 /// documented in DESIGN.md §2.1.  One implementation serves both problem
 /// dimensions — the mesh's `dims` selects the 2-D or 3-D decomposition,
 /// chunk layout and halo-exchange scheme, so every execution-engine
-/// feature (fused regions, team reductions, row tiling) applies to both.
+/// feature (team reductions, row tiling) applies to both.
 ///
 /// The global mesh is block-decomposed over `nranks` simulated ranks, one
 /// Chunk each.  Solvers drive the chunks SPMD-style through
-/// `for_each_chunk` / `sum_over_chunks`, and all inter-rank data motion
-/// goes through `exchange` (halo swap, real byte copies) and `reduce_sum`
-/// (global reduction over ordered per-rank partials).  Every message and
-/// byte is recorded in CommStats so the performance model can replay the
-/// run on a modelled machine.
+/// `for_each_tile` / `sum_rows_over_chunks` (and the per-rank
+/// `for_each_chunk` / `sum_over_chunks`), and all inter-rank data motion
+/// goes through `exchange` (halo swap, real byte copies) and the
+/// rank-ordered global reductions.  Every message and byte is recorded in
+/// CommStats so the performance model can replay the run on a modelled
+/// machine.
 ///
 /// Halo exchange is staged per axis (x first, then y carrying the x-halo
 /// columns, then z carrying the xy-halo rows), which propagates corner
 /// and edge data exactly as upstream TeaLeaf's staged MPI exchange does —
 /// required for matrix-powers halo depths > 1.
 ///
-/// Every solver body runs its collectives in Team-aware form, worksharing
-/// inside the one `parallel_region` the solve opens.  Work outside a
-/// solver body — session prepare, the mixed-precision fp64 guard
-/// residual, test and harness set-up — uses the standalone forms of
-/// `exchange`, `for_each_chunk` and `sum_over_chunks`, which open their
-/// own region per call.  Both forms compute identical values (per-rank
-/// partials reduced in rank order) and record identical CommStats.
+/// Every collective has a Team form that workshares inside the one
+/// `parallel_region` a solve opens.  Work outside a solver body — session
+/// prepare, the mixed-precision fp64 guard residual, test and harness
+/// set-up — uses the standalone `exchange`, `for_each_chunk` and
+/// `sum_over_chunks`, thin wrappers that open one region around the Team
+/// form (so they must not be called inside a region).
 class SimCluster {
  public:
   /// Decompose `mesh` over `nranks` ranks, allocating every chunk with
@@ -67,32 +67,19 @@ class SimCluster {
   void exchange(std::initializer_list<FieldId> fields, int depth);
   void exchange(const std::vector<FieldId>& fields, int depth);
 
-  /// Team-aware halo exchange for use inside a parallel region: same
-  /// data motion and accounting as the standalone form, worksharing over
-  /// ranks through `team` with barriers between the axis phases (and
-  /// entry/exit barriers so neighbouring kernel phases can skip their
-  /// own).
+  /// Team-aware halo exchange for use inside a parallel region:
+  /// worksharing over ranks through `team` with barriers between the axis
+  /// phases (and entry/exit barriers so neighbouring kernel phases can
+  /// skip their own).
   void exchange(const Team& team, std::initializer_list<FieldId> fields,
                 int depth);
   void exchange(const Team& team, const std::vector<FieldId>& fields,
                 int depth);
 
-  /// Global sum of one partial value per rank, accumulated in rank order
-  /// (deterministic).  Counts one allreduce.
-  double reduce_sum(const std::vector<double>& partials);
-
-  /// Fused global sum of two values per rank in a single allreduce (the
-  /// MPI_Allreduce-of-a-vector the paper's §VII future work proposes for
-  /// combining CG's dot products).  Counts ONE reduction.
-  std::pair<double, double> reduce_sum2(
-      const std::vector<std::pair<double, double>>& partials);
-
   /// Run `body(rank, chunk)` for every rank, parallelised over ranks.
   template <class Body>
   void for_each_chunk(Body&& body) {
-    parallel_for(0, nranks(), [&](std::int64_t r) {
-      body(static_cast<int>(r), *chunks_[r]);
-    });
+    parallel_region([&](Team& t) { for_each_chunk(t, body); });
   }
 
   /// Team-aware form: workshares the ranks through `team`.  No implied
@@ -104,21 +91,28 @@ class SimCluster {
     });
   }
 
-  // ---- tiled execution (cache-blocked fused kernels) ---------------------
-  // The tiling layer of the execution engine: sweeps cut into
-  // row-blocks of `tile_rows` rows (<= 0: whole chunk, one block per rank)
-  // so the per-block working set fits in L2.  A "row" is one unit-stride
-  // line of cells; 3-D sweeps tile the flattened (plane, row) space, so
-  // the same knob row-blocks 2-D chunks and plane/row-blocks 3-D ones
-  // (tiles never span plane boundaries — each tile is a single-plane
-  // k-range).  Scheduling: with threads <= ranks each rank's blocks stay
-  // on the thread that owns the rank (the NUMA first-touch mapping); with
+  // ---- tiled execution (cache-blocked sweeps) -----------------------------
+  // Every solver sweep runs here: cut into row-blocks of `tile_rows` rows
+  // (<= 0, or >= the rows of a plane: one block per plane) so the
+  // per-block working set fits in L2.  A "row" is one unit-stride line of
+  // cells; 3-D sweeps tile the flattened (plane, row) space, so the same
+  // knob row-blocks 2-D chunks and plane/row-blocks 3-D ones (tiles never
+  // span plane boundaries — each tile is a single-plane k-range).
+  // Scheduling: with threads <= ranks each rank's blocks stay on the
+  // thread that owns the rank (the NUMA first-touch mapping); with
   // threads > ranks the (rank, tile) pairs spread over the whole team via
   // Team::for_range_2d, so chunks larger than the rank count no longer
   // leave cores idle.  Results are bitwise independent of both the tile
   // height and the schedule: non-reducing sweeps are per-cell independent,
   // and reducing sweeps deposit per-row partials that the engine always
   // combines in row order, then rank order.
+  //
+  // Barrier rule of the row reductions: they have no entry barrier.  The
+  // phase before one must end in a barrier (an exchange or a reduction) or
+  // have written its rows through the same tile decomposition — interior
+  // bounds, same height — which puts every row on the thread that reads
+  // it.  A caller whose previous phase ran per rank or over other bounds
+  // places a `team.barrier()` itself.
 
   /// Number of row-blocks covering `rows` rows at height `tile_rows`.
   [[nodiscard]] static int num_row_tiles(int rows, int tile_rows) {
@@ -173,18 +167,32 @@ class SimCluster {
         });
   }
 
-  /// Combine the per-row partials already deposited in every chunk's
-  /// `row_scratch()[ρ]` (one slot per interior row, ρ = l·ny + k): each
-  /// rank's rows sum in row order, then the ranks in rank order — bitwise
-  /// equal to the untiled `sum_over_chunks` over kernels built on the
-  /// same per-row cores, whatever tiling or thread assignment produced
-  /// the partials.  Counts ONE allreduce.  Implies barriers, including
-  /// one on entry so the deposits of a preceding (differently-scheduled)
-  /// tile pass are visible.
-  double combine_row_partials(const Team& team) {
-    team.barrier();
-    team.for_range(0, nranks(), [&](std::int64_t r) {
-      const Chunk& c = *chunks_[static_cast<std::size_t>(r)];
+  /// True when `for_each_tile(team, tile_rows, interior)` runs every
+  /// rank's tiles on the thread `team.for_range(0, nranks())` gives that
+  /// rank: always at threads <= ranks, and at threads > ranks when every
+  /// rank has one tile (the 2-D schedule then hands out one pair per
+  /// thread, as for_range does).  A pure function of the team size, the
+  /// rank count and the tile counts, so uniform across the team.
+  [[nodiscard]] bool tiles_follow_ranks(const Team& team,
+                                        int tile_rows) const {
+    if (team.num_threads() <= nranks()) return true;
+    for (const auto& c : chunks_) {
+      if (num_tiles(interior_bounds(*c), tile_rows) != 1) return false;
+    }
+    return true;
+  }
+
+  /// Combine the per-row partials a tile pass over the interior at height
+  /// `tile_rows` deposited in every chunk's `row_scratch()[ρ]` (one slot
+  /// per interior row, ρ = l·ny + k): each rank's rows sum in row order,
+  /// then the ranks in rank order — bitwise equal to `sum_over_chunks`
+  /// over kernels built on the same per-row cores, whatever tiling or
+  /// thread assignment produced the partials.  Counts ONE allreduce.
+  /// When the tiles followed the ranks, each rank's owner folds the rows
+  /// it deposited itself, with no barrier; otherwise one barrier makes
+  /// every deposit visible first.
+  double combine_row_partials(const Team& team, int tile_rows) {
+    fold_rows(team, tile_rows, [&](int r, const Chunk& c) {
       double p = 0.0;
       for (int rho = 0; rho < c.num_rows(); ++rho) p += c.row_scratch()[rho];
       team_partials_[static_cast<std::size_t>(r)] = p;
@@ -195,30 +203,26 @@ class SimCluster {
   /// Tiled team reduction: `body(rank, chunk, tb)` sweeps the interior
   /// rows of tile `tb` and deposits one partial per row into the chunk's
   /// `row_scratch()[ρ]`, then the partials combine via
-  /// combine_row_partials.  Counts ONE allreduce.  Implies barriers,
-  /// including one on entry so the sweep may read fields a preceding
-  /// (differently-scheduled) tile pass wrote.
+  /// combine_row_partials.  Counts ONE allreduce.  No entry barrier (see
+  /// the barrier rule above).
   template <class Body>
   double sum_rows_over_chunks(const Team& team, int tile_rows, Body&& body) {
     const auto interior = [](int, Chunk& c) { return interior_bounds(c); };
-    team.barrier();
     for_each_tile(team, tile_rows, interior, body);
-    return combine_row_partials(team);
+    return combine_row_partials(team, tile_rows);
   }
 
-  /// Tiled analogue of sum2_over_chunks: `body(rank, chunk, tb)` deposits
-  /// the pair (row_scratch[2ρ], row_scratch[2ρ+1]) per row.
-  /// ONE allreduce.
+  /// Pair form of sum_rows_over_chunks (the single fused allreduce the
+  /// paper's §VII proposes for CG's two dot products): `body(rank, chunk,
+  /// tb)` deposits (row_scratch[2ρ], row_scratch[2ρ+1]) per row.  ONE
+  /// allreduce.
   template <class Body>
   std::pair<double, double> sum2_rows_over_chunks(const Team& team,
                                                   int tile_rows,
                                                   Body&& body) {
     const auto interior = [](int, Chunk& c) { return interior_bounds(c); };
-    team.barrier();
     for_each_tile(team, tile_rows, interior, body);
-    team.barrier();
-    team.for_range(0, nranks(), [&](std::int64_t r) {
-      const Chunk& c = *chunks_[static_cast<std::size_t>(r)];
+    fold_rows(team, tile_rows, [&](int r, const Chunk& c) {
       double a = 0.0;
       double b = 0.0;
       for (int rho = 0; rho < c.num_rows(); ++rho) {
@@ -231,20 +235,21 @@ class SimCluster {
   }
 
   /// Evaluate `body(rank, chunk) -> double` on every rank and globally
-  /// reduce the partials (counts one allreduce).
+  /// reduce the partials in rank order (counts one allreduce).
   template <class Body>
   double sum_over_chunks(Body&& body) {
-    std::vector<double> partials(static_cast<std::size_t>(nranks()), 0.0);
-    parallel_for(0, nranks(), [&](std::int64_t r) {
-      partials[r] = body(static_cast<int>(r), *chunks_[r]);
+    double total = 0.0;
+    parallel_region([&](Team& t) {
+      const double v = sum_over_chunks(t, body);
+      t.single([&] { total = v; });
     });
-    return reduce_sum(partials);
+    return total;
   }
 
   /// Team-aware form: per-rank partials land in a shared buffer, then
   /// every thread reduces them in rank order — all threads return the
-  /// same sum, bitwise equal to the standalone form.  Counts ONE
-  /// allreduce.  Implies barriers (before the reduce and before return).
+  /// same sum.  Counts ONE allreduce.  Implies barriers (before the reduce
+  /// and before return).
   template <class Body>
   double sum_over_chunks(const Team& team, Body&& body) {
     team.for_range(0, nranks(), [&](std::int64_t r) {
@@ -252,17 +257,6 @@ class SimCluster {
           body(static_cast<int>(r), *chunks_[r]);
     });
     return reduce_team_partials(team);
-  }
-
-  /// Team-aware fused pair reduction: the Team analogue of reduce_sum2,
-  /// with `body(rank, chunk)` returning the two partials.  ONE allreduce.
-  template <class Body>
-  std::pair<double, double> sum2_over_chunks(const Team& team, Body&& body) {
-    team.for_range(0, nranks(), [&](std::int64_t r) {
-      team_partials2_[static_cast<std::size_t>(r)] =
-          body(static_cast<int>(r), *chunks_[r]);
-    });
-    return reduce_team_partials2(team);
   }
 
   [[nodiscard]] CommStats& stats() { return stats_; }
@@ -297,18 +291,30 @@ class SimCluster {
     return {a, b};
   }
 
-  /// Implementations of the standalone and Team-aware exchange overloads.
-  /// They take the field list as pointer + count so the initializer_list
-  /// forms forward their backing array directly — no per-call (and in the
-  /// Team path, per-thread) vector allocation inside a solve.
+  /// Run `fold(rank, chunk)` on the thread that owns each rank, after the
+  /// tile pass at `tile_rows` that deposited the rows it reads: with no
+  /// barrier when the tiles followed the ranks, after one otherwise.
+  template <class Fold>
+  void fold_rows(const Team& team, int tile_rows, Fold&& fold) {
+    if (!tiles_follow_ranks(team, tile_rows)) team.barrier();
+    team.for_range(0, nranks(), [&](std::int64_t r) {
+      fold(static_cast<int>(r), *chunks_[static_cast<std::size_t>(r)]);
+    });
+  }
+
+  /// The exchange overloads' implementations.  They take the field list
+  /// as pointer + count so the initializer_list forms forward their
+  /// backing array directly — no per-call (and per-thread) vector
+  /// allocation inside a solve.  The standalone form validates the depth
+  /// and opens one region around the Team form.
   void exchange_impl(const FieldId* fields, int nfields, int depth);
   void exchange_impl(const Team& team, const FieldId* fields, int nfields,
                      int depth);
-  /// Per-rank copy bodies of the axis phases (shared by the standalone
-  /// and Team-aware forms).  The per-face splits are the unit of 2-D
-  /// worksharing: when the team has more threads than ranks the phases
-  /// workshare (rank, face) pairs instead of ranks, so the halo copies of
-  /// a wide-and-shallow decomposition also use the whole team.
+  /// Per-rank copy bodies of the axis phases.  The per-face splits are
+  /// the unit of 2-D worksharing: when the team has more threads than
+  /// ranks the phases workshare (rank, face) pairs instead of ranks, so
+  /// the halo copies of a wide-and-shallow decomposition also use the
+  /// whole team.
   void exchange_x_rank(int rank, const FieldId* fields, int nfields,
                        int depth);
   void exchange_x_rank_face(int rank, Face face, const FieldId* fields,

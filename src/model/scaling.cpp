@@ -217,7 +217,7 @@ constexpr double kBytesJacobi = 56.0;     // copy sweep + main sweep
 
 // Blocked-cache variants (tiled execution engine): when the row-block
 // fits in the per-core L2 the intermediate field of the fused sweep —
-// w between the stencil and update phases of cheby_step, the old-iterate
+// w between the stencil and update phases of cheby_step_tile, the old-iterate
 // copy between Jacobi's save and update phases — never round-trips DRAM,
 // saving its 16 bytes/cell of write+read traffic.
 constexpr double kBytesChebyFusedBlocked = 40.0;

@@ -33,10 +33,10 @@ inline void scalar_dispatch(const Chunk& c, Fn&& fn) {
 
 // ---- per-row reduction cores --------------------------------------------
 // Every reducing kernel accumulates one partial per row and combines the
-// rows in (plane, row) order; the full kernels and the row-blocked (tiled)
-// variants call the SAME cores, so the sum is a pure function of the row
-// decomposition — never of tile size or thread assignment.  The cores are
-// templated on the OperatorView (stencil / CSR / SELL-C-σ) and, through
+// rows in (plane, row) order; the whole-chunk kernels and the row-blocked
+// (tiled) ones call the SAME cores, so the sum is a pure function of the
+// row decomposition — never of tile size or thread assignment.  The cores
+// are templated on the OperatorView (stencil / CSR / SELL-C-σ) and, through
 // View::Scalar, on the storage scalar: elementwise arithmetic runs in the
 // scalar (fp32 under the mixed-precision layer), while every reduction
 // accumulates in double over double-converted operands and every solver
@@ -54,9 +54,9 @@ inline double dot_row(const Field<S>& a, const Field<S>& b, int nx, int k,
   return acc;
 }
 
-/// One row of smvp_dot: dst = A·src over [b.jlo, b.jhi), returning the
-/// interior part of Σ src·dst (0.0 when row (l,k) is outside the
-/// interior).
+/// One operator row with the dot folded in: dst = A·src over
+/// [b.jlo, b.jhi), returning the interior part of Σ src·dst (0.0 when row
+/// (l,k) is outside the interior).
 template <class View, class S = typename View::Scalar>
 inline double smvp_dot_row(const View& A, const Field<S>& src, Field<S>& dst,
                            const Bounds& b, const Bounds& in, int k, int l) {
@@ -72,11 +72,12 @@ inline double smvp_dot_row(const View& A, const Field<S>& src, Field<S>& dst,
   return acc;
 }
 
-/// One row of smvp_dot2: writes the pair (Σ other·src, Σ dst·src).  The
-/// operator apply and the dot products run as separate j-loops over the
-/// row (still in L1 for the second loop): a single loop carrying two fp64
-/// reductions does not vectorize, and was slower than the unfused
-/// smvp + dot + dot.  Each sum still accumulates in ascending j.
+/// One Chronopoulos-Gear operator row: writes the pair (Σ other·src,
+/// Σ dst·src).  The operator apply and the dot products run as separate
+/// j-loops over the row (still in L1 for the second loop): a single loop
+/// carrying two fp64 reductions does not vectorize, and was slower than
+/// separate smvp + dot + dot sweeps.  Each sum still accumulates in
+/// ascending j.
 template <class View, class S = typename View::Scalar>
 inline void smvp_dot2_row(const View& A, const Field<S>& src, Field<S>& dst,
                           const Field<S>& other, const Bounds& b,
@@ -96,7 +97,7 @@ inline void smvp_dot2_row(const View& A, const Field<S>& src, Field<S>& dst,
   pair_out[1] = dot_dst;
 }
 
-/// One row of calc_ur_dot for the local preconditioners.
+/// One row of the fused CG update + ⟨r,z⟩ for the local preconditioners.
 template <class View>
 inline double calc_ur_dot_row(Chunk& c, const View& A, double alpha,
                               bool diag, int k, int l) {
@@ -128,7 +129,7 @@ inline double calc_ur_dot_row(Chunk& c, const View& A, double alpha,
   return acc;
 }
 
-/// One row of cg_calc_ur.
+/// One row of the CG update u += α·p, r −= α·w.
 template <class S>
 inline void cg_calc_ur_row(Chunk& c, double alpha, int k, int l) {
   auto& u = c.field_t<S>(FieldId::kU);
@@ -215,8 +216,8 @@ inline double jacobi_update_row(Chunk& c, const View& A, int k, int l) {
   }
 }
 
-/// One row of the fused Chebyshev update (shared by the untiled lagged
-/// pass, the in-block lagged pass and the deferred edge pass).
+/// One row of the Chebyshev update (shared by the in-tile pass and the
+/// deferred edge pass).
 template <class View, class S = typename View::Scalar>
 inline void cheby_update_row(const View& A, Field<S>& res, Field<S>& dir,
                              Field<S>& acc, const Field<S>& w, double alpha,
@@ -265,21 +266,6 @@ double calc_residual_impl(Chunk& c, const View& A) {
   return acc;
 }
 
-template <class View>
-double jacobi_iterate_impl(Chunk& c, const View& A) {
-  using S = typename View::Scalar;
-  // Save the previous iterate (halo included: neighbours' u arrives
-  // there; 3-D chunks also save the z halo planes their stencils read).
-  const int zext = (c.dims() == 3) ? 1 : 0;
-  for (int l = -zext; l < c.nz() + zext; ++l)
-    for (int k = -1; k < c.ny() + 1; ++k) jacobi_save_row<S>(c, k, l);
-  double err = 0.0;
-  for_rows(interior_bounds(c), [&](int l, int k) {
-    err += jacobi_update_row(c, A, k, l);
-  });
-  return err;
-}
-
 template <class View, class S = typename View::Scalar>
 void cheby_init_dir_impl(Chunk& c, const View& A, const Field<S>& res,
                          Field<S>& dir, double theta, bool diag_precon,
@@ -295,67 +281,27 @@ void cheby_init_dir_impl(Chunk& c, const View& A, const Field<S>& res,
 }
 
 template <class View, class S = typename View::Scalar>
-void cheby_fused_update_impl(Chunk& c, const View& A, Field<S>& res,
-                             Field<S>& dir, Field<S>& acc, double alpha,
-                             double beta, bool diag_precon, const Bounds& b) {
-  const auto& w = c.field_t<S>(FieldId::kW);
-  for_rows(b, [&](int l, int k) {
-    cheby_update_row(A, res, dir, acc, w, alpha, beta, diag_precon, b, k, l);
-  });
-}
-
-template <class View, class S = typename View::Scalar>
-void cheby_step_impl(Chunk& c, const View& A, Field<S>& res, Field<S>& dir,
-                     Field<S>& acc, double alpha, double beta,
-                     bool diag_precon, const Bounds& b) {
-  // Two sweeps: w = A·dir over the whole box, then the fused update.  A
-  // row-lagged single sweep (update row ρ−L as soon as w row ρ is in
-  // place) computes the same cells but ran 2–5× slower than this on one
-  // x86-64 core at 64²–1024² chunks.
-  auto& w = c.field_t<S>(FieldId::kW);
-  const Field<S>& src = dir;
-  for_rows(b, [&](int l, int k) {
-    for (int j = b.jlo; j < b.jhi; ++j) w(j, k, l) = A.apply(src, j, k, l);
-  });
-  cheby_fused_update_impl(c, A, res, dir, acc, alpha, beta, diag_precon, b);
-}
-
-template <class View, class S = typename View::Scalar>
 void cheby_step_tile_impl(Chunk& c, const View& A, Field<S>& res,
                           Field<S>& dir, Field<S>& acc, double alpha,
                           double beta, bool diag_precon, const Bounds& b,
                           const Bounds& tb) {
+  // Two sweeps: w = A·dir over the tile, then the update.  A row-lagged
+  // single sweep (update row k−1 as soon as w row k is in place) computes
+  // the same cells but ran 2–5× slower on one x86-64 core.
   auto& w = c.field_t<S>(FieldId::kW);
-  if constexpr (View::kInBlockLag) {
-    // In-block row-lagged fusion: row k-1 updates as soon as w row k is
-    // in place, except rows tb.klo and tb.khi-1 stay un-updated: a
-    // neighbouring block's stencil reads dir(klo-1..klo) /
-    // dir(khi-1..khi), so those rows must keep their pristine values
-    // until every block's stencil sweep is done (team barrier), after
-    // which cheby_step_tile_edges finishes them.
-    for (int k = tb.klo; k < tb.khi; ++k) {
-      for (int j = b.jlo; j < b.jhi; ++j) {
-        w(j, k, 0) = A.apply(dir, j, k, 0);
-      }
-      // Lagged update of row k-1 (its w is in place and no later stencil
-      // of this block reads its dir), skipping the deferred edge rows.
-      // At k = khi-1 this covers the block's last in-pass row khi-2, so
-      // no post-loop update is needed.
-      if (k - 1 > tb.klo && k - 1 < tb.khi - 1) {
-        cheby_update_row(A, res, dir, acc, w, alpha, beta, diag_precon, b,
-                         k - 1, 0);
-      }
+  for_rows(tb, [&](int l, int k) {
+    for (int j = b.jlo; j < b.jhi; ++j) w(j, k, l) = A.apply(dir, j, k, l);
+  });
+  // A neighbouring block's stencil reads dir rows tb.klo and tb.khi−1, so
+  // those keep their pristine values until every block's stencil sweep is
+  // done (team barrier); cheby_step_tile_edges then finishes them.  Any
+  // other operator's reach spans rows or planes of other tiles, so its
+  // whole update defers to the edge pass.
+  if constexpr (View::kInTileUpdate) {
+    for (int k = tb.klo + 1; k < tb.khi - 1; ++k) {
+      cheby_update_row(A, res, dir, acc, w, alpha, beta, diag_precon, b, k,
+                       0);
     }
-  } else {
-    // Any operator whose reach may span rows or planes that live in other
-    // tiles (3-D stencils, assembled matrices): no update may run until
-    // all tiles' application passes are done — the whole update defers to
-    // the edge pass.
-    for_rows(tb, [&](int l, int k) {
-      for (int j = b.jlo; j < b.jhi; ++j) {
-        w(j, k, l) = A.apply(dir, j, k, l);
-      }
-    });
   }
 }
 
@@ -365,7 +311,7 @@ void cheby_step_tile_edges_impl(Chunk& c, const View& A, Field<S>& res,
                                 double beta, bool diag_precon,
                                 const Bounds& b, const Bounds& tb) {
   auto& w = c.field_t<S>(FieldId::kW);
-  if constexpr (View::kInBlockLag) {
+  if constexpr (View::kInTileUpdate) {
     if (tb.khi <= tb.klo) return;
     cheby_update_row(A, res, dir, acc, w, alpha, beta, diag_precon, b,
                      tb.klo, 0);
@@ -385,60 +331,41 @@ template <class View>
 void jacobi_tile_impl(Chunk& c, const View& A, const Bounds& tb,
                       double* row_sums) {
   using S = typename View::Scalar;
-  if (c.dims() == 2) {
-    // Cache-fused row block: the first/last interior block also saves the
-    // −1/ny halo row its edge stencils read; interior blocks save exactly
-    // their own rows.
-    const int k0 = tb.klo;
-    const int k1 = tb.khi;
-    const int s0 = (k0 == 0) ? -1 : k0;
-    const int s1 = (k1 == c.ny()) ? c.ny() + 1 : k1;
-    for (int k = s0; k < s1; ++k) {
-      jacobi_save_row<S>(c, k, 0);
-      if constexpr (View::kInBlockLag) {
-        // Lagged update: row k-1's stencil reads saved rows k-2..k (all
-        // in place), and the rows another block reads are deferred to the
-        // edge pass.  Updates write u rows this block's later saves never
-        // read.
-        const int lag = k - 1;
-        if (lag >= k0 + 1 && lag <= k1 - 2) {
-          row_sums[lag] = jacobi_update_row(c, A, lag, 0);
-        }
-      }
+  // Save phase: the tile's rows plus the halo rows and planes its boundary
+  // position uniquely owns, so the union over all tiles is exactly the
+  // halo-extended set the update stencils read.
+  const int s0 = (tb.klo == 0) ? -1 : tb.klo;
+  const int s1 = (tb.khi == c.ny()) ? c.ny() + 1 : tb.khi;
+  for (int l = tb.llo; l < tb.lhi; ++l) {
+    for (int k = s0; k < s1; ++k) jacobi_save_row<S>(c, k, l);
+    if (c.dims() == 3 && l == 0) {
+      for (int k = tb.klo; k < tb.khi; ++k) jacobi_save_row<S>(c, k, -1);
     }
-    if constexpr (!View::kInBlockLag) {
-      // Assembled operators may reach beyond k±1, so every update defers
-      // to the edge pass (all saves complete under the team barrier).
-      (void)row_sums;
-      (void)A;
+    if (c.dims() == 3 && l == c.nz() - 1) {
+      for (int k = tb.klo; k < tb.khi; ++k) jacobi_save_row<S>(c, k, c.nz());
+    }
+  }
+  // Update phase, as a second sweep over the tile: lagging the update one
+  // row behind the saves in the same loop computes the same values, but
+  // that one-loop form of the Chebyshev step ran 2–5× slower.  On the 2-D
+  // stencil the stencils of rows tb.klo+1 … tb.khi−2 read only this
+  // tile's saves; the edge rows wait for the neighbouring blocks' saves
+  // (team barrier, then jacobi_tile_edges).  Other operators read rows or
+  // planes of other tiles, so every update defers.
+  if constexpr (View::kInTileUpdate) {
+    for (int k = tb.klo + 1; k < tb.khi - 1; ++k) {
+      row_sums[k] = jacobi_update_row(c, A, k, 0);
     }
   } else {
-    // 3-D save phase: each tile saves its own rows plus the halo rows and
-    // planes its boundary position uniquely owns, so the union over all
-    // tiles is exactly the halo-extended save set of jacobi_iterate that
-    // the update stencils read.  Updates defer entirely (adjacent planes'
-    // stencils — other tiles — read every saved row).
-    (void)row_sums;
     (void)A;
-    for (int l = tb.llo; l < tb.lhi; ++l) {
-      const int s0 = (tb.klo == 0) ? -1 : tb.klo;
-      const int s1 = (tb.khi == c.ny()) ? c.ny() + 1 : tb.khi;
-      for (int k = s0; k < s1; ++k) jacobi_save_row<S>(c, k, l);
-      if (l == 0) {
-        for (int k = tb.klo; k < tb.khi; ++k) jacobi_save_row<S>(c, k, -1);
-      }
-      if (l == c.nz() - 1) {
-        for (int k = tb.klo; k < tb.khi; ++k)
-          jacobi_save_row<S>(c, k, c.nz());
-      }
-    }
+    (void)row_sums;
   }
 }
 
 template <class View>
 void jacobi_tile_edges_impl(Chunk& c, const View& A, const Bounds& tb,
                             double* row_sums) {
-  if constexpr (View::kInBlockLag) {
+  if constexpr (View::kInTileUpdate) {
     if (tb.khi <= tb.klo) return;
     row_sums[tb.klo] = jacobi_update_row(c, A, tb.klo, 0);
     if (tb.khi - 1 > tb.klo) {
@@ -667,20 +594,6 @@ double calc_residual(Chunk& c) {
   return acc;
 }
 
-void cg_calc_ur(Chunk& c, double alpha) {
-  scalar_dispatch(c, [&](auto tag) {
-    using S = decltype(tag);
-    for_rows(interior_bounds(c),
-             [&](int l, int k) { cg_calc_ur_row<S>(c, alpha, k, l); });
-  });
-}
-
-double jacobi_iterate(Chunk& c) {
-  double err = 0.0;
-  op_dispatch(c, [&](const auto& A) { err = jacobi_iterate_impl(c, A); });
-  return err;
-}
-
 void cheby_init_dir(Chunk& c, FieldId res_id, FieldId dir_id, double theta,
                     bool diag_precon, const Bounds& b) {
   op_dispatch(c, [&](const auto& A) {
@@ -691,87 +604,7 @@ void cheby_init_dir(Chunk& c, FieldId res_id, FieldId dir_id, double theta,
   });
 }
 
-void cheby_fused_update(Chunk& c, FieldId res_id, FieldId dir_id,
-                        FieldId acc_id, double alpha, double beta,
-                        bool diag_precon, const Bounds& b) {
-  op_dispatch(c, [&](const auto& A) {
-    using S = typename std::decay_t<decltype(A)>::Scalar;
-    auto& res = c.field_t<S>(res_id);
-    auto& dir = c.field_t<S>(dir_id);
-    auto& acc = c.field_t<S>(acc_id);
-    cheby_fused_update_impl(c, A, res, dir, acc, alpha, beta, diag_precon, b);
-  });
-}
-
-double calc_ur_dot(Chunk& c, double alpha, PreconType precon) {
-  switch (precon) {
-    case PreconType::kNone:
-    case PreconType::kJacobiDiag: {
-      const bool diag = (precon == PreconType::kJacobiDiag);
-      double acc = 0.0;
-      op_dispatch(c, [&](const auto& A) {
-        for_rows(interior_bounds(c), [&](int l, int k) {
-          acc += calc_ur_dot_row(c, A, alpha, diag, k, l);
-        });
-      });
-      return acc;
-    }
-    case PreconType::kJacobiBlock: {
-      // The strip solve couples cells along k; the u/r update still fuses
-      // and the ⟨r,z⟩ accumulation folds into one pass after the solve.
-      cg_calc_ur(c, alpha);
-      block_jacobi_solve(c, FieldId::kR, FieldId::kZ);
-      return dot(c, FieldId::kR, FieldId::kZ);
-    }
-  }
-  TEA_ASSERT(false, "invalid preconditioner type");
-}
-
-void cheby_step(Chunk& c, FieldId res_id, FieldId dir_id, FieldId acc_id,
-                double alpha, double beta, bool diag_precon,
-                const Bounds& b) {
-  op_dispatch(c, [&](const auto& A) {
-    using S = typename std::decay_t<decltype(A)>::Scalar;
-    auto& res = c.field_t<S>(res_id);
-    auto& dir = c.field_t<S>(dir_id);
-    auto& acc = c.field_t<S>(acc_id);
-    cheby_step_impl(c, A, res, dir, acc, alpha, beta, diag_precon, b);
-  });
-}
-
-void cg_chrono_update(Chunk& c, double alpha, double beta,
-                      PreconType precon) {
-  const bool diag = (precon == PreconType::kJacobiDiag);
-  const bool local = (precon != PreconType::kJacobiBlock);
-  op_dispatch(c, [&](const auto& A) {
-    for_rows(interior_bounds(c), [&](int l, int k) {
-      cg_chrono_update_row(c, A, alpha, beta, diag, local, k, l);
-    });
-  });
-  if (!local) block_jacobi_solve(c, FieldId::kR, FieldId::kZ);
-}
-
-std::pair<double, double> smvp_dot2(Chunk& c, FieldId src_id, FieldId dst_id,
-                                    FieldId other_id, const Bounds& b) {
-  const Bounds in = interior_bounds(c);
-  double dot_other = 0.0;
-  double dot_dst = 0.0;
-  op_dispatch(c, [&](const auto& A) {
-    using S = typename std::decay_t<decltype(A)>::Scalar;
-    const auto& src = c.field_t<S>(src_id);
-    const auto& other = c.field_t<S>(other_id);
-    auto& dst = c.field_t<S>(dst_id);
-    for_rows(b, [&](int l, int k) {
-      double pair[2];
-      smvp_dot2_row(A, src, dst, other, b, in, k, l, pair);
-      dot_other += pair[0];
-      dot_dst += pair[1];
-    });
-  });
-  return {dot_other, dot_dst};
-}
-
-// ---- row-blocked (tiled) variants ---------------------------------------
+// ---- row-blocked (tiled) kernels -----------------------------------------
 
 void dot_rows(const Chunk& c, FieldId a_id, FieldId b_id, const Bounds& tb,
               double* row_sums) {
@@ -830,7 +663,7 @@ void calc_ur_dot_rows(Chunk& c, double alpha, PreconType precon,
                       const Bounds& tb, double* row_sums) {
   TEA_ASSERT(precon != PreconType::kJacobiBlock,
              "block-Jacobi strips do not row-tile; compose via "
-             "cg_calc_ur_rows + block_jacobi_solve + dot_rows");
+             "cg_calc_ur_rows + block_jacobi_solve + dot");
   const bool diag = (precon == PreconType::kJacobiDiag);
   op_dispatch(c, [&](const auto& A) {
     for_rows(tb, [&](int l, int k) {
@@ -874,21 +707,6 @@ void cheby_step_tile_edges(Chunk& c, FieldId res_id, FieldId dir_id,
     auto& acc = c.field_t<S>(acc_id);
     cheby_step_tile_edges_impl(c, A, res, dir, acc, alpha, beta, diag_precon,
                                b, tb);
-  });
-}
-
-void jacobi_save_rows(Chunk& c, const Bounds& tb) {
-  scalar_dispatch(c, [&](auto tag) {
-    using S = decltype(tag);
-    for_rows(tb, [&](int l, int k) { jacobi_save_row<S>(c, k, l); });
-  });
-}
-
-void jacobi_update_rows(Chunk& c, const Bounds& tb, double* row_sums) {
-  op_dispatch(c, [&](const auto& A) {
-    for_rows(tb, [&](int l, int k) {
-      row_sums[l * c.ny() + k] = jacobi_update_row(c, A, k, l);
-    });
   });
 }
 

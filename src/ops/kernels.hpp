@@ -1,7 +1,5 @@
 #pragma once
 
-#include <utility>
-
 #include "mesh/chunk.hpp"
 #include "ops/bounds.hpp"
 #include "precon/preconditioner.hpp"
@@ -61,7 +59,8 @@ void init_conduction(Chunk& c, Coefficient coef, double rx, double ry,
 void smvp(Chunk& c, FieldId src, FieldId dst, const Bounds& bounds);
 
 /// dst = A·src over `bounds`; returns Σ src·dst over the interior
-/// (the fused form of Listing 1 in the paper).
+/// (the fused form of Listing 1 in the paper; the solvers run its row
+/// form, smvp_dot_rows).
 [[nodiscard]] double smvp_dot(Chunk& c, FieldId src, FieldId dst,
                               const Bounds& bounds);
 
@@ -96,25 +95,15 @@ void axpby(Chunk& c, FieldId y, double a, double b, FieldId x,
 /// must have exchanged u to depth 1.  Returns Σ r·r.
 double calc_residual(Chunk& c);
 
-/// u += α·p and r −= α·w over the interior.  Upstream: cg_calc_ur.
-void cg_calc_ur(Chunk& c, double alpha);
-
-// ---- Jacobi kernel (upstream tea_leaf_jacobi_solve_kernel) -------------
-
-/// One Jacobi sweep: saves u into r (old iterate scratch), then
-/// u = (u0 + ΣK·u_old(neighbours)) / diag over the interior.
-/// Returns Σ|u_new − u_old| accumulated in (plane, row) order.
-double jacobi_iterate(Chunk& c);
-
 // ---- Chebyshev / PPCG shared kernels -----------------------------------
 // The Chebyshev acceleration recurrence (paper §III-C, Saad) is:
 //   dir_1 = M⁻¹·res / θ;       acc += dir_1
 //   j ≥ 1: res −= A·dir_j
 //          dir_{j+1} = α_j·dir_j + β_j·M⁻¹·res
 //          acc += dir_{j+1}
-// For the standalone Chebyshev solver (res, dir, acc) = (r, sd, u); for
-// the CPPCG inner preconditioner they are (rtemp, sd, z).  The fused
-// update kernels below implement one recurrence step for local
+// For the standalone Chebyshev solver (res, dir, acc) = (r, p, u); for
+// the CPPCG inner preconditioner they are (rtemp, sd, z).  The tile
+// kernels below implement one recurrence step for local
 // (identity/diagonal) inner preconditioners; the block-Jacobi path is
 // composed separately because its strips couple cells (see precon/).
 
@@ -122,131 +111,86 @@ double jacobi_iterate(Chunk& c);
 void cheby_init_dir(Chunk& c, FieldId res, FieldId dir, double theta,
                     bool diag_precon, const Bounds& bounds);
 
-/// res −= w;  dir = α·dir + β·M⁻¹·res;  acc += dir, over `bounds`.
-/// `w` must already hold A·dir (from smvp over the same bounds).
-void cheby_fused_update(Chunk& c, FieldId res, FieldId dir, FieldId acc,
-                        double alpha, double beta, bool diag_precon,
-                        const Bounds& bounds);
-
-// ---- fused kernels ----------------------------------------------------------
-// Each kernel below replaces a sequence of the calls above, cell-for-cell
-// in the same evaluation and accumulation order — results are bitwise
-// identical to the composition.  Both schedules run them.
-
-/// Fused CG update + preconditioner apply + ⟨r,z⟩ in ONE pass over the
-/// interior (unfused: cg_calc_ur, apply_preconditioner, dot — three
-/// sweeps):  u += α·p;  r −= α·w;  z = M⁻¹·r;  returns Σ r·z.
-/// kNone skips the z write and returns Σ r·r (z is never read in that
-/// mode); block-Jacobi keeps its strip solve as a separate pass because
-/// the strips couple cells vertically.
-[[nodiscard]] double calc_ur_dot(Chunk& c, double alpha, PreconType precon);
-
-/// One Chebyshev recurrence step over `bounds`:
-///   w = A·dir;  res −= w;  dir = α·dir + β·M⁻¹·res;  acc += dir
-/// — the stencil sweep, then the cheby_fused_update sweep.  Only local
-/// preconditioners (identity/diagonal) take this form.
-void cheby_step(Chunk& c, FieldId res, FieldId dir, FieldId acc,
-                double alpha, double beta, bool diag_precon,
-                const Bounds& bounds);
-
-/// Fused Chronopoulos-Gear CG step, vector half: ONE pass doing the tail
-/// of iteration i−1 and the head of iteration i (unfused: two xpby, two
-/// axpy and a preconditioner sweep — five):
-///   p = z + β·p;  s(=sd) = w + β·s;  u += α·p;  r −= α·s;  z = M⁻¹·r.
-/// β = 0 reproduces the bootstrap (p = z, s = w).  Block-Jacobi applies
-/// its strip solve as a separate pass after the pointwise update.
-void cg_chrono_update(Chunk& c, double alpha, double beta,
-                      PreconType precon);
-
-/// Fused Chronopoulos-Gear CG step, operator half: dst = A·src over
-/// `bounds` with both dot products of the iteration folded into the same
-/// pass.  Returns (Σ other·src, Σ dst·src) over the interior — for
-/// src = z, dst = w, other = r this is (⟨r,z⟩, ⟨w,z⟩), the pair that
-/// travels in the single fused allreduce.
-[[nodiscard]] std::pair<double, double> smvp_dot2(Chunk& c, FieldId src,
-                                                  FieldId dst, FieldId other,
-                                                  const Bounds& bounds);
-
-// ---- row-blocked (tiled) kernel variants --------------------------------
-// The tiled execution engine (SolverConfig::tile_rows) cuts every sweep
-// into row-blocks so the per-block working set fits in L2, and workshares
-// the (rank, row-block) pairs over the whole thread team.  A "row" is one
+// ---- row-blocked (tiled) kernels -----------------------------------------
+// Every solver sweep runs through the tile engine (SolverConfig::tile_rows),
+// which cuts the sweep into row-blocks so the per-block working set fits
+// in L2 — one block per plane at tile height 0 — and workshares the
+// (rank, row-block) pairs over the whole thread team.  A "row" is one
 // unit-stride line of cells — (plane l, row k) in 3-D — and the engine
 // tiles the flattened (l, k) row space, so `tl_tile_rows` row-blocks 2-D
-// sweeps and plane/row-blocks 3-D ones with the same knob.  Each variant
+// sweeps and plane/row-blocks 3-D ones with the same knob.  Each kernel
 // below processes only the rows of the tile box `tb` (a single-plane
 // k-range in the engine's schedule; tb's j range is ignored — the sweep
-// bounds `b` or the interior provide it) and is built on the SAME per-row
-// core as the full kernel, so any tiling of the row range — and any
-// assignment of blocks to threads — produces bitwise-identical fields.
-// Reducing variants deposit one partial per interior row into `row_sums`
-// at the flattened index ρ = l·ny + k (the chunk's `row_scratch`); the
-// engine then combines rows in row order followed by ranks in rank order,
-// which is exactly the accumulation order of the full kernels.  Kernels
-// whose preconditioner couples rows (block-Jacobi strip solves) do not
-// row-tile; the engine composes them from the pointwise parts plus a
-// per-rank strip pass, matching the full kernels' internal composition.
+// bounds `b` or the interior provide it) and is built on one per-row core,
+// so any tiling of the row range — and any assignment of blocks to
+// threads — produces bitwise-identical fields.  Reducing kernels deposit
+// one partial per interior row into `row_sums` at the flattened index
+// ρ = l·ny + k (the chunk's `row_scratch`); the engine then combines rows
+// in row order followed by ranks in rank order.  Kernels whose
+// preconditioner couples rows (block-Jacobi strip solves) do not
+// row-tile; the solvers compose them from the pointwise parts plus a
+// per-rank strip pass.
 
 /// Rows of `tb` of `dot` (use a == b for norm²).
 void dot_rows(const Chunk& c, FieldId a, FieldId b, const Bounds& tb,
               double* row_sums);
 
-/// Rows of `tb` of `smvp_dot` over `bounds` (row_sums written for
-/// interior rows only; halo-extension rows just sweep).
+/// Rows of `tb` of dst = A·src over `bounds`, depositing Σ src·dst per
+/// row (row_sums written for interior rows only; halo-extension rows just
+/// sweep).
 void smvp_dot_rows(Chunk& c, FieldId src, FieldId dst, const Bounds& bounds,
                    const Bounds& tb, double* row_sums);
 
-/// Rows of `tb` of `smvp_dot2`: two partials per row, row_sums[2ρ] =
-/// Σ other·src and row_sums[2ρ+1] = Σ dst·src over row ρ.
+/// Rows of `tb` of the Chronopoulos-Gear operator half: dst = A·src with
+/// both dot products of the iteration folded into the same pass — two
+/// partials per row, row_sums[2ρ] = Σ other·src and row_sums[2ρ+1] =
+/// Σ dst·src over row ρ.  For src = z, dst = w, other = r this is
+/// (⟨r,z⟩, ⟨w,z⟩), the pair that travels in the single fused allreduce.
 void smvp_dot2_rows(Chunk& c, FieldId src, FieldId dst, FieldId other,
                     const Bounds& bounds, const Bounds& tb,
                     double* row_sums);
 
-/// Rows of `tb` of `cg_calc_ur` (u += α·p, r −= α·w).
+/// Rows of `tb` of the CG update u += α·p, r −= α·w (upstream
+/// cg_calc_ur).
 void cg_calc_ur_rows(Chunk& c, double alpha, const Bounds& tb);
 
-/// Rows of `tb` of `calc_ur_dot` for the LOCAL preconditioners only
-/// (kNone / kJacobiDiag); block-Jacobi is composed by the engine from
-/// cg_calc_ur_rows + block_jacobi_solve + dot_rows.
+/// Rows of `tb` of the fused CG update + preconditioner apply + ⟨r,z⟩,
+/// for the LOCAL preconditioners only (kNone / kJacobiDiag):
+///   u += α·p;  r −= α·w;  z = M⁻¹·r;  row_sums[ρ] = Σ r·z over row ρ.
+/// kNone skips the z write and deposits Σ r·r (z is never read in that
+/// mode); block-Jacobi is composed by the solver from cg_calc_ur_rows +
+/// block_jacobi_solve + dot.
 void calc_ur_dot_rows(Chunk& c, double alpha, PreconType precon,
                       const Bounds& tb, double* row_sums);
 
-/// Rows of `tb` of the pointwise part of `cg_chrono_update` (for local
-/// preconditioners the whole kernel; for block-Jacobi the engine runs the
-/// strip solve as a separate per-rank pass, as the full kernel does).
+/// Rows of `tb` of the Chronopoulos-Gear vector half: the tail of
+/// iteration i−1 and the head of iteration i in one pass,
+///   p = z + β·p;  s(=sd) = w + β·s;  u += α·p;  r −= α·s;  z = M⁻¹·r.
+/// β = 0 reproduces the bootstrap (p = z, s = w).  For block-Jacobi the
+/// z write is left to the solver's per-rank strip solve.
 void cg_chrono_update_rows(Chunk& c, double alpha, double beta,
                            PreconType precon, const Bounds& tb);
 
-/// Tile `tb` of the fused Chebyshev step: computes w = A·dir for all rows
-/// of the tile and applies as much of the update in-pass as the stencil
-/// dependences allow.  2-D: an in-block row-lagged update, with the first
-/// and last row of the block deferred (a neighbouring block's stencil
-/// still reads their pristine `dir`).
-/// 3-D: every row of a plane is read by the adjacent planes' stencils, so
-/// the whole update defers.  After a team barrier,
-/// `cheby_step_tile_edges` finishes the deferred rows.  The per-cell
-/// arithmetic is the untiled `cheby_step`'s, so tiled and untiled
-/// iterates are bitwise identical.
+/// Tile `tb` of the Chebyshev recurrence step
+///   w = A·dir;  res −= w;  dir = α·dir + β·M⁻¹·res;  acc += dir
+/// (local preconditioners only).  Two sweeps over the tile: w = A·dir
+/// over every row, then the update of the rows no other tile's stencil
+/// reads — rows tb.klo+1 … tb.khi−2 on the 2-D stencil; on 3-D and
+/// assembled operators every row is read by other tiles, so the whole
+/// update defers.  After a team barrier, `cheby_step_tile_edges`
+/// finishes the deferred rows.  The per-cell arithmetic does not depend
+/// on the tiling, so every tile height gives bitwise-identical iterates.
 void cheby_step_tile(Chunk& c, FieldId res, FieldId dir, FieldId acc,
                      double alpha, double beta, bool diag_precon,
                      const Bounds& bounds, const Bounds& tb);
 
 /// Deferred updates of `cheby_step_tile` for the same block decomposition
 /// (pointwise — safe once all blocks' stencil sweeps have completed):
-/// the first/last row of the tile in 2-D, every row of the tile in 3-D.
+/// the first/last row of the tile on the 2-D stencil, every row of the
+/// tile otherwise.
 void cheby_step_tile_edges(Chunk& c, FieldId res, FieldId dir, FieldId acc,
                            double alpha, double beta, bool diag_precon,
                            const Bounds& bounds, const Bounds& tb);
-
-/// Rows of `tb` of the Jacobi save phase (r = u, including the ±1 halo
-/// columns; `tb` may include the ±1 halo rows/planes).
-void jacobi_save_rows(Chunk& c, const Bounds& tb);
-
-/// Rows of `tb` of the Jacobi update sweep (row_sums[ρ] = Σ|u_new −
-/// u_old| over row ρ).  Requires the save phase complete for all rows the
-/// tile's stencils read — in the tiled engine a team barrier sits between
-/// the phases.
-void jacobi_update_rows(Chunk& c, const Bounds& tb, double* row_sums);
 
 // ---- multigrid level cores (amg/) ---------------------------------------
 // The geometric multigrid hierarchy (amg/multigrid.cpp) runs on its own
@@ -317,21 +261,21 @@ void mg_prolong_row(const Field<double>& coarse_u, int cnx, int cny,
                     int cnz, Field<double>& fine_u, int fnx, int fny,
                     int fnz, int kf, int lf);
 
-/// Tile `tb` of the interior for the tiled Jacobi sweep's save phase.
-/// 2-D: CACHE-FUSED — saves the block's rows (r = u, extending to the
-/// −1/ny halo rows on the first/last block) with the update row-lagged
-/// one row behind, so the just-saved r rows are still in L2 when the
-/// stencil consumes them; rows tb.klo and tb.khi−1 stay un-updated.
-/// 3-D: saves the tile's rows plus the halo rows/planes its boundary
-/// position owns (k = −1/ny on the first/last k-block, plane −1/nz on the
-/// first/last plane); the update defers entirely, since adjacent planes'
-/// stencils read every saved row.  After a team barrier,
-/// `jacobi_tile_edges` finishes the deferred rows.  Per-cell arithmetic
-/// is jacobi_iterate's — bitwise identical for any tiling.
+/// Tile `tb` of the interior for one Jacobi sweep (upstream
+/// tea_leaf_jacobi_solve_kernel): saves the old iterate into r, then
+/// u = (u0 + ΣK·u_old(neighbours)) / diag with row_sums[ρ] = Σ|u_new −
+/// u_old| over row ρ.  Two sweeps over the tile: save its rows (plus the
+/// halo rows/planes its boundary position owns: k = −1/ny on the
+/// first/last k-block, plane −1/nz on the first/last plane in 3-D), then
+/// update the rows whose stencils read only this tile's saves — rows
+/// tb.klo+1 … tb.khi−2 on the 2-D stencil, none on 3-D or assembled
+/// operators.  After a team barrier, `jacobi_tile_edges` finishes the
+/// deferred rows.  Bitwise identical for any tiling.
 void jacobi_tile(Chunk& c, const Bounds& tb, double* row_sums);
 
 /// Deferred updates of `jacobi_tile` for the same block decomposition:
-/// rows tb.klo and tb.khi−1 in 2-D, every row of the tile in 3-D.
+/// rows tb.klo and tb.khi−1 on the 2-D stencil, every row of the tile
+/// otherwise.
 void jacobi_tile_edges(Chunk& c, const Bounds& tb, double* row_sums);
 
 }  // namespace tealeaf::kernels

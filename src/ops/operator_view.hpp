@@ -36,14 +36,15 @@ namespace tealeaf {
 /// IEEE-754 negation/sign-symmetry make (−a)+(−b) ≡ −(a+b) and
 /// acc+(−x) ≡ acc−x exact — in either scalar.
 ///
-/// `kInBlockLag` marks the one view/geometry combination (2-D stencil)
-/// whose tiled schedules may update lagged rows inside a tile block; every
-/// other view defers all updates to the post-barrier edge pass.
+/// `kInTileUpdate` marks the one view/geometry combination (2-D stencil)
+/// whose tile kernels may update a tile's inner rows before the team
+/// barrier; every other view defers all updates to the post-barrier edge
+/// pass.
 
 template <int Dims, class T = double>
 struct StencilView {
   using Scalar = T;
-  static constexpr bool kInBlockLag = (Dims == 2);
+  static constexpr bool kInTileUpdate = (Dims == 2);
   const Field<T>* kx;
   const Field<T>* ky;
   const Field<T>* kz;  // unused when Dims == 2
@@ -188,7 +189,7 @@ template <class T>
 template <class T = double>
 struct CsrViewT {
   using Scalar = T;
-  static constexpr bool kInBlockLag = false;
+  static constexpr bool kInTileUpdate = false;
   const CsrMatrixT<T>* m;
   int nx, ny;
 
@@ -230,7 +231,7 @@ using CsrView = CsrViewT<double>;
 template <class T = double>
 struct SellViewT {
   using Scalar = T;
-  static constexpr bool kInBlockLag = false;
+  static constexpr bool kInTileUpdate = false;
   const SellMatrixT<T>* m;
   int nx, ny;
 

@@ -45,19 +45,11 @@ double cg_iteration(SimCluster2D& cl, PreconType precon, double rro,
                     int tile_rows) {
   const auto interior = [](int, Chunk2D& c) { return interior_bounds(c); };
   cl.exchange(team, {FieldId::kP}, 1);
-  const double pw =
-      tile_rows > 0
-          ? cl.sum_rows_over_chunks(
-                team, tile_rows,
-                [](int, Chunk2D& c, const Bounds& tb) {
-                  kernels::smvp_dot_rows(c, FieldId::kP, FieldId::kW,
-                                         interior_bounds(c), tb,
-                                         c.row_scratch());
-                })
-          : cl.sum_over_chunks(team, [](int, Chunk2D& c) {
-              return kernels::smvp_dot(c, FieldId::kP, FieldId::kW,
-                                       interior_bounds(c));
-            });
+  const double pw = cl.sum_rows_over_chunks(
+      team, tile_rows, [](int, Chunk2D& c, const Bounds& tb) {
+        kernels::smvp_dot_rows(c, FieldId::kP, FieldId::kW,
+                               interior_bounds(c), tb, c.row_scratch());
+      });
   if (!(pw > 0.0)) {
     // Numerical breakdown (pw <= 0 or NaN).  The value is identical on
     // every thread, so the branch is uniform.
@@ -66,47 +58,34 @@ double cg_iteration(SimCluster2D& cl, PreconType precon, double rro,
   }
   const double alpha = rro / pw;
 
-  // u += α·p, r −= α·w, z = M⁻¹r and ⟨r,z⟩ in one pass (calc_ur_dot).
+  // u += α·p, r −= α·w, z = M⁻¹r and ⟨r,z⟩ in one pass.
   double rrn;
-  if (tile_rows > 0 && precon == PreconType::kJacobiBlock) {
-    // The strip solve couples rows: row-tile the pointwise update, run
-    // the solve per rank, then the row-tiled ⟨r,z⟩.
+  if (precon == PreconType::kJacobiBlock) {
+    // The strip solve couples rows: row-tile the pointwise update, then
+    // solve and reduce ⟨r,z⟩ per rank.
     cl.for_each_tile(team, tile_rows, interior,
                      [&](int, Chunk2D& c, const Bounds& tb) {
                        kernels::cg_calc_ur_rows(c, alpha, tb);
                      });
     team.barrier();
-    cl.for_each_chunk(team, [](int, Chunk2D& c) {
+    rrn = cl.sum_over_chunks(team, [](int, Chunk2D& c) {
       kernels::block_jacobi_solve(c, FieldId::kR, FieldId::kZ);
+      return kernels::dot(c, FieldId::kR, FieldId::kZ);
     });
-    rrn = cl.sum_rows_over_chunks(
-        team, tile_rows, [](int, Chunk2D& c, const Bounds& tb) {
-          kernels::dot_rows(c, FieldId::kR, FieldId::kZ, tb, c.row_scratch());
-        });
-  } else if (tile_rows > 0) {
+  } else {
     rrn = cl.sum_rows_over_chunks(
         team, tile_rows, [&](int, Chunk2D& c, const Bounds& tb) {
           kernels::calc_ur_dot_rows(c, alpha, precon, tb, c.row_scratch());
         });
-  } else {
-    rrn = cl.sum_over_chunks(team, [&](int, Chunk2D& c) {
-      return kernels::calc_ur_dot(c, alpha, precon);
-    });
   }
 
   const double beta = rrn / rro;
   const FieldId zsrc =
       (precon == PreconType::kNone) ? FieldId::kR : FieldId::kZ;
-  if (tile_rows > 0) {
-    cl.for_each_tile(team, tile_rows, interior,
-                     [&](int, Chunk2D& c, const Bounds& tb) {
-                       kernels::xpby(c, FieldId::kP, zsrc, beta, tb);
-                     });
-  } else {
-    cl.for_each_chunk(team, [&](int, Chunk2D& c) {
-      kernels::xpby(c, FieldId::kP, zsrc, beta, interior_bounds(c));
-    });
-  }
+  cl.for_each_tile(team, tile_rows, interior,
+                   [&](int, Chunk2D& c, const Bounds& tb) {
+                     kernels::xpby(c, FieldId::kP, zsrc, beta, tb);
+                   });
 
   if (rec != nullptr) {
     rec->alphas.push_back(alpha);
@@ -162,27 +141,20 @@ SolveStats CGSolver::solve_chrono(SimCluster2D& cl, const SolverConfig& cfg,
   // are computed back-to-back and travel in ONE allreduce — the §VII
   // future-work "multiple dot products combined into a single
   // communication step".  Field roles: z = M⁻¹r, sd = A·p (the "s"
-  // vector), w = A·z.  Each iteration is one fused vector update
-  // (cg_chrono_update), the z exchange and the operator apply with both
-  // dot products folded in (smvp_dot2) — row-tiled when cfg.tile_rows > 0.
+  // vector), w = A·z.  Each iteration is one row-tiled vector update
+  // (cg_chrono_update_rows), the z exchange and the operator apply with
+  // both dot products folded in (smvp_dot2_rows).
   Timer timer;
   SolveStats st;
   const int tile = cfg.tile_rows;
   const bool block = (cfg.precon == PreconType::kJacobiBlock);
   const auto interior = [](int, Chunk2D& c) { return interior_bounds(c); };
   const auto smvp_dot2_pair = [&] {
-    if (tile > 0) {
-      return cl.sum2_rows_over_chunks(
-          team, tile, [](int, Chunk2D& c, const Bounds& tb) {
-            kernels::smvp_dot2_rows(c, FieldId::kZ, FieldId::kW, FieldId::kR,
-                                    interior_bounds(c), tb,
-                                    c.row_scratch());
-          });
-    }
-    return cl.sum2_over_chunks(team, [](int, Chunk2D& c) {
-      return kernels::smvp_dot2(c, FieldId::kZ, FieldId::kW, FieldId::kR,
-                                interior_bounds(c));
-    });
+    return cl.sum2_rows_over_chunks(
+        team, tile, [](int, Chunk2D& c, const Bounds& tb) {
+          kernels::smvp_dot2_rows(c, FieldId::kZ, FieldId::kW, FieldId::kR,
+                                  interior_bounds(c), tb, c.row_scratch());
+        });
   };
 
   // Bootstrap: r = u0 − A·u, z = M⁻¹r, then the first fused pair.
@@ -215,23 +187,17 @@ SolveStats CGSolver::solve_chrono(SimCluster2D& cl, const SolverConfig& cfg,
   double beta = 0.0;  // first step: p = z, s = w
 
   while (st.outer_iters < cfg.max_iters) {
-    if (tile > 0) {
-      cl.for_each_tile(team, tile, interior,
-                       [&](int, Chunk2D& c, const Bounds& tb) {
-                         kernels::cg_chrono_update_rows(c, alpha, beta,
-                                                        cfg.precon, tb);
-                       });
-      if (block) {
-        // The strip solve reads every r row of its rank: order it
-        // against the row-blocked pointwise update.
-        team.barrier();
-        cl.for_each_chunk(team, [](int, Chunk2D& c) {
-          kernels::block_jacobi_solve(c, FieldId::kR, FieldId::kZ);
-        });
-      }
-    } else {
-      cl.for_each_chunk(team, [&](int, Chunk2D& c) {
-        kernels::cg_chrono_update(c, alpha, beta, cfg.precon);
+    cl.for_each_tile(team, tile, interior,
+                     [&](int, Chunk2D& c, const Bounds& tb) {
+                       kernels::cg_chrono_update_rows(c, alpha, beta,
+                                                      cfg.precon, tb);
+                     });
+    if (block) {
+      // The strip solve reads every r row of its rank: order it against
+      // the row-blocked update.
+      team.barrier();
+      cl.for_each_chunk(team, [](int, Chunk2D& c) {
+        kernels::block_jacobi_solve(c, FieldId::kR, FieldId::kZ);
       });
     }
     cl.exchange(team, {FieldId::kZ}, 1);

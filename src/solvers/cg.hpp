@@ -27,9 +27,10 @@ double cg_setup(SimCluster2D& cl, PreconType precon, const Team& team);
 /// iteration leaves u/r untouched and returns rro — so the solve can
 /// report the failure instead of throwing across its region boundary.
 ///
-/// Team-aware like cg_setup, and row-tiled through the tiled engine when
-/// tile_rows > 0 (bitwise identical either way).  `rec` is per-thread
-/// storage; the appended (α, β) are identical on every thread.
+/// Team-aware like cg_setup; every sweep runs through the tile engine at
+/// `tile_rows` (0: one block per plane; bitwise identical at any height).
+/// `rec` is per-thread storage; the appended (α, β) are identical on
+/// every thread.
 double cg_iteration(SimCluster2D& cl, PreconType precon, double rro,
                     CGRecurrence* rec, bool& breakdown, const Team& team,
                     int tile_rows = 0);

@@ -18,6 +18,9 @@ namespace {
 /// bootstrap).  Handles all three preconditioner kinds.
 void cheby_bootstrap(SimCluster2D& cl, PreconType precon, double theta,
                      const Team& team) {
+  // The last prestep's direction update is a tile pass whose tiles may
+  // run on other threads than the ranks' owners, and this pass rewrites p.
+  team.barrier();
   cl.for_each_chunk(team, [&](int, Chunk2D& c) {
     const Bounds in = interior_bounds(c);
     if (precon == PreconType::kJacobiBlock) {
@@ -32,62 +35,51 @@ void cheby_bootstrap(SimCluster2D& cl, PreconType precon, double theta,
   });
 }
 
-/// One Chebyshev iteration: r −= A·p; p = α·p + β·M⁻¹·r; u += p — the
-/// fused cheby_step (or the block-Jacobi composition), then on check
-/// iterations the ‖r‖² reduction, whose value is identical on every
-/// thread.
-///
-/// With tile_rows > 0 the step runs through the tiled engine instead:
-/// row-blocked stencil passes with in-block row lagging, a barrier, then
-/// the deferred block-edge updates — still bitwise identical (same
-/// per-cell arithmetic; see kernels::cheby_step_tile).  Block-Jacobi's
-/// strip solve couples rows, so that composition stays per-rank.
+/// One Chebyshev iteration: r −= A·p; p = α·p + β·M⁻¹·r; u += p, then on
+/// check iterations the ‖r‖² reduction, whose value is identical on every
+/// thread.  The step runs through the tile engine: row-blocked stencil
+/// passes that update each block's inner rows, a barrier, then the
+/// deferred block-edge updates — bitwise identical at every tile height
+/// (see kernels::cheby_step_tile).  Block-Jacobi's strip solve couples
+/// rows, so that composition runs per rank and reduces per rank.
 double cheby_iterate(SimCluster2D& cl, PreconType precon, double alpha,
                      double beta, bool check, int tile_rows,
                      const Team& team) {
   const bool diag = (precon == PreconType::kJacobiDiag);
-  const int tile = (precon == PreconType::kJacobiBlock) ? 0 : tile_rows;
   const auto interior = [](int, Chunk2D& c) { return interior_bounds(c); };
   cl.exchange(team, {FieldId::kP}, 1);
-  if (tile > 0) {
-    cl.for_each_tile(team, tile, interior,
-                     [&](int, Chunk2D& c, const Bounds& tb) {
-                       kernels::cheby_step_tile(
-                           c, FieldId::kR, FieldId::kP, FieldId::kU, alpha,
-                           beta, diag, interior_bounds(c), tb);
-                     });
-    team.barrier();  // edge rows must see every block's stencil pass
-    cl.for_each_tile(team, tile, interior,
-                     [&](int, Chunk2D& c, const Bounds& tb) {
-                       kernels::cheby_step_tile_edges(
-                           c, FieldId::kR, FieldId::kP, FieldId::kU, alpha,
-                           beta, diag, interior_bounds(c), tb);
-                     });
-  } else {
+  if (precon == PreconType::kJacobiBlock) {
     cl.for_each_chunk(team, [&](int, Chunk2D& c) {
       const Bounds in = interior_bounds(c);
-      if (precon == PreconType::kJacobiBlock) {
-        kernels::smvp(c, FieldId::kP, FieldId::kW, in);
-        kernels::axpy(c, FieldId::kR, -1.0, FieldId::kW, in);
-        kernels::block_jacobi_solve(c, FieldId::kR, FieldId::kZ);
-        kernels::axpby(c, FieldId::kP, alpha, beta, FieldId::kZ, in);
-        kernels::axpy(c, FieldId::kU, 1.0, FieldId::kP, in);
-      } else {
-        kernels::cheby_step(c, FieldId::kR, FieldId::kP, FieldId::kU, alpha,
-                            beta, diag, in);
-      }
+      kernels::smvp(c, FieldId::kP, FieldId::kW, in);
+      kernels::axpy(c, FieldId::kR, -1.0, FieldId::kW, in);
+      kernels::block_jacobi_solve(c, FieldId::kR, FieldId::kZ);
+      kernels::axpby(c, FieldId::kP, alpha, beta, FieldId::kZ, in);
+      kernels::axpy(c, FieldId::kU, 1.0, FieldId::kP, in);
+    });
+    if (!check) return 0.0;
+    return cl.sum_over_chunks(team, [](int, const Chunk2D& c) {
+      return kernels::norm2_sq(c, FieldId::kR);
     });
   }
+  cl.for_each_tile(team, tile_rows, interior,
+                   [&](int, Chunk2D& c, const Bounds& tb) {
+                     kernels::cheby_step_tile(c, FieldId::kR, FieldId::kP,
+                                              FieldId::kU, alpha, beta, diag,
+                                              interior_bounds(c), tb);
+                   });
+  team.barrier();  // edge rows must see every block's stencil pass
+  cl.for_each_tile(team, tile_rows, interior,
+                   [&](int, Chunk2D& c, const Bounds& tb) {
+                     kernels::cheby_step_tile_edges(
+                         c, FieldId::kR, FieldId::kP, FieldId::kU, alpha,
+                         beta, diag, interior_bounds(c), tb);
+                   });
   if (!check) return 0.0;
-  return tile > 0 ? cl.sum_rows_over_chunks(
-                        team, tile,
-                        [](int, Chunk2D& c, const Bounds& tb) {
-                          kernels::dot_rows(c, FieldId::kR, FieldId::kR, tb,
-                                            c.row_scratch());
-                        })
-                  : cl.sum_over_chunks(team, [](int, const Chunk2D& c) {
-                      return kernels::norm2_sq(c, FieldId::kR);
-                    });
+  return cl.sum_rows_over_chunks(
+      team, tile_rows, [](int, Chunk2D& c, const Bounds& tb) {
+        kernels::dot_rows(c, FieldId::kR, FieldId::kR, tb, c.row_scratch());
+      });
 }
 
 }  // namespace

@@ -27,9 +27,7 @@ void PPCGSolver::apply_inner(SimCluster2D& cl, const SolverConfig& cfg,
   const int d = cfg.halo_depth;
   const bool diag = (cfg.precon == PreconType::kJacobiDiag);
   const bool block = (cfg.precon == PreconType::kJacobiBlock);
-  // Block-Jacobi's strip solve couples rows, so that composition never
-  // tiles.
-  const int tile = block ? 0 : cfg.tile_rows;
+  const int tile = cfg.tile_rows;
   TEA_ASSERT(!block || d == 1,
              "block-Jacobi with matrix powers rejected by validate()");
 
@@ -37,47 +35,38 @@ void PPCGSolver::apply_inner(SimCluster2D& cl, const SolverConfig& cfg,
   // powers the first extended sweep needs it valid through the overlap,
   // which costs one depth-d exchange; at depth 1 no exchange is needed
   // because the bootstrap touches only the interior.
-  if (tile > 0) {
-    cl.for_each_tile(team, tile,
-                     [](int, Chunk2D& c) { return interior_bounds(c); },
-                     [](int, Chunk2D& c, const Bounds& tb) {
-                       kernels::copy(c, FieldId::kRtemp, FieldId::kR, tb);
-                     });
-  } else {
-    cl.for_each_chunk(team, [](int, Chunk2D& c) {
-      kernels::copy(c, FieldId::kRtemp, FieldId::kR, interior_bounds(c));
-    });
-  }
+  cl.for_each_tile(team, tile,
+                   [](int, Chunk2D& c) { return interior_bounds(c); },
+                   [](int, Chunk2D& c, const Bounds& tb) {
+                     kernels::copy(c, FieldId::kRtemp, FieldId::kR, tb);
+                   });
   if (d > 1) cl.exchange(team, {FieldId::kRtemp}, d);
 
   // Bootstrap (the degree-0 term): sd = M⁻¹·rtemp/θ, z = sd, computed on
   // bounds extended d-1 cells so the following sweeps can shrink.
+  // Block-Jacobi's strip solve couples rows, so its composition runs per
+  // rank; every other sweep is a tile pass.
   int ext = d - 1;
+  const auto ext_bounds = [&ext](int, Chunk2D& c) {
+    return extended_bounds(c, ext);
+  };
   if (d == 1) team.barrier();  // rtemp copy visible
-  if (tile > 0) {
-    const auto boot_bounds = [ext](int, Chunk2D& c) {
-      return extended_bounds(c, ext);
-    };
-    cl.for_each_tile(team, tile, boot_bounds,
+  if (block) {
+    cl.for_each_chunk(team, [&](int, Chunk2D& c) {
+      const Bounds in = interior_bounds(c);
+      kernels::block_jacobi_solve(c, FieldId::kRtemp, FieldId::kW);
+      kernels::cheby_init_dir(c, FieldId::kW, FieldId::kSd, cc.theta,
+                              /*diag_precon=*/false, in);
+      kernels::copy(c, FieldId::kZ, FieldId::kSd, in);
+    });
+  } else {
+    cl.for_each_tile(team, tile, ext_bounds,
                      [&](int, Chunk2D& c, const Bounds& tb) {
                        kernels::cheby_init_dir(c, FieldId::kRtemp,
                                                FieldId::kSd, cc.theta, diag,
                                                tb);
                        kernels::copy(c, FieldId::kZ, FieldId::kSd, tb);
                      });
-  } else {
-    cl.for_each_chunk(team, [&](int, Chunk2D& c) {
-      const Bounds b = extended_bounds(c, ext);
-      if (block) {
-        kernels::block_jacobi_solve(c, FieldId::kRtemp, FieldId::kW);
-        kernels::cheby_init_dir(c, FieldId::kW, FieldId::kSd, cc.theta,
-                                /*diag_precon=*/false, b);
-      } else {
-        kernels::cheby_init_dir(c, FieldId::kRtemp, FieldId::kSd, cc.theta,
-                                diag, b);
-      }
-      kernels::copy(c, FieldId::kZ, FieldId::kSd, b);
-    });
   }
 
   for (int step = 1; step <= cfg.inner_steps; ++step) {
@@ -100,39 +89,35 @@ void PPCGSolver::apply_inner(SimCluster2D& cl, const SolverConfig& cfg,
     --ext;
     const double alpha = cc.alphas[static_cast<std::size_t>(step - 1)];
     const double beta = cc.betas[static_cast<std::size_t>(step - 1)];
-    if (tile > 0) {
-      const auto step_bounds = [ext](int, Chunk2D& c) {
-        return extended_bounds(c, ext);
-      };
-      cl.for_each_tile(team, tile, step_bounds,
+    if (block) {
+      cl.for_each_chunk(team, [&](int, Chunk2D& c) {
+        const Bounds in = interior_bounds(c);
+        kernels::smvp(c, FieldId::kSd, FieldId::kW, in);
+        kernels::axpy(c, FieldId::kRtemp, -1.0, FieldId::kW, in);
+        kernels::block_jacobi_solve(c, FieldId::kRtemp, FieldId::kW);
+        kernels::axpby(c, FieldId::kSd, alpha, beta, FieldId::kW, in);
+        kernels::axpy(c, FieldId::kZ, 1.0, FieldId::kSd, in);
+      });
+    } else {
+      cl.for_each_tile(team, tile, ext_bounds,
                        [&](int, Chunk2D& c, const Bounds& tb) {
                          kernels::cheby_step_tile(
                              c, FieldId::kRtemp, FieldId::kSd, FieldId::kZ,
                              alpha, beta, diag, extended_bounds(c, ext), tb);
                        });
       team.barrier();  // edge rows wait for every block's stencil pass
-      cl.for_each_tile(team, tile, step_bounds,
+      cl.for_each_tile(team, tile, ext_bounds,
                        [&](int, Chunk2D& c, const Bounds& tb) {
                          kernels::cheby_step_tile_edges(
                              c, FieldId::kRtemp, FieldId::kSd, FieldId::kZ,
                              alpha, beta, diag, extended_bounds(c, ext), tb);
                        });
-    } else {
-      cl.for_each_chunk(team, [&](int, Chunk2D& c) {
-        const Bounds b = extended_bounds(c, ext);
-        if (block) {
-          kernels::smvp(c, FieldId::kSd, FieldId::kW, b);
-          kernels::axpy(c, FieldId::kRtemp, -1.0, FieldId::kW, b);
-          kernels::block_jacobi_solve(c, FieldId::kRtemp, FieldId::kW);
-          kernels::axpby(c, FieldId::kSd, alpha, beta, FieldId::kW, b);
-          kernels::axpy(c, FieldId::kZ, 1.0, FieldId::kSd, b);
-        } else {
-          kernels::cheby_step(c, FieldId::kRtemp, FieldId::kSd, FieldId::kZ,
-                              alpha, beta, diag, b);
-        }
-      });
     }
   }
+  // The caller reduces ⟨r, z⟩ through the interior tile decomposition
+  // with no entry barrier: order it against a last pass that ran per rank
+  // or over extended bounds.
+  if (block || ext > 0) team.barrier();
   if (st != nullptr) {
     st->spmv_applies += cfg.inner_steps;
     st->inner_steps += cfg.inner_steps;
@@ -204,39 +189,28 @@ SolveStats PPCGSolver::solve_team(SimCluster2D& cl, const SolverConfig& cfg,
   st.eigmin = est.eigmin;
   st.eigmax = est.eigmax;
 
-  // The sequence below workshares inside the caller's region — row-blocked
-  // through the tiled engine when cfg.tile_rows > 0.  Every scalar derives
-  // from rank/row-ordered team reductions, so its value — and every
-  // branch on it — is identical on every thread.
+  // The sequence below workshares inside the caller's region, every
+  // sweep row-blocked through the tile engine.  Every scalar derives from
+  // rank/row-ordered team reductions, so its value — and every branch on
+  // it — is identical on every thread.
   const int tile = cfg.tile_rows;
   const auto interior = [](int, Chunk2D& c) { return interior_bounds(c); };
-  /// ⟨r, z⟩ (row-blocked when tiled; identical value).
+  /// ⟨r, z⟩ after apply_inner (which leaves z ordered for this reduction).
   const auto dot_rz = [&] {
-    if (tile > 0) {
-      return cl.sum_rows_over_chunks(
-          team, tile, [](int, Chunk2D& c, const Bounds& tb) {
-            kernels::dot_rows(c, FieldId::kR, FieldId::kZ, tb,
-                              c.row_scratch());
-          });
-    }
-    return cl.sum_over_chunks(team, [](int, const Chunk2D& c) {
-      return kernels::dot(c, FieldId::kR, FieldId::kZ);
-    });
+    return cl.sum_rows_over_chunks(
+        team, tile, [](int, Chunk2D& c, const Bounds& tb) {
+          kernels::dot_rows(c, FieldId::kR, FieldId::kZ, tb,
+                            c.row_scratch());
+        });
   };
 
   // --- restart the outer PCG with the polynomial preconditioner ---------
   apply_inner(cl, cfg, cc, nullptr, team);
   rro = dot_rz();
-  if (tile > 0) {
-    cl.for_each_tile(team, tile, interior,
-                     [](int, Chunk2D& c, const Bounds& tb) {
-                       kernels::copy(c, FieldId::kP, FieldId::kZ, tb);
-                     });
-  } else {
-    cl.for_each_chunk(team, [](int, Chunk2D& c) {
-      kernels::copy(c, FieldId::kP, FieldId::kZ, interior_bounds(c));
-    });
-  }
+  cl.for_each_tile(team, tile, interior,
+                   [](int, Chunk2D& c, const Bounds& tb) {
+                     kernels::copy(c, FieldId::kP, FieldId::kZ, tb);
+                   });
   st.spmv_applies += cfg.inner_steps;
   st.inner_steps += cfg.inner_steps;
   if (!(rro > 0.0)) {
@@ -252,19 +226,11 @@ SolveStats PPCGSolver::solve_team(SimCluster2D& cl, const SolverConfig& cfg,
     // Chebyshev application (including its matrix-powers exchanges)
     // and both reductions.
     cl.exchange(team, {FieldId::kP}, 1);
-    const double pw =
-        tile > 0
-            ? cl.sum_rows_over_chunks(
-                  team, tile,
-                  [](int, Chunk2D& c, const Bounds& tb) {
-                    kernels::smvp_dot_rows(c, FieldId::kP, FieldId::kW,
-                                           interior_bounds(c), tb,
-                                           c.row_scratch());
-                  })
-            : cl.sum_over_chunks(team, [](int, Chunk2D& c) {
-                return kernels::smvp_dot(c, FieldId::kP, FieldId::kW,
-                                         interior_bounds(c));
-              });
+    const double pw = cl.sum_rows_over_chunks(
+        team, tile, [](int, Chunk2D& c, const Bounds& tb) {
+          kernels::smvp_dot_rows(c, FieldId::kP, FieldId::kW,
+                                 interior_bounds(c), tb, c.row_scratch());
+        });
     ++st.spmv_applies;
     // Uniform branch: every thread reduced the same rank-ordered sum.
     if (!(pw > 0.0)) {
@@ -273,34 +239,19 @@ SolveStats PPCGSolver::solve_team(SimCluster2D& cl, const SolverConfig& cfg,
       return finish(rrn);
     }
     const double alpha = rro / pw;
-    if (tile > 0) {
-      cl.for_each_tile(team, tile, interior,
-                       [&](int, Chunk2D& c, const Bounds& tb) {
-                         kernels::cg_calc_ur_rows(c, alpha, tb);
-                       });
-      // apply_inner's first pass copies r: order it against the
-      // row-blocked update (the untiled path keeps the same rank→thread
-      // mapping, so only the tiled schedule needs this).
-      team.barrier();
-    } else {
-      cl.for_each_chunk(
-          team, [&](int, Chunk2D& c) { kernels::cg_calc_ur(c, alpha); });
-    }
+    // apply_inner's first pass copies r through the same tile
+    // decomposition, so each r row is read by the thread that wrote it.
+    cl.for_each_tile(team, tile, interior,
+                     [&](int, Chunk2D& c, const Bounds& tb) {
+                       kernels::cg_calc_ur_rows(c, alpha, tb);
+                     });
     apply_inner(cl, cfg, cc, nullptr, team);
     const double rrn_t = dot_rz();
     const double beta = rrn_t / rro;
-    if (tile > 0) {
-      cl.for_each_tile(team, tile, interior,
-                       [&](int, Chunk2D& c, const Bounds& tb) {
-                         kernels::xpby(c, FieldId::kP, FieldId::kZ, beta,
-                                       tb);
-                       });
-    } else {
-      cl.for_each_chunk(team, [&](int, Chunk2D& c) {
-        kernels::xpby(c, FieldId::kP, FieldId::kZ, beta,
-                      interior_bounds(c));
-      });
-    }
+    cl.for_each_tile(team, tile, interior,
+                     [&](int, Chunk2D& c, const Bounds& tb) {
+                       kernels::xpby(c, FieldId::kP, FieldId::kZ, beta, tb);
+                     });
     st.spmv_applies += cfg.inner_steps;
     st.inner_steps += cfg.inner_steps;
     rrn = rrn_t;

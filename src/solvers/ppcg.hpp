@@ -38,8 +38,9 @@ class PPCGSolver {
   /// Apply the inner Chebyshev preconditioner: z = B(A)·r on every chunk.
   /// Exposed for tests (depth-equivalence and trace validation).
   /// Updates `spmv_applies`/`inner_steps` counters in `st` when non-null.
-  /// Workshares on `team` inside the caller's parallel region; row tiled
-  /// when cfg.tile_rows > 0 (bitwise identical results).
+  /// Workshares on `team` inside the caller's parallel region; every
+  /// sweep but block-Jacobi's per-rank composition is row-tiled at
+  /// cfg.tile_rows (bitwise identical at any height).
   static void apply_inner(SimCluster2D& cl, const SolverConfig& cfg,
                           const ChebyCoefs& cc, SolveStats* st,
                           const Team& team);

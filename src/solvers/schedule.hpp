@@ -7,7 +7,7 @@ namespace tealeaf {
 
 /// Run one native solve as ONE parallel region around the whole solve:
 /// `body(team)` is the solver body, every collective of which workshares
-/// on the region's Team (row-tiled when the config's tile_rows > 0).  The
+/// on the region's Team (row-tiled at the config's tile_rows).  The
 /// body returns identical stats on every thread; thread 0's are returned.
 /// Exceptions must not escape `body` (see parallel_region), so callers
 /// validate the config first and the bodies report breakdown in the

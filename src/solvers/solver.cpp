@@ -31,24 +31,14 @@ void note_operator_fill(const SimCluster2D& cl, SolveStats& stats) {
 /// machine's per-core L2 and this run's chunk width.  The machine is the
 /// caller's — SolveSession and the sweep pass the one their run models —
 /// so an auto height tracks the machine being studied instead of always
-/// assuming the default.  Where one block would cover every chunk (a
-/// single-plane chunk no taller than the block), there is nothing to
-/// tile: one block per rank spreads no more work over the team than the
-/// untiled sweeps do, and the tile path's per-row reductions would only
-/// add barriers, so `auto` runs untiled there.
+/// assuming the default.  A height that covers a whole plane is one block
+/// per plane, the same schedule as tile_rows = 0.
 SolverConfig resolve(const SimCluster2D& cl, const SolverConfig& cfg,
                      const MachineSpec& machine) {
   SolverConfig resolved = cfg;
   if (resolved.tile_rows < 0) {
-    const int rows =
+    resolved.tile_rows =
         auto_tile_rows(machine, cl.chunk(0).nx(), cl.halo_depth());
-    bool one_block = true;
-    for (int r = 0; r < cl.nranks(); ++r) {
-      one_block = one_block &&
-                  SimCluster2D::num_tiles(interior_bounds(cl.chunk(r)),
-                                          rows) == 1;
-    }
-    resolved.tile_rows = one_block ? 0 : rows;
   }
   return resolved;
 }

@@ -16,9 +16,9 @@ namespace tealeaf {
 /// Postcondition: u holds the converged solution on chunk interiors.
 ///
 /// tile_rows < 0 ("auto") is resolved here before dispatch, sizing the
-/// row-blocks from `machine`'s per-core L2 and the chunk width (untiled
-/// when one block would cover every single-plane chunk) — pass the
-/// machine the run models (SolveSession and the sweep thread theirs
+/// row-blocks from `machine`'s per-core L2 and the chunk width (a height
+/// covering a whole plane is one block per plane) — pass the machine the
+/// run models (SolveSession and the sweep thread theirs
 /// through); the default is the same spruce_hybrid SweepOptions prices
 /// communication against.
 [[nodiscard]] SolveStats run_solver(

@@ -56,7 +56,9 @@ std::size_t SweepSpec::num_cases() const {
 
 void SweepSpec::validate() const {
   for (const std::string& name : solvers) {
-    if (name != "mg-pcg") solver_type_from_string(name);  // throws if unknown
+    if (name != "mg-pcg") {
+      (void)solver_type_from_string(name);  // throws if unknown
+    }
   }
   TEA_REQUIRE(!precons.empty(), "sweep: preconditioner axis must be non-empty");
   TEA_REQUIRE(!halo_depths.empty(), "sweep: halo-depth axis must be non-empty");
@@ -72,16 +74,18 @@ void SweepSpec::validate() const {
   }
   TEA_REQUIRE(!tile_rows.empty(), "sweep: tile-rows axis must be non-empty");
   for (const int t : tile_rows) {
-    TEA_REQUIRE(t >= 0, "sweep: tile-rows values must be >= 0 (0 = untiled)");
+    TEA_REQUIRE(t >= 0,
+                "sweep: tile-rows values must be >= 0 (0 = one block per "
+                "plane)");
   }
   for (const int d : geometries) {
     TEA_REQUIRE(d == 2 || d == 3, "sweep: geometry values must be 2d or 3d");
   }
   for (const std::string& o : operators) {
-    operator_kind_from_string(o);  // throws if unknown
+    (void)operator_kind_from_string(o);  // throws if unknown
   }
   for (const std::string& p : precisions) {
-    precision_from_string(p);  // throws if unknown
+    (void)precision_from_string(p);  // throws if unknown
   }
   TEA_REQUIRE(ranks >= 1, "sweep: need at least one simulated rank");
 }
@@ -125,7 +129,8 @@ void SolverConfig::validate() const {
                 "tl_operator = stencil for matrix-powers, or halo depth 1");
   }
   TEA_REQUIRE(tile_rows >= -1,
-              "tile_rows must be a row count, 0 (untiled) or -1 (auto)");
+              "tile_rows must be a row count, 0 (one block per plane) or -1 "
+              "(auto)");
   TEA_REQUIRE(eig_hint_min >= 0.0 && eig_hint_max >= 0.0,
               "eigenvalue hints must be non-negative (0 = unset)");
   if (eig_hint_min > 0.0 || eig_hint_max > 0.0) {

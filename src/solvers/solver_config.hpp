@@ -95,17 +95,17 @@ struct SolverConfig {
   /// Row-block height of the tiled execution engine (tl_tile_rows).  Every
   /// solve runs as ONE parallel region around the whole solve
   /// (worksharing loops, team reductions and team-aware halo exchanges
-  /// inside; see solve_in_region); this knob only cuts its sweeps.
-  /// > 0: fused sweeps iterate over row-blocks of this many rows so the
+  /// inside; see solve_in_region), and every sweep runs through the tile
+  /// engine; this knob only sets the block height.
+  /// > 0: sweeps iterate over row-blocks of this many rows so the
   ///      per-block working set fits in L2, and the engine workshares
   ///      (rank, row-block) pairs over the whole thread team when there
-  ///      are more threads than simulated ranks.
-  ///   0: untiled (whole-chunk sweeps, one block per rank).
-  ///  -1: "auto", the default — the engine picks: derived at solve time
-  ///      from the modelled machine's per-core L2 and the chunk width (see
-  ///      auto_tile_rows) where the engine tiles, untiled where it cannot
-  ///      (mg-pcg) or where one block would cover the whole 2-D chunk
-  ///      (see run_solver).
+  ///      are more threads than simulated ranks.  A height >= the rows of
+  ///      a plane is one block per plane.
+  ///   0: one block per plane ("untiled": one block per rank in 2-D).
+  ///  -1: "auto", the default — derived at solve time from the modelled
+  ///      machine's per-core L2 and the chunk width (see auto_tile_rows
+  ///      and run_solver); mg-pcg, which does not tile, runs untiled.
   /// Iterates and iteration counts are bitwise identical for every value.
   int tile_rows = -1;
 

@@ -318,7 +318,7 @@ void parallel_for(std::int64_t begin, std::int64_t end, const Body& body) {
 /// Parallel sum-reduction over [begin, end): returns Σ body(i).
 /// Deterministic per thread count; kernels that must be bitwise
 /// decomposition-independent should reduce ordered partials instead
-/// (see comm::SimCluster2D::reduce_sum).  Single-level like parallel_for.
+/// (see SimCluster::sum_over_chunks).  Single-level like parallel_for.
 template <class Body>
 double parallel_reduce_sum(std::int64_t begin, std::int64_t end,
                            const Body& body) {

@@ -224,17 +224,5 @@ TEST(ExchangeProperty, StatsAggregateAcrossCalls) {
   EXPECT_EQ(copy.bytes_by_depth.at(3), 2 * cl.stats().bytes_by_depth.at(3));
 }
 
-TEST(Reduce2, FusedPairMatchesSeparateSums) {
-  const GlobalMesh2D mesh(12, 12);
-  SimCluster2D cl(mesh, 4, 1);
-  std::vector<std::pair<double, double>> partials = {
-      {1.0, 10.0}, {2.0, 20.0}, {3.0, 30.0}, {4.0, 40.0}};
-  const auto [a, b] = cl.reduce_sum2(partials);
-  EXPECT_DOUBLE_EQ(a, 10.0);
-  EXPECT_DOUBLE_EQ(b, 100.0);
-  EXPECT_EQ(cl.stats().reductions, 1);  // ONE allreduce for the pair
-  EXPECT_THROW(cl.reduce_sum2({{1, 2}}), TeaError);
-}
-
 }  // namespace
 }  // namespace tealeaf

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <vector>
 
 #include "driver/decks.hpp"
@@ -103,9 +104,31 @@ TEST(TeamCluster, TeamExchangeMatchesStandalone) {
   EXPECT_EQ(a->stats().exchange_calls, b->stats().exchange_calls);
 }
 
-// ---- fused kernels: single-pass vs composed sweeps ----------------------
+// ---- tile kernels vs the recurrences written out here --------------------
+// The reference loops below are written from the matrix definition in
+// ops/kernels.hpp and share no code with the kernels, so they check the
+// arithmetic rather than agreement between two uses of one per-row core.
+// Their sums associate differently, hence a rounding tolerance.
+
+/// Diagonal of A at (j, k): 1 + the four face coefficients.
+double ref_diag(const Chunk2D& c, int j, int k) {
+  return 1.0 + c.kx()(j, k) + c.kx()(j + 1, k) + c.ky()(j, k) +
+         c.ky()(j, k + 1);
+}
+
+/// (A·x)(j, k) on the 5-point stencil.
+double ref_apply(const Chunk2D& c, const Field<double>& x, int j, int k) {
+  return ref_diag(c, j, k) * x(j, k) - c.kx()(j, k) * x(j - 1, k) -
+         c.kx()(j + 1, k) * x(j + 1, k) - c.ky()(j, k) * x(j, k - 1) -
+         c.ky()(j, k + 1) * x(j, k + 1);
+}
+
+constexpr double kRefTol = 1e-11;
 
 TEST(FusedKernels, ChebyStepMatchesSmvpPlusUpdate) {
+  // One Chebyshev step through the tile kernels (one block per chunk, as
+  // the engine runs tile_rows = 0) against
+  //   w = A·sd;  rtemp −= w;  sd = α·sd + β·M⁻¹·rtemp;  z += sd.
   for (const bool diag : {false, true}) {
     auto a = make_test_problem(28, 2, 3);
     auto b = make_test_problem(28, 2, 3);
@@ -122,22 +145,37 @@ TEST(FusedKernels, ChebyStepMatchesSmvpPlusUpdate) {
     const double alpha = 0.37, beta = 1.21;
     a->for_each_chunk([&](int, Chunk2D& c) {
       const Bounds bb = extended_bounds(c, 2);
-      kernels::smvp(c, FieldId::kSd, FieldId::kW, bb);
-      kernels::cheby_fused_update(c, FieldId::kRtemp, FieldId::kSd,
-                                  FieldId::kZ, alpha, beta, diag, bb);
+      for (int k = bb.klo; k < bb.khi; ++k)
+        for (int j = bb.jlo; j < bb.jhi; ++j)
+          c.w()(j, k) = ref_apply(c, c.sd(), j, k);
+      for (int k = bb.klo; k < bb.khi; ++k)
+        for (int j = bb.jlo; j < bb.jhi; ++j) {
+          c.rtemp()(j, k) -= c.w()(j, k);
+          const double m_inv = diag ? 1.0 / ref_diag(c, j, k) : 1.0;
+          c.sd()(j, k) =
+              alpha * c.sd()(j, k) + beta * m_inv * c.rtemp()(j, k);
+          c.z()(j, k) += c.sd()(j, k);
+        }
     });
     b->for_each_chunk([&](int, Chunk2D& c) {
-      kernels::cheby_step(c, FieldId::kRtemp, FieldId::kSd, FieldId::kZ,
-                          alpha, beta, diag, extended_bounds(c, 2));
+      const Bounds bb = extended_bounds(c, 2);
+      kernels::cheby_step_tile(c, FieldId::kRtemp, FieldId::kSd, FieldId::kZ,
+                               alpha, beta, diag, bb, bb);
+      kernels::cheby_step_tile_edges(c, FieldId::kRtemp, FieldId::kSd,
+                                     FieldId::kZ, alpha, beta, diag, bb, bb);
     });
     for (const FieldId f :
          {FieldId::kRtemp, FieldId::kSd, FieldId::kZ, FieldId::kW}) {
-      EXPECT_EQ(max_field_diff(*a, *b, f), 0.0) << "diag=" << diag;
+      EXPECT_LT(max_field_diff(*a, *b, f), kRefTol) << "diag=" << diag;
     }
   }
 }
 
 TEST(FusedKernels, CalcUrDotMatchesComposedSweeps) {
+  // The CG update row kernels (one block per chunk) against
+  //   u += α·p;  r −= α·w;  z = M⁻¹r;  Σ r·z
+  // — calc_ur_dot_rows for the local preconditioners, and the pointwise
+  // cg_calc_ur_rows that block-Jacobi composes with its strip solve.
   for (const PreconType precon :
        {PreconType::kNone, PreconType::kJacobiDiag, PreconType::kJacobiBlock}) {
     auto a = make_test_problem(20, 2, 2);
@@ -150,20 +188,46 @@ TEST(FusedKernels, CalcUrDotMatchesComposedSweeps) {
       });
     }
     const double alpha = 0.61;
-    const double unfused = a->sum_over_chunks([&](int, Chunk2D& c) {
-      kernels::cg_calc_ur(c, alpha);
-      if (precon == PreconType::kNone) {
-        return kernels::norm2_sq(c, FieldId::kR);
+    const bool block = precon == PreconType::kJacobiBlock;
+    double ref = 0.0;
+    for (int r = 0; r < a->nranks(); ++r) {
+      Chunk2D& c = a->chunk(r);
+      for (int k = 0; k < c.ny(); ++k)
+        for (int j = 0; j < c.nx(); ++j) {
+          c.u()(j, k) += alpha * c.p()(j, k);
+          c.r()(j, k) -= alpha * c.w()(j, k);
+          if (block) continue;
+          if (precon == PreconType::kJacobiDiag) {
+            c.z()(j, k) = c.r()(j, k) / ref_diag(c, j, k);
+          }
+          const double z = precon == PreconType::kNone ? c.r()(j, k)
+                                                       : c.z()(j, k);
+          ref += c.r()(j, k) * z;
+        }
+    }
+    double got = 0.0;
+    parallel_region([&](const Team& t) {
+      if (block) {
+        b->for_each_tile(
+            t, 0, [](int, Chunk2D& c) { return interior_bounds(c); },
+            [&](int, Chunk2D& c, const Bounds& tb) {
+              kernels::cg_calc_ur_rows(c, alpha, tb);
+            });
+        return;
       }
-      kernels::apply_preconditioner(c, precon, FieldId::kR, FieldId::kZ);
-      return kernels::dot(c, FieldId::kR, FieldId::kZ);
+      const double v = b->sum_rows_over_chunks(
+          t, 0, [&](int, Chunk2D& c, const Bounds& tb) {
+            kernels::calc_ur_dot_rows(c, alpha, precon, tb, c.row_scratch());
+          });
+      t.single([&] { got = v; });
     });
-    const double fused = b->sum_over_chunks([&](int, Chunk2D& c) {
-      return kernels::calc_ur_dot(c, alpha, precon);
-    });
-    EXPECT_EQ(fused, unfused) << to_string(precon);
+    if (!block) {
+      EXPECT_NEAR(got, ref, kRefTol * std::fabs(ref)) << to_string(precon);
+      EXPECT_LT(max_field_diff(*a, *b, FieldId::kZ), kRefTol)
+          << to_string(precon);
+    }
     for (const FieldId f : {FieldId::kU, FieldId::kR}) {
-      EXPECT_EQ(max_field_diff(*a, *b, f), 0.0) << to_string(precon);
+      EXPECT_LT(max_field_diff(*a, *b, f), kRefTol) << to_string(precon);
     }
   }
 }

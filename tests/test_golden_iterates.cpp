@@ -9,14 +9,18 @@
 // operator-apply counts, and the CommStats reduction and message counts
 // against the table below.
 //
-// Cells: solver variant × engine {fused (untiled), tiled b6} × geometry
-// {2d, 3d} × operator {stencil, csr} × precision {double, mixed}.  The
-// two engines of one (variant, geometry, operator, precision) must carry
-// identical values; the table still lists each cell so an engine that
-// drifts is named.  The values were recorded from the retired unfused
-// schedule, whose rows were identical.  Every solve stops at a small
-// iteration cap: convergence is not the point, and the per-iteration
-// barriers get expensive when ctest runs many threaded tests at once.
+// Cells: solver variant × tile height {fused (tile_rows = 0, one block
+// per plane), tiled b6} × geometry {2d, 3d} × operator {stencil, csr} ×
+// precision {double, mixed}.  Both heights run the same tile path and
+// must carry identical values; the table still lists each cell so a
+// height that drifts is named.  The values were recorded from the
+// retired unfused schedule, whose rows were identical.  Every cell runs
+// at 1 and at 3 threads: with the 2-rank test problems that covers both
+// schedules of the row reductions (each rank's owner folds its own rows,
+// or a barrier precedes the fold) on any host.  Every solve stops at a
+// small iteration cap: convergence is not the point, and the
+// per-iteration barriers get expensive when ctest runs many threaded
+// tests at once.
 //
 // mg-pcg has its own rows (u hash and iteration count), recorded from its
 // retired serial path; the team path must reproduce them at every thread
@@ -271,60 +275,67 @@ TEST(GoldenIterates, EveryRouteReproducesItsRecordedChecksum) {
   };
   const Engine engines[] = {{"fused", 0}, {"tiled-b6", 6}};
   int checked = 0;
-  for (const Variant& v : kVariants) {
-    for (const Engine& s : engines) {
-      for (const int dims : {2, 3}) {
-        for (const OperatorKind op :
-             {OperatorKind::kStencil, OperatorKind::kCsr}) {
-          for (const Precision prec : {Precision::kDouble, Precision::kMixed}) {
-            SolverConfig cfg;
-            cfg.type = v.type;
-            cfg.precon = v.precon;
-            cfg.fuse_cg_reductions = v.chrono;
-            cfg.halo_depth = op == OperatorKind::kStencil ? v.halo_depth : 1;
-            cfg.op = op;
-            cfg.precision = prec;
-            cfg.tile_rows = s.tile_rows;
-            cfg.eps = v.type == SolverType::kJacobi ? 1e-5 : 1e-9;
-            cfg.max_iters = 25;
-            cfg.eigen_cg_iters = 12;
-            cfg.inner_steps = 6;
-            cfg.cheby_check_interval = 5;
+  for (const int threads : {1, 3}) {
+    const ThreadScope scope(threads);
+    for (const Variant& v : kVariants) {
+      for (const Engine& s : engines) {
+        for (const int dims : {2, 3}) {
+          for (const OperatorKind op :
+               {OperatorKind::kStencil, OperatorKind::kCsr}) {
+            for (const Precision prec :
+                 {Precision::kDouble, Precision::kMixed}) {
+              SolverConfig cfg;
+              cfg.type = v.type;
+              cfg.precon = v.precon;
+              cfg.fuse_cg_reductions = v.chrono;
+              cfg.halo_depth =
+                  op == OperatorKind::kStencil ? v.halo_depth : 1;
+              cfg.op = op;
+              cfg.precision = prec;
+              cfg.tile_rows = s.tile_rows;
+              cfg.eps = v.type == SolverType::kJacobi ? 1e-5 : 1e-9;
+              cfg.max_iters = 25;
+              cfg.eigen_cg_iters = 12;
+              cfg.inner_steps = 6;
+              cfg.cheby_check_interval = 5;
 
-            auto cl = dims == 3 ? make_test_problem_3d(10, 2, 2)
-                                : make_test_problem(20, 2, 2);
-            install_operator(*cl, op);
-            const SolveStats st = run_solver(*cl, cfg);
+              auto cl = dims == 3 ? make_test_problem_3d(10, 2, 2)
+                                  : make_test_problem(20, 2, 2);
+              install_operator(*cl, op);
+              const SolveStats st = run_solver(*cl, cfg);
 
-            const std::string cell = std::string(v.name) + "/" + s.name +
-                                     "/" + (dims == 3 ? "3d" : "2d") + "/" +
-                                     to_string(op) + "/" + to_string(prec);
-            const Golden got{cell.c_str(),
-                             hash_field(gather_field(*cl, FieldId::kU)),
-                             st.outer_iters,
-                             st.spmv_applies,
-                             static_cast<long long>(cl->stats().reductions),
-                             static_cast<long long>(cl->stats().messages)};
-            const Golden* want = find_golden(cell);
-            ++checked;
-            if (want == nullptr) {
-              ADD_FAILURE() << "no golden row for " << cell
-                            << "; produced:\n" << row_of(got);
-              continue;
+              const std::string cell =
+                  std::string(v.name) + "/" + s.name + "/" +
+                  (dims == 3 ? "3d" : "2d") + "/" + to_string(op) + "/" +
+                  to_string(prec);
+              const Golden got{cell.c_str(),
+                               hash_field(gather_field(*cl, FieldId::kU)),
+                               st.outer_iters,
+                               st.spmv_applies,
+                               static_cast<long long>(cl->stats().reductions),
+                               static_cast<long long>(cl->stats().messages)};
+              const Golden* want = find_golden(cell);
+              ++checked;
+              if (want == nullptr) {
+                ADD_FAILURE() << "no golden row for " << cell
+                              << "; produced:\n" << row_of(got);
+                continue;
+              }
+              EXPECT_TRUE(want->u_hash == got.u_hash &&
+                          want->outer_iters == got.outer_iters &&
+                          want->spmv_applies == got.spmv_applies &&
+                          want->reductions == got.reductions &&
+                          want->messages == got.messages)
+                  << "cell " << cell << " at " << threads << " threads"
+                  << "\n  want " << row_of(*want)
+                  << "\n  got  " << row_of(got);
             }
-            EXPECT_TRUE(want->u_hash == got.u_hash &&
-                        want->outer_iters == got.outer_iters &&
-                        want->spmv_applies == got.spmv_applies &&
-                        want->reductions == got.reductions &&
-                        want->messages == got.messages)
-                << "cell " << cell << "\n  want " << row_of(*want)
-                << "\n  got  " << row_of(got);
           }
         }
       }
     }
   }
-  EXPECT_EQ(checked, static_cast<int>(std::size(kGolden)));
+  EXPECT_EQ(checked, 2 * static_cast<int>(std::size(kGolden)));
 }
 
 struct GoldenMG {

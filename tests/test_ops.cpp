@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <vector>
 
 #include "comm/sim_comm.hpp"
@@ -209,8 +210,35 @@ TEST(JacobiKernel, OneSweepReducesError) {
   kernels::init_u_u0(c);
   c.u0()(5, 5) = 10.0;  // perturb the RHS
   kernels::init_conduction(c, kernels::Coefficient::kConductivity, 1.0, 1.0);
-  const double e1 = kernels::jacobi_iterate(c);
-  const double e2 = kernels::jacobi_iterate(c);
+  // One sweep through the tile kernels, one block as the engine runs
+  // tile_rows = 0: save + inner rows, then the deferred edge rows.
+  const auto sweep = [&c] {
+    const Bounds in = interior_bounds(c);
+    kernels::jacobi_tile(c, in, c.row_scratch());
+    kernels::jacobi_tile_edges(c, in, c.row_scratch());
+    double err = 0.0;
+    for (int k = 0; k < c.ny(); ++k) err += c.row_scratch()[k];
+    return err;
+  };
+  const Field2D<double> old = c.u();
+  const double e1 = sweep();
+  // The Jacobi update written out from the matrix definition:
+  //   u = (u0 + Σ K·u_old(neighbours)) / (1 + Σ K),  err = Σ|u − u_old|.
+  double ref_err = 0.0;
+  for (int k = 0; k < c.ny(); ++k) {
+    for (int j = 0; j < c.nx(); ++j) {
+      const double kx0 = c.kx()(j, k), kx1 = c.kx()(j + 1, k);
+      const double ky0 = c.ky()(j, k), ky1 = c.ky()(j, k + 1);
+      const double want =
+          (c.u0()(j, k) + kx0 * old(j - 1, k) + kx1 * old(j + 1, k) +
+           ky0 * old(j, k - 1) + ky1 * old(j, k + 1)) /
+          (1.0 + kx0 + kx1 + ky0 + ky1);
+      EXPECT_NEAR(c.u()(j, k), want, 1e-12) << j << "," << k;
+      ref_err += std::fabs(want - old(j, k));
+    }
+  }
+  EXPECT_NEAR(e1, ref_err, 1e-12 * ref_err);
+  const double e2 = sweep();
   EXPECT_GT(e1, 0.0);
   EXPECT_LT(e2, e1);
 }

@@ -89,40 +89,46 @@ void fill_work_fields(SimCluster2D& cl, int halo) {
   });
 }
 
+/// The row-blocks of `bb` at height `tile` (<= 0: one block), in order —
+/// the blocks for_each_tile hands out for one single-plane box.
+std::vector<Bounds> row_blocks(const Bounds& bb, int tile) {
+  const int rows = bb.khi - bb.klo;
+  const int h = (tile <= 0 || tile >= rows) ? rows : tile;
+  std::vector<Bounds> blocks;
+  for (int k0 = bb.klo; k0 < bb.khi; k0 += h) {
+    Bounds tb = bb;
+    tb.klo = k0;
+    tb.khi = std::min(bb.khi, k0 + h);
+    blocks.push_back(tb);
+  }
+  return blocks;
+}
+
 TEST(TiledKernels, ChebyStepTileMatchesUntiledForAllTileSizes) {
+  // Stencil passes for every block, then the deferred edges — the order
+  // the engine runs them in (barrier between) — at `tile` rows per block.
+  const auto step = [](SimCluster2D& cl, bool diag, int tile) {
+    cl.for_each_chunk([&](int, Chunk2D& c) {
+      const Bounds bb = extended_bounds(c, 2);
+      const std::vector<Bounds> blocks = row_blocks(bb, tile);
+      for (const Bounds& tb : blocks) {
+        kernels::cheby_step_tile(c, FieldId::kRtemp, FieldId::kSd,
+                                 FieldId::kZ, 0.37, 1.21, diag, bb, tb);
+      }
+      for (const Bounds& tb : blocks) {
+        kernels::cheby_step_tile_edges(c, FieldId::kRtemp, FieldId::kSd,
+                                       FieldId::kZ, 0.37, 1.21, diag, bb, tb);
+      }
+    });
+  };
   for (const bool diag : {false, true}) {
     for (const int tile : {1, 2, 3, 5, 14, 100}) {
       auto a = make_test_problem(28, 2, 3);
       auto b = make_test_problem(28, 2, 3);
       fill_work_fields(*a, 3);
       fill_work_fields(*b, 3);
-      a->for_each_chunk([&](int, Chunk2D& c) {
-        kernels::cheby_step(c, FieldId::kRtemp, FieldId::kSd, FieldId::kZ,
-                            0.37, 1.21, diag, extended_bounds(c, 2));
-      });
-      // Tiled: stencil passes for every block, then the deferred edges —
-      // the order the fused engine runs them in (barrier between).
-      b->for_each_chunk([&](int, Chunk2D& c) {
-        const Bounds bb = extended_bounds(c, 2);
-        const int rows = bb.khi - bb.klo;
-        const int h = tile >= rows ? rows : tile;
-        const auto block = [&](int k0) {
-          Bounds tb = bb;
-          tb.klo = k0;
-          tb.khi = std::min(bb.khi, k0 + h);
-          return tb;
-        };
-        for (int k0 = bb.klo; k0 < bb.khi; k0 += h) {
-          kernels::cheby_step_tile(c, FieldId::kRtemp, FieldId::kSd,
-                                   FieldId::kZ, 0.37, 1.21, diag, bb,
-                                   block(k0));
-        }
-        for (int k0 = bb.klo; k0 < bb.khi; k0 += h) {
-          kernels::cheby_step_tile_edges(c, FieldId::kRtemp, FieldId::kSd,
-                                         FieldId::kZ, 0.37, 1.21, diag, bb,
-                                         block(k0));
-        }
-      });
+      step(*a, diag, 0);  // one block: the untiled pass
+      step(*b, diag, tile);
       for (const FieldId f :
            {FieldId::kRtemp, FieldId::kSd, FieldId::kZ, FieldId::kW}) {
         EXPECT_EQ(max_field_diff(*a, *b, f), 0.0)
@@ -133,134 +139,170 @@ TEST(TiledKernels, ChebyStepTileMatchesUntiledForAllTileSizes) {
 }
 
 TEST(TiledKernels, RowReductionsMatchFullKernelsBitwise) {
-  auto a = make_test_problem(20, 2, 2);
-  auto b = make_test_problem(20, 2, 2);
-  fill_work_fields(*a, 2);
-  fill_work_fields(*b, 2);
-
-  for (int r = 0; r < a->nranks(); ++r) {
-    Chunk2D& ca = a->chunk(r);
-    Chunk2D& cb = b->chunk(r);
-    const Bounds in = interior_bounds(ca);
-
-    // dot
-    const double full_dot = kernels::dot(ca, FieldId::kP, FieldId::kZ);
-    const auto block = [&](int k0, int h) {
-      Bounds tb = in;
-      tb.klo = k0;
-      tb.khi = std::min(cb.ny(), k0 + h);
-      return tb;
-    };
-    std::vector<double> rows(static_cast<std::size_t>(cb.ny()), 0.0);
-    for (int k0 = 0; k0 < cb.ny(); k0 += 3) {
-      kernels::dot_rows(cb, FieldId::kP, FieldId::kZ, block(k0, 3),
-                        rows.data());
+  // Each row kernel at every tile height against its one-block pass, and
+  // the one-block dot / smvp_dot partials against the whole-chunk kernels.
+  const auto sum_rows = [](const std::vector<double>& rows, int stride,
+                           int offset) {
+    double s = 0.0;
+    for (std::size_t i = static_cast<std::size_t>(offset); i < rows.size();
+         i += static_cast<std::size_t>(stride)) {
+      s += rows[i];
     }
-    double tiled_dot = 0.0;
-    for (int k = 0; k < cb.ny(); ++k) tiled_dot += rows[k];
-    EXPECT_EQ(tiled_dot, full_dot);
-
-    // smvp_dot
-    const double full_pw = kernels::smvp_dot(ca, FieldId::kP, FieldId::kW, in);
-    for (int k0 = 0; k0 < cb.ny(); k0 += 4) {
-      kernels::smvp_dot_rows(cb, FieldId::kP, FieldId::kW, in, block(k0, 4),
-                             rows.data());
-    }
-    double tiled_pw = 0.0;
-    for (int k = 0; k < cb.ny(); ++k) tiled_pw += rows[k];
-    EXPECT_EQ(tiled_pw, full_pw);
-    EXPECT_EQ(max_field_diff(*a, *b, FieldId::kW), 0.0);
-
-    // smvp_dot2
-    const auto full_pair =
-        kernels::smvp_dot2(ca, FieldId::kZ, FieldId::kW, FieldId::kR, in);
-    std::vector<double> rows2(2 * static_cast<std::size_t>(cb.ny()), 0.0);
-    for (int k0 = 0; k0 < cb.ny(); k0 += 5) {
-      kernels::smvp_dot2_rows(cb, FieldId::kZ, FieldId::kW, FieldId::kR, in,
-                              block(k0, 5), rows2.data());
-    }
-    double t0 = 0.0, t1 = 0.0;
-    for (int k = 0; k < cb.ny(); ++k) {
-      t0 += rows2[2 * k];
-      t1 += rows2[2 * k + 1];
-    }
-    EXPECT_EQ(t0, full_pair.first);
-    EXPECT_EQ(t1, full_pair.second);
-  }
-}
-
-TEST(TiledKernels, CalcUrDotRowsMatchesFullKernel) {
-  for (const PreconType precon :
-       {PreconType::kNone, PreconType::kJacobiDiag}) {
+    return s;
+  };
+  for (const int tile : {0, 1, 3, 4, 5}) {
     auto a = make_test_problem(20, 2, 2);
     auto b = make_test_problem(20, 2, 2);
     fill_work_fields(*a, 2);
     fill_work_fields(*b, 2);
-    const double untiled = a->sum_over_chunks([&](int, Chunk2D& c) {
-      return kernels::calc_ur_dot(c, 0.61, precon);
-    });
-    double tiled = 0.0;
+    for (int r = 0; r < a->nranks(); ++r) {
+      Chunk2D& ca = a->chunk(r);
+      Chunk2D& cb = b->chunk(r);
+      const Bounds in = interior_bounds(ca);
+      const std::size_t ny = static_cast<std::size_t>(ca.ny());
+      std::vector<double> one(ny), rows(ny);
+      std::vector<double> one2(2 * ny), rows2(2 * ny);
+
+      kernels::dot_rows(ca, FieldId::kP, FieldId::kZ, in, one.data());
+      for (const Bounds& tb : row_blocks(in, tile)) {
+        kernels::dot_rows(cb, FieldId::kP, FieldId::kZ, tb, rows.data());
+      }
+      EXPECT_EQ(rows, one) << "dot, tile=" << tile;
+      EXPECT_EQ(sum_rows(one, 1, 0),
+                kernels::dot(ca, FieldId::kP, FieldId::kZ));
+
+      kernels::smvp_dot_rows(ca, FieldId::kP, FieldId::kW, in, in,
+                             one.data());
+      for (const Bounds& tb : row_blocks(in, tile)) {
+        kernels::smvp_dot_rows(cb, FieldId::kP, FieldId::kW, in, tb,
+                               rows.data());
+      }
+      EXPECT_EQ(rows, one) << "smvp_dot, tile=" << tile;
+      EXPECT_EQ(max_field_diff(*a, *b, FieldId::kW), 0.0);
+      EXPECT_EQ(sum_rows(one, 1, 0),
+                kernels::smvp_dot(cb, FieldId::kP, FieldId::kW, in));
+
+      kernels::smvp_dot2_rows(ca, FieldId::kZ, FieldId::kW, FieldId::kR, in,
+                              in, one2.data());
+      for (const Bounds& tb : row_blocks(in, tile)) {
+        kernels::smvp_dot2_rows(cb, FieldId::kZ, FieldId::kW, FieldId::kR,
+                                in, tb, rows2.data());
+      }
+      EXPECT_EQ(rows2, one2) << "smvp_dot2, tile=" << tile;
+      EXPECT_EQ(max_field_diff(*a, *b, FieldId::kW), 0.0);
+      // The pair is (⟨r,z⟩, ⟨w,z⟩) with w = A·z.
+      EXPECT_EQ(sum_rows(one2, 2, 0),
+                kernels::dot(ca, FieldId::kR, FieldId::kZ));
+      EXPECT_EQ(sum_rows(one2, 2, 1),
+                kernels::dot(ca, FieldId::kW, FieldId::kZ));
+    }
+  }
+}
+
+TEST(TiledKernels, CalcUrDotRowsMatchesFullKernel) {
+  const auto calc_ur_dot = [](SimCluster2D& cl, PreconType precon,
+                              int tile) {
+    double v = 0.0;
     parallel_region([&](const Team& t) {
-      const double v = b->sum_rows_over_chunks(
-          t, 3, [&](int, Chunk2D& c, const Bounds& tb) {
+      const double s = cl.sum_rows_over_chunks(
+          t, tile, [&](int, Chunk2D& c, const Bounds& tb) {
             kernels::calc_ur_dot_rows(c, 0.61, precon, tb, c.row_scratch());
           });
-      t.single([&] { tiled = v; });
+      t.single([&] { v = s; });
     });
-    EXPECT_EQ(tiled, untiled) << to_string(precon);
-    for (const FieldId f : {FieldId::kU, FieldId::kR}) {
-      EXPECT_EQ(max_field_diff(*a, *b, f), 0.0) << to_string(precon);
+    return v;
+  };
+  for (const PreconType precon :
+       {PreconType::kNone, PreconType::kJacobiDiag}) {
+    for (const int tile : {1, 3, 7}) {
+      auto a = make_test_problem(20, 2, 2);
+      auto b = make_test_problem(20, 2, 2);
+      fill_work_fields(*a, 2);
+      fill_work_fields(*b, 2);
+      const double one_block = calc_ur_dot(*a, precon, 0);
+      const double tiled = calc_ur_dot(*b, precon, tile);
+      EXPECT_EQ(tiled, one_block) << to_string(precon) << " tile=" << tile;
+      for (const FieldId f : {FieldId::kU, FieldId::kR, FieldId::kZ}) {
+        EXPECT_EQ(max_field_diff(*a, *b, f), 0.0)
+            << to_string(precon) << " tile=" << tile;
+      }
     }
   }
 }
 
 TEST(TiledKernels, JacobiTwoPhaseMatchesFusedSweep) {
-  auto a = make_test_problem(24, 2, 2);
-  auto b = make_test_problem(24, 2, 2);
-  a->exchange({FieldId::kU}, 1);
-  b->exchange({FieldId::kU}, 1);
-  const double full = a->sum_over_chunks(
-      [](int, Chunk2D& c) { return kernels::jacobi_iterate(c); });
-  double tiled = 0.0;
-  parallel_region([&](const Team& t) {
-    b->for_each_tile(t, 5,
-                     [](int, Chunk2D& c) {
-                       Bounds bb = interior_bounds(c);
-                       bb.klo -= 1;
-                       bb.khi += 1;
-                       return bb;
-                     },
-                     [](int, Chunk2D& c, const Bounds& tb) {
-                       kernels::jacobi_save_rows(c, tb);
-                     });
-    const double v = b->sum_rows_over_chunks(
-        t, 5, [](int, Chunk2D& c, const Bounds& tb) {
-          kernels::jacobi_update_rows(c, tb, c.row_scratch());
-        });
-    t.single([&] { tiled = v; });
-  });
-  EXPECT_EQ(tiled, full);
-  EXPECT_EQ(max_field_diff(*a, *b, FieldId::kU), 0.0);
+  // One Jacobi sweep as the solver runs it: save/update tiles, a barrier,
+  // the deferred edge rows, then the row-ordered error reduction.
+  const auto sweep = [](SimCluster2D& cl, int tile) {
+    const auto interior = [](int, Chunk2D& c) { return interior_bounds(c); };
+    cl.exchange({FieldId::kU}, 1);
+    double err = 0.0;
+    parallel_region([&](const Team& t) {
+      cl.for_each_tile(t, tile, interior,
+                       [](int, Chunk2D& c, const Bounds& tb) {
+                         kernels::jacobi_tile(c, tb, c.row_scratch());
+                       });
+      t.barrier();
+      cl.for_each_tile(t, tile, interior,
+                       [](int, Chunk2D& c, const Bounds& tb) {
+                         kernels::jacobi_tile_edges(c, tb, c.row_scratch());
+                       });
+      const double v = cl.combine_row_partials(t, tile);
+      t.single([&] { err = v; });
+    });
+    return err;
+  };
+  for (const int tile : {1, 2, 5, 7}) {
+    auto a = make_test_problem(24, 2, 2);
+    auto b = make_test_problem(24, 2, 2);
+    for (int it = 0; it < 3; ++it) {
+      const double one_block = sweep(*a, 0);
+      const double tiled = sweep(*b, tile);
+      EXPECT_EQ(tiled, one_block) << "tile=" << tile << " sweep " << it;
+    }
+    EXPECT_EQ(max_field_diff(*a, *b, FieldId::kU), 0.0) << "tile=" << tile;
+  }
 }
 
 TEST(TiledCluster, SumRowsMatchesSumOverChunksBitwise) {
-  auto cl = make_test_problem(24, 5, 2);
-  const double untiled = cl->sum_over_chunks(
-      [](int, const Chunk2D& c) { return kernels::norm2_sq(c, FieldId::kU); });
-  cl->reset_stats();
-  for (const int tile : {1, 3, 24, 0}) {
-    double tiled = 0.0;
-    parallel_region([&](Team& t) {
-      const double v = cl->sum_rows_over_chunks(
-          t, tile, [](int, Chunk2D& c, const Bounds& tb) {
-            kernels::dot_rows(c, FieldId::kU, FieldId::kU, tb,
-                              c.row_scratch());
-          });
-      t.single([&] { tiled = v; });
+  // Both fold schedules of the row reductions: each rank's owner folds
+  // the rows it deposited (threads <= ranks, or one tile per rank), or a
+  // barrier precedes the fold (threads > ranks, several tiles per rank).
+  bool owner_fold = false;
+  bool barrier_fold = false;
+  for (const int nranks : {5, 2}) {
+    auto cl = make_test_problem(24, nranks, 2);
+    const double untiled = cl->sum_over_chunks([](int, const Chunk2D& c) {
+      return kernels::norm2_sq(c, FieldId::kU);
     });
-    EXPECT_EQ(tiled, untiled) << "tile=" << tile;
+    for (const int threads : {1, 2, 3, 4}) {
+      const ThreadScope scope(threads);
+      for (const int tile : {1, 3, 24, 0}) {
+        cl->reset_stats();
+        double tiled = 0.0;
+        bool follows = false;
+        parallel_region([&](Team& t) {
+          const double v = cl->sum_rows_over_chunks(
+              t, tile, [](int, Chunk2D& c, const Bounds& tb) {
+                kernels::dot_rows(c, FieldId::kU, FieldId::kU, tb,
+                                  c.row_scratch());
+              });
+          t.single([&] {
+            tiled = v;
+            follows = cl->tiles_follow_ranks(t, tile);
+          });
+        });
+        (follows ? owner_fold : barrier_fold) = true;
+        EXPECT_EQ(tiled, untiled) << nranks << " ranks, " << threads
+                                  << " threads, tile=" << tile;
+        EXPECT_EQ(cl->stats().reductions, 1);
+      }
+    }
   }
-  EXPECT_EQ(cl->stats().reductions, 4);
+  EXPECT_TRUE(owner_fold);
+#if defined(TEALEAF_HAVE_OPENMP)
+  EXPECT_TRUE(barrier_fold);
+#endif
 }
 
 // ---- whole-solver tiled-vs-untiled equivalence ---------------------------
