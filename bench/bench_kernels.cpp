@@ -31,9 +31,9 @@
 //       ./bench/bench_kernels --server [--mesh 96] [--ranks 2] [--reps 3]
 //                             [--requests 8] [--out BENCH_PR6.json]
 //  * An assembled-operator comparison: the same w = A·p sweep through the
-//    matrix-free stencil, assembled CSR and SELL-C-σ views (bitwise
-//    identical by the OperatorView contract), plus fixed-iteration solves
-//    per operator representation.  Emits BENCH_PR7.json.
+//    matrix-free stencil and assembled CSR views (bitwise identical by the
+//    OperatorView contract), plus fixed-iteration solves per operator
+//    representation.  Emits BENCH_PR7.json.
 //       ./bench/bench_kernels --spmv [--mesh 96] [--spmv-mesh 512]
 //                             [--ranks 2] [--reps 3] [--sweeps 50]
 //                             [--out BENCH_PR7.json]
@@ -1054,8 +1054,7 @@ int run_spmv_bench(const Args& args) {
   const std::string out_path = args.get("out", "BENCH_PR7.json");
 
   io::JsonValue doc = io::JsonValue::object();
-  doc.set("benchmark",
-          "assembled operators: stencil vs CSR vs SELL-C-sigma (PR7)");
+  doc.set("benchmark", "assembled operators: stencil vs CSR (PR7)");
   doc.set("mesh", mesh);
   doc.set("spmv_mesh", spmv_mesh);
   doc.set("ranks", ranks);
@@ -1072,7 +1071,6 @@ int run_spmv_bench(const Args& args) {
     Chunk2D& c = cl->chunk(0);
     const Bounds bounds = interior_bounds(c);
     auto csr = std::make_shared<const CsrMatrix>(assemble_from_stencil(c));
-    auto sell = std::make_shared<const SellMatrix>(sell_from_csr(*csr));
 
     struct OpResult {
       OperatorKind kind;
@@ -1080,20 +1078,13 @@ int run_spmv_bench(const Args& args) {
       bool identical = true;
     };
     std::vector<OpResult> ops = {{OperatorKind::kStencil},
-                                 {OperatorKind::kCsr},
-                                 {OperatorKind::kSellCSigma}};
+                                 {OperatorKind::kCsr}};
     std::vector<double> w_ref;
     for (OpResult& op : ops) {
-      switch (op.kind) {
-        case OperatorKind::kStencil:
-          c.clear_assembled_operator();
-          break;
-        case OperatorKind::kCsr:
-          c.set_assembled_operator(OperatorKind::kCsr, csr);
-          break;
-        case OperatorKind::kSellCSigma:
-          c.set_assembled_operator(OperatorKind::kSellCSigma, csr, sell);
-          break;
+      if (op.kind == OperatorKind::kCsr) {
+        c.set_assembled_operator(csr);
+      } else {
+        c.clear_assembled_operator();
       }
       kernels::smvp(c, FieldId::kP, FieldId::kW, bounds);  // warmup
       std::vector<double> w;
@@ -1122,15 +1113,11 @@ int run_spmv_bench(const Args& args) {
     entry.set("cells", 1LL * spmv_mesh * spmv_mesh);
     entry.set("iters", sweeps);
     entry.set("nnz_per_row", csr->nnz_per_row());
-    entry.set("sell_fill_ratio", sell->fill_ratio());
     entry.set("stencil_seconds", ops[0].best);
     entry.set("csr_seconds", ops[1].best);
-    entry.set("sell_seconds", ops[2].best);
     entry.set("csr_cost_vs_stencil",
               ops[0].best > 0.0 ? ops[1].best / ops[0].best : 0.0);
-    entry.set("sell_cost_vs_csr",
-              ops[1].best > 0.0 ? ops[2].best / ops[1].best : 0.0);
-    entry.set("identical_results", ops[1].identical && ops[2].identical);
+    entry.set("identical_results", ops[1].identical);
     arr.push_back(std::move(entry));
   }
 
@@ -1149,8 +1136,7 @@ int run_spmv_bench(const Args& args) {
       int iters = 0;
     };
     std::vector<Config> configs = {{OperatorKind::kStencil},
-                                   {OperatorKind::kCsr},
-                                   {OperatorKind::kSellCSigma}};
+                                   {OperatorKind::kCsr}};
     for (int rep = -1; rep < reps; ++rep) {  // first round is warmup
       for (Config& c : configs) {
         deck.solver.op = c.op;
@@ -1158,8 +1144,7 @@ int run_spmv_bench(const Args& args) {
         if (rep <= 0 || s < c.best) c.best = s;
       }
     }
-    const bool identical = configs[0].iters == configs[1].iters &&
-                           configs[0].iters == configs[2].iters;
+    const bool identical = configs[0].iters == configs[1].iters;
     all_identical = all_identical && identical;
     io::JsonValue entry = io::JsonValue::object();
     entry.set("solver", ec.name);
@@ -1167,17 +1152,13 @@ int run_spmv_bench(const Args& args) {
     entry.set("iters", configs[0].iters);
     entry.set("stencil_seconds", configs[0].best);
     entry.set("csr_seconds", configs[1].best);
-    entry.set("sell_seconds", configs[2].best);
     entry.set("csr_cost_vs_stencil",
               configs[0].best > 0.0 ? configs[1].best / configs[0].best : 0.0);
-    entry.set("sell_cost_vs_csr",
-              configs[1].best > 0.0 ? configs[2].best / configs[1].best : 0.0);
     entry.set("identical_iterations", identical);
     arr.push_back(std::move(entry));
-    std::printf("%-10s stencil %.4fs  csr %.4fs  sell %.4fs  iters %d%s\n",
+    std::printf("%-10s stencil %.4fs  csr %.4fs  iters %d%s\n",
                 ec.name.c_str(), configs[0].best, configs[1].best,
-                configs[2].best, configs[0].iters,
-                identical ? "" : "  MISMATCH");
+                configs[0].iters, identical ? "" : "  MISMATCH");
   }
   doc.set("solvers", std::move(arr));
   doc.set("identical_results", all_identical);

@@ -117,7 +117,6 @@ def extract_pr7(doc):
         for kind, key in (
             ("stencil", "stencil_seconds"),
             ("csr", "csr_seconds"),
-            ("sell", "sell_seconds"),
         ):
             m = per_cell_iter(entry[key], cells, iters)
             if m is not None:

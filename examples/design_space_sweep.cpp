@@ -6,7 +6,7 @@
 //           [--solvers cg,ppcg,chebyshev,mg-pcg] [--precons none,jac_diag]
 //           [--depths 1,4] [--meshes 32,48] [--threads 0]
 //           [--tiles 0,32] [--geometry 2d,3d]
-//           [--operators stencil,csr,sell-c-sigma]
+//           [--operators stencil,csr]
 //           [--precisions double,single,mixed] [--deck path/to/tea.in]
 //           [--csv out.csv] [--json out.json] [--route-db route_db.json]
 //

@@ -1,7 +1,7 @@
 // Assembled-operator workflow end to end: build a finite-element system
 // the stencil path cannot represent, write it as a Matrix Market file,
-// and solve it through the SolveServer on the assembled CSR and
-// SELL-C-σ paths (the MiniFE-style use of the solver stack).
+// and solve it through the SolveServer on the assembled CSR path (the
+// MiniFE-style use of the solver stack).
 //
 // The operator is the Q1 Galerkin discretisation of one implicit heat
 // step on the unit square: A = M + dt·K over (n+1)² nodes, where M is
@@ -13,8 +13,7 @@
 //
 // Build & run:  ./examples/fem_assembly [--elems 15] [--dt 0.05]
 //               [--out fem_system.mtx]
-// Exits non-zero if either assembled solve fails to converge or the two
-// formats disagree.
+// Exits non-zero if the assembled solve fails to converge.
 
 #include <cstdio>
 #include <map>
@@ -103,38 +102,17 @@ int main(int argc, char** argv) {
   deck.validate();
 
   tealeaf::SolveServer server;
-  int failures = 0;
-  int csr_iters = -1;
-  double csr_norm = 0.0;
-  for (const tealeaf::OperatorKind op :
-       {tealeaf::OperatorKind::kCsr, tealeaf::OperatorKind::kSellCSigma}) {
-    tealeaf::SolveRequest req;
-    req.deck = deck;
-    req.deck.solver.op = op;
-    req.nranks = 1;  // loaded operators cover the undecomposed mesh
-    req.tag = tealeaf::to_string(op);
-    const tealeaf::SolveResult res = server.solve_one(std::move(req));
-    std::printf(
-        "%-12s  iters=%4d  |r|=%9.2e  nnz/row=%.2f  %s\n",
-        res.tag.c_str(), res.stats.outer_iters, res.stats.final_norm,
-        res.stats.nnz_per_row,
-        res.ok() ? "converged" : "NOT CONVERGED");
-    if (!res.ok()) ++failures;
-    if (op == tealeaf::OperatorKind::kCsr) {
-      csr_iters = res.stats.outer_iters;
-      csr_norm = res.stats.final_norm;
-    } else if (res.stats.outer_iters != csr_iters ||
-               res.stats.final_norm != csr_norm) {
-      // SELL-C-σ is a storage permutation of the same matrix: the solves
-      // must agree bit for bit.
-      std::printf("MISMATCH: sell-c-sigma diverged from csr\n");
-      ++failures;
-    }
-  }
-  if (failures == 0) {
-    std::printf("FEM OK: %lld-row Matrix Market system solved on both "
-                "assembled paths\n",
-                static_cast<long long>(system.n));
-  }
-  return failures == 0 ? 0 : 1;
+  tealeaf::SolveRequest req;
+  req.deck = deck;
+  req.nranks = 1;  // loaded operators cover the undecomposed mesh
+  req.tag = "csr";
+  const tealeaf::SolveResult res = server.solve_one(std::move(req));
+  std::printf("%-12s  iters=%4d  |r|=%9.2e  nnz/row=%.2f  %s\n",
+              res.tag.c_str(), res.stats.outer_iters, res.stats.final_norm,
+              res.stats.nnz_per_row, res.ok() ? "converged" : "NOT CONVERGED");
+  if (!res.ok()) return 1;
+  std::printf("FEM OK: %lld-row Matrix Market system solved on the "
+              "assembled CSR path\n",
+              static_cast<long long>(system.n));
+  return 0;
 }

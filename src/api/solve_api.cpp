@@ -102,21 +102,14 @@ void SolveSession::prepare(OperatorKind op) {
           io::csr_from_triplets(trips, cl.chunk(0)));
       loaded_matrix_path_ = deck_.matrix_file;
     }
-    auto sell = op == OperatorKind::kSellCSigma
-                    ? std::make_shared<const SellMatrix>(
-                          sell_from_csr(*loaded_matrix_))
-                    : std::shared_ptr<const SellMatrix>{};
-    cl.chunk(0).set_assembled_operator(op, loaded_matrix_, std::move(sell));
+    cl.chunk(0).set_assembled_operator(loaded_matrix_);
     return;
   }
   // Assemble the just-built conduction stencil; coefficients change every
   // prepare, so this cannot be memoised across resets.
-  cl.for_each_chunk([&](int, Chunk& c) {
-    auto csr = std::make_shared<const CsrMatrix>(assemble_from_stencil(c));
-    auto sell = op == OperatorKind::kSellCSigma
-                    ? std::make_shared<const SellMatrix>(sell_from_csr(*csr))
-                    : std::shared_ptr<const SellMatrix>{};
-    c.set_assembled_operator(op, std::move(csr), std::move(sell));
+  cl.for_each_chunk([](int, Chunk& c) {
+    c.set_assembled_operator(
+        std::make_shared<const CsrMatrix>(assemble_from_stencil(c)));
   });
 }
 

@@ -150,10 +150,10 @@ class SolveSession {
   /// cfg must already be validated and halo-compatible.
   /// `prepare(op)` additionally installs the operator representation the
   /// coming solve will traverse: kStencil clears any assembled matrix;
-  /// kCsr / kSellCSigma assemble the freshly built conduction stencil into
-  /// CSR (and SELL-C-σ) per chunk — or, when the deck names a
-  /// matrix_file, load that Matrix Market operator instead (single-rank,
-  /// 2-D; the file is parsed once and memoised by path).
+  /// kCsr assembles the freshly built conduction stencil into CSR per
+  /// chunk — or, when the deck names a matrix_file, loads that Matrix
+  /// Market operator instead (single-rank, 2-D; the file is parsed once
+  /// and memoised by path).
   void prepare() { prepare(deck_.solver.op); }
   void prepare(OperatorKind op);
   [[nodiscard]] SolveStats solve_prepared_team(const SolverConfig& cfg,

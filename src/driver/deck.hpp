@@ -71,10 +71,9 @@ struct InputDeck {
 
   /// Optional Matrix Market file (`matrix_file = <path>.mtx`): the solve
   /// runs over this assembled matrix instead of assembling from the
-  /// deck's conduction stencil.  Requires an assembled tl_operator
-  /// (csr or sell-c-sigma), a 2-D deck, and x_cells·y_cells == the
-  /// matrix dimension; the deck's states still provide the right-hand
-  /// side (u0 = density·energy per cell).
+  /// deck's conduction stencil.  Requires tl_operator = csr, a 2-D deck,
+  /// and x_cells·y_cells == the matrix dimension; the deck's states still
+  /// provide the right-hand side (u0 = density·energy per cell).
   std::string matrix_file;
 
   /// Online-routing knobs, honoured by SolveServer::run (the direct
@@ -103,7 +102,7 @@ struct InputDeck {
   /// tl_use_jacobi / tl_use_cg / tl_use_chebyshev / tl_use_ppcg,
   /// tl_preconditioner_type (none|jac_diag|jac_block), tl_ppcg_inner_steps,
   /// tl_eigen_cg_iters, tl_halo_depth (matrix powers),
-  /// tl_operator (stencil|csr|sell-c-sigma), matrix_file (<path>.mtx),
+  /// tl_operator (stencil|csr), matrix_file (<path>.mtx),
   /// tl_precision (double|single|mixed),
   /// tl_route_db (<path>.json), tl_route_learn, tl_route_demote_ratio,
   /// tl_coefficient (conductivity|recip_conductivity), the sweep section

@@ -22,7 +22,7 @@ struct SweepCase {
   int threads = 0;     ///< worker threads (0 = runtime default)
   int tile_rows = 0;   ///< engine row-block height (0 = untiled)
   int dims = 2;        ///< problem geometry: 2 (5-point) or 3 (7-point, n³)
-  /// Operator representation: "stencil" | "csr" | "sell-c-sigma"
+  /// Operator representation: "stencil" | "csr"
   /// (SolverConfig::op — the ninth design-space axis).
   std::string op = "stencil";
   /// Storage precision: "double" | "single" | "mixed"
@@ -31,7 +31,7 @@ struct SweepCase {
 
   /// Compact identifier, e.g. "ppcg/jac_diag/d4/n64/t2/fused" (every cell
   /// runs the fused schedule; tiled cells add "/b<rows>", 3-D cells
-  /// "/3d", assembled-operator cells "/csr" or "/sell-c-sigma",
+  /// "/3d", assembled-operator cells "/csr",
   /// reduced-precision cells "/f32" or "/mixed").
   [[nodiscard]] std::string label() const;
 };

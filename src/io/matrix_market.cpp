@@ -64,10 +64,6 @@ TripletMatrix read_matrix_market(std::istream& in) {
   TEA_REQUIRE(nrows > 0 && nnz > 0,
               "matrix market: matrix must be non-empty");
 
-  TripletMatrix m;
-  m.n = nrows;
-  m.entries.reserve(static_cast<std::size_t>(sym == "symmetric" ? 2 * nnz
-                                                                : nnz));
   // Stored values keyed by (row, col) — duplicate detection and the
   // symmetry check below both read from this.
   std::map<std::pair<std::int64_t, std::int64_t>, double> seen;
@@ -123,6 +119,12 @@ TripletMatrix read_matrix_market(std::istream& in) {
                                       std::to_string(r + 1) +
                                       " has a zero diagonal");
   }
+  // Sized from the entries actually read, never from the header's count:
+  // a size line may claim any nnz, and a short file ends in the
+  // "truncated file" error above.
+  TripletMatrix m;
+  m.n = nrows;
+  m.entries.reserve(seen.size());
   for (const auto& [rc, v] : seen) {
     m.entries.push_back({rc.first, rc.second, v});
   }

@@ -14,12 +14,8 @@ namespace tealeaf {
 
 template <class T>
 struct CsrMatrixT;
-template <class T>
-struct SellMatrixT;
 using CsrMatrix = CsrMatrixT<double>;
-using SellMatrix = SellMatrixT<double>;
 using CsrMatrix32 = CsrMatrixT<float>;
-using SellMatrix32 = SellMatrixT<float>;
 
 /// Identifiers for the per-chunk solver fields (mirrors the field set of
 /// upstream TeaLeaf's `chunk_type`).  Used to select fields for halo
@@ -148,51 +144,36 @@ class Chunk {
 
   /// Which operator representation the kernels traverse for this chunk.
   /// Stencil by default; SolveSession::prepare (or a test helper) swaps in
-  /// an assembled matrix, and the kernels dispatch on this the way they
+  /// an assembled CSR matrix, and the kernels dispatch on this the way they
   /// dispatch on dims().
   [[nodiscard]] OperatorKind op_kind() const { return op_kind_; }
   [[nodiscard]] const CsrMatrix* csr() const { return csr_.get(); }
-  [[nodiscard]] const SellMatrix* sell() const { return sell_.get(); }
   [[nodiscard]] const CsrMatrix32* csr32() const { return csr32_.get(); }
-  [[nodiscard]] const SellMatrix32* sell32() const { return sell32_.get(); }
 
-  /// Install an assembled operator (CSR always required; the SELL-C-σ
-  /// re-layout only for kSellCSigma).  The matrices are shared, immutable
-  /// snapshots — re-assemble after coefficients change.
-  void set_assembled_operator(OperatorKind kind,
-                              std::shared_ptr<const CsrMatrix> csr,
-                              std::shared_ptr<const SellMatrix> sell = {}) {
-    TEA_REQUIRE(kind != OperatorKind::kStencil,
-                "stencil operator carries no assembled matrix");
+  /// Install an assembled CSR operator (op_kind() becomes kCsr).  The
+  /// matrix is a shared, immutable snapshot — re-assemble after
+  /// coefficients change.
+  void set_assembled_operator(std::shared_ptr<const CsrMatrix> csr) {
     TEA_REQUIRE(csr != nullptr, "assembled operator needs a CSR matrix");
-    TEA_REQUIRE(kind != OperatorKind::kSellCSigma || sell != nullptr,
-                "sell-c-sigma operator needs the SELL re-layout");
-    op_kind_ = kind;
+    op_kind_ = OperatorKind::kCsr;
     csr_ = std::move(csr);
-    sell_ = std::move(sell);
   }
 
-  /// fp32 twins of the assembled matrices (assembled from the fp32
+  /// fp32 twin of the assembled matrix (assembled from the fp32
   /// coefficient bank, NOT downcast).  Installed by the single/mixed
-  /// drivers when op_kind() is an assembled format.
-  void set_assembled_operator32(std::shared_ptr<const CsrMatrix32> csr,
-                                std::shared_ptr<const SellMatrix32> sell = {}) {
+  /// drivers when op_kind() is kCsr.
+  void set_assembled_operator32(std::shared_ptr<const CsrMatrix32> csr) {
     TEA_REQUIRE(op_kind_ != OperatorKind::kStencil,
                 "stencil operator carries no assembled matrix");
     TEA_REQUIRE(csr != nullptr, "assembled fp32 operator needs a CSR matrix");
-    TEA_REQUIRE(op_kind_ != OperatorKind::kSellCSigma || sell != nullptr,
-                "sell-c-sigma operator needs the fp32 SELL re-layout");
     csr32_ = std::move(csr);
-    sell32_ = std::move(sell);
   }
 
   /// Back to the matrix-free stencil; drops the assembled matrices.
   void clear_assembled_operator() {
     op_kind_ = OperatorKind::kStencil;
     csr_.reset();
-    sell_.reset();
     csr32_.reset();
-    sell32_.reset();
   }
 
   /// Per-row reduction scratch of the tiled execution engine: two double
@@ -218,9 +199,7 @@ class Chunk {
   std::vector<double> row_scratch_;
   OperatorKind op_kind_ = OperatorKind::kStencil;
   std::shared_ptr<const CsrMatrix> csr_;
-  std::shared_ptr<const SellMatrix> sell_;
   std::shared_ptr<const CsrMatrix32> csr32_;
-  std::shared_ptr<const SellMatrix32> sell32_;
 };
 
 template <>

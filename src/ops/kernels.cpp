@@ -36,7 +36,7 @@ inline void scalar_dispatch(const Chunk& c, Fn&& fn) {
 // rows in (plane, row) order; the whole-chunk kernels and the row-blocked
 // (tiled) ones call the SAME cores, so the sum is a pure function of the
 // row decomposition — never of tile size or thread assignment.  The cores
-// are templated on the OperatorView (stencil / CSR / SELL-C-σ) and, through
+// are templated on the OperatorView (stencil / CSR) and, through
 // View::Scalar, on the storage scalar: elementwise arithmetic runs in the
 // scalar (fp32 under the mixed-precision layer), while every reduction
 // accumulates in double over double-converted operands and every solver

@@ -9,10 +9,9 @@
 /// the paper — dimension- and operator-generic: every per-row core is
 /// templated on an `OperatorView` (ops/operator_view.hpp) and serves the
 /// matrix-free 2-D 5-point / 3-D 7-point stencil (`StencilView<Dims>`,
-/// bit-for-bit the classic code paths) as well as assembled CSR and
-/// SELL-C-σ matrices (`CsrView` / `SellView`), with the view selected
-/// once per kernel call by dispatching on `Chunk::op_kind()` and
-/// `Chunk::dims()`.
+/// bit-for-bit the classic code paths) as well as assembled CSR matrices
+/// (`CsrView`), with the view selected once per kernel call by
+/// dispatching on `Chunk::op_kind()` and `Chunk::dims()`.
 ///
 /// The linear system is A·u = u0 with
 ///   (A u)(j,k,l) = [1 + ΣK over the 2·dims faces]·u(j,k,l)

@@ -7,20 +7,18 @@
 namespace tealeaf {
 
 /// Which representation of the linear operator the kernels traverse.
-/// `kStencil` is the classic matrix-free 5/7-point path; the other two
-/// are assembled sparse matrices stored per chunk (ops/sparse_matrix),
+/// `kStencil` is the classic matrix-free 5/7-point path; `kCsr` is an
+/// assembled sparse matrix stored per chunk (ops/sparse_matrix),
 /// dispatched through the same per-row kernel cores via OperatorView.
 enum class OperatorKind : int {
-  kStencil = 0,     ///< matrix-free face-coefficient stencil
-  kCsr,             ///< assembled compressed-sparse-row matrix
-  kSellCSigma,      ///< assembled SELL-C-σ (sliced ELL, sorted) matrix
+  kStencil = 0,  ///< matrix-free face-coefficient stencil
+  kCsr,          ///< assembled compressed-sparse-row matrix
 };
 
 [[nodiscard]] inline const char* to_string(OperatorKind op) {
   switch (op) {
     case OperatorKind::kStencil: return "stencil";
     case OperatorKind::kCsr: return "csr";
-    case OperatorKind::kSellCSigma: return "sell-c-sigma";
   }
   return "?";
 }
@@ -29,9 +27,7 @@ enum class OperatorKind : int {
     const std::string& s) {
   if (s == "stencil") return OperatorKind::kStencil;
   if (s == "csr") return OperatorKind::kCsr;
-  if (s == "sell-c-sigma" || s == "sell") return OperatorKind::kSellCSigma;
-  throw TeaError("unknown operator kind '" + s +
-                 "' (expected stencil, csr or sell-c-sigma)");
+  throw TeaError("unknown operator kind '" + s + "' (expected stencil or csr)");
 }
 
 }  // namespace tealeaf

@@ -12,9 +12,9 @@
 namespace tealeaf {
 
 /// OperatorView: the one surface every per-row kernel core traverses the
-/// linear operator through.  Three implementations — the matrix-free
-/// stencil (`StencilView<Dims>`), assembled CSR (`CsrView`) and assembled
-/// SELL-C-σ (`SellView`) — share five primitives:
+/// linear operator through.  Two implementations — the matrix-free
+/// stencil (`StencilView<Dims>`) and the assembled CSR matrix (`CsrView`)
+/// — share five primitives:
 ///
 ///   diag(j,k,l)                  the diagonal entry of the cell's row
 ///   apply(src, j,k,l)            (A·src) at the cell
@@ -29,7 +29,7 @@ namespace tealeaf {
 /// instantiation is the fp32 execution layer.  Reductions over view
 /// results always accumulate in double (the kernels' contract).
 ///
-/// Bitwise contract: a CSR/SELL matrix assembled from the stencil (entry
+/// Bitwise contract: a CSR matrix assembled from the stencil (entry
 /// order diag, ky±, kx±[, kz±]; off-diagonals stored signed; boundary
 /// zeros kept) produces bit-identical results to StencilView because the
 /// assembled paths accumulate entries pairwise in that fixed order, and
@@ -109,78 +109,47 @@ struct StencilView {
 
 namespace detail {
 
-/// Cursor over one assembled row: n entries, val(i)/col(i) in stored
-/// order.  The two accumulations below define the assembled arithmetic —
-/// entry 0 (the diagonal), then strict pairs, then a possible odd tail —
-/// which is what makes stencil-assembled matrices bitwise-reproduce the
-/// matrix-free grouping, per scalar.
-template <class Cursor, class T>
-[[nodiscard]] inline T row_apply(const Cursor& c, const T* s) {
-  T acc = c.val(0) * s[c.col(0)];
+/// One assembled row: n entries v[i]/c[i] in stored order.  The two
+/// accumulations below define the assembled arithmetic — entry 0 (the
+/// diagonal), then strict pairs, then a possible odd tail — which is what
+/// makes stencil-assembled matrices bitwise-reproduce the matrix-free
+/// grouping, per scalar.
+template <class T>
+[[nodiscard]] inline T row_apply(const T* v, const std::int64_t* c, int n,
+                                 const T* s) {
+  T acc = v[0] * s[c[0]];
   int i = 1;
-  for (; i + 1 < c.n; i += 2)
-    acc += (c.val(i) * s[c.col(i)] + c.val(i + 1) * s[c.col(i + 1)]);
-  if (i < c.n) acc += c.val(i) * s[c.col(i)];
+  for (; i + 1 < n; i += 2) acc += (v[i] * s[c[i]] + v[i + 1] * s[c[i + 1]]);
+  if (i < n) acc += v[i] * s[c[i]];
   return acc;
 }
 
-template <class Cursor, class T>
-[[nodiscard]] inline T row_neigh_plus(const Cursor& c, T seed, const T* s) {
+template <class T>
+[[nodiscard]] inline T row_neigh_plus(const T* v, const std::int64_t* c, int n,
+                                      T seed, const T* s) {
   T acc = seed;
   int i = 1;
-  for (; i + 1 < c.n; i += 2)
-    acc += ((-c.val(i)) * s[c.col(i)] + (-c.val(i + 1)) * s[c.col(i + 1)]);
-  if (i < c.n) acc += (-c.val(i)) * s[c.col(i)];
+  for (; i + 1 < n; i += 2)
+    acc += ((-v[i]) * s[c[i]] + (-v[i + 1]) * s[c[i + 1]]);
+  if (i < n) acc += (-v[i]) * s[c[i]];
   return acc;
 }
 
-template <class Cursor>
-[[nodiscard]] inline auto row_coupling(const Cursor& c,
-                                       std::int64_t target_col)
-    -> decltype(c.val(0)) {
-  for (int i = 0; i < c.n; ++i)
-    if (c.col(i) == target_col) return c.val(i);
-  return decltype(c.val(0))(0);
+template <class T>
+[[nodiscard]] inline T row_coupling(const T* v, const std::int64_t* c, int n,
+                                    std::int64_t target_col) {
+  for (int i = 0; i < n; ++i)
+    if (c[i] == target_col) return v[i];
+  return T(0);
 }
 
-template <class T>
-struct CsrCursor {
-  const T* v;
-  const std::int64_t* c;
-  int n;
-  [[nodiscard]] T val(int i) const { return v[i]; }
-  [[nodiscard]] std::int64_t col(int i) const { return c[i]; }
-};
-
-template <class T>
-struct SellCursor {
-  const T* v;
-  const std::int64_t* c;
-  int stride;  // slice height C
-  int n;
-  [[nodiscard]] T val(int i) const {
-    return v[static_cast<std::int64_t>(i) * stride];
-  }
-  [[nodiscard]] std::int64_t col(int i) const {
-    return c[static_cast<std::int64_t>(i) * stride];
-  }
-};
-
-/// Select the chunk's assembled matrices by scalar.
+/// Select the chunk's assembled matrix by scalar.
 template <class T>
 [[nodiscard]] inline const CsrMatrixT<T>* csr_of(const Chunk& c) {
   if constexpr (std::is_same_v<T, float>) {
     return c.csr32();
   } else {
     return c.csr();
-  }
-}
-template <class T>
-[[nodiscard]] inline const SellMatrixT<T>* sell_of(const Chunk& c) {
-  if constexpr (std::is_same_v<T, float>) {
-    return c.sell32();
-  } else {
-    return c.sell();
   }
 }
 
@@ -201,73 +170,33 @@ struct CsrViewT {
   [[nodiscard]] std::int64_t row(int j, int k, int l) const {
     return (static_cast<std::int64_t>(l) * ny + k) * nx + j;
   }
-  [[nodiscard]] detail::CsrCursor<T> cursor(std::int64_t r) const {
-    const std::int64_t b = m->row_ptr[r];
-    return {m->vals.data() + b, m->cols.data() + b,
-            static_cast<int>(m->row_ptr[r + 1] - b)};
-  }
 
   [[nodiscard]] T diag(int j, int k, int l) const {
     return m->vals[m->row_ptr[row(j, k, l)]];
   }
   [[nodiscard]] T apply(const Field<T>& src, int j, int k, int l) const {
-    return detail::row_apply(cursor(row(j, k, l)), src.data());
+    const std::int64_t r = row(j, k, l), b = m->row_ptr[r];
+    return detail::row_apply(m->vals.data() + b, m->cols.data() + b,
+                             m->row_len(r), src.data());
   }
   [[nodiscard]] T neigh_plus(T seed, const Field<T>& src, int j, int k,
                              int l) const {
-    return detail::row_neigh_plus(cursor(row(j, k, l)), seed, src.data());
+    const std::int64_t r = row(j, k, l), b = m->row_ptr[r];
+    return detail::row_neigh_plus(m->vals.data() + b, m->cols.data() + b,
+                                  m->row_len(r), seed, src.data());
   }
   [[nodiscard]] T coupling_k(int j, int k, int l, int dk) const {
     // The neighbour's diagonal column is its cell's storage offset; find
     // the entry of our row pointing at it (≤ 7 entries for assembled
     // stencils, short rows for .mtx inputs).
     const std::int64_t target = m->cols[m->row_ptr[row(j, k + dk, l)]];
-    return detail::row_coupling(cursor(row(j, k, l)), target);
+    const std::int64_t r = row(j, k, l), b = m->row_ptr[r];
+    return detail::row_coupling(m->vals.data() + b, m->cols.data() + b,
+                                m->row_len(r), target);
   }
 };
 
 using CsrView = CsrViewT<double>;
-
-template <class T = double>
-struct SellViewT {
-  using Scalar = T;
-  static constexpr bool kInTileUpdate = false;
-  const SellMatrixT<T>* m;
-  int nx, ny;
-
-  explicit SellViewT(const Chunk& c)
-      : m(detail::sell_of<T>(c)), nx(c.nx()), ny(c.ny()) {
-    TEA_ASSERT(m != nullptr, "chunk has no assembled SELL-C-σ operator");
-  }
-
-  [[nodiscard]] std::int64_t row(int j, int k, int l) const {
-    return (static_cast<std::int64_t>(l) * ny + k) * nx + j;
-  }
-  [[nodiscard]] detail::SellCursor<T> cursor(std::int64_t r) const {
-    const std::int64_t p = m->slot[r];
-    const std::int64_t base =
-        m->slice_ptr[p / m->chunk_c] + p % m->chunk_c;
-    return {m->vals.data() + base, m->cols.data() + base, m->chunk_c,
-            m->row_len[r]};
-  }
-
-  [[nodiscard]] T diag(int j, int k, int l) const {
-    return cursor(row(j, k, l)).val(0);
-  }
-  [[nodiscard]] T apply(const Field<T>& src, int j, int k, int l) const {
-    return detail::row_apply(cursor(row(j, k, l)), src.data());
-  }
-  [[nodiscard]] T neigh_plus(T seed, const Field<T>& src, int j, int k,
-                             int l) const {
-    return detail::row_neigh_plus(cursor(row(j, k, l)), seed, src.data());
-  }
-  [[nodiscard]] T coupling_k(int j, int k, int l, int dk) const {
-    const std::int64_t target = cursor(row(j, k + dk, l)).col(0);
-    return detail::row_coupling(cursor(row(j, k, l)), target);
-  }
-};
-
-using SellView = SellViewT<double>;
 
 /// Call `fn` with the chunk's operator view — the operator-kind analogue
 /// of the dims() dispatch the kernels already do, with the storage scalar
@@ -277,34 +206,18 @@ using SellView = SellViewT<double>;
 template <class Fn>
 inline void op_dispatch(const Chunk& c, Fn&& fn) {
   if (c.fp32_active()) {
-    switch (c.op_kind()) {
-      case OperatorKind::kCsr:
-        fn(CsrViewT<float>(c));
-        return;
-      case OperatorKind::kSellCSigma:
-        fn(SellViewT<float>(c));
-        return;
-      case OperatorKind::kStencil:
-        break;
-    }
-    if (c.dims() == 3) {
+    if (c.op_kind() == OperatorKind::kCsr) {
+      fn(CsrViewT<float>(c));
+    } else if (c.dims() == 3) {
       fn(StencilView<3, float>(c));
     } else {
       fn(StencilView<2, float>(c));
     }
     return;
   }
-  switch (c.op_kind()) {
-    case OperatorKind::kCsr:
-      fn(CsrView(c));
-      return;
-    case OperatorKind::kSellCSigma:
-      fn(SellView(c));
-      return;
-    case OperatorKind::kStencil:
-      break;
-  }
-  if (c.dims() == 3) {
+  if (c.op_kind() == OperatorKind::kCsr) {
+    fn(CsrView(c));
+  } else if (c.dims() == 3) {
     fn(StencilView<3>(c));
   } else {
     fn(StencilView<2>(c));

@@ -48,30 +48,6 @@ struct CsrMatrixT {
 using CsrMatrix = CsrMatrixT<double>;
 using CsrMatrix32 = CsrMatrixT<float>;
 
-/// SELL-C-σ layout of the same matrix: rows are grouped into slices of C,
-/// rows within each σ-row sorting window are ordered by descending length
-/// (a storage permutation only), and each slice stores its entries
-/// column-major (entry i of the slice's rows are adjacent — the SIMD-
-/// friendly layout of Kreutzer et al.).  Per-row true lengths are kept so
-/// padding never enters the arithmetic: entry i of row r has the same value
-/// and column as in the source CSR, which keeps SELL bitwise equal to CSR.
-template <class T>
-struct SellMatrixT {
-  int chunk_c = 8;    ///< slice height C
-  int sigma = 64;     ///< sorting window σ (rows)
-  std::int64_t nrows = 0;
-  std::vector<std::int64_t> slice_ptr;  ///< per-slice base offset
-  std::vector<std::int64_t> slot;       ///< row → slice·C + lane (post-sort)
-  std::vector<int> row_len;             ///< row → true entry count
-  std::vector<std::int64_t> cols;       ///< padded, slice-column-major
-  std::vector<T> vals;                  ///< padded, slice-column-major
-
-  [[nodiscard]] double fill_ratio() const;  ///< padded / true nnz
-};
-
-using SellMatrix = SellMatrixT<double>;
-using SellMatrix32 = SellMatrixT<float>;
-
 /// Assemble the chunk's conduction stencil into CSR with the exact entry
 /// layout the bitwise-equivalence contract requires (diag computed with the
 /// stencil's association, signed off-diagonals, boundary zeros kept).  The
@@ -82,13 +58,5 @@ template <class T>
 [[nodiscard]] CsrMatrixT<T> assemble_from_stencil_t(const Chunk& c);
 
 [[nodiscard]] CsrMatrix assemble_from_stencil(const Chunk& c);
-
-/// Re-layout a CSR matrix as SELL-C-σ.  Entry order per row is preserved.
-template <class T>
-[[nodiscard]] SellMatrixT<T> sell_from_csr_t(const CsrMatrixT<T>& csr,
-                                             int C = 8, int sigma = 64);
-
-[[nodiscard]] SellMatrix sell_from_csr(const CsrMatrix& csr, int C = 8,
-                                       int sigma = 64);
 
 }  // namespace tealeaf

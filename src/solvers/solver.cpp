@@ -75,10 +75,10 @@ void downcast_field(Chunk& c, FieldId dst32, FieldId src64) {
 
 /// Allocate the fp32 bank and build the fp32 operator: coefficient fields
 /// by storage downcast of the freshly built fp64 Kx/Ky/Kz (the direct
-/// analogue of downcasting the solve's inputs), assembled CSR/SELL-C-σ by
+/// analogue of downcasting the solve's inputs), assembled CSR by
 /// re-assembling from those fp32 coefficients IN fp32 arithmetic — never
 /// by downcasting fp64-assembled values — so the fp32 stencil and the
-/// fp32 assembled formats stay bitwise equal to each other.
+/// fp32 CSR stay bitwise equal to each other.
 void build_fp32_operator(SimCluster2D& cl) {
   cl.for_each_chunk([&](int, Chunk& c) {
     c.enable_fp32();
@@ -86,14 +86,8 @@ void build_fp32_operator(SimCluster2D& cl) {
     downcast_field(c, FieldId::kKy, FieldId::kKy);
     if (c.dims() == 3) downcast_field(c, FieldId::kKz, FieldId::kKz);
     if (c.op_kind() != OperatorKind::kStencil) {
-      auto csr32 =
-          std::make_shared<CsrMatrix32>(assemble_from_stencil_t<float>(c));
-      std::shared_ptr<const SellMatrix32> sell32;
-      if (c.op_kind() == OperatorKind::kSellCSigma) {
-        sell32 = std::make_shared<SellMatrix32>(sell_from_csr_t<float>(
-            *csr32, c.sell()->chunk_c, c.sell()->sigma));
-      }
-      c.set_assembled_operator32(std::move(csr32), std::move(sell32));
+      c.set_assembled_operator32(
+          std::make_shared<CsrMatrix32>(assemble_from_stencil_t<float>(c)));
     }
   });
 }

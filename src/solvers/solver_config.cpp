@@ -123,8 +123,8 @@ void SolverConfig::validate() const {
   }
   if (op != OperatorKind::kStencil) {
     TEA_REQUIRE(halo_depth == 1,
-                "assembled operators (csr, sell-c-sigma) store interior "
-                "rows only, so the matrix-powers extended sweeps of "
+                "assembled operators (csr) store interior rows only, so "
+                "the matrix-powers extended sweeps of "
                 "halo_depth > 1 cannot run over them — use "
                 "tl_operator = stencil for matrix-powers, or halo depth 1");
   }

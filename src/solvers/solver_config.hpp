@@ -110,9 +110,9 @@ struct SolverConfig {
   int tile_rows = -1;
 
   /// Operator representation the solve traverses (tl_operator).  kStencil
-  /// is the classic matrix-free path; kCsr / kSellCSigma run the same
-  /// solvers over an assembled sparse matrix (assembled from the stencil
-  /// coefficients at prepare time, or loaded from a Matrix Market deck).
+  /// is the classic matrix-free path; kCsr runs the same solvers over an
+  /// assembled sparse matrix (assembled from the stencil coefficients at
+  /// prepare time, or loaded from a Matrix Market deck).
   /// Assembled operators store interior rows only, so they are limited to
   /// halo_depth == 1 (the matrix-powers extended sweeps would need
   /// assembled halo rows).
@@ -169,9 +169,9 @@ struct SweepSpec {
   /// and its dimension-generic multigrid hierarchy included — runs in
   /// both geometries.
   std::vector<int> geometries;
-  /// Operator-format axis (`sweep_operator = stencil,csr,sell-c-sigma`):
-  /// the ninth design-space dimension, A/B-ing SolverConfig::op — the
-  /// matrix-free stencil against the assembled storage formats.
+  /// Operator-format axis (`sweep_operator = stencil,csr`): the ninth
+  /// design-space dimension, A/B-ing SolverConfig::op — the matrix-free
+  /// stencil against the assembled CSR matrix.
   /// Assembled cells only combine with halo depth 1 and the native
   /// solvers (mg-pcg rebuilds its hierarchy from face coefficients), so
   /// other combinations are enumerated but skipped.

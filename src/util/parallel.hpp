@@ -315,22 +315,4 @@ void parallel_for(std::int64_t begin, std::int64_t end, const Body& body) {
 #endif
 }
 
-/// Parallel sum-reduction over [begin, end): returns Σ body(i).
-/// Deterministic per thread count; kernels that must be bitwise
-/// decomposition-independent should reduce ordered partials instead
-/// (see SimCluster::sum_over_chunks).  Single-level like parallel_for.
-template <class Body>
-double parallel_reduce_sum(std::int64_t begin, std::int64_t end,
-                           const Body& body) {
-  double sum = 0.0;
-#if defined(TEALEAF_HAVE_OPENMP)
-#pragma omp parallel for schedule(static) reduction(+ : sum) \
-    if (!omp_in_parallel())
-  for (std::int64_t i = begin; i < end; ++i) sum += body(i);
-#else
-  for (std::int64_t i = begin; i < end; ++i) sum += body(i);
-#endif
-  return sum;
-}
-
 }  // namespace tealeaf

@@ -55,21 +55,18 @@ inline std::unique_ptr<SimCluster2D> make_test_problem(
 }
 
 /// Install the requested operator representation on every chunk of a
-/// ready-to-solve cluster: assemble the conduction stencil to CSR (plus
-/// the SELL-C-σ re-layout when asked for) so run_solver exercises the
-/// assembled SpMV paths, or drop back to the matrix-free stencil.  This
-/// is the test-side stand-in for SolveSession::prepare.
+/// ready-to-solve cluster: assemble the conduction stencil to CSR so
+/// run_solver exercises the assembled SpMV path, or drop back to the
+/// matrix-free stencil.  This is the test-side stand-in for
+/// SolveSession::prepare.
 inline void install_operator(SimCluster& cl, OperatorKind op) {
   cl.for_each_chunk([&](int, Chunk& c) {
     if (op == OperatorKind::kStencil) {
       c.clear_assembled_operator();
       return;
     }
-    auto csr = std::make_shared<const CsrMatrix>(assemble_from_stencil(c));
-    auto sell = op == OperatorKind::kSellCSigma
-                    ? std::make_shared<const SellMatrix>(sell_from_csr(*csr))
-                    : std::shared_ptr<const SellMatrix>{};
-    c.set_assembled_operator(op, std::move(csr), std::move(sell));
+    c.set_assembled_operator(
+        std::make_shared<const CsrMatrix>(assemble_from_stencil(c)));
   });
 }
 

@@ -1,17 +1,20 @@
-// The OperatorView contract: the assembled CSR / SELL-C-σ operators are
-// alternative representations of the SAME linear operator the matrix-free
-// stencil applies, and a matrix assembled from the stencil must reproduce
-// the matrix-free solve bit for bit — same iteration counts, same residual
+// The OperatorView contract: the assembled CSR operator is an alternative
+// representation of the SAME linear operator the matrix-free stencil
+// applies, and a matrix assembled from the stencil must reproduce the
+// matrix-free solve bit for bit — same iteration counts, same residual
 // norms, identical solution fields — in 2-D and 3-D, for every solver
 // family and preconditioner.  Plus: the Matrix Market entry path (reader
-// validation, round trip, triplet→CSR layout), the deck/sweep/server
-// surface of the ninth design-space axis, and the scaling model's
-// nnz-priced SpMV traffic.
+// validation, round trip, triplet→CSR layout), a kernel-independent
+// residual oracle for a loaded matrix, the deck/sweep/server surface of
+// the ninth design-space axis, and the scaling model's nnz-priced SpMV
+// traffic.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
+#include <map>
 #include <sstream>
 #include <utility>
 #include <string>
@@ -66,31 +69,26 @@ TEST_P(AssembledEquivalence, BitwiseIdenticalToStencilSolve) {
   ASSERT_TRUE(ss.converged);
   EXPECT_EQ(ss.nnz_per_row, 0.0);  // stencil runs carry no fill
 
-  for (const OperatorKind op :
-       {OperatorKind::kCsr, OperatorKind::kSellCSigma}) {
-    auto cl = make();
-    install_operator(*cl, op);
-    SolverConfig acfg = cfg;
-    acfg.op = op;
-    const SolveStats sa = run_solver(*cl, acfg);
-    ASSERT_TRUE(sa.converged) << to_string(op);
-    // The assembled matrix stores the stencil's own values in the
-    // stencil's own accumulation order (signed off-diagonals, boundary
-    // zeros kept, pairwise grouping) — nothing may differ, not even ULPs.
-    EXPECT_EQ(sa.outer_iters, ss.outer_iters) << to_string(op);
-    EXPECT_EQ(sa.inner_steps, ss.inner_steps) << to_string(op);
-    EXPECT_EQ(sa.eigen_cg_iters, ss.eigen_cg_iters) << to_string(op);
-    EXPECT_EQ(sa.initial_norm, ss.initial_norm) << to_string(op);
-    EXPECT_EQ(sa.final_norm, ss.final_norm) << to_string(op);
-    EXPECT_EQ(max_field_diff(*ref, *cl, FieldId::kU), 0.0) << to_string(op);
-    // Fill of the kept-zero stencil assembly is exactly the stencil arity.
-    EXPECT_EQ(sa.nnz_per_row, oc.dims == 3 ? 7.0 : 5.0) << to_string(op);
-    // Identical data motion: SpMV gathers through the same halo cells.
-    EXPECT_EQ(cl->stats().message_bytes, ref->stats().message_bytes)
-        << to_string(op);
-    EXPECT_EQ(cl->stats().reductions, ref->stats().reductions)
-        << to_string(op);
-  }
+  auto cl = make();
+  install_operator(*cl, OperatorKind::kCsr);
+  SolverConfig acfg = cfg;
+  acfg.op = OperatorKind::kCsr;
+  const SolveStats sa = run_solver(*cl, acfg);
+  ASSERT_TRUE(sa.converged);
+  // The assembled matrix stores the stencil's own values in the stencil's
+  // own accumulation order (signed off-diagonals, boundary zeros kept,
+  // pairwise grouping) — nothing may differ, not even ULPs.
+  EXPECT_EQ(sa.outer_iters, ss.outer_iters);
+  EXPECT_EQ(sa.inner_steps, ss.inner_steps);
+  EXPECT_EQ(sa.eigen_cg_iters, ss.eigen_cg_iters);
+  EXPECT_EQ(sa.initial_norm, ss.initial_norm);
+  EXPECT_EQ(sa.final_norm, ss.final_norm);
+  EXPECT_EQ(max_field_diff(*ref, *cl, FieldId::kU), 0.0);
+  // Fill of the kept-zero stencil assembly is exactly the stencil arity.
+  EXPECT_EQ(sa.nnz_per_row, oc.dims == 3 ? 7.0 : 5.0);
+  // Identical data motion: SpMV gathers through the same halo cells.
+  EXPECT_EQ(cl->stats().message_bytes, ref->stats().message_bytes);
+  EXPECT_EQ(cl->stats().reductions, ref->stats().reductions);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -154,61 +152,6 @@ TEST(AssembleFromStencil, ThreeDRowsCarrySevenEntries) {
   const CsrMatrix m = assemble_from_stencil(cl->chunk(0));
   EXPECT_EQ(m.nrows, 216);
   EXPECT_EQ(m.nnz_per_row(), 7.0);
-}
-
-TEST(SellFromCsr, StoragePermutationPreservesEveryRowExactly) {
-  auto cl = make_test_problem(12, 1, 2, 4.0);
-  const CsrMatrix csr = assemble_from_stencil(cl->chunk(0));
-  const SellMatrix s = sell_from_csr(csr, 8, 64);
-
-  ASSERT_EQ(s.nrows, csr.nrows);
-  EXPECT_EQ(s.chunk_c, 8);
-  EXPECT_EQ(s.sigma, 64);
-  // Uniform row lengths: the σ sort is the identity and padding only
-  // covers the ragged final slice (144 rows → 18 full slices, no pad).
-  EXPECT_EQ(s.fill_ratio(), 1.0);
-
-  std::vector<int> seen(static_cast<std::size_t>(s.nrows), 0);
-  for (std::int64_t r = 0; r < s.nrows; ++r) {
-    ASSERT_EQ(s.row_len[r], csr.row_len(r));
-    const std::int64_t p = s.slot[r];
-    ASSERT_GE(p, 0);
-    ASSERT_LT(p, s.nrows);
-    ++seen[static_cast<std::size_t>(p)];
-    const std::int64_t base = s.slice_ptr[p / s.chunk_c] + p % s.chunk_c;
-    for (int i = 0; i < s.row_len[r]; ++i) {
-      const std::int64_t q = base + static_cast<std::int64_t>(i) * s.chunk_c;
-      EXPECT_EQ(s.cols[q], csr.cols[csr.row_ptr[r] + i]);
-      EXPECT_EQ(s.vals[q], csr.vals[csr.row_ptr[r] + i]);
-    }
-  }
-  for (const int n : seen) EXPECT_EQ(n, 1);  // slot is a permutation
-}
-
-TEST(SellFromCsr, VariableRowLengthsSortWithinSigmaWindows) {
-  // Ragged rows (FEM-like): row lengths 1..n within one σ window must be
-  // stored descending so slice widths track the longest member, while the
-  // slot map still finds every row's entries.
-  CsrMatrix csr;
-  csr.nrows = 10;
-  csr.row_ptr.push_back(0);
-  for (std::int64_t r = 0; r < csr.nrows; ++r) {
-    const int len = static_cast<int>(r % 5) + 1;
-    for (int i = 0; i < len; ++i) {
-      csr.cols.push_back(r);  // columns don't matter for the layout
-      csr.vals.push_back(100.0 * static_cast<double>(r) + i);
-    }
-    csr.row_ptr.push_back(static_cast<std::int64_t>(csr.vals.size()));
-  }
-  const SellMatrix s = sell_from_csr(csr, 4, 8);
-  EXPECT_GT(s.fill_ratio(), 1.0);  // ragged rows genuinely pad now
-  for (std::int64_t r = 0; r < csr.nrows; ++r) {
-    const std::int64_t base = s.slice_ptr[s.slot[r] / 4] + s.slot[r] % 4;
-    for (int i = 0; i < s.row_len[r]; ++i) {
-      EXPECT_EQ(s.vals[base + static_cast<std::int64_t>(i) * 4],
-                csr.vals[csr.row_ptr[r] + i]);
-    }
-  }
 }
 
 // ---- Matrix Market reader / writer ---------------------------------------
@@ -293,6 +236,14 @@ TEST(MatrixMarket, MalformedInputsAreRejectedNotGuessed) {
   // Fewer entries than the size line declares.
   reject("%%MatrixMarket matrix coordinate real general\n2 2 3\n"
          "1 1 1.0\n2 2 1.0\n");
+  // A size line claiming more entries than any host could hold: the
+  // reader sizes from what it reads, so both end as truncated files
+  // rather than allocation failures (a general count of 10^12, and a
+  // symmetric count whose mirrored total 2·nnz overflows int64).
+  reject("%%MatrixMarket matrix coordinate real general\n4 4 1000000000000\n"
+         "1 1 1.0\n");
+  reject("%%MatrixMarket matrix coordinate real symmetric\n"
+         "4 4 4611686018427387904\n1 1 1.0\n");
   // 'general' that is not numerically symmetric: CG would silently
   // mis-converge, so the reader refuses.
   reject("%%MatrixMarket matrix coordinate real general\n2 2 4\n"
@@ -340,12 +291,12 @@ TEST(OperatorDeck, KeysParseAndRoundTrip) {
   const InputDeck deck = InputDeck::parse_string(
       "*tea\nx_cells=16\ny_cells=16\nend_step=1\n"
       "tl_operator=csr\nmatrix_file=system.mtx\n"
-      "sweep_solvers=cg\nsweep_operator=stencil,csr,sell-c-sigma\n"
+      "sweep_solvers=cg\nsweep_operator=stencil,csr\n"
       "state 1 density=1.0 energy=1.0\n*endtea\n");
   EXPECT_EQ(deck.solver.op, OperatorKind::kCsr);
   EXPECT_EQ(deck.matrix_file, "system.mtx");
   EXPECT_EQ(deck.sweep.operators,
-            (std::vector<std::string>{"stencil", "csr", "sell-c-sigma"}));
+            (std::vector<std::string>{"stencil", "csr"}));
   const InputDeck back = InputDeck::parse_string(deck.to_string());
   EXPECT_EQ(back.solver.op, OperatorKind::kCsr);
   EXPECT_EQ(back.matrix_file, "system.mtx");
@@ -369,15 +320,23 @@ TEST(OperatorDeck, MistypedKeyAndBadValueFailLoudly) {
     EXPECT_NE(msg.find("did you mean 'tl_operator'"), std::string::npos)
         << msg;
   }
-  EXPECT_THROW(InputDeck::parse_string(
-                   "*tea\nx_cells=8\ny_cells=8\nend_step=1\n"
-                   "tl_operator=coo\nstate 1 density=1 energy=1\n*endtea\n"),
-               TeaError);
-  EXPECT_THROW(InputDeck::parse_string(
-                   "*tea\nx_cells=8\ny_cells=8\nend_step=1\n"
-                   "sweep_solvers=cg\nsweep_operator=stencil,ellpack\n"
-                   "state 1 density=1 energy=1\n*endtea\n"),
-               TeaError);
+  // Unknown formats are errors, retired ones included.
+  for (const char* op : {"coo", "sell-c-sigma", "sell"}) {
+    EXPECT_THROW(InputDeck::parse_string(
+                     std::string("*tea\nx_cells=8\ny_cells=8\nend_step=1\n"
+                                 "tl_operator=") +
+                     op + "\nstate 1 density=1 energy=1\n*endtea\n"),
+                 TeaError)
+        << op;
+  }
+  for (const char* axis : {"stencil,ellpack", "stencil,sell-c-sigma"}) {
+    EXPECT_THROW(InputDeck::parse_string(
+                     std::string("*tea\nx_cells=8\ny_cells=8\nend_step=1\n"
+                                 "sweep_solvers=cg\nsweep_operator=") +
+                     axis + "\nstate 1 density=1 energy=1\n*endtea\n"),
+                 TeaError)
+        << axis;
+  }
 }
 
 TEST(OperatorDeck, MatrixFileValidationRejectsImpossibleCombinations) {
@@ -414,9 +373,6 @@ TEST(OperatorShape, KeyAppendsTheKindAndLegacyKeysAreUnchanged) {
   EXPECT_EQ(ProblemShape::of(deck, 4, 2).key(), "2d/16x16x1/r4/h2");
   deck.solver.op = OperatorKind::kCsr;
   EXPECT_EQ(ProblemShape::of(deck, 4, 2).key(), "2d/16x16x1/r4/h2/csr");
-  deck.solver.op = OperatorKind::kSellCSigma;
-  EXPECT_EQ(ProblemShape::of(deck, 4, 2).key(),
-            "2d/16x16x1/r4/h2/sell-c-sigma");
 }
 
 TEST(OperatorSession, PrepareInstallsAndClearsAssembledOperators) {
@@ -454,13 +410,12 @@ TEST(OperatorSession, PrepareInstallsAndClearsAssembledOperators) {
 TEST(SweepOperatorAxis, EnumeratesInnermostAndLabels) {
   SweepSpec spec;
   spec.solvers = {"cg"};
-  spec.operators = {"stencil", "csr", "sell-c-sigma"};
+  spec.operators = {"stencil", "csr"};
   const std::vector<SweepCase> cases = enumerate_cases(spec, 16);
-  ASSERT_EQ(cases.size(), 3u);
-  ASSERT_EQ(spec.num_cases(), 3u);
+  ASSERT_EQ(cases.size(), 2u);
+  ASSERT_EQ(spec.num_cases(), 2u);
   EXPECT_EQ(cases[0].label(), "cg/none/d1/n16/t0/fused");
   EXPECT_EQ(cases[1].label(), "cg/none/d1/n16/t0/fused/csr");
-  EXPECT_EQ(cases[2].label(), "cg/none/d1/n16/t0/fused/sell-c-sigma");
   spec.operators = {"csc"};
   EXPECT_THROW(spec.validate(), TeaError);
 }
@@ -470,32 +425,30 @@ TEST(SweepOperatorAxis, AssembledCellsMatchStencilAndRoundTrip) {
   base.solver.eps = 1e-8;
   SweepSpec spec;
   spec.solvers = {"cg", "mg-pcg"};
-  spec.operators = {"stencil", "csr", "sell-c-sigma"};
+  spec.operators = {"stencil", "csr"};
   spec.ranks = 2;
   const SweepReport rep = run_sweep(base, spec);
-  ASSERT_EQ(rep.cells.size(), 6u);
+  ASSERT_EQ(rep.cells.size(), 4u);
 
-  // cg: all three representations run and agree bit for bit.
-  for (int i = 0; i < 3; ++i) {
+  // cg: both representations run and agree bit for bit.
+  for (int i = 0; i < 2; ++i) {
     EXPECT_FALSE(rep.cells[i].skipped) << rep.cells[i].config.label();
     EXPECT_TRUE(rep.cells[i].converged) << rep.cells[i].config.label();
   }
   EXPECT_EQ(rep.cells[1].config.op, "csr");
   EXPECT_EQ(rep.cells[1].iterations, rep.cells[0].iterations);
   EXPECT_EQ(rep.cells[1].final_norm, rep.cells[0].final_norm);
-  EXPECT_EQ(rep.cells[2].final_norm, rep.cells[0].final_norm);
   EXPECT_EQ(rep.cells[1].message_bytes, rep.cells[0].message_bytes);
 
   // mg-pcg rebuilds its hierarchy from the face coefficients: only the
-  // stencil cell runs, the assembled cells are skipped with a reason.
-  EXPECT_FALSE(rep.cells[3].skipped);
-  EXPECT_TRUE(rep.cells[4].skipped);
-  EXPECT_TRUE(rep.cells[5].skipped);
-  EXPECT_NE(rep.cells[4].skip_reason.find("assembled"), std::string::npos);
+  // stencil cell runs, the assembled cell is skipped with a reason.
+  EXPECT_FALSE(rep.cells[2].skipped);
+  EXPECT_TRUE(rep.cells[3].skipped);
+  EXPECT_NE(rep.cells[3].skip_reason.find("assembled"), std::string::npos);
 
   // Converged assembled cells take part in the ranking.
   const std::vector<int> ranked = rep.ranking();
-  EXPECT_EQ(ranked.size(), 4u);
+  EXPECT_EQ(ranked.size(), 3u);
 
   // The operator column survives both serialisation round trips.
   EXPECT_NE(rep.to_csv_lines()[0].find("operator"), std::string::npos);
@@ -551,32 +504,118 @@ TEST(OperatorServer, MatrixMarketDeckSolvesEndToEnd) {
   io::save_matrix_market(path, laplacian5(8));
 
   SolveServer server;
-  double csr_norm = 0.0;
-  for (const OperatorKind op :
-       {OperatorKind::kCsr, OperatorKind::kSellCSigma}) {
-    SolveRequest req;
-    req.deck.x_cells = 8;
-    req.deck.y_cells = 8;
-    req.deck.end_step = 1;
-    req.deck.matrix_file = path;
-    req.deck.solver.type = SolverType::kCG;
-    req.deck.solver.op = op;
-    req.deck.states.push_back({});
-    req.deck.validate();
-    req.nranks = 1;
-    req.tag = to_string(op);
-    const SolveResult res = server.solve_one(std::move(req));
-    ASSERT_TRUE(res.ok()) << to_string(op);
-    // Loaded Laplacian: 5·64 − 4·8 = 288 entries over 64 rows (true row
-    // lengths — no kept zeros on the file path).
-    EXPECT_EQ(res.stats.nnz_per_row, 288.0 / 64.0) << to_string(op);
-    if (op == OperatorKind::kCsr) {
-      csr_norm = res.stats.final_norm;
-    } else {
-      EXPECT_EQ(res.stats.final_norm, csr_norm);  // storage permutation
+  SolveRequest req;
+  req.deck.x_cells = 8;
+  req.deck.y_cells = 8;
+  req.deck.end_step = 1;
+  req.deck.matrix_file = path;
+  req.deck.solver.type = SolverType::kCG;
+  req.deck.solver.op = OperatorKind::kCsr;
+  req.deck.states.push_back({});
+  req.deck.validate();
+  req.nranks = 1;
+  req.tag = "csr";
+  const SolveResult res = server.solve_one(std::move(req));
+  ASSERT_TRUE(res.ok());
+  // Loaded Laplacian: 5·64 − 4·8 = 288 entries over 64 rows (true row
+  // lengths — no kept zeros on the file path).
+  EXPECT_EQ(res.stats.nnz_per_row, 288.0 / 64.0);
+  std::remove(path.c_str());
+}
+
+// ---- kernel-independent oracle on a loaded matrix ------------------------
+
+/// The Q1 Galerkin heat step A = M + dt·K of examples/fem_assembly over an
+/// elems × elems grid of the unit square: corner, edge and interior rows
+/// carry 4, 6 and 9 entries.
+io::TripletMatrix q1_heat_step(int elems, double dt) {
+  const int nodes = elems + 1;
+  const double h = 1.0 / elems;
+  const double K[4][4] = {
+      {4, -1, -1, -2}, {-1, 4, -2, -1}, {-1, -2, 4, -1}, {-2, -1, -1, 4}};
+  const double M[4][4] = {
+      {4, 2, 2, 1}, {2, 4, 1, 2}, {2, 1, 4, 2}, {1, 2, 2, 4}};
+  std::map<std::pair<std::int64_t, std::int64_t>, double> acc;
+  for (int ey = 0; ey < elems; ++ey) {
+    for (int ex = 0; ex < elems; ++ex) {
+      const std::int64_t base = static_cast<std::int64_t>(ey) * nodes + ex;
+      const std::int64_t local[4] = {base, base + 1, base + nodes,
+                                     base + nodes + 1};
+      for (int a = 0; a < 4; ++a)
+        for (int b = 0; b < 4; ++b)
+          acc[{local[a], local[b]}] +=
+              h * h / 36.0 * M[a][b] + dt / 6.0 * K[a][b];
     }
   }
+  io::TripletMatrix m;
+  m.n = static_cast<std::int64_t>(nodes) * nodes;
+  for (const auto& [rc, v] : acc) m.entries.push_back({rc.first, rc.second, v});
+  return m;
+}
+
+TEST(LoadedMatrixOracle, CsrSolveMeetsToleranceOnTheTrueResidual) {
+  // The CSR path checks itself only through the solver's recursive
+  // residual, which ops/kernels computes.  Here b − A·u is recomputed from
+  // the triplets in a plain loop that shares no code with the kernels.
+  const int elems = 15, n = elems + 1;
+  const io::TripletMatrix a = q1_heat_step(elems, 0.05);
+  std::vector<int> row_len(static_cast<std::size_t>(a.n), 0);
+  for (const auto& e : a.entries) ++row_len[static_cast<std::size_t>(e.row)];
+  ASSERT_EQ(*std::min_element(row_len.begin(), row_len.end()), 4);
+  ASSERT_EQ(*std::max_element(row_len.begin(), row_len.end()), 9);
+
+  const std::string path = ::testing::TempDir() + "oracle_q1.mtx";
+  io::save_matrix_market(path, a);
+  InputDeck deck;
+  deck.x_cells = n;
+  deck.y_cells = n;
+  deck.end_step = 1;
+  deck.matrix_file = path;
+  deck.solver.type = SolverType::kCG;
+  deck.solver.op = OperatorKind::kCsr;
+  deck.solver.eps = 1e-10;
+  deck.states.push_back({});
+  StateDef hot;
+  hot.geometry = StateDef::Geometry::kRectangle;
+  hot.energy = 10.0;
+  hot.xmin = 2.0;
+  hot.xmax = 6.0;
+  hot.ymin = 2.0;
+  hot.ymax = 6.0;
+  deck.states.push_back(hot);
+  deck.validate();
+  SolveSession session(deck, 1);
+  const SolveStats st = session.solve();
   std::remove(path.c_str());
+  ASSERT_TRUE(st.converged);
+  ASSERT_GT(st.outer_iters, 1);
+
+  // Grid cell (j, k) is matrix row k·n + j; b = u0 = ρ·e is the RHS, and
+  // the solve starts from u = b, so the initial residual is b − A·b.
+  const Chunk& c = session.cluster().chunk(0);
+  const auto at = [n](const Field<double>& f, std::int64_t r) {
+    return f(static_cast<int>(r % n), static_cast<int>(r / n), 0);
+  };
+  const auto residual_norm = [&](const Field<double>& x) {
+    std::vector<double> res(static_cast<std::size_t>(a.n));
+    for (std::int64_t r = 0; r < a.n; ++r)
+      res[static_cast<std::size_t>(r)] = at(c.u0(), r);
+    for (const auto& e : a.entries)
+      res[static_cast<std::size_t>(e.row)] -= e.val * at(x, e.col);
+    double rr = 0.0;
+    for (const double v : res) rr += v * v;
+    return std::sqrt(rr);
+  };
+  const double true_norm = residual_norm(c.u());
+  const double initial_norm = residual_norm(c.u0());
+  // The solver's initial norm is the same quantity summed in another
+  // order: equal to rounding.
+  EXPECT_NEAR(st.initial_norm, initial_norm, 1e-12 * initial_norm);
+  // CG stops once its recursive residual is ≤ tl_eps·‖b − A·b‖; the true
+  // residual may drift from the recursive one by rounding only.  Bound:
+  // ‖b − A·u‖ ≤ 2·tl_eps·‖b − A·b‖.
+  EXPECT_LE(true_norm, 2.0 * deck.solver.eps * initial_norm)
+      << "true " << true_norm << ", recursive " << st.final_norm;
 }
 
 // ---- scaling model: nnz-priced SpMV --------------------------------------

@@ -91,8 +91,7 @@ INSTANTIATE_TEST_SUITE_P(
                           SolverType::kChebyshev, SolverType::kPPCG),
         ::testing::Values(0, 6),
         ::testing::Values(2, 3),
-        ::testing::Values(OperatorKind::kStencil, OperatorKind::kCsr,
-                          OperatorKind::kSellCSigma)));
+        ::testing::Values(OperatorKind::kStencil, OperatorKind::kCsr)));
 
 // ---- mixed: fp64-guarded refinement reaches the fp64 tolerance -----------
 
@@ -172,9 +171,9 @@ TEST(SinglePrecision, DeterministicAcrossRuns) {
 }
 
 TEST(SinglePrecision, AssembledOperatorsMatchStencilBitwise) {
-  // The fp32 CSR/SELL values are assembled from the fp32 coefficient
-  // fields in float arithmetic, in the stencil's own entry order — so the
-  // fp32 representations must agree exactly, just like the fp64 ones do.
+  // The fp32 CSR values are assembled from the fp32 coefficient fields in
+  // float arithmetic, in the stencil's own entry order — so the fp32
+  // representations must agree exactly, just like the fp64 ones do.
   SolverConfig cfg;
   cfg.type = SolverType::kCG;
   cfg.eps = 1e-4;
@@ -183,19 +182,16 @@ TEST(SinglePrecision, AssembledOperatorsMatchStencilBitwise) {
   auto ref = make_test_problem(24, 2, 2);
   const SolveStats ss = run_solver(*ref, cfg);
   ASSERT_TRUE(ss.converged);
-  for (const OperatorKind op :
-       {OperatorKind::kCsr, OperatorKind::kSellCSigma}) {
-    auto cl = make_test_problem(24, 2, 2);
-    install_operator(*cl, op);
-    SolverConfig acfg = cfg;
-    acfg.op = op;
-    const SolveStats sa = run_solver(*cl, acfg);
-    ASSERT_TRUE(sa.converged) << to_string(op);
-    EXPECT_EQ(sa.outer_iters, ss.outer_iters) << to_string(op);
-    EXPECT_EQ(sa.initial_norm, ss.initial_norm) << to_string(op);
-    EXPECT_EQ(sa.final_norm, ss.final_norm) << to_string(op);
-    EXPECT_EQ(max_field_diff(*ref, *cl, FieldId::kU), 0.0) << to_string(op);
-  }
+  auto cl = make_test_problem(24, 2, 2);
+  install_operator(*cl, OperatorKind::kCsr);
+  SolverConfig acfg = cfg;
+  acfg.op = OperatorKind::kCsr;
+  const SolveStats sa = run_solver(*cl, acfg);
+  ASSERT_TRUE(sa.converged);
+  EXPECT_EQ(sa.outer_iters, ss.outer_iters);
+  EXPECT_EQ(sa.initial_norm, ss.initial_norm);
+  EXPECT_EQ(sa.final_norm, ss.final_norm);
+  EXPECT_EQ(max_field_diff(*ref, *cl, FieldId::kU), 0.0);
 }
 
 TEST(SinglePrecision, TracksButDoesNotEqualTheFp64Solution) {

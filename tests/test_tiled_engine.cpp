@@ -314,7 +314,7 @@ struct TiledCase {
   bool chrono;
   int tile_rows;
   // Shared by both configs: assembled cases check the tiled row-blocking
-  // against the untiled fused run on the CSR / SELL-C-σ SpMV paths.
+  // against the untiled fused run on the CSR SpMV path.
   OperatorKind op = OperatorKind::kStencil;
 };
 
@@ -385,8 +385,8 @@ INSTANTIATE_TEST_SUITE_P(
         TiledCase{SolverType::kPPCG, PreconType::kJacobiDiag, 1, false, 3},
         TiledCase{SolverType::kPPCG, PreconType::kNone, 4, false, 5},
         TiledCase{SolverType::kPPCG, PreconType::kJacobiDiag, 4, false, 1},
-        // Assembled operators: row-blocked SpMV over CSR / SELL-C-σ must
-        // stay bitwise identical to the untiled fused run, including the
+        // Assembled operators: row-blocked SpMV over CSR must stay
+        // bitwise identical to the untiled fused run, including the
         // deferred-edge schedule at awkward tile heights.
         TiledCase{SolverType::kJacobi, PreconType::kNone, 1, false, 3,
                   OperatorKind::kCsr},
@@ -403,19 +403,7 @@ INSTANTIATE_TEST_SUITE_P(
         TiledCase{SolverType::kPPCG, PreconType::kNone, 1, false, 6,
                   OperatorKind::kCsr},
         TiledCase{SolverType::kPPCG, PreconType::kJacobiDiag, 1, false, 5,
-                  OperatorKind::kCsr},
-        TiledCase{SolverType::kCG, PreconType::kNone, 1, false, 7,
-                  OperatorKind::kSellCSigma},
-        TiledCase{SolverType::kCG, PreconType::kJacobiBlock, 1, false, 3,
-                  OperatorKind::kSellCSigma},
-        TiledCase{SolverType::kChebyshev, PreconType::kNone, 1, false, 6,
-                  OperatorKind::kSellCSigma},
-        TiledCase{SolverType::kChebyshev, PreconType::kJacobiDiag, 1, false, 5,
-                  OperatorKind::kSellCSigma},
-        TiledCase{SolverType::kPPCG, PreconType::kNone, 1, false, 1000,
-                  OperatorKind::kSellCSigma},
-        TiledCase{SolverType::kPPCG, PreconType::kJacobiDiag, 1, false, 6,
-                  OperatorKind::kSellCSigma}),
+                  OperatorKind::kCsr}),
     [](const auto& info) {
       const TiledCase& tc = info.param;
       std::string name = std::string(to_string(tc.type)) + "_" +
@@ -424,7 +412,6 @@ INSTANTIATE_TEST_SUITE_P(
                          std::to_string(tc.tile_rows);
       if (tc.chrono) name += "_chrono";
       if (tc.op == OperatorKind::kCsr) name += "_csr";
-      if (tc.op == OperatorKind::kSellCSigma) name += "_sell";
       return name;
     });
 

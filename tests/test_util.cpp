@@ -108,12 +108,6 @@ TEST(Parallel, ForCoversRangeOnce) {
   for (const int h : hits) EXPECT_EQ(h, 1);
 }
 
-TEST(Parallel, ReduceSumMatchesSerial) {
-  const double got =
-      parallel_reduce_sum(0, 10000, [](std::int64_t i) { return 1.0 * i; });
-  EXPECT_DOUBLE_EQ(got, 10000.0 * 9999.0 / 2.0);
-}
-
 TEST(Stats, WelfordMoments) {
   RunningStats s;
   for (const double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.add(x);
