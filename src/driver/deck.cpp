@@ -8,6 +8,7 @@
 
 #include "util/args.hpp"
 #include "util/error.hpp"
+#include "util/numeric.hpp"
 
 namespace tealeaf {
 
@@ -57,14 +58,6 @@ std::map<std::string, std::string> tokenize_kv(std::istringstream& line) {
     }
   }
   return kv;
-}
-
-double to_double(const std::string& s, const std::string& key) {
-  try {
-    return std::stod(s);
-  } catch (const std::exception&) {
-    throw TeaError("deck: bad numeric value for " + key + ": '" + s + "'");
-  }
 }
 
 /// Boolean tl_* flags: bare (`tl_route_learn`) or explicit
@@ -152,9 +145,9 @@ StateDef parse_state(std::istringstream& line) {
   const auto kv = tokenize_kv(line);
   for (const auto& [key, value] : kv) {
     if (key == "density") {
-      st.density = to_double(value, key);
+      st.density = parse_double(value, key);
     } else if (key == "energy") {
-      st.energy = to_double(value, key);
+      st.energy = parse_double(value, key);
     } else if (key == "geometry") {
       if (value == "rectangle") {
         st.geometry = StateDef::Geometry::kRectangle;
@@ -166,34 +159,34 @@ StateDef parse_state(std::istringstream& line) {
         throw TeaError("deck: unknown geometry '" + value + "'");
       }
     } else if (key == "xmin") {
-      st.xmin = to_double(value, key);
+      st.xmin = parse_double(value, key);
     } else if (key == "xmax") {
-      st.xmax = to_double(value, key);
+      st.xmax = parse_double(value, key);
     } else if (key == "ymin") {
-      st.ymin = to_double(value, key);
+      st.ymin = parse_double(value, key);
     } else if (key == "ymax") {
-      st.ymax = to_double(value, key);
+      st.ymax = parse_double(value, key);
     } else if (key == "zmin") {
-      st.zmin = to_double(value, key);
+      st.zmin = parse_double(value, key);
       has_zmin = true;
     } else if (key == "zmax") {
-      st.zmax = to_double(value, key);
+      st.zmax = parse_double(value, key);
       has_zmax = true;
     } else if (key == "xcentre" || key == "xcenter") {
-      st.cx = to_double(value, key);
+      st.cx = parse_double(value, key);
     } else if (key == "ycentre" || key == "ycenter") {
-      st.cy = to_double(value, key);
+      st.cy = parse_double(value, key);
     } else if (key == "zcentre" || key == "zcenter") {
-      st.cz = to_double(value, key);
+      st.cz = parse_double(value, key);
       st.has_cz = true;
     } else if (key == "radius") {
-      st.radius = to_double(value, key);
+      st.radius = parse_double(value, key);
     } else if (key == "x") {
-      st.px = to_double(value, key);
+      st.px = parse_double(value, key);
     } else if (key == "y") {
-      st.py = to_double(value, key);
+      st.py = parse_double(value, key);
     } else if (key == "z") {
-      st.pz = to_double(value, key);
+      st.pz = parse_double(value, key);
       st.has_pz = true;
     } else {
       throw TeaError("deck: unknown state key '" + key + "'");
@@ -261,11 +254,11 @@ InputDeck InputDeck::parse(std::istream& in) {
       full >> skip;  // consume "state"
       deck.states.push_back(parse_state(full));
     } else if (key == "x_cells") {
-      deck.x_cells = static_cast<int>(to_double(value, key));
+      deck.x_cells = parse_int(value, key);
     } else if (key == "y_cells") {
-      deck.y_cells = static_cast<int>(to_double(value, key));
+      deck.y_cells = parse_int(value, key);
     } else if (key == "z_cells" || key == "nz") {
-      deck.z_cells = static_cast<int>(to_double(value, key));
+      deck.z_cells = parse_int(value, key);
     } else if (key == "tl_geometry") {
       if (value == "2d") {
         deck.dims = 2;
@@ -276,27 +269,27 @@ InputDeck InputDeck::parse(std::istream& in) {
                        value + "'");
       }
     } else if (key == "xmin") {
-      deck.xmin = to_double(value, key);
+      deck.xmin = parse_double(value, key);
     } else if (key == "xmax") {
-      deck.xmax = to_double(value, key);
+      deck.xmax = parse_double(value, key);
     } else if (key == "ymin") {
-      deck.ymin = to_double(value, key);
+      deck.ymin = parse_double(value, key);
     } else if (key == "ymax") {
-      deck.ymax = to_double(value, key);
+      deck.ymax = parse_double(value, key);
     } else if (key == "zmin") {
-      deck.zmin = to_double(value, key);
+      deck.zmin = parse_double(value, key);
     } else if (key == "zmax") {
-      deck.zmax = to_double(value, key);
+      deck.zmax = parse_double(value, key);
     } else if (key == "initial_timestep") {
-      deck.initial_timestep = to_double(value, key);
+      deck.initial_timestep = parse_double(value, key);
     } else if (key == "end_time") {
-      deck.end_time = to_double(value, key);
+      deck.end_time = parse_double(value, key);
     } else if (key == "end_step") {
-      deck.end_step = static_cast<int>(to_double(value, key));
+      deck.end_step = parse_int(value, key);
     } else if (key == "tl_max_iters") {
-      deck.solver.max_iters = static_cast<int>(to_double(value, key));
+      deck.solver.max_iters = parse_int(value, key);
     } else if (key == "tl_eps") {
-      deck.solver.eps = to_double(value, key);
+      deck.solver.eps = parse_double(value, key);
     } else if (key == "tl_use_jacobi") {
       deck.solver.type = SolverType::kJacobi;
     } else if (key == "tl_use_cg") {
@@ -308,11 +301,11 @@ InputDeck InputDeck::parse(std::istream& in) {
     } else if (key == "tl_preconditioner_type") {
       deck.solver.precon = precon_type_from_string(value);
     } else if (key == "tl_ppcg_inner_steps") {
-      deck.solver.inner_steps = static_cast<int>(to_double(value, key));
+      deck.solver.inner_steps = parse_int(value, key);
     } else if (key == "tl_eigen_cg_iters" || key == "tl_cheby_presteps") {
-      deck.solver.eigen_cg_iters = static_cast<int>(to_double(value, key));
+      deck.solver.eigen_cg_iters = parse_int(value, key);
     } else if (key == "tl_halo_depth") {
-      deck.solver.halo_depth = static_cast<int>(to_double(value, key));
+      deck.solver.halo_depth = parse_int(value, key);
     } else if (key == "tl_cg_fuse_reductions") {
       deck.solver.fuse_cg_reductions = to_flag(value, key);
     } else if (key == "tl_fuse_kernels") {
@@ -327,8 +320,7 @@ InputDeck InputDeck::parse(std::istream& in) {
             "untiled sweeps).");
       }
     } else if (key == "tl_tile_rows") {
-      deck.solver.tile_rows =
-          (value == "auto") ? -1 : static_cast<int>(to_double(value, key));
+      deck.solver.tile_rows = (value == "auto") ? -1 : parse_int(value, key);
     } else if (key == "tl_operator") {
       deck.solver.op = operator_kind_from_string(value);
     } else if (key == "tl_precision") {
@@ -339,7 +331,7 @@ InputDeck InputDeck::parse(std::istream& in) {
     } else if (key == "tl_route_learn") {
       deck.route_learn = to_flag(value, key);
     } else if (key == "tl_route_demote_ratio") {
-      deck.route_demote_ratio = to_double(value, key);
+      deck.route_demote_ratio = parse_double(value, key);
     } else if (key == "matrix_file") {
       TEA_REQUIRE(!value.empty(), "deck: matrix_file needs a path");
       deck.matrix_file = value;
@@ -376,7 +368,7 @@ InputDeck InputDeck::parse(std::istream& in) {
     } else if (key == "sweep_precision") {
       deck.sweep.precisions = split_list(value, key);
     } else if (key == "sweep_ranks") {
-      deck.sweep.ranks = static_cast<int>(to_double(value, key));
+      deck.sweep.ranks = parse_int(value, key);
     } else if (key == "tl_coefficient") {
       if (value == "conductivity") {
         deck.coefficient = kernels::Coefficient::kConductivity;

@@ -14,6 +14,7 @@
 #include "model/scaling.hpp"
 #include "ops/kernels.hpp"
 #include "util/error.hpp"
+#include "util/numeric.hpp"
 #include "util/parallel.hpp"
 #include "util/timer.hpp"
 
@@ -390,20 +391,11 @@ long long csv_ll(const std::string& s, const char* column) {
 }
 
 int csv_int(const std::string& s, const char* column) {
-  return static_cast<int>(csv_ll(s, column));
+  return parse_int(s, std::string("sweep csv column ") + column);
 }
 
 double csv_double(const std::string& s, const char* column) {
-  try {
-    std::size_t used = 0;
-    const double v = std::stod(s, &used);
-    TEA_REQUIRE(used == s.size(), std::string("sweep csv: bad ") + column);
-    return v;
-  } catch (const TeaError&) {
-    throw;
-  } catch (const std::exception&) {
-    throw TeaError(std::string("sweep csv: bad ") + column + ": '" + s + "'");
-  }
+  return parse_double(s, std::string("sweep csv column ") + column);
 }
 
 }  // namespace

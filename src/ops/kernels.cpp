@@ -56,18 +56,31 @@ inline double dot_row(const Field<S>& a, const Field<S>& b, int nx, int k,
 
 /// One operator row with the dot folded in: dst = A·src over
 /// [b.jlo, b.jhi), returning the interior part of Σ src·dst (0.0 when row
-/// (l,k) is outside the interior).
+/// (l,k) is outside the interior).  src and dst must be distinct fields.
 template <class View, class S = typename View::Scalar>
 inline double smvp_dot_row(const View& A, const Field<S>& src, Field<S>& dst,
                            const Bounds& b, const Bounds& in, int k, int l) {
   const bool row_in = (k >= in.klo && k < in.khi && l >= in.llo &&
                        l < in.lhi);
   double acc = 0.0;
-  for (int j = b.jlo; j < b.jhi; ++j) {
-    const S w = A.apply(src, j, k, l);
-    dst(j, k, l) = w;
-    if (row_in && j >= in.jlo && j < in.jhi)
-      acc += static_cast<double>(src(j, k, l)) * static_cast<double>(w);
+  if constexpr (std::is_same_v<S, double>) {
+    for (int j = b.jlo; j < b.jhi; ++j) {
+      const S w = A.apply(src, j, k, l);
+      dst(j, k, l) = w;
+      if (row_in && j >= in.jlo && j < in.jhi)
+        acc += static_cast<double>(src(j, k, l)) * static_cast<double>(w);
+    }
+  } else {
+    // fp32: the operator store and the fp64 dot run as separate j-loops
+    // (see jacobi_update_row).  The dot reads back the stored values in
+    // ascending j, so the sum is bitwise the fused loop's.
+    for (int j = b.jlo; j < b.jhi; ++j) dst(j, k, l) = A.apply(src, j, k, l);
+    if (row_in) {
+      const int j1 = std::min(b.jhi, in.jhi);
+      for (int j = std::max(b.jlo, in.jlo); j < j1; ++j)
+        acc += static_cast<double>(src(j, k, l)) *
+               static_cast<double>(dst(j, k, l));
+    }
   }
   return acc;
 }
@@ -97,38 +110,6 @@ inline void smvp_dot2_row(const View& A, const Field<S>& src, Field<S>& dst,
   pair_out[1] = dot_dst;
 }
 
-/// One row of the fused CG update + ⟨r,z⟩ for the local preconditioners.
-template <class View>
-inline double calc_ur_dot_row(Chunk& c, const View& A, double alpha,
-                              bool diag, int k, int l) {
-  using S = typename View::Scalar;
-  auto& u = c.field_t<S>(FieldId::kU);
-  auto& r = c.field_t<S>(FieldId::kR);
-  const auto& p = c.field_t<S>(FieldId::kP);
-  const auto& w = c.field_t<S>(FieldId::kW);
-  const S a = static_cast<S>(alpha);
-  double acc = 0.0;
-  if (diag) {
-    auto& z = c.field_t<S>(FieldId::kZ);
-    for (int j = 0; j < c.nx(); ++j) {
-      u(j, k, l) += a * p(j, k, l);
-      const S rv = r(j, k, l) - a * w(j, k, l);
-      r(j, k, l) = rv;
-      const S zv = rv / A.diag(j, k, l);
-      z(j, k, l) = zv;
-      acc += static_cast<double>(rv) * static_cast<double>(zv);
-    }
-  } else {
-    for (int j = 0; j < c.nx(); ++j) {
-      u(j, k, l) += a * p(j, k, l);
-      const S rv = r(j, k, l) - a * w(j, k, l);
-      r(j, k, l) = rv;
-      acc += static_cast<double>(rv) * static_cast<double>(rv);
-    }
-  }
-  return acc;
-}
-
 /// One row of the CG update u += α·p, r −= α·w.
 template <class S>
 inline void cg_calc_ur_row(Chunk& c, double alpha, int k, int l) {
@@ -140,6 +121,54 @@ inline void cg_calc_ur_row(Chunk& c, double alpha, int k, int l) {
   for (int j = 0; j < c.nx(); ++j) {
     u(j, k, l) += a * p(j, k, l);
     r(j, k, l) -= a * w(j, k, l);
+  }
+}
+
+/// One row of the fused CG update + ⟨r,z⟩ for the local preconditioners.
+template <class View>
+inline double calc_ur_dot_row(Chunk& c, const View& A, double alpha,
+                              bool diag, int k, int l) {
+  using S = typename View::Scalar;
+  auto& u = c.field_t<S>(FieldId::kU);
+  auto& r = c.field_t<S>(FieldId::kR);
+  const auto& p = c.field_t<S>(FieldId::kP);
+  const auto& w = c.field_t<S>(FieldId::kW);
+  auto& z = c.field_t<S>(FieldId::kZ);
+  const S a = static_cast<S>(alpha);
+  if constexpr (std::is_same_v<S, double>) {
+    double acc = 0.0;
+    if (diag) {
+      for (int j = 0; j < c.nx(); ++j) {
+        u(j, k, l) += a * p(j, k, l);
+        const S rv = r(j, k, l) - a * w(j, k, l);
+        r(j, k, l) = rv;
+        const S zv = rv / A.diag(j, k, l);
+        z(j, k, l) = zv;
+        acc += static_cast<double>(rv) * static_cast<double>(zv);
+      }
+    } else {
+      for (int j = 0; j < c.nx(); ++j) {
+        u(j, k, l) += a * p(j, k, l);
+        const S rv = r(j, k, l) - a * w(j, k, l);
+        r(j, k, l) = rv;
+        acc += static_cast<double>(rv) * static_cast<double>(rv);
+      }
+    }
+    return acc;
+  } else {
+    // fp32: the update stores, then the fp64 dot over the stored values
+    // in ascending j — bitwise the fused loop's sum (see
+    // jacobi_update_row for why the loops are split).
+    if (!diag) {
+      cg_calc_ur_row<S>(c, alpha, k, l);
+      return dot_row(r, r, c.nx(), k, l);
+    }
+    for (int j = 0; j < c.nx(); ++j) {
+      u(j, k, l) += a * p(j, k, l);
+      r(j, k, l) -= a * w(j, k, l);
+      z(j, k, l) = r(j, k, l) / A.diag(j, k, l);
+    }
+    return dot_row(r, z, c.nx(), k, l);
   }
 }
 
@@ -501,6 +530,7 @@ void smvp(Chunk& c, FieldId src_id, FieldId dst_id, const Bounds& b) {
 }
 
 double smvp_dot(Chunk& c, FieldId src_id, FieldId dst_id, const Bounds& b) {
+  TEA_ASSERT(src_id != dst_id, "smvp_dot: src and dst must be distinct");
   double acc = 0.0;
   op_dispatch(c, [&](const auto& A) {
     using S = typename std::decay_t<decltype(A)>::Scalar;
@@ -620,6 +650,7 @@ void dot_rows(const Chunk& c, FieldId a_id, FieldId b_id, const Bounds& tb,
 
 void smvp_dot_rows(Chunk& c, FieldId src_id, FieldId dst_id, const Bounds& b,
                    const Bounds& tb, double* row_sums) {
+  TEA_ASSERT(src_id != dst_id, "smvp_dot_rows: src and dst must be distinct");
   const Bounds in = interior_bounds(c);
   op_dispatch(c, [&](const auto& A) {
     using S = typename std::decay_t<decltype(A)>::Scalar;

@@ -59,7 +59,7 @@ void smvp(Chunk& c, FieldId src, FieldId dst, const Bounds& bounds);
 
 /// dst = A·src over `bounds`; returns Σ src·dst over the interior
 /// (the fused form of Listing 1 in the paper; the solvers run its row
-/// form, smvp_dot_rows).
+/// form, smvp_dot_rows).  src and dst must be distinct fields.
 [[nodiscard]] double smvp_dot(Chunk& c, FieldId src, FieldId dst,
                               const Bounds& bounds);
 
@@ -136,7 +136,7 @@ void dot_rows(const Chunk& c, FieldId a, FieldId b, const Bounds& tb,
 
 /// Rows of `tb` of dst = A·src over `bounds`, depositing Σ src·dst per
 /// row (row_sums written for interior rows only; halo-extension rows just
-/// sweep).
+/// sweep).  src and dst must be distinct fields.
 void smvp_dot_rows(Chunk& c, FieldId src, FieldId dst, const Bounds& bounds,
                    const Bounds& tb, double* row_sums);
 

@@ -235,7 +235,7 @@ SolveStats CGSolver::solve_team(SimCluster2D& cl, const SolverConfig& cfg,
 SolveStats CGSolver::solve(SimCluster2D& cl, const SolverConfig& cfg) {
   cfg.validate();
   return solve_in_region(
-      [&](const Team& t) { return solve_team(cl, cfg, t); });
+      cl, [&](const Team& t) { return solve_team(cl, cfg, t); });
 }
 
 }  // namespace tealeaf

@@ -185,7 +185,7 @@ SolveStats ChebyshevSolver::solve(SimCluster2D& cl,
                                   const SolverConfig& cfg) {
   cfg.validate();
   return solve_in_region(
-      [&](const Team& t) { return solve_team(cl, cfg, t); });
+      cl, [&](const Team& t) { return solve_team(cl, cfg, t); });
 }
 
 }  // namespace tealeaf

@@ -61,7 +61,7 @@ SolveStats JacobiSolver::solve_team(SimCluster2D& cl, const SolverConfig& cfg,
 SolveStats JacobiSolver::solve(SimCluster2D& cl, const SolverConfig& cfg) {
   cfg.validate();
   return solve_in_region(
-      [&](const Team& t) { return solve_team(cl, cfg, t); });
+      cl, [&](const Team& t) { return solve_team(cl, cfg, t); });
 }
 
 }  // namespace tealeaf

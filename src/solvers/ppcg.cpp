@@ -275,7 +275,7 @@ SolveStats PPCGSolver::solve(SimCluster2D& cl, const SolverConfig& cfg) {
   TEA_REQUIRE(cfg.halo_depth <= cl.halo_depth(),
               "cluster halo allocation too shallow for matrix-powers depth");
   return solve_in_region(
-      [&](const Team& t) { return solve_team(cl, cfg, t); });
+      cl, [&](const Team& t) { return solve_team(cl, cfg, t); });
 }
 
 }  // namespace tealeaf

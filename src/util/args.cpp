@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "util/error.hpp"
+#include "util/numeric.hpp"
 
 namespace tealeaf {
 
@@ -77,17 +78,7 @@ std::vector<int> split_int_list(const std::string& value,
                                 const std::string& context) {
   std::vector<int> items;
   for (const std::string& s : split_list(value, context)) {
-    std::size_t used = 0;
-    double v = 0.0;
-    try {
-      v = std::stod(s, &used);
-    } catch (const std::exception&) {
-      used = 0;
-    }
-    if (used != s.size()) {
-      throw TeaError("bad numeric value for " + context + ": '" + s + "'");
-    }
-    items.push_back(static_cast<int>(v));
+    items.push_back(parse_int(s, context));
   }
   return items;
 }

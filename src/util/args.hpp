@@ -45,8 +45,8 @@ class Args {
 [[nodiscard]] std::vector<std::string> split_list(const std::string& value,
                                                   const std::string& context);
 
-/// As split_list, but every item must parse fully as a number (integral
-/// values may be written as "4" or "4.0"); throws TeaError otherwise.
+/// As split_list, but every item must parse as an int (see parse_int:
+/// "4" or "4.0", never "4.5" or "1e30"); throws TeaError otherwise.
 [[nodiscard]] std::vector<int> split_int_list(const std::string& value,
                                               const std::string& context);
 

@@ -1,11 +1,47 @@
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <string>
 #include <vector>
 
+#include "util/error.hpp"
+
 namespace tealeaf {
+
+/// Parse the whole of `s` as a double.  Throws a TeaError naming `what`
+/// (the deck key or CSV column) when any of the token is left over, so
+/// "1e-8xyz" is an error, not 1e-8.
+inline double parse_double(const std::string& s, const std::string& what) {
+  std::size_t used = 0;
+  double v = 0.0;
+  try {
+    v = std::stod(s, &used);
+  } catch (const std::exception&) {
+    used = 0;
+  }
+  if (used == 0 || used != s.size()) {
+    throw TeaError("bad numeric value for " + what + ": '" + s + "'");
+  }
+  return v;
+}
+
+/// Parse the whole of `s` as an int.  The value must also be finite,
+/// integral and within int range: "64", "64.0" and "1e3" parse; "64abc",
+/// "64.7", "1e30" and "inf" throw a TeaError naming `what` instead of
+/// truncating (or overflowing) in a float-to-int cast.
+inline int parse_int(const std::string& s, const std::string& what) {
+  const double v = parse_double(s, what);
+  if (!std::isfinite(v) || v != std::trunc(v) ||
+      v < static_cast<double>(std::numeric_limits<int>::min()) ||
+      v > static_cast<double>(std::numeric_limits<int>::max())) {
+    throw TeaError("bad integer value for " + what + ": '" + s +
+                   "' (need a whole number within int range)");
+  }
+  return static_cast<int>(v);
+}
 
 /// Relative difference |a-b| / max(|a|,|b|,floor); 0 when both are tiny.
 inline double rel_diff(double a, double b, double floor = 1e-300) {

@@ -12,6 +12,10 @@
 #include <omp.h>
 #endif
 
+#if defined(__x86_64__)
+#include <xmmintrin.h>
+#endif
+
 namespace tealeaf {
 
 /// Number of worker threads the kernels will use.
@@ -45,6 +49,50 @@ inline void cpu_pause() {
   asm volatile("yield" ::: "memory");
 #endif
 }
+
+/// Scoped subnormal flushing for the calling thread.  Constructed with
+/// `true` on x86-64 it saves MXCSR and sets FTZ (bit 15: subnormal
+/// results become zero) and DAZ (bit 6: subnormal inputs read as zero);
+/// the destructor restores the saved register.  The FP control register
+/// belongs to one thread, so a parallel region that wants flushing must
+/// hold one guard on every thread of the region.  On every other target
+/// the guard is a no-op and gradual underflow stays on (`kActive` is
+/// false there).
+class SubnormalFlush {
+ public:
+#if defined(__x86_64__)
+  static constexpr bool kActive = true;
+#else
+  static constexpr bool kActive = false;
+#endif
+
+  explicit SubnormalFlush(bool on) {
+#if defined(__x86_64__)
+    if (on) {
+      saved_ = _mm_getcsr();
+      _mm_setcsr(saved_ | kFtz | kDaz);
+      held_ = true;
+    }
+#else
+    (void)on;
+#endif
+  }
+  ~SubnormalFlush() {
+#if defined(__x86_64__)
+    if (held_) _mm_setcsr(saved_);
+#endif
+  }
+  SubnormalFlush(const SubnormalFlush&) = delete;
+  SubnormalFlush& operator=(const SubnormalFlush&) = delete;
+
+ private:
+#if defined(__x86_64__)
+  static constexpr unsigned kFtz = 1u << 15;
+  static constexpr unsigned kDaz = 1u << 6;
+  unsigned saved_ = 0;
+  bool held_ = false;
+#endif
+};
 
 /// Sense-reversing spin barrier: the synchronisation primitive behind
 /// sub-teams.  An orphaned `#pragma omp barrier` always binds to the

@@ -94,6 +94,26 @@ TEST(Deck, RejectsMalformedInput) {
       InputDeck::parse_string("*tea\nx_cells=4\ny_cells=4\nend_step=1\n"
                               "*endtea\n"),
       TeaError);
+  // Numbers must convert whole, and integer keys need a whole number in
+  // int range: no truncation, no trailing junk, no out-of-range cast.
+  const auto with_line = [](const std::string& line) {
+    return "*tea\nx_cells=4\ny_cells=4\nend_step=1\n" + line +
+           "\nstate 1 density=1 energy=1\n*endtea\n";
+  };
+  for (const char* bad :
+       {"x_cells=64abc", "tl_eps=1e-8xyz", "x_cells=64.7",
+        "tl_max_iters=2.9", "tl_max_iters=1e30", "end_step=1e12",
+        "tl_halo_depth=inf", "tl_tile_rows=nan", "sweep_ranks=-1e10",
+        "sweep_mesh_sizes=32,48.5", "state 2 density=1x energy=1"}) {
+    EXPECT_THROW(InputDeck::parse_string(with_line(bad)), TeaError) << bad;
+  }
+  EXPECT_EQ(InputDeck::parse_string(with_line("x_cells=64.0")).x_cells, 64);
+  EXPECT_EQ(InputDeck::parse_string(with_line("tl_max_iters=1e3"))
+                .solver.max_iters,
+            1000);
+  EXPECT_EQ(InputDeck::parse_string(with_line("tl_tile_rows=auto"))
+                .solver.tile_rows,
+            -1);
 }
 
 TEST(Deck, CommentsAndBlankLinesIgnored) {

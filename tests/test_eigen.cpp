@@ -97,10 +97,10 @@ TEST(EigenEstimate, RejectsDegenerateInput) {
   CGRecurrence rec;
   rec.alphas = {1.0};
   rec.betas = {};
-  EXPECT_THROW(estimate_eigenvalues(rec, 1.0, 1.0), TeaError);
+  EXPECT_THROW((void)estimate_eigenvalues(rec, 1.0, 1.0), TeaError);
   rec.alphas = {1.0, 0.0};
   rec.betas = {0.1};
-  EXPECT_THROW(estimate_eigenvalues(rec, 1.0, 1.0), TeaError);
+  EXPECT_THROW((void)estimate_eigenvalues(rec, 1.0, 1.0), TeaError);
 }
 
 }  // namespace

@@ -156,8 +156,8 @@ TEST(Json, RejectsMalformedDocuments) {
 
 TEST(Json, TypedAccessorsEnforceKinds) {
   const io::JsonValue v = io::JsonValue::parse(R"({"a": [1, 2]})");
-  EXPECT_THROW(v.as_number(), TeaError);
-  EXPECT_THROW(v.at("missing"), TeaError);
+  EXPECT_THROW((void)v.as_number(), TeaError);
+  EXPECT_THROW((void)v.at("missing"), TeaError);
   EXPECT_EQ(v.at("a").size(), 2u);
   EXPECT_DOUBLE_EQ(v.at("a").at(1).as_number(), 2.0);
 }

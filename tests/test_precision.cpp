@@ -16,15 +16,26 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cfloat>
+#include <cmath>
+#include <cstring>
 #include <fstream>
+#include <memory>
 #include <string>
+#include <vector>
 
 #include "api/solve_api.hpp"
 #include "driver/deck.hpp"
 #include "driver/decks.hpp"
+#include "ops/operator_view.hpp"
 #include "solvers/solver.hpp"
 #include "test_helpers.hpp"
 #include "util/error.hpp"
+#include "util/parallel.hpp"
+
+#if defined(__x86_64__)
+#include <xmmintrin.h>
+#endif
 
 namespace tealeaf {
 namespace {
@@ -33,6 +44,12 @@ using testing::install_operator;
 using testing::make_test_problem;
 using testing::make_test_problem_3d;
 using testing::max_field_diff;
+
+/// True when the n values at a and b have the same bit patterns.
+template <class T>
+bool same_bits(const T* a, const T* b, std::size_t n) {
+  return std::memcmp(a, b, n * sizeof(T)) == 0;
+}
 
 // ---- fp64 path: bitwise unperturbed by the precision layer ---------------
 
@@ -251,6 +268,299 @@ TEST(PrecisionShape, MatrixFileOperatorRejectsReducedPrecision) {
   // The guard fires before any file I/O: a loaded operator has no stencil
   // coefficients to re-assemble in fp32.
   EXPECT_THROW(session.solve(cfg), TeaError);
+}
+
+// ---- fp32 row cores: kernel-level oracle --------------------------------
+
+/// Put every chunk on its fp32 bank as the single/mixed drivers do — the
+/// coefficients downcast, an assembled operator re-assembled in fp32 —
+/// and fill the fp32 work fields (halos included) with deterministic
+/// values, then activate the bank.  The values span 2^-20..2^20, so the
+/// fp64 row sums round and depend on their order of accumulation.
+void activate_fp32_bank(SimCluster& cl) {
+  cl.for_each_chunk([](int rank, Chunk& c) {
+    c.enable_fp32();
+    for (const FieldId f : {FieldId::kKx, FieldId::kKy, FieldId::kKz}) {
+      if (f == FieldId::kKz && c.dims() == 2) continue;
+      const Field<double>& k64 = c.field(f);
+      Field<float>& k32 = c.field32(f);
+      for (std::size_t i = 0; i < k64.size(); ++i)
+        k32.data()[i] = static_cast<float>(k64.data()[i]);
+    }
+    if (c.op_kind() == OperatorKind::kCsr) {
+      c.set_assembled_operator32(
+          std::make_shared<CsrMatrix32>(assemble_from_stencil_t<float>(c)));
+    }
+    int seed = 0;
+    for (const FieldId f : {FieldId::kU, FieldId::kP, FieldId::kR,
+                            FieldId::kW, FieldId::kZ}) {
+      Field<float>& x = c.field32(f);
+      for (std::size_t i = 0; i < x.size(); ++i) {
+        x.data()[i] = static_cast<float>(std::ldexp(
+            0.5 + 0.25 * std::sin(0.37 * static_cast<double>(i) +
+                                  1.3 * seed + 0.7 * rank),
+            static_cast<int>(i % 41) - 20));
+      }
+      ++seed;
+    }
+    c.set_fp32_active(true);
+  });
+}
+
+/// Call `fn` with the chunk's float operator view.
+template <class Fn>
+void with_view32(const Chunk& c, Fn&& fn) {
+  if (c.op_kind() == OperatorKind::kCsr) {
+    fn(CsrViewT<float>(c));
+  } else if (c.dims() == 3) {
+    fn(StencilView<3, float>(c));
+  } else {
+    fn(StencilView<2, float>(c));
+  }
+}
+
+/// The tile boxes the engine hands out over the interior at `tile` rows
+/// per block (0: one block per plane), plane by plane.
+std::vector<Bounds> interior_tiles(const Chunk& c, int tile) {
+  const Bounds in = interior_bounds(c);
+  const int rows = in.khi - in.klo;
+  const int h = (tile <= 0 || tile >= rows) ? rows : tile;
+  std::vector<Bounds> tiles;
+  for (int l = in.llo; l < in.lhi; ++l) {
+    for (int k0 = in.klo; k0 < in.khi; k0 += h) {
+      Bounds tb = in;
+      tb.llo = l;
+      tb.lhi = l + 1;
+      tb.klo = k0;
+      tb.khi = std::min(in.khi, k0 + h);
+      tiles.push_back(tb);
+    }
+  }
+  return tiles;
+}
+
+/// Reference smvp_dot over the interior in the fused order: per cell,
+/// store A·src, then add double(src)·double(stored) in ascending j.
+std::vector<double> reference_smvp_dot(Chunk& c) {
+  std::vector<double> rows(static_cast<std::size_t>(c.ny() * c.nz()));
+  const Field<float>& p = c.field32(FieldId::kP);
+  Field<float>& w = c.field32(FieldId::kW);
+  with_view32(c, [&](const auto& A) {
+    for (int l = 0; l < c.nz(); ++l) {
+      for (int k = 0; k < c.ny(); ++k) {
+        double acc = 0.0;
+        for (int j = 0; j < c.nx(); ++j) {
+          const float wv = A.apply(p, j, k, l);
+          w(j, k, l) = wv;
+          acc += static_cast<double>(p(j, k, l)) * static_cast<double>(wv);
+        }
+        rows[static_cast<std::size_t>(l * c.ny() + k)] = acc;
+      }
+    }
+  });
+  return rows;
+}
+
+/// Reference calc_ur_dot over the interior in the fused order.
+std::vector<double> reference_calc_ur_dot(Chunk& c, double alpha, bool diag) {
+  std::vector<double> rows(static_cast<std::size_t>(c.ny() * c.nz()));
+  Field<float>& u = c.field32(FieldId::kU);
+  Field<float>& r = c.field32(FieldId::kR);
+  Field<float>& z = c.field32(FieldId::kZ);
+  const Field<float>& p = c.field32(FieldId::kP);
+  const Field<float>& w = c.field32(FieldId::kW);
+  const float a = static_cast<float>(alpha);
+  with_view32(c, [&](const auto& A) {
+    for (int l = 0; l < c.nz(); ++l) {
+      for (int k = 0; k < c.ny(); ++k) {
+        double acc = 0.0;
+        for (int j = 0; j < c.nx(); ++j) {
+          u(j, k, l) += a * p(j, k, l);
+          const float rv = r(j, k, l) - a * w(j, k, l);
+          r(j, k, l) = rv;
+          if (diag) {
+            const float zv = rv / A.diag(j, k, l);
+            z(j, k, l) = zv;
+            acc += static_cast<double>(rv) * static_cast<double>(zv);
+          } else {
+            acc += static_cast<double>(rv) * static_cast<double>(rv);
+          }
+        }
+        rows[static_cast<std::size_t>(l * c.ny() + k)] = acc;
+      }
+    }
+  });
+  return rows;
+}
+
+/// (geometry, operator).
+using RowCoreCase = std::tuple<int, OperatorKind>;
+
+class Fp32RowCores : public ::testing::TestWithParam<RowCoreCase> {
+ protected:
+  std::unique_ptr<SimCluster> make_active() const {
+    const auto [dims, op] = GetParam();
+    auto cl = dims == 3 ? make_test_problem_3d(9, 2, 2)
+                        : make_test_problem(18, 2, 2);
+    install_operator(*cl, op);
+    activate_fp32_bank(*cl);
+    return cl;
+  }
+
+  /// Every fp32 work field and the per-row partials of `got` equal
+  /// `want`'s bit for bit.
+  static void expect_same(SimCluster& got, SimCluster& want,
+                          const std::vector<std::vector<double>>& rows,
+                          const std::string& what) {
+    for (int rank = 0; rank < got.nranks(); ++rank) {
+      Chunk& g = got.chunk(rank);
+      Chunk& e = want.chunk(rank);
+      for (const FieldId f : {FieldId::kU, FieldId::kP, FieldId::kR,
+                              FieldId::kW, FieldId::kZ}) {
+        const Field<float>& a = g.field32(f);
+        EXPECT_TRUE(same_bits(a.data(), e.field32(f).data(), a.size()))
+            << what << " rank " << rank << " field "
+            << static_cast<int>(f);
+      }
+      const std::vector<double>& ref = rows[static_cast<std::size_t>(rank)];
+      EXPECT_TRUE(same_bits(g.row_scratch(), ref.data(), ref.size()))
+          << what << " rank " << rank << " row partials";
+    }
+  }
+};
+
+TEST_P(Fp32RowCores, SmvpDotRowsMatchFusedReferenceBitwise) {
+  for (const int tile : {1, 3, 0}) {
+    auto got = make_active();
+    auto want = make_active();
+    std::vector<std::vector<double>> rows;
+    for (int rank = 0; rank < got->nranks(); ++rank) {
+      Chunk& c = got->chunk(rank);
+      for (const Bounds& tb : interior_tiles(c, tile)) {
+        kernels::smvp_dot_rows(c, FieldId::kP, FieldId::kW,
+                               interior_bounds(c), tb, c.row_scratch());
+      }
+      rows.push_back(reference_smvp_dot(want->chunk(rank)));
+    }
+    expect_same(*got, *want, rows, "smvp_dot tile=" + std::to_string(tile));
+  }
+}
+
+TEST_P(Fp32RowCores, CalcUrDotRowsMatchFusedReferenceBitwise) {
+  constexpr double kAlpha = 0.61;
+  for (const PreconType precon :
+       {PreconType::kNone, PreconType::kJacobiDiag}) {
+    const bool diag = (precon == PreconType::kJacobiDiag);
+    for (const int tile : {1, 3, 0}) {
+      auto got = make_active();
+      auto want = make_active();
+      std::vector<std::vector<double>> rows;
+      for (int rank = 0; rank < got->nranks(); ++rank) {
+        Chunk& c = got->chunk(rank);
+        for (const Bounds& tb : interior_tiles(c, tile)) {
+          kernels::calc_ur_dot_rows(c, kAlpha, precon, tb, c.row_scratch());
+        }
+        rows.push_back(
+            reference_calc_ur_dot(want->chunk(rank), kAlpha, diag));
+      }
+      expect_same(*got, *want, rows,
+                  std::string("calc_ur_dot ") + to_string(precon) +
+                      " tile=" + std::to_string(tile));
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    GeometriesOperators, Fp32RowCores,
+    ::testing::Combine(::testing::Values(2, 3),
+                       ::testing::Values(OperatorKind::kStencil,
+                                         OperatorKind::kCsr)));
+
+// ---- subnormals: flushed inside fp32 solves, never outside ---------------
+
+/// The crooked pipe at 64² with a cold background of energy 1e-30: far
+/// from the hot inlet the fp32 correction decays below FLT_MIN.
+InputDeck cold_pipe_deck() {
+  return InputDeck::parse_string(
+      "*tea\n"
+      "x_cells=64\ny_cells=64\nxmin=0\nxmax=10\nymin=0\nymax=10\n"
+      "initial_timestep=0.04\nend_step=3\ntl_coefficient=conductivity\n"
+      "tl_use_cg\ntl_eps=1e-10\ntl_max_iters=20000\n"
+      "tl_precision=mixed\ntl_operator=csr\n"
+      "state 1 density=100 energy=1e-30\n"
+      "state 2 density=0.1 energy=1e-30 geometry=rectangle "
+      "xmin=0 xmax=3 ymin=7 ymax=8\n"
+      "state 3 density=0.1 energy=1e-30 geometry=rectangle "
+      "xmin=2 xmax=3 ymin=2 ymax=8\n"
+      "state 4 density=0.1 energy=1e-30 geometry=rectangle "
+      "xmin=2 xmax=8 ymin=2 ymax=3\n"
+      "state 5 density=0.1 energy=25 geometry=rectangle "
+      "xmin=0 xmax=1 ymin=7 ymax=8\n"
+      "*endtea\n");
+}
+
+/// Subnormal values in the fp32 solve fields u, p, r and w of every chunk
+/// (u0 is left out: its downcast runs outside the solve).
+long long fp32_subnormals(const SimCluster& cl) {
+  long long n = 0;
+  for (int rank = 0; rank < cl.nranks(); ++rank) {
+    const Chunk& c = cl.chunk(rank);
+    for (const FieldId f :
+         {FieldId::kU, FieldId::kP, FieldId::kR, FieldId::kW}) {
+      const Field<float>& x = c.field32(f);
+      for (std::size_t i = 0; i < x.size(); ++i)
+        n += std::fpclassify(x.data()[i]) == FP_SUBNORMAL ? 1 : 0;
+    }
+  }
+  return n;
+}
+
+TEST(SubnormalFlush, MixedSolveLeavesNoFp32Subnormals) {
+  if (!SubnormalFlush::kActive) {
+    GTEST_SKIP() << "subnormal flushing is a no-op on this target";
+  }
+  // Without flushing (gradual underflow in the solve region) this deck
+  // left 4,417, 3,266 and 886 subnormals in these fields after steps 0, 1
+  // and 2.
+  const InputDeck deck = cold_pipe_deck();
+  SolveSession session(deck, 2);
+  for (int step = 0; step < deck.end_step; ++step) {
+    const SolveStats st = session.solve();
+    ASSERT_TRUE(st.converged) << "step " << step;
+    EXPECT_LE(st.final_norm, deck.solver.eps * st.initial_norm)
+        << "step " << step;
+    EXPECT_EQ(fp32_subnormals(session.cluster()), 0) << "step " << step;
+  }
+}
+
+/// Every thread of a fresh region divides FLT_MIN by 4 and reports
+/// whether the result survived (it does under gradual underflow).
+bool every_thread_keeps_subnormals() {
+  std::vector<int> kept(static_cast<std::size_t>(num_threads()), 0);
+  int nthreads = 0;
+  parallel_region([&](const Team& t) {
+    volatile float tiny = FLT_MIN;
+    const float quarter = tiny / 4.0f;
+    kept[static_cast<std::size_t>(t.thread_id())] = quarter != 0.0f;
+    t.single([&] { nthreads = t.num_threads(); });
+  });
+  return std::count(kept.begin(), kept.begin() + nthreads, 1) == nthreads;
+}
+
+TEST(SubnormalFlush, RestoredOnEveryThreadAfterMixedSolve) {
+  for (const int threads : {1, 3}) {
+    const ThreadScope scope(threads);
+    ASSERT_TRUE(every_thread_keeps_subnormals()) << threads << " threads";
+#if defined(__x86_64__)
+    const unsigned before = _mm_getcsr();
+#endif
+    SolveSession session(cold_pipe_deck(), 2);
+    ASSERT_TRUE(session.solve().converged) << threads << " threads";
+#if defined(__x86_64__)
+    EXPECT_EQ(_mm_getcsr(), before) << threads << " threads";
+#endif
+    EXPECT_TRUE(every_thread_keeps_subnormals()) << threads << " threads";
+  }
 }
 
 }  // namespace

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "driver/decks.hpp"
 #include "driver/sweep.hpp"
 #include "model/scaling.hpp"
@@ -236,6 +239,21 @@ TEST_F(SweepRun, CsvRoundTrips) {
   std::vector<std::string> corrupt = lines;
   corrupt[1].replace(corrupt[1].find(",1,"), 3, ",x,");
   EXPECT_THROW(SweepReport::from_csv_lines(corrupt), TeaError);
+
+  // Integer cells need a whole number within int range: 2^32 + 32 in the
+  // mesh column must not narrow to 32.
+  const auto with_mesh = [&](const std::string& value) {
+    std::vector<std::string> table = lines;
+    std::string& row = table[1];
+    std::size_t lo = 0;
+    for (int col = 0; col < 3; ++col) lo = row.find(',', lo) + 1;
+    row.replace(lo, row.find(',', lo) - lo, value);  // column 3: mesh
+    return table;
+  };
+  for (const char* bad : {"4294967328", "32.5", "32abc", "inf"}) {
+    EXPECT_THROW(SweepReport::from_csv_lines(with_mesh(bad)), TeaError)
+        << bad;
+  }
 
   // A table written before the pipelined or unfused schedule was retired
   // carries an extra pipeline or fused column: its header no longer

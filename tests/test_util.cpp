@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cfloat>
+
 #include "util/args.hpp"
 #include "util/error.hpp"
 #include "util/numeric.hpp"
@@ -106,6 +108,24 @@ TEST(Parallel, ForCoversRangeOnce) {
   std::vector<int> hits(1000, 0);
   parallel_for(0, 1000, [&](std::int64_t i) { hits[i] += 1; });
   for (const int h : hits) EXPECT_EQ(h, 1);
+}
+
+TEST(Parallel, SubnormalFlushIsScopedToTheGuard) {
+  volatile float tiny = FLT_MIN;
+  EXPECT_NE(tiny / 4.0f, 0.0f);
+  {
+    const SubnormalFlush off(false);
+    EXPECT_NE(tiny / 4.0f, 0.0f);
+  }
+  {
+    const SubnormalFlush on(true);
+    if (SubnormalFlush::kActive) {
+      EXPECT_EQ(tiny / 4.0f, 0.0f);
+    } else {
+      EXPECT_NE(tiny / 4.0f, 0.0f);
+    }
+  }
+  EXPECT_NE(tiny / 4.0f, 0.0f);
 }
 
 TEST(Stats, WelfordMoments) {
