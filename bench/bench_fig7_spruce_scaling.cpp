@@ -8,10 +8,9 @@
 #include <cmath>
 #include <cstdio>
 
-#include "amg/mg_pcg.hpp"
+#include "api/solve_api.hpp"
 #include "bench_common.hpp"
 #include "io/csv.hpp"
-#include "ops/kernels.hpp"
 #include "util/args.hpp"
 
 int main(int argc, char** argv) {
@@ -47,24 +46,14 @@ int main(int argc, char** argv) {
   // 1000:1-contrast material the interpolation quality degrades slowly
   // with resolution; project with a weak logarithmic growth.
   const int measured_amg_iters = [&] {
-    InputDeck deck = decks::crooked_pipe(measure_n, 1);
-    TeaLeafApp app(deck, 1);
-    Chunk2D& c = app.cluster().chunk(0);
-    const double dt = deck.initial_timestep;
-    const double dx = app.cluster().mesh().dx();
-    app.cluster().exchange({FieldId::kDensity, FieldId::kEnergy1}, 2);
-    kernels::init_u_u0(c);
-    kernels::init_conduction(c, deck.coefficient, dt / (dx * dx),
-                             dt / (dx * dx));
-    auto solver = MGPreconditionedCG::from_chunk(c);
-    Field2D<double> rhs(measure_n, measure_n, 0, 0.0);
-    for (int k = 0; k < measure_n; ++k)
-      for (int j = 0; j < measure_n; ++j) rhs(j, k) = c.u0()(j, k);
-    Field2D<double> u(measure_n, measure_n, 1, 0.0);
-    const MGPCGResult res = solver.solve(rhs, u);
-    std::printf("measured MG-PCG iterations: %d (%s)\n", res.iterations,
+    SolverConfig mg = with_solver_name(SolverConfig{}, "mg-pcg");
+    mg.eps = 1e-10;
+    mg.max_iters = 1000;
+    SolveSession session(decks::crooked_pipe(measure_n, 1), /*nranks=*/1);
+    const SolveStats res = session.solve(mg);
+    std::printf("measured MG-PCG iterations: %d (%s)\n", res.outer_iters,
                 res.converged ? "converged" : "NOT converged");
-    return res.iterations;
+    return res.outer_iters;
   }();
   const int amg_iters = static_cast<int>(std::lround(
       measured_amg_iters *

@@ -558,19 +558,18 @@ std::vector<EngineCase> dim_compare_cases() {
   return cases;
 }
 
-/// One fixed-iteration MG-PCG solve (either dimension) on the deck's
-/// undecomposed grid, via the sweep's shared step runner so the bench
-/// always measures exactly the configuration the sweep ranks.  Returns
-/// the result; its solve seconds exclude the hierarchy setup.
-MGPCGResult mg_pcg_fixed_once(const InputDeck& base, int max_iters) {
+/// One fixed-iteration mg-pcg solve (CG preconditioned by one multigrid
+/// V-cycle; either dimension) on the deck's undecomposed grid, through
+/// the session path the sweep and the server run, so the bench measures
+/// exactly the configuration the sweep ranks.  Its solve seconds exclude
+/// the hierarchy's set-up (SolveStats::setup_seconds).
+SolveStats mg_pcg_fixed_once(const InputDeck& base, int max_iters) {
   InputDeck deck = base;
-  deck.solver.type = SolverType::kCG;  // only sizes the halo allocation
-  deck.solver.halo_depth = 1;
-  TeaLeafApp app(deck, /*nranks=*/1);
-  MGPreconditionedCG::Options opt;
-  opt.eps = 1e-300;  // unreachable: every run takes max_iters exactly
-  opt.max_iters = max_iters;
-  return mg_pcg_step(app, deck, opt);
+  deck.solver = with_solver_name(deck.solver, "mg-pcg");
+  deck.solver.eps = 1e-300;  // unreachable: every run takes max_iters exactly
+  deck.solver.max_iters = max_iters;
+  SolveSession session(deck, /*nranks=*/1);
+  return session.solve();
 }
 
 int run_dim_compare(const Args& args) {
@@ -656,7 +655,7 @@ int run_dim_compare(const Args& args) {
 
   // The mg-pcg baseline rides the same comparison now that the multigrid
   // hierarchy is dimension-generic: fixed-iteration solves per geometry
-  // (mg-pcg has no row tiling), each paired with the same solve at one
+  // at the deck's tile height, each paired with the same solve at one
   // thread — untimed, and bitwise equal by the row-ordered reductions.
   {
     const int mg_iters = 8;
@@ -670,18 +669,18 @@ int run_dim_compare(const Args& args) {
         deck.zmin = deck.xmin;
         deck.zmax = deck.xmax;
       }
-      MGPCGResult team;
+      SolveStats team;
       double best = 0.0;
       for (int rep = -1; rep < reps; ++rep) {  // first round is warmup
         team = mg_pcg_fixed_once(deck, mg_iters);
         if (rep <= 0 || team.solve_seconds < best) best = team.solve_seconds;
       }
-      MGPCGResult one;
+      SolveStats one;
       {
         const ThreadScope one_thread(1);
         one = mg_pcg_fixed_once(deck, mg_iters);
       }
-      const bool identical = team.iterations == one.iterations &&
+      const bool identical = team.outer_iters == one.outer_iters &&
                              team.final_norm == one.final_norm;
       all_identical = all_identical && identical;
       const long long cells = dims == 3
@@ -689,17 +688,17 @@ int run_dim_compare(const Args& args) {
                                   : 1LL * mesh2d * mesh2d;
       io::JsonValue d = io::JsonValue::object();
       d.set("cells", cells);
-      d.set("iters", team.iterations);
+      d.set("iters", team.outer_iters);
       d.set("fused_seconds", best);
       const double per_cell_iter =
-          team.iterations > 0
-              ? best / (static_cast<double>(cells) * team.iterations)
+          team.outer_iters > 0
+              ? best / (static_cast<double>(cells) * team.outer_iters)
               : 0.0;
       d.set("fused_seconds_per_cell_iter", per_cell_iter);
       d.set("identical_iterations", identical);
       entry.set(dims == 3 ? "3d" : "2d", std::move(d));
       std::printf("%-10s %dD fused %.4fs (iters %d%s)\n", "mg-pcg", dims,
-                  best, team.iterations, identical ? "" : " MISMATCH");
+                  best, team.outer_iters, identical ? "" : " MISMATCH");
     }
     const double s2 = entry.at("2d").at("fused_seconds_per_cell_iter")
                           .as_number();

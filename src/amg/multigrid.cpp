@@ -8,6 +8,13 @@ namespace tealeaf {
 
 namespace {
 
+constexpr int kPreSweeps = 2;      ///< pre-smoothing sweeps
+constexpr int kPostSweeps = 2;     ///< post-smoothing sweeps
+constexpr double kOmega = 0.8;     ///< Jacobi damping
+constexpr int kCoarseSweeps = 64;  ///< smoother sweeps on the coarsest level
+constexpr int kMinCoarse = 4;      ///< per-axis coarsening floor
+constexpr int kMaxLevels = 24;
+
 MGLevel make_level(int dims, int nx, int ny, int nz) {
   MGLevel lv;
   lv.dims = dims;
@@ -43,25 +50,14 @@ double Multigrid::apply_stencil(const MGLevel& lv, const Field<double>& src,
 
 Multigrid::Multigrid(const Field<double>& kx_fine,
                      const Field<double>& ky_fine, int nx, int ny)
-    : Multigrid(kx_fine, ky_fine, nx, ny, Options{}) {}
-
-Multigrid::Multigrid(const Field<double>& kx_fine,
-                     const Field<double>& ky_fine, int nx, int ny,
-                     const Options& opt)
-    : opt_(opt), dims_(2) {
+    : dims_(2) {
   build(kx_fine, ky_fine, nullptr, nx, ny, 1);
 }
 
 Multigrid::Multigrid(const Field<double>& kx_fine,
                      const Field<double>& ky_fine,
                      const Field<double>& kz_fine, int nx, int ny, int nz)
-    : Multigrid(kx_fine, ky_fine, kz_fine, nx, ny, nz, Options{}) {}
-
-Multigrid::Multigrid(const Field<double>& kx_fine,
-                     const Field<double>& ky_fine,
-                     const Field<double>& kz_fine, int nx, int ny, int nz,
-                     const Options& opt)
-    : opt_(opt), dims_(3) {
+    : dims_(3) {
   TEA_REQUIRE(nz >= 1, "multigrid needs a positive z extent");
   TEA_REQUIRE(kz_fine.halo() >= 1 && kz_fine.halo_z() >= 1,
               "kz needs a z halo for the +1 face plane");
@@ -90,15 +86,15 @@ void Multigrid::build(const Field<double>& kx_fine,
   }
   levels_.push_back(std::move(fine));
 
-  while (static_cast<int>(levels_.size()) < opt_.max_levels) {
+  while (static_cast<int>(levels_.size()) < kMaxLevels) {
     const MGLevel& f = levels_.back();
     // Per-axis 2:1 coarsening while the axis extent exceeds the floor
     // (odd trailing cells aggregate singly); an axis at or below the
     // floor holds, so anisotropic grids keep coarsening their long axes
     // and nz = 1 reproduces the classic 2-D level ladder exactly.
-    const bool cx = f.nx > opt_.min_coarse;
-    const bool cy = f.ny > opt_.min_coarse;
-    const bool cz = dims_ == 3 && f.nz > opt_.min_coarse;
+    const bool cx = f.nx > kMinCoarse;
+    const bool cy = f.ny > kMinCoarse;
+    const bool cz = dims_ == 3 && f.nz > kMinCoarse;
     if (!cx && !cy && !cz) break;
     const int cnx = cx ? coarsen(f.nx) : f.nx;
     const int cny = cy ? coarsen(f.ny) : f.ny;
@@ -183,7 +179,7 @@ void Multigrid::smooth(MGLevel& lv, int sweeps, const Team& team) {
     });
     team.barrier();  // the update stencil reads res rows (k±1, l±1)
     team.for_range(0, lv.num_rows(), [&](int row) {
-      kernels::mg_smooth_row(A, lv.rhs, lv.res, lv.u, opt_.omega,
+      kernels::mg_smooth_row(A, lv.rhs, lv.res, lv.u, kOmega,
                              row % lv.ny, row / lv.ny);
     });
     team.barrier();  // the next sweep's copy reads the updated u
@@ -237,14 +233,14 @@ void Multigrid::v_cycle(const Field<double>& rhs, Field<double>& out,
 
   const int nl = num_levels();
   for (int l = 0; l < nl - 1; ++l) {
-    smooth(levels_[l], opt_.nu_pre, team);
+    smooth(levels_[l], kPreSweeps, team);
     compute_residual(levels_[l], team);
     restrict_residual(levels_[l], levels_[l + 1], team);
   }
-  smooth(levels_[nl - 1], opt_.coarse_sweeps, team);
+  smooth(levels_[nl - 1], kCoarseSweeps, team);
   for (int l = nl - 2; l >= 0; --l) {
     prolong_add(levels_[l + 1], levels_[l], team);
-    smooth(levels_[l], opt_.nu_post, team);
+    smooth(levels_[l], kPostSweeps, team);
   }
 
   team.for_range(0, top.num_rows(), [&](int row) {

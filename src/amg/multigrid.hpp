@@ -36,18 +36,21 @@ struct MGLevel {
 };
 
 /// Geometric multigrid V-cycle for the TeaLeaf operator — the
-/// reproduction's stand-in for Hypre BoomerAMG (DESIGN.md §2.3): on this
+/// reproduction's stand-in for Hypre BoomerAMG (DESIGN.md §2.3), applied
+/// as CG's preconditioner (PreconType::kMultigrid, "mg-pcg"): on this
 /// regular 5-point/7-point problem AMG's behaviour (near mesh-independent
 /// convergence, latency-bound coarse levels) matches geometric MG.
 ///
 /// Dimension-generic like the kernel/solver stack: one hierarchy serves
 /// the 2-D 5-point and the 3-D 7-point operator.  Coarsening picks
 /// per-axis factors from the (nx, ny, nz) extents — an axis coarsens 2:1
-/// while its extent exceeds `min_coarse` and holds otherwise (odd
+/// while its extent exceeds the coarsening floor and holds otherwise (odd
 /// trailing cells aggregate singly), so nz = 1 degenerates bit-for-bit to
-/// the classic 2-D hierarchy.  Face coefficients restrict by averaging
-/// the overlying fine faces and rescale by 1/4 per coarsened axis (the
-/// doubled spacing); residual restriction is full weighting over the
+/// the classic 2-D hierarchy.  Smoothing sweeps, damping and the
+/// coarsening floor are fixed constants (multigrid.cpp).  Face
+/// coefficients restrict by averaging the overlying fine faces and
+/// rescale by 1/4 per coarsened axis (the doubled spacing); residual
+/// restriction is full weighting over the
 /// 2×2(×2) child cells and prolongation is piecewise constant (the
 /// transpose of the restriction), keeping the V-cycle symmetric for use
 /// inside CG.  The smoother is weighted Jacobi.  The per-row operator and
@@ -55,20 +58,9 @@ struct MGLevel {
 /// stencil arity like the chunk kernels.
 class Multigrid {
  public:
-  struct Options {
-    int nu_pre = 2;          ///< pre-smoothing sweeps
-    int nu_post = 2;         ///< post-smoothing sweeps
-    double omega = 0.8;      ///< Jacobi damping
-    int coarse_sweeps = 64;  ///< smoother sweeps on the coarsest level
-    int min_coarse = 4;      ///< per-axis coarsening floor
-    int max_levels = 24;
-  };
-
   /// Build a 2-D hierarchy from fine-level face coefficients (halo >= 1,
   /// physical-boundary faces zero — exactly what kernels::init_conduction
   /// produces).
-  Multigrid(const Field<double>& kx_fine, const Field<double>& ky_fine,
-            int nx, int ny, const Options& opt);
   Multigrid(const Field<double>& kx_fine, const Field<double>& ky_fine,
             int nx, int ny);
 
@@ -76,9 +68,6 @@ class Multigrid {
   /// face at index nz.  nz = 1 (a single cell-plane, kz ≡ 0) produces a
   /// hierarchy whose every level, residual norm and V-cycle output equals
   /// the 2-D hierarchy's exactly.
-  Multigrid(const Field<double>& kx_fine, const Field<double>& ky_fine,
-            const Field<double>& kz_fine, int nx, int ny, int nz,
-            const Options& opt);
   Multigrid(const Field<double>& kx_fine, const Field<double>& ky_fine,
             const Field<double>& kz_fine, int nx, int ny, int nz);
 
@@ -99,7 +88,7 @@ class Multigrid {
   }
   [[nodiscard]] const MGLevel& level(int l) const { return levels_[l]; }
 
-  /// A·src at one cell of a level (shared with mg_pcg and tests).
+  /// A·src at one cell of a level (for tests' residual checks).
   [[nodiscard]] static double apply_stencil(const MGLevel& lv,
                                             const Field<double>& src,
                                             int j, int k, int l = 0);
@@ -114,11 +103,7 @@ class Multigrid {
   void prolong_add(const MGLevel& coarse, MGLevel& fine, const Team& team);
 
   std::vector<MGLevel> levels_;
-  Options opt_;
   int dims_ = 2;
 };
-
-/// Compatibility spelling from before the dimension-generic hierarchy.
-using Multigrid2D = Multigrid;
 
 }  // namespace tealeaf

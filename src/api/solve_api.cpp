@@ -113,11 +113,6 @@ void SolveSession::prepare(OperatorKind op) {
   });
 }
 
-SolveStats SolveSession::solve_prepared_team(const SolverConfig& cfg,
-                                             const Team& team) {
-  return run_solver_team(*cluster_, cfg, team, machine_);
-}
-
 void SolveSession::finish_solve(const SolveStats& stats) {
   // Recover specific energy from the temperature solution.
   cluster_->for_each_chunk([](int, Chunk& c) {

@@ -142,22 +142,19 @@ class SolveSession {
   /// eigenvalue estimates of a successful Chebyshev/PPCG solve.
   SolveStats solve(const SolverConfig& cfg);
 
-  /// Batch-engine split of `solve()`: `prepare` runs the standalone
-  /// pre-solve phases (exchange, u/u0, conduction build) OUTSIDE any
-  /// region; `solve_prepared_team` runs only the solver on the caller's
-  /// team (every thread, identical args — see run_solver_team);
-  /// `finish_solve` recovers energy and advances the session clock.
-  /// cfg must already be validated and halo-compatible.
-  /// `prepare(op)` additionally installs the operator representation the
-  /// coming solve will traverse: kStencil clears any assembled matrix;
-  /// kCsr assembles the freshly built conduction stencil into CSR per
-  /// chunk — or, when the deck names a matrix_file, loads that Matrix
-  /// Market operator instead (single-rank, 2-D; the file is parsed once
-  /// and memoised by path).
+  /// The two halves of `solve()` around the solver, for callers that run
+  /// the solver themselves (the server's batch engine and its solo
+  /// path): `prepare` runs the pre-solve phases (exchange, u/u0,
+  /// conduction build) outside any region; `finish_solve` recovers
+  /// energy and advances the session clock.
+  /// `prepare(op)` also installs the operator representation the coming
+  /// solve will traverse: kStencil clears any assembled matrix; kCsr
+  /// assembles the freshly built conduction stencil into CSR per chunk —
+  /// or, when the deck names a matrix_file, loads that Matrix Market
+  /// operator instead (single-rank, 2-D; the file is parsed once and
+  /// memoised by path).
   void prepare() { prepare(deck_.solver.op); }
   void prepare(OperatorKind op);
-  [[nodiscard]] SolveStats solve_prepared_team(const SolverConfig& cfg,
-                                               const Team& team);
   void finish_solve(const SolveStats& stats);
 
   [[nodiscard]] FieldSummary field_summary();

@@ -7,16 +7,12 @@
 #include <numeric>
 #include <sstream>
 
-#include "amg/mg_pcg.hpp"
 #include "api/solve_api.hpp"
-#include "driver/tealeaf_app.hpp"
 #include "io/csv.hpp"
 #include "model/scaling.hpp"
-#include "ops/kernels.hpp"
 #include "util/error.hpp"
 #include "util/numeric.hpp"
 #include "util/parallel.hpp"
-#include "util/timer.hpp"
 
 namespace tealeaf {
 
@@ -94,10 +90,12 @@ double price_comm(const CommStats& stats, const MachineSpec& machine,
              machine.reduce_alpha_us * 1.0e-6;
 }
 
-/// Run one cell with a SolverType solver through the SolveSession facade
-/// (the same entry path TeaLeafApp and the solve server use).
-void run_native_cell(const InputDeck& deck, int ranks, int steps,
-                     const MachineSpec& machine, SweepOutcome& out) {
+/// Run one cell through the SolveSession facade (the same entry path
+/// TeaLeafApp and the solve server use).  A cell's seconds include any
+/// preconditioner set-up (the multigrid hierarchy's build), which is part
+/// of its cost per step.
+void run_cell(const InputDeck& deck, int ranks, int steps,
+              const MachineSpec& machine, SweepOutcome& out) {
   SolveSession session(deck, ranks);
   // An `auto` tile height resolves against the swept machine's L2, so the
   // cell's execution and its comm pricing describe the same system.
@@ -111,7 +109,7 @@ void run_native_cell(const InputDeck& deck, int ranks, int steps,
     out.inner_steps += st.inner_steps;
     out.spmv += st.spmv_applies;
     out.final_norm = st.final_norm;
-    out.solve_seconds += st.solve_seconds;
+    out.solve_seconds += st.setup_seconds + st.solve_seconds;
     if (st.breakdown) {
       // Numerical breakdown: record the row as failed and stop this cell;
       // the sweep moves on to the next configuration.
@@ -127,34 +125,11 @@ void run_native_cell(const InputDeck& deck, int ranks, int steps,
   out.message_bytes = cs.message_bytes;
 }
 
-/// Run one cell with the MG-preconditioned CG baseline (either
-/// dimension).  It solves on the undecomposed grid (paper Fig. 7's
-/// PETSc+BoomerAMG stand-in), so the cell always runs on one simulated
-/// rank and records no halo traffic; its cost is dominated by the
-/// per-step hierarchy setup.
-void run_mg_pcg_cell(InputDeck deck, int steps, SweepOutcome& out) {
-  deck.solver.type = SolverType::kCG;  // only sizes the halo allocation
-  deck.solver.halo_depth = 1;
-  SolveSession session(deck, /*nranks=*/1);
-  session.cluster().reset_stats();
-
-  MGPreconditionedCG::Options opt;
-  opt.eps = deck.solver.eps;
-  opt.max_iters = deck.solver.max_iters;
-
-  out.converged = true;
-  for (int s = 0; s < steps; ++s) {
-    const MGPCGResult res = mg_pcg_step(session.cluster(), deck, opt);
-    out.converged = out.converged && res.converged;
-    out.iterations += res.iterations;
-    out.final_norm = res.final_norm;
-    out.solve_seconds += res.setup_seconds + res.solve_seconds;
-  }
-  const CommStats& cs = session.cluster().stats();
-  out.reductions = cs.reductions;
-  out.exchanges = cs.exchange_calls;
-  out.messages = cs.messages;
-  out.message_bytes = cs.message_bytes;
+/// A JSON number that must be an integer (checked_integer's rule).
+template <class Int>
+Int json_int(const io::JsonValue& obj, const char* key) {
+  return checked_integer<Int>(obj.at(key).as_number(),
+                              std::string("sweep json key ") + key);
 }
 
 std::string fmt_double(double v) {
@@ -164,52 +139,6 @@ std::string fmt_double(double v) {
 }
 
 }  // namespace
-
-MGPCGResult mg_pcg_step(TeaLeafApp& app, const InputDeck& deck,
-                        const MGPreconditionedCG::Options& opt) {
-  return mg_pcg_step(app.cluster(), deck, opt);
-}
-
-MGPCGResult mg_pcg_step(SimCluster2D& cl, const InputDeck& deck,
-                        const MGPreconditionedCG::Options& opt) {
-  TEA_REQUIRE(cl.nranks() == 1,
-              "mg_pcg_step: the baseline solves the undecomposed grid");
-  const double dt = deck.initial_timestep;
-  const double rx = dt / (cl.mesh().dx() * cl.mesh().dx());
-  const double ry = dt / (cl.mesh().dy() * cl.mesh().dy());
-  const double rz = cl.mesh().dims == 3
-                        ? dt / (cl.mesh().dz() * cl.mesh().dz())
-                        : 0.0;
-  Chunk& c = cl.chunk(0);
-  const bool is3d = c.dims() == 3;
-
-  cl.exchange({FieldId::kDensity, FieldId::kEnergy1}, cl.halo_depth());
-  kernels::init_u_u0(c);
-  kernels::init_conduction(c, deck.coefficient, rx, ry, rz);
-  MGPreconditionedCG solver = MGPreconditionedCG::from_chunk(c, opt);
-
-  Field<double> rhs =
-      is3d ? Field<double>::make3d(c.nx(), c.ny(), c.nz(), 0, 0.0)
-           : Field<double>(c.nx(), c.ny(), 0, 0.0);
-  for (int l = 0; l < c.nz(); ++l)
-    for (int k = 0; k < c.ny(); ++k)
-      for (int j = 0; j < c.nx(); ++j) rhs(j, k, l) = c.u0()(j, k, l);
-  Field<double> u =
-      is3d ? Field<double>::make3d(c.nx(), c.ny(), c.nz(), 1, 0.0)
-           : Field<double>(c.nx(), c.ny(), 1, 0.0);
-  const MGPCGResult res = solver.solve(rhs, u);
-
-  // Write the solution back and recover energy, as the driver does.
-  for (int l = 0; l < c.nz(); ++l) {
-    for (int k = 0; k < c.ny(); ++k) {
-      for (int j = 0; j < c.nx(); ++j) {
-        c.u()(j, k, l) = u(j, k, l);
-        c.energy()(j, k, l) = u(j, k, l) / c.density()(j, k, l);
-      }
-    }
-  }
-  return res;
-}
 
 SweepReport run_sweep(const InputDeck& base, const SweepSpec& spec,
                       const SweepOptions& opts) {
@@ -253,37 +182,14 @@ SweepReport run_sweep(const InputDeck& base, const SweepSpec& spec,
     deck.solver.op = operator_kind_from_string(cs.op);
     deck.solver.precision = precision_from_string(cs.precision);
 
-    const bool mg_pcg = cs.solver == "mg-pcg";
-    if (mg_pcg && deck.solver.op != OperatorKind::kStencil) {
-      out.skipped = true;
-      out.skip_reason =
-          "mg-pcg rebuilds its hierarchy from the face coefficients and "
-          "has no assembled-operator form";
-    } else if (mg_pcg && cs.precision != "double") {
-      out.skipped = true;
-      out.skip_reason =
-          "mg-pcg is double-only (the multigrid hierarchy stays fp64)";
-    } else if (!deck.matrix_file.empty() && cs.precision != "double") {
+    if (!deck.matrix_file.empty() && cs.precision != "double") {
       out.skipped = true;
       out.skip_reason =
           "a loaded matrix_file operator has no stencil coefficients to "
           "re-assemble in fp32";
-    } else if (mg_pcg) {
-      // MG *is* the preconditioner and uses no matrix-powers halo.  Its
-      // V-cycle row loops workshare in one region per solve, untiled.
-      if (cs.precon != PreconType::kNone) {
-        out.skipped = true;
-        out.skip_reason = "mg-pcg embeds multigrid as its preconditioner";
-      } else if (cs.halo_depth > 1) {
-        out.skipped = true;
-        out.skip_reason = "matrix-powers halo depth applies to PPCG only";
-      } else if (cs.tile_rows != 0) {
-        out.skipped = true;
-        out.skip_reason = "mg-pcg does not row-tile";
-      }
     } else {
-      deck.solver.type = solver_type_from_string(cs.solver);
       try {
+        deck.solver = with_solver_name(deck.solver, cs.solver);
         deck.solver.validate();
       } catch (const TeaError& e) {
         out.skipped = true;
@@ -292,13 +198,13 @@ SweepReport run_sweep(const InputDeck& base, const SweepSpec& spec,
     }
 
     if (!out.skipped) {
+      // The multigrid baseline solves the undecomposed grid (paper
+      // Fig. 7's PETSc+BoomerAMG stand-in), so its cells run on one rank.
+      const int ranks =
+          deck.solver.precon == PreconType::kMultigrid ? 1 : spec.ranks;
       ThreadScope threads(cs.threads);
       try {
-        if (mg_pcg) {
-          run_mg_pcg_cell(deck, steps, out);
-        } else {
-          run_native_cell(deck, spec.ranks, steps, opts.machine, out);
-        }
+        run_cell(deck, ranks, steps, opts.machine, out);
       } catch (const TeaError& e) {
         // A solver contract violation mid-run fails this row only; the
         // rest of the cross-product still runs.
@@ -310,7 +216,7 @@ SweepReport run_sweep(const InputDeck& base, const SweepSpec& spec,
       recorded.messages = out.messages;
       recorded.message_bytes = out.message_bytes;
       recorded.reductions = out.reductions;
-      out.comm_seconds = price_comm(recorded, opts.machine, spec.ranks);
+      out.comm_seconds = price_comm(recorded, opts.machine, ranks);
     }
 
     if (opts.echo) {
@@ -540,8 +446,8 @@ void SweepReport::write_json(const std::string& path) const {
 
 SweepReport SweepReport::from_json(const io::JsonValue& doc) {
   SweepReport report;
-  report.ranks = static_cast<int>(doc.at("ranks").as_number());
-  report.steps = static_cast<int>(doc.at("steps").as_number());
+  report.ranks = json_int<int>(doc, "ranks");
+  report.steps = json_int<int>(doc, "steps");
   const io::JsonValue& arr = doc.at("cells");
   for (std::size_t i = 0; i < arr.size(); ++i) {
     const io::JsonValue& cell = arr.at(i);
@@ -554,12 +460,11 @@ SweepReport SweepReport::from_json(const io::JsonValue& doc) {
     SweepOutcome out;
     out.config.solver = cell.at("solver").as_string();
     out.config.precon = precon_type_from_string(cell.at("precon").as_string());
-    out.config.halo_depth = static_cast<int>(cell.at("halo_depth").as_number());
-    out.config.mesh_n = static_cast<int>(cell.at("mesh").as_number());
-    out.config.threads = static_cast<int>(cell.at("threads").as_number());
+    out.config.halo_depth = json_int<int>(cell, "halo_depth");
+    out.config.mesh_n = json_int<int>(cell, "mesh");
+    out.config.threads = json_int<int>(cell, "threads");
     if (cell.contains("tile_rows")) {
-      out.config.tile_rows =
-          static_cast<int>(cell.at("tile_rows").as_number());
+      out.config.tile_rows = json_int<int>(cell, "tile_rows");
     }
     if (cell.contains("geometry")) {
       out.config.dims = cell.at("geometry").as_string() == "3d" ? 3 : 2;
@@ -580,15 +485,13 @@ SweepReport SweepReport::from_json(const io::JsonValue& doc) {
       out.fail_reason = cell.at("fail_reason").as_string();
     }
     out.converged = cell.at("converged").as_bool();
-    out.iterations = static_cast<int>(cell.at("iterations").as_number());
-    out.inner_steps =
-        static_cast<long long>(cell.at("inner_steps").as_number());
-    out.spmv = static_cast<long long>(cell.at("spmv").as_number());
-    out.reductions = static_cast<long long>(cell.at("reductions").as_number());
-    out.exchanges = static_cast<long long>(cell.at("exchanges").as_number());
-    out.messages = static_cast<long long>(cell.at("messages").as_number());
-    out.message_bytes =
-        static_cast<long long>(cell.at("message_bytes").as_number());
+    out.iterations = json_int<int>(cell, "iterations");
+    out.inner_steps = json_int<long long>(cell, "inner_steps");
+    out.spmv = json_int<long long>(cell, "spmv");
+    out.reductions = json_int<long long>(cell, "reductions");
+    out.exchanges = json_int<long long>(cell, "exchanges");
+    out.messages = json_int<long long>(cell, "messages");
+    out.message_bytes = json_int<long long>(cell, "message_bytes");
     out.final_norm = cell.at("final_norm").as_number();
     out.solve_seconds = cell.at("solve_seconds").as_number();
     out.comm_seconds = cell.at("comm_seconds").as_number();

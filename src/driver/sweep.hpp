@@ -3,15 +3,11 @@
 #include <string>
 #include <vector>
 
-#include "amg/mg_pcg.hpp"
-#include "comm/sim_comm.hpp"
 #include "driver/deck.hpp"
 #include "io/json.hpp"
 #include "model/machine.hpp"
 
 namespace tealeaf {
-
-class TeaLeafApp;
 
 /// One resolved cell of the sweep cross-product.
 struct SweepCase {
@@ -62,7 +58,8 @@ struct SweepOutcome {
   long long messages = 0;        ///< point-to-point sends issued
   long long message_bytes = 0;   ///< total simulated payload bytes
   double final_norm = 0.0;       ///< final residual norm of the last solve
-  double solve_seconds = 0.0;    ///< wall-clock of the solves
+  /// Wall-clock of the solves, preconditioner set-up included.
+  double solve_seconds = 0.0;
   double comm_seconds = 0.0;     ///< α-β modelled cost of the comm issued
 };
 
@@ -127,20 +124,5 @@ struct SweepOptions {
 /// Convenience: run the sweep the deck itself declares (`base.sweep`).
 [[nodiscard]] SweepReport run_sweep(const InputDeck& base,
                                     const SweepOptions& opts = {});
-
-/// One timestep of the MG-preconditioned CG baseline on an undecomposed
-/// cluster (either dimension): exchange the materials, rebuild u/u0 and
-/// the conduction coefficients from `deck`, solve A·u = u0 with one
-/// V-cycle of preconditioning per iteration, and write the solution and
-/// recovered energy back into the chunk as the driver does.  `cl` must
-/// have exactly one simulated rank.  Shared by the sweep's mg-pcg cell
-/// runner, the solve server's mg-pcg route and bench_kernels' mg-pcg
-/// series, so all always measure the same configuration.
-[[nodiscard]] MGPCGResult mg_pcg_step(SimCluster2D& cl, const InputDeck& deck,
-                                      const MGPreconditionedCG::Options& opt);
-
-/// Convenience overload on the app facade (`app.cluster()`).
-[[nodiscard]] MGPCGResult mg_pcg_step(TeaLeafApp& app, const InputDeck& deck,
-                                      const MGPreconditionedCG::Options& opt);
 
 }  // namespace tealeaf

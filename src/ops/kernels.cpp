@@ -760,8 +760,8 @@ namespace {
 /// kernels: a StencilView built over the level's coefficient fields (the
 /// hierarchy is always stencil-shaped — coarse operators are re-built from
 /// face coefficients, never assembled).  The hierarchy stays fp64: the
-/// mixed-precision layer treats mg-pcg as double-only (an fp32 V-cycle
-/// inside an fp64 outer CG is a ROADMAP follow-on).
+/// multigrid preconditioner is double-only (an fp32 V-cycle inside an
+/// fp64 outer CG is a ROADMAP follow-on).
 template <class Fn>
 inline void mg_dispatch(const MGOperatorView& A, Fn&& fn) {
   if (A.kz != nullptr) {
@@ -800,19 +800,6 @@ void mg_residual_row(const MGOperatorView& A, const Field<double>& rhs,
       res(j, k, l) = rhs(j, k, l) - V.apply(u, j, k, l);
     }
   });
-}
-
-double mg_smvp_dot_row(const MGOperatorView& A, const Field<double>& src,
-                       Field<double>& dst, int k, int l) {
-  double acc = 0.0;
-  mg_dispatch(A, [&](const auto& V) {
-    for (int j = 0; j < A.nx; ++j) {
-      const double w = V.apply(src, j, k, l);
-      dst(j, k, l) = w;
-      acc += src(j, k, l) * w;
-    }
-  });
-  return acc;
 }
 
 void mg_restrict_row(const Field<double>& fine_res, int fnx, int fny,

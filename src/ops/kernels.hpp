@@ -231,12 +231,6 @@ void mg_residual_row(const MGOperatorView& A, const Field<double>& rhs,
                      const Field<double>& u, Field<double>& res, int k,
                      int l);
 
-/// One operator row with the CG dot folded in: dst = A·src over row
-/// (k, l), returning Σ src·dst over the row (mg-pcg's ⟨p, A·p⟩ partial).
-[[nodiscard]] double mg_smvp_dot_row(const MGOperatorView& A,
-                                     const Field<double>& src,
-                                     Field<double>& dst, int k, int l);
-
 /// One coarse row (kc, lc) of the full-weighting residual restriction:
 /// coarse_rhs = average of the fine residual over the 2×2(×2) child
 /// cells — the cell-centred analogue of the vertex-centred 9/27-point

@@ -14,6 +14,7 @@ const char* to_string(PreconType t) {
     case PreconType::kNone: return "none";
     case PreconType::kJacobiDiag: return "jac_diag";
     case PreconType::kJacobiBlock: return "jac_block";
+    case PreconType::kMultigrid: return "multigrid";
   }
   return "?";
 }
@@ -110,8 +111,10 @@ void apply_preconditioner(Chunk& c, PreconType type, FieldId src,
     case PreconType::kJacobiBlock:
       block_jacobi_solve(c, src, dst);
       return;
+    case PreconType::kMultigrid:
+      break;  // the CG body runs the team-wide V-cycle itself
   }
-  TEA_ASSERT(false, "invalid preconditioner type");
+  TEA_ASSERT(false, "invalid per-chunk preconditioner type");
 }
 
 }  // namespace kernels

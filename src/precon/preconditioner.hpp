@@ -13,6 +13,12 @@ enum class PreconType : int {
   kJacobiBlock = 2,  ///< block-Jacobi: 4×1 strips (per (j,l) column in
                      ///< 3-D), tridiagonal blocks
                      ///< solved by the Thomas algorithm (paper §IV-C1)
+  /// One geometric multigrid V-cycle (src/amg) over the undecomposed
+  /// grid: classic CG with it is "mg-pcg", the PETSc CG + BoomerAMG
+  /// baseline of paper Fig. 7.  A team-wide pass, not a per-chunk one, so
+  /// the CG body applies it itself (SolverConfig::validate lists where it
+  /// runs).  No deck value spells it; the solver name "mg-pcg" selects it.
+  kMultigrid = 3,
 };
 
 [[nodiscard]] const char* to_string(PreconType t);
@@ -37,8 +43,9 @@ void block_jacobi_solve(Chunk& c, FieldId src, FieldId dst);
 /// dst = diag(A)⁻¹·src over `bounds`.
 void diag_solve(Chunk& c, FieldId src, FieldId dst, const Bounds& bounds);
 
-/// Dispatch: dst = M⁻¹·src over the chunk interior for any PreconType
-/// (kNone copies).  Block-Jacobi requires interior bounds by construction.
+/// Dispatch: dst = M⁻¹·src over the chunk interior for the per-chunk
+/// preconditioners (kNone copies; kMultigrid is not one).  Block-Jacobi
+/// requires interior bounds by construction.
 void apply_preconditioner(Chunk& c, PreconType type, FieldId src,
                           FieldId dst);
 

@@ -8,11 +8,19 @@
 
 namespace tealeaf {
 
+bool batchable(const SolverConfig& cfg) {
+  return cfg.precision == Precision::kDouble &&
+         cfg.precon != PreconType::kMultigrid;
+}
+
 void solve_batched(std::vector<BatchItem>& items) {
   if (items.empty()) return;
   for (const BatchItem& it : items) {
     TEA_REQUIRE(it.cluster != nullptr, "solve_batched: null cluster");
     it.config.validate();
+    TEA_REQUIRE(batchable(it.config),
+                "solve_batched: single/mixed and multigrid configs run "
+                "through run_solver, outside the batch engine");
     TEA_REQUIRE(it.config.halo_depth <= it.cluster->halo_depth(),
                 "solve_batched: config depth exceeds cluster halo");
   }

@@ -16,6 +16,12 @@ struct BatchItem {
   SolveStats stats;
 };
 
+/// True when the batch engine can run `cfg` inside its region: fp64 and
+/// no multigrid preconditioner.  The single/mixed storage orchestration
+/// and the multigrid hierarchy's build both run outside any region, so
+/// the server solves such requests on the solo path (run_solver).
+[[nodiscard]] bool batchable(const SolverConfig& cfg);
+
 /// Solve every item of the batch inside ONE parallel region: the region's
 /// threads are partitioned into min(nitems, nthreads) sub-teams, each
 /// sub-team runs whole solves via run_solver_team and works through
@@ -27,9 +33,9 @@ struct BatchItem {
 /// sub-team geometry only changes who computes, never what is computed.
 /// Enforced by tests/test_server.cpp.
 ///
-/// Items must reference distinct clusters.  Configs must already be
-/// validated (exceptions must not escape the region); numerical
-/// breakdowns surface through stats.breakdown as usual.
+/// Items must reference distinct clusters.  Configs are validated and
+/// must be batchable; both checks throw before the region opens.
+/// Numerical breakdowns surface through stats.breakdown as usual.
 void solve_batched(std::vector<BatchItem>& items);
 
 }  // namespace tealeaf

@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "util/error.hpp"
+#include "util/numeric.hpp"
 
 namespace tealeaf {
 
@@ -132,7 +133,8 @@ io::JsonValue RouteDatabase::to_json() const {
 }
 
 RouteDatabase RouteDatabase::from_json(const io::JsonValue& doc) {
-  const int version = static_cast<int>(doc.at("version").as_number());
+  const int version =
+      checked_integer<int>(doc.at("version").as_number(), "route db version");
   TEA_REQUIRE(version == kVersion,
               "route db: unknown schema version " + std::to_string(version) +
                   " (this build reads version " + std::to_string(kVersion) +
@@ -143,10 +145,13 @@ RouteDatabase RouteDatabase::from_json(const io::JsonValue& doc) {
       RouteObservation obs;
       obs.ewma_seconds = cell.at("ewma_seconds").as_number();
       obs.predicted_seconds = cell.at("predicted_seconds").as_number();
-      obs.observations =
-          static_cast<long long>(cell.at("observations").as_number());
-      obs.breakdowns =
-          static_cast<long long>(cell.at("breakdowns").as_number());
+      const auto count = [&](const char* key) {
+        return checked_integer<long long>(
+            cell.at(key).as_number(),
+            "route db '" + shape + "' / '" + route + "' " + key);
+      };
+      obs.observations = count("observations");
+      obs.breakdowns = count("breakdowns");
       obs.demoted = cell.at("demoted").as_bool();
       TEA_REQUIRE(obs.observations >= 0 && obs.breakdowns >= 0,
                   "route db: negative counts in '" + shape + "' / '" +

@@ -48,38 +48,22 @@ std::string RouteEntry::route_key() const {
   return os.str();
 }
 
+SolverConfig RouteEntry::overlay(const SolverConfig& base) const {
+  SolverConfig cfg = base;
+  cfg.precon = config.precon;
+  cfg.halo_depth = config.halo_depth;
+  cfg.tile_rows = config.tile_rows;
+  cfg.op = config.op;
+  cfg.precision = config.precision;
+  return with_solver_name(cfg, solver);
+}
+
 RouteEntry RouteEntry::validated() const {
-  if (!native()) {
-    if (config.precon != PreconType::kNone) {
-      throw TeaError("route " + label() +
-                     ": mg-pcg embeds multigrid as its preconditioner — "
-                     "did you mean precon = none?");
-    }
-    if (config.halo_depth > 1) {
-      throw TeaError("route " + label() +
-                     ": matrix-powers halo depth applies to PPCG only");
-    }
-    // `auto` (the default) lets the engine pick, and mg-pcg picks
-    // untiled; only an explicit height is a contradiction.
-    if (config.tile_rows > 0) {
-      throw TeaError("route " + label() +
-                     ": mg-pcg does not row-tile — did you "
-                     "mean tile_rows = 0 (or auto)?");
-    }
-    if (config.op != OperatorKind::kStencil) {
-      throw TeaError("route " + label() +
-                     ": mg-pcg rebuilds its hierarchy from the face "
-                     "coefficients, so it has no assembled-operator form — "
-                     "did you mean operator = stencil?");
-    }
-    if (config.precision != Precision::kDouble) {
-      throw TeaError("route " + label() +
-                     ": mg-pcg is double-only (the multigrid hierarchy "
-                     "stays fp64) — did you mean precision = double?");
-    }
-    return *this;
+  try {
+    (void)overlay(config).validated();
+  } catch (const TeaError& e) {
+    throw TeaError("route " + label() + ": " + e.what());
   }
-  (void)config.validated();
   return *this;
 }
 
@@ -130,11 +114,13 @@ std::vector<RouteEntry> RoutingTable::route(int dims, int mesh_n, int nranks,
                                             const MachineSpec& machine) const {
   // Exact shape first: cells measured on this (dims, mesh_n).
   std::vector<RouteEntry> out;
+  const auto multigrid = [](const RouteEntry& e) {
+    return e.overlay(e.config).precon == PreconType::kMultigrid;
+  };
   const auto viable = [&](const MeasuredCell& mc) {
     if (mc.entry.dims != dims) return false;
-    if (!mc.entry.native() && nranks > 1) return false;
     try {
-      (void)mc.entry.validated();
+      if (multigrid(mc.entry.validated()) && nranks > 1) return false;
     } catch (const TeaError&) {
       return false;
     }
@@ -167,7 +153,7 @@ std::vector<RouteEntry> RoutingTable::route(int dims, int mesh_n, int nranks,
       if (!viable(mc) || mc.entry.mesh_n != nearest) continue;
       RouteEntry e = mc.entry;
       e.projected = true;
-      if (e.native()) {
+      if (!multigrid(e)) {
         SolveStats stats;
         stats.outer_iters = std::max(1, mc.iterations);
         stats.inner_steps = mc.inner_steps;

@@ -39,10 +39,10 @@ struct ObserveOutcome {
 /// matrix-powers depth × tile height, plus the
 /// evidence (measured or model-projected seconds) that ranked it.
 struct RouteEntry {
-  /// "jacobi" | "cg" | "chebyshev" | "ppcg" | "mg-pcg".  For the four
-  /// native solvers `config.type` agrees with this; "mg-pcg" is the
-  /// undecomposed multigrid baseline, which is not a SolverConfig type —
-  /// `config` then carries only eps/max_iters.
+  /// "jacobi" | "cg" | "chebyshev" | "ppcg" | "mg-pcg" (see
+  /// with_solver_name).  `config` carries the other axes as the sweep
+  /// recorded them — mg-pcg's precon stays none, as in its label — and
+  /// overlay() turns the pair into the configuration that runs.
   std::string solver;
   SolverConfig config;
   int threads = 0;      ///< thread count the cell was measured with
@@ -60,7 +60,11 @@ struct RouteEntry {
   bool learned = false;        ///< observations reached min_observations
   bool demoted = false;        ///< ranked below every non-demoted entry
 
-  [[nodiscard]] bool native() const { return solver != "mg-pcg"; }
+  /// The configuration this route runs: `base` (the deck's config, whose
+  /// tolerances and prestep count still govern the solve) with the
+  /// route's solver, preconditioner, matrix-powers depth, tile height,
+  /// operator and precision overlaid — mg-pcg as {kCG, kMultigrid}.
+  [[nodiscard]] SolverConfig overlay(const SolverConfig& base) const;
 
   /// Compact identifier in the sweep's label style, e.g.
   /// "ppcg/jac_diag/d4/n512/fused" ("~" prefix when model-projected).
@@ -72,10 +76,8 @@ struct RouteEntry {
   /// mixed evidence lives in its own cell.
   [[nodiscard]] std::string route_key() const;
 
-  /// Construction-time misuse check, mirroring the sweep's skip rules:
-  /// config.validated() plus the mg-pcg constraints (no preconditioner,
-  /// depth 1, no explicit row-tile height — `auto` means untiled there).
-  /// Returns *this.
+  /// Construction-time misuse check: overlay(config).validated(), the
+  /// rules the sweep skips cells by.  Returns *this.
   [[nodiscard]] RouteEntry validated() const;
 };
 
@@ -93,10 +95,10 @@ class RoutingTable {
   [[nodiscard]] static RoutingTable from_json_string(const std::string& text);
   [[nodiscard]] static RoutingTable from_json_file(const std::string& path);
 
-  /// Ranked viable entries for a shape, best first.  mg-pcg entries are
-  /// filtered out when nranks > 1 (the baseline solves the undecomposed
-  /// grid) and entries whose validated() fails are dropped.  Empty when
-  /// the table holds nothing viable for `dims`.
+  /// Ranked viable entries for a shape, best first.  Multigrid entries
+  /// (mg-pcg) are filtered out when nranks > 1 (the baseline solves the
+  /// undecomposed grid) and entries whose validated() fails are dropped.
+  /// Empty when the table holds nothing viable for `dims`.
   ///
   /// When the table holds online evidence (merge_database / observe), each
   /// entry is annotated from its (shape, route) cell: `seconds` becomes a

@@ -5,7 +5,6 @@
 #include <map>
 #include <utility>
 
-#include "driver/sweep.hpp"
 #include "server/batch.hpp"
 #include "solvers/solver.hpp"
 #include "util/error.hpp"
@@ -65,7 +64,7 @@ SolveServer::Routed SolveServer::route_request(const SolveRequest& req,
     // and neither can reduced precision (no stencil coefficients to
     // re-assemble in fp32).
     std::erase_if(ranked, [](const RouteEntry& e) {
-      return !e.native() || e.config.op == OperatorKind::kStencil ||
+      return e.config.op == OperatorKind::kStencil ||
              e.config.precision != Precision::kDouble;
     });
   }
@@ -74,16 +73,7 @@ SolveServer::Routed SolveServer::route_request(const SolveRequest& req,
     return r;
   }
   const RouteEntry& best = ranked.front();
-  // Overlay the routed structural axes on the deck config so the deck's
-  // tolerances (eps, max_iters, prestep count) still govern the solve.
-  r.config = req.deck.solver;
-  r.is_mg_pcg = !best.native();
-  if (best.native()) r.config.type = best.config.type;
-  r.config.precon = best.config.precon;
-  r.config.halo_depth = best.config.halo_depth;
-  r.config.tile_rows = best.config.tile_rows;
-  r.config.op = best.config.op;
-  r.config.precision = best.config.precision;
+  r.config = best.overlay(req.deck.solver);
   r.label = best.label();
   r.route_key = best.route_key();
   r.predicted_seconds = best.predicted_seconds;
@@ -95,23 +85,7 @@ SolveServer::Routed SolveServer::route_request(const SolveRequest& req,
 }
 
 SolveStats SolveServer::solve_solo(SolveSession& session,
-                                   const InputDeck& deck,
-                                   const SolverConfig& cfg,
-                                   bool is_mg_pcg) const {
-  if (is_mg_pcg) {
-    MGPreconditionedCG::Options opt;
-    opt.eps = cfg.eps;
-    opt.max_iters = cfg.max_iters;
-    const MGPCGResult mg = mg_pcg_step(session.cluster(), deck, opt);
-    SolveStats st;
-    st.converged = mg.converged;
-    st.outer_iters = mg.iterations;
-    st.initial_norm = mg.initial_norm;
-    st.final_norm = mg.final_norm;
-    st.solve_seconds = mg.solve_seconds;
-    session.finish_solve(st);
-    return st;
-  }
+                                   const SolverConfig& cfg) const {
   const SolverConfig resolved = cfg.validated();
   session.prepare(resolved.op);
   const SolveStats st = run_solver(session.cluster(), resolved);
@@ -131,7 +105,6 @@ struct Pending {
   SolveSession* session = nullptr;
   SolverConfig config;
   std::string label;
-  bool is_mg_pcg = false;
   bool hinted = false;
   std::vector<RouteEntry> fallbacks;
   /// Refinement identity of the route being run ("" = override/fallback);
@@ -164,7 +137,6 @@ std::vector<SolveResult> SolveServer::drain() {
     const Routed routed = route_request(reqs[i]);
     p.config = routed.config;
     p.label = routed.label;
-    p.is_mg_pcg = routed.is_mg_pcg;
     p.fallbacks = routed.fallbacks;
     p.route_key = routed.route_key;
     p.predicted_seconds = routed.predicted_seconds;
@@ -200,22 +172,18 @@ std::vector<SolveResult> SolveServer::drain() {
 
       Timer batch_timer;
       std::vector<BatchItem> items;
-      std::vector<Pending*> batch;  // non-mg-pcg members, aligned with items
+      std::vector<Pending*> batch;  // batchable members, aligned with items
       for (std::size_t b = 0; b < chunk; ++b) {
         Pending& p = pending[members[at + b]];
         p.session = sessions[b];
         p.session->reset(p.req->deck);
-        if (opts_.reuse_eigen_estimates && !p.is_mg_pcg &&
-            p.session->has_eig_estimate()) {
+        if (opts_.reuse_eigen_estimates && p.session->has_eig_estimate()) {
           p.config = p.session->with_eig_hints(p.config);
         }
         // Explicit-override hints count too: stripping them is a valid
         // re-route when they turn out stale.
         p.hinted = p.config.has_eig_hints();
-        if (p.is_mg_pcg) continue;  // mg-pcg runs solo below
-        if (p.config.precision != Precision::kDouble) {
-          continue;  // the team engine is fp64-only: solo below
-        }
+        if (!batchable(p.config)) continue;  // solo below
         p.config = p.config.validated();
         p.session->prepare(p.config.op);
         items.push_back({&p.session->cluster(), p.config, {}});
@@ -230,17 +198,13 @@ std::vector<SolveResult> SolveServer::drain() {
         }
       }
 
-      // mg-pcg members (single-rank only) solve solo through the shared
-      // sweep/bench step so every consumer measures the same code path;
-      // single/mixed members solve solo too (run_solver dispatches the
-      // fp32 storage and the iterative-refinement outer loop itself).
+      // Members the batch engine cannot run solve solo: run_solver builds
+      // the multigrid hierarchy and dispatches the fp32 storage and the
+      // iterative-refinement outer loop itself, outside any region.
       for (std::size_t b = 0; b < chunk; ++b) {
         Pending& p = pending[members[at + b]];
-        SolveResult& res = results[p.order];
-        if (p.is_mg_pcg) {
-          res.stats = solve_solo(*p.session, p.req->deck, p.config, true);
-        } else if (p.config.precision != Precision::kDouble) {
-          res.stats = solve_solo(*p.session, p.req->deck, p.config, false);
+        if (!batchable(p.config)) {
+          results[p.order].stats = solve_solo(*p.session, p.config);
         }
       }
       ++stats_.batches;
@@ -270,7 +234,6 @@ std::vector<SolveResult> SolveServer::drain() {
           std::string retry_label = p.label;
           std::string retry_route_key = p.route_key;
           double retry_predicted = p.predicted_seconds;
-          bool retry_mg = false;
           bool have_retry = false;
           bool switched_route = false;
           if (p.hinted) {
@@ -282,16 +245,18 @@ std::vector<SolveResult> SolveServer::drain() {
                   p.session->cluster().halo_depth()) {
                 continue;
               }
-              retry = p.req->deck.solver;
-              retry_mg = !e.native();
-              if (e.native()) retry.type = e.config.type;
-              retry.precon = e.config.precon;
-              retry.halo_depth = e.config.halo_depth;
-              retry.tile_rows = e.config.tile_rows;
-              retry.op = e.config.op;
+              retry = e.overlay(p.req->deck.solver);
               // The session's shape was keyed on the first route's
               // precision, so the retry keeps it rather than adopting the
               // fallback's (a precision flip would need a new session).
+              // A fallback that cannot run at that precision (mg-pcg is
+              // double-only) is passed over.
+              retry.precision = p.req->deck.solver.precision;
+              try {
+                retry = retry.validated();
+              } catch (const TeaError&) {
+                continue;
+              }
               retry_label = e.label();
               retry_route_key = e.route_key();
               retry_predicted = e.predicted_seconds;
@@ -322,8 +287,7 @@ std::vector<SolveResult> SolveServer::drain() {
             // The broken attempt skipped finish_solve, so energy is still
             // the request's input state; the retry's prepare() rebuilds
             // u/u0 from it.
-            res.stats =
-                solve_solo(*p.session, p.req->deck, retry, retry_mg);
+            res.stats = solve_solo(*p.session, retry);
             res.config = retry;
             res.route_label = retry_label;
             res.attempts = 2;
@@ -433,13 +397,11 @@ RunResult SolveServer::run(const InputDeck& deck, int nranks) {
     Routed routed = route_request(probe, session.cluster().halo_depth());
     std::string route_key = routed.route_key;
     double predicted = routed.predicted_seconds;
-    if (opts_.reuse_eigen_estimates && !routed.is_mg_pcg &&
-        session.has_eig_estimate()) {
+    if (opts_.reuse_eigen_estimates && session.has_eig_estimate()) {
       routed.config = session.with_eig_hints(routed.config);
     }
     const bool hinted = routed.config.has_eig_hints();
-    SolveStats st =
-        solve_solo(session, deck, routed.config, routed.is_mg_pcg);
+    SolveStats st = solve_solo(session, routed.config);
     if (st.breakdown && opts_.reroute_on_failure &&
         (hinted || !routed.fallbacks.empty())) {
       session.forget_eig_estimate();
@@ -447,7 +409,6 @@ RunResult SolveServer::run(const InputDeck& deck, int nranks) {
       ++result.reroutes;
       ++stats_.reroutes;
       SolverConfig retry = routed.config;
-      bool retry_mg = routed.is_mg_pcg;
       if (hinted) {
         retry.eig_hint_min = retry.eig_hint_max = 0.0;
       } else {
@@ -458,20 +419,13 @@ RunResult SolveServer::run(const InputDeck& deck, int nranks) {
           ++stats_.route_observations;
           if (o.newly_demoted) ++stats_.demotions;
         }
-        retry = deck.solver;
-        retry_mg = !e.native();
-        if (e.native()) retry.type = e.config.type;
-        retry.precon = e.config.precon;
-        retry.halo_depth = e.config.halo_depth;
-        retry.tile_rows = e.config.tile_rows;
-        retry.op = e.config.op;
-        retry.precision = e.config.precision;
+        retry = e.overlay(deck.solver);
         route_key = e.route_key();
         predicted = e.predicted_seconds;
       }
       // The broken attempt skipped finish_solve: this step's input energy
       // is intact and the retry replays the SAME step from it.
-      st = solve_solo(session, deck, retry, retry_mg);
+      st = solve_solo(session, retry);
     }
     if (learn && !route_key.empty() && !st.breakdown) {
       double measured = st.solve_seconds;

@@ -121,14 +121,13 @@ class SolveServer {
  private:
   /// The configuration a request will run: its explicit override, else
   /// the best viable routing entry (label reported), else the deck's own
-  /// solver config.  Routed entries overlay the structural axes (solver ×
-  /// precon × depth × engine) onto the deck config, keeping the deck's
+  /// solver config.  Routed entries overlay their structural axes onto
+  /// the deck config (RouteEntry::overlay), keeping the deck's
   /// tolerances.  `max_halo` constrains re-route candidates to fit an
   /// already-allocated session.
   struct Routed {
     SolverConfig config;
     std::string label;
-    bool is_mg_pcg = false;
     /// Ranked alternatives for the breakdown re-route (excludes `config`).
     std::vector<RouteEntry> fallbacks;
     /// Online-refinement identity of the chosen entry ("" = explicit
@@ -142,12 +141,10 @@ class SolveServer {
   [[nodiscard]] Routed route_request(const SolveRequest& req,
                                      int max_halo = 0) const;
 
-  /// Solo solve of one prepared session (mg-pcg aware); used for the
-  /// re-route retry and for mg-pcg requests the batch engine skips.
+  /// Solo solve on one session through run_solver; used by run(), the
+  /// re-route retry and the requests the batch engine cannot run.
   [[nodiscard]] SolveStats solve_solo(SolveSession& session,
-                                      const InputDeck& deck,
-                                      const SolverConfig& cfg,
-                                      bool is_mg_pcg) const;
+                                      const SolverConfig& cfg) const;
 
   ServerOptions opts_;
   SessionCache cache_;

@@ -1,10 +1,13 @@
 #include "solvers/cg.hpp"
 
 #include <cmath>
+#include <memory>
 
+#include "amg/multigrid.hpp"
 #include "ops/kernels.hpp"
 #include "precon/preconditioner.hpp"
 #include "solvers/schedule.hpp"
+#include "util/error.hpp"
 #include "util/timer.hpp"
 
 namespace tealeaf {
@@ -14,9 +17,36 @@ namespace {
 constexpr const char* kPwBreakdown =
     "CG breakdown: ⟨p, A·p⟩ <= 0 (operator not SPD?)";
 
+/// z = one V-cycle of r on the whole team, then ⟨r, z⟩ as a row-ordered
+/// reduction (`then_rows` also runs on each tile of that pass).  The
+/// V-cycle reads every r row, so a barrier orders it after the caller's
+/// r update; it ends in a barrier itself.
+template <class Rows>
+double v_cycle_dot(SimCluster2D& cl, Multigrid& mg, const Team& team,
+                   int tile_rows, Rows&& then_rows) {
+  Chunk2D& c0 = cl.chunk(0);
+  team.barrier();
+  mg.v_cycle(c0.field(FieldId::kR), c0.field(FieldId::kZ), team);
+  return cl.sum_rows_over_chunks(
+      team, tile_rows, [&](int, Chunk2D& c, const Bounds& tb) {
+        then_rows(c, tb);
+        kernels::dot_rows(c, FieldId::kR, FieldId::kZ, tb, c.row_scratch());
+      });
+}
+
+/// Build the multigrid hierarchy from the one chunk's coefficients.
+std::unique_ptr<Multigrid> hierarchy_of(const Chunk2D& c) {
+  if (c.dims() == 3) {
+    return std::make_unique<Multigrid>(c.kx(), c.ky(), c.kz(), c.nx(),
+                                       c.ny(), c.nz());
+  }
+  return std::make_unique<Multigrid>(c.kx(), c.ky(), c.nx(), c.ny());
+}
+
 }  // namespace
 
-double cg_setup(SimCluster2D& cl, PreconType precon, const Team& team) {
+double cg_setup(SimCluster2D& cl, PreconType precon, const Team& team,
+                Multigrid* mg) {
   // Every collective workshares on the team; the chunk sweeps between
   // reductions reuse the same rank→thread mapping, so no extra barriers
   // are needed (each thread reads only fields it wrote itself).
@@ -27,6 +57,13 @@ double cg_setup(SimCluster2D& cl, PreconType precon, const Team& team) {
       const double rr = kernels::calc_residual(c);
       kernels::copy(c, FieldId::kP, FieldId::kR, interior_bounds(c));
       return rr;
+    });
+  }
+  if (precon == PreconType::kMultigrid) {
+    cl.for_each_chunk(team,
+                      [](int, Chunk2D& c) { kernels::calc_residual(c); });
+    return v_cycle_dot(cl, *mg, team, 0, [](Chunk2D& c, const Bounds& tb) {
+      kernels::copy(c, FieldId::kP, FieldId::kZ, tb);
     });
   }
   cl.for_each_chunk(team, [&](int, Chunk2D& c) {
@@ -42,7 +79,7 @@ double cg_setup(SimCluster2D& cl, PreconType precon, const Team& team) {
 
 double cg_iteration(SimCluster2D& cl, PreconType precon, double rro,
                     CGRecurrence* rec, bool& breakdown, const Team& team,
-                    int tile_rows) {
+                    int tile_rows, Multigrid* mg) {
   const auto interior = [](int, Chunk2D& c) { return interior_bounds(c); };
   cl.exchange(team, {FieldId::kP}, 1);
   const double pw = cl.sum_rows_over_chunks(
@@ -60,18 +97,24 @@ double cg_iteration(SimCluster2D& cl, PreconType precon, double rro,
 
   // u += α·p, r −= α·w, z = M⁻¹r and ⟨r,z⟩ in one pass.
   double rrn;
-  if (precon == PreconType::kJacobiBlock) {
-    // The strip solve couples rows: row-tile the pointwise update, then
-    // solve and reduce ⟨r,z⟩ per rank.
+  if (precon == PreconType::kJacobiBlock ||
+      precon == PreconType::kMultigrid) {
+    // The strip solve and the V-cycle couple rows: row-tile the pointwise
+    // update, then precondition and reduce ⟨r,z⟩.
     cl.for_each_tile(team, tile_rows, interior,
                      [&](int, Chunk2D& c, const Bounds& tb) {
                        kernels::cg_calc_ur_rows(c, alpha, tb);
                      });
-    team.barrier();
-    rrn = cl.sum_over_chunks(team, [](int, Chunk2D& c) {
-      kernels::block_jacobi_solve(c, FieldId::kR, FieldId::kZ);
-      return kernels::dot(c, FieldId::kR, FieldId::kZ);
-    });
+    if (precon == PreconType::kMultigrid) {
+      rrn = v_cycle_dot(cl, *mg, team, tile_rows,
+                        [](Chunk2D&, const Bounds&) {});
+    } else {
+      team.barrier();
+      rrn = cl.sum_over_chunks(team, [](int, Chunk2D& c) {
+        kernels::block_jacobi_solve(c, FieldId::kR, FieldId::kZ);
+        return kernels::dot(c, FieldId::kR, FieldId::kZ);
+      });
+    }
   } else {
     rrn = cl.sum_rows_over_chunks(
         team, tile_rows, [&](int, Chunk2D& c, const Bounds& tb) {
@@ -95,11 +138,11 @@ double cg_iteration(SimCluster2D& cl, PreconType precon, double rro,
 }
 
 SolveStats CGSolver::solve_classic(SimCluster2D& cl, const SolverConfig& cfg,
-                                   const Team& team) {
+                                   const Team& team, Multigrid* mg) {
   Timer timer;
   SolveStats st;
 
-  double rro = cg_setup(cl, cfg.precon, team);
+  double rro = cg_setup(cl, cfg.precon, team, mg);
   ++st.spmv_applies;
   st.initial_norm = std::sqrt(std::fabs(rro));
   if (st.initial_norm == 0.0) {
@@ -116,7 +159,7 @@ SolveStats CGSolver::solve_classic(SimCluster2D& cl, const SolverConfig& cfg,
     // and convergence branches are uniform across the team.
     bool broke = false;
     rrn = cg_iteration(cl, cfg.precon, rro, nullptr, broke, team,
-                       cfg.tile_rows);
+                       cfg.tile_rows, mg);
     ++st.spmv_applies;
     if (broke) {
       st.breakdown = true;
@@ -227,15 +270,29 @@ SolveStats CGSolver::solve_chrono(SimCluster2D& cl, const SolverConfig& cfg,
 }
 
 SolveStats CGSolver::solve_team(SimCluster2D& cl, const SolverConfig& cfg,
-                                const Team& team) {
+                                const Team& team, Multigrid* mg) {
   return cfg.fuse_cg_reductions ? solve_chrono(cl, cfg, team)
-                                : solve_classic(cl, cfg, team);
+                                : solve_classic(cl, cfg, team, mg);
 }
 
 SolveStats CGSolver::solve(SimCluster2D& cl, const SolverConfig& cfg) {
   cfg.validate();
-  return solve_in_region(
-      cl, [&](const Team& t) { return solve_team(cl, cfg, t); });
+  // The hierarchy's constructors check their inputs and may throw, so
+  // they run here, before the region.
+  std::unique_ptr<Multigrid> mg;
+  double setup_seconds = 0.0;
+  if (cfg.precon == PreconType::kMultigrid) {
+    TEA_REQUIRE(cl.nranks() == 1,
+                "the multigrid preconditioner (mg-pcg) solves the "
+                "undecomposed grid: run it on one rank");
+    const Timer setup;
+    mg = hierarchy_of(cl.chunk(0));
+    setup_seconds = setup.elapsed_s();
+  }
+  SolveStats st = solve_in_region(
+      cl, [&](const Team& t) { return solve_team(cl, cfg, t, mg.get()); });
+  st.setup_seconds = setup_seconds;
+  return st;
 }
 
 }  // namespace tealeaf

@@ -6,6 +6,8 @@
 
 namespace tealeaf {
 
+class Multigrid;
+
 /// Bootstrap the Krylov state on every chunk.  Preconditions: u = u0 =
 /// initial temperature on the interiors, Kx/Ky built (init_conduction).
 /// Performs: exchange(u,1); w = A·u; r = u0 − w; block-Jacobi setup when
@@ -13,8 +15,11 @@ namespace tealeaf {
 /// reduction).  Upstream: tea_leaf_cg_init_kernel.
 ///
 /// Workshares on `team` inside the caller's parallel region; every
-/// thread returns the identical rank-ordered sum.
-double cg_setup(SimCluster2D& cl, PreconType precon, const Team& team);
+/// thread returns the identical rank-ordered sum.  PreconType::kMultigrid
+/// needs `mg`, a hierarchy built from the one chunk's coefficients: z is
+/// then one V-cycle of r, run by the whole team.
+double cg_setup(SimCluster2D& cl, PreconType precon, const Team& team,
+                Multigrid* mg = nullptr);
 
 /// One classic CG iteration (upstream tea_leaf_cg_calc_* kernels):
 ///   exchange(p,1); w = A·p; pw = ⟨p,w⟩;  α = rro/pw
@@ -27,13 +32,13 @@ double cg_setup(SimCluster2D& cl, PreconType precon, const Team& team);
 /// iteration leaves u/r untouched and returns rro — so the solve can
 /// report the failure instead of throwing across its region boundary.
 ///
-/// Team-aware like cg_setup; every sweep runs through the tile engine at
-/// `tile_rows` (0: one block per plane; bitwise identical at any height).
-/// `rec` is per-thread storage; the appended (α, β) are identical on
-/// every thread.
+/// Team-aware like cg_setup (and takes `mg` like it); every sweep runs
+/// through the tile engine at `tile_rows` (0: one block per plane;
+/// bitwise identical at any height).  `rec` is per-thread storage; the
+/// appended (α, β) are identical on every thread.
 double cg_iteration(SimCluster2D& cl, PreconType precon, double rro,
                     CGRecurrence* rec, bool& breakdown, const Team& team,
-                    int tile_rows = 0);
+                    int tile_rows = 0, Multigrid* mg = nullptr);
 
 /// The standard conjugate-gradient solver (paper §III-A): the baseline
 /// whose strong-scaling is limited by the two global dot products per
@@ -45,6 +50,9 @@ class CGSolver {
   /// With cfg.fuse_cg_reductions the Chronopoulos-Gear recurrence is
   /// used instead: one fused allreduce per iteration (paper §VII).
   /// The whole solve runs in one parallel region (see solve_in_region).
+  /// With PreconType::kMultigrid (mg-pcg; one rank only) the hierarchy is
+  /// built from the chunk's coefficients before the region opens, and
+  /// its build time is reported as SolveStats::setup_seconds.
   static SolveStats solve(SimCluster2D& cl, const SolverConfig& cfg);
 
   /// The solver body: the ENTIRE solve runs on `team` inside the caller's
@@ -56,12 +64,13 @@ class CGSolver {
   /// one request per sub-team concurrently.  cfg must be pre-validated
   /// (validation throws; regions cannot).  Honours cfg.fuse_cg_reductions
   /// (Chronopoulos-Gear vs classic) — two recurrences, not two schedules.
+  /// A multigrid config needs `mg` (see cg_setup).
   static SolveStats solve_team(SimCluster2D& cl, const SolverConfig& cfg,
-                               const Team& team);
+                               const Team& team, Multigrid* mg = nullptr);
 
  private:
   static SolveStats solve_classic(SimCluster2D& cl, const SolverConfig& cfg,
-                                  const Team& team);
+                                  const Team& team, Multigrid* mg);
   static SolveStats solve_chrono(SimCluster2D& cl, const SolverConfig& cfg,
                                  const Team& team);
 };

@@ -261,13 +261,6 @@ SolveStats run_solver(SimCluster2D& cl, const SolverConfig& cfg,
 
 SolveStats run_solver_team(SimCluster2D& cl, const SolverConfig& cfg,
                            const Team& team, const MachineSpec& machine) {
-  // The batch engine's sub-team path is double-only: the refinement
-  // loop's storage orchestration (bank activation, fp64 truth tests)
-  // opens and closes parallel work and cannot run inside the caller's
-  // region.  The server diverts non-double requests to the solo path.
-  TEA_REQUIRE(cfg.precision == Precision::kDouble,
-              "run_solver_team is double-only; route single/mixed solves "
-              "through run_solver");
   const SolverConfig resolved = resolve(cl, cfg, machine);
   SolveStats stats;
   switch (resolved.type) {

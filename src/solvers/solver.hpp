@@ -30,10 +30,11 @@ namespace tealeaf {
 /// call with identical arguments; the returned stats are identical on
 /// every thread (up to per-thread wall-clock).  `team` may be a sub-team
 /// — the solve-server's batch engine runs one request per sub-team,
-/// concurrently, inside ONE region.  cfg must be pre-validated and the
-/// cluster's halo deep enough for cfg.halo_depth (preconditions throw,
-/// and exceptions must not escape a parallel region).  Bitwise identical
-/// to run_solver, which opens a region of its own.
+/// concurrently, inside ONE region.  cfg must be pre-validated, batchable
+/// (fp64 and no multigrid preconditioner: both need work outside the
+/// region; see server/batch.hpp) and fit the cluster's halo.  Those
+/// checks throw, so the caller makes them before its region opens.
+/// Bitwise identical to run_solver, which opens a region of its own.
 [[nodiscard]] SolveStats run_solver_team(
     SimCluster2D& cl, const SolverConfig& cfg, const Team& team,
     const MachineSpec& machine = machines::spruce_hybrid());

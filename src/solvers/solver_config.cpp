@@ -29,6 +29,23 @@ PreconType precon_type_from_string(const std::string& s) {
   throw TeaError("unknown preconditioner type: " + s);
 }
 
+SolverConfig with_solver_name(SolverConfig cfg, const std::string& solver) {
+  if (solver != "mg-pcg") {
+    cfg.type = solver_type_from_string(solver);
+    return cfg;
+  }
+  if (cfg.precon != PreconType::kNone) {
+    throw TeaError(std::string("mg-pcg embeds multigrid as its "
+                               "preconditioner, so precon '") +
+                   to_string(cfg.precon) +
+                   "' has no place in it — did you mean precon = none?");
+  }
+  cfg.type = SolverType::kCG;
+  cfg.precon = PreconType::kMultigrid;
+  cfg.fuse_cg_reductions = false;
+  return cfg;
+}
+
 const char* to_string(Precision p) {
   switch (p) {
     case Precision::kDouble: return "double";
@@ -56,9 +73,7 @@ std::size_t SweepSpec::num_cases() const {
 
 void SweepSpec::validate() const {
   for (const std::string& name : solvers) {
-    if (name != "mg-pcg") {
-      (void)solver_type_from_string(name);  // throws if unknown
-    }
+    (void)with_solver_name(SolverConfig{}, name);  // throws if unknown
   }
   TEA_REQUIRE(!precons.empty(), "sweep: preconditioner axis must be non-empty");
   TEA_REQUIRE(!halo_depths.empty(), "sweep: halo-depth axis must be non-empty");
@@ -127,6 +142,22 @@ void SolverConfig::validate() const {
                 "the matrix-powers extended sweeps of "
                 "halo_depth > 1 cannot run over them — use "
                 "tl_operator = stencil for matrix-powers, or halo depth 1");
+  }
+  if (precon == PreconType::kMultigrid) {
+    TEA_REQUIRE(type == SolverType::kCG && !fuse_cg_reductions,
+                "the multigrid preconditioner (mg-pcg) runs inside classic "
+                "CG only");
+    if (op != OperatorKind::kStencil) {
+      throw TeaError(
+          "the multigrid preconditioner (mg-pcg) builds its hierarchy from "
+          "the stencil's face coefficients, so it has no assembled-operator "
+          "form — did you mean operator = stencil?");
+    }
+    if (precision != Precision::kDouble) {
+      throw TeaError(
+          "the multigrid preconditioner (mg-pcg) is double-only (its "
+          "hierarchy stays fp64) — did you mean precision = double?");
+    }
   }
   TEA_REQUIRE(tile_rows >= -1,
               "tile_rows must be a row count, 0 (one block per plane) or -1 "

@@ -18,6 +18,9 @@ enum class SolverType : int {
 
 [[nodiscard]] const char* to_string(SolverType t);
 [[nodiscard]] SolverType solver_type_from_string(const std::string& s);
+/// Parses the deck/sweep preconditioner names: none, jac_diag, jac_block.
+/// The multigrid V-cycle has no spelling here (the solver name "mg-pcg"
+/// selects it; see with_solver_name).
 [[nodiscard]] PreconType precon_type_from_string(const std::string& s);
 
 /// Storage/arithmetic precision of one solve (tl_precision).  The solvers
@@ -105,8 +108,10 @@ struct SolverConfig {
   ///   0: one block per plane ("untiled": one block per rank in 2-D).
   ///  -1: "auto", the default — derived at solve time from the modelled
   ///      machine's per-core L2 and the chunk width (see auto_tile_rows
-  ///      and run_solver); mg-pcg, which does not tile, runs untiled.
+  ///      and run_solver).
   /// Iterates and iteration counts are bitwise identical for every value.
+  /// Under the multigrid preconditioner the height tiles the CG sweeps;
+  /// the V-cycle's row loops workshare over the team as they are.
   int tile_rows = -1;
 
   /// Operator representation the solve traverses (tl_operator).  kStencil
@@ -122,15 +127,18 @@ struct SolverConfig {
   /// kDouble is the default and bitwise identical to the pre-axis code;
   /// kMixed converges to the same eps through fp64 iterative refinement
   /// around fp32 inner solves; kSingle is the honest all-fp32 mode for
-  /// the sweep to price.  mg-pcg and loaded Matrix Market operators stay
-  /// double-only (validated()).
+  /// the sweep to price.  The multigrid preconditioner and loaded Matrix
+  /// Market operators stay double-only.
   Precision precision = Precision::kDouble;
 
   /// Throws TeaError on inconsistent combinations, e.g. block-Jacobi with
   /// matrix-powers depth > 1 (the strips would need fresh whole-block
   /// data every inner step — paper §IV-C2 last paragraph), or any
   /// combination a solve would otherwise only discover inside its
-  /// parallel region, where it cannot throw.
+  /// parallel region, where it cannot throw.  The multigrid
+  /// preconditioner runs only inside classic CG (no fused reductions) on
+  /// the fp64 matrix-free stencil at halo depth 1; CGSolver::solve adds
+  /// the one-rank check, which needs the cluster.
   void validate() const;
 
   /// Construction-time misuse check: everything `validate()` rejects PLUS
@@ -145,6 +153,15 @@ struct SolverConfig {
   [[nodiscard]] SolverConfig validated() const;
 };
 
+/// `cfg` set to run the solver a sweep axis or a route names: one of the
+/// four SolverType names, or "mg-pcg" — classic CG preconditioned by one
+/// multigrid V-cycle, the PETSc CG + BoomerAMG baseline of paper Fig. 7.
+/// The V-cycle fills mg-pcg's preconditioner slot, so a precon other than
+/// none throws; mg-pcg is classic CG, so fused reductions are switched
+/// off.  Throws TeaError on unknown names.
+[[nodiscard]] SolverConfig with_solver_name(SolverConfig cfg,
+                                            const std::string& solver);
+
 /// Declarative design-space sweep axes: the deck's `sweep_*` section
 /// (paper title: "enable design-space explorations").  Each axis lists
 /// the values to visit; driver/sweep runs the full cross-product
@@ -152,7 +169,8 @@ struct SolverConfig {
 /// An empty `solvers` list means the deck does not request a sweep.
 struct SweepSpec {
   /// Solver axis by name: the four SolverType solvers plus "mg-pcg"
-  /// (the multigrid-preconditioned CG baseline of paper Fig. 7).
+  /// (CG with a multigrid V-cycle preconditioner, the baseline of paper
+  /// Fig. 7; see with_solver_name).
   std::vector<std::string> solvers;
   std::vector<PreconType> precons = {PreconType::kNone};
   std::vector<int> halo_depths = {1};    ///< matrix-powers depth (PPCG)
@@ -172,9 +190,9 @@ struct SweepSpec {
   /// Operator-format axis (`sweep_operator = stencil,csr`): the ninth
   /// design-space dimension, A/B-ing SolverConfig::op — the matrix-free
   /// stencil against the assembled CSR matrix.
-  /// Assembled cells only combine with halo depth 1 and the native
-  /// solvers (mg-pcg rebuilds its hierarchy from face coefficients), so
-  /// other combinations are enumerated but skipped.
+  /// Assembled cells only combine with halo depth 1 and not with mg-pcg
+  /// (its hierarchy is built from face coefficients), so other
+  /// combinations are enumerated but skipped.
   std::vector<std::string> operators = {"stencil"};
   /// Precision axis (`sweep_precision = double,single,mixed`): the
   /// tenth design-space dimension, A/B-ing SolverConfig::precision
@@ -215,6 +233,10 @@ struct SolveStats {
   double initial_norm = 0.0;     ///< sqrt of the initial convergence metric
   double final_norm = 0.0;       ///< sqrt of the final convergence metric
   double solve_seconds = 0.0;    ///< wall-clock of the simulated solve
+  /// Preconditioner set-up outside solve_seconds: the multigrid
+  /// hierarchy's construction (AMG's setup phase).  0 for every other
+  /// preconditioner.
+  double setup_seconds = 0.0;
   /// Measured fill of the assembled operator (0 = matrix-free stencil).
   /// The scaling model prices SpMV traffic from this instead of the
   /// stencil's fixed bytes-per-cell when it is set.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <limits>
 #include <string>
 #include <vector>
@@ -28,19 +29,33 @@ inline double parse_double(const std::string& s, const std::string& what) {
   return v;
 }
 
-/// Parse the whole of `s` as an int.  The value must also be finite,
-/// integral and within int range: "64", "64.0" and "1e3" parse; "64abc",
-/// "64.7", "1e30" and "inf" throw a TeaError naming `what` instead of
-/// truncating (or overflowing) in a float-to-int cast.
-inline int parse_int(const std::string& s, const std::string& what) {
-  const double v = parse_double(s, what);
-  if (!std::isfinite(v) || v != std::trunc(v) ||
-      v < static_cast<double>(std::numeric_limits<int>::min()) ||
-      v > static_cast<double>(std::numeric_limits<int>::max())) {
-    throw TeaError("bad integer value for " + what + ": '" + s +
-                   "' (need a whole number within int range)");
+/// `v` as an Int when it is finite, integral and within Int's range;
+/// otherwise a TeaError naming `what` (a deck key, CSV column or JSON
+/// key) and showing `text` (the value as written; empty: `v` itself)
+/// instead of truncating (or overflowing) in a float-to-int cast.
+template <class Int>
+Int checked_integer(double v, const std::string& what,
+                    std::string text = {}) {
+  // min() is −2^(bits−1), exact in a double, so [lo, −lo) is Int's
+  // range; NaN and ±inf fail the comparison.
+  const double lo = static_cast<double>(std::numeric_limits<Int>::min());
+  if (v >= lo && v < -lo && v == std::trunc(v)) return static_cast<Int>(v);
+  if (text.empty()) {
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "%.17g", v);
+    text = buf;
   }
-  return static_cast<int>(v);
+  throw TeaError("bad integer value for " + what + ": '" + text +
+                 "' (need a whole number from " +
+                 std::to_string(std::numeric_limits<Int>::min()) + " to " +
+                 std::to_string(std::numeric_limits<Int>::max()) + ")");
+}
+
+/// Parse the whole of `s` as an int under checked_integer's rule: "64",
+/// "64.0" and "1e3" parse; "64abc", "64.7", "1e30" and "inf" throw a
+/// TeaError naming `what`.
+inline int parse_int(const std::string& s, const std::string& what) {
+  return checked_integer<int>(parse_double(s, what), what, s);
 }
 
 /// Relative difference |a-b| / max(|a|,|b|,floor); 0 when both are tiny.

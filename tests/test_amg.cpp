@@ -2,11 +2,10 @@
 
 #include <cmath>
 
-#include "amg/mg_pcg.hpp"
 #include "amg/multigrid.hpp"
 #include "comm/sim_comm.hpp"
 #include "ops/kernels.hpp"
-#include "solvers/cg.hpp"
+#include "solvers/solver.hpp"
 #include "test_helpers.hpp"
 
 namespace tealeaf {
@@ -25,10 +24,47 @@ void v_cycle(Multigrid& mg, const Field<double>& rhs, Field<double>& out) {
   parallel_region([&](const Team& team) { mg.v_cycle(rhs, out, team); });
 }
 
+/// mg-pcg: classic CG preconditioned by one multigrid V-cycle.
+SolverConfig mg_pcg() {
+  SolverConfig cfg;
+  cfg.type = SolverType::kCG;
+  cfg.precon = PreconType::kMultigrid;
+  return cfg;
+}
+
+SolverConfig plain_cg(double eps) {
+  SolverConfig cfg;
+  cfg.type = SolverType::kCG;
+  cfg.eps = eps;
+  return cfg;
+}
+
+/// ‖u0 − A·u‖ / ‖u0‖ on a one-rank cluster, with A applied by the
+/// hierarchy's fine-level operator rather than the solver's stencil.
+double mg_relative_residual(const SimCluster& cl) {
+  const Chunk& c = cl.chunk(0);
+  const Multigrid mg = c.dims() == 3
+                           ? Multigrid(c.kx(), c.ky(), c.kz(), c.nx(),
+                                       c.ny(), c.nz())
+                           : Multigrid(c.kx(), c.ky(), c.nx(), c.ny());
+  double rr = 0.0, bb = 0.0;
+  for (int l = 0; l < c.nz(); ++l) {
+    for (int k = 0; k < c.ny(); ++k) {
+      for (int j = 0; j < c.nx(); ++j) {
+        const double r = c.u0()(j, k, l) - Multigrid::apply_stencil(
+                                               mg.level(0), c.u(), j, k, l);
+        rr += r * r;
+        bb += c.u0()(j, k, l) * c.u0()(j, k, l);
+      }
+    }
+  }
+  return std::sqrt(rr / bb);
+}
+
 TEST(Multigrid, HierarchyShrinksToCoarseFloor) {
   auto cl = mg_problem(64);
   const Chunk2D& c = cl->chunk(0);
-  Multigrid2D mg(c.kx(), c.ky(), c.nx(), c.ny());
+  Multigrid mg(c.kx(), c.ky(), c.nx(), c.ny());
   ASSERT_GE(mg.num_levels(), 4);
   EXPECT_EQ(mg.level(0).nx, 64);
   EXPECT_EQ(mg.level(1).nx, 32);
@@ -41,7 +77,7 @@ TEST(Multigrid, HierarchyShrinksToCoarseFloor) {
 TEST(Multigrid, VCycleContractsResidual) {
   auto cl = mg_problem(64);
   const Chunk2D& c = cl->chunk(0);
-  Multigrid2D mg(c.kx(), c.ky(), c.nx(), c.ny());
+  Multigrid mg(c.kx(), c.ky(), c.nx(), c.ny());
   const MGLevel& lv = mg.level(0);
 
   Field2D<double> rhs(64, 64, 1, 0.0);
@@ -54,7 +90,7 @@ TEST(Multigrid, VCycleContractsResidual) {
     double rr = 0.0;
     for (int k = 0; k < 64; ++k) {
       for (int j = 0; j < 64; ++j) {
-        const double r = rhs(j, k) - Multigrid2D::apply_stencil(lv, u, j, k);
+        const double r = rhs(j, k) - Multigrid::apply_stencil(lv, u, j, k);
         rr += r * r;
       }
     }
@@ -72,47 +108,20 @@ TEST(Multigrid, VCycleContractsResidual) {
 
 TEST(MGPCG, SolvesToTolerance) {
   auto cl = mg_problem(48);
-  Chunk2D& c = cl->chunk(0);
-  auto solver = MGPreconditionedCG::from_chunk(c);
-  Field2D<double> u(48, 48, 1, 0.0);
-  c.u0().copy_interior_from(c.u());  // u0 = ρe from the fixture
-  Field2D<double> rhs(48, 48, 0, 0.0);
-  for (int k = 0; k < 48; ++k)
-    for (int j = 0; j < 48; ++j) rhs(j, k) = c.u0()(j, k);
-  const MGPCGResult res = solver.solve(rhs, u);
-  EXPECT_TRUE(res.converged);
-  // Independent residual check.
-  Multigrid2D mg(c.kx(), c.ky(), 48, 48);
-  double rr = 0.0, bb = 0.0;
-  for (int k = 0; k < 48; ++k) {
-    for (int j = 0; j < 48; ++j) {
-      const double r =
-          rhs(j, k) - Multigrid2D::apply_stencil(mg.level(0), u, j, k);
-      rr += r * r;
-      bb += rhs(j, k) * rhs(j, k);
-    }
-  }
-  EXPECT_LT(std::sqrt(rr / bb), 1e-8);
+  const SolveStats st = run_solver(*cl, mg_pcg());
+  EXPECT_TRUE(st.converged);
+  EXPECT_LT(mg_relative_residual(*cl), 1e-8);
 }
 
 TEST(MGPCG, MatchesTeaLeafCGSolution) {
-  auto cl = mg_problem(40, 16.0);
-  Chunk2D& c = cl->chunk(0);
-  Field2D<double> rhs(40, 40, 0, 0.0);
-  for (int k = 0; k < 40; ++k)
-    for (int j = 0; j < 40; ++j) rhs(j, k) = c.u0()(j, k);
-
-  auto mg_solver = MGPreconditionedCG::from_chunk(c);
-  Field2D<double> u_mg(40, 40, 1, 0.0);
-  ASSERT_TRUE(mg_solver.solve(rhs, u_mg).converged);
-
-  SolverConfig cfg;
-  cfg.type = SolverType::kCG;
-  cfg.eps = 1e-12;
-  ASSERT_TRUE(CGSolver::solve(*cl, cfg).converged);
+  auto mg = mg_problem(40, 16.0);
+  auto cg = mg_problem(40, 16.0);
+  ASSERT_TRUE(run_solver(*mg, mg_pcg()).converged);
+  ASSERT_TRUE(run_solver(*cg, plain_cg(1e-12)).converged);
   for (int k = 0; k < 40; ++k)
     for (int j = 0; j < 40; ++j)
-      EXPECT_NEAR(u_mg(j, k), c.u()(j, k), 1e-6) << j << "," << k;
+      EXPECT_NEAR(mg->chunk(0).u()(j, k), cg->chunk(0).u()(j, k), 1e-6)
+          << j << "," << k;
 }
 
 TEST(MGPCG, NearMeshIndependentIterations) {
@@ -120,21 +129,13 @@ TEST(MGPCG, NearMeshIndependentIterations) {
   // iteration counts barely grow with resolution, unlike plain CG.
   int iters32 = 0, iters64 = 0, cg32 = 0, cg64 = 0;
   for (const int n : {32, 64}) {
-    auto cl = mg_problem(n, 16.0);
-    Chunk2D& c = cl->chunk(0);
-    Field2D<double> rhs(n, n, 0, 0.0);
-    for (int k = 0; k < n; ++k)
-      for (int j = 0; j < n; ++j) rhs(j, k) = c.u0()(j, k);
-    auto solver = MGPreconditionedCG::from_chunk(c);
-    Field2D<double> u(n, n, 1, 0.0);
-    const MGPCGResult res = solver.solve(rhs, u);
+    auto mg = mg_problem(n, 16.0);
+    auto cg = mg_problem(n, 16.0);
+    const SolveStats res = run_solver(*mg, mg_pcg());
     ASSERT_TRUE(res.converged);
-    SolverConfig cfg;
-    cfg.type = SolverType::kCG;
-    cfg.eps = 1e-10;
-    const SolveStats st = CGSolver::solve(*cl, cfg);
+    const SolveStats st = run_solver(*cg, plain_cg(1e-10));
     ASSERT_TRUE(st.converged);
-    (n == 32 ? iters32 : iters64) = res.iterations;
+    (n == 32 ? iters32 : iters64) = res.outer_iters;
     (n == 32 ? cg32 : cg64) = st.outer_iters;
   }
   EXPECT_LE(iters64, iters32 + 6) << "MG-PCG should be ~mesh independent";
@@ -144,20 +145,57 @@ TEST(MGPCG, NearMeshIndependentIterations) {
 
 TEST(MGPCG, OddSizedGridsWork) {
   auto cl = mg_problem(37, 4.0);
-  Chunk2D& c = cl->chunk(0);
-  Field2D<double> rhs(37, 37, 0, 0.0);
-  for (int k = 0; k < 37; ++k)
-    for (int j = 0; j < 37; ++j) rhs(j, k) = c.u0()(j, k);
-  auto solver = MGPreconditionedCG::from_chunk(c);
-  Field2D<double> u(37, 37, 1, 0.0);
-  EXPECT_TRUE(solver.solve(rhs, u).converged);
+  EXPECT_TRUE(run_solver(*cl, mg_pcg()).converged);
 }
 
 TEST(MGPCG, SetupCostIsRecorded) {
+  // The hierarchy's build is AMG's setup phase: reported apart from the
+  // solve, and only by the multigrid preconditioner.
   auto cl = mg_problem(32);
-  auto solver = MGPreconditionedCG::from_chunk(cl->chunk(0));
-  EXPECT_GE(solver.setup_seconds(), 0.0);
-  EXPECT_GE(solver.hierarchy().num_levels(), 3);
+  const Chunk2D& c = cl->chunk(0);
+  EXPECT_GE(Multigrid(c.kx(), c.ky(), c.nx(), c.ny()).num_levels(), 3);
+  const SolveStats st = run_solver(*cl, mg_pcg());
+  EXPECT_TRUE(st.converged);
+  EXPECT_GT(st.setup_seconds, 0.0);
+  auto cg = mg_problem(32);
+  EXPECT_EQ(run_solver(*cg, plain_cg(1e-10)).setup_seconds, 0.0);
+}
+
+TEST(MGPCG, BreakdownIsReportedNotThrown) {
+  // A NaN in the right-hand side breaks CG down on its first ⟨p, A·p⟩.
+  // The retired standalone mg-pcg solver threw a TeaError after its
+  // region instead; through the solve server that throw escaped drain()
+  // and lost every other result of the drain.
+  auto cl = mg_problem(24);
+  cl->chunk(0).u0()(5, 7) = std::nan("");
+  SolveStats st;
+  EXPECT_NO_THROW(st = run_solver(*cl, mg_pcg()));
+  EXPECT_TRUE(st.breakdown);
+  EXPECT_FALSE(st.converged);
+  EXPECT_NE(st.breakdown_reason.find("breakdown"), std::string::npos)
+      << st.breakdown_reason;
+}
+
+TEST(MGPCG, RejectsWhatTheVCycleCannotRun) {
+  // The V-cycle solves the undecomposed fp64 stencil inside classic CG.
+  auto two_ranks = make_test_problem(32, 2, 2, 8.0);
+  EXPECT_THROW((void)run_solver(*two_ranks, mg_pcg()), TeaError);
+  SolverConfig cfg = mg_pcg();
+  cfg.fuse_cg_reductions = true;
+  EXPECT_THROW(cfg.validate(), TeaError);
+  cfg = mg_pcg();
+  cfg.type = SolverType::kPPCG;
+  EXPECT_THROW(cfg.validate(), TeaError);
+  cfg = mg_pcg();
+  cfg.op = OperatorKind::kCsr;
+  EXPECT_THROW(cfg.validate(), TeaError);
+  cfg = mg_pcg();
+  cfg.precision = Precision::kMixed;
+  EXPECT_THROW(cfg.validate(), TeaError);
+  // No deck or sweep value spells it: the solver name selects it.
+  EXPECT_THROW((void)precon_type_from_string("multigrid"), TeaError);
+  EXPECT_EQ(with_solver_name(SolverConfig{}, "mg-pcg").precon,
+            PreconType::kMultigrid);
 }
 
 // ---- dimension-generic hierarchy (3-D, mirroring test_geometry3d) -------
@@ -365,108 +403,56 @@ TEST(Multigrid3D, SinglePlaneVCycleMatches2DExactly) {
 }
 
 TEST(MGPCG3D, SolvesToTolerance3D) {
-  const int n = 20;
-  auto cl = make_test_problem_3d(n, 1, 2, 8.0);
-  Chunk& c = cl->chunk(0);
-  auto solver = MGPreconditionedCG::from_chunk(c);
-  c.u0().copy_interior_from(c.u());  // u0 = ρe from the fixture
-  Field<double> rhs = Field<double>::make3d(n, n, n, 0, 0.0);
-  for (int l = 0; l < n; ++l)
-    for (int k = 0; k < n; ++k)
-      for (int j = 0; j < n; ++j) rhs(j, k, l) = c.u0()(j, k, l);
-  Field<double> u = Field<double>::make3d(n, n, n, 1, 0.0);
-  const MGPCGResult res = solver.solve(rhs, u);
-  EXPECT_TRUE(res.converged);
+  auto cl = make_test_problem_3d(20, 1, 2, 8.0);
+  const SolveStats st = run_solver(*cl, mg_pcg());
+  EXPECT_TRUE(st.converged);
   // Independent residual check against the 7-point operator.
-  Multigrid mg(c.kx(), c.ky(), c.kz(), n, n, n);
-  double rr = 0.0, bb = 0.0;
-  for (int l = 0; l < n; ++l) {
-    for (int k = 0; k < n; ++k) {
-      for (int j = 0; j < n; ++j) {
-        const double r = rhs(j, k, l) -
-                         Multigrid::apply_stencil(mg.level(0), u, j, k, l);
-        rr += r * r;
-        bb += rhs(j, k, l) * rhs(j, k, l);
-      }
-    }
-  }
-  EXPECT_LT(std::sqrt(rr / bb), 1e-8);
+  EXPECT_LT(mg_relative_residual(*cl), 1e-8);
 }
 
 TEST(MGPCG3D, NearMeshIndependentIterations3D) {
   int iters16 = 0, iters32 = 0;
   for (const int n : {16, 32}) {
     auto cl = make_test_problem_3d(n, 1, 2, 16.0);
-    Chunk& c = cl->chunk(0);
-    c.u0().copy_interior_from(c.u());
-    Field<double> rhs = Field<double>::make3d(n, n, n, 0, 0.0);
-    for (int l = 0; l < n; ++l)
-      for (int k = 0; k < n; ++k)
-        for (int j = 0; j < n; ++j) rhs(j, k, l) = c.u0()(j, k, l);
-    auto solver = MGPreconditionedCG::from_chunk(c);
-    Field<double> u = Field<double>::make3d(n, n, n, 1, 0.0);
-    const MGPCGResult res = solver.solve(rhs, u);
+    const SolveStats res = run_solver(*cl, mg_pcg());
     ASSERT_TRUE(res.converged);
-    (n == 16 ? iters16 : iters32) = res.iterations;
+    (n == 16 ? iters16 : iters32) = res.outer_iters;
   }
   EXPECT_LE(iters32, iters16 + 6) << "MG-PCG should be ~mesh independent";
 }
 
 TEST(MGPCG3D, MatchesTeaLeafCGSolution3D) {
   const int n = 14;
-  auto cl = make_test_problem_3d(n, 1, 2, 8.0);
-  Chunk& c = cl->chunk(0);
-  Field<double> rhs = Field<double>::make3d(n, n, n, 0, 0.0);
-  for (int l = 0; l < n; ++l)
-    for (int k = 0; k < n; ++k)
-      for (int j = 0; j < n; ++j) rhs(j, k, l) = c.u0()(j, k, l);
-
-  auto mg_solver = MGPreconditionedCG::from_chunk(c);
-  Field<double> u_mg = Field<double>::make3d(n, n, n, 1, 0.0);
-  ASSERT_TRUE(mg_solver.solve(rhs, u_mg).converged);
-
-  SolverConfig cfg;
-  cfg.type = SolverType::kCG;
-  cfg.eps = 1e-12;
-  ASSERT_TRUE(CGSolver::solve(*cl, cfg).converged);
+  auto mg = make_test_problem_3d(n, 1, 2, 8.0);
+  auto cg = make_test_problem_3d(n, 1, 2, 8.0);
+  ASSERT_TRUE(run_solver(*mg, mg_pcg()).converged);
+  ASSERT_TRUE(run_solver(*cg, plain_cg(1e-12)).converged);
   for (int l = 0; l < n; ++l)
     for (int k = 0; k < n; ++k)
       for (int j = 0; j < n; ++j)
-        EXPECT_NEAR(u_mg(j, k, l), c.u()(j, k, l), 1e-6)
+        EXPECT_NEAR(mg->chunk(0).u()(j, k, l), cg->chunk(0).u()(j, k, l),
+                    1e-6)
             << j << "," << k << "," << l;
 }
 
 TEST(MGPCG3D, SinglePlaneSolveMatches2DExactly) {
-  // The satellite contract: the slab solve reproduces the 2-D iteration
-  // count, both residual norms and the iterate itself exactly.
+  // The slab solve reproduces the 2-D iteration count, both residual
+  // norms and the iterate itself exactly.
   const int n = 24;
   auto d2 = make_test_problem(n, 1, 2, 6.0);
   auto d3 = make_test_problem_slab3d(n, 1, 2, 6.0);
-  Chunk& c2 = d2->chunk(0);
-  Chunk& c3 = d3->chunk(0);
-  auto s2 = MGPreconditionedCG::from_chunk(c2);
-  auto s3 = MGPreconditionedCG::from_chunk(c3);
-
-  Field<double> rhs2(n, n, 0, 0.0);
-  Field<double> rhs3 = Field<double>::make3d(n, n, 1, 0, 0.0);
-  for (int k = 0; k < n; ++k)
-    for (int j = 0; j < n; ++j) {
-      rhs2(j, k) = c2.u0()(j, k);
-      rhs3(j, k, 0) = c3.u0()(j, k, 0);
-      ASSERT_EQ(rhs2(j, k), rhs3(j, k, 0));
-    }
-  Field<double> u2(n, n, 1, 0.0);
-  Field<double> u3 = Field<double>::make3d(n, n, 1, 1, 0.0);
-  const MGPCGResult r2 = s2.solve(rhs2, u2);
-  const MGPCGResult r3 = s3.solve(rhs3, u3);
+  const SolveStats r2 = run_solver(*d2, mg_pcg());
+  const SolveStats r3 = run_solver(*d3, mg_pcg());
   ASSERT_TRUE(r2.converged);
   ASSERT_TRUE(r3.converged);
-  EXPECT_EQ(r3.iterations, r2.iterations);
+  EXPECT_EQ(r3.outer_iters, r2.outer_iters);
   EXPECT_EQ(r3.initial_norm, r2.initial_norm);
   EXPECT_EQ(r3.final_norm, r2.final_norm);
+  const Chunk& c2 = d2->chunk(0);
+  const Chunk& c3 = d3->chunk(0);
   for (int k = 0; k < n; ++k)
     for (int j = 0; j < n; ++j)
-      ASSERT_EQ(u2(j, k), u3(j, k, 0)) << "(" << j << "," << k << ")";
+      ASSERT_EQ(c2.u()(j, k), c3.u()(j, k, 0)) << "(" << j << "," << k << ")";
 }
 
 }  // namespace

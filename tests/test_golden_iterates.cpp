@@ -22,9 +22,10 @@
 // per-iteration barriers get expensive when ctest runs many threaded
 // tests at once.
 //
-// mg-pcg has its own rows (u hash and iteration count), recorded from its
-// retired serial path; the team path must reproduce them at every thread
-// count.
+// mg-pcg — classic CG preconditioned by one multigrid V-cycle — has its
+// own rows (u hash and iteration count), recorded from a zero initial
+// guess on the serial path of the retired standalone mg-pcg solver; the
+// CG body must reproduce them at every thread count and tile height.
 //
 // The values come from the repo's default x86-64 build flags (Release,
 // no -march), which is what CI builds.  A build with other flags may
@@ -40,7 +41,6 @@
 #include <iterator>
 #include <string>
 
-#include "amg/mg_pcg.hpp"
 #include "comm/gather.hpp"
 #include "solvers/solver.hpp"
 #include "test_helpers.hpp"
@@ -351,30 +351,34 @@ const GoldenMG kGoldenMG[] = {
 };
 
 TEST(GoldenIterates, MgPcgReproducesItsSerialChecksumAtEveryThreadCount) {
+  SolverConfig cfg;
+  cfg.type = SolverType::kCG;
+  cfg.precon = PreconType::kMultigrid;
   for (const GoldenMG& g : kGoldenMG) {
-    const bool is3d = g.dims == 3;
-    const int n = is3d ? 12 : 24;
-    auto cl = is3d ? make_test_problem_3d(n, 1, 2, 6.0)
-                   : make_test_problem(n, 1, 2, 6.0);
-    const Chunk& c = cl->chunk(0);
-    Field<double> rhs = is3d ? Field<double>::make3d(n, n, n, 0, 0.0)
-                             : Field<double>(n, n, 0, 0.0);
-    for (int l = 0; l < c.nz(); ++l)
-      for (int k = 0; k < n; ++k)
-        for (int j = 0; j < n; ++j) rhs(j, k, l) = c.u0()(j, k, l);
-    MGPCGResult one;  // the 1-thread solve; the norms must match it too
-    for (const int threads : {1, 2, 3, 4}) {
-      const ThreadScope scope(threads);
-      auto solver = MGPreconditionedCG::from_chunk(c);
-      Field<double> u = is3d ? Field<double>::make3d(n, n, n, 1, 0.0)
-                             : Field<double>(n, n, 1, 0.0);
-      const MGPCGResult res = solver.solve(rhs, u);
-      if (threads == 1) one = res;
-      EXPECT_TRUE(res.converged) << g.cell << " at " << threads;
-      EXPECT_EQ(res.iterations, g.iterations) << g.cell << " at " << threads;
-      EXPECT_EQ(hash_field(u), g.u_hash) << g.cell << " at " << threads;
-      EXPECT_EQ(res.initial_norm, one.initial_norm) << g.cell;
-      EXPECT_EQ(res.final_norm, one.final_norm) << g.cell;
+    SolveStats one;  // the first solve; the norms must match it too
+    bool first = true;
+    for (const int tile_rows : {0, 5}) {
+      for (const int threads : {1, 2, 3, 4}) {
+        const ThreadScope scope(threads);
+        auto cl = g.dims == 3 ? make_test_problem_3d(12, 1, 2, 6.0)
+                              : make_test_problem(24, 1, 2, 6.0);
+        // The rows were recorded from u = 0; a session solve starts from
+        // u = u0.
+        cl->for_each_chunk([](int, Chunk& c) { c.u().fill(0.0); });
+        cfg.tile_rows = tile_rows;
+        const SolveStats res = run_solver(*cl, cfg);
+        if (first) one = res;
+        first = false;
+        const std::string at = std::string(g.cell) + " at " +
+                               std::to_string(threads) + " threads, b" +
+                               std::to_string(tile_rows);
+        EXPECT_TRUE(res.converged) << at;
+        EXPECT_EQ(res.outer_iters, g.iterations) << at;
+        EXPECT_EQ(hash_field(gather_field(*cl, FieldId::kU)), g.u_hash)
+            << at;
+        EXPECT_EQ(res.initial_norm, one.initial_norm) << at;
+        EXPECT_EQ(res.final_norm, one.final_norm) << at;
+      }
     }
   }
 }

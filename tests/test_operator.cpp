@@ -485,18 +485,22 @@ TEST(OperatorRouting, LabelsCarryTheKindAndMgPcgRejectsAssembled) {
         << err.what();
   }
 
-  // The default `auto` tile height means untiled on mg-pcg; only an
-  // explicit height contradicts its untiled fused path.
+  // mg-pcg tiles like CG: a tiled stencil route is routable, runs as CG
+  // with the multigrid preconditioner, and matches its untiled twin.
   mg.config.op = OperatorKind::kStencil;
-  EXPECT_NO_THROW((void)mg.validated());
-  mg.config.tile_rows = 8;
-  try {
-    (void)mg.validated();
-    FAIL() << "mg-pcg's fused path does not row-tile";
-  } catch (const TeaError& err) {
-    EXPECT_NE(std::string(err.what()).find("row-tile"), std::string::npos)
-        << err.what();
+  const InputDeck deck = decks::hot_block(16, 1);
+  std::vector<SolveStats> runs;
+  for (const int tile : {0, 8}) {
+    mg.config.tile_rows = tile;
+    const SolverConfig cfg = mg.validated().overlay(deck.solver);
+    EXPECT_EQ(cfg.type, SolverType::kCG);
+    EXPECT_EQ(cfg.precon, PreconType::kMultigrid);
+    SolveSession session(deck, 1);
+    runs.push_back(session.solve(cfg));
+    EXPECT_TRUE(runs.back().converged) << mg.label();
   }
+  EXPECT_EQ(runs[1].outer_iters, runs[0].outer_iters);
+  EXPECT_EQ(runs[1].final_norm, runs[0].final_norm);
 }
 
 TEST(OperatorServer, MatrixMarketDeckSolvesEndToEnd) {

@@ -128,6 +128,26 @@ TEST(RouteDatabase, LoadRejectsUnknownVersionAndMissingFile) {
                TeaError);
   EXPECT_TRUE(
       RouteDatabase::load_if_exists(tmp_path("also_missing.json")).empty());
+
+  // JSON numbers are doubles: the version and the counts must be whole
+  // and in range, never truncated (2.5) or cast out of range (1e300).
+  const auto db_with = [&](const std::string& version,
+                           const std::string& observations) {
+    std::ofstream(path)
+        << "{\"version\": " << version << ", \"shapes\": {\"2d/n16/r1\": "
+        << "{\"cg/none/d1/fused\": {\"ewma_seconds\": 0.1, "
+        << "\"predicted_seconds\": 0.1, \"observations\": " << observations
+        << ", \"breakdowns\": 0, \"demoted\": false}}}}\n";
+    return RouteDatabase::load(path);
+  };
+  EXPECT_EQ(db_with("1", "3").find("2d/n16/r1", "cg/none/d1/fused")
+                ->observations,
+            3);
+  EXPECT_THROW((void)db_with("1e30", "3"), TeaError);
+  EXPECT_THROW((void)db_with("1.5", "3"), TeaError);
+  for (const char* bad : {"1e300", "2.5", "-1e30", "9.3e18"}) {
+    EXPECT_THROW((void)db_with("1", bad), TeaError) << bad;
+  }
 }
 
 TEST(RouteDatabase, MergeNeverResurrectsFromStaleFewerObservations) {

@@ -9,6 +9,7 @@
 
 #include "api/solve_api.hpp"
 #include "driver/decks.hpp"
+#include "server/route_db.hpp"
 #include "server/batch.hpp"
 #include "server/routing.hpp"
 #include "server/solve_server.hpp"
@@ -274,6 +275,108 @@ TEST(SolveServer, RoutesRequestsThroughTheTable) {
   EXPECT_EQ(res.config.halo_depth, 2);
   // The deck's tolerances survive routing; only structure is overlaid.
   EXPECT_EQ(res.config.eps, decks::hot_block(16, 1).solver.eps);
+}
+
+/// A table whose fastest one-rank route is mg-pcg (the synthetic report
+/// ranks it behind ppcg and cg; this one measures it fastest).
+RoutingTable mg_pcg_first_table() {
+  SweepReport rep = synthetic_report();
+  rep.cells.back().solve_seconds = 0.001;
+  return RoutingTable::from_sweep(rep);
+}
+
+/// mg-pcg is one (solver, preconditioner) pair of the native CG body: a
+/// drained one-rank request routed to it runs CG with the multigrid
+/// preconditioner on the solo path, bitwise equal to a direct session
+/// solve of that config.
+TEST(ServerMgPcg, DrainedRequestRunsCgWithMultigrid) {
+  ServerOptions opts;
+  opts.routes = mg_pcg_first_table();
+  SolveServer server(std::move(opts));
+  SolveRequest req;
+  req.deck = decks::hot_block(16, 1);
+  req.deck.solver.eps = 1e-8;
+  req.nranks = 1;
+  const SolveResult res = server.solve_one(req);
+  EXPECT_TRUE(res.ok());
+  EXPECT_FALSE(res.batched);
+  EXPECT_EQ(res.route_label, "mg-pcg/none/d1/n16/fused");
+  EXPECT_EQ(res.config.type, SolverType::kCG);
+  EXPECT_EQ(res.config.precon, PreconType::kMultigrid);
+
+  SolverConfig cfg = req.deck.solver;
+  cfg.type = SolverType::kCG;
+  cfg.precon = PreconType::kMultigrid;
+  cfg.tile_rows = res.config.tile_rows;
+  SolveSession direct(req.deck, 1);
+  const SolveStats ref = direct.solve(cfg);
+  EXPECT_EQ(res.stats.outer_iters, ref.outer_iters);
+  EXPECT_EQ(res.stats.final_norm, ref.final_norm);
+}
+
+TEST(ServerMgPcg, RunStepsThroughTheMgPcgRoute) {
+  ServerOptions opts;
+  opts.routes = mg_pcg_first_table();
+  opts.learn_routes = true;  // observations show which route each step ran
+  SolveServer server(std::move(opts));
+  InputDeck deck = decks::hot_block(16, 3);
+  deck.solver.eps = 1e-8;
+  ASSERT_EQ(server.routes().route(2, 16, 1).front().label(),
+            "mg-pcg/none/d1/n16/fused");
+  const RunResult run = server.run(deck, 1);
+  EXPECT_TRUE(run.all_converged);
+  EXPECT_EQ(run.steps, 3);
+  EXPECT_EQ(run.reroutes, 0);
+  const RouteObservation* obs =
+      server.routes().database().find("2d/n16/r1", "mg-pcg/none/d1/fused");
+  ASSERT_NE(obs, nullptr);
+  EXPECT_EQ(obs->observations, 3);
+
+  SolverConfig cfg = deck.solver;
+  cfg.type = SolverType::kCG;
+  cfg.precon = PreconType::kMultigrid;
+  cfg.tile_rows = 0;
+  SolveSession direct(deck, 1);
+  long long iters = 0;
+  for (int s = 0; s < 3; ++s) iters += direct.solve(cfg).outer_iters;
+  EXPECT_EQ(run.total_outer_iters, iters);
+  EXPECT_EQ(run.final_summary.temp, direct.field_summary().temp);
+}
+
+/// A breakdown re-route keeps the session's precision, and mg-pcg is
+/// double-only: the retry on a mixed-precision session passes over the
+/// mg-pcg fallback to the next one instead of throwing out of drain().
+TEST(ServerMgPcg, MixedSessionRetryPassesOverMgPcg) {
+  SweepReport rep;
+  rep.ranks = 1;
+  rep.steps = 1;
+  const auto add = [&](const std::string& solver, PreconType pre,
+                       const std::string& precision, double seconds) {
+    SweepOutcome cell;
+    cell.config.solver = solver;
+    cell.config.precon = pre;
+    cell.config.mesh_n = 16;
+    cell.config.precision = precision;
+    cell.converged = true;
+    cell.iterations = 10;
+    cell.solve_seconds = seconds;
+    rep.cells.push_back(cell);
+  };
+  add("cg", PreconType::kNone, "mixed", 0.001);
+  add("mg-pcg", PreconType::kNone, "double", 0.002);
+  add("cg", PreconType::kJacobiDiag, "mixed", 0.003);
+  ServerOptions opts;
+  opts.routes = RoutingTable::from_sweep(rep);
+  SolveServer server(std::move(opts));
+  SolveRequest req;
+  req.deck = decks::hot_block(16, 1);
+  req.deck.solver.eps = 1e-300;  // mixed refinement stalls: a breakdown
+  req.nranks = 1;
+  const SolveResult res = server.solve_one(req);
+  EXPECT_TRUE(res.rerouted);
+  EXPECT_EQ(res.attempts, 2);
+  EXPECT_EQ(res.route_label, "cg/jac_diag/d1/n16/fused/mixed");
+  EXPECT_EQ(res.config.precision, Precision::kMixed);
 }
 
 TEST(SolveServer, StaleHintBreakdownReroutesOnceAndCompletes) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "driver/decks.hpp"
@@ -296,6 +297,40 @@ TEST_F(SweepRun, JsonRoundTrips) {
             rep.cells[rep.best()].config.label());
 }
 
+TEST(SweepJson, IntegerKeysRejectNonIntegralNumbers) {
+  // JSON numbers are doubles: integer keys must hold whole, in-range
+  // values, never a truncating (2.5) or out-of-range (1e30) cast.
+  SweepReport rep;
+  rep.ranks = 2;
+  rep.steps = 1;
+  SweepOutcome cell;
+  cell.config.solver = "cg";
+  cell.config.mesh_n = 16;
+  cell.converged = true;
+  cell.iterations = 12;
+  cell.solve_seconds = 0.01;
+  rep.cells.push_back(cell);
+  const std::string text = rep.to_json().dump(2);
+  EXPECT_EQ(SweepReport::from_json_string(text).cells.at(0).iterations, 12);
+  const auto with = [&](const std::string& from, const std::string& to) {
+    std::string doc = text;
+    const std::size_t at = doc.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    return doc.replace(at, from.size(), to);
+  };
+  for (const auto& [from, to] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"\"ranks\": 2", "\"ranks\": 1e30"},
+           {"\"iterations\": 12", "\"iterations\": 2.5"},
+           {"\"mesh\": 16", "\"mesh\": -1e19"},
+           {"\"messages\": 0", "\"messages\": 1e300"},
+           {"\"spmv\": 0", "\"spmv\": 0.5"}}) {
+    EXPECT_THROW((void)SweepReport::from_json_string(with(from, to)),
+                 TeaError)
+        << to;
+  }
+}
+
 TEST(SweepMgPcg, RunsAsFifthSolverAxis) {
   InputDeck base = decks::hot_block(16, 1);
   base.solver.eps = 1e-8;
@@ -335,22 +370,20 @@ TEST(SweepEngineAxis, TiledAndUntiledCellsConvergeIdentically) {
   const SweepReport rep = run_sweep(base, spec);
   ASSERT_EQ(rep.cells.size(), 6u);
 
-  // mg-pcg runs untiled only: its tiled cell is a reasoned skip.
+  // Every solver, mg-pcg included: the tile height is a pure-speed axis
+  // — identical iteration counts, norms and communication per
+  // untiled/tiled pair.
   ASSERT_EQ(rep.cells[4].config.solver, "mg-pcg");
-  EXPECT_FALSE(rep.cells[4].skipped);
-  EXPECT_TRUE(rep.cells[4].converged);
-  EXPECT_TRUE(rep.cells[5].skipped);
-
-  // Native solvers: the tile height is a pure-speed axis — identical
-  // iteration counts and communication per untiled/tiled pair.
-  for (const std::size_t i : {0u, 2u}) {
+  for (const std::size_t i : {0u, 2u, 4u}) {
     const SweepOutcome& untiled = rep.cells[i];
     const SweepOutcome& tiled = rep.cells[i + 1];
     ASSERT_EQ(untiled.config.tile_rows, 0);
     ASSERT_EQ(tiled.config.tile_rows, 6);
+    EXPECT_FALSE(tiled.skipped) << tiled.skip_reason;
     EXPECT_TRUE(untiled.converged) << untiled.config.label();
     EXPECT_TRUE(tiled.converged) << tiled.config.label();
     EXPECT_EQ(tiled.iterations, untiled.iterations);
+    EXPECT_EQ(tiled.final_norm, untiled.final_norm);
     EXPECT_EQ(tiled.inner_steps, untiled.inner_steps);
     EXPECT_EQ(tiled.reductions, untiled.reductions);
     EXPECT_EQ(tiled.message_bytes, untiled.message_bytes);
@@ -524,22 +557,27 @@ TEST(SweepGeometryAxis, NoMgPcg3DCellIsEverSkipped) {
 }
 
 TEST(SweepGeometryAxis, SkipPlumbingStillFiresForInvalidCombos) {
-  // Retiring the mg-pcg × 3d skip must not have loosened the genuinely
-  // invalid combinations: mg-pcg's tile contract still records a reasoned
-  // skip (in both geometries), as do its preconditioner/depth contracts.
+  // Retiring the mg-pcg × 3d and mg-pcg × tiles skips must not have
+  // loosened the genuinely invalid combinations: mg-pcg's tiled cells run
+  // in both geometries and match their untiled twins, while its
+  // preconditioner contract still records a reasoned skip.
   InputDeck base = decks::hot_block(12, 1);
   base.solver.eps = 1e-8;
   SweepSpec spec;
   spec.solvers = {"mg-pcg"};
-  spec.tile_rows = {4};
+  spec.tile_rows = {0, 4};
   spec.geometries = {2, 3};
   spec.ranks = 2;
   const SweepReport rep = run_sweep(base, spec);
-  ASSERT_EQ(rep.cells.size(), 2u);
+  ASSERT_EQ(rep.cells.size(), 4u);
   for (const SweepOutcome& c : rep.cells) {
-    EXPECT_TRUE(c.skipped) << c.config.label();
-    EXPECT_NE(c.skip_reason.find("does not row-tile"), std::string::npos)
-        << c.skip_reason;
+    EXPECT_FALSE(c.skipped) << c.config.label() << ": " << c.skip_reason;
+    EXPECT_TRUE(c.converged) << c.config.label();
+  }
+  for (const std::size_t i : {0u, 1u}) {  // (b0, b4) per geometry
+    EXPECT_EQ(rep.cells[i + 2].config.tile_rows, 4);
+    EXPECT_EQ(rep.cells[i + 2].iterations, rep.cells[i].iterations);
+    EXPECT_EQ(rep.cells[i + 2].final_norm, rep.cells[i].final_norm);
   }
 
   SweepSpec mg;

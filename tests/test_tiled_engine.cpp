@@ -557,10 +557,14 @@ TEST(SweepTileAxis, TiledCellsMatchUntiledAndRoundTrip) {
   EXPECT_EQ(rep.cells[1].final_norm, rep.cells[0].final_norm);
   EXPECT_EQ(rep.cells[1].message_bytes, rep.cells[0].message_bytes);
 
-  // mg-pcg runs untiled; its tiled cell is skipped.
-  EXPECT_FALSE(rep.cells[2].skipped);
-  EXPECT_TRUE(rep.cells[2].converged);
-  EXPECT_TRUE(rep.cells[3].skipped);
+  // mg-pcg tiles like cg: its b4 cell runs and matches the untiled one.
+  for (const std::size_t i : {2u, 3u}) {
+    EXPECT_FALSE(rep.cells[i].skipped) << rep.cells[i].skip_reason;
+    EXPECT_TRUE(rep.cells[i].converged) << rep.cells[i].config.label();
+  }
+  EXPECT_EQ(rep.cells[3].config.tile_rows, 4);
+  EXPECT_EQ(rep.cells[3].iterations, rep.cells[2].iterations);
+  EXPECT_EQ(rep.cells[3].final_norm, rep.cells[2].final_norm);
 
   // The tile column survives both serialisation round trips.
   const SweepReport csv_back = SweepReport::from_csv_lines(rep.to_csv_lines());
