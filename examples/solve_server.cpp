@@ -9,9 +9,12 @@
 // fp64 refinement guard, served solo from precision-keyed sessions), one
 // Matrix-Market-backed request (the example writes a small 5-point SPD
 // system and solves it through the assembled CSR path), and, unless
-// --no-poison, one mixed-precision request carrying a stale eigenvalue
-// hint that deterministically breaks down and must be re-routed —
-// keeping its precision — to complete.
+// --no-poison, two poisoned requests: a mixed-precision one carrying a
+// stale eigenvalue hint that deterministically breaks down and must be
+// re-routed — keeping its precision — to complete, and an override that
+// SolverConfig::validate refuses (PPCG + block-Jacobi at matrix-powers
+// depth 4), which the server must reject alone (SolveResult::error)
+// while serving the rest of its drain.
 //
 // Run:  ./examples/solve_server [--requests 20] [--mesh 48] [--mesh2 64]
 //           [--ranks 2] [--batch 8] [--routes sweep.json] [--no-poison]
@@ -29,8 +32,10 @@
 // table (requests, p50, observed-vs-predicted ratio, demotions) make the
 // learning legible.
 //
-// Exits non-zero if any request fails to converge — the CI server-smoke
-// job runs exactly this binary (twice, for the learning half).
+// Exits non-zero if any served request fails to converge, or if any
+// request other than the invalid override is rejected, or that one is
+// not — the CI server-smoke job runs exactly this binary (twice more,
+// with --no-poison, for the learning half).
 
 #include <algorithm>
 #include <cstdio>
@@ -47,6 +52,9 @@
 #include "util/error.hpp"
 
 namespace {
+
+/// Tag of the poisoned request the server must reject.
+constexpr const char* kRejectTag = "req-invalid-jac-block-d4";
 
 /// Write a 5-point SPD system (2-D Laplacian + identity on an n × n
 /// grid) as a Matrix Market file and return a single-rank request that
@@ -196,7 +204,7 @@ int run(const tealeaf::Args& args) {
       // Mixed-precision rider: fp32 inner solves inside the fp64
       // iterative-refinement guard, to the same eps as the fp64 stream.
       // Precision is part of the session shape key, so these never share
-      // (or poison the eigen memos of) the fp64 sessions beside them.
+      // a session with the fp64 requests beside them.
       req.deck.solver.precision = Precision::kMixed;
       req.tag += "-mixed";
     }
@@ -215,6 +223,23 @@ int run(const tealeaf::Args& args) {
       bad.precision = Precision::kMixed;
       req.config = bad;
       req.tag += "-stale-hint-mixed";
+
+      // Beside it, a request no route can serve: block-Jacobi couples the
+      // rows a matrix-powers sweep would extend, so validation refuses the
+      // pair and the server rejects this request without losing the rest
+      // of the drain.
+      SolveRequest invalid;
+      invalid.deck = req.deck;
+      invalid.nranks = ranks;
+      invalid.tag = kRejectTag;
+      SolverConfig block = invalid.deck.solver;
+      block.type = SolverType::kPPCG;
+      block.precon = PreconType::kJacobiBlock;
+      block.halo_depth = 4;
+      invalid.config = block;
+      stream.push_back(std::move(req));
+      stream.push_back(std::move(invalid));
+      continue;
     }
     stream.push_back(std::move(req));
   }
@@ -243,7 +268,14 @@ int run(const tealeaf::Args& args) {
   }
 
   int failed = 0;
+  std::size_t rejected = 0;
   for (const SolveResult& r : results) {
+    if (!r.error.empty()) {
+      std::printf("%-24s REJECTED: %s\n", r.tag.c_str(), r.error.c_str());
+      ++rejected;
+      if (r.tag != kRejectTag) ++failed;
+      continue;
+    }
     const std::string refines =
         r.config.precision == Precision::kMixed
             ? " refine=" + std::to_string(r.stats.refine_steps)
@@ -271,6 +303,7 @@ int run(const tealeaf::Args& args) {
   };
   std::map<std::string, RouteAgg> by_route;
   for (const SolveResult& r : results) {
+    if (!r.error.empty()) continue;
     RouteAgg& a = by_route[r.route_label.empty() ? "(deck config)"
                                                  : r.route_label];
     a.latencies.push_back(r.latency_seconds);
@@ -324,10 +357,15 @@ int run(const tealeaf::Args& args) {
   }
 
   if (failed > 0) {
-    std::printf("SMOKE FAIL: %d request(s) did not converge\n", failed);
+    std::printf("SMOKE FAIL: %d request(s) failed\n", failed);
     return 1;
   }
-  std::printf("SMOKE OK: all %lld requests converged\n", st.requests);
+  if (rejected != (poison ? 1u : 0u)) {
+    std::printf("SMOKE FAIL: the invalid override was served\n");
+    return 1;
+  }
+  std::printf("SMOKE OK: all %zu requests converged\n",
+              results.size() - rejected);
   return 0;
 }
 

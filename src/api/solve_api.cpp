@@ -60,10 +60,6 @@ void SolveSession::reset(const InputDeck& deck) {
   TEA_REQUIRE(std::max(2, next.solver.halo_depth) <= shape_.halo,
               "SolveSession::reset: deck needs a deeper halo than this "
               "session allocated");
-  // Same deck text ⇒ same operator (density, coefficient, dt) ⇒ the
-  // eigenvalue memo stays valid.  Conservative: an energy-only change
-  // also clears it, which only costs re-estimation.
-  if (next.to_string() != deck_.to_string()) forget_eig_estimate();
   deck_ = std::move(next);
   apply_states(*cluster_, deck_);
   cluster_->for_each_chunk([](int, Chunk& c) { kernels::init_u_u0(c); });
@@ -114,6 +110,7 @@ void SolveSession::prepare(OperatorKind op) {
 }
 
 void SolveSession::finish_solve(const SolveStats& stats) {
+  if (stats.breakdown) return;  // u is garbage: keep the step's input state
   // Recover specific energy from the temperature solution.
   cluster_->for_each_chunk([](int, Chunk& c) {
     auto& energy = c.energy();
@@ -126,10 +123,6 @@ void SolveSession::finish_solve(const SolveStats& stats) {
   });
   sim_time_ += deck_.initial_timestep;
   ++solves_taken_;
-  if (!stats.breakdown && stats.eigmax > 0.0) {
-    eig_min_ = stats.eigmin;
-    eig_max_ = stats.eigmax;
-  }
 }
 
 SolveStats SolveSession::solve(const SolverConfig& cfg) {
@@ -149,16 +142,6 @@ SolveStats SolveSession::solve(const SolverConfig& cfg) {
   const SolveStats stats = run_solver(*cluster_, checked, machine_);
   finish_solve(stats);
   return stats;
-}
-
-SolverConfig SolveSession::with_eig_hints(SolverConfig cfg) const {
-  if (!has_eig_estimate()) return cfg;
-  if (cfg.type != SolverType::kChebyshev && cfg.type != SolverType::kPPCG) {
-    return cfg;
-  }
-  cfg.eig_hint_min = eig_min_;
-  cfg.eig_hint_max = eig_max_;
-  return cfg;
 }
 
 FieldSummary SolveSession::field_summary() {
@@ -191,14 +174,22 @@ std::vector<SolveSession*> SessionCache::acquire(const InputDeck& deck,
                                                  int count) {
   TEA_REQUIRE(count >= 1, "SessionCache::acquire: count must be >= 1");
   const ProblemShape shape = ProblemShape::of(deck, nranks, halo);
+  const auto found = pool_.find(shape.key());
+  const int have = found == pool_.end()
+                       ? 0
+                       : static_cast<int>(found->second.sessions.size());
+  // Construct what the pool lacks before touching it: a session the deck
+  // cannot build leaves the pool and the counters as they were.
+  std::vector<std::unique_ptr<SolveSession>> built;
+  for (int i = have; i < count; ++i) {
+    built.push_back(std::make_unique<SolveSession>(deck, nranks, halo));
+  }
   ShapeEntry& entry = pool_[shape.key()];
   entry.last_use = ++clock_;
-  const int have = static_cast<int>(entry.sessions.size());
   hits_ += std::min(have, count);
-  for (int i = have; i < count; ++i) {
-    ++misses_;
-    entry.sessions.push_back(
-        std::make_unique<SolveSession>(deck, nranks, halo));
+  misses_ += static_cast<long long>(built.size());
+  for (std::unique_ptr<SolveSession>& s : built) {
+    entry.sessions.push_back(std::move(s));
   }
   std::vector<SolveSession*> out;
   out.reserve(static_cast<std::size_t>(count));

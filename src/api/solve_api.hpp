@@ -31,8 +31,7 @@ struct ProblemShape {
   OperatorKind op = OperatorKind::kStencil;
   /// Storage precision the deck asks for.  Part of the shape so a session
   /// whose chunks carry (or lack) the fp32 field bank and fp32 assembled
-  /// matrices is never handed to a request of the other precision — and
-  /// so eigenvalue memos never leak between fp64 and fp32 operators.
+  /// matrices is never handed to a request of the other precision.
   Precision precision = Precision::kDouble;
 
   [[nodiscard]] static ProblemShape of(const InputDeck& deck, int nranks,
@@ -61,9 +60,9 @@ struct SolveRequest {
 };
 
 /// What came back.  `stats` describes the FINAL attempt only; iterations
-/// burned by failed attempts live in `failed_attempt_iters` so aggregate
-/// accounting (RunResult::total_outer_iters) never double-counts a
-/// re-routed request.
+/// burned by failed attempts live in `failed_attempt_iters` so summing
+/// `stats.outer_iters` never double-counts a re-routed request.  A
+/// request the server could not serve carries the reason in `error`.
 struct SolveResult {
   SolveStats stats;
   SolverConfig config;        ///< configuration of the final attempt
@@ -90,8 +89,12 @@ struct SolveResult {
   bool route_demoted = false;   ///< final route is currently demoted
   double predicted_route_seconds = 0.0;
   std::string tag;
+  /// Why the request was rejected (the TeaError message: an invalid deck
+  /// or config, a rule a solver enforces, an unreadable matrix file);
+  /// empty when it was served.  A rejected request has no stats.
+  std::string error;
 
-  [[nodiscard]] bool ok() const { return stats.converged; }
+  [[nodiscard]] bool ok() const { return error.empty() && stats.converged; }
 };
 
 /// Volume-weighted diagnostics over the whole domain (upstream
@@ -108,10 +111,9 @@ struct FieldSummary {
 };
 
 /// Handle that owns everything reusable about a solve problem: the
-/// SimCluster (decomposition, field allocations, halo depth) and the
-/// eigenvalue estimates of the current operator.  This is the ONE entry
-/// path onto the solvers — TeaLeafApp, the sweep and the solve server
-/// all hold sessions instead of hand-rolling cluster setup.
+/// SimCluster (decomposition, field allocations, halo depth).  This is
+/// the ONE entry path onto the solvers — TeaLeafApp, the sweep and the
+/// solve server all hold sessions instead of hand-rolling cluster setup.
 ///
 /// One `solve()` performs one implicit conduction step exactly as the
 /// driver's timestep always has: full-depth material exchange, u/u0 and
@@ -128,9 +130,7 @@ class SolveSession {
                         int halo_override = 0);
 
   /// Re-initialise density/energy/u from a (possibly different) deck of
-  /// the SAME shape — the cache-reuse path.  Cheap: no allocation.  The
-  /// eigenvalue memo survives only when the new deck text matches the
-  /// current one (same deck ⇒ same operator); any change clears it.
+  /// the SAME shape — the cache-reuse path.  Cheap: no allocation.
   /// Throws TeaError when the shape differs.
   void reset(const InputDeck& deck);
 
@@ -138,15 +138,17 @@ class SolveSession {
   SolveStats solve() { return solve(deck_.solver); }
 
   /// One implicit conduction step with an explicit configuration
-  /// (validated() is applied — entry-layer misuse checks).  Remembers the
-  /// eigenvalue estimates of a successful Chebyshev/PPCG solve.
+  /// (validated() is applied — entry-layer misuse checks).  A step that
+  /// breaks down leaves the session as it was (see finish_solve).
   SolveStats solve(const SolverConfig& cfg);
 
   /// The two halves of `solve()` around the solver, for callers that run
-  /// the solver themselves (the server's batch engine and its solo
-  /// path): `prepare` runs the pre-solve phases (exchange, u/u0,
-  /// conduction build) outside any region; `finish_solve` recovers
-  /// energy and advances the session clock.
+  /// the solver themselves (the server's batch engine): `prepare` runs
+  /// the pre-solve phases (exchange, u/u0, conduction build) outside any
+  /// region; `finish_solve` recovers energy and advances the session
+  /// clock.  After a breakdown u is garbage, so `finish_solve` of a broken
+  /// attempt changes nothing: energy, sim_time() and solves_taken() stay
+  /// as they were, and a retry replays the same step.
   /// `prepare(op)` also installs the operator representation the coming
   /// solve will traverse: kStencil clears any assembled matrix; kCsr
   /// assembles the freshly built conduction stencil into CSR per chunk —
@@ -165,16 +167,6 @@ class SolveSession {
   [[nodiscard]] double sim_time() const { return sim_time_; }
   [[nodiscard]] int solves_taken() const { return solves_taken_; }
 
-  /// Eigenvalue memo: the widened [λmin, λmax] of the session's current
-  /// operator, remembered from the last successful Chebyshev/PPCG solve.
-  /// `with_eig_hints` copies them into a config (no-op when nothing is
-  /// remembered or the solver takes no hints) so repeat solves skip the
-  /// CG presteps — the server's opt-in amortisation.  Hinted solves are
-  /// faster but not bitwise-equal to prestepped ones.
-  [[nodiscard]] bool has_eig_estimate() const { return eig_max_ > 0.0; }
-  [[nodiscard]] SolverConfig with_eig_hints(SolverConfig cfg) const;
-  void forget_eig_estimate() { eig_min_ = eig_max_ = 0.0; }
-
   /// Machine the session's runs model (default spruce_hybrid): resolves
   /// `auto` tile heights against ITS per-core L2 instead of always the
   /// default machine's.  The sweep sets this from SweepOptions::machine
@@ -188,8 +180,6 @@ class SolveSession {
   std::unique_ptr<SimCluster2D> cluster_;
   double sim_time_ = 0.0;
   int solves_taken_ = 0;
-  double eig_min_ = 0.0;
-  double eig_max_ = 0.0;
   MachineSpec machine_ = machines::spruce_hybrid();
   /// Matrix Market memo: the CSR built from deck_.matrix_file, keyed by
   /// the path it came from (reloaded only when the path changes).
@@ -207,9 +197,12 @@ class SessionCache {
       : max_sessions_(max_sessions) {}
 
   /// Borrow `count` sessions for the given shape, constructing what the
-  /// pool lacks.  Each returned session still holds its previous deck's
-  /// fields — `reset` it before use.  Pointers stay valid until the next
-  /// `acquire` (which may evict other shapes, never the one returned).
+  /// pool lacks.  The pooled sessions come first, so the first (hits()
+  /// this call added) entries are the reused ones.  Each returned session
+  /// still holds its previous deck's fields — `reset` it before use.
+  /// Pointers stay valid until the next `acquire` (which may evict other
+  /// shapes, never the one returned).  A session the deck cannot build
+  /// throws and leaves the pool and the counters as they were.
   std::vector<SolveSession*> acquire(const InputDeck& deck, int nranks,
                                      int halo, int count);
 

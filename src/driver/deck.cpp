@@ -60,9 +60,9 @@ std::map<std::string, std::string> tokenize_kv(std::istringstream& line) {
   return kv;
 }
 
-/// Boolean tl_* flags: bare (`tl_route_learn`) or explicit
-/// (`tl_route_learn=0`).  A non-boolean value is an error — a mistyped
-/// value must not silently enable the knob.
+/// Boolean tl_* flags: bare (`tl_cg_fuse_reductions`) or explicit
+/// (`tl_cg_fuse_reductions=0`).  A non-boolean value is an error — a
+/// mistyped value must not silently enable the knob.
 bool to_flag(const std::string& s, const std::string& key) {
   if (s.empty() || s == "1" || s == "true" || s == "on") return true;
   if (s == "0" || s == "false" || s == "off") return false;
@@ -88,8 +88,6 @@ constexpr const char* kKnownKeys[] = {
     "tl_cg_fuse_reductions", "tl_fuse_kernels",
     "tl_tile_rows",   "tl_coefficient",
     "tl_operator",    "tl_precision",
-    "tl_route_db",    "tl_route_learn",
-    "tl_route_demote_ratio",
     "matrix_file",
     "sweep_solvers",  "sweep_precons",
     "sweep_halo_depths", "sweep_mesh_sizes",
@@ -325,13 +323,6 @@ InputDeck InputDeck::parse(std::istream& in) {
       deck.solver.op = operator_kind_from_string(value);
     } else if (key == "tl_precision") {
       deck.solver.precision = precision_from_string(value);
-    } else if (key == "tl_route_db") {
-      TEA_REQUIRE(!value.empty(), "deck: tl_route_db needs a path");
-      deck.route_db = value;
-    } else if (key == "tl_route_learn") {
-      deck.route_learn = to_flag(value, key);
-    } else if (key == "tl_route_demote_ratio") {
-      deck.route_demote_ratio = parse_double(value, key);
     } else if (key == "matrix_file") {
       TEA_REQUIRE(!value.empty(), "deck: matrix_file needs a path");
       deck.matrix_file = value;
@@ -427,11 +418,6 @@ std::string InputDeck::to_string() const {
   }
   if (solver.precision != Precision::kDouble) {
     os << "tl_precision=" << tealeaf::to_string(solver.precision) << "\n";
-  }
-  if (!route_db.empty()) os << "tl_route_db=" << route_db << "\n";
-  if (route_learn) os << "tl_route_learn\n";
-  if (route_demote_ratio > 0.0) {
-    os << "tl_route_demote_ratio=" << route_demote_ratio << "\n";
   }
   if (!matrix_file.empty()) os << "matrix_file=" << matrix_file << "\n";
   if (sweep.requested()) {
@@ -543,12 +529,6 @@ void InputDeck::validate() const {
           "matrix_file — a loaded operator has no stencil coefficients to "
           "re-assemble in fp32.  Use tl_precision = double.");
     }
-  }
-  if (route_demote_ratio != 0.0) {
-    TEA_REQUIRE(route_demote_ratio > 1.0,
-                "deck: tl_route_demote_ratio must exceed 1 (a route cannot "
-                "be demoted for matching its prediction); 0 keeps the "
-                "server default");
   }
   TEA_REQUIRE(end_time > 0.0 || end_step > 0,
               "deck: need end_time or end_step");

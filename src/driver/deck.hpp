@@ -76,20 +76,6 @@ struct InputDeck {
   /// provide the right-hand side (u0 = density·energy per cell).
   std::string matrix_file;
 
-  /// Online-routing knobs, honoured by SolveServer::run (the direct
-  /// TeaLeafApp path has no routing table to refine).  `tl_route_db`
-  /// names a RouteDatabase JSON file: merged into the server's table
-  /// before the run (merge-on-load) and rewritten with the accumulated
-  /// evidence afterwards when learning is on.
-  std::string route_db;
-  /// `tl_route_learn`: feed measured per-step latencies back into the
-  /// routing table (EWMA + demotion — see docs/routing.md).
-  bool route_learn = false;
-  /// `tl_route_demote_ratio`: demote a route once observed/predicted
-  /// exceeds this.  0 keeps the server's default; any explicit value
-  /// must exceed 1.
-  double route_demote_ratio = 0.0;
-
   SolverConfig solver;
   /// Optional design-space sweep over this deck (driver/sweep.hpp runs
   /// it); populated by the `sweep_*` keys, empty for single-solve decks.
@@ -104,7 +90,6 @@ struct InputDeck {
   /// tl_eigen_cg_iters, tl_halo_depth (matrix powers),
   /// tl_operator (stencil|csr), matrix_file (<path>.mtx),
   /// tl_precision (double|single|mixed),
-  /// tl_route_db (<path>.json), tl_route_learn, tl_route_demote_ratio,
   /// tl_coefficient (conductivity|recip_conductivity), the sweep section
   /// (comma-separated axis lists): sweep_solvers, sweep_precons,
   /// sweep_halo_depths, sweep_mesh_sizes, sweep_threads, sweep_operator,

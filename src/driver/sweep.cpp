@@ -78,11 +78,12 @@ namespace {
 /// α-β pricing of the communication a run recorded: every message pays
 /// the machine's point-to-point latency plus payload/bandwidth; every
 /// allreduce pays the log-tree hop latency (the model of scaling.cpp,
-/// reduced to the counts CommStats holds).
+/// reduced to the counts CommStats holds).  A one-rank reduction crosses
+/// no network and costs nothing.
 double price_comm(const CommStats& stats, const MachineSpec& machine,
                   int ranks) {
   const double hops =
-      std::ceil(std::log2(std::max(2.0, static_cast<double>(ranks))));
+      ranks > 1 ? std::ceil(std::log2(static_cast<double>(ranks))) : 0.0;
   return static_cast<double>(stats.messages) * machine.net_alpha_us * 1.0e-6 +
          static_cast<double>(stats.message_bytes) /
              (machine.net_bw_gbs * 1.0e9) +

@@ -9,11 +9,7 @@
 
 namespace tealeaf {
 
-/// Aggregate outcome of a full run.  Iteration totals count each step's
-/// FINAL solve attempt only; iterations burned by attempts that broke
-/// down and were re-routed (the solve-server's retry path) accumulate in
-/// `total_failed_attempt_iters` — keeping total_outer_iters an honest
-/// convergence metric instead of double-counting retried requests.
+/// Aggregate outcome of a full run.
 struct RunResult {
   int steps = 0;
   double sim_time = 0.0;
@@ -21,8 +17,6 @@ struct RunResult {
   long long total_outer_iters = 0;
   long long total_inner_steps = 0;
   long long total_spmv = 0;
-  long long total_failed_attempt_iters = 0;
-  long long reroutes = 0;
   double wall_seconds = 0.0;
   FieldSummary final_summary;
 };

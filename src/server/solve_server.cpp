@@ -1,12 +1,10 @@
 #include "server/solve_server.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <map>
 #include <utility>
 
 #include "server/batch.hpp"
-#include "solvers/solver.hpp"
 #include "util/error.hpp"
 #include "util/timer.hpp"
 
@@ -43,8 +41,7 @@ void SolveServer::save_route_db() const {
 
 void SolveServer::submit(SolveRequest req) { queue_.push_back(std::move(req)); }
 
-SolveServer::Routed SolveServer::route_request(const SolveRequest& req,
-                                               int max_halo) const {
+SolveServer::Routed SolveServer::route_request(const SolveRequest& req) const {
   Routed r;
   if (req.config.has_value()) {
     r.config = *req.config;
@@ -53,11 +50,6 @@ SolveServer::Routed SolveServer::route_request(const SolveRequest& req,
   const int mesh_n = std::max(req.deck.x_cells, req.deck.y_cells);
   std::vector<RouteEntry> ranked =
       opts_.routes.route(req.deck.dims, mesh_n, req.nranks);
-  if (max_halo > 0) {
-    std::erase_if(ranked, [&](const RouteEntry& e) {
-      return e.config.halo_depth > max_halo;
-    });
-  }
   if (!req.deck.matrix_file.empty()) {
     // A loaded Matrix Market operator only exists on the assembled paths:
     // stencil-operator routes (mg-pcg included) cannot serve this deck,
@@ -72,51 +64,103 @@ SolveServer::Routed SolveServer::route_request(const SolveRequest& req,
     r.config = req.deck.solver;
     return r;
   }
-  const RouteEntry& best = ranked.front();
-  r.config = best.overlay(req.deck.solver);
-  r.label = best.label();
-  r.route_key = best.route_key();
-  r.predicted_seconds = best.predicted_seconds;
-  r.observations = best.observations;
-  r.learned = best.learned;
-  r.demoted = best.demoted;
+  r.config = ranked.front().overlay(req.deck.solver);
+  r.entry = ranked.front();
   r.fallbacks.assign(ranked.begin() + 1, ranked.end());
   return r;
 }
 
-SolveStats SolveServer::solve_solo(SolveSession& session,
-                                   const SolverConfig& cfg) const {
-  const SolverConfig resolved = cfg.validated();
-  session.prepare(resolved.op);
-  const SolveStats st = run_solver(session.cluster(), resolved);
-  // On breakdown, u is garbage: skip the energy recovery so the session's
-  // energy field stays intact and a retry can rebuild u0 from it.
-  if (!st.breakdown) session.finish_solve(st);
-  return st;
-}
-
-namespace {
-
-/// One request of an in-flight drain group, carrying its routing decision
-/// and borrowed session through batching and the re-route pass.
-struct Pending {
-  std::size_t order = 0;  ///< arrival index (results return in this order)
+/// One request of an in-flight drain, carrying its routing decision and
+/// borrowed session through batching and the re-route.
+struct SolveServer::Pending {
   const SolveRequest* req = nullptr;
+  Routed routed;
   SolveSession* session = nullptr;
-  SolverConfig config;
-  std::string label;
-  bool hinted = false;
-  std::vector<RouteEntry> fallbacks;
-  /// Refinement identity of the route being run ("" = override/fallback);
-  /// the re-route pass rewrites these when it switches entries.
-  std::string route_key;
-  double predicted_seconds = 0.0;
-  long long observations = 0;
-  bool learned = false;
-  bool demoted = false;
 };
 
-}  // namespace
+void SolveServer::reroute(Pending& p, SolveResult& res) {
+  const Timer retry_timer;
+  SolverConfig retry = p.routed.config;
+  if (retry.has_eig_hints()) {
+    // Stale hints: retry the prestepped form of the same route.
+    retry.eig_hint_min = retry.eig_hint_max = 0.0;
+  } else {
+    // The next-ranked entry that fits this session.  The session's shape
+    // was keyed on the first route's precision, so the retry keeps it
+    // rather than adopting the fallback's (a precision flip would need a
+    // new session); a fallback that cannot run at that precision (mg-pcg
+    // is double-only) is passed over.
+    const RouteEntry* next = nullptr;
+    for (const RouteEntry& e : p.routed.fallbacks) {
+      if (e.config.halo_depth > p.session->cluster().halo_depth()) continue;
+      retry = e.overlay(p.req->deck.solver);
+      retry.precision = p.req->deck.solver.precision;
+      try {
+        retry = retry.validated();
+      } catch (const TeaError&) {
+        continue;
+      }
+      next = &e;
+      break;
+    }
+    if (next == nullptr) return;
+    // A breakdown that forces a route switch is the strongest negative
+    // evidence there is: demote the broken route before running the
+    // fallback.  A hint-strip retry stays on the same route — the stale
+    // hints were at fault, not the entry.
+    observe(p, res);
+    p.routed.entry = *next;
+    res.route_label = next->label();
+  }
+  p.routed.config = retry;
+  res.config = retry;
+  res.failed_attempt_iters = res.stats.outer_iters + res.stats.inner_steps;
+  res.attempts = 2;
+  res.rerouted = true;
+  ++stats_.reroutes;
+  // The broken attempt left the session's energy as the request's input
+  // state (finish_solve skips broken attempts), so the retry replays the
+  // same step.
+  try {
+    res.stats = p.session->solve(retry);
+  } catch (const TeaError& e) {
+    res.error = e.what();
+  }
+  res.latency_seconds += retry_timer.elapsed_s();
+}
+
+void SolveServer::observe(const Pending& p, SolveResult& res) {
+  if (!p.routed.entry) return;
+  const RouteEntry& e = *p.routed.entry;
+  res.predicted_route_seconds = e.predicted_seconds;
+  res.route_observations = e.observations;
+  res.route_learned = e.learned;
+  res.route_demoted = e.demoted;
+  if (!opts_.learn_routes) return;
+  const InputDeck& deck = p.req->deck;
+  const int mesh_n = std::max(deck.x_cells, deck.y_cells);
+  const std::string key = e.route_key();
+  ObserveOutcome o;
+  if (res.stats.breakdown) {
+    o = opts_.routes.observe_breakdown(deck.dims, mesh_n, p.req->nranks, key);
+  } else {
+    // Non-converged (but not broken) attempts still observe: running to
+    // max_iters is an honest measurement of at least how slow the route
+    // is here.
+    double measured = res.latency_seconds;
+    if (opts_.learn_latency_hook) {
+      measured = opts_.learn_latency_hook(key, measured);
+    }
+    o = opts_.routes.observe(deck.dims, mesh_n, p.req->nranks, key, measured,
+                             e.predicted_seconds);
+  }
+  ++stats_.route_observations;
+  if (o.newly_demoted) ++stats_.demotions;
+  if (o.newly_promoted) ++stats_.promotions;
+  res.route_observations = o.observations;
+  res.route_demoted = o.demoted;
+  res.route_learned = o.observations >= opts_.learn.min_observations;
+}
 
 std::vector<SolveResult> SolveServer::drain() {
   std::vector<SolveRequest> reqs(queue_.begin(), queue_.end());
@@ -125,86 +169,101 @@ std::vector<SolveResult> SolveServer::drain() {
   if (reqs.empty()) return results;
   Timer drain_timer;
 
-  // Route first: the chosen configuration fixes each request's halo
-  // allocation and so its shape key.  Groups keep arrival order.
+  // Route and validate first: the chosen configuration fixes each
+  // request's halo allocation and so its shape key, and a request that
+  // fails validation fails alone.  Groups keep arrival order.
   std::vector<Pending> pending(reqs.size());
   std::map<std::string, std::vector<std::size_t>> groups;
   std::vector<std::string> group_order;
   for (std::size_t i = 0; i < reqs.size(); ++i) {
+    SolveRequest& req = reqs[i];
     Pending& p = pending[i];
-    p.order = i;
-    p.req = &reqs[i];
-    const Routed routed = route_request(reqs[i]);
-    p.config = routed.config;
-    p.label = routed.label;
-    p.fallbacks = routed.fallbacks;
-    p.route_key = routed.route_key;
-    p.predicted_seconds = routed.predicted_seconds;
-    p.observations = routed.observations;
-    p.learned = routed.learned;
-    p.demoted = routed.demoted;
-    // The routed (or override) precision is part of the session shape:
-    // write it back into this drain's copy of the deck so the group key,
-    // the cache acquire and the session reset all agree, and an fp64
-    // request can never share a session — or its eigenvalue memo — with a
-    // single/mixed one of the same geometry.
-    reqs[i].deck.solver.precision = p.config.precision;
-    const int halo = std::max(2, p.config.halo_depth);
-    const std::string key =
-        ProblemShape::of(reqs[i].deck, reqs[i].nranks, halo).key();
+    p.req = &req;
+    results[i].tag = req.tag;
+    try {
+      p.routed = route_request(req);
+      // The routed (or override) precision is part of the session shape:
+      // write it back into this drain's copy of the deck so the group
+      // key, the cache acquire and the session reset all agree, and an
+      // fp64 request never shares a session with a single/mixed one of
+      // the same geometry.
+      req.deck.solver.precision = p.routed.config.precision;
+      req.deck.validate();
+      p.routed.config = p.routed.config.validated();
+    } catch (const TeaError& e) {
+      results[i].error = e.what();
+      continue;
+    }
+    const int halo = std::max(2, p.routed.config.halo_depth);
+    const std::string key = ProblemShape::of(req.deck, req.nranks, halo).key();
     auto [it, fresh] = groups.try_emplace(key);
     if (fresh) group_order.push_back(key);
     it->second.push_back(i);
   }
 
-  const long long hits_before = cache_.hits();
   for (const std::string& key : group_order) {
     const std::vector<std::size_t>& members = groups[key];
     for (std::size_t at = 0; at < members.size();
          at += static_cast<std::size_t>(opts_.max_batch)) {
       const std::size_t chunk = std::min(
           members.size() - at, static_cast<std::size_t>(opts_.max_batch));
-      const SolveRequest& first = reqs[members[at]];
-      const int halo =
-          std::max(2, pending[members[at]].config.halo_depth);
-      std::vector<SolveSession*> sessions = cache_.acquire(
-          first.deck, first.nranks, halo, static_cast<int>(chunk));
+      const Pending& first = pending[members[at]];
+      const long long hits_before = cache_.hits();
+      std::vector<SolveSession*> sessions;
+      try {
+        sessions = cache_.acquire(first.req->deck, first.req->nranks,
+                                  std::max(2, first.routed.config.halo_depth),
+                                  static_cast<int>(chunk));
+      } catch (const TeaError& e) {
+        // The chunk shares one shape: none of it can be served.
+        for (std::size_t b = 0; b < chunk; ++b) {
+          results[members[at + b]].error = e.what();
+        }
+        continue;
+      }
+      // acquire hands out the pooled sessions first.
+      const std::size_t hits =
+          static_cast<std::size_t>(cache_.hits() - hits_before);
 
       Timer batch_timer;
       std::vector<BatchItem> items;
-      std::vector<Pending*> batch;  // batchable members, aligned with items
+      std::vector<std::size_t> batch;  // batchable members, aligned with items
       for (std::size_t b = 0; b < chunk; ++b) {
-        Pending& p = pending[members[at + b]];
+        const std::size_t i = members[at + b];
+        Pending& p = pending[i];
         p.session = sessions[b];
-        p.session->reset(p.req->deck);
-        if (opts_.reuse_eigen_estimates && p.session->has_eig_estimate()) {
-          p.config = p.session->with_eig_hints(p.config);
+        results[i].cache_hit = b < hits;
+        const bool in_batch = batchable(p.routed.config);
+        try {
+          p.session->reset(p.req->deck);
+          if (in_batch) p.session->prepare(p.routed.config.op);
+        } catch (const TeaError& e) {
+          results[i].error = e.what();
+          continue;
         }
-        // Explicit-override hints count too: stripping them is a valid
-        // re-route when they turn out stale.
-        p.hinted = p.config.has_eig_hints();
-        if (!batchable(p.config)) continue;  // solo below
-        p.config = p.config.validated();
-        p.session->prepare(p.config.op);
-        items.push_back({&p.session->cluster(), p.config, {}});
-        batch.push_back(&p);
+        if (!in_batch) continue;  // solo below
+        items.push_back({&p.session->cluster(), p.routed.config, {}});
+        batch.push_back(i);
       }
       solve_batched(items);
       for (std::size_t b = 0; b < items.size(); ++b) {
-        // Broken attempts skip the energy recovery (u is garbage), keeping
-        // the session's fields intact for the re-route retry.
-        if (!items[b].stats.breakdown) {
-          batch[b]->session->finish_solve(items[b].stats);
-        }
+        SolveResult& res = results[batch[b]];
+        pending[batch[b]].session->finish_solve(items[b].stats);
+        res.stats = items[b].stats;
+        res.batched = items.size() > 1;
       }
 
       // Members the batch engine cannot run solve solo: run_solver builds
       // the multigrid hierarchy and dispatches the fp32 storage and the
       // iterative-refinement outer loop itself, outside any region.
       for (std::size_t b = 0; b < chunk; ++b) {
-        Pending& p = pending[members[at + b]];
-        if (!batchable(p.config)) {
-          results[p.order].stats = solve_solo(*p.session, p.config);
+        const std::size_t i = members[at + b];
+        Pending& p = pending[i];
+        if (!results[i].error.empty() || batchable(p.routed.config)) continue;
+        try {
+          results[i].stats = p.session->solve(p.routed.config);
+        } catch (const TeaError& e) {
+          results[i].error = e.what();
         }
       }
       ++stats_.batches;
@@ -213,144 +272,28 @@ std::vector<SolveResult> SolveServer::drain() {
       }
 
       const double batch_seconds = batch_timer.elapsed_s();
-      for (std::size_t b = 0; b < items.size(); ++b) {
-        results[batch[b]->order].stats = items[b].stats;
-        results[batch[b]->order].batched = items.size() > 1;
-      }
       for (std::size_t b = 0; b < chunk; ++b) {
-        Pending& p = pending[members[at + b]];
-        SolveResult& res = results[p.order];
-        res.config = p.config;
-        res.route_label = p.label;
-        res.tag = p.req->tag;
+        const std::size_t i = members[at + b];
+        Pending& p = pending[i];
+        SolveResult& res = results[i];
+        if (!res.error.empty()) continue;
+        res.config = p.routed.config;
+        if (p.routed.entry) res.route_label = p.routed.entry->label();
         res.latency_seconds = batch_seconds;
-
-        // One-shot breakdown re-route: hinted solves fall back to the
-        // prestepped form of the same route; otherwise the next-ranked
-        // entry that fits this session's halo runs.
-        if (res.stats.breakdown && opts_.reroute_on_failure) {
-          Timer retry_timer;
-          SolverConfig retry = p.config;
-          std::string retry_label = p.label;
-          std::string retry_route_key = p.route_key;
-          double retry_predicted = p.predicted_seconds;
-          bool have_retry = false;
-          bool switched_route = false;
-          if (p.hinted) {
-            retry.eig_hint_min = retry.eig_hint_max = 0.0;
-            have_retry = true;
-          } else {
-            for (const RouteEntry& e : p.fallbacks) {
-              if (e.config.halo_depth >
-                  p.session->cluster().halo_depth()) {
-                continue;
-              }
-              retry = e.overlay(p.req->deck.solver);
-              // The session's shape was keyed on the first route's
-              // precision, so the retry keeps it rather than adopting the
-              // fallback's (a precision flip would need a new session).
-              // A fallback that cannot run at that precision (mg-pcg is
-              // double-only) is passed over.
-              retry.precision = p.req->deck.solver.precision;
-              try {
-                retry = retry.validated();
-              } catch (const TeaError&) {
-                continue;
-              }
-              retry_label = e.label();
-              retry_route_key = e.route_key();
-              retry_predicted = e.predicted_seconds;
-              have_retry = true;
-              switched_route = true;
-              break;
-            }
-          }
-          if (have_retry) {
-            // A breakdown that forces a route switch is the strongest
-            // negative evidence there is: demote the broken route before
-            // running the fallback.  A hint-strip retry stays on the same
-            // route — the stale hints were at fault, not the entry.
-            if (opts_.learn_routes && switched_route &&
-                !p.route_key.empty()) {
-              const ObserveOutcome o = opts_.routes.observe_breakdown(
-                  p.req->deck.dims,
-                  std::max(p.req->deck.x_cells, p.req->deck.y_cells),
-                  p.req->nranks, p.route_key);
-              ++stats_.route_observations;
-              if (o.newly_demoted) ++stats_.demotions;
-            }
-            p.route_key = retry_route_key;
-            p.predicted_seconds = retry_predicted;
-            p.session->forget_eig_estimate();
-            res.failed_attempt_iters =
-                res.stats.outer_iters + res.stats.inner_steps;
-            // The broken attempt skipped finish_solve, so energy is still
-            // the request's input state; the retry's prepare() rebuilds
-            // u/u0 from it.
-            res.stats = solve_solo(*p.session, retry);
-            res.config = retry;
-            res.route_label = retry_label;
-            res.attempts = 2;
-            res.rerouted = true;
-            ++stats_.reroutes;
-            res.latency_seconds += retry_timer.elapsed_s();
-          }
-        }
-
-        // Close the routing loop: feed the measured latency of the final
-        // attempt back into the table.  Non-converged (but not broken)
-        // attempts still observe — running to max_iters is an honest
-        // measurement of at least how slow the route is here.
-        if (!p.route_key.empty()) {
-          res.predicted_route_seconds = p.predicted_seconds;
-          res.route_observations = p.observations;
-          res.route_learned = p.learned;
-          res.route_demoted = p.demoted;
-          if (opts_.learn_routes) {
-            const int mesh_n =
-                std::max(p.req->deck.x_cells, p.req->deck.y_cells);
-            ObserveOutcome o;
-            if (res.stats.breakdown) {
-              // Final attempt broke down (no viable re-route): demote.
-              o = opts_.routes.observe_breakdown(
-                  p.req->deck.dims, mesh_n, p.req->nranks, p.route_key);
-            } else {
-              double measured = res.latency_seconds;
-              if (opts_.learn_latency_hook) {
-                measured = opts_.learn_latency_hook(p.route_key, measured);
-              }
-              o = opts_.routes.observe(p.req->deck.dims, mesh_n,
-                                       p.req->nranks, p.route_key, measured,
-                                       p.predicted_seconds);
-            }
-            ++stats_.route_observations;
-            if (o.newly_demoted) ++stats_.demotions;
-            if (o.newly_promoted) ++stats_.promotions;
-            res.route_observations = o.observations;
-            res.route_demoted = o.demoted;
-            res.route_learned =
-                o.observations >= opts_.learn.min_observations;
-          }
-        }
-        if (!res.ok()) ++stats_.failures;
+        if (res.stats.breakdown) reroute(p, res);
+        // Close the routing loop on the final attempt.
+        if (res.error.empty()) observe(p, res);
       }
     }
   }
 
   stats_.requests += static_cast<long long>(reqs.size());
   stats_.busy_seconds += drain_timer.elapsed_s();
-  const long long new_hits = cache_.hits() - hits_before;
   stats_.cache_hits = cache_.hits();
   stats_.cache_misses = cache_.misses();
-  for (SolveResult& res : results) {
-    stats_.latencies.push_back(res.latency_seconds);
-  }
-  // cache_hit marks are per-drain approximations: the first `new_hits`
-  // requests of each drain reused pooled sessions.
-  long long mark = new_hits;
-  for (SolveResult& res : results) {
-    if (mark-- <= 0) break;
-    res.cache_hit = true;
+  for (const SolveResult& res : results) {
+    if (!res.ok()) ++stats_.failures;
+    if (res.error.empty()) stats_.latencies.push_back(res.latency_seconds);
   }
   return results;
 }
@@ -360,98 +303,6 @@ SolveResult SolveServer::solve_one(SolveRequest req) {
   std::vector<SolveResult> out = drain();
   TEA_ASSERT(out.size() == 1, "solve_one: expected exactly one result");
   return out.front();
-}
-
-RunResult SolveServer::run(const InputDeck& deck, int nranks) {
-  Timer timer;
-  RunResult result;
-
-  // Deck-driven learning: tl_route_db merges a persisted database in (and
-  // receives the accumulated one at the end when learning), tl_route_learn
-  // turns latency feedback on for this run, tl_route_demote_ratio
-  // overrides the demotion threshold.
-  if (!deck.route_db.empty()) {
-    opts_.routes.merge_database(RouteDatabase::load_if_exists(deck.route_db));
-  }
-  if (deck.route_demote_ratio > 0.0) {
-    opts_.learn.demote_ratio = deck.route_demote_ratio;
-    opts_.routes.set_learning(opts_.learn);
-  }
-  const bool learn = opts_.learn_routes || deck.route_learn;
-
-  SolveRequest probe;
-  probe.deck = deck;
-  probe.nranks = nranks;
-  const Routed first = route_request(probe);
-  const int halo = std::max(
-      {2, first.config.halo_depth, deck.solver.halo_depth});
-  SolveSession session(deck, nranks, halo);
-  const int mesh_n = std::max(deck.x_cells, deck.y_cells);
-
-  const int steps = deck.num_steps();
-  for (int s = 0; s < steps; ++s) {
-    // Steps share the session (each consumes the previous step's energy),
-    // so re-route candidates must fit the allocated halo.  Routing runs
-    // fresh every step, so a demotion learned on step s re-routes step
-    // s+1 — within-run convergence onto the fastest route.
-    Routed routed = route_request(probe, session.cluster().halo_depth());
-    std::string route_key = routed.route_key;
-    double predicted = routed.predicted_seconds;
-    if (opts_.reuse_eigen_estimates && session.has_eig_estimate()) {
-      routed.config = session.with_eig_hints(routed.config);
-    }
-    const bool hinted = routed.config.has_eig_hints();
-    SolveStats st = solve_solo(session, routed.config);
-    if (st.breakdown && opts_.reroute_on_failure &&
-        (hinted || !routed.fallbacks.empty())) {
-      session.forget_eig_estimate();
-      result.total_failed_attempt_iters += st.outer_iters + st.inner_steps;
-      ++result.reroutes;
-      ++stats_.reroutes;
-      SolverConfig retry = routed.config;
-      if (hinted) {
-        retry.eig_hint_min = retry.eig_hint_max = 0.0;
-      } else {
-        const RouteEntry& e = routed.fallbacks.front();
-        if (learn && !route_key.empty()) {
-          const ObserveOutcome o = opts_.routes.observe_breakdown(
-              deck.dims, mesh_n, nranks, route_key);
-          ++stats_.route_observations;
-          if (o.newly_demoted) ++stats_.demotions;
-        }
-        retry = e.overlay(deck.solver);
-        route_key = e.route_key();
-        predicted = e.predicted_seconds;
-      }
-      // The broken attempt skipped finish_solve: this step's input energy
-      // is intact and the retry replays the SAME step from it.
-      st = solve_solo(session, retry);
-    }
-    if (learn && !route_key.empty() && !st.breakdown) {
-      double measured = st.solve_seconds;
-      if (opts_.learn_latency_hook) {
-        measured = opts_.learn_latency_hook(route_key, measured);
-      }
-      const ObserveOutcome o = opts_.routes.observe(
-          deck.dims, mesh_n, nranks, route_key, measured, predicted);
-      ++stats_.route_observations;
-      if (o.newly_demoted) ++stats_.demotions;
-      if (o.newly_promoted) ++stats_.promotions;
-    }
-    result.all_converged = result.all_converged && st.converged;
-    result.total_outer_iters += st.outer_iters;
-    result.total_inner_steps += st.inner_steps;
-    result.total_spmv += st.spmv_applies;
-  }
-  if (learn && !deck.route_db.empty()) {
-    opts_.routes.database().save(deck.route_db);
-  }
-  ++stats_.requests;  // one run() counts as one logical request stream
-  result.steps = steps;
-  result.sim_time = session.sim_time();
-  result.final_summary = session.field_summary();
-  result.wall_seconds = timer.elapsed_s();
-  return result;
 }
 
 }  // namespace tealeaf

@@ -2,11 +2,11 @@
 
 #include <deque>
 #include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "api/solve_api.hpp"
-#include "driver/tealeaf_app.hpp"
 #include "server/routing.hpp"
 
 namespace tealeaf {
@@ -16,15 +16,6 @@ struct ServerOptions {
   int max_batch = 8;
   /// Session-cache capacity (SessionCache LRU bound).
   std::size_t max_sessions = 8;
-  /// Seed Chebyshev/PPCG solves with the session's remembered eigenvalue
-  /// estimates, skipping the CG presteps.  Opt-in: hinted solves are
-  /// faster but not bitwise-equal to prestepped ones, so the default
-  /// keeps the batch ≡ solo invariant byte-exact.
-  bool reuse_eigen_estimates = false;
-  /// On numerical breakdown, retry the request ONCE: hint-seeded solves
-  /// fall back to the prestepped form of the same route, otherwise the
-  /// next-ranked routing entry runs.
-  bool reroute_on_failure = true;
   /// Ranked configuration table (e.g. from the nightly sweep JSON).
   /// Empty ⇒ every request runs its deck's own solver config.
   RoutingTable routes;
@@ -51,22 +42,23 @@ struct ServerOptions {
 /// (a batched request's latency is its batch's wall time — requests wait
 /// for their batch).
 struct ServerStats {
-  long long requests = 0;
+  long long requests = 0;           ///< served and rejected alike
   long long batches = 0;            ///< drain flushes handed to the engine
   long long batched_requests = 0;   ///< requests that shared a batch (B > 1)
   long long cache_hits = 0;         ///< session reuse (SessionCache)
   long long cache_misses = 0;
   long long reroutes = 0;           ///< breakdown-triggered retries
-  long long failures = 0;           ///< requests whose final attempt failed
+  long long failures = 0;           ///< requests not ok(), rejected included
   long long route_observations = 0; ///< latencies fed back into the table
   long long demotions = 0;          ///< routes newly demoted this server
   long long promotions = 0;         ///< demotions cleared by fresh evidence
   double busy_seconds = 0.0;        ///< wall time spent solving in drain()
-  std::vector<double> latencies;    ///< per-request seconds, arrival order
+  /// Per-request seconds in arrival order; rejected requests have none.
+  std::vector<double> latencies;
 
   [[nodiscard]] double p50() const { return percentile(0.50); }
   [[nodiscard]] double p99() const { return percentile(0.99); }
-  /// Completed requests per busy second.
+  /// Requests (rejected ones included) per busy second.
   [[nodiscard]] double throughput() const {
     return busy_seconds > 0.0 ? static_cast<double>(requests) / busy_seconds
                               : 0.0;
@@ -87,23 +79,18 @@ class SolveServer {
   /// Queue a request.  Nothing runs until drain().
   void submit(SolveRequest req);
 
-  /// Run every queued request: group by problem shape (preserving arrival
-  /// order within a group), borrow sessions from the cache, solve each
-  /// group through the batch engine in chunks of at most max_batch, then
-  /// apply the one-shot breakdown re-route to any failed item.  Results
-  /// return in arrival order.
+  /// Run every queued request: route and validate each, group by problem
+  /// shape (preserving arrival order within a group), borrow sessions
+  /// from the cache, solve each group through the batch engine in chunks
+  /// of at most max_batch, then retry a broken attempt once on the next
+  /// route.  A request the server cannot serve (an invalid deck or
+  /// config, a rule a solver enforces, an unreadable matrix file) comes
+  /// back with SolveResult::error set; the rest of the drain carries on.
+  /// Results return in arrival order.
   [[nodiscard]] std::vector<SolveResult> drain();
 
   /// submit + drain for a single request.
   [[nodiscard]] SolveResult solve_one(SolveRequest req);
-
-  /// Run a whole time-stepped simulation through the server: one routed
-  /// request per step on one persistent session (steps are sequential —
-  /// each consumes the previous step's energy).  Demonstrates the
-  /// re-route accounting: RunResult::total_outer_iters counts final
-  /// attempts only; failed-attempt iterations land in
-  /// total_failed_attempt_iters.
-  [[nodiscard]] RunResult run(const InputDeck& deck, int nranks);
 
   [[nodiscard]] const ServerStats& stats() const { return stats_; }
   [[nodiscard]] const SessionCache& sessions() const { return cache_; }
@@ -111,7 +98,7 @@ class SolveServer {
   [[nodiscard]] std::size_t pending() const { return queue_.size(); }
 
   /// The live routing table, including whatever the server has learned so
-  /// far (its RouteDatabase grows as drain()/run() observe latencies).
+  /// far (its RouteDatabase grows as drain() observes latencies).
   [[nodiscard]] const RoutingTable& routes() const { return opts_.routes; }
 
   /// Persist the accumulated RouteDatabase to options().route_db_path.
@@ -120,31 +107,27 @@ class SolveServer {
 
  private:
   /// The configuration a request will run: its explicit override, else
-  /// the best viable routing entry (label reported), else the deck's own
-  /// solver config.  Routed entries overlay their structural axes onto
-  /// the deck config (RouteEntry::overlay), keeping the deck's
-  /// tolerances.  `max_halo` constrains re-route candidates to fit an
-  /// already-allocated session.
+  /// the best viable routing entry, else the deck's own solver config.
+  /// Routed entries overlay their structural axes onto the deck config
+  /// (RouteEntry::overlay), keeping the deck's tolerances.
   struct Routed {
     SolverConfig config;
-    std::string label;
-    /// Ranked alternatives for the breakdown re-route (excludes `config`).
+    /// The table entry `config` came from (nullopt = explicit override or
+    /// deck config: no label, nothing to learn against).
+    std::optional<RouteEntry> entry;
+    /// Ranked alternatives for the breakdown re-route (excludes `entry`).
     std::vector<RouteEntry> fallbacks;
-    /// Online-refinement identity of the chosen entry ("" = explicit
-    /// override or deck fallback — nothing to learn against).
-    std::string route_key;
-    double predicted_seconds = 0.0;  ///< raw sweep/model prediction
-    long long observations = 0;
-    bool learned = false;
-    bool demoted = false;
   };
-  [[nodiscard]] Routed route_request(const SolveRequest& req,
-                                     int max_halo = 0) const;
+  [[nodiscard]] Routed route_request(const SolveRequest& req) const;
 
-  /// Solo solve on one session through run_solver; used by run(), the
-  /// re-route retry and the requests the batch engine cannot run.
-  [[nodiscard]] SolveStats solve_solo(SolveSession& session,
-                                      const SolverConfig& cfg) const;
+  /// One request of an in-flight drain (defined in solve_server.cpp).
+  struct Pending;
+  /// The one-shot breakdown re-route of a broken attempt.
+  void reroute(Pending& p, SolveResult& res);
+  /// Report the final route on `res` and, when learning, feed the
+  /// attempt back into the table: a breakdown demotes, anything else is
+  /// a latency sample.
+  void observe(const Pending& p, SolveResult& res);
 
   ServerOptions opts_;
   SessionCache cache_;

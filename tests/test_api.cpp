@@ -52,36 +52,28 @@ TEST(SolveSession, ResetReusesTheAllocationForSameShapeOnly) {
   EXPECT_THROW(session.reset(decks::hot_block(32, 1)), TeaError);
 }
 
-TEST(SolveSession, EigenMemoFollowsTheOperator) {
+TEST(SolveSession, HintedSolveSkipsTheEigenPresteps) {
   InputDeck deck = decks::hot_block(24, 1);
   deck.solver.type = SolverType::kPPCG;
   // Few enough presteps that the solve outlives the eigenvalue
   // estimation (converging inside the presteps leaves no estimate).
   deck.solver.eigen_cg_iters = 8;
   SolveSession session(deck, 2);
-  EXPECT_FALSE(session.has_eig_estimate());
   const SolveStats st = session.solve();
   ASSERT_TRUE(st.converged);
-  ASSERT_TRUE(session.has_eig_estimate());
+  EXPECT_GT(st.eigen_cg_iters, 0);
+  ASSERT_GT(st.eigmin, 0.0);
+  ASSERT_GT(st.eigmax, st.eigmin);
 
-  // Hints flow only into solvers that can use them.
-  SolverConfig ppcg = deck.solver;
-  EXPECT_TRUE(session.with_eig_hints(ppcg).has_eig_hints());
-  SolverConfig cg = deck.solver;
-  cg.type = SolverType::kCG;
-  EXPECT_FALSE(session.with_eig_hints(cg).has_eig_hints());
-
-  // A hinted repeat solve skips the CG presteps and still converges.
+  // Seeded with the first solve's estimates, a repeat solve of the same
+  // problem skips the CG presteps and still converges.
+  SolverConfig hinted = deck.solver;
+  hinted.eig_hint_min = st.eigmin;
+  hinted.eig_hint_max = st.eigmax;
   session.reset(deck);
-  const SolveStats hinted = session.solve(session.with_eig_hints(ppcg));
-  EXPECT_TRUE(hinted.converged);
-  EXPECT_EQ(hinted.eigen_cg_iters, 0);
-
-  // Same deck text keeps the memo; any change clears it (new operator).
-  session.reset(deck);
-  EXPECT_TRUE(session.has_eig_estimate());
-  session.reset(decks::layered_material(24, 1));
-  EXPECT_FALSE(session.has_eig_estimate());
+  const SolveStats again = session.solve(hinted);
+  EXPECT_TRUE(again.converged);
+  EXPECT_EQ(again.eigen_cg_iters, 0);
 }
 
 TEST(SessionCache, CountsHitsAndMissesPerBorrowedSession) {

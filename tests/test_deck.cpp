@@ -415,74 +415,14 @@ TEST(PrecisionDeck, RejectsBadValuesAndUnsupportedCombos) {
                TeaError);
 }
 
-TEST(RoutingDeck, ParsesAndRoundTrips) {
-  const InputDeck deck = InputDeck::parse_string(
-      "*tea\nx_cells=16\ny_cells=16\nend_step=1\n"
-      "tl_route_db=route_db.json\ntl_route_learn\n"
-      "tl_route_demote_ratio=2.5\n"
-      "state 1 density=1 energy=1\n*endtea\n");
-  EXPECT_EQ(deck.route_db, "route_db.json");
-  EXPECT_TRUE(deck.route_learn);
-  EXPECT_EQ(deck.route_demote_ratio, 2.5);
-  const InputDeck back = InputDeck::parse_string(deck.to_string());
-  EXPECT_EQ(back.route_db, "route_db.json");
-  EXPECT_TRUE(back.route_learn);
-  EXPECT_EQ(back.route_demote_ratio, 2.5);
-  // The defaults stay out of the serialised deck, so pre-routing decks
-  // round-trip byte-identically.
-  const InputDeck plain = InputDeck::parse_string(
-      "*tea\nx_cells=16\ny_cells=16\nend_step=1\n"
-      "state 1 density=1 energy=1\n*endtea\n");
-  EXPECT_TRUE(plain.route_db.empty());
-  EXPECT_FALSE(plain.route_learn);
-  EXPECT_EQ(plain.to_string().find("tl_route"), std::string::npos);
-}
-
-TEST(RoutingDeck, RejectsBadValuesAndSuggestsMistypedKeys) {
-  // A demotion ratio at or below 1 would demote routes for matching
-  // their prediction.
-  EXPECT_THROW(InputDeck::parse_string(
-                   "*tea\nx_cells=8\ny_cells=8\nend_step=1\n"
-                   "tl_route_demote_ratio=1.0\n"
-                   "state 1 density=1 energy=1\n*endtea\n"),
-               TeaError);
-  // A mistyped flag value must not silently enable learning.
-  EXPECT_THROW(InputDeck::parse_string(
-                   "*tea\nx_cells=8\ny_cells=8\nend_step=1\n"
-                   "tl_route_learn=maybe\n"
-                   "state 1 density=1 energy=1\n*endtea\n"),
-               TeaError);
-  EXPECT_THROW(InputDeck::parse_string(
-                   "*tea\nx_cells=8\ny_cells=8\nend_step=1\n"
-                   "tl_route_db=\n"
-                   "state 1 density=1 energy=1\n*endtea\n"),
-               TeaError);
-  const auto expect_suggestion = [](const std::string& body,
-                                    const std::string& typo,
-                                    const std::string& wanted) {
-    try {
-      InputDeck::parse_string("*tea\nx_cells=8\ny_cells=8\nend_step=1\n" +
-                              body +
-                              "\nstate 1 density=1 energy=1\n*endtea\n");
-      FAIL() << typo << " must not be silently ignored";
-    } catch (const TeaError& e) {
-      const std::string msg = e.what();
-      EXPECT_NE(msg.find("unknown key '" + typo + "'"), std::string::npos)
-          << msg;
-      EXPECT_NE(msg.find("did you mean '" + wanted + "'?"),
-                std::string::npos)
-          << msg;
-    }
-  };
-  expect_suggestion("tl_route_lern", "tl_route_lern", "tl_route_learn");
-  expect_suggestion("tl_route_bd=x.json", "tl_route_bd", "tl_route_db");
-}
-
-TEST(Deck, RetiredPipelineKeysAreUnknown) {
-  // The pipelined and unfused schedules are gone; decks that still sweep
-  // them fail loudly instead of silently running another schedule.
-  for (const char* line : {"tl_pipeline", "tl_pipeline=1",
-                           "sweep_pipeline=0,1", "sweep_fused=0,1"}) {
+TEST(Deck, RetiredKeysAreUnknown) {
+  // The pipelined and unfused schedules are gone, and so are the deck's
+  // routing keys (route learning is a ServerOptions setting); decks that
+  // still carry them fail loudly instead of silently running without them.
+  for (const char* line :
+       {"tl_pipeline", "tl_pipeline=1", "sweep_pipeline=0,1",
+        "sweep_fused=0,1", "tl_route_db=route_db.json", "tl_route_learn",
+        "tl_route_demote_ratio=2.5"}) {
     try {
       InputDeck::parse_string(
           std::string("*tea\nx_cells=8\ny_cells=8\nend_step=1\n") + line +

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "driver/decks.hpp"
@@ -285,6 +287,28 @@ TEST(Breakdown, PPCGReportsIndefinitePolynomialPreconditioner) {
   // Breakdown is detected within a few outer iterations, not after
   // burning the whole iteration budget on a diverging solve.
   EXPECT_LT(st.outer_iters - st.eigen_cg_iters, 10);
+}
+
+/// After a breakdown u is garbage, so the session's step changes nothing:
+/// the energy field stays bit for bit, and the clock and step count stay
+/// put — a retry replays the same step.
+TEST(Breakdown, BrokenSessionStepLeavesTheSessionAsItWas) {
+  SolveSession session(breakdown_deck(), 2);
+  const Field<double> before =
+      gather_field(session.cluster(), FieldId::kEnergy1);
+  const SolveStats st = session.solve();
+  ASSERT_TRUE(st.breakdown);
+  EXPECT_EQ(session.sim_time(), 0.0);
+  EXPECT_EQ(session.solves_taken(), 0);
+  const Field<double> after =
+      gather_field(session.cluster(), FieldId::kEnergy1);
+  long long changed = 0;
+  for (int l = 0; l < before.nz(); ++l)
+    for (int k = 0; k < before.ny(); ++k)
+      for (int j = 0; j < before.nx(); ++j)
+        changed += std::bit_cast<std::uint64_t>(before(j, k, l)) !=
+                   std::bit_cast<std::uint64_t>(after(j, k, l));
+  EXPECT_EQ(changed, 0);
 }
 
 }  // namespace

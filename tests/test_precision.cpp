@@ -251,8 +251,8 @@ TEST(PrecisionShape, SessionCacheNeverSharesAcrossPrecisions) {
   ASSERT_EQ(dbl.size(), 1u);
   ASSERT_EQ(mix.size(), 1u);
   // Same geometry, different precision: two distinct sessions (a cache
-  // hit here would hand an fp64 session — and its eigen memo — to a
-  // mixed request).
+  // hit here would hand an fp64 session, which has no fp32 field bank,
+  // to a mixed request).
   EXPECT_NE(dbl[0], mix[0]);
   EXPECT_EQ(cache.shapes(), 2u);
   EXPECT_EQ(cache.misses(), 2);

@@ -410,34 +410,66 @@ TEST(RouteRefinement, ServerConvergesOntoFastestRouteAndPersists) {
   EXPECT_GE(res.route_observations, 1);
 }
 
-TEST(RouteRefinement, RunHonoursDeckLearningKeys) {
-  const std::string db_path = tmp_path("run_route_db.json");
-  std::filesystem::remove(db_path);  // hermetic across reruns
-  ServerOptions opts;
-  opts.routes = RoutingTable::from_sweep(two_route_report(16, 1e-7, 5.0));
-  opts.learn.min_observations = 2;
-  opts.learn_latency_hook = [](const std::string&, double) { return 5e-3; };
-  SolveServer server(std::move(opts));
+/// A breakdown re-route that switches entries demotes the broken route
+/// at once; one that only strips stale hints stays on its route and is
+/// not charged.  Either way the final attempt is observed once.
+TEST(RouteRefinement, OnlyASwitchedRerouteDemotesTheBrokenRoute) {
+  const auto ppcg_then_cg = [](int mesh_n) {
+    SweepReport rep = two_route_report(mesh_n, 0.001, 0.002);
+    rep.cells[0].config.solver = "ppcg";
+    ServerOptions opts;
+    opts.routes = RoutingTable::from_sweep(rep);
+    opts.learn_routes = true;
+    return opts;
+  };
 
-  InputDeck deck = decks::layered_material(16, 6);
-  deck.solver.eps = 1e-8;
-  deck.route_learn = true;
-  deck.route_db = db_path;
-  deck.route_demote_ratio = 3.0;
-  const RunResult run = server.run(deck, 2);
-  EXPECT_TRUE(run.all_converged);
-  EXPECT_EQ(server.options().learn.demote_ratio, 3.0);
-
-  // The run demoted the lie after two steps and saved the database.
-  const RouteDatabase db = RouteDatabase::load(db_path);
-  const RouteObservation* cheby =
-      db.find("2d/n16/r2", "chebyshev/none/d1/fused");
-  ASSERT_NE(cheby, nullptr);
-  EXPECT_TRUE(cheby->demoted);
-  const RouteObservation* cg = db.find("2d/n16/r2", "cg/none/d1/fused");
+  // A PPCG whose polynomial preconditioner turns indefinite: the routed
+  // entry breaks down and the CG entry takes over.
+  SolveServer switched(ppcg_then_cg(32));
+  SolveRequest req;
+  req.deck = decks::crooked_pipe(32, 1);
+  req.deck.initial_timestep *= 1000.0;
+  req.deck.solver.type = SolverType::kPPCG;
+  req.deck.solver.eigen_cg_iters = 2;
+  req.deck.solver.inner_steps = 11;
+  req.deck.solver.eps = 1e-10;
+  req.deck.solver.max_iters = 2000;
+  req.nranks = 2;
+  const SolveResult res = switched.solve_one(req);
+  EXPECT_TRUE(res.rerouted);
+  EXPECT_EQ(res.attempts, 2);
+  EXPECT_EQ(res.route_label, "cg/none/d1/n32/fused");
+  EXPECT_FALSE(res.stats.breakdown);
+  EXPECT_EQ(switched.stats().demotions, 1);
+  EXPECT_EQ(switched.stats().route_observations, 2);
+  const RouteDatabase& db = switched.routes().database();
+  const RouteObservation* ppcg = db.find("2d/n32/r2", "ppcg/none/d1/fused");
+  ASSERT_NE(ppcg, nullptr);
+  EXPECT_TRUE(ppcg->demoted);
+  EXPECT_EQ(ppcg->breakdowns, 1);
+  const RouteObservation* cg = db.find("2d/n32/r2", "cg/none/d1/fused");
   ASSERT_NE(cg, nullptr);
-  EXPECT_GE(cg->observations, 2);
-  EXPECT_FALSE(cg->demoted);
+  EXPECT_EQ(cg->observations, 1);
+  EXPECT_EQ(res.route_observations, 1);
+
+  // Stale hints on the routed PPCG: the retry strips them and stays put.
+  SolveServer stripped(ppcg_then_cg(24));
+  req.deck = decks::hot_block(24, 1);
+  req.deck.solver.type = SolverType::kPPCG;
+  req.deck.solver.inner_steps = 3;
+  req.deck.solver.eig_hint_min = 0.1;
+  req.deck.solver.eig_hint_max = 0.2;
+  const SolveResult hinted = stripped.solve_one(req);
+  EXPECT_TRUE(hinted.ok());
+  EXPECT_TRUE(hinted.rerouted);
+  EXPECT_EQ(hinted.route_label, "ppcg/none/d1/n24/fused");
+  EXPECT_EQ(stripped.stats().demotions, 0);
+  EXPECT_EQ(stripped.stats().route_observations, 1);
+  const RouteObservation* same =
+      stripped.routes().database().find("2d/n24/r2", "ppcg/none/d1/fused");
+  ASSERT_NE(same, nullptr);
+  EXPECT_EQ(same->breakdowns, 0);
+  EXPECT_FALSE(same->demoted);
 }
 
 TEST(RouteRefinement, SaveRouteDbRequiresConfiguredPath) {

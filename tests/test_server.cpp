@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <fstream>
 #include <memory>
 #include <sstream>
@@ -9,7 +11,6 @@
 
 #include "api/solve_api.hpp"
 #include "driver/decks.hpp"
-#include "server/route_db.hpp"
 #include "server/batch.hpp"
 #include "server/routing.hpp"
 #include "server/solve_server.hpp"
@@ -314,35 +315,6 @@ TEST(ServerMgPcg, DrainedRequestRunsCgWithMultigrid) {
   EXPECT_EQ(res.stats.final_norm, ref.final_norm);
 }
 
-TEST(ServerMgPcg, RunStepsThroughTheMgPcgRoute) {
-  ServerOptions opts;
-  opts.routes = mg_pcg_first_table();
-  opts.learn_routes = true;  // observations show which route each step ran
-  SolveServer server(std::move(opts));
-  InputDeck deck = decks::hot_block(16, 3);
-  deck.solver.eps = 1e-8;
-  ASSERT_EQ(server.routes().route(2, 16, 1).front().label(),
-            "mg-pcg/none/d1/n16/fused");
-  const RunResult run = server.run(deck, 1);
-  EXPECT_TRUE(run.all_converged);
-  EXPECT_EQ(run.steps, 3);
-  EXPECT_EQ(run.reroutes, 0);
-  const RouteObservation* obs =
-      server.routes().database().find("2d/n16/r1", "mg-pcg/none/d1/fused");
-  ASSERT_NE(obs, nullptr);
-  EXPECT_EQ(obs->observations, 3);
-
-  SolverConfig cfg = deck.solver;
-  cfg.type = SolverType::kCG;
-  cfg.precon = PreconType::kMultigrid;
-  cfg.tile_rows = 0;
-  SolveSession direct(deck, 1);
-  long long iters = 0;
-  for (int s = 0; s < 3; ++s) iters += direct.solve(cfg).outer_iters;
-  EXPECT_EQ(run.total_outer_iters, iters);
-  EXPECT_EQ(run.final_summary.temp, direct.field_summary().temp);
-}
-
 /// A breakdown re-route keeps the session's precision, and mg-pcg is
 /// double-only: the retry on a mixed-precision session passes over the
 /// mg-pcg fallback to the next one instead of throwing out of drain().
@@ -393,12 +365,11 @@ TEST(SolveServer, StaleHintBreakdownReroutesOnceAndCompletes) {
   stale.eig_hint_max = 0.2;
   req.config = stale;
 
-  ServerOptions no_retry;
-  no_retry.reroute_on_failure = false;
-  SolveServer failing(std::move(no_retry));
-  const SolveResult broken = failing.solve_one(req);
-  EXPECT_TRUE(broken.stats.breakdown);
-  EXPECT_FALSE(broken.ok());
+  // Without the re-route the stale-hinted config breaks down.
+  SolveSession direct(req.deck, req.nranks);
+  const SolveStats broken = direct.solve(stale);
+  EXPECT_TRUE(broken.breakdown);
+  EXPECT_FALSE(broken.converged);
 
   SolveServer server;
   const SolveResult res = server.solve_one(req);
@@ -407,6 +378,8 @@ TEST(SolveServer, StaleHintBreakdownReroutesOnceAndCompletes) {
   EXPECT_EQ(res.attempts, 2);
   EXPECT_FALSE(res.config.has_eig_hints());
   EXPECT_EQ(server.stats().reroutes, 1);
+  // The broken attempt's work is reported beside, not inside, `stats`.
+  EXPECT_GT(res.failed_attempt_iters, 0);
 
   // The retry replays the request from intact fields: bitwise equal to
   // never having hinted at all.
@@ -418,35 +391,133 @@ TEST(SolveServer, StaleHintBreakdownReroutesOnceAndCompletes) {
   EXPECT_EQ(res.stats.outer_iters, ref.stats.outer_iters);
 }
 
-/// Regression for the re-route double-count: a run whose every step
-/// breaks down once and retries must report the SAME total_outer_iters
-/// as a run that never failed — failed-attempt iterations live in their
-/// own counter.
-TEST(SolveServer, RunCountsFinalAttemptsOnlyAfterReroutes) {
-  InputDeck clean = decks::hot_block(20, 3);
-  clean.solver.type = SolverType::kPPCG;
-  clean.solver.inner_steps = 3;
-  InputDeck stale = clean;
-  stale.solver.eig_hint_min = 0.1;
-  stale.solver.eig_hint_max = 0.2;
+SolveRequest hot_block_request(int mesh, const std::string& tag) {
+  SolveRequest req;
+  req.deck = decks::hot_block(mesh, 1);
+  req.nranks = 2;
+  req.tag = tag;
+  return req;
+}
 
-  SolveServer s1, s2;
-  const RunResult ref = s1.run(clean, 2);
-  const RunResult rerouted = s2.run(stale, 2);
-  ASSERT_TRUE(ref.all_converged);
-  ASSERT_TRUE(rerouted.all_converged);
-  EXPECT_EQ(rerouted.reroutes, 3);
-  EXPECT_EQ(ref.reroutes, 0);
-  EXPECT_EQ(rerouted.total_outer_iters, ref.total_outer_iters);
-  EXPECT_GT(rerouted.total_failed_attempt_iters, 0);
-  EXPECT_EQ(rerouted.final_summary.temp, ref.final_summary.temp);
+/// A request the server cannot serve fails alone: its result names the
+/// rule it broke, and every other request of the drain is served exactly
+/// as if it had been drained by itself.
+TEST(SolveServer, RejectedRequestFailsAlone) {
+  // mg-pcg solves the undecomposed grid (a rule CGSolver::solve enforces
+  // at solve time) ...
+  SolveRequest mg = hot_block_request(24, "mg-pcg-on-2-ranks");
+  SolverConfig mg_cfg = mg.deck.solver;
+  mg_cfg.type = SolverType::kCG;
+  mg_cfg.precon = PreconType::kMultigrid;
+  mg.config = mg_cfg;
+  // ... and block-Jacobi excludes matrix powers (SolverConfig::validate).
+  SolveRequest block = hot_block_request(24, "ppcg-jac-block-d4");
+  SolverConfig block_cfg = block.deck.solver;
+  block_cfg.type = SolverType::kPPCG;
+  block_cfg.precon = PreconType::kJacobiBlock;
+  block_cfg.halo_depth = 4;
+  block.config = block_cfg;
+
+  SolveServer server;
+  server.submit(hot_block_request(24, "valid-0"));
+  server.submit(mg);
+  server.submit(block);
+  server.submit(hot_block_request(24, "valid-1"));
+  const std::vector<SolveResult> results = server.drain();
+  ASSERT_EQ(results.size(), 4u);
+  EXPECT_EQ(results[0].tag, "valid-0");
+  EXPECT_EQ(results[1].tag, "mg-pcg-on-2-ranks");
+  EXPECT_EQ(results[2].tag, "ppcg-jac-block-d4");
+  EXPECT_EQ(results[3].tag, "valid-1");
+
+  EXPECT_FALSE(results[1].ok());
+  EXPECT_NE(results[1].error.find("one rank"), std::string::npos)
+      << results[1].error;
+  EXPECT_FALSE(results[2].ok());
+  EXPECT_NE(results[2].error.find("block-Jacobi"), std::string::npos)
+      << results[2].error;
+
+  SolveServer alone;
+  for (std::size_t i : {0u, 3u}) {
+    const SolveResult ref = alone.solve_one(hot_block_request(24, "ref"));
+    EXPECT_TRUE(results[i].ok()) << results[i].error;
+    EXPECT_TRUE(results[i].error.empty());
+    EXPECT_EQ(results[i].stats.outer_iters, ref.stats.outer_iters);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(results[i].stats.final_norm),
+              std::bit_cast<std::uint64_t>(ref.stats.final_norm));
+  }
+  EXPECT_EQ(server.pending(), 0u);
+  EXPECT_EQ(server.stats().requests, 4);
+  EXPECT_EQ(server.stats().failures, 2);
+  EXPECT_EQ(server.stats().latencies.size(), 2u);
+}
+
+/// The other refusals — a session the cache cannot build (zero ranks) and
+/// a matrix file prepare cannot read — fail their own requests only, and
+/// leave no session or cache count behind.
+TEST(SolveServer, UnbuildableSessionAndUnreadableMatrixFailAlone) {
+  SolveRequest no_ranks = hot_block_request(24, "zero-ranks");
+  no_ranks.nranks = 0;
+  SolveRequest mtx;
+  mtx.deck.x_cells = mtx.deck.y_cells = 4;
+  mtx.deck.end_step = 1;
+  mtx.deck.matrix_file = ::testing::TempDir() + "/no_such_matrix.mtx";
+  mtx.deck.solver.op = OperatorKind::kCsr;
+  mtx.deck.states.push_back({});
+  mtx.nranks = 1;
+  mtx.tag = "missing-mtx";
+
+  SolveServer server;
+  server.submit(hot_block_request(24, "valid-0"));
+  server.submit(no_ranks);
+  server.submit(mtx);
+  server.submit(hot_block_request(24, "valid-1"));
+  const std::vector<SolveResult> results = server.drain();
+  ASSERT_EQ(results.size(), 4u);
+  EXPECT_TRUE(results[0].ok()) << results[0].error;
+  EXPECT_TRUE(results[3].ok()) << results[3].error;
+  EXPECT_NE(results[1].error.find("at least one rank"), std::string::npos)
+      << results[1].error;
+  EXPECT_NE(results[2].error.find("cannot open"), std::string::npos)
+      << results[2].error;
+  EXPECT_EQ(server.stats().failures, 2);
+  // The valid pair's shape and the matrix request's, whose session was
+  // built before its prepare failed; nothing of the zero-rank shape.
+  EXPECT_EQ(server.sessions().shapes(), 2u);
+  EXPECT_EQ(server.stats().cache_misses, 3);
+}
+
+/// `cache_hit` marks the requests that got a pooled session, whatever
+/// their position in the drain.
+TEST(SolveServer, CacheHitMarksThePooledRequests) {
+  SolveServer server;
+  server.submit(hot_block_request(32, "warm-0"));
+  server.submit(hot_block_request(32, "warm-1"));
+  (void)server.drain();
+
+  // Two fresh 24² requests interleaved with two 32² ones, whose two
+  // sessions are pooled.
+  server.submit(hot_block_request(24, "a0"));
+  server.submit(hot_block_request(32, "b0"));
+  server.submit(hot_block_request(24, "a1"));
+  server.submit(hot_block_request(32, "b1"));
+  const std::vector<SolveResult> results = server.drain();
+  ASSERT_EQ(results.size(), 4u);
+  std::vector<bool> hits;
+  for (const SolveResult& r : results) {
+    EXPECT_TRUE(r.ok());
+    hits.push_back(r.cache_hit);
+  }
+  EXPECT_EQ(hits, (std::vector<bool>{false, true, false, true}));
+  EXPECT_EQ(server.stats().cache_hits, 2);
+  EXPECT_EQ(server.stats().cache_misses, 4);
 }
 
 /// The precision-safety regression: an fp64 request and a mixed request of
 /// the SAME geometry submitted through the server must never share a
 /// session — the shape key carries the precision, so the fp64 stream stays
 /// bitwise identical to a server that never saw reduced precision (no
-/// shared fp32 bank, no cross-precision eigenvalue memo).
+/// shared fp32 bank).
 TEST(ServerPrecision, SessionsNeverSharedAcrossPrecisions) {
   InputDeck base = decks::hot_block(24, 1);
   base.solver.type = SolverType::kChebyshev;
@@ -482,8 +553,8 @@ TEST(ServerPrecision, SessionsNeverSharedAcrossPrecisions) {
   EXPECT_TRUE(first[1].stats.converged);
   EXPECT_LE(first[1].stats.refine_steps, 12);
 
-  // Second drain: the fp64 request reuses the fp64 session's eigenvalue
-  // memo, not the mixed one's — still bitwise equal to the clean server.
+  // Second drain: the fp64 request reuses the fp64 session, not the mixed
+  // one — still bitwise equal to the clean server.
   const SolveResult second = server.solve_one(make(base, "d2"));
   const SolveResult ref_second = reference.solve_one(make(base, "d2"));
   EXPECT_TRUE(second.cache_hit);

@@ -347,6 +347,24 @@ TEST(SweepMgPcg, RunsAsFifthSolverAxis) {
   EXPECT_LT(rep.cells[1].iterations, rep.cells[0].iterations);
 }
 
+/// A one-rank reduction crosses no network: every cell of a one-rank
+/// sweep, mg-pcg included, sends no messages and prices no communication.
+TEST(SweepCommPricing, OneRankCellsPriceNoNetwork) {
+  InputDeck base = decks::hot_block(16, 1);
+  base.solver.eps = 1e-8;
+  SweepSpec spec;
+  spec.solvers = {"cg", "ppcg", "mg-pcg"};
+  spec.ranks = 1;
+  const SweepReport rep = run_sweep(base, spec);
+  ASSERT_EQ(rep.cells.size(), 3u);
+  for (const SweepOutcome& c : rep.cells) {
+    ASSERT_TRUE(c.converged) << c.config.label();
+    EXPECT_GT(c.reductions, 0) << c.config.label();
+    EXPECT_EQ(c.messages, 0) << c.config.label();
+    EXPECT_EQ(c.comm_seconds, 0.0) << c.config.label();
+  }
+}
+
 TEST(SweepDeckDriven, DeckSweepSectionDrivesRun) {
   InputDeck base = decks::hot_block(16, 1);
   base.solver.eps = 1e-8;
