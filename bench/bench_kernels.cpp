@@ -163,9 +163,10 @@ void BM_ChebyStepTile(benchmark::State& state) {
   const Bounds in = interior_bounds(c);
   for (auto _ : state) {
     kernels::cheby_step_tile(c, FieldId::kRtemp, FieldId::kSd, FieldId::kZ,
-                             0.5, 0.1, true, in, in);
+                             0.5, 0.1, PreconType::kJacobiDiag, in, in);
     kernels::cheby_step_tile_edges(c, FieldId::kRtemp, FieldId::kSd,
-                                   FieldId::kZ, 0.5, 0.1, true, in, in);
+                                   FieldId::kZ, 0.5, 0.1,
+                                   PreconType::kJacobiDiag, in, in);
     benchmark::DoNotOptimize(c.z()(0, 0));
   }
   state.SetItemsProcessed(state.iterations() * n * n);
@@ -207,8 +208,9 @@ void BM_BlockJacobiSolve(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   auto cl = make_chunk(n);
   Chunk2D& c = cl->chunk(0);
+  const Bounds in = interior_bounds(c);
   for (auto _ : state) {
-    kernels::block_jacobi_solve(c, FieldId::kR, FieldId::kZ);
+    kernels::block_jacobi_solve(c, FieldId::kR, FieldId::kZ, in);
     benchmark::DoNotOptimize(c.z()(0, 0));
   }
   state.SetItemsProcessed(state.iterations() * n * n);

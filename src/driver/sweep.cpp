@@ -282,29 +282,6 @@ constexpr const char* kCsvColumns[] = {
     "final_norm",  "solve_seconds", "comm_seconds", "speedup",
     "rank"};
 
-/// Strict numeric cell parsers: the whole cell must convert, and failures
-/// surface as TeaError like every other malformed-input path.
-long long csv_ll(const std::string& s, const char* column) {
-  try {
-    std::size_t used = 0;
-    const long long v = std::stoll(s, &used);
-    TEA_REQUIRE(used == s.size(), std::string("sweep csv: bad ") + column);
-    return v;
-  } catch (const TeaError&) {
-    throw;
-  } catch (const std::exception&) {
-    throw TeaError(std::string("sweep csv: bad ") + column + ": '" + s + "'");
-  }
-}
-
-int csv_int(const std::string& s, const char* column) {
-  return parse_int(s, std::string("sweep csv column ") + column);
-}
-
-double csv_double(const std::string& s, const char* column) {
-  return parse_double(s, std::string("sweep csv column ") + column);
-}
-
 }  // namespace
 
 std::vector<std::string> SweepReport::to_csv_lines() const {
@@ -338,60 +315,6 @@ void SweepReport::write_csv(const std::string& path) const {
   for (const std::string& line : to_csv_lines()) {
     csv.row(line);  // lines are pre-joined; emit verbatim
   }
-}
-
-SweepReport SweepReport::from_csv_lines(
-    const std::vector<std::string>& lines) {
-  TEA_REQUIRE(!lines.empty(), "sweep csv: missing header");
-  const auto split = [](const std::string& line) {
-    std::vector<std::string> cells;
-    std::string cell;
-    std::istringstream in(line);
-    while (std::getline(in, cell, ',')) cells.push_back(cell);
-    return cells;
-  };
-  const std::size_t ncols = std::size(kCsvColumns);
-  TEA_REQUIRE(split(lines.front()).size() == ncols,
-              "sweep csv: unexpected header");
-
-  SweepReport report;
-  for (std::size_t i = 1; i < lines.size(); ++i) {
-    const std::vector<std::string> f = split(lines[i]);
-    TEA_REQUIRE(f.size() == ncols, "sweep csv: short row");
-    SweepOutcome out;
-    out.config.solver = f[0];
-    out.config.precon = precon_type_from_string(f[1]);
-    out.config.halo_depth = csv_int(f[2], "halo_depth");
-    out.config.mesh_n = csv_int(f[3], "mesh");
-    out.config.threads = csv_int(f[4], "threads");
-    out.config.tile_rows = csv_int(f[5], "tile_rows");
-    TEA_REQUIRE(f[6] == "2d" || f[6] == "3d", "sweep csv: bad geometry");
-    out.config.dims = f[6] == "3d" ? 3 : 2;
-    (void)operator_kind_from_string(f[7]);  // throws on an unknown kind
-    out.config.op = f[7];
-    out.config.precision = to_string(precision_from_string(f[8]));
-    report.ranks = csv_int(f[9], "sweep_ranks");
-    report.steps = csv_int(f[10], "sweep_steps");
-    out.skipped = f[11] == "skipped";
-    // The CSV form reduces fail_reason to the status keyword (free-text
-    // reasons may contain commas); JSON carries the full text.
-    if (f[11] == "failed") out.fail_reason = "failed";
-    out.converged = csv_int(f[12], "converged") != 0;
-    out.iterations = csv_int(f[13], "iterations");
-    out.inner_steps = csv_ll(f[14], "inner_steps");
-    out.spmv = csv_ll(f[15], "spmv");
-    out.reductions = csv_ll(f[16], "reductions");
-    out.exchanges = csv_ll(f[17], "exchanges");
-    out.messages = csv_ll(f[18], "messages");
-    out.message_bytes = csv_ll(f[19], "message_bytes");
-    out.final_norm = csv_double(f[20], "final_norm");
-    out.solve_seconds = csv_double(f[21], "solve_seconds");
-    out.comm_seconds = csv_double(f[22], "comm_seconds");
-    // The last two columns (speedup, rank) are derived; recomputed on
-    // demand from the parsed cells.
-    report.cells.push_back(std::move(out));
-  }
-  return report;
 }
 
 io::JsonValue SweepReport::to_json() const {

@@ -65,9 +65,10 @@ struct SweepOutcome {
 
 /// The tidy result table of one design-space sweep: cells in deterministic
 /// enumeration order plus ranking helpers and CSV/JSON serialisation.
-/// Both formats round-trip through the matching from_* parsers; the one
-/// asymmetry is `skip_reason`, which only the JSON form carries (free-text
-/// reasons may contain commas).
+/// The JSON form round-trips through from_json; it is the form programs
+/// read back (RoutingTable, bench/check_sweep_smoke.py).  The CSV form is
+/// write-only, for people and spreadsheets; it leaves out `skip_reason`
+/// (free-text reasons may contain commas).
 struct SweepReport {
   int ranks = 0;            ///< simulated ranks every cell ran on
   int steps = 0;            ///< timesteps every cell ran
@@ -86,8 +87,6 @@ struct SweepReport {
 
   [[nodiscard]] std::vector<std::string> to_csv_lines() const;
   void write_csv(const std::string& path) const;
-  [[nodiscard]] static SweepReport from_csv_lines(
-      const std::vector<std::string>& lines);
 
   [[nodiscard]] io::JsonValue to_json() const;
   void write_json(const std::string& path) const;

@@ -312,7 +312,7 @@ void cheby_init_dir_impl(Chunk& c, const View& A, const Field<S>& res,
 template <class View, class S = typename View::Scalar>
 void cheby_step_tile_impl(Chunk& c, const View& A, Field<S>& res,
                           Field<S>& dir, Field<S>& acc, double alpha,
-                          double beta, bool diag_precon, const Bounds& b,
+                          double beta, PreconType precon, const Bounds& b,
                           const Bounds& tb) {
   // Two sweeps: w = A·dir over the tile, then the update.  A row-lagged
   // single sweep (update row k−1 as soon as w row k is in place) computes
@@ -324,12 +324,14 @@ void cheby_step_tile_impl(Chunk& c, const View& A, Field<S>& res,
   // A neighbouring block's stencil reads dir rows tb.klo and tb.khi−1, so
   // those keep their pristine values until every block's stencil sweep is
   // done (team barrier); cheby_step_tile_edges then finishes them.  Any
-  // other operator's reach spans rows or planes of other tiles, so its
-  // whole update defers to the edge pass.
+  // other operator's reach spans rows or planes of other tiles, and the
+  // strip solve reads every row of the tile, so their whole update defers
+  // to the edge pass.
   if constexpr (View::kInTileUpdate) {
+    if (precon == PreconType::kJacobiBlock) return;
+    const bool diag = (precon == PreconType::kJacobiDiag);
     for (int k = tb.klo + 1; k < tb.khi - 1; ++k) {
-      cheby_update_row(A, res, dir, acc, w, alpha, beta, diag_precon, b, k,
-                       0);
+      cheby_update_row(A, res, dir, acc, w, alpha, beta, diag, b, k, 0);
     }
   }
 }
@@ -625,12 +627,17 @@ double calc_residual(Chunk& c) {
 }
 
 void cheby_init_dir(Chunk& c, FieldId res_id, FieldId dir_id, double theta,
-                    bool diag_precon, const Bounds& b) {
+                    PreconType precon, const Bounds& b) {
+  if (precon == PreconType::kJacobiBlock) {
+    block_jacobi_solve(c, res_id, FieldId::kW, b);
+    res_id = FieldId::kW;
+  }
+  const bool diag = (precon == PreconType::kJacobiDiag);
   op_dispatch(c, [&](const auto& A) {
     using S = typename std::decay_t<decltype(A)>::Scalar;
     const auto& res = c.field_t<S>(res_id);
     auto& dir = c.field_t<S>(dir_id);
-    cheby_init_dir_impl(c, A, res, dir, theta, diag_precon, b);
+    cheby_init_dir_impl(c, A, res, dir, theta, diag, b);
   });
 }
 
@@ -692,9 +699,12 @@ void cg_calc_ur_rows(Chunk& c, double alpha, const Bounds& tb) {
 
 void calc_ur_dot_rows(Chunk& c, double alpha, PreconType precon,
                       const Bounds& tb, double* row_sums) {
-  TEA_ASSERT(precon != PreconType::kJacobiBlock,
-             "block-Jacobi strips do not row-tile; compose via "
-             "cg_calc_ur_rows + block_jacobi_solve + dot");
+  if (precon == PreconType::kJacobiBlock) {
+    cg_calc_ur_rows(c, alpha, tb);
+    block_jacobi_solve(c, FieldId::kR, FieldId::kZ, tb);
+    dot_rows(c, FieldId::kR, FieldId::kZ, tb, row_sums);
+    return;
+  }
   const bool diag = (precon == PreconType::kJacobiDiag);
   op_dispatch(c, [&](const auto& A) {
     for_rows(tb, [&](int l, int k) {
@@ -706,38 +716,48 @@ void calc_ur_dot_rows(Chunk& c, double alpha, PreconType precon,
 void cg_chrono_update_rows(Chunk& c, double alpha, double beta,
                            PreconType precon, const Bounds& tb) {
   const bool diag = (precon == PreconType::kJacobiDiag);
-  const bool local = (precon != PreconType::kJacobiBlock);
+  const bool block = (precon == PreconType::kJacobiBlock);
   op_dispatch(c, [&](const auto& A) {
     for_rows(tb, [&](int l, int k) {
-      cg_chrono_update_row(c, A, alpha, beta, diag, local, k, l);
+      cg_chrono_update_row(c, A, alpha, beta, diag, !block, k, l);
     });
   });
+  if (block) block_jacobi_solve(c, FieldId::kR, FieldId::kZ, tb);
 }
 
 void cheby_step_tile(Chunk& c, FieldId res_id, FieldId dir_id,
                      FieldId acc_id, double alpha, double beta,
-                     bool diag_precon, const Bounds& b, const Bounds& tb) {
+                     PreconType precon, const Bounds& b, const Bounds& tb) {
   op_dispatch(c, [&](const auto& A) {
     using S = typename std::decay_t<decltype(A)>::Scalar;
     auto& res = c.field_t<S>(res_id);
     auto& dir = c.field_t<S>(dir_id);
     auto& acc = c.field_t<S>(acc_id);
-    cheby_step_tile_impl(c, A, res, dir, acc, alpha, beta, diag_precon, b,
-                         tb);
+    cheby_step_tile_impl(c, A, res, dir, acc, alpha, beta, precon, b, tb);
   });
 }
 
 void cheby_step_tile_edges(Chunk& c, FieldId res_id, FieldId dir_id,
                            FieldId acc_id, double alpha, double beta,
-                           bool diag_precon, const Bounds& b,
+                           PreconType precon, const Bounds& b,
                            const Bounds& tb) {
+  if (precon == PreconType::kJacobiBlock) {
+    // The strip solve reads every row of the tile, so res −= w runs on
+    // all of them first; then w = M⁻¹·res, dir = α·dir + β·w, acc += dir.
+    axpy(c, res_id, -1.0, FieldId::kW, tb);
+    block_jacobi_solve(c, res_id, FieldId::kW, tb);
+    axpby(c, dir_id, alpha, beta, FieldId::kW, tb);
+    axpy(c, acc_id, 1.0, dir_id, tb);
+    return;
+  }
+  const bool diag = (precon == PreconType::kJacobiDiag);
   op_dispatch(c, [&](const auto& A) {
     using S = typename std::decay_t<decltype(A)>::Scalar;
     auto& res = c.field_t<S>(res_id);
     auto& dir = c.field_t<S>(dir_id);
     auto& acc = c.field_t<S>(acc_id);
-    cheby_step_tile_edges_impl(c, A, res, dir, acc, alpha, beta, diag_precon,
-                               b, tb);
+    cheby_step_tile_edges_impl(c, A, res, dir, acc, alpha, beta, diag, b,
+                               tb);
   });
 }
 

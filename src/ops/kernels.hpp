@@ -101,14 +101,14 @@ double calc_residual(Chunk& c);
 //          dir_{j+1} = α_j·dir_j + β_j·M⁻¹·res
 //          acc += dir_{j+1}
 // For the standalone Chebyshev solver (res, dir, acc) = (r, p, u); for
-// the CPPCG inner preconditioner they are (rtemp, sd, z).  The tile
-// kernels below implement one recurrence step for local
-// (identity/diagonal) inner preconditioners; the block-Jacobi path is
-// composed separately because its strips couple cells (see precon/).
+// the CPPCG inner preconditioner they are (rtemp, sd, z).  M⁻¹ is the
+// identity, the diagonal or the block-Jacobi strip solve (precon/).
+// Block-Jacobi needs boxes of whole strips (see block_jacobi_solve) and
+// writes its M⁻¹·res into w.
 
-/// dir = M⁻¹·res / θ over `bounds` (M⁻¹ local: identity or diagonal).
+/// dir = M⁻¹·res / θ over `bounds` (block-Jacobi: w = M⁻¹·res first).
 void cheby_init_dir(Chunk& c, FieldId res, FieldId dir, double theta,
-                    bool diag_precon, const Bounds& bounds);
+                    PreconType precon, const Bounds& bounds);
 
 // ---- row-blocked (tiled) kernels -----------------------------------------
 // Every solver sweep runs through the tile engine (SolverConfig::tile_rows),
@@ -125,10 +125,10 @@ void cheby_init_dir(Chunk& c, FieldId res, FieldId dir, double theta,
 // threads — produces bitwise-identical fields.  Reducing kernels deposit
 // one partial per interior row into `row_sums` at the flattened index
 // ρ = l·ny + k (the chunk's `row_scratch`); the engine then combines rows
-// in row order followed by ranks in rank order.  Kernels whose
-// preconditioner couples rows (block-Jacobi strip solves) do not
-// row-tile; the solvers compose them from the pointwise parts plus a
-// per-rank strip pass.
+// in row order followed by ranks in rank order.  The block-Jacobi strip
+// solve couples the rows of a strip, so a kernel that applies it needs a
+// tile of whole strips (resolve() rounds a block-Jacobi height up to
+// whole strips); the strips never leave the tile.
 
 /// Rows of `tb` of `dot` (use a == b for norm²).
 void dot_rows(const Chunk& c, FieldId a, FieldId b, const Bounds& tb,
@@ -153,42 +153,44 @@ void smvp_dot2_rows(Chunk& c, FieldId src, FieldId dst, FieldId other,
 /// cg_calc_ur).
 void cg_calc_ur_rows(Chunk& c, double alpha, const Bounds& tb);
 
-/// Rows of `tb` of the fused CG update + preconditioner apply + ⟨r,z⟩,
-/// for the LOCAL preconditioners only (kNone / kJacobiDiag):
+/// Rows of `tb` of the fused CG update + preconditioner apply + ⟨r,z⟩
+/// (kNone / kJacobiDiag / kJacobiBlock):
 ///   u += α·p;  r −= α·w;  z = M⁻¹·r;  row_sums[ρ] = Σ r·z over row ρ.
 /// kNone skips the z write and deposits Σ r·r (z is never read in that
-/// mode); block-Jacobi is composed by the solver from cg_calc_ur_rows +
-/// block_jacobi_solve + dot.
+/// mode); block-Jacobi updates the tile's rows, then runs the strip solve
+/// over the tile, then the dot.
 void calc_ur_dot_rows(Chunk& c, double alpha, PreconType precon,
                       const Bounds& tb, double* row_sums);
 
 /// Rows of `tb` of the Chronopoulos-Gear vector half: the tail of
 /// iteration i−1 and the head of iteration i in one pass,
 ///   p = z + β·p;  s(=sd) = w + β·s;  u += α·p;  r −= α·s;  z = M⁻¹·r.
-/// β = 0 reproduces the bootstrap (p = z, s = w).  For block-Jacobi the
-/// z write is left to the solver's per-rank strip solve.
+/// β = 0 reproduces the bootstrap (p = z, s = w).  For block-Jacobi z is
+/// the strip solve over the tile, after its rows' updates.
 void cg_chrono_update_rows(Chunk& c, double alpha, double beta,
                            PreconType precon, const Bounds& tb);
 
 /// Tile `tb` of the Chebyshev recurrence step
-///   w = A·dir;  res −= w;  dir = α·dir + β·M⁻¹·res;  acc += dir
-/// (local preconditioners only).  Two sweeps over the tile: w = A·dir
-/// over every row, then the update of the rows no other tile's stencil
-/// reads — rows tb.klo+1 … tb.khi−2 on the 2-D stencil; on 3-D and
-/// assembled operators every row is read by other tiles, so the whole
-/// update defers.  After a team barrier, `cheby_step_tile_edges`
-/// finishes the deferred rows.  The per-cell arithmetic does not depend
-/// on the tiling, so every tile height gives bitwise-identical iterates.
+///   w = A·dir;  res −= w;  dir = α·dir + β·M⁻¹·res;  acc += dir.
+/// Two sweeps over the tile: w = A·dir over every row, then the update of
+/// the rows no other tile's stencil reads — rows tb.klo+1 … tb.khi−2 on
+/// the 2-D stencil; on 3-D and assembled operators every row is read by
+/// other tiles, and block-Jacobi's strip solve needs res −= w on every
+/// row of the tile first, so the whole update defers.  After a team
+/// barrier, `cheby_step_tile_edges` finishes the deferred rows.  The
+/// per-cell arithmetic does not depend on the tiling, so every tile
+/// height gives bitwise-identical iterates.
 void cheby_step_tile(Chunk& c, FieldId res, FieldId dir, FieldId acc,
-                     double alpha, double beta, bool diag_precon,
+                     double alpha, double beta, PreconType precon,
                      const Bounds& bounds, const Bounds& tb);
 
 /// Deferred updates of `cheby_step_tile` for the same block decomposition
-/// (pointwise — safe once all blocks' stencil sweeps have completed):
-/// the first/last row of the tile on the 2-D stencil, every row of the
-/// tile otherwise.
+/// (safe once all blocks' stencil sweeps have completed): the first/last
+/// row of the tile on the 2-D stencil, every row of the tile otherwise.
+/// Block-Jacobi runs res −= w, the strip solve w = M⁻¹·res,
+/// dir = α·dir + β·w and acc += dir over the whole tile.
 void cheby_step_tile_edges(Chunk& c, FieldId res, FieldId dir, FieldId acc,
-                           double alpha, double beta, bool diag_precon,
+                           double alpha, double beta, PreconType precon,
                            const Bounds& bounds, const Bounds& tb);
 
 // ---- multigrid level cores (amg/) ---------------------------------------

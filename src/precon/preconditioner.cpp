@@ -59,15 +59,21 @@ void block_jacobi_init(Chunk& c) {
   });
 }
 
-void block_jacobi_solve(Chunk& c, FieldId src_id, FieldId dst_id) {
+void block_jacobi_solve(Chunk& c, FieldId src_id, FieldId dst_id,
+                        const Bounds& tb) {
+  TEA_ASSERT(tb.klo >= 0 && tb.klo % kJacBlockSize == 0 &&
+                 tb.khi <= c.ny() &&
+                 (tb.khi % kJacBlockSize == 0 || tb.khi == c.ny()) &&
+                 tb.llo >= 0 && tb.lhi <= c.nz(),
+             "block-Jacobi box must cover whole strips of the interior");
   op_dispatch(c, [&](const auto& A) {
     using S = typename std::decay_t<decltype(A)>::Scalar;
     const auto& src = c.field_t<S>(src_id);
     auto& dst = c.field_t<S>(dst_id);
     const auto& cp = c.field_t<S>(FieldId::kCp);
     const auto& bfp = c.field_t<S>(FieldId::kBfp);
-    for (int l = 0; l < c.nz(); ++l) {
-      for (int k0 = 0; k0 < c.ny(); k0 += kJacBlockSize) {
+    for (int l = tb.llo; l < tb.lhi; ++l) {
+      for (int k0 = tb.klo; k0 < tb.khi; k0 += kJacBlockSize) {
         const int k1 = std::min(k0 + kJacBlockSize, c.ny());
         for (int j = 0; j < c.nx(); ++j) {
           // Thomas forward sweep: y_k = (b_k − sub_k·y_{k−1})·bfp_k.
@@ -109,7 +115,7 @@ void apply_preconditioner(Chunk& c, PreconType type, FieldId src,
       diag_solve(c, src, dst, interior_bounds(c));
       return;
     case PreconType::kJacobiBlock:
-      block_jacobi_solve(c, src, dst);
+      block_jacobi_solve(c, src, dst, interior_bounds(c));
       return;
     case PreconType::kMultigrid:
       break;  // the CG body runs the team-wide V-cycle itself

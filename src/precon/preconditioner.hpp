@@ -36,16 +36,21 @@ namespace kernels {
 /// Upstream: tea_block_init.
 void block_jacobi_init(Chunk& c);
 
-/// dst = M⁻¹·src over the chunk interior, where M is the block-tridiagonal
-/// approximation of A over 4×1 vertical strips.  Upstream: tea_block_solve.
-void block_jacobi_solve(Chunk& c, FieldId src, FieldId dst);
+/// dst = M⁻¹·src on the strips of rows [tb.klo, tb.khi) of planes
+/// [tb.llo, tb.lhi), where M is the block-tridiagonal approximation of A
+/// over 4×1 vertical strips (tb's j range is ignored: every interior
+/// column).  The box must start on a strip boundary and end on one or at
+/// the chunk top, so it covers whole strips — the tile engine's boxes do
+/// once resolve() has rounded a block-Jacobi height up to whole strips.
+/// The whole-chunk solve is the same call on interior_bounds(c).
+/// Upstream: tea_block_solve.
+void block_jacobi_solve(Chunk& c, FieldId src, FieldId dst, const Bounds& tb);
 
 /// dst = diag(A)⁻¹·src over `bounds`.
 void diag_solve(Chunk& c, FieldId src, FieldId dst, const Bounds& bounds);
 
 /// Dispatch: dst = M⁻¹·src over the chunk interior for the per-chunk
-/// preconditioners (kNone copies; kMultigrid is not one).  Block-Jacobi
-/// requires interior bounds by construction.
+/// preconditioners (kNone copies; kMultigrid is not one).
 void apply_preconditioner(Chunk& c, PreconType type, FieldId src,
                           FieldId dst);
 

@@ -17,12 +17,10 @@ void solve_batched(std::vector<BatchItem>& items) {
   if (items.empty()) return;
   for (const BatchItem& it : items) {
     TEA_REQUIRE(it.cluster != nullptr, "solve_batched: null cluster");
-    it.config.validate();
+    check_solvable(*it.cluster, it.config);
     TEA_REQUIRE(batchable(it.config),
                 "solve_batched: single/mixed and multigrid configs run "
                 "through run_solver, outside the batch engine");
-    TEA_REQUIRE(it.config.halo_depth <= it.cluster->halo_depth(),
-                "solve_batched: config depth exceeds cluster halo");
   }
   const int nitems = static_cast<int>(items.size());
 

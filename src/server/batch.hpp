@@ -12,7 +12,7 @@ namespace tealeaf {
 /// with.  `stats` is filled by solve_batched.
 struct BatchItem {
   SimCluster2D* cluster = nullptr;
-  SolverConfig config;  ///< pre-validated (tile_rows = -1 auto is fine)
+  SolverConfig config;  ///< tile_rows = -1 (auto) is fine
   SolveStats stats;
 };
 
@@ -33,8 +33,9 @@ struct BatchItem {
 /// sub-team geometry only changes who computes, never what is computed.
 /// Enforced by tests/test_server.cpp.
 ///
-/// Items must reference distinct clusters.  Configs are validated and
-/// must be batchable; both checks throw before the region opens.
+/// Items must reference distinct clusters.  Every item passes
+/// check_solvable (solvers/solver.hpp) and must be batchable; both checks
+/// throw before the region opens.
 /// Numerical breakdowns surface through stats.breakdown as usual.
 void solve_batched(std::vector<BatchItem>& items);
 

@@ -1,13 +1,10 @@
 #include "solvers/cg.hpp"
 
 #include <cmath>
-#include <memory>
 
 #include "amg/multigrid.hpp"
 #include "ops/kernels.hpp"
 #include "precon/preconditioner.hpp"
-#include "solvers/schedule.hpp"
-#include "util/error.hpp"
 #include "util/timer.hpp"
 
 namespace tealeaf {
@@ -32,15 +29,6 @@ double v_cycle_dot(SimCluster2D& cl, Multigrid& mg, const Team& team,
         then_rows(c, tb);
         kernels::dot_rows(c, FieldId::kR, FieldId::kZ, tb, c.row_scratch());
       });
-}
-
-/// Build the multigrid hierarchy from the one chunk's coefficients.
-std::unique_ptr<Multigrid> hierarchy_of(const Chunk2D& c) {
-  if (c.dims() == 3) {
-    return std::make_unique<Multigrid>(c.kx(), c.ky(), c.kz(), c.nx(),
-                                       c.ny(), c.nz());
-  }
-  return std::make_unique<Multigrid>(c.kx(), c.ky(), c.nx(), c.ny());
 }
 
 }  // namespace
@@ -97,24 +85,15 @@ double cg_iteration(SimCluster2D& cl, PreconType precon, double rro,
 
   // u += α·p, r −= α·w, z = M⁻¹r and ⟨r,z⟩ in one pass.
   double rrn;
-  if (precon == PreconType::kJacobiBlock ||
-      precon == PreconType::kMultigrid) {
-    // The strip solve and the V-cycle couple rows: row-tile the pointwise
-    // update, then precondition and reduce ⟨r,z⟩.
+  if (precon == PreconType::kMultigrid) {
+    // The V-cycle couples the whole grid: row-tile the pointwise update,
+    // then precondition and reduce ⟨r,z⟩.
     cl.for_each_tile(team, tile_rows, interior,
                      [&](int, Chunk2D& c, const Bounds& tb) {
                        kernels::cg_calc_ur_rows(c, alpha, tb);
                      });
-    if (precon == PreconType::kMultigrid) {
-      rrn = v_cycle_dot(cl, *mg, team, tile_rows,
-                        [](Chunk2D&, const Bounds&) {});
-    } else {
-      team.barrier();
-      rrn = cl.sum_over_chunks(team, [](int, Chunk2D& c) {
-        kernels::block_jacobi_solve(c, FieldId::kR, FieldId::kZ);
-        return kernels::dot(c, FieldId::kR, FieldId::kZ);
-      });
-    }
+    rrn = v_cycle_dot(cl, *mg, team, tile_rows,
+                      [](Chunk2D&, const Bounds&) {});
   } else {
     rrn = cl.sum_rows_over_chunks(
         team, tile_rows, [&](int, Chunk2D& c, const Bounds& tb) {
@@ -190,7 +169,6 @@ SolveStats CGSolver::solve_chrono(SimCluster2D& cl, const SolverConfig& cfg,
   Timer timer;
   SolveStats st;
   const int tile = cfg.tile_rows;
-  const bool block = (cfg.precon == PreconType::kJacobiBlock);
   const auto interior = [](int, Chunk2D& c) { return interior_bounds(c); };
   const auto smvp_dot2_pair = [&] {
     return cl.sum2_rows_over_chunks(
@@ -204,7 +182,7 @@ SolveStats CGSolver::solve_chrono(SimCluster2D& cl, const SolverConfig& cfg,
   cl.exchange(team, {FieldId::kU}, 1);
   cl.for_each_chunk(team, [&](int, Chunk2D& c) {
     kernels::calc_residual(c);
-    if (block) kernels::block_jacobi_init(c);
+    if (cfg.precon == PreconType::kJacobiBlock) kernels::block_jacobi_init(c);
     kernels::apply_preconditioner(c, cfg.precon, FieldId::kR, FieldId::kZ);
   });
   cl.exchange(team, {FieldId::kZ}, 1);
@@ -235,14 +213,6 @@ SolveStats CGSolver::solve_chrono(SimCluster2D& cl, const SolverConfig& cfg,
                        kernels::cg_chrono_update_rows(c, alpha, beta,
                                                       cfg.precon, tb);
                      });
-    if (block) {
-      // The strip solve reads every r row of its rank: order it against
-      // the row-blocked update.
-      team.barrier();
-      cl.for_each_chunk(team, [](int, Chunk2D& c) {
-        kernels::block_jacobi_solve(c, FieldId::kR, FieldId::kZ);
-      });
-    }
     cl.exchange(team, {FieldId::kZ}, 1);
     const auto gd_it = smvp_dot2_pair();
     const double gamma_new = gd_it.first;
@@ -273,26 +243,6 @@ SolveStats CGSolver::solve_team(SimCluster2D& cl, const SolverConfig& cfg,
                                 const Team& team, Multigrid* mg) {
   return cfg.fuse_cg_reductions ? solve_chrono(cl, cfg, team)
                                 : solve_classic(cl, cfg, team, mg);
-}
-
-SolveStats CGSolver::solve(SimCluster2D& cl, const SolverConfig& cfg) {
-  cfg.validate();
-  // The hierarchy's constructors check their inputs and may throw, so
-  // they run here, before the region.
-  std::unique_ptr<Multigrid> mg;
-  double setup_seconds = 0.0;
-  if (cfg.precon == PreconType::kMultigrid) {
-    TEA_REQUIRE(cl.nranks() == 1,
-                "the multigrid preconditioner (mg-pcg) solves the "
-                "undecomposed grid: run it on one rank");
-    const Timer setup;
-    mg = hierarchy_of(cl.chunk(0));
-    setup_seconds = setup.elapsed_s();
-  }
-  SolveStats st = solve_in_region(
-      cl, [&](const Team& t) { return solve_team(cl, cfg, t, mg.get()); });
-  st.setup_seconds = setup_seconds;
-  return st;
 }
 
 }  // namespace tealeaf

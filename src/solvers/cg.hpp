@@ -34,8 +34,9 @@ double cg_setup(SimCluster2D& cl, PreconType precon, const Team& team,
 ///
 /// Team-aware like cg_setup (and takes `mg` like it); every sweep runs
 /// through the tile engine at `tile_rows` (0: one block per plane;
-/// bitwise identical at any height).  `rec` is per-thread storage; the
-/// appended (α, β) are identical on every thread.
+/// bitwise identical at any height; whole strips under block-Jacobi).
+/// `rec` is per-thread storage; the appended (α, β) are identical on
+/// every thread.
 double cg_iteration(SimCluster2D& cl, PreconType precon, double rro,
                     CGRecurrence* rec, bool& breakdown, const Team& team,
                     int tile_rows = 0, Multigrid* mg = nullptr);
@@ -45,26 +46,22 @@ double cg_iteration(SimCluster2D& cl, PreconType precon, double rro,
 /// iteration.
 class CGSolver {
  public:
-  /// Solve A·u = u0 in place on the cluster's chunks.  Convergence is
-  /// declared when √|⟨r,M⁻¹r⟩| falls below eps × its initial value.
-  /// With cfg.fuse_cg_reductions the Chronopoulos-Gear recurrence is
-  /// used instead: one fused allreduce per iteration (paper §VII).
-  /// The whole solve runs in one parallel region (see solve_in_region).
-  /// With PreconType::kMultigrid (mg-pcg; one rank only) the hierarchy is
-  /// built from the chunk's coefficients before the region opens, and
-  /// its build time is reported as SolveStats::setup_seconds.
-  static SolveStats solve(SimCluster2D& cl, const SolverConfig& cfg);
-
-  /// The solver body: the ENTIRE solve runs on `team` inside the caller's
-  /// already-open parallel region.  Every thread of the team must call
-  /// this with identical arguments; all loop-control scalars derive from
+  /// The solver body: solve A·u = u0 in place on the cluster's chunks.
+  /// Convergence is declared when √|⟨r,M⁻¹r⟩| falls below eps × its
+  /// initial value.  With cfg.fuse_cg_reductions the Chronopoulos-Gear
+  /// recurrence is used instead: one fused allreduce per iteration (paper
+  /// §VII) — two recurrences, not two schedules.
+  ///
+  /// The ENTIRE solve runs on `team` inside the caller's already-open
+  /// parallel region.  Every thread of the team must call this with
+  /// identical arguments; all loop-control scalars derive from
   /// rank-ordered team reductions, so control flow is uniform and the
   /// returned stats are identical on every thread (up to each thread's
   /// own wall-clock).  `team` may be a sub-team — the batch engine runs
-  /// one request per sub-team concurrently.  cfg must be pre-validated
-  /// (validation throws; regions cannot).  Honours cfg.fuse_cg_reductions
-  /// (Chronopoulos-Gear vs classic) — two recurrences, not two schedules.
-  /// A multigrid config needs `mg` (see cg_setup).
+  /// one request per sub-team concurrently.  cfg must be resolved and
+  /// checked by run_solver / run_solver_team (checks throw; regions
+  /// cannot).  A multigrid config needs `mg` (see cg_setup), which
+  /// run_solver builds before its region opens.
   static SolveStats solve_team(SimCluster2D& cl, const SolverConfig& cfg,
                                const Team& team, Multigrid* mg = nullptr);
 

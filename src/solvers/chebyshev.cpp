@@ -3,78 +3,45 @@
 #include <cmath>
 
 #include "ops/kernels.hpp"
-#include "precon/preconditioner.hpp"
 #include "solvers/cg.hpp"
 #include "solvers/cheby_coef.hpp"
-#include "solvers/schedule.hpp"
 #include "util/log.hpp"
 #include "util/timer.hpp"
 
 namespace tealeaf {
 
-namespace {
-
-/// dir = M⁻¹·r / θ on every chunk, then u += dir (the recurrence
-/// bootstrap).  Handles all three preconditioner kinds.
-void cheby_bootstrap(SimCluster2D& cl, PreconType precon, double theta,
-                     const Team& team) {
-  // The last prestep's direction update is a tile pass whose tiles may
-  // run on other threads than the ranks' owners, and this pass rewrites p.
-  team.barrier();
-  cl.for_each_chunk(team, [&](int, Chunk2D& c) {
-    const Bounds in = interior_bounds(c);
-    if (precon == PreconType::kJacobiBlock) {
-      kernels::block_jacobi_solve(c, FieldId::kR, FieldId::kZ);
-      kernels::cheby_init_dir(c, FieldId::kZ, FieldId::kP, theta,
-                              /*diag_precon=*/false, in);
-    } else {
-      kernels::cheby_init_dir(c, FieldId::kR, FieldId::kP, theta,
-                              precon == PreconType::kJacobiDiag, in);
-    }
-    kernels::axpy(c, FieldId::kU, 1.0, FieldId::kP, in);
-  });
+void cheby_step(SimCluster2D& cl, const Team& team, int tile_rows, int ext,
+                PreconType precon, FieldId res, FieldId dir, FieldId acc,
+                double alpha, double beta) {
+  const auto ext_bounds = [ext](int, Chunk2D& c) {
+    return extended_bounds(c, ext);
+  };
+  cl.for_each_tile(team, tile_rows, ext_bounds,
+                   [&](int, Chunk2D& c, const Bounds& tb) {
+                     kernels::cheby_step_tile(c, res, dir, acc, alpha, beta,
+                                              precon, extended_bounds(c, ext),
+                                              tb);
+                   });
+  team.barrier();  // edge rows must see every block's stencil pass
+  cl.for_each_tile(team, tile_rows, ext_bounds,
+                   [&](int, Chunk2D& c, const Bounds& tb) {
+                     kernels::cheby_step_tile_edges(
+                         c, res, dir, acc, alpha, beta, precon,
+                         extended_bounds(c, ext), tb);
+                   });
 }
 
-/// One Chebyshev iteration: r −= A·p; p = α·p + β·M⁻¹·r; u += p, then on
-/// check iterations the ‖r‖² reduction, whose value is identical on every
-/// thread.  The step runs through the tile engine: row-blocked stencil
-/// passes that update each block's inner rows, a barrier, then the
-/// deferred block-edge updates — bitwise identical at every tile height
-/// (see kernels::cheby_step_tile).  Block-Jacobi's strip solve couples
-/// rows, so that composition runs per rank and reduces per rank.
+namespace {
+
+/// One Chebyshev iteration: r −= A·p; p = α·p + β·M⁻¹·r; u += p (one
+/// cheby_step on the interior), then on check iterations the ‖r‖²
+/// reduction, whose value is identical on every thread.
 double cheby_iterate(SimCluster2D& cl, PreconType precon, double alpha,
                      double beta, bool check, int tile_rows,
                      const Team& team) {
-  const bool diag = (precon == PreconType::kJacobiDiag);
-  const auto interior = [](int, Chunk2D& c) { return interior_bounds(c); };
   cl.exchange(team, {FieldId::kP}, 1);
-  if (precon == PreconType::kJacobiBlock) {
-    cl.for_each_chunk(team, [&](int, Chunk2D& c) {
-      const Bounds in = interior_bounds(c);
-      kernels::smvp(c, FieldId::kP, FieldId::kW, in);
-      kernels::axpy(c, FieldId::kR, -1.0, FieldId::kW, in);
-      kernels::block_jacobi_solve(c, FieldId::kR, FieldId::kZ);
-      kernels::axpby(c, FieldId::kP, alpha, beta, FieldId::kZ, in);
-      kernels::axpy(c, FieldId::kU, 1.0, FieldId::kP, in);
-    });
-    if (!check) return 0.0;
-    return cl.sum_over_chunks(team, [](int, const Chunk2D& c) {
-      return kernels::norm2_sq(c, FieldId::kR);
-    });
-  }
-  cl.for_each_tile(team, tile_rows, interior,
-                   [&](int, Chunk2D& c, const Bounds& tb) {
-                     kernels::cheby_step_tile(c, FieldId::kR, FieldId::kP,
-                                              FieldId::kU, alpha, beta, diag,
-                                              interior_bounds(c), tb);
-                   });
-  team.barrier();  // edge rows must see every block's stencil pass
-  cl.for_each_tile(team, tile_rows, interior,
-                   [&](int, Chunk2D& c, const Bounds& tb) {
-                     kernels::cheby_step_tile_edges(
-                         c, FieldId::kR, FieldId::kP, FieldId::kU, alpha,
-                         beta, diag, interior_bounds(c), tb);
-                   });
+  cheby_step(cl, team, tile_rows, 0, precon, FieldId::kR, FieldId::kP,
+             FieldId::kU, alpha, beta);
   if (!check) return 0.0;
   return cl.sum_rows_over_chunks(
       team, tile_rows, [](int, Chunk2D& c, const Bounds& tb) {
@@ -156,7 +123,16 @@ SolveStats ChebyshevSolver::solve_team(SimCluster2D& cl,
   st.eigmax = est.eigmax;
 
   // --- Chebyshev phase ---------------------------------------------------
-  cheby_bootstrap(cl, cfg.precon, cc.theta, team);
+  // Bootstrap: p = M⁻¹·r / θ, u += p.  The last prestep's direction
+  // update is a tile pass at another height, and this pass rewrites p.
+  team.barrier();
+  cl.for_each_tile(team, cfg.tile_rows,
+                   [](int, Chunk2D& c) { return interior_bounds(c); },
+                   [&](int, Chunk2D& c, const Bounds& tb) {
+                     kernels::cheby_init_dir(c, FieldId::kR, FieldId::kP,
+                                             cc.theta, cfg.precon, tb);
+                     kernels::axpy(c, FieldId::kU, 1.0, FieldId::kP, tb);
+                   });
   int step = 0;
   double rr = bb_rr;
   while (st.eigen_cg_iters + step < cfg.max_iters) {
@@ -179,13 +155,6 @@ SolveStats ChebyshevSolver::solve_team(SimCluster2D& cl,
     log::warn() << "Chebyshev hit max_iters with ‖r‖ = " << st.final_norm;
   }
   return st;
-}
-
-SolveStats ChebyshevSolver::solve(SimCluster2D& cl,
-                                  const SolverConfig& cfg) {
-  cfg.validate();
-  return solve_in_region(
-      cl, [&](const Team& t) { return solve_team(cl, cfg, t); });
 }
 
 }  // namespace tealeaf

@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "ops/kernels.hpp"
-#include "solvers/schedule.hpp"
 #include "util/timer.hpp"
 
 namespace tealeaf {
@@ -56,12 +55,6 @@ SolveStats JacobiSolver::solve_team(SimCluster2D& cl, const SolverConfig& cfg,
   }
   st.solve_seconds = timer.elapsed_s();
   return st;
-}
-
-SolveStats JacobiSolver::solve(SimCluster2D& cl, const SolverConfig& cfg) {
-  cfg.validate();
-  return solve_in_region(
-      cl, [&](const Team& t) { return solve_team(cl, cfg, t); });
 }
 
 }  // namespace tealeaf

@@ -11,8 +11,6 @@ namespace tealeaf {
 /// embarrassingly parallel — retained as the design-space anchor.
 class JacobiSolver {
  public:
-  static SolveStats solve(SimCluster2D& cl, const SolverConfig& cfg);
-
   /// The solver body: the ENTIRE solve runs on `team` inside the
   /// caller's already-open parallel region (see CGSolver::solve_team for
   /// the contract).

@@ -3,9 +3,8 @@
 #include <cmath>
 
 #include "ops/kernels.hpp"
-#include "precon/preconditioner.hpp"
 #include "solvers/cg.hpp"
-#include "solvers/schedule.hpp"
+#include "solvers/chebyshev.hpp"
 #include "util/error.hpp"
 #include "util/log.hpp"
 #include "util/timer.hpp"
@@ -25,10 +24,8 @@ void PPCGSolver::apply_inner(SimCluster2D& cl, const SolverConfig& cfg,
                              const ChebyCoefs& cc, SolveStats* st,
                              const Team& team) {
   const int d = cfg.halo_depth;
-  const bool diag = (cfg.precon == PreconType::kJacobiDiag);
-  const bool block = (cfg.precon == PreconType::kJacobiBlock);
   const int tile = cfg.tile_rows;
-  TEA_ASSERT(!block || d == 1,
+  TEA_ASSERT(cfg.precon != PreconType::kJacobiBlock || d == 1,
              "block-Jacobi with matrix powers rejected by validate()");
 
   // Inner residual starts as a copy of the outer residual.  For matrix
@@ -44,30 +41,16 @@ void PPCGSolver::apply_inner(SimCluster2D& cl, const SolverConfig& cfg,
 
   // Bootstrap (the degree-0 term): sd = M⁻¹·rtemp/θ, z = sd, computed on
   // bounds extended d-1 cells so the following sweeps can shrink.
-  // Block-Jacobi's strip solve couples rows, so its composition runs per
-  // rank; every other sweep is a tile pass.
   int ext = d - 1;
-  const auto ext_bounds = [&ext](int, Chunk2D& c) {
-    return extended_bounds(c, ext);
-  };
   if (d == 1) team.barrier();  // rtemp copy visible
-  if (block) {
-    cl.for_each_chunk(team, [&](int, Chunk2D& c) {
-      const Bounds in = interior_bounds(c);
-      kernels::block_jacobi_solve(c, FieldId::kRtemp, FieldId::kW);
-      kernels::cheby_init_dir(c, FieldId::kW, FieldId::kSd, cc.theta,
-                              /*diag_precon=*/false, in);
-      kernels::copy(c, FieldId::kZ, FieldId::kSd, in);
-    });
-  } else {
-    cl.for_each_tile(team, tile, ext_bounds,
-                     [&](int, Chunk2D& c, const Bounds& tb) {
-                       kernels::cheby_init_dir(c, FieldId::kRtemp,
-                                               FieldId::kSd, cc.theta, diag,
-                                               tb);
-                       kernels::copy(c, FieldId::kZ, FieldId::kSd, tb);
-                     });
-  }
+  cl.for_each_tile(team, tile,
+                   [ext](int, Chunk2D& c) { return extended_bounds(c, ext); },
+                   [&](int, Chunk2D& c, const Bounds& tb) {
+                     kernels::cheby_init_dir(c, FieldId::kRtemp,
+                                             FieldId::kSd, cc.theta,
+                                             cfg.precon, tb);
+                     kernels::copy(c, FieldId::kZ, FieldId::kSd, tb);
+                   });
 
   for (int step = 1; step <= cfg.inner_steps; ++step) {
     if (ext == 0) {
@@ -87,37 +70,15 @@ void PPCGSolver::apply_inner(SimCluster2D& cl, const SolverConfig& cfg,
       team.barrier();
     }
     --ext;
-    const double alpha = cc.alphas[static_cast<std::size_t>(step - 1)];
-    const double beta = cc.betas[static_cast<std::size_t>(step - 1)];
-    if (block) {
-      cl.for_each_chunk(team, [&](int, Chunk2D& c) {
-        const Bounds in = interior_bounds(c);
-        kernels::smvp(c, FieldId::kSd, FieldId::kW, in);
-        kernels::axpy(c, FieldId::kRtemp, -1.0, FieldId::kW, in);
-        kernels::block_jacobi_solve(c, FieldId::kRtemp, FieldId::kW);
-        kernels::axpby(c, FieldId::kSd, alpha, beta, FieldId::kW, in);
-        kernels::axpy(c, FieldId::kZ, 1.0, FieldId::kSd, in);
-      });
-    } else {
-      cl.for_each_tile(team, tile, ext_bounds,
-                       [&](int, Chunk2D& c, const Bounds& tb) {
-                         kernels::cheby_step_tile(
-                             c, FieldId::kRtemp, FieldId::kSd, FieldId::kZ,
-                             alpha, beta, diag, extended_bounds(c, ext), tb);
-                       });
-      team.barrier();  // edge rows wait for every block's stencil pass
-      cl.for_each_tile(team, tile, ext_bounds,
-                       [&](int, Chunk2D& c, const Bounds& tb) {
-                         kernels::cheby_step_tile_edges(
-                             c, FieldId::kRtemp, FieldId::kSd, FieldId::kZ,
-                             alpha, beta, diag, extended_bounds(c, ext), tb);
-                       });
-    }
+    cheby_step(cl, team, tile, ext, cfg.precon, FieldId::kRtemp,
+               FieldId::kSd, FieldId::kZ,
+               cc.alphas[static_cast<std::size_t>(step - 1)],
+               cc.betas[static_cast<std::size_t>(step - 1)]);
   }
   // The caller reduces ⟨r, z⟩ through the interior tile decomposition
-  // with no entry barrier: order it against a last pass that ran per rank
-  // or over extended bounds.
-  if (block || ext > 0) team.barrier();
+  // with no entry barrier: order it against a last pass over extended
+  // bounds.
+  if (ext > 0) team.barrier();
   if (st != nullptr) {
     st->spmv_applies += cfg.inner_steps;
     st->inner_steps += cfg.inner_steps;
@@ -268,14 +229,6 @@ SolveStats PPCGSolver::solve_team(SimCluster2D& cl, const SolverConfig& cfg,
     }
   }
   return finish(rrn);
-}
-
-SolveStats PPCGSolver::solve(SimCluster2D& cl, const SolverConfig& cfg) {
-  cfg.validate();
-  TEA_REQUIRE(cfg.halo_depth <= cl.halo_depth(),
-              "cluster halo allocation too shallow for matrix-powers depth");
-  return solve_in_region(
-      cl, [&](const Team& t) { return solve_team(cl, cfg, t); });
 }
 
 }  // namespace tealeaf

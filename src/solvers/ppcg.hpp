@@ -21,17 +21,15 @@ namespace tealeaf {
 /// the overlap redundantly instead of communicating.
 class PPCGSolver {
  public:
-  static SolveStats solve(SimCluster2D& cl, const SolverConfig& cfg);
-
   /// The solver body: the ENTIRE solve — presteps, restart and outer
   /// loop — runs on `team` inside the caller's already-open parallel
   /// region (see CGSolver::solve_team for the contract).  Honours
   /// cfg.eig_hint_min/max (skip the presteps, build the polynomial on the
   /// hinted interval); a stale hint surfaces as the ⟨r, M⁻¹r⟩ breakdown
   /// flag, a prestep recurrence with no usable spectrum as a breakdown
-  /// too.  Caller must pre-check cfg.validate() and the cluster's halo
-  /// depth against cfg.halo_depth — preconditions throw, and regions
-  /// cannot.
+  /// too.  run_solver / run_solver_team check cfg.validate() and the
+  /// cluster's halo depth against cfg.halo_depth before the region opens
+  /// — checks throw, and regions cannot.
   static SolveStats solve_team(SimCluster2D& cl, const SolverConfig& cfg,
                                const Team& team);
 
@@ -39,8 +37,8 @@ class PPCGSolver {
   /// Exposed for tests (depth-equivalence and trace validation).
   /// Updates `spmv_applies`/`inner_steps` counters in `st` when non-null.
   /// Workshares on `team` inside the caller's parallel region; every
-  /// sweep but block-Jacobi's per-rank composition is row-tiled at
-  /// cfg.tile_rows (bitwise identical at any height).
+  /// sweep is row-tiled at cfg.tile_rows (bitwise identical at any
+  /// height; whole strips under block-Jacobi, see run_solver).
   static void apply_inner(SimCluster2D& cl, const SolverConfig& cfg,
                           const ChebyCoefs& cc, SolveStats* st,
                           const Team& team);

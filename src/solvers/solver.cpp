@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <memory>
 
+#include "amg/multigrid.hpp"
 #include "model/machine.hpp"
 #include "ops/kernels.hpp"
 #include "ops/sparse_matrix.hpp"
@@ -11,7 +13,9 @@
 #include "solvers/chebyshev.hpp"
 #include "solvers/jacobi.hpp"
 #include "solvers/ppcg.hpp"
+#include "solvers/schedule.hpp"
 #include "util/error.hpp"
+#include "util/numeric.hpp"
 #include "util/timer.hpp"
 
 namespace tealeaf {
@@ -32,7 +36,10 @@ void note_operator_fill(const SimCluster2D& cl, SolveStats& stats) {
 /// caller's — SolveSession and the sweep pass the one their run models —
 /// so an auto height tracks the machine being studied instead of always
 /// assuming the default.  A height that covers a whole plane is one block
-/// per plane, the same schedule as tile_rows = 0.
+/// per plane, the same schedule as tile_rows = 0.  Under block-Jacobi a
+/// positive height rounds up to whole 4-row strips: tiles start at
+/// interior row 0, so every tile then holds whole strips and the strip
+/// solve runs inside the tile pass.
 SolverConfig resolve(const SimCluster2D& cl, const SolverConfig& cfg,
                      const MachineSpec& machine) {
   SolverConfig resolved = cfg;
@@ -40,20 +47,61 @@ SolverConfig resolve(const SimCluster2D& cl, const SolverConfig& cfg,
     resolved.tile_rows =
         auto_tile_rows(machine, cl.chunk(0).nx(), cl.halo_depth());
   }
+  if (resolved.precon == PreconType::kJacobiBlock && resolved.tile_rows > 0) {
+    // Capped to stay an int; a height that large covers every plane.
+    constexpr std::int64_t kCap =
+        std::numeric_limits<int>::max() / kJacBlockSize * kJacBlockSize;
+    resolved.tile_rows = static_cast<int>(
+        std::min(round_up(resolved.tile_rows, kJacBlockSize), kCap));
+  }
   return resolved;
 }
 
-/// Dispatch one native solve at the chunks' CURRENT precision activation
-/// (the solvers are precision-oblivious: every field access and every
-/// operator traversal goes through the kernels' scalar dispatch).
-SolveStats dispatch_native(SimCluster2D& cl, const SolverConfig& resolved) {
+/// The solver body of `resolved.type` on `team`: the one type switch
+/// behind run_solver and run_solver_team.  `mg` is the hierarchy of a
+/// multigrid config (see dispatch_native).
+SolveStats solve_body(SimCluster2D& cl, const SolverConfig& resolved,
+                      const Team& team, Multigrid* mg) {
   switch (resolved.type) {
-    case SolverType::kJacobi: return JacobiSolver::solve(cl, resolved);
-    case SolverType::kCG: return CGSolver::solve(cl, resolved);
-    case SolverType::kChebyshev: return ChebyshevSolver::solve(cl, resolved);
-    case SolverType::kPPCG: return PPCGSolver::solve(cl, resolved);
+    case SolverType::kJacobi:
+      return JacobiSolver::solve_team(cl, resolved, team);
+    case SolverType::kCG: return CGSolver::solve_team(cl, resolved, team, mg);
+    case SolverType::kChebyshev:
+      return ChebyshevSolver::solve_team(cl, resolved, team);
+    case SolverType::kPPCG: return PPCGSolver::solve_team(cl, resolved, team);
   }
   TEA_ASSERT(false, "invalid solver type");
+}
+
+/// Build the multigrid hierarchy from the one chunk's coefficients.
+std::unique_ptr<Multigrid> hierarchy_of(const Chunk2D& c) {
+  if (c.dims() == 3) {
+    return std::make_unique<Multigrid>(c.kx(), c.ky(), c.kz(), c.nx(),
+                                       c.ny(), c.nz());
+  }
+  return std::make_unique<Multigrid>(c.kx(), c.ky(), c.nx(), c.ny());
+}
+
+/// Run one native solve in one parallel region at the chunks' CURRENT
+/// precision activation (the solvers are precision-oblivious: every field
+/// access and every operator traversal goes through the kernels' scalar
+/// dispatch).  A multigrid config first builds its hierarchy from the
+/// chunk's coefficients — its constructors check their inputs and may
+/// throw, so before the region — and reports the build time as
+/// SolveStats::setup_seconds.
+SolveStats dispatch_native(SimCluster2D& cl, const SolverConfig& resolved) {
+  std::unique_ptr<Multigrid> mg;
+  double setup_seconds = 0.0;
+  if (resolved.precon == PreconType::kMultigrid) {
+    const Timer setup;
+    mg = hierarchy_of(cl.chunk(0));
+    setup_seconds = setup.elapsed_s();
+  }
+  SolveStats st = solve_in_region(cl, [&](const Team& t) {
+    return solve_body(cl, resolved, t, mg.get());
+  });
+  st.setup_seconds = setup_seconds;
+  return st;
 }
 
 // ---- mixed-precision execution layer ------------------------------------
@@ -246,8 +294,21 @@ SolveStats solve_mixed(SimCluster2D& cl, const SolverConfig& resolved) {
 
 }  // namespace
 
+void check_solvable(const SimCluster2D& cl, const SolverConfig& cfg) {
+  cfg.validate();
+  TEA_REQUIRE(cfg.halo_depth <= cl.halo_depth(),
+              "the cluster's halo is too shallow for the matrix-powers depth "
+              "of this solve");
+  if (cfg.precon == PreconType::kMultigrid) {
+    TEA_REQUIRE(cl.nranks() == 1,
+                "the multigrid preconditioner (mg-pcg) solves the "
+                "undecomposed grid: run it on one rank");
+  }
+}
+
 SolveStats run_solver(SimCluster2D& cl, const SolverConfig& cfg,
                       const MachineSpec& machine) {
+  check_solvable(cl, cfg);
   const SolverConfig resolved = resolve(cl, cfg, machine);
   SolveStats stats;
   switch (resolved.precision) {
@@ -261,23 +322,8 @@ SolveStats run_solver(SimCluster2D& cl, const SolverConfig& cfg,
 
 SolveStats run_solver_team(SimCluster2D& cl, const SolverConfig& cfg,
                            const Team& team, const MachineSpec& machine) {
-  const SolverConfig resolved = resolve(cl, cfg, machine);
-  SolveStats stats;
-  switch (resolved.type) {
-    case SolverType::kJacobi:
-      stats = JacobiSolver::solve_team(cl, resolved, team);
-      break;
-    case SolverType::kCG:
-      stats = CGSolver::solve_team(cl, resolved, team);
-      break;
-    case SolverType::kChebyshev:
-      stats = ChebyshevSolver::solve_team(cl, resolved, team);
-      break;
-    case SolverType::kPPCG:
-      stats = PPCGSolver::solve_team(cl, resolved, team);
-      break;
-    default: TEA_ASSERT(false, "invalid solver type");
-  }
+  SolveStats stats =
+      solve_body(cl, resolve(cl, cfg, machine), team, /*mg=*/nullptr);
   note_operator_fill(cl, stats);
   return stats;
 }

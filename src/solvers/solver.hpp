@@ -6,7 +6,15 @@
 
 namespace tealeaf {
 
-/// Dispatch facade: run the configured solver on A·u = u0.
+/// Throws TeaError unless `cfg` can run on `cl`: cfg.validate(), the
+/// config's matrix-powers depth against the cluster's halo, and mg-pcg's
+/// one-rank rule.  A solve's region cannot throw, so every solve passes
+/// these checks before its region opens: run_solver makes them itself,
+/// and the batch engine (server/batch.hpp) makes them for every item
+/// before its region.
+void check_solvable(const SimCluster2D& cl, const SolverConfig& cfg);
+
+/// The one way into a solve: run the configured solver on A·u = u0.
 ///
 /// Preconditions (normally established by SolveSession / the driver's
 /// timestep):
@@ -15,12 +23,15 @@ namespace tealeaf {
 ///    exchange.
 /// Postcondition: u holds the converged solution on chunk interiors.
 ///
-/// tile_rows < 0 ("auto") is resolved here before dispatch, sizing the
-/// row-blocks from `machine`'s per-core L2 and the chunk width (a height
-/// covering a whole plane is one block per plane) — pass the machine the
-/// run models (SolveSession and the sweep thread theirs
-/// through); the default is the same spruce_hybrid SweepOptions prices
-/// communication against.
+/// Makes the check_solvable checks, then resolves the tile height before
+/// dispatch: tile_rows < 0 ("auto") sizes the row-blocks from `machine`'s
+/// per-core L2 and the chunk width (a height covering a whole plane is
+/// one block per plane), and a block-Jacobi height rounds up to whole
+/// 4-row strips.  Pass the machine the run models (SolveSession and the
+/// sweep thread theirs through); the default is the same spruce_hybrid
+/// SweepOptions prices communication against.  The whole native solve
+/// runs in one parallel region; the multigrid preconditioner's hierarchy
+/// is built before it opens (SolveStats::setup_seconds).
 [[nodiscard]] SolveStats run_solver(
     SimCluster2D& cl, const SolverConfig& cfg,
     const MachineSpec& machine = machines::spruce_hybrid());
@@ -30,11 +41,12 @@ namespace tealeaf {
 /// call with identical arguments; the returned stats are identical on
 /// every thread (up to per-thread wall-clock).  `team` may be a sub-team
 /// — the solve-server's batch engine runs one request per sub-team,
-/// concurrently, inside ONE region.  cfg must be pre-validated, batchable
-/// (fp64 and no multigrid preconditioner: both need work outside the
-/// region; see server/batch.hpp) and fit the cluster's halo.  Those
-/// checks throw, so the caller makes them before its region opens.
-/// Bitwise identical to run_solver, which opens a region of its own.
+/// concurrently, inside ONE region.  cfg must have passed check_solvable
+/// on `cl` and be batchable (fp64 and no multigrid preconditioner: both
+/// need work outside the region; see server/batch.hpp).  Those checks
+/// throw, so the caller makes them before its region opens.  The tile
+/// height resolves as in run_solver, and the result is bitwise identical
+/// to run_solver's, which opens a region of its own.
 [[nodiscard]] SolveStats run_solver_team(
     SimCluster2D& cl, const SolverConfig& cfg, const Team& team,
     const MachineSpec& machine = machines::spruce_hybrid());

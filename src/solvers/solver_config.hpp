@@ -104,7 +104,9 @@ struct SolverConfig {
   ///      per-block working set fits in L2, and the engine workshares
   ///      (rank, row-block) pairs over the whole thread team when there
   ///      are more threads than simulated ranks.  A height >= the rows of
-  ///      a plane is one block per plane.
+  ///      a plane is one block per plane.  Under block-Jacobi run_solver
+  ///      rounds the height up to whole 4-row strips, so the strip solve
+  ///      runs inside the tile.
   ///   0: one block per plane ("untiled": one block per rank in 2-D).
   ///  -1: "auto", the default — derived at solve time from the modelled
   ///      machine's per-core L2 and the chunk width (see auto_tile_rows
@@ -137,8 +139,9 @@ struct SolverConfig {
   /// combination a solve would otherwise only discover inside its
   /// parallel region, where it cannot throw.  The multigrid
   /// preconditioner runs only inside classic CG (no fused reductions) on
-  /// the fp64 matrix-free stencil at halo depth 1; CGSolver::solve adds
-  /// the one-rank check, which needs the cluster.
+  /// the fp64 matrix-free stencil at halo depth 1; check_solvable
+  /// (solvers/solver.hpp) adds the checks that need the cluster: the
+  /// halo depth and mg-pcg's one rank.
   void validate() const;
 
   /// Construction-time misuse check: everything `validate()` rejects PLUS

@@ -8,7 +8,8 @@
 namespace tealeaf {
 
 /// Exception thrown for violated preconditions / invariants in the library.
-/// Carries the source location of the failed requirement.
+/// A violated precondition (TEA_REQUIRE) carries the rule the input broke;
+/// a violated invariant (TEA_ASSERT) also carries where it fired.
 class TeaError : public std::runtime_error {
  public:
   explicit TeaError(const std::string& what) : std::runtime_error(what) {}
@@ -16,7 +17,7 @@ class TeaError : public std::runtime_error {
 
 namespace detail {
 
-[[noreturn]] inline void fail_require(
+[[noreturn]] inline void fail_assert(
     const char* expr, const std::string& msg,
     const std::source_location loc = std::source_location::current()) {
   std::ostringstream os;
@@ -32,11 +33,17 @@ namespace detail {
 
 /// Precondition check that is always active (release builds included).
 /// HPC codes die loudly on contract violations instead of corrupting data.
-#define TEA_REQUIRE(expr, msg)                          \
-  do {                                                  \
-    if (!(expr)) ::tealeaf::detail::fail_require(#expr, (msg)); \
+/// The error text is `msg` alone — the rule, as a user reads it, not the
+/// source path or the expression — so it must say what was wrong.
+#define TEA_REQUIRE(expr, msg)                   \
+  do {                                           \
+    if (!(expr)) throw ::tealeaf::TeaError(msg); \
   } while (0)
 
-/// Internal-consistency check; same behaviour as TEA_REQUIRE but documents
-/// that the failure indicates a library bug, not user error.
-#define TEA_ASSERT(expr, msg) TEA_REQUIRE(expr, msg)
+/// Internal-consistency check: a failure indicates a library bug, not
+/// user error, so the error carries the check's location and expression:
+/// "file:line: requirement failed: `expr` — msg".
+#define TEA_ASSERT(expr, msg)                                  \
+  do {                                                         \
+    if (!(expr)) ::tealeaf::detail::fail_assert(#expr, (msg)); \
+  } while (0)

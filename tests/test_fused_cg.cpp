@@ -2,7 +2,7 @@
 
 #include "driver/deck.hpp"
 #include "model/trace.hpp"
-#include "solvers/cg.hpp"
+#include "solvers/solver.hpp"
 #include "test_helpers.hpp"
 
 namespace tealeaf {
@@ -25,7 +25,7 @@ TEST(FusedCG, MatchesClassicCGSolution) {
   auto ref = make_test_problem(32, 2, 2, 16.0);
   SolverConfig classic = fused_config();
   classic.fuse_cg_reductions = false;
-  ASSERT_TRUE(CGSolver::solve(*ref, classic).converged);
+  ASSERT_TRUE(run_solver(*ref, classic).converged);
 
   for (const PreconType precon :
        {PreconType::kNone, PreconType::kJacobiDiag,
@@ -33,7 +33,7 @@ TEST(FusedCG, MatchesClassicCGSolution) {
     auto cl = make_test_problem(32, 2, 2, 16.0);
     SolverConfig cfg = fused_config();
     cfg.precon = precon;
-    const SolveStats st = CGSolver::solve(*cl, cfg);
+    const SolveStats st = run_solver(*cl, cfg);
     EXPECT_TRUE(st.converged) << to_string(precon);
     EXPECT_LT(max_field_diff(*ref, *cl, FieldId::kU), 1e-7)
         << to_string(precon);
@@ -44,7 +44,7 @@ TEST(FusedCG, OneReductionPerIteration) {
   // The point of the restructuring (paper §VII): classic CG pays two
   // allreduces per iteration, the fused recurrence pays one.
   auto cl = make_test_problem(32, 4, 2, 16.0);
-  const SolveStats st = CGSolver::solve(*cl, fused_config());
+  const SolveStats st = run_solver(*cl, fused_config());
   ASSERT_TRUE(st.converged);
   EXPECT_EQ(cl->stats().reductions, 1 + static_cast<long long>(st.outer_iters));
   EXPECT_EQ(cl->stats().exchange_calls,
@@ -58,8 +58,8 @@ TEST(FusedCG, SimilarIterationCountToClassic) {
   auto b = make_test_problem(32, 1, 2, 32.0);
   SolverConfig classic = fused_config();
   classic.fuse_cg_reductions = false;
-  const SolveStats st_c = CGSolver::solve(*a, classic);
-  const SolveStats st_f = CGSolver::solve(*b, fused_config());
+  const SolveStats st_c = run_solver(*a, classic);
+  const SolveStats st_f = run_solver(*b, fused_config());
   ASSERT_TRUE(st_c.converged && st_f.converged);
   EXPECT_NEAR(st_f.outer_iters, st_c.outer_iters,
               0.2 * st_c.outer_iters + 5.0);
@@ -70,7 +70,7 @@ TEST(FusedCG, TraceValidation) {
   cfg.precon = PreconType::kJacobiDiag;
   const int n = 36;
   auto cl = make_test_problem(n, 6, 2, 8.0);
-  const SolveStats st = CGSolver::solve(*cl, cfg);
+  const SolveStats st = run_solver(*cl, cfg);
   ASSERT_TRUE(st.converged);
   const SolverRunSummary run = SolverRunSummary::from(cfg, st, n);
   ASSERT_TRUE(run.fused_cg);
@@ -84,7 +84,7 @@ TEST(FusedCG, TraceValidation) {
 
 TEST(FusedCG, SolvesAccurately) {
   auto cl = make_test_problem(40, 4, 2, 8.0);
-  ASSERT_TRUE(CGSolver::solve(*cl, fused_config()).converged);
+  ASSERT_TRUE(run_solver(*cl, fused_config()).converged);
   EXPECT_LT(relative_residual(*cl), 1e-9);
 }
 

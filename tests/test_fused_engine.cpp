@@ -161,10 +161,12 @@ TEST(FusedKernels, ChebyStepMatchesSmvpPlusUpdate) {
     });
     b->for_each_chunk([&](int, Chunk2D& c) {
       const Bounds bb = extended_bounds(c, 2);
+      const PreconType precon =
+          diag ? PreconType::kJacobiDiag : PreconType::kNone;
       kernels::cheby_step_tile(c, FieldId::kRtemp, FieldId::kSd, FieldId::kZ,
-                               alpha, beta, diag, bb, bb);
+                               alpha, beta, precon, bb, bb);
       kernels::cheby_step_tile_edges(c, FieldId::kRtemp, FieldId::kSd,
-                                     FieldId::kZ, alpha, beta, diag, bb, bb);
+                                     FieldId::kZ, alpha, beta, precon, bb, bb);
     });
     for (const FieldId f :
          {FieldId::kRtemp, FieldId::kSd, FieldId::kZ, FieldId::kW}) {

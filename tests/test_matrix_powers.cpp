@@ -2,6 +2,7 @@
 
 #include "solvers/cheby_coef.hpp"
 #include "solvers/ppcg.hpp"
+#include "solvers/solver.hpp"
 #include "test_helpers.hpp"
 
 namespace tealeaf {
@@ -26,12 +27,12 @@ TEST_P(MatrixPowersDepth, SolutionMatchesDepthOne) {
 
   auto ref = make_test_problem(36, 4, 2, 16.0);
   cfg.halo_depth = 1;
-  const SolveStats st_ref = PPCGSolver::solve(*ref, cfg);
+  const SolveStats st_ref = run_solver(*ref, cfg);
   ASSERT_TRUE(st_ref.converged);
 
   auto cl = make_test_problem(36, 4, depth, 16.0);
   cfg.halo_depth = depth;
-  const SolveStats st = PPCGSolver::solve(*cl, cfg);
+  const SolveStats st = run_solver(*cl, cfg);
   ASSERT_TRUE(st.converged) << "depth " << depth;
   // Identical math ⇒ identical iteration counts and (to rounding)
   // identical solutions.
@@ -57,10 +58,10 @@ TEST(MatrixPowers, DeepHalosSlashExchangeRounds) {
 
   auto d1 = make_test_problem(36, 4, 1, 16.0);
   cfg.halo_depth = 1;
-  const SolveStats st1 = PPCGSolver::solve(*d1, cfg);
+  const SolveStats st1 = run_solver(*d1, cfg);
   auto d4 = make_test_problem(36, 4, 4, 16.0);
   cfg.halo_depth = 4;
-  const SolveStats st4 = PPCGSolver::solve(*d4, cfg);
+  const SolveStats st4 = run_solver(*d4, cfg);
   ASSERT_TRUE(st1.converged && st4.converged);
   ASSERT_EQ(st1.outer_iters, st4.outer_iters);
 
@@ -118,7 +119,7 @@ TEST(MatrixPowers, StatsCountInnerWork) {
   cfg.inner_steps = 8;
   cfg.eigen_cg_iters = 8;
   cfg.eps = 1e-10;
-  const SolveStats st = PPCGSolver::solve(*cl, cfg);
+  const SolveStats st = run_solver(*cl, cfg);
   ASSERT_TRUE(st.converged);
   const long long applies = st.outer_iters - st.eigen_cg_iters + 1;
   EXPECT_EQ(st.inner_steps, applies * cfg.inner_steps);
@@ -133,7 +134,7 @@ TEST(MatrixPowers, DepthBeyondAllocationRejected) {
   SolverConfig cfg;
   cfg.type = SolverType::kPPCG;
   cfg.halo_depth = 8;  // cluster only has 2 halo layers
-  EXPECT_THROW(PPCGSolver::solve(*cl, cfg), TeaError);
+  EXPECT_THROW(run_solver(*cl, cfg), TeaError);
 }
 
 }  // namespace

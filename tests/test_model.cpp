@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include "model/machine.hpp"
-#include "solvers/cg.hpp"
 #include "model/scaling.hpp"
 #include "model/trace.hpp"
 #include "solvers/solver.hpp"
@@ -203,7 +202,7 @@ TEST(Projection, EmpiricalIterationScalingIsRoughlyLinear) {
       kernels::init_conduction(c, kernels::Coefficient::kConductivity,
                                0.04 / (dx * dx), 0.04 / (dx * dx));
     });
-    iters[i] = CGSolver::solve(cl, cfg).outer_iters;
+    iters[i] = run_solver(cl, cfg).outer_iters;
   }
   const double ratio = static_cast<double>(iters[1]) / iters[0];
   EXPECT_GT(ratio, 1.4);

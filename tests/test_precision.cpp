@@ -16,12 +16,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cfloat>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <fstream>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "api/solve_api.hpp"
@@ -475,6 +478,111 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(2, 3),
                        ::testing::Values(OperatorKind::kStencil,
                                          OperatorKind::kCsr)));
+
+// ---- block-Jacobi strips inside tiles -------------------------------------
+
+/// (geometry, operator, fp32 bank active).
+using StripCase = std::tuple<int, OperatorKind, bool>;
+
+class BlockJacobiStripTiles : public ::testing::TestWithParam<StripCase> {
+ protected:
+  /// A factorised problem with a deterministic r on the active bank.
+  std::unique_ptr<SimCluster> make() const {
+    const auto [dims, op, fp32] = GetParam();
+    auto cl = dims == 3 ? make_test_problem_3d(9, 2, 2)
+                        : make_test_problem(18, 2, 2);
+    install_operator(*cl, op);
+    if (fp32) {
+      activate_fp32_bank(*cl);
+    } else {
+      cl->for_each_chunk([](int rank, Chunk& c) {
+        Field<double>& r = c.field(FieldId::kR);
+        for (std::size_t i = 0; i < r.size(); ++i) {
+          r.data()[i] = std::sin(0.37 * static_cast<double>(i) + rank);
+        }
+      });
+    }
+    cl->for_each_chunk([](int, Chunk& c) { kernels::block_jacobi_init(c); });
+    return cl;
+  }
+
+  /// z of one chunk's interior rows (index l·ny + k), as bit patterns of
+  /// the active bank's scalar.
+  static std::vector<std::vector<std::uint64_t>> z_rows(const Chunk& c) {
+    std::vector<std::vector<std::uint64_t>> rows;
+    for (int l = 0; l < c.nz(); ++l) {
+      for (int k = 0; k < c.ny(); ++k) {
+        std::vector<std::uint64_t> bits;
+        for (int j = 0; j < c.nx(); ++j) {
+          bits.push_back(c.fp32_active()
+                             ? std::bit_cast<std::uint32_t>(
+                                   c.field32(FieldId::kZ)(j, k, l))
+                             : std::bit_cast<std::uint64_t>(
+                                   c.field(FieldId::kZ)(j, k, l)));
+        }
+        rows.push_back(std::move(bits));
+      }
+    }
+    return rows;
+  }
+};
+
+TEST_P(BlockJacobiStripTiles, StripAlignedTilesMatchTheWholeChunkSolve) {
+  auto whole = make();
+  bool truncated_top = false;
+  whole->for_each_chunk([&](int, Chunk& c) {
+    truncated_top = truncated_top || c.ny() % kJacBlockSize != 0;
+    kernels::block_jacobi_solve(c, FieldId::kR, FieldId::kZ,
+                                interior_bounds(c));
+  });
+  ASSERT_TRUE(truncated_top) << "no chunk ends in a short strip";
+  // 0: one tile per plane.
+  for (const int tile : {4, 8, 12, 0}) {
+    auto tiled = make();
+    tiled->for_each_chunk([&](int rank, Chunk& c) {
+      for (const Bounds& tb : interior_tiles(c, tile)) {
+        const auto before = z_rows(c);
+        kernels::block_jacobi_solve(c, FieldId::kR, FieldId::kZ, tb);
+        // The solve writes its tile's rows and no others.
+        const auto after = z_rows(c);
+        for (int l = 0; l < c.nz(); ++l) {
+          for (int k = 0; k < c.ny(); ++k) {
+            if (tb.contains(0, k, l)) continue;
+            const std::size_t row = static_cast<std::size_t>(l * c.ny() + k);
+            EXPECT_EQ(after[row], before[row])
+                << "tile=" << tile << " wrote row " << k << " of plane " << l;
+          }
+        }
+      }
+      EXPECT_EQ(z_rows(c), z_rows(whole->chunk(rank))) << "tile=" << tile;
+    });
+  }
+}
+
+TEST_P(BlockJacobiStripTiles, TileOffAStripBoundaryThrows) {
+  auto cl = make();
+  Chunk& c = cl->chunk(0);
+  ASSERT_GT(c.ny(), kJacBlockSize);
+  Bounds tb = interior_bounds(c);
+  tb.lhi = tb.llo + 1;
+  Bounds starts_off = tb;
+  starts_off.klo = 1;
+  EXPECT_THROW(
+      kernels::block_jacobi_solve(c, FieldId::kR, FieldId::kZ, starts_off),
+      TeaError);
+  Bounds ends_off = tb;
+  ends_off.khi = kJacBlockSize - 1;
+  EXPECT_THROW(
+      kernels::block_jacobi_solve(c, FieldId::kR, FieldId::kZ, ends_off),
+      TeaError);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    GeometriesOperatorsPrecisions, BlockJacobiStripTiles,
+    ::testing::Combine(::testing::Values(2, 3),
+                       ::testing::Values(OperatorKind::kStencil,
+                                         OperatorKind::kCsr),
+                       ::testing::Bool()));
 
 // ---- subnormals: flushed inside fp32 solves, never outside ---------------
 

@@ -54,7 +54,7 @@ TEST_F(PreconFixture, DiagSolveDividesByDiagonal) {
 
 TEST_F(PreconFixture, BlockSolveInvertsBlockMatrix) {
   Chunk2D& c = cl_->chunk(0);
-  kernels::block_jacobi_solve(c, FieldId::kR, FieldId::kZ);
+  kernels::block_jacobi_solve(c, FieldId::kR, FieldId::kZ, interior_bounds(c));
   // ny = 11: strips of 4,4,3 — the truncated strip is exercised too.
   for (int k = 0; k < c.ny(); ++k)
     for (int j = 0; j < c.nx(); ++j)
@@ -75,16 +75,20 @@ TEST_F(PreconFixture, BlockSolveIsSymmetric) {
       b(j, k) = rng.next_double(-1.0, 1.0);
     }
   }
-  kernels::block_jacobi_solve(c, FieldId::kP, FieldId::kZ);  // z = M⁻¹a
+  // z = M⁻¹a
+  kernels::block_jacobi_solve(c, FieldId::kP, FieldId::kZ,
+                              interior_bounds(c));
   const double ma_b = kernels::dot(c, FieldId::kZ, FieldId::kW);
-  kernels::block_jacobi_solve(c, FieldId::kW, FieldId::kZ);  // z = M⁻¹b
+  // z = M⁻¹b
+  kernels::block_jacobi_solve(c, FieldId::kW, FieldId::kZ,
+                              interior_bounds(c));
   const double a_mb = kernels::dot(c, FieldId::kP, FieldId::kZ);
   EXPECT_NEAR(ma_b, a_mb, 1e-11 * std::max(1.0, std::fabs(ma_b)));
 }
 
 TEST_F(PreconFixture, BlockSolveIsPositiveDefinite) {
   Chunk2D& c = cl_->chunk(0);
-  kernels::block_jacobi_solve(c, FieldId::kR, FieldId::kZ);
+  kernels::block_jacobi_solve(c, FieldId::kR, FieldId::kZ, interior_bounds(c));
   EXPECT_GT(kernels::dot(c, FieldId::kR, FieldId::kZ), 0.0);
 }
 
@@ -108,10 +112,10 @@ TEST_F(PreconFixture, TruncatedStripsDecoupleAcrossBlockBoundary) {
   // Changing r inside one strip must not change z in a different strip
   // of the same column (blocks are independent by construction).
   Chunk2D& c = cl_->chunk(0);
-  kernels::block_jacobi_solve(c, FieldId::kR, FieldId::kZ);
+  kernels::block_jacobi_solve(c, FieldId::kR, FieldId::kZ, interior_bounds(c));
   const double z_other = c.z()(3, 6);  // strip [4,8)
   c.r()(3, 1) += 5.0;                  // strip [0,4)
-  kernels::block_jacobi_solve(c, FieldId::kR, FieldId::kZ);
+  kernels::block_jacobi_solve(c, FieldId::kR, FieldId::kZ, interior_bounds(c));
   EXPECT_DOUBLE_EQ(c.z()(3, 6), z_other);
   EXPECT_NE(c.z()(3, 1), 0.0);
 }
@@ -126,7 +130,7 @@ TEST(PreconSmall, SingleCellStrip) {
   kernels::block_jacobi_init(c);
   auto& r = c.r();
   for (int j = 0; j < 6; ++j) r(j, 0) = 1.0 + j;
-  kernels::block_jacobi_solve(c, FieldId::kR, FieldId::kZ);
+  kernels::block_jacobi_solve(c, FieldId::kR, FieldId::kZ, interior_bounds(c));
   kernels::diag_solve(c, FieldId::kR, FieldId::kW, interior_bounds(c));
   for (int j = 0; j < 6; ++j)
     EXPECT_NEAR(c.z()(j, 0), c.w()(j, 0), 1e-14);

@@ -403,8 +403,8 @@ SolveRequest hot_block_request(int mesh, const std::string& tag) {
 /// rule it broke, and every other request of the drain is served exactly
 /// as if it had been drained by itself.
 TEST(SolveServer, RejectedRequestFailsAlone) {
-  // mg-pcg solves the undecomposed grid (a rule CGSolver::solve enforces
-  // at solve time) ...
+  // mg-pcg solves the undecomposed grid (a rule run_solver enforces
+  // before its region opens) ...
   SolveRequest mg = hot_block_request(24, "mg-pcg-on-2-ranks");
   SolverConfig mg_cfg = mg.deck.solver;
   mg_cfg.type = SolverType::kCG;
@@ -436,6 +436,12 @@ TEST(SolveServer, RejectedRequestFailsAlone) {
   EXPECT_FALSE(results[2].ok());
   EXPECT_NE(results[2].error.find("block-Jacobi"), std::string::npos)
       << results[2].error;
+  // Errors name the rule, not the library's source path or expression.
+  for (const SolveResult& r : results) {
+    EXPECT_EQ(r.error.find(".cpp:"), std::string::npos) << r.error;
+    EXPECT_EQ(r.error.find("requirement failed"), std::string::npos)
+        << r.error;
+  }
 
   SolveServer alone;
   for (std::size_t i : {0u, 3u}) {

@@ -1,9 +1,5 @@
 #include <gtest/gtest.h>
 
-#include "solvers/cg.hpp"
-#include "solvers/chebyshev.hpp"
-#include "solvers/jacobi.hpp"
-#include "solvers/ppcg.hpp"
 #include "solvers/solver.hpp"
 #include "test_helpers.hpp"
 
@@ -26,7 +22,7 @@ SolverConfig base_config(SolverType type) {
 
 TEST(CG, SolvesToTightResidual) {
   auto cl = make_test_problem(32, 1, 2);
-  const SolveStats st = CGSolver::solve(*cl, base_config(SolverType::kCG));
+  const SolveStats st = run_solver(*cl, base_config(SolverType::kCG));
   EXPECT_TRUE(st.converged);
   EXPECT_GT(st.outer_iters, 3);
   EXPECT_LT(relative_residual(*cl), 1e-10);
@@ -36,8 +32,8 @@ TEST(CG, IterationCountGrowsWithConditioning) {
   auto easy = make_test_problem(32, 1, 2, /*rx_ry=*/1.0);
   auto hard = make_test_problem(32, 1, 2, /*rx_ry=*/64.0);
   const auto cfg = base_config(SolverType::kCG);
-  const auto st_easy = CGSolver::solve(*easy, cfg);
-  const auto st_hard = CGSolver::solve(*hard, cfg);
+  const auto st_easy = run_solver(*easy, cfg);
+  const auto st_hard = run_solver(*hard, cfg);
   EXPECT_TRUE(st_easy.converged);
   EXPECT_TRUE(st_hard.converged);
   EXPECT_GT(st_hard.outer_iters, st_easy.outer_iters);
@@ -47,7 +43,7 @@ TEST(CG, TwoReductionsAndOneExchangePerIteration) {
   // The communication structure of §III-A: dot products are the scaling
   // bottleneck.
   auto cl = make_test_problem(24, 4, 2);
-  const SolveStats st = CGSolver::solve(*cl, base_config(SolverType::kCG));
+  const SolveStats st = run_solver(*cl, base_config(SolverType::kCG));
   const auto& stats = cl->stats();
   EXPECT_EQ(stats.reductions, 1 + 2LL * st.outer_iters);
   EXPECT_EQ(stats.exchange_calls, 1 + static_cast<long long>(st.outer_iters));
@@ -56,10 +52,10 @@ TEST(CG, TwoReductionsAndOneExchangePerIteration) {
 TEST(CG, DecompositionIndependentSolution) {
   auto ref = make_test_problem(30, 1, 2);
   const auto cfg = base_config(SolverType::kCG);
-  ASSERT_TRUE(CGSolver::solve(*ref, cfg).converged);
+  ASSERT_TRUE(run_solver(*ref, cfg).converged);
   for (const int nranks : {2, 4, 6, 9}) {
     auto cl = make_test_problem(30, nranks, 2);
-    ASSERT_TRUE(CGSolver::solve(*cl, cfg).converged) << nranks << " ranks";
+    ASSERT_TRUE(run_solver(*cl, cfg).converged) << nranks << " ranks";
     EXPECT_LT(max_field_diff(*ref, *cl, FieldId::kU), 1e-9)
         << nranks << " ranks";
   }
@@ -70,7 +66,7 @@ TEST(CG, PreconditionersPreserveSolutionAndHelp) {
     auto cl = make_test_problem(32, 2, 2, /*rx_ry=*/32.0);
     SolverConfig cfg = base_config(SolverType::kCG);
     cfg.precon = precon;
-    const SolveStats st = CGSolver::solve(*cl, cfg);
+    const SolveStats st = run_solver(*cl, cfg);
     EXPECT_TRUE(st.converged) << to_string(precon);
     EXPECT_LT(relative_residual(*cl), 1e-9) << to_string(precon);
     return st.outer_iters;
@@ -89,7 +85,7 @@ TEST(Jacobi, ConvergesOnEasyProblem) {
   SolverConfig cfg = base_config(SolverType::kJacobi);
   cfg.eps = 1e-8;
   cfg.max_iters = 50000;
-  const SolveStats st = JacobiSolver::solve(*cl, cfg);
+  const SolveStats st = run_solver(*cl, cfg);
   EXPECT_TRUE(st.converged);
   // One exchange and one reduction per sweep (checked before the
   // residual helper below adds its own communication).
@@ -106,19 +102,19 @@ TEST(Jacobi, NeedsFarMoreIterationsThanCG) {
   jcfg.max_iters = 100000;
   SolverConfig ccfg = base_config(SolverType::kCG);
   ccfg.eps = 1e-6;
-  const auto ij = JacobiSolver::solve(*jac, jcfg).outer_iters;
-  const auto ic = CGSolver::solve(*cg, ccfg).outer_iters;
+  const auto ij = run_solver(*jac, jcfg).outer_iters;
+  const auto ic = run_solver(*cg, ccfg).outer_iters;
   EXPECT_GT(ij, 3 * ic);
 }
 
 TEST(Chebyshev, MatchesCGSolution) {
   auto ref = make_test_problem(28, 1, 2, 8.0);
-  ASSERT_TRUE(CGSolver::solve(*ref, base_config(SolverType::kCG)).converged);
+  ASSERT_TRUE(run_solver(*ref, base_config(SolverType::kCG)).converged);
 
   auto cl = make_test_problem(28, 1, 2, 8.0);
   SolverConfig cfg = base_config(SolverType::kChebyshev);
   cfg.eps = 1e-11;
-  const SolveStats st = ChebyshevSolver::solve(*cl, cfg);
+  const SolveStats st = run_solver(*cl, cfg);
   EXPECT_TRUE(st.converged);
   EXPECT_GT(st.eigmax, st.eigmin);
   EXPECT_GT(st.eigmin, 0.0);
@@ -129,7 +125,7 @@ TEST(Chebyshev, FewReductionsPerIteration) {
   auto cl = make_test_problem(28, 4, 2, 8.0);
   SolverConfig cfg = base_config(SolverType::kChebyshev);
   cfg.cheby_check_interval = 25;
-  const SolveStats st = ChebyshevSolver::solve(*cl, cfg);
+  const SolveStats st = run_solver(*cl, cfg);
   ASSERT_TRUE(st.converged);
   const long long cheby_steps = st.outer_iters - st.eigen_cg_iters;
   ASSERT_GT(cheby_steps, 0);
@@ -142,14 +138,14 @@ TEST(Chebyshev, FewReductionsPerIteration) {
 
 TEST(PPCG, MatchesCGSolution) {
   auto ref = make_test_problem(32, 1, 4, 16.0);
-  ASSERT_TRUE(CGSolver::solve(*ref, base_config(SolverType::kCG)).converged);
+  ASSERT_TRUE(run_solver(*ref, base_config(SolverType::kCG)).converged);
   for (const PreconType precon :
        {PreconType::kNone, PreconType::kJacobiDiag,
         PreconType::kJacobiBlock}) {
     auto cl = make_test_problem(32, 2, 4, 16.0);
     SolverConfig cfg = base_config(SolverType::kPPCG);
     cfg.precon = precon;
-    const SolveStats st = PPCGSolver::solve(*cl, cfg);
+    const SolveStats st = run_solver(*cl, cfg);
     EXPECT_TRUE(st.converged) << to_string(precon);
     EXPECT_LT(max_field_diff(*ref, *cl, FieldId::kU), 1e-7)
         << to_string(precon);
@@ -162,11 +158,11 @@ TEST(PPCG, CutsGlobalReductionsVersusCG) {
   // comparable.
   auto cg = make_test_problem(40, 4, 2, 32.0);
   auto pp = make_test_problem(40, 4, 2, 32.0);
-  const SolveStats st_cg = CGSolver::solve(*cg, base_config(SolverType::kCG));
+  const SolveStats st_cg = run_solver(*cg, base_config(SolverType::kCG));
   const long long red_cg = cg->stats().reductions;
   SolverConfig pcfg = base_config(SolverType::kPPCG);
   pcfg.inner_steps = 10;
-  const SolveStats st_pp = PPCGSolver::solve(*pp, pcfg);
+  const SolveStats st_pp = run_solver(*pp, pcfg);
   const long long red_pp = pp->stats().reductions;
   ASSERT_TRUE(st_cg.converged);
   ASSERT_TRUE(st_pp.converged);
@@ -175,7 +171,7 @@ TEST(PPCG, CutsGlobalReductionsVersusCG) {
 
 TEST(PPCG, EigenEstimatesBracketChebyshevNeeds) {
   auto cl = make_test_problem(32, 1, 2, 16.0);
-  const SolveStats st = PPCGSolver::solve(*cl, base_config(SolverType::kPPCG));
+  const SolveStats st = run_solver(*cl, base_config(SolverType::kPPCG));
   ASSERT_TRUE(st.converged);
   // The Lanczos Ritz values bracket part of the spectrum: both estimates
   // must be positive with eigmax above the λ = 1 conservation mode.
@@ -220,7 +216,7 @@ TEST(SolverStats, ZeroRhsConvergesImmediately) {
     c.u().fill(0.0);
     c.u0().fill(0.0);
   });
-  const SolveStats st = CGSolver::solve(*cl, base_config(SolverType::kCG));
+  const SolveStats st = run_solver(*cl, base_config(SolverType::kCG));
   EXPECT_TRUE(st.converged);
   EXPECT_EQ(st.outer_iters, 0);
 }

@@ -56,7 +56,7 @@ TEST_P(ThomasProperty, MatchesDenseEliminationPerStrip) {
   auto& r = c.r();
   for (int k = 0; k < ny; ++k)
     for (int j = 0; j < nx; ++j) r(j, k) = rng.next_double(-3.0, 3.0);
-  kernels::block_jacobi_solve(c, FieldId::kR, FieldId::kZ);
+  kernels::block_jacobi_solve(c, FieldId::kR, FieldId::kZ, interior_bounds(c));
 
   for (int k0 = 0; k0 < ny; k0 += kJacBlockSize) {
     const int k1 = std::min(k0 + kJacBlockSize, ny);
@@ -98,7 +98,7 @@ TEST(ThomasEdge, ExtremeCoefficientContrast) {
   r.fill(0.0);
   for (int k = 0; k < 8; ++k)
     for (int j = 0; j < 4; ++j) r(j, k) = 1.0;
-  kernels::block_jacobi_solve(c, FieldId::kR, FieldId::kZ);
+  kernels::block_jacobi_solve(c, FieldId::kR, FieldId::kZ, interior_bounds(c));
   for (int k = 0; k < 8; ++k) {
     for (int j = 0; j < 4; ++j) {
       EXPECT_TRUE(std::isfinite(c.z()(j, k)));
@@ -120,7 +120,7 @@ TEST(ThomasEdge, IdentityLimitWhenCouplingVanishes) {
   SplitMix64 rng(5);
   for (int k = 0; k < 9; ++k)
     for (int j = 0; j < 5; ++j) r(j, k) = rng.next_double(-1.0, 1.0);
-  kernels::block_jacobi_solve(c, FieldId::kR, FieldId::kZ);
+  kernels::block_jacobi_solve(c, FieldId::kR, FieldId::kZ, interior_bounds(c));
   kernels::diag_solve(c, FieldId::kR, FieldId::kW, interior_bounds(c));
   for (int k = 0; k < 9; ++k)
     for (int j = 0; j < 5; ++j)

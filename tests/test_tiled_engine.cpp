@@ -108,16 +108,19 @@ TEST(TiledKernels, ChebyStepTileMatchesUntiledForAllTileSizes) {
   // Stencil passes for every block, then the deferred edges — the order
   // the engine runs them in (barrier between) — at `tile` rows per block.
   const auto step = [](SimCluster2D& cl, bool diag, int tile) {
+    const PreconType precon =
+        diag ? PreconType::kJacobiDiag : PreconType::kNone;
     cl.for_each_chunk([&](int, Chunk2D& c) {
       const Bounds bb = extended_bounds(c, 2);
       const std::vector<Bounds> blocks = row_blocks(bb, tile);
       for (const Bounds& tb : blocks) {
         kernels::cheby_step_tile(c, FieldId::kRtemp, FieldId::kSd,
-                                 FieldId::kZ, 0.37, 1.21, diag, bb, tb);
+                                 FieldId::kZ, 0.37, 1.21, precon, bb, tb);
       }
       for (const Bounds& tb : blocks) {
         kernels::cheby_step_tile_edges(c, FieldId::kRtemp, FieldId::kSd,
-                                       FieldId::kZ, 0.37, 1.21, diag, bb, tb);
+                                       FieldId::kZ, 0.37, 1.21, precon, bb,
+                                       tb);
       }
     });
   };
@@ -316,6 +319,10 @@ struct TiledCase {
   // Shared by both configs: assembled cases check the tiled row-blocking
   // against the untiled fused run on the CSR SpMV path.
   OperatorKind op = OperatorKind::kStencil;
+  int nranks = 4;
+  // > 0: the tiled solve runs on this many threads and the untiled one on
+  // one thread; 0: both on the ambient team.
+  int threads = 0;
 };
 
 class TiledEngineEquivalence : public ::testing::TestWithParam<TiledCase> {};
@@ -332,14 +339,20 @@ TEST_P(TiledEngineEquivalence, BitwiseIdenticalToUntiledFused) {
   cfg.eps = (tc.type == SolverType::kJacobi) ? 1e-5 : 1e-10;
   cfg.max_iters = (tc.type == SolverType::kJacobi) ? 100000 : 10000;
 
-  auto a = make_test_problem(32, 4, std::max(2, tc.halo_depth), 8.0);
-  auto b = make_test_problem(32, 4, std::max(2, tc.halo_depth), 8.0);
+  auto a = make_test_problem(32, tc.nranks, std::max(2, tc.halo_depth), 8.0);
+  auto b = make_test_problem(32, tc.nranks, std::max(2, tc.halo_depth), 8.0);
   testing::install_operator(*a, tc.op);
   testing::install_operator(*b, tc.op);
   SolverConfig tiled_cfg = cfg;
   tiled_cfg.tile_rows = tc.tile_rows;
-  const SolveStats su = run_solver(*a, cfg);
-  const SolveStats st = run_solver(*b, tiled_cfg);
+  const auto solve = [](SimCluster2D& cl, const SolverConfig& c,
+                        int threads) {
+    if (threads <= 0) return run_solver(cl, c);
+    const ThreadScope scope(threads);
+    return run_solver(cl, c);
+  };
+  const SolveStats su = solve(*a, cfg, tc.threads > 0 ? 1 : 0);
+  const SolveStats st = solve(*b, tiled_cfg, tc.threads);
 
   ASSERT_TRUE(su.converged);
   ASSERT_TRUE(st.converged);
@@ -361,57 +374,82 @@ TEST_P(TiledEngineEquivalence, BitwiseIdenticalToUntiledFused) {
   EXPECT_EQ(a->stats().reductions, b->stats().reductions);
 }
 
+std::vector<TiledCase> tiled_cases() {
+  std::vector<TiledCase> cases = {
+      // One-row tiles, non-dividing tiles, tile >= chunk rows.
+      TiledCase{SolverType::kJacobi, PreconType::kNone, 1, false, 1},
+      TiledCase{SolverType::kJacobi, PreconType::kNone, 1, false, 7},
+      TiledCase{SolverType::kCG, PreconType::kNone, 1, false, 1},
+      TiledCase{SolverType::kCG, PreconType::kNone, 1, false, 7},
+      TiledCase{SolverType::kCG, PreconType::kNone, 1, false, 1000},
+      TiledCase{SolverType::kCG, PreconType::kJacobiDiag, 1, false, 5},
+      TiledCase{SolverType::kCG, PreconType::kJacobiBlock, 1, false, 5},
+      TiledCase{SolverType::kCG, PreconType::kNone, 1, true, 7},
+      TiledCase{SolverType::kCG, PreconType::kJacobiDiag, 1, true, 3},
+      TiledCase{SolverType::kCG, PreconType::kJacobiBlock, 1, true, 6},
+      TiledCase{SolverType::kChebyshev, PreconType::kNone, 1, false, 5},
+      TiledCase{SolverType::kChebyshev, PreconType::kJacobiDiag, 1, false,
+                4},
+      TiledCase{SolverType::kChebyshev, PreconType::kJacobiBlock, 1, false,
+                6},
+      TiledCase{SolverType::kPPCG, PreconType::kNone, 1, false, 5},
+      TiledCase{SolverType::kPPCG, PreconType::kJacobiBlock, 1, false, 6},
+      TiledCase{SolverType::kPPCG, PreconType::kJacobiDiag, 1, false, 3},
+      TiledCase{SolverType::kPPCG, PreconType::kNone, 4, false, 5},
+      TiledCase{SolverType::kPPCG, PreconType::kJacobiDiag, 4, false, 1},
+      // Assembled operators: row-blocked SpMV over CSR must stay
+      // bitwise identical to the untiled fused run, including the
+      // deferred-edge schedule at awkward tile heights.
+      TiledCase{SolverType::kJacobi, PreconType::kNone, 1, false, 3,
+                OperatorKind::kCsr},
+      TiledCase{SolverType::kCG, PreconType::kNone, 1, false, 1,
+                OperatorKind::kCsr},
+      TiledCase{SolverType::kCG, PreconType::kJacobiBlock, 1, false, 5,
+                OperatorKind::kCsr},
+      TiledCase{SolverType::kCG, PreconType::kJacobiDiag, 1, true, 7,
+                OperatorKind::kCsr},
+      TiledCase{SolverType::kChebyshev, PreconType::kNone, 1, false, 4,
+                OperatorKind::kCsr},
+      TiledCase{SolverType::kChebyshev, PreconType::kJacobiDiag, 1, false,
+                6, OperatorKind::kCsr},
+      TiledCase{SolverType::kPPCG, PreconType::kNone, 1, false, 6,
+                OperatorKind::kCsr},
+      TiledCase{SolverType::kPPCG, PreconType::kJacobiDiag, 1, false, 5,
+                OperatorKind::kCsr}};
+  // Block-Jacobi runs its strip solve inside the tile pass, at heights
+  // run_solver rounds up to whole strips ("auto" = -1 included), on more
+  // threads than ranks.
+  for (const int nranks : {1, 2}) {
+    for (const int tile : {1, 3, 5, 6, 0, -1}) {
+      for (const auto& [type, chrono] :
+           {std::pair{SolverType::kCG, false},
+            std::pair{SolverType::kCG, true},
+            std::pair{SolverType::kChebyshev, false},
+            std::pair{SolverType::kPPCG, false}}) {
+        cases.push_back(TiledCase{type, PreconType::kJacobiBlock, 1, chrono,
+                                  tile, OperatorKind::kStencil, nranks, 3});
+      }
+    }
+  }
+  return cases;
+}
+
 INSTANTIATE_TEST_SUITE_P(
     AllSolversAndTileSizes, TiledEngineEquivalence,
-    ::testing::Values(
-        // One-row tiles, non-dividing tiles, tile >= chunk rows.
-        TiledCase{SolverType::kJacobi, PreconType::kNone, 1, false, 1},
-        TiledCase{SolverType::kJacobi, PreconType::kNone, 1, false, 7},
-        TiledCase{SolverType::kCG, PreconType::kNone, 1, false, 1},
-        TiledCase{SolverType::kCG, PreconType::kNone, 1, false, 7},
-        TiledCase{SolverType::kCG, PreconType::kNone, 1, false, 1000},
-        TiledCase{SolverType::kCG, PreconType::kJacobiDiag, 1, false, 5},
-        TiledCase{SolverType::kCG, PreconType::kJacobiBlock, 1, false, 5},
-        TiledCase{SolverType::kCG, PreconType::kNone, 1, true, 7},
-        TiledCase{SolverType::kCG, PreconType::kJacobiDiag, 1, true, 3},
-        TiledCase{SolverType::kCG, PreconType::kJacobiBlock, 1, true, 6},
-        TiledCase{SolverType::kChebyshev, PreconType::kNone, 1, false, 5},
-        TiledCase{SolverType::kChebyshev, PreconType::kJacobiDiag, 1, false,
-                  4},
-        TiledCase{SolverType::kChebyshev, PreconType::kJacobiBlock, 1, false,
-                  6},
-        TiledCase{SolverType::kPPCG, PreconType::kNone, 1, false, 5},
-        TiledCase{SolverType::kPPCG, PreconType::kJacobiBlock, 1, false, 6},
-        TiledCase{SolverType::kPPCG, PreconType::kJacobiDiag, 1, false, 3},
-        TiledCase{SolverType::kPPCG, PreconType::kNone, 4, false, 5},
-        TiledCase{SolverType::kPPCG, PreconType::kJacobiDiag, 4, false, 1},
-        // Assembled operators: row-blocked SpMV over CSR must stay
-        // bitwise identical to the untiled fused run, including the
-        // deferred-edge schedule at awkward tile heights.
-        TiledCase{SolverType::kJacobi, PreconType::kNone, 1, false, 3,
-                  OperatorKind::kCsr},
-        TiledCase{SolverType::kCG, PreconType::kNone, 1, false, 1,
-                  OperatorKind::kCsr},
-        TiledCase{SolverType::kCG, PreconType::kJacobiBlock, 1, false, 5,
-                  OperatorKind::kCsr},
-        TiledCase{SolverType::kCG, PreconType::kJacobiDiag, 1, true, 7,
-                  OperatorKind::kCsr},
-        TiledCase{SolverType::kChebyshev, PreconType::kNone, 1, false, 4,
-                  OperatorKind::kCsr},
-        TiledCase{SolverType::kChebyshev, PreconType::kJacobiDiag, 1, false,
-                  6, OperatorKind::kCsr},
-        TiledCase{SolverType::kPPCG, PreconType::kNone, 1, false, 6,
-                  OperatorKind::kCsr},
-        TiledCase{SolverType::kPPCG, PreconType::kJacobiDiag, 1, false, 5,
-                  OperatorKind::kCsr}),
+    ::testing::ValuesIn(tiled_cases()),
     [](const auto& info) {
       const TiledCase& tc = info.param;
       std::string name = std::string(to_string(tc.type)) + "_" +
                          to_string(tc.precon) + "_d" +
                          std::to_string(tc.halo_depth) + "_b" +
-                         std::to_string(tc.tile_rows);
+                         (tc.tile_rows < 0 ? std::string("auto")
+                                           : std::to_string(tc.tile_rows));
       if (tc.chrono) name += "_chrono";
       if (tc.op == OperatorKind::kCsr) name += "_csr";
+      if (tc.threads > 0) {
+        name += "_r" + std::to_string(tc.nranks) + "_t" +
+                std::to_string(tc.threads);
+      }
       return name;
     });
 
@@ -566,16 +604,13 @@ TEST(SweepTileAxis, TiledCellsMatchUntiledAndRoundTrip) {
   EXPECT_EQ(rep.cells[3].iterations, rep.cells[2].iterations);
   EXPECT_EQ(rep.cells[3].final_norm, rep.cells[2].final_norm);
 
-  // The tile column survives both serialisation round trips.
-  const SweepReport csv_back = SweepReport::from_csv_lines(rep.to_csv_lines());
+  // The tile column survives the JSON round trip.
   const SweepReport json_back =
       SweepReport::from_json_string(rep.to_json().dump(2));
   for (std::size_t i = 0; i < rep.cells.size(); ++i) {
-    EXPECT_EQ(csv_back.cells[i].config.tile_rows,
-              rep.cells[i].config.tile_rows);
     EXPECT_EQ(json_back.cells[i].config.tile_rows,
               rep.cells[i].config.tile_rows);
-    EXPECT_EQ(csv_back.cells[i].config.label(), rep.cells[i].config.label());
+    EXPECT_EQ(json_back.cells[i].config.label(), rep.cells[i].config.label());
   }
 }
 

@@ -53,12 +53,23 @@ TEST(Args, ExplicitBooleanValues) {
 
 TEST(Require, ThrowsWithContext) {
   EXPECT_THROW(TEA_REQUIRE(false, "must hold"), TeaError);
+  // A violated precondition reads as the rule alone: users see it.
   try {
     TEA_REQUIRE(1 == 2, "one is not two");
     FAIL() << "should have thrown";
   } catch (const TeaError& e) {
-    EXPECT_NE(std::string(e.what()).find("one is not two"),
-              std::string::npos);
+    EXPECT_STREQ(e.what(), "one is not two");
+  }
+  // A violated invariant is a library bug: it says where and what failed.
+  try {
+    TEA_ASSERT(1 == 2, "one is not two");
+    FAIL() << "should have thrown";
+  } catch (const TeaError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("test_util.cpp:"), std::string::npos) << what;
+    EXPECT_NE(what.find(": requirement failed: `1 == 2` — one is not two"),
+              std::string::npos)
+        << what;
   }
 }
 
