@@ -1184,16 +1184,12 @@ int main(int argc, char** argv) {
     return 0;
   }
 #endif
-  try {
-    const Args args(argc, argv);
+  return run_main(argc, argv, [](const Args& args) {
     if (args.has("precision")) return run_precision_bench(args);
     if (args.has("spmv")) return run_spmv_bench(args);
     if (args.has("server")) return run_server_bench(args);
     if (args.has("tile-scan")) return run_tile_scan(args);
     if (args.get_int("dim", 2) == 3) return run_dim_compare(args);
     return run_engine_comparison(args);
-  } catch (const TeaError& e) {
-    std::fprintf(stderr, "bench error: %s\n", e.what());
-    return 1;
-  }
+  });
 }

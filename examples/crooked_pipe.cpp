@@ -14,8 +14,9 @@
 #include "io/vtk.hpp"
 #include "util/args.hpp"
 
-int main(int argc, char** argv) {
-  const tealeaf::Args args(argc, argv);
+namespace {
+
+int run(const tealeaf::Args& args) {
   const int n = args.get_int("mesh", 200);
   const int ranks = args.get_int("ranks", 4);
   const int steps = args.get_int("steps", 40);
@@ -51,4 +52,10 @@ int main(int argc, char** argv) {
     std::printf("wrote %s\n", vtk.c_str());
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return tealeaf::run_main(argc, argv, run);
 }

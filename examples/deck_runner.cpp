@@ -10,10 +10,11 @@
 #include "driver/decks.hpp"
 #include "driver/tealeaf_app.hpp"
 #include "util/args.hpp"
-#include "util/log.hpp"
+#include "util/error.hpp"
 
-int main(int argc, char** argv) {
-  const tealeaf::Args args(argc, argv);
+namespace {
+
+int run(const tealeaf::Args& args) {
   if (args.positional().empty()) {
     std::printf("usage: %s <deck-file> [--ranks N] [--summary-every K]\n",
                 args.program().c_str());
@@ -25,38 +26,28 @@ int main(int argc, char** argv) {
   const int every = args.get_int("summary-every", 10);
 
   std::ifstream in(args.positional()[0]);
-  if (!in.is_open()) {
-    std::fprintf(stderr, "cannot open %s\n", args.positional()[0].c_str());
-    return 1;
-  }
-  tealeaf::InputDeck deck;
-  try {
-    deck = tealeaf::InputDeck::parse(in);
-  } catch (const tealeaf::TeaError& e) {
-    std::fprintf(stderr, "deck error: %s\n", e.what());
-    return 1;
-  }
-
-  // Solve-time failures (bad config combinations, matrix_file constraint
-  // violations) share the parse error's idiom rather than terminating.
-  try {
-    tealeaf::TeaLeafApp app(deck, ranks);
-    const int steps = deck.num_steps();
-    std::printf("running %d steps of %dx%d with %s\n", steps, deck.x_cells,
-                deck.y_cells, tealeaf::to_string(deck.solver.type));
-    for (int s = 1; s <= steps; ++s) {
-      const tealeaf::SolveStats st = app.step();
-      if (s % every == 0 || s == steps || !st.converged) {
-        const tealeaf::FieldSummary fs = app.field_summary();
-        std::printf(
-            "step %4d t=%8.3f iters=%5d |r|=%8.2e avg_temp=%10.6f%s\n", s,
-            app.sim_time(), st.outer_iters, st.final_norm, fs.avg_temp(),
-            st.converged ? "" : "  ** not converged");
-      }
+  TEA_REQUIRE(in.is_open(), "cannot open " + args.positional()[0]);
+  // Parse and solve-time failures (bad config combinations, matrix_file
+  // constraint violations) end in run_main's error line.
+  const tealeaf::InputDeck deck = tealeaf::InputDeck::parse(in);
+  tealeaf::TeaLeafApp app(deck, ranks);
+  const int steps = deck.num_steps();
+  std::printf("running %d steps of %dx%d with %s\n", steps, deck.x_cells,
+              deck.y_cells, tealeaf::to_string(deck.solver.type));
+  for (int s = 1; s <= steps; ++s) {
+    const tealeaf::SolveStats st = app.step();
+    if (s % every == 0 || s == steps || !st.converged) {
+      const tealeaf::FieldSummary fs = app.field_summary();
+      std::printf("step %4d t=%8.3f iters=%5d |r|=%8.2e avg_temp=%10.6f%s\n",
+                  s, app.sim_time(), st.outer_iters, st.final_norm,
+                  fs.avg_temp(), st.converged ? "" : "  ** not converged");
     }
-  } catch (const tealeaf::TeaError& e) {
-    std::fprintf(stderr, "deck error: %s\n", e.what());
-    return 1;
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return tealeaf::run_main(argc, argv, run);
 }

@@ -37,13 +37,7 @@ int run(const Args& args);
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Args args(argc, argv);
-  try {
-    return run(args);
-  } catch (const TeaError& e) {
-    std::fprintf(stderr, "sweep error: %s\n", e.what());
-    return 1;
-  }
+  return run_main(argc, argv, run);
 }
 
 namespace {

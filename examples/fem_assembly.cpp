@@ -63,10 +63,7 @@ tealeaf::io::TripletMatrix assemble_q1(int elems, double dt) {
   return m;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const tealeaf::Args args(argc, argv);
+int run(const tealeaf::Args& args) {
   const int elems = args.get_int("elems", 15);
   const double dt = args.get_double("dt", 0.05);
   const std::string path = args.get("out", "fem_system.mtx");
@@ -115,4 +112,10 @@ int main(int argc, char** argv) {
               "assembled CSR path\n",
               static_cast<long long>(system.n));
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return tealeaf::run_main(argc, argv, run);
 }

@@ -19,11 +19,11 @@
 #include "ops/kernels.hpp"
 #include "solvers/solver.hpp"
 #include "util/args.hpp"
-#include "util/error.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(const tealeaf::Args& args) {
   using namespace tealeaf;
-  const Args args(argc, argv);
   const int n = args.get_int("mesh", 24);
   const int ranks = args.get_int("ranks", 8);
   const int steps = args.get_int("steps", 3);
@@ -64,12 +64,7 @@ int main(int argc, char** argv) {
   cfg.max_iters = 50000;
   cfg.tile_rows = args.get_int("tile", cfg.tile_rows);
 
-  try {
-    cfg = cfg.validated();  // e.g. --tile -2 is not a tile height
-  } catch (const TeaError& e) {
-    std::fprintf(stderr, "heat3d error: %s\n", e.what());
-    return 1;
-  }
+  cfg = cfg.validated();  // e.g. --tile -2 is not a tile height
   const std::string tile =
       cfg.tile_rows < 0 ? "auto" : std::to_string(cfg.tile_rows);
 
@@ -112,4 +107,10 @@ int main(int argc, char** argv) {
               static_cast<double>(stats.message_bytes) / 1.0e6,
               static_cast<long long>(stats.reductions));
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return tealeaf::run_main(argc, argv, run);
 }

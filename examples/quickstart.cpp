@@ -16,8 +16,9 @@
 #include "driver/decks.hpp"
 #include "util/args.hpp"
 
-int main(int argc, char** argv) {
-  const tealeaf::Args args(argc, argv);
+namespace {
+
+int run(const tealeaf::Args& args) {
   const int n = args.get_int("mesh", 64);
   const int ranks = args.get_int("ranks", 4);
   const int steps = args.get_int("steps", 5);
@@ -64,4 +65,10 @@ int main(int argc, char** argv) {
       static_cast<double>(stats.message_bytes) / 1.0e6,
       static_cast<long long>(stats.reductions));
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return tealeaf::run_main(argc, argv, run);
 }

@@ -372,11 +372,5 @@ int run(const tealeaf::Args& args) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const tealeaf::Args args(argc, argv);
-  try {
-    return run(args);
-  } catch (const tealeaf::TeaError& e) {
-    std::fprintf(stderr, "solve_server error: %s\n", e.what());
-    return 1;
-  }
+  return tealeaf::run_main(argc, argv, run);
 }

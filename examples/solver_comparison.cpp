@@ -38,10 +38,7 @@ void run_case(tealeaf::SolveSession& session, const tealeaf::InputDeck& base,
               st.converged ? "ok" : "FAILED");
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const tealeaf::Args args(argc, argv);
+int run(const tealeaf::Args& args) {
   const int n = args.get_int("mesh", 96);
   const int ranks = args.get_int("ranks", 4);
 
@@ -77,4 +74,10 @@ int main(int argc, char** argv) {
       "\nNote how PPCG cuts reductions by ~inner_steps× versus CG, and\n"
       "deeper matrix-powers halos cut exchange rounds at the same maths.\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return tealeaf::run_main(argc, argv, run);
 }

@@ -116,6 +116,24 @@ double cg_iteration(SimCluster2D& cl, PreconType precon, double rro,
   return rrn;
 }
 
+bool cg_presteps(SimCluster2D& cl, const SolverConfig& cfg, int steps,
+                 double target, double& rro, CGRecurrence& rec,
+                 SolveStats& st, const Team& team) {
+  for (int i = 0; i < steps; ++i) {
+    bool broke = false;
+    rro = cg_iteration(cl, cfg.precon, rro, &rec, broke, team,
+                       cfg.tile_rows);
+    ++st.spmv_applies;
+    if (broke) return true;
+    ++st.eigen_cg_iters;
+    if (std::sqrt(std::fabs(rro)) <= target) {
+      st.converged = true;
+      break;
+    }
+  }
+  return false;
+}
+
 SolveStats CGSolver::solve_classic(SimCluster2D& cl, const SolverConfig& cfg,
                                    const Team& team, Multigrid* mg) {
   Timer timer;

@@ -41,6 +41,17 @@ double cg_iteration(SimCluster2D& cl, PreconType precon, double rro,
                     CGRecurrence* rec, bool& breakdown, const Team& team,
                     int tile_rows = 0, Multigrid* mg = nullptr);
 
+/// The eigenvalue presteps of Chebyshev and PPCG (paper §III-D): up to
+/// `steps` cg_iteration calls at cfg.tile_rows, each appending its (α, β)
+/// to `rec` and counting one SpMV in `st`; every completed step also
+/// counts in st.eigen_cg_iters.  Stops early when √|rro| falls to
+/// `target` (sets st.converged) or on a breakdown (returns true; `rro`
+/// keeps the value before the failed step).  Team-aware like
+/// cg_iteration.
+bool cg_presteps(SimCluster2D& cl, const SolverConfig& cfg, int steps,
+                 double target, double& rro, CGRecurrence& rec,
+                 SolveStats& st, const Team& team);
+
 /// The standard conjugate-gradient solver (paper §III-A): the baseline
 /// whose strong-scaling is limited by the two global dot products per
 /// iteration.

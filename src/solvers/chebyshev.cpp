@@ -1,5 +1,6 @@
 #include "solvers/chebyshev.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "ops/kernels.hpp"
@@ -94,24 +95,17 @@ SolveStats ChebyshevSolver::solve_team(SimCluster2D& cl,
     est.eigmax = cfg.eig_hint_max;
   } else {
     // --- CG presteps: eigenvalue estimation (paper §III-D) --------------
-    const double cg_target = cfg.eps * st.initial_norm;
-    for (int i = 0;
-         i < cfg.eigen_cg_iters && st.outer_iters + i < cfg.max_iters; ++i) {
-      bool broke = false;
-      rro = cg_iteration(cl, cfg.precon, rro, &rec, broke, team);
-      ++st.spmv_applies;
-      if (broke) {
-        return broke_down("Chebyshev prestep breakdown: ⟨p, A·p⟩ <= 0");
-      }
-      ++st.eigen_cg_iters;
-      if (std::sqrt(std::fabs(rro)) <= cg_target) {
-        // Converged before Chebyshev even started.
-        st.outer_iters = st.eigen_cg_iters;
-        st.converged = true;
-        st.final_norm = std::sqrt(std::fabs(rro));
-        st.solve_seconds = timer.elapsed_s();
-        return st;
-      }
+    // They count against max_iters, as every Chebyshev iteration does.
+    if (cg_presteps(cl, cfg, std::min(cfg.eigen_cg_iters, cfg.max_iters),
+                    cfg.eps * st.initial_norm, rro, rec, st, team)) {
+      return broke_down("Chebyshev prestep breakdown: ⟨p, A·p⟩ <= 0");
+    }
+    if (st.converged) {
+      // Converged before Chebyshev even started.
+      st.outer_iters = st.eigen_cg_iters;
+      st.final_norm = std::sqrt(std::fabs(rro));
+      st.solve_seconds = timer.elapsed_s();
+      return st;
     }
   }
   ChebyCoefs cc;
@@ -123,8 +117,9 @@ SolveStats ChebyshevSolver::solve_team(SimCluster2D& cl,
   st.eigmax = est.eigmax;
 
   // --- Chebyshev phase ---------------------------------------------------
-  // Bootstrap: p = M⁻¹·r / θ, u += p.  The last prestep's direction
-  // update is a tile pass at another height, and this pass rewrites p.
+  // Bootstrap: p = M⁻¹·r / θ, u += p.  This pass rewrites p; the barrier
+  // orders it after the last pass that wrote p (a prestep's direction
+  // update, or cg_setup's whole-chunk copy when hints skip the presteps).
   team.barrier();
   cl.for_each_tile(team, cfg.tile_rows,
                    [](int, Chunk2D& c) { return interior_bounds(c); },

@@ -122,21 +122,14 @@ SolveStats PPCGSolver::solve_team(SimCluster2D& cl, const SolverConfig& cfg,
     est.eigmax = cfg.eig_hint_max;
   } else {
     // --- CG presteps: eigenvalue estimation (paper §III-D) --------------
-    for (int i = 0; i < cfg.eigen_cg_iters; ++i) {
-      bool broke = false;
-      rro = cg_iteration(cl, cfg.precon, rro, &rec, broke, team);
-      ++st.spmv_applies;
-      if (broke) {
-        st.breakdown = true;
-        st.breakdown_reason = kPwBreakdown;
-        return finish(rro);
-      }
-      ++st.eigen_cg_iters;
-      if (std::sqrt(std::fabs(rro)) <= target) {
-        st.converged = true;
-        return finish(rro);
-      }
+    // Unlike Chebyshev's, they do not count against max_iters.
+    if (cg_presteps(cl, cfg, cfg.eigen_cg_iters, target, rro, rec, st,
+                    team)) {
+      st.breakdown = true;
+      st.breakdown_reason = kPwBreakdown;
+      return finish(rro);
     }
+    if (st.converged) return finish(rro);
   }
   ChebyCoefs cc;
   const std::string why = try_chebyshev_polynomial(

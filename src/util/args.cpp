@@ -1,6 +1,6 @@
 #include "util/args.hpp"
 
-#include <cstdlib>
+#include <cstdio>
 #include <sstream>
 
 #include "util/error.hpp"
@@ -45,13 +45,13 @@ std::string Args::get(const std::string& name,
 int Args::get_int(const std::string& name, int fallback) const {
   const auto it = values_.find(name);
   if (it == values_.end() || it->second.empty()) return fallback;
-  return std::atoi(it->second.c_str());
+  return parse_int(it->second, "--" + name);
 }
 
 double Args::get_double(const std::string& name, double fallback) const {
   const auto it = values_.find(name);
   if (it == values_.end() || it->second.empty()) return fallback;
-  return std::atof(it->second.c_str());
+  return parse_double(it->second, "--" + name);
 }
 
 bool Args::get_bool(const std::string& name, bool fallback) const {
@@ -81,6 +81,18 @@ std::vector<int> split_int_list(const std::string& value,
     items.push_back(parse_int(s, context));
   }
   return items;
+}
+
+int run_main(int argc, const char* const* argv,
+             const std::function<int(const Args&)>& body) {
+  std::string program = argc > 0 ? argv[0] : "tealeaf";
+  program = program.substr(program.find_last_of('/') + 1);
+  try {
+    return body(Args(argc, argv));
+  } catch (const TeaError& e) {
+    std::fprintf(stderr, "%s: error: %s\n", program.c_str(), e.what());
+    return 1;
+  }
 }
 
 }  // namespace tealeaf

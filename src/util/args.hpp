@@ -1,5 +1,6 @@
 #pragma once
 
+#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -49,5 +50,12 @@ class Args {
 /// "4" or "4.0", never "4.5" or "1e30"); throws TeaError otherwise.
 [[nodiscard]] std::vector<int> split_int_list(const std::string& value,
                                               const std::string& context);
+
+/// The entry point of every example and bench program: parses the flags,
+/// runs `body` and returns its exit code.  A TeaError from either prints
+/// "<program>: error: <message>" to stderr and returns 1, so bad input
+/// never ends in `terminate`.
+int run_main(int argc, const char* const* argv,
+             const std::function<int(const Args&)>& body);
 
 }  // namespace tealeaf

@@ -51,6 +51,37 @@ TEST(Args, ExplicitBooleanValues) {
   EXPECT_FALSE(args.get_bool("d", true));
 }
 
+TEST(Args, NumbersParseStrictly) {
+  const char* argv[] = {"prog", "--ranks", "2abc", "--mesh", "1e30",
+                        "--eps", "1e-8xyz", "--steps", "4.0", "--dt=1e-3"};
+  Args args(10, argv);
+  EXPECT_THROW((void)args.get_int("ranks", 1), TeaError);
+  EXPECT_THROW((void)args.get_int("mesh", 1), TeaError);
+  EXPECT_THROW((void)args.get_double("eps", 1.0), TeaError);
+  EXPECT_EQ(args.get_int("steps", 1), 4);
+  EXPECT_DOUBLE_EQ(args.get_double("dt", 1.0), 1e-3);
+  try {
+    (void)args.get_int("ranks", 1);
+  } catch (const TeaError& e) {
+    EXPECT_NE(std::string(e.what()).find("--ranks: '2abc'"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(Args, RunMainTurnsTeaErrorIntoExitOne) {
+  const char* argv[] = {"/some/dir/prog", "--ranks", "0"};
+  testing::internal::CaptureStderr();
+  const int code = run_main(3, argv, [](const Args& args) -> int {
+    TEA_REQUIRE(args.get_int("ranks", 1) > 0, "need at least one rank");
+    return 0;
+  });
+  EXPECT_EQ(code, 1);
+  EXPECT_EQ(testing::internal::GetCapturedStderr(),
+            "prog: error: need at least one rank\n");
+  EXPECT_EQ(run_main(1, argv, [](const Args&) { return 3; }), 3);
+}
+
 TEST(Require, ThrowsWithContext) {
   EXPECT_THROW(TEA_REQUIRE(false, "must hold"), TeaError);
   // A violated precondition reads as the rule alone: users see it.
