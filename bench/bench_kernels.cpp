@@ -1184,11 +1184,21 @@ int main(int argc, char** argv) {
     return 0;
   }
 #endif
-  return run_main(argc, argv, [](const Args& args) {
-    if (args.has("precision")) return run_precision_bench(args);
-    if (args.has("spmv")) return run_spmv_bench(args);
-    if (args.has("server")) return run_server_bench(args);
-    if (args.has("tile-scan")) return run_tile_scan(args);
+  // Every mode's flags; each mode reads its own, at its own defaults.
+  const std::vector<Flag> flags = {
+      {"precision", Flag::kBool}, {"spmv", Flag::kBool},
+      {"server", Flag::kBool},    {"tile-scan", Flag::kBool},
+      {"dim", Flag::kInt},        {"mesh", Flag::kInt},
+      {"mesh3d", Flag::kInt},     {"conv-mesh", Flag::kInt},
+      {"spmv-mesh", Flag::kInt},  {"ranks", Flag::kInt},
+      {"reps", Flag::kInt},       {"steps", Flag::kInt},
+      {"tile", Flag::kInt},       {"requests", Flag::kInt},
+      {"sweeps", Flag::kInt},     {"out"}};
+  return run_main(argc, argv, flags, [](const Args& args) {
+    if (args.enabled("precision")) return run_precision_bench(args);
+    if (args.enabled("spmv")) return run_spmv_bench(args);
+    if (args.enabled("server")) return run_server_bench(args);
+    if (args.enabled("tile-scan")) return run_tile_scan(args);
     if (args.get_int("dim", 2) == 3) return run_dim_compare(args);
     return run_engine_comparison(args);
   });

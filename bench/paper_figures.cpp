@@ -756,5 +756,5 @@ int run(const Args& args) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  return run_main(argc, argv, run);
+  return run_main(argc, argv, {{"json"}, {"claims"}}, run);
 }

@@ -49,5 +49,8 @@ int run(const tealeaf::Args& args) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  return tealeaf::run_main(argc, argv, run);
+  using tealeaf::Flag;
+  return tealeaf::run_main(
+      argc, argv, {{"ranks", Flag::kInt}, {"summary-every", Flag::kInt}},
+      run, /*positionals=*/1);
 }

@@ -2,13 +2,17 @@
 // (solver × preconditioner × matrix-powers depth × mesh size × threads ×
 // tile height) over a deck and emit a ranked result table as CSV + JSON.
 //
-// Run:  ./examples/design_space_sweep [--mesh 48] [--ranks 4] [--steps 1]
+// Run:  ./examples/design_space_sweep [--mesh 48] [--steps 1]
 //           [--solvers cg,ppcg,chebyshev,mg-pcg] [--precons none,jac_diag]
-//           [--depths 1,4] [--meshes 32,48] [--threads 0]
-//           [--tiles 0,32] [--geometry 2d,3d]
-//           [--operators stencil,csr]
-//           [--precisions double,single,mixed] [--deck path/to/tea.in]
-//           [--csv out.csv] [--json out.json] [--route-db route_db.json]
+//           [--depths 1,4] [--meshes <mesh>,32] [--threads 0] [--tiles 0]
+//           [--geometry 2d,3d] [--operators stencil]
+//           [--precisions double] [--ranks 4] [--deck path/to/tea.in]
+//           [--csv design_space_sweep.csv] [--json design_space_sweep.json]
+//           [--route-db route_db.json]
+//
+// The ten axis flags --solvers … --ranks are the deck's sweep_* keys and
+// parse by their rules; without --geometry the cells keep the deck's
+// geometry.
 //
 // --route-db additionally emits a RouteDatabase seed: every converged
 // cell becomes one observation priming a solve server's online routing
@@ -37,62 +41,41 @@ int run(const Args& args);
 }  // namespace
 
 int main(int argc, char** argv) {
-  return run_main(argc, argv, run);
+  return run_main(
+      argc, argv,
+      {{"deck"}, {"mesh", Flag::kInt}, {"steps", Flag::kInt}, {"csv"},
+       {"json"}, {"route-db"},
+       deck_flag("solvers", "sweep_solvers", "cg,ppcg,chebyshev,mg-pcg"),
+       deck_flag("precons", "sweep_precons", "none,jac_diag"),
+       deck_flag("depths", "sweep_halo_depths", "1,4"),
+       deck_flag("meshes", "sweep_mesh_sizes"),
+       deck_flag("threads", "sweep_threads", "0"),
+       deck_flag("tiles", "sweep_tile_rows", "0"),
+       deck_flag("geometry", "sweep_geometry"),
+       deck_flag("operators", "sweep_operator", "stencil"),
+       deck_flag("precisions", "sweep_precision", "double"),
+       deck_flag("ranks", "sweep_ranks", "4")},
+      run);
 }
 
 namespace {
 
 int run(const Args& args) {
-
   InputDeck base;
   const std::string deck_path = args.get("deck", "");
   if (!deck_path.empty()) {
     std::ifstream in(deck_path);
-    if (!in.is_open()) {
-      std::fprintf(stderr, "cannot open deck: %s\n", deck_path.c_str());
-      return 1;
-    }
+    TEA_REQUIRE(in.is_open(), "cannot open deck: " + deck_path);
     base = InputDeck::parse(in);
   } else {
     base = decks::layered_material(args.get_int("mesh", 48), 1);
     base.solver.eps = 1e-8;
   }
-
-  SweepSpec spec = base.sweep;
-  if (!spec.requested()) {
-    spec.solvers = split_list(
-        args.get("solvers", "cg,ppcg,chebyshev,mg-pcg"), "--solvers");
-    spec.precons.clear();
-    for (const std::string& p :
-         split_list(args.get("precons", "none,jac_diag"), "--precons")) {
-      spec.precons.push_back(precon_type_from_string(p));
-    }
-    spec.halo_depths = split_int_list(args.get("depths", "1,4"), "--depths");
-    spec.mesh_sizes = split_int_list(
-        args.get("meshes", std::to_string(base.x_cells) + ",32"), "--meshes");
-    spec.thread_counts = split_int_list(args.get("threads", "0"),
-                                        "--threads");
-    spec.tile_rows = split_int_list(args.get("tiles", "0"), "--tiles");
-    spec.geometries.clear();  // empty = inherit the deck's geometry
-    if (args.has("geometry")) {
-      for (const std::string& g :
-           split_list(args.get("geometry", "2d"), "--geometry")) {
-        if (g == "2d") {
-          spec.geometries.push_back(2);
-        } else if (g == "3d") {
-          spec.geometries.push_back(3);
-        } else {
-          throw TeaError("--geometry entries must be '2d' or '3d', got '" +
-                         g + "'");
-        }
-      }
-    }
-    spec.operators = split_list(args.get("operators", "stencil"),
-                                "--operators");
-    spec.precisions = split_list(args.get("precisions", "double"),
-                                 "--precisions");
-    spec.ranks = args.get_int("ranks", 4);
+  if (!base.sweep.requested()) {
+    base.sweep.mesh_sizes = {base.x_cells, 32};
+    base.set(args);
   }
+  const SweepSpec& spec = base.sweep;
 
   spec.validate();  // reject bad axes before any output
 

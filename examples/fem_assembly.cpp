@@ -117,5 +117,7 @@ int run(const tealeaf::Args& args) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  return tealeaf::run_main(argc, argv, run);
+  using tealeaf::Flag;
+  return tealeaf::run_main(
+      argc, argv, {{"elems", Flag::kInt}, {"dt", Flag::kDouble}, {"out"}}, run);
 }

@@ -8,14 +8,16 @@
 //
 // Run:  ./examples/heat3d [--mesh 24] [--ranks 8] [--steps 3] [--depth 2]
 //                         [--tile 8]
-// Without --tile the solve takes the library default: auto row tiles
-// (--tile -1).
+// --depth and --tile are the deck keys tl_halo_depth and tl_tile_rows and
+// parse by their rules; without --tile the solve takes the library
+// default, auto row tiles (--tile auto).
 
 #include <cmath>
 #include <cstdio>
 #include <string>
 
 #include "comm/sim_comm.hpp"
+#include "driver/deck.hpp"
 #include "ops/kernels.hpp"
 #include "solvers/solver.hpp"
 #include "util/args.hpp"
@@ -27,7 +29,17 @@ int run(const tealeaf::Args& args) {
   const int n = args.get_int("mesh", 24);
   const int ranks = args.get_int("ranks", 8);
   const int steps = args.get_int("steps", 3);
-  const int depth = args.get_int("depth", 2);
+
+  // The solver knobs, with --depth and --tile set through their deck keys.
+  InputDeck knobs;
+  knobs.solver.type = SolverType::kPPCG;
+  knobs.solver.inner_steps = 10;
+  knobs.solver.eigen_cg_iters = 15;
+  knobs.solver.eps = 1e-9;
+  knobs.solver.max_iters = 50000;
+  knobs.set(args);
+  const SolverConfig cfg = knobs.solver.validated();  // --tile -2 is no height
+  const int depth = cfg.halo_depth;
 
   const double dt = 0.04;
   const GlobalMesh mesh = GlobalMesh::brick3d(n, n, n, 10.0);
@@ -55,16 +67,6 @@ int run(const tealeaf::Args& args) {
     }
   });
 
-  SolverConfig cfg;
-  cfg.type = SolverType::kPPCG;
-  cfg.halo_depth = depth;
-  cfg.inner_steps = 10;
-  cfg.eigen_cg_iters = 15;
-  cfg.eps = 1e-9;
-  cfg.max_iters = 50000;
-  cfg.tile_rows = args.get_int("tile", cfg.tile_rows);
-
-  cfg = cfg.validated();  // e.g. --tile -2 is not a tile height
   const std::string tile =
       cfg.tile_rows < 0 ? "auto" : std::to_string(cfg.tile_rows);
 
@@ -112,5 +114,11 @@ int run(const tealeaf::Args& args) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  return tealeaf::run_main(argc, argv, run);
+  using tealeaf::Flag;
+  return tealeaf::run_main(
+      argc, argv,
+      {{"mesh", Flag::kInt}, {"ranks", Flag::kInt}, {"steps", Flag::kInt},
+       tealeaf::deck_flag("depth", "tl_halo_depth", "2"),
+       tealeaf::deck_flag("tile", "tl_tile_rows")},
+      run);
 }

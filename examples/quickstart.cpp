@@ -70,5 +70,9 @@ int run(const tealeaf::Args& args) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  return tealeaf::run_main(argc, argv, run);
+  using tealeaf::Flag;
+  return tealeaf::run_main(
+      argc, argv,
+      {{"mesh", Flag::kInt}, {"ranks", Flag::kInt}, {"steps", Flag::kInt}},
+      run);
 }

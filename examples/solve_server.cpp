@@ -161,8 +161,8 @@ int run(const tealeaf::Args& args) {
   const int mesh = args.get_int("mesh", 48);
   const int mesh2 = args.get_int("mesh2", 64);
   const int ranks = args.get_int("ranks", 2);
-  const bool poison = !args.has("no-poison");
-  const bool learn = args.has("learn");
+  const bool poison = !args.enabled("no-poison");
+  const bool learn = args.enabled("learn");
   const int waves = std::max(1, args.get_int("waves", 1));
   const std::string db_path = args.get("db", "");
 
@@ -175,7 +175,7 @@ int run(const tealeaf::Args& args) {
     opts.routes = RoutingTable::from_json_file(routes);
     std::printf("routing table: %zu measured cells (swept on %d ranks)\n",
                 opts.routes.size(), opts.routes.sweep_ranks());
-  } else if (args.has("adversarial")) {
+  } else if (args.enabled("adversarial")) {
     opts.routes = adversarial_table(mesh, mesh2, ranks);
     std::printf("routing table: adversarial seed (%zu cells, best route "
                 "mislabeled at 0.1 us)\n",
@@ -372,5 +372,12 @@ int run(const tealeaf::Args& args) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  return tealeaf::run_main(argc, argv, run);
+  using tealeaf::Flag;
+  return tealeaf::run_main(
+      argc, argv,
+      {{"requests", Flag::kInt}, {"mesh", Flag::kInt}, {"mesh2", Flag::kInt},
+       {"ranks", Flag::kInt}, {"batch", Flag::kInt}, {"routes"},
+       {"no-poison", Flag::kBool}, {"mtx"}, {"learn", Flag::kBool}, {"db"},
+       {"waves", Flag::kInt}, {"adversarial", Flag::kBool}},
+      run);
 }

@@ -79,5 +79,7 @@ int run(const tealeaf::Args& args) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  return tealeaf::run_main(argc, argv, run);
+  using tealeaf::Flag;
+  return tealeaf::run_main(
+      argc, argv, {{"mesh", Flag::kInt}, {"ranks", Flag::kInt}}, run);
 }

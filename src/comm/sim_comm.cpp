@@ -1,5 +1,10 @@
 #include "comm/sim_comm.hpp"
 
+#include <exception>
+#include <mutex>
+#include <new>
+#include <string>
+
 #include "util/error.hpp"
 
 namespace tealeaf {
@@ -14,13 +19,34 @@ SimCluster::SimCluster(const GlobalMesh& mesh, int nranks, int halo_depth)
   // exact rank→thread mapping every fused-engine worksharing loop uses —
   // so the zero-fill of each chunk's fields (the first touch of those
   // pages) happens on the thread, and hence the NUMA node, that will
-  // process the chunk for the rest of the run.
+  // process the chunk for the rest of the run.  The loop has no barrier,
+  // so a rank whose allocation fails keeps the first failure and the
+  // region still joins; it is rethrown after.
+  std::exception_ptr failure;
+  std::mutex failure_mu;
   parallel_region([&](Team& t) {
     t.for_range(0, nranks, [&](std::int64_t r) {
-      chunks_[static_cast<std::size_t>(r)] = std::make_unique<Chunk>(
-          decomp_.extent(static_cast<int>(r)), mesh, halo_depth);
+      try {
+        chunks_[static_cast<std::size_t>(r)] = std::make_unique<Chunk>(
+            decomp_.extent(static_cast<int>(r)), mesh, halo_depth);
+      } catch (...) {
+        const std::lock_guard<std::mutex> lock(failure_mu);
+        if (!failure) failure = std::current_exception();
+      }
     });
   });
+  if (failure) {
+    try {
+      std::rethrow_exception(failure);
+    } catch (const std::bad_alloc&) {
+      std::string shape = std::to_string(mesh.nx) + "x" +
+                          std::to_string(mesh.ny);
+      if (mesh.dims == 3) shape += "x" + std::to_string(mesh.nz);
+      throw TeaError("cannot allocate the " + shape + " mesh on " +
+                     std::to_string(nranks) +
+                     (nranks == 1 ? " rank" : " ranks") + ": out of memory");
+    }
+  }
   team_partials_.assign(static_cast<std::size_t>(nranks), 0.0);
   team_partials2_.assign(static_cast<std::size_t>(nranks), {0.0, 0.0});
 }

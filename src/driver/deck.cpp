@@ -1,12 +1,14 @@
 #include "driver/deck.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
-#include <map>
+#include <limits>
+#include <set>
 #include <sstream>
+#include <type_traits>
 #include <vector>
 
-#include "util/args.hpp"
 #include "util/error.hpp"
 #include "util/numeric.hpp"
 
@@ -45,332 +47,393 @@ bool StateDef::contains(double x, double y, double z, double dx, double dy,
 
 namespace {
 
-/// Split "key=value" tokens of a state line into a map.
-std::map<std::string, std::string> tokenize_kv(std::istringstream& line) {
-  std::map<std::string, std::string> kv;
-  std::string tok;
-  while (line >> tok) {
-    const auto eq = tok.find('=');
-    if (eq == std::string::npos) {
-      kv[tok] = "";
+using Text = const std::string&;
+
+// How each field type reads from, and writes to, its value text.  `key`
+// (a deck key, or the flag that stands for it) names the value in errors.
+
+void read(int& f, Text v, Text key) { f = parse_int(v, key); }
+void read(double& f, Text v, Text key) { f = parse_double(v, key); }
+void read(bool& f, Text v, Text key) { f = parse_bool(v, key); }
+void read(std::string& f, Text v, Text key) {
+  TEA_REQUIRE(!v.empty(), "deck: " + key + " needs a path");
+  f = v;
+}
+void read(PreconType& f, Text v, Text) { f = precon_type_from_string(v); }
+void read(OperatorKind& f, Text v, Text) { f = operator_kind_from_string(v); }
+void read(Precision& f, Text v, Text) { f = precision_from_string(v); }
+
+/// The spellings of a value, by its number ("" = none): the dimension
+/// counts and the enums without a from_string of their own.
+constexpr const char* kDimNames[] = {"", "", "2d", "3d"};
+constexpr const char* kCoefficientNames[] = {"", "conductivity",
+                                             "recip_conductivity"};
+constexpr const char* kGeometryNames[] = {"", "rectangle", "circle", "point"};
+
+/// The number `v` spells in `names`; anything else is a TeaError.
+template <std::size_t N>
+int number_of(const char* const (&names)[N], Text v, Text key) {
+  std::string all;
+  for (std::size_t i = 0; i < N; ++i) {
+    if (*names[i] && v == names[i]) return static_cast<int>(i);
+    if (*names[i]) all += std::string(all.empty() ? "" : " or ") + names[i];
+  }
+  throw TeaError(key + " must be " + all + ", got '" + v + "'");
+}
+
+void read(kernels::Coefficient& f, Text v, Text key) {
+  f = kernels::Coefficient(number_of(kCoefficientNames, v, key));
+}
+void read(StateDef::Geometry& f, Text v, Text key) {
+  const std::string name = v == "circular" ? "circle" : v;
+  f = StateDef::Geometry(number_of(kGeometryNames, name, key));
+}
+template <class T>
+void read(std::vector<T>& f, Text v, Text key) {
+  f.clear();
+  std::istringstream in(v);
+  for (std::string item; std::getline(in, item, ',');) {
+    if (!item.empty()) read(f.emplace_back(), item, key);
+  }
+  TEA_REQUIRE(!f.empty(), "empty list for " + key);
+}
+
+std::string format(int v) { return std::to_string(v); }
+std::string format(double v) {
+  char buf[32];  // the shortest text that reads back as the same double
+  return {buf, std::to_chars(buf, buf + sizeof buf, v).ptr};
+}
+std::string format(bool on) { return on ? "1" : "0"; }
+std::string format(Text s) { return s; }
+std::string format(PreconType p) { return to_string(p); }
+std::string format(OperatorKind op) { return to_string(op); }
+std::string format(Precision p) { return to_string(p); }
+std::string format(kernels::Coefficient c) {
+  return kCoefficientNames[static_cast<int>(c)];
+}
+std::string format(StateDef::Geometry g) {
+  return kGeometryNames[static_cast<int>(g)];  // background: unwritten
+}
+template <class T>
+std::string format(const std::vector<T>& items) {
+  std::string out;
+  for (const T& item : items) {
+    if (!out.empty()) out += ",";
+    out += format(item);
+  }
+  return out;
+}
+
+template <class T>
+constexpr KeyRule rule_of() {
+  if constexpr (std::is_same_v<T, int>) return KeyRule::kInt;
+  if constexpr (std::is_same_v<T, double>) return KeyRule::kDouble;
+  if constexpr (std::is_same_v<T, bool>) return KeyRule::kFlag;
+  if constexpr (std::is_same_v<T, std::string>) return KeyRule::kPath;
+  if constexpr (std::is_same_v<T, std::vector<int>>) return KeyRule::kIntList;
+  if constexpr (std::is_enum_v<T>) return KeyRule::kNames;
+  return KeyRule::kNameList;
+}
+
+template <class C, class T>
+C owner_of(T C::*);  // the class a member pointer points into
+
+/// The field a member-pointer path reaches: `&InputDeck::x_cells`, or
+/// `&InputDeck::solver, &SolverConfig::eps` for a member of a member.
+template <auto... Path, class Owner>
+auto& field(Owner& o) {
+  return (o .* ... .* Path);
+}
+
+/// A key read and written as is, in the field `Path` reaches.
+template <auto First, auto... Rest>
+constexpr auto plain(const char* name, const char* alias = "") {
+  using Owner = decltype(owner_of(First));
+  using T = std::remove_cvref_t<decltype(field<First, Rest...>(
+      std::declval<Owner&>()))>;
+  return KeyRow<Owner>{name, alias, rule_of<T>(),
+                       [](Owner& o, Text v, Text key) {
+                         read(field<First, Rest...>(o), v, key);
+                       },
+                       [](const Owner& o) {
+                         return format(field<First, Rest...>(o));
+                       }};
+}
+
+/// `tl_use_<solver>`: a flag that selects solver `T` (off selects none).
+template <SolverType T>
+constexpr KeyRow<InputDeck> use_solver(const char* name) {
+  return {name, "", KeyRule::kFlag,
+          [](InputDeck& d, Text v, Text key) {
+            if (parse_bool(v, key)) d.solver.type = T;
+          },
+          [](const InputDeck& d) { return format(d.solver.type == T); }};
+}
+
+/// A state's z bound: written for a 3-D box only, and then both bounds,
+/// since a state line needs both or neither.
+template <double StateDef::*Bound>
+std::string box_bound(const StateDef& s) {
+  const bool box =
+      s.geometry == StateDef::Geometry::kRectangle && s.zmax > s.zmin;
+  return box ? format(s.*Bound) : "";
+}
+
+/// A state's z centre or z point, which `Given` records was written.
+template <double StateDef::*Z, bool StateDef::*Given>
+constexpr KeyRow<StateDef> given_z(const char* name, const char* alias) {
+  return {name, alias, KeyRule::kDouble,
+          [](StateDef& s, Text v, Text key) {
+            s.*Z = parse_double(v, key);
+            s.*Given = true;
+          },
+          [](const StateDef& s) { return s.*Given ? format(s.*Z) : ""; }};
+}
+
+StateDef parse_state(Text line);
+
+constexpr KeyRow<InputDeck> kDeckKeys[] = {
+    {"tl_geometry", "", KeyRule::kNames,
+     [](InputDeck& d, Text v, Text key) {
+       d.dims = number_of(kDimNames, v, key);
+     },
+     [](const InputDeck& d) { return std::string(d.dims == 3 ? "3d" : "2d"); }},
+    plain<&InputDeck::x_cells>("x_cells"),
+    plain<&InputDeck::y_cells>("y_cells"),
+    plain<&InputDeck::z_cells>("z_cells", "nz"),
+    plain<&InputDeck::xmin>("xmin"),
+    plain<&InputDeck::xmax>("xmax"),
+    plain<&InputDeck::ymin>("ymin"),
+    plain<&InputDeck::ymax>("ymax"),
+    plain<&InputDeck::zmin>("zmin"),
+    plain<&InputDeck::zmax>("zmax"),
+    plain<&InputDeck::initial_timestep>("initial_timestep"),
+    plain<&InputDeck::end_time>("end_time"),
+    plain<&InputDeck::end_step>("end_step"),
+    plain<&InputDeck::solver, &SolverConfig::max_iters>("tl_max_iters"),
+    plain<&InputDeck::solver, &SolverConfig::eps>("tl_eps"),
+    use_solver<SolverType::kJacobi>("tl_use_jacobi"),
+    use_solver<SolverType::kCG>("tl_use_cg"),
+    use_solver<SolverType::kChebyshev>("tl_use_chebyshev"),
+    use_solver<SolverType::kPPCG>("tl_use_ppcg"),
+    plain<&InputDeck::solver, &SolverConfig::precon>("tl_preconditioner_type"),
+    plain<&InputDeck::solver, &SolverConfig::inner_steps>(
+        "tl_ppcg_inner_steps"),
+    plain<&InputDeck::solver, &SolverConfig::eigen_cg_iters>(
+        "tl_eigen_cg_iters", "tl_cheby_presteps"),
+    plain<&InputDeck::solver, &SolverConfig::halo_depth>("tl_halo_depth"),
+    plain<&InputDeck::solver, &SolverConfig::fuse_cg_reductions>(
+        "tl_cg_fuse_reductions"),
+    // Readable for decks written while the unfused schedule existed;
+    // asking for that schedule fails instead of running the fused one.
+    {"tl_fuse_kernels", "", KeyRule::kFlag,
+     [](InputDeck&, Text v, Text key) {
+       TEA_REQUIRE(parse_bool(v, key),
+                   "deck: " + key + "=" + v +
+                       " asks for the unfused schedule, which was removed — "
+                       "every solve runs fused.  Drop the key (or "
+                       "tl_tile_rows=0 for untiled sweeps).");
+     },
+     nullptr},
+    {"tl_tile_rows", "", KeyRule::kInt,  // or `auto` (-1)
+     [](InputDeck& d, Text v, Text key) {
+       d.solver.tile_rows = v == "auto" ? -1 : parse_int(v, key);
+     },
+     [](const InputDeck& d) {
+       return d.solver.tile_rows == -1 ? std::string("auto")
+                                       : format(d.solver.tile_rows);
+     }},
+    plain<&InputDeck::solver, &SolverConfig::op>("tl_operator"),
+    plain<&InputDeck::solver, &SolverConfig::precision>("tl_precision"),
+    plain<&InputDeck::matrix_file>("matrix_file"),
+    plain<&InputDeck::sweep, &SweepSpec::solvers>("sweep_solvers"),
+    plain<&InputDeck::sweep, &SweepSpec::precons>("sweep_precons"),
+    plain<&InputDeck::sweep, &SweepSpec::halo_depths>("sweep_halo_depths"),
+    plain<&InputDeck::sweep, &SweepSpec::mesh_sizes>("sweep_mesh_sizes"),
+    plain<&InputDeck::sweep, &SweepSpec::thread_counts>("sweep_threads"),
+    plain<&InputDeck::sweep, &SweepSpec::tile_rows>("sweep_tile_rows"),
+    {"sweep_geometry", "", KeyRule::kNameList,
+     [](InputDeck& d, Text v, Text key) {
+       std::vector<std::string> names;
+       read(names, v, key);
+       d.sweep.geometries.clear();
+       for (Text g : names) {
+         d.sweep.geometries.push_back(number_of(kDimNames, g, key));
+       }
+     },
+     [](const InputDeck& d) {
+       std::vector<std::string> names;
+       for (const int g : d.sweep.geometries) {
+         names.push_back(g == 3 ? "3d" : "2d");
+       }
+       return format(names);
+     }},
+    plain<&InputDeck::sweep, &SweepSpec::operators>("sweep_operator"),
+    plain<&InputDeck::sweep, &SweepSpec::precisions>("sweep_precision"),
+    plain<&InputDeck::sweep, &SweepSpec::ranks>("sweep_ranks"),
+    plain<&InputDeck::coefficient>("tl_coefficient"),
+    {"state", "", KeyRule::kState,
+     [](InputDeck& d, Text v, Text) { d.states.push_back(parse_state(v)); },
+     nullptr},
+};
+
+constexpr KeyRow<StateDef> kStateKeys[] = {
+    plain<&StateDef::density>("density"),
+    plain<&StateDef::energy>("energy"),
+    plain<&StateDef::geometry>("geometry"),
+    plain<&StateDef::xmin>("xmin"),
+    plain<&StateDef::xmax>("xmax"),
+    plain<&StateDef::ymin>("ymin"),
+    plain<&StateDef::ymax>("ymax"),
+    {"zmin", "", KeyRule::kDouble, plain<&StateDef::zmin>("").set,
+     box_bound<&StateDef::zmin>},
+    {"zmax", "", KeyRule::kDouble, plain<&StateDef::zmax>("").set,
+     box_bound<&StateDef::zmax>},
+    plain<&StateDef::cx>("xcentre", "xcenter"),
+    plain<&StateDef::cy>("ycentre", "ycenter"),
+    given_z<&StateDef::cz, &StateDef::has_cz>("zcentre", "zcenter"),
+    plain<&StateDef::radius>("radius"),
+    plain<&StateDef::px>("x"),
+    plain<&StateDef::py>("y"),
+    given_z<&StateDef::pz, &StateDef::has_pz>("z", ""),
+};
+
+/// The row of `key` (a name or an alias); an unknown key is a TeaError
+/// suggesting the nearest one, so a mistyped knob fails loudly instead
+/// of silently leaving its default in force.
+template <class Owner>
+const KeyRow<Owner>& find_key(std::span<const KeyRow<Owner>> rows, Text key,
+                              const char* what) {
+  for (const KeyRow<Owner>& row : rows) {
+    if (key == row.name || (*row.alias && key == row.alias)) return row;
+  }
+  std::vector<std::string> names;
+  for (const KeyRow<Owner>& row : rows) {
+    names.push_back(row.name);
+    if (*row.alias) names.push_back(row.alias);
+  }
+  const std::string near = nearest_name(key, names);
+  throw TeaError("deck: unknown " + std::string(what) + " '" + key + "'" +
+                 (near.empty() ? "" : " (did you mean '" + near + "'?)"));
+}
+
+/// `key=value` for every key of `o` that differs from a default Owner's,
+/// each between `before` and `after`; a flag is written bare, and only on.
+template <class Owner>
+void write_keys(std::ostream& os, const Owner& o,
+                std::span<const KeyRow<Owner>> rows, const char* before,
+                const char* after) {
+  static const Owner defaults{};
+  for (const KeyRow<Owner>& row : rows) {
+    if (row.get == nullptr) continue;
+    const std::string v = row.get(o);
+    if (v == row.get(defaults)) continue;
+    if (row.rule == KeyRule::kFlag) {
+      if (v == "1") os << before << row.name << after;
     } else {
-      kv[tok.substr(0, eq)] = tok.substr(eq + 1);
+      os << before << row.name << "=" << v << after;
     }
   }
-  return kv;
 }
 
-/// Boolean tl_* flags: bare (`tl_cg_fuse_reductions`) or explicit
-/// (`tl_cg_fuse_reductions=0`).  A non-boolean value is an error — a
-/// mistyped value must not silently enable the knob.
-bool to_flag(const std::string& s, const std::string& key) {
-  if (s.empty() || s == "1" || s == "true" || s == "on") return true;
-  if (s == "0" || s == "false" || s == "off") return false;
-  throw TeaError("deck: bad boolean value for " + key + ": '" + s + "'");
-}
-
-/// Every key the *tea block understands — the reference list for the
-/// unknown-key diagnostics below.
-constexpr const char* kKnownKeys[] = {
-    "state",          "x_cells",
-    "y_cells",        "z_cells",
-    "nz",             "xmin",
-    "xmax",           "ymin",
-    "ymax",           "zmin",
-    "zmax",           "initial_timestep",
-    "end_time",       "end_step",
-    "tl_geometry",    "tl_max_iters",
-    "tl_eps",         "tl_use_jacobi",
-    "tl_use_cg",      "tl_use_chebyshev",
-    "tl_use_ppcg",    "tl_preconditioner_type",
-    "tl_ppcg_inner_steps", "tl_eigen_cg_iters",
-    "tl_cheby_presteps", "tl_halo_depth",
-    "tl_cg_fuse_reductions", "tl_fuse_kernels",
-    "tl_tile_rows",   "tl_coefficient",
-    "tl_operator",    "tl_precision",
-    "matrix_file",
-    "sweep_solvers",  "sweep_precons",
-    "sweep_halo_depths", "sweep_mesh_sizes",
-    "sweep_threads",  "sweep_tile_rows",
-    "sweep_geometry", "sweep_operator",
-    "sweep_precision", "sweep_ranks"};
-
-/// Levenshtein distance, small-string edition (deck keys are short).
-std::size_t edit_distance(const std::string& a, const std::string& b) {
-  std::vector<std::size_t> row(b.size() + 1);
-  for (std::size_t j = 0; j <= b.size(); ++j) row[j] = j;
-  for (std::size_t i = 1; i <= a.size(); ++i) {
-    std::size_t diag = row[0];
-    row[0] = i;
-    for (std::size_t j = 1; j <= b.size(); ++j) {
-      const std::size_t next =
-          std::min({row[j] + 1, row[j - 1] + 1,
-                    diag + (a[i - 1] == b[j - 1] ? 0 : 1)});
-      diag = row[j];
-      row[j] = next;
-    }
-  }
-  return row[b.size()];
-}
-
-/// Unknown-key error with a "did you mean" suggestion when a known key is
-/// within two edits — a mistyped tile/fuse knob must fail loudly, not
-/// silently leave the default in force.
-[[noreturn]] void throw_unknown_key(const std::string& key) {
-  std::string best;
-  std::size_t best_dist = 3;  // suggest only within two edits
-  for (const char* known : kKnownKeys) {
-    const std::size_t d = edit_distance(key, known);
-    if (d < best_dist) {
-      best_dist = d;
-      best = known;
-    }
-  }
-  std::string msg = "deck: unknown key '" + key + "'";
-  if (!best.empty()) msg += " (did you mean '" + best + "'?)";
-  throw TeaError(msg);
-}
-
-StateDef parse_state(std::istringstream& line) {
+/// `<n> key=value ...`, the rest of a `state` line.
+StateDef parse_state(Text line) {
+  std::istringstream in(line);
   int index = 0;
-  line >> index;
+  in >> index;
   TEA_REQUIRE(index >= 1, "deck: state index must be >= 1");
-  bool has_zmin = false;
-  bool has_zmax = false;
   StateDef st;
   st.geometry = (index == 1) ? StateDef::Geometry::kBackground
                              : StateDef::Geometry::kRectangle;
-  const auto kv = tokenize_kv(line);
-  for (const auto& [key, value] : kv) {
-    if (key == "density") {
-      st.density = parse_double(value, key);
-    } else if (key == "energy") {
-      st.energy = parse_double(value, key);
-    } else if (key == "geometry") {
-      if (value == "rectangle") {
-        st.geometry = StateDef::Geometry::kRectangle;
-      } else if (value == "circle" || value == "circular") {
-        st.geometry = StateDef::Geometry::kCircle;
-      } else if (value == "point") {
-        st.geometry = StateDef::Geometry::kPoint;
-      } else {
-        throw TeaError("deck: unknown geometry '" + value + "'");
-      }
-    } else if (key == "xmin") {
-      st.xmin = parse_double(value, key);
-    } else if (key == "xmax") {
-      st.xmax = parse_double(value, key);
-    } else if (key == "ymin") {
-      st.ymin = parse_double(value, key);
-    } else if (key == "ymax") {
-      st.ymax = parse_double(value, key);
-    } else if (key == "zmin") {
-      st.zmin = parse_double(value, key);
-      has_zmin = true;
-    } else if (key == "zmax") {
-      st.zmax = parse_double(value, key);
-      has_zmax = true;
-    } else if (key == "xcentre" || key == "xcenter") {
-      st.cx = parse_double(value, key);
-    } else if (key == "ycentre" || key == "ycenter") {
-      st.cy = parse_double(value, key);
-    } else if (key == "zcentre" || key == "zcenter") {
-      st.cz = parse_double(value, key);
-      st.has_cz = true;
-    } else if (key == "radius") {
-      st.radius = parse_double(value, key);
-    } else if (key == "x") {
-      st.px = parse_double(value, key);
-    } else if (key == "y") {
-      st.py = parse_double(value, key);
-    } else if (key == "z") {
-      st.pz = parse_double(value, key);
-      st.has_pz = true;
-    } else {
-      throw TeaError("deck: unknown state key '" + key + "'");
-    }
+  std::set<std::string> given;
+  std::string tok;
+  while (in >> tok) {
+    const auto eq = tok.find('=');
+    const std::string key = tok.substr(0, eq);
+    const KeyRow<StateDef>& row = find_key(state_keys(), key, "state key");
+    row.set(st, eq == std::string::npos ? "" : tok.substr(eq + 1), key);
+    given.insert(row.name);
   }
   // A half-specified z extent would silently fall back to the extruded
   // (full-z) reading, discarding the bound the user DID give.
-  TEA_REQUIRE(has_zmin == has_zmax,
+  TEA_REQUIRE(given.count("zmin") == given.count("zmax"),
               "deck: state needs both zmin and zmax (or neither, for the "
               "extruded reading)");
-  TEA_REQUIRE(!has_zmin || st.zmax > st.zmin,
+  TEA_REQUIRE(!given.count("zmin") || st.zmax > st.zmin,
               "deck: state z extent must be non-empty");
   return st;
 }
 
+/// The step count a deck asks for, in a double so that validate() can
+/// reject one beyond int range before num_steps() casts it.
+double step_count(const InputDeck& d) {
+  double steps = d.end_step;
+  if (d.end_time > 0.0) {
+    const double by_time = std::ceil(d.end_time / d.initial_timestep - 1e-9);
+    steps = (d.end_step > 0) ? std::min(steps, by_time) : by_time;
+  }
+  return steps;
+}
+
 }  // namespace
+
+std::span<const KeyRow<InputDeck>> deck_keys() { return kDeckKeys; }
+std::span<const KeyRow<StateDef>> state_keys() { return kStateKeys; }
+
+Flag deck_flag(const std::string& name, const std::string& key,
+               const std::string& fallback) {
+  const KeyRow<InputDeck>& row = find_key(deck_keys(), key, "key");
+  return {name, row.rule == KeyRule::kFlag ? Flag::kBool : Flag::kText,
+          row.name, fallback};
+}
+
+void InputDeck::set(const std::string& key, const std::string& value) {
+  find_key(deck_keys(), key, "key").set(*this, value, key);
+}
+
+void InputDeck::set(const Args& args) {
+  for (const Flag& flag : args.flags()) {
+    if (flag.key.empty()) continue;
+    if (!args.has(flag.name) && flag.fallback.empty()) continue;
+    find_key(deck_keys(), flag.key, "key")
+        .set(*this, args.get(flag.name, flag.fallback), "--" + flag.name);
+  }
+}
 
 InputDeck InputDeck::parse(std::istream& in) {
   InputDeck deck;
-  deck.states.clear();
   std::string raw;
   bool in_block = false;
   while (std::getline(in, raw)) {
     // Strip comments (! and # start a comment, as in upstream decks).
-    const auto cpos = raw.find_first_of("!#");
-    if (cpos != std::string::npos) raw = raw.substr(0, cpos);
-    std::istringstream line(raw);
+    std::istringstream line(raw.substr(0, raw.find_first_of("!#")));
     std::string key;
     if (!(line >> key)) continue;
-    if (key == "*tea") {
-      in_block = true;
+    if (key == "*tea" || key == "*endtea") {
+      // Keep scanning after *endtea: a knob there must be rejected below,
+      // not silently dropped.
+      in_block = key == "*tea";
       continue;
     }
-    if (key == "*endtea") {
-      // Keep scanning: a knob after *endtea must be rejected below, not
-      // silently dropped.
-      in_block = false;
-      continue;
-    }
-    if (!in_block) {
-      // Solver/sweep knobs outside the *tea…*endtea block would be
-      // silently lost; reject them so a misplaced tl_*/sweep_* key
-      // cannot vanish.
-      const std::string bare = key.substr(0, key.find('='));
-      if (bare.rfind("tl_", 0) == 0 || bare.rfind("sweep_", 0) == 0) {
-        throw TeaError("deck: key '" + bare +
-                       "' appears outside the *tea…*endtea block");
-      }
-      continue;
-    }
-
-    // `key=value` single-token form.
     std::string value;
     const auto eq = key.find('=');
     if (eq != std::string::npos) {
       value = key.substr(eq + 1);
       key = key.substr(0, eq);
-    } else {
-      line >> value;  // `key value` form (may be empty for flags)
     }
-
-    if (key == "state") {
-      std::istringstream full(raw);
-      std::string skip;
-      full >> skip;  // consume "state"
-      deck.states.push_back(parse_state(full));
-    } else if (key == "x_cells") {
-      deck.x_cells = parse_int(value, key);
-    } else if (key == "y_cells") {
-      deck.y_cells = parse_int(value, key);
-    } else if (key == "z_cells" || key == "nz") {
-      deck.z_cells = parse_int(value, key);
-    } else if (key == "tl_geometry") {
-      if (value == "2d") {
-        deck.dims = 2;
-      } else if (value == "3d") {
-        deck.dims = 3;
-      } else {
-        throw TeaError("deck: tl_geometry must be '2d' or '3d', got '" +
-                       value + "'");
-      }
-    } else if (key == "xmin") {
-      deck.xmin = parse_double(value, key);
-    } else if (key == "xmax") {
-      deck.xmax = parse_double(value, key);
-    } else if (key == "ymin") {
-      deck.ymin = parse_double(value, key);
-    } else if (key == "ymax") {
-      deck.ymax = parse_double(value, key);
-    } else if (key == "zmin") {
-      deck.zmin = parse_double(value, key);
-    } else if (key == "zmax") {
-      deck.zmax = parse_double(value, key);
-    } else if (key == "initial_timestep") {
-      deck.initial_timestep = parse_double(value, key);
-    } else if (key == "end_time") {
-      deck.end_time = parse_double(value, key);
-    } else if (key == "end_step") {
-      deck.end_step = parse_int(value, key);
-    } else if (key == "tl_max_iters") {
-      deck.solver.max_iters = parse_int(value, key);
-    } else if (key == "tl_eps") {
-      deck.solver.eps = parse_double(value, key);
-    } else if (key == "tl_use_jacobi") {
-      deck.solver.type = SolverType::kJacobi;
-    } else if (key == "tl_use_cg") {
-      deck.solver.type = SolverType::kCG;
-    } else if (key == "tl_use_chebyshev") {
-      deck.solver.type = SolverType::kChebyshev;
-    } else if (key == "tl_use_ppcg") {
-      deck.solver.type = SolverType::kPPCG;
-    } else if (key == "tl_preconditioner_type") {
-      deck.solver.precon = precon_type_from_string(value);
-    } else if (key == "tl_ppcg_inner_steps") {
-      deck.solver.inner_steps = parse_int(value, key);
-    } else if (key == "tl_eigen_cg_iters" || key == "tl_cheby_presteps") {
-      deck.solver.eigen_cg_iters = parse_int(value, key);
-    } else if (key == "tl_halo_depth") {
-      deck.solver.halo_depth = parse_int(value, key);
-    } else if (key == "tl_cg_fuse_reductions") {
-      deck.solver.fuse_cg_reductions = to_flag(value, key);
-    } else if (key == "tl_fuse_kernels") {
-      // Every solve runs the fused schedule; the key stays readable for
-      // decks written while the unfused one existed, and asking for that
-      // one fails loudly instead of silently running the other.
-      if (!to_flag(value, key)) {
-        throw TeaError(
-            "deck: tl_fuse_kernels=" + value +
-            " asks for the unfused schedule, which was removed — every "
-            "solve runs fused.  Drop the key (or tl_tile_rows=0 for "
-            "untiled sweeps).");
-      }
-    } else if (key == "tl_tile_rows") {
-      deck.solver.tile_rows = (value == "auto") ? -1 : parse_int(value, key);
-    } else if (key == "tl_operator") {
-      deck.solver.op = operator_kind_from_string(value);
-    } else if (key == "tl_precision") {
-      deck.solver.precision = precision_from_string(value);
-    } else if (key == "matrix_file") {
-      TEA_REQUIRE(!value.empty(), "deck: matrix_file needs a path");
-      deck.matrix_file = value;
-    } else if (key == "sweep_solvers") {
-      deck.sweep.solvers = split_list(value, key);
-    } else if (key == "sweep_precons") {
-      deck.sweep.precons.clear();
-      for (const std::string& s : split_list(value, key)) {
-        deck.sweep.precons.push_back(precon_type_from_string(s));
-      }
-    } else if (key == "sweep_halo_depths") {
-      deck.sweep.halo_depths = split_int_list(value, key);
-    } else if (key == "sweep_mesh_sizes") {
-      deck.sweep.mesh_sizes = split_int_list(value, key);
-    } else if (key == "sweep_threads") {
-      deck.sweep.thread_counts = split_int_list(value, key);
-    } else if (key == "sweep_tile_rows") {
-      deck.sweep.tile_rows = split_int_list(value, key);
-    } else if (key == "sweep_geometry") {
-      deck.sweep.geometries.clear();
-      for (const std::string& g : split_list(value, key)) {
-        if (g == "2d") {
-          deck.sweep.geometries.push_back(2);
-        } else if (g == "3d") {
-          deck.sweep.geometries.push_back(3);
-        } else {
-          throw TeaError(
-              "deck: sweep_geometry entries must be '2d' or '3d', got '" +
-              g + "'");
-        }
-      }
-    } else if (key == "sweep_operator") {
-      deck.sweep.operators = split_list(value, key);
-    } else if (key == "sweep_precision") {
-      deck.sweep.precisions = split_list(value, key);
-    } else if (key == "sweep_ranks") {
-      deck.sweep.ranks = parse_int(value, key);
-    } else if (key == "tl_coefficient") {
-      if (value == "conductivity") {
-        deck.coefficient = kernels::Coefficient::kConductivity;
-      } else if (value == "recip_conductivity") {
-        deck.coefficient = kernels::Coefficient::kRecipConductivity;
-      } else {
-        throw TeaError("deck: unknown coefficient '" + value + "'");
-      }
-    } else {
-      throw_unknown_key(key);
+    if (!in_block) {
+      // A solver/sweep knob outside the block would be silently lost.
+      TEA_REQUIRE(key.rfind("tl_", 0) != 0 && key.rfind("sweep_", 0) != 0,
+                  "deck: key '" + key +
+                      "' appears outside the *tea…*endtea block");
+      continue;
     }
+    if (eq == std::string::npos) {
+      // `key value`, a bare flag, or a state line's `<n> key=value ...`.
+      std::getline(line >> std::ws, value);
+      value.erase(value.find_last_not_of(" \t\r") + 1);
+    }
+    deck.set(key, value);
   }
   deck.validate();
   return deck;
@@ -384,105 +447,10 @@ InputDeck InputDeck::parse_string(const std::string& text) {
 std::string InputDeck::to_string() const {
   std::ostringstream os;
   os << "*tea\n";
-  if (dims == 3) os << "tl_geometry=3d\n";
-  os << "x_cells=" << x_cells << "\n";
-  os << "y_cells=" << y_cells << "\n";
-  if (dims == 3) os << "z_cells=" << z_cells << "\n";
-  os << "xmin=" << xmin << "\nxmax=" << xmax << "\nymin=" << ymin
-     << "\nymax=" << ymax << "\n";
-  if (dims == 3) os << "zmin=" << zmin << "\nzmax=" << zmax << "\n";
-  os << "initial_timestep=" << initial_timestep << "\n";
-  if (end_time > 0.0) os << "end_time=" << end_time << "\n";
-  if (end_step > 0) os << "end_step=" << end_step << "\n";
-  os << "tl_max_iters=" << solver.max_iters << "\n";
-  os << "tl_eps=" << solver.eps << "\n";
-  switch (solver.type) {
-    case SolverType::kJacobi: os << "tl_use_jacobi\n"; break;
-    case SolverType::kCG: os << "tl_use_cg\n"; break;
-    case SolverType::kChebyshev: os << "tl_use_chebyshev\n"; break;
-    case SolverType::kPPCG: os << "tl_use_ppcg\n"; break;
-  }
-  os << "tl_preconditioner_type=" << tealeaf::to_string(solver.precon)
-     << "\n";
-  os << "tl_ppcg_inner_steps=" << solver.inner_steps << "\n";
-  os << "tl_eigen_cg_iters=" << solver.eigen_cg_iters << "\n";
-  os << "tl_halo_depth=" << solver.halo_depth << "\n";
-  if (solver.fuse_cg_reductions) os << "tl_cg_fuse_reductions\n";
-  // The tile height is written whenever it differs from the default
-  // (auto), so an untiled or fixed-height deck round-trips.
-  if (solver.tile_rows >= 0) {
-    os << "tl_tile_rows=" << solver.tile_rows << "\n";
-  }
-  if (solver.op != OperatorKind::kStencil) {
-    os << "tl_operator=" << tealeaf::to_string(solver.op) << "\n";
-  }
-  if (solver.precision != Precision::kDouble) {
-    os << "tl_precision=" << tealeaf::to_string(solver.precision) << "\n";
-  }
-  if (!matrix_file.empty()) os << "matrix_file=" << matrix_file << "\n";
-  if (sweep.requested()) {
-    const auto join = [&os](const char* key, const auto& items,
-                            const auto& format) {
-      os << key << "=";
-      for (std::size_t i = 0; i < items.size(); ++i) {
-        if (i) os << ",";
-        os << format(items[i]);
-      }
-      os << "\n";
-    };
-    join("sweep_solvers", sweep.solvers,
-         [](const std::string& s) { return s; });
-    join("sweep_precons", sweep.precons,
-         [](PreconType p) { return tealeaf::to_string(p); });
-    join("sweep_halo_depths", sweep.halo_depths, [](int d) { return d; });
-    if (!sweep.mesh_sizes.empty()) {
-      join("sweep_mesh_sizes", sweep.mesh_sizes, [](int n) { return n; });
-    }
-    join("sweep_threads", sweep.thread_counts, [](int t) { return t; });
-    join("sweep_tile_rows", sweep.tile_rows, [](int t) { return t; });
-    if (!sweep.geometries.empty()) {
-      join("sweep_geometry", sweep.geometries,
-           [](int d) { return d == 3 ? "3d" : "2d"; });
-    }
-    if (sweep.operators != std::vector<std::string>{"stencil"}) {
-      join("sweep_operator", sweep.operators,
-           [](const std::string& o) { return o; });
-    }
-    if (sweep.precisions != std::vector<std::string>{"double"}) {
-      join("sweep_precision", sweep.precisions,
-           [](const std::string& p) { return p; });
-    }
-    os << "sweep_ranks=" << sweep.ranks << "\n";
-  }
-  os << "tl_coefficient="
-     << (coefficient == kernels::Coefficient::kConductivity
-             ? "conductivity"
-             : "recip_conductivity")
-     << "\n";
+  write_keys(os, *this, deck_keys(), "", "\n");
   for (std::size_t i = 0; i < states.size(); ++i) {
-    const StateDef& st = states[i];
-    os << "state " << (i + 1) << " density=" << st.density
-       << " energy=" << st.energy;
-    switch (st.geometry) {
-      case StateDef::Geometry::kBackground:
-        break;
-      case StateDef::Geometry::kRectangle:
-        os << " geometry=rectangle xmin=" << st.xmin << " xmax=" << st.xmax
-           << " ymin=" << st.ymin << " ymax=" << st.ymax;
-        if (st.zmax > st.zmin) {
-          os << " zmin=" << st.zmin << " zmax=" << st.zmax;
-        }
-        break;
-      case StateDef::Geometry::kCircle:
-        os << " geometry=circle xcentre=" << st.cx << " ycentre=" << st.cy;
-        if (st.has_cz) os << " zcentre=" << st.cz;
-        os << " radius=" << st.radius;
-        break;
-      case StateDef::Geometry::kPoint:
-        os << " geometry=point x=" << st.px << " y=" << st.py;
-        if (st.has_pz) os << " z=" << st.pz;
-        break;
-    }
+    os << "state " << (i + 1);
+    write_keys(os, states[i], state_keys(), " ", "");
     os << "\n";
   }
   os << "*endtea\n";
@@ -490,13 +458,7 @@ std::string InputDeck::to_string() const {
 }
 
 int InputDeck::num_steps() const {
-  int steps = end_step;
-  if (end_time > 0.0) {
-    const int by_time = static_cast<int>(
-        std::ceil(end_time / initial_timestep - 1e-9));
-    steps = (steps > 0) ? std::min(steps, by_time) : by_time;
-  }
-  return steps;
+  return static_cast<int>(step_count(*this));
 }
 
 void InputDeck::validate() const {
@@ -512,6 +474,10 @@ void InputDeck::validate() const {
                 "exactly one z plane)");
   }
   TEA_REQUIRE(initial_timestep > 0.0, "deck: timestep must be positive");
+  const double steps = step_count(*this);
+  TEA_REQUIRE(steps <= std::numeric_limits<int>::max(),
+              "deck: end_time / initial_timestep asks for " + format(steps) +
+                  " steps, more than an int can count");
   if (!matrix_file.empty()) {
     TEA_REQUIRE(dims == 2,
                 "deck: matrix_file decks are 2-D (the Matrix Market rows "

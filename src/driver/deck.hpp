@@ -1,11 +1,13 @@
 #pragma once
 
 #include <iosfwd>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "ops/kernels.hpp"
 #include "solvers/solver_config.hpp"
+#include "util/args.hpp"
 
 namespace tealeaf {
 
@@ -82,25 +84,25 @@ struct InputDeck {
   SweepSpec sweep;
   std::vector<StateDef> states;  ///< states[0] is the background
 
-  /// Parse a tea.in-style deck.  Recognised keys (one per line between
-  /// `*tea` and `*endtea`): x_cells, y_cells, xmin/xmax/ymin/ymax,
-  /// initial_timestep, end_time, end_step, tl_max_iters, tl_eps,
-  /// tl_use_jacobi / tl_use_cg / tl_use_chebyshev / tl_use_ppcg,
-  /// tl_preconditioner_type (none|jac_diag|jac_block), tl_ppcg_inner_steps,
-  /// tl_eigen_cg_iters, tl_halo_depth (matrix powers),
-  /// tl_operator (stencil|csr), matrix_file (<path>.mtx),
-  /// tl_precision (double|single|mixed),
-  /// tl_coefficient (conductivity|recip_conductivity), the sweep section
-  /// (comma-separated axis lists): sweep_solvers, sweep_precons,
-  /// sweep_halo_depths, sweep_mesh_sizes, sweep_threads, sweep_operator,
-  /// sweep_precision, sweep_ranks,
-  /// and `state` lines:
-  ///   state <n> density=<v> energy=<v> [geometry=rectangle|circle|point
-  ///     xmin= xmax= ymin= ymax= | xcentre= ycentre= radius= | x= y=]
+  /// Parse a tea.in-style deck: `key=value` (or `key value`, or a bare
+  /// flag) lines and `state` lines between `*tea` and `*endtea`.  The keys
+  /// are the rows of deck_keys() and state_keys(); docs/deck_reference.md
+  /// documents each.
   static InputDeck parse(std::istream& in);
   static InputDeck parse_string(const std::string& text);
 
-  /// Serialise back to deck text (round-trips through parse).
+  /// Set one key, as a deck line `key=value` would (no validation: parse
+  /// and the programs validate the finished deck).  Throws TeaError for an
+  /// unknown key, with the nearest known one, or for a value its rule
+  /// refuses.
+  void set(const std::string& key, const std::string& value);
+
+  /// set() for every flag of `args` that repeats a deck key (deck_flag):
+  /// at its given value, else at its fallback.  Errors name the flag.
+  void set(const Args& args);
+
+  /// Serialise back to deck text (round-trips through parse): every key
+  /// whose value differs from a default InputDeck's, then the states.
   [[nodiscard]] std::string to_string() const;
 
   /// Number of timesteps the run will take.
@@ -108,5 +110,42 @@ struct InputDeck {
 
   void validate() const;
 };
+
+/// How a key's value reads.
+enum class KeyRule {
+  kInt,       ///< (`tl_tile_rows` also takes `auto`)
+  kDouble,
+  kFlag,      ///< bare, `=1|true|on` or `=0|false|off`
+  kNames,     ///< one of a set of names
+  kIntList,   ///< comma-separated ints
+  kNameList,  ///< comma-separated names
+  kPath,      ///< a non-empty path
+  kState,     ///< `state`: a state line, `<n> key=value ...`
+};
+
+/// One row of a key table: the key, its alias ("" = none), its value rule,
+/// and how it writes and reads the `Owner` field it stands for.  `set`
+/// names `key` (as written) in its errors; `get` is null for a key that
+/// to_string never writes (tl_fuse_kernels, state).
+template <class Owner>
+struct KeyRow {
+  const char* name;
+  const char* alias;
+  KeyRule rule;
+  void (*set)(Owner&, const std::string& value, const std::string& key);
+  std::string (*get)(const Owner&);
+};
+
+/// The keys of a *tea block, in the order to_string writes them.
+[[nodiscard]] std::span<const KeyRow<InputDeck>> deck_keys();
+/// The keys of a `state` line.
+[[nodiscard]] std::span<const KeyRow<StateDef>> state_keys();
+
+/// A program flag that repeats deck key `key`: `--name` takes the key's
+/// rule (a kFlag key is a switch) and InputDeck::set(args) sets the key
+/// from it, or from `fallback` when the flag is absent ("" = leave the key
+/// as the program built it).
+[[nodiscard]] Flag deck_flag(const std::string& name, const std::string& key,
+                             const std::string& fallback = "");
 
 }  // namespace tealeaf

@@ -4,107 +4,61 @@ namespace tealeaf::decks {
 
 namespace {
 
-StateDef background(double density, double energy) {
-  StateDef st;
-  st.geometry = StateDef::Geometry::kBackground;
-  st.density = density;
-  st.energy = energy;
-  return st;
-}
-
-StateDef rect(double density, double energy, double xmin, double xmax,
-              double ymin, double ymax) {
-  StateDef st;
-  st.geometry = StateDef::Geometry::kRectangle;
-  st.density = density;
-  st.energy = energy;
-  st.xmin = xmin;
-  st.xmax = xmax;
-  st.ymin = ymin;
-  st.ymax = ymax;
-  return st;
-}
-
-StateDef circle(double density, double energy, double cx, double cy,
-                double radius) {
-  StateDef st;
-  st.geometry = StateDef::Geometry::kCircle;
-  st.density = density;
-  st.energy = energy;
-  st.cx = cx;
-  st.cy = cy;
-  st.radius = radius;
-  return st;
+/// A built-in deck: `body` in deck text (the domain is the default
+/// 10 × 10 and dt the default 0.04 unless it says otherwise) on an n × n
+/// mesh.
+InputDeck square(int n, const char* body) {
+  InputDeck deck = InputDeck::parse_string(std::string("*tea\n") + body +
+                                           "*endtea\n");
+  deck.x_cells = n;
+  deck.y_cells = n;
+  return deck;
 }
 
 }  // namespace
 
 InputDeck crooked_pipe(int n, int steps) {
-  InputDeck deck;
-  deck.x_cells = n;
-  deck.y_cells = n;
-  deck.xmin = 0.0;
-  deck.xmax = 10.0;
-  deck.ymin = 0.0;
-  deck.ymax = 10.0;
-  deck.initial_timestep = 0.04;
+  // With tl_coefficient=conductivity (the default) the face coefficient
+  // is the mean *resistivity* (ρa+ρb)/(2·ρa·ρb), so the low-density pipe
+  // conducts ~1000× faster than the dense background — the paper's §V-B
+  // setup.  The pipe: five unit-width segments zig-zagging left to right,
+  // then the hot source at its inlet.
+  InputDeck deck = square(n, R"(end_time=15
+tl_use_ppcg
+tl_max_iters=20000
+state 1 density=100 energy=1e-4
+state 2 density=0.1 energy=1e-4 geometry=rectangle xmin=0 xmax=3 ymin=7 ymax=8
+state 3 density=0.1 energy=1e-4 geometry=rectangle xmin=2 xmax=3 ymin=2 ymax=8
+state 4 density=0.1 energy=1e-4 geometry=rectangle xmin=2 xmax=8 ymin=2 ymax=3
+state 5 density=0.1 energy=1e-4 geometry=rectangle xmin=7 xmax=8 ymin=2 ymax=6
+state 6 density=0.1 energy=1e-4 geometry=rectangle xmin=7 xmax=10 ymin=5 ymax=6
+state 7 density=0.1 energy=25 geometry=rectangle xmin=0 xmax=1 ymin=7 ymax=8
+)");
   if (steps > 0) {
+    deck.end_time = 0.0;
     deck.end_step = steps;
-  } else {
-    deck.end_time = 15.0;
   }
-  // With kConductivity the face coefficient is the mean *resistivity*
-  // (ρa+ρb)/(2·ρa·ρb), so the low-density pipe conducts ~1000× faster
-  // than the dense background — the paper's §V-B setup.
-  deck.coefficient = kernels::Coefficient::kConductivity;
-  deck.states.push_back(background(/*density=*/100.0, /*energy=*/1.0e-4));
-  // The crooked pipe: five unit-width segments zig-zagging left to right.
-  const double rho_pipe = 0.1;
-  const double e_pipe = 1.0e-4;
-  deck.states.push_back(rect(rho_pipe, e_pipe, 0.0, 3.0, 7.0, 8.0));
-  deck.states.push_back(rect(rho_pipe, e_pipe, 2.0, 3.0, 2.0, 8.0));
-  deck.states.push_back(rect(rho_pipe, e_pipe, 2.0, 8.0, 2.0, 3.0));
-  deck.states.push_back(rect(rho_pipe, e_pipe, 7.0, 8.0, 2.0, 6.0));
-  deck.states.push_back(rect(rho_pipe, e_pipe, 7.0, 10.0, 5.0, 6.0));
-  // Hot source at the pipe inlet.
-  deck.states.push_back(rect(rho_pipe, /*energy=*/25.0, 0.0, 1.0, 7.0, 8.0));
-
-  deck.solver.type = SolverType::kPPCG;
-  deck.solver.precon = PreconType::kNone;
-  deck.solver.eps = 1.0e-10;
-  deck.solver.max_iters = 20000;
   return deck;
 }
 
 InputDeck hot_block(int n, int steps) {
-  InputDeck deck;
-  deck.x_cells = n;
-  deck.y_cells = n;
-  deck.xmax = 10.0;
-  deck.ymax = 10.0;
-  deck.initial_timestep = 0.04;
+  InputDeck deck = square(n, R"(end_step=1
+state 1 density=1 energy=0.01
+state 2 density=1 energy=10 geometry=rectangle xmin=2 xmax=4 ymin=2 ymax=4
+)");
   deck.end_step = steps;
-  deck.coefficient = kernels::Coefficient::kConductivity;
-  deck.states.push_back(background(1.0, 0.01));
-  deck.states.push_back(rect(1.0, 10.0, 2.0, 4.0, 2.0, 4.0));
-  deck.solver.type = SolverType::kCG;
   return deck;
 }
 
 InputDeck layered_material(int n, int steps) {
-  InputDeck deck;
-  deck.x_cells = n;
-  deck.y_cells = n;
-  deck.xmax = 10.0;
-  deck.ymax = 10.0;
-  deck.initial_timestep = 0.1;
+  InputDeck deck = square(n, R"(initial_timestep=0.1
+end_step=1
+state 1 density=5 energy=0.1
+state 2 density=1 energy=0.1 geometry=rectangle xmin=0 xmax=10 ymin=0 ymax=3
+state 3 density=10 energy=0.1 geometry=rectangle xmin=0 xmax=10 ymin=6.5 ymax=10
+state 4 density=0.5 energy=5 geometry=circle xcentre=5 ycentre=5 radius=1.5
+)");
   deck.end_step = steps;
-  deck.coefficient = kernels::Coefficient::kConductivity;
-  deck.states.push_back(background(5.0, 0.1));
-  deck.states.push_back(rect(1.0, 0.1, 0.0, 10.0, 0.0, 3.0));
-  deck.states.push_back(rect(10.0, 0.1, 0.0, 10.0, 6.5, 10.0));
-  deck.states.push_back(circle(0.5, 5.0, 5.0, 5.0, 1.5));
-  deck.solver.type = SolverType::kCG;
   return deck;
 }
 

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <string>
 
 #include "ops/kernels.hpp"
 #include "solvers/cg.hpp"
@@ -135,9 +137,23 @@ SolveStats ChebyshevSolver::solve_team(SimCluster2D& cl,
     const double rr_t = cheby_iterate(cl, cfg.precon, cc.alphas[step],
                                       cc.betas[step], check, cfg.tile_rows,
                                       team);
-    if (check) rr = rr_t;
     ++step;
     ++st.spmv_applies;
+    if (check && !std::isfinite(rr_t)) {
+      // Diverged: the interval does not bound the spectrum.  Every thread
+      // reads the same reduction, so the whole team stops here; the last
+      // finite check stays the reported norm.
+      char interval[64];
+      std::snprintf(interval, sizeof interval, "[%.4g, %.4g]", est.eigmin,
+                    est.eigmax);
+      st.breakdown = true;
+      st.breakdown_reason = "Chebyshev diverged: ‖r‖ is not finite after " +
+                            std::to_string(step) +
+                            " iterations on the eigenvalue interval " +
+                            interval;
+      break;
+    }
+    if (check) rr = rr_t;
     if (check && std::sqrt(rr) <= target_rr) {
       st.converged = true;
       break;
@@ -146,7 +162,7 @@ SolveStats ChebyshevSolver::solve_team(SimCluster2D& cl,
   st.outer_iters = st.eigen_cg_iters + step;
   st.final_norm = std::sqrt(rr);
   st.solve_seconds = timer.elapsed_s();
-  if (!st.converged && team.thread_id() == 0) {
+  if (!st.converged && !st.breakdown && team.thread_id() == 0) {
     log::warn() << "Chebyshev hit max_iters with ‖r‖ = " << st.final_norm;
   }
   return st;

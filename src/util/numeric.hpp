@@ -58,6 +58,16 @@ inline int parse_int(const std::string& s, const std::string& what) {
   return checked_integer<int>(parse_double(s, what), what, s);
 }
 
+/// Parse `s` as a switch: "" (the bare form), "1", "true" or "on" is on;
+/// "0", "false" or "off" is off; anything else throws a TeaError naming
+/// `what`, so a mistyped value never silently flips the switch.
+inline bool parse_bool(const std::string& s, const std::string& what) {
+  if (s.empty() || s == "1" || s == "true" || s == "on") return true;
+  if (s == "0" || s == "false" || s == "off") return false;
+  throw TeaError("bad boolean value for " + what + ": '" + s +
+                 "' (need 1|true|on or 0|false|off)");
+}
+
 /// Relative difference |a-b| / max(|a|,|b|,floor); 0 when both are tiny.
 inline double rel_diff(double a, double b, double floor = 1e-300) {
   const double scale = std::max({std::fabs(a), std::fabs(b), floor});

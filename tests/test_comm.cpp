@@ -1,7 +1,23 @@
 #include <gtest/gtest.h>
 
+#include <fstream>
+
+#if defined(__linux__)
+#include <sys/resource.h>
+#include <unistd.h>
+#endif
+
 #include "comm/gather.hpp"
 #include "comm/sim_comm.hpp"
+#include "util/parallel.hpp"
+
+#if defined(__SANITIZE_ADDRESS__)
+#define TEALEAF_TEST_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define TEALEAF_TEST_ASAN 1
+#endif
+#endif
 
 namespace tealeaf {
 namespace {
@@ -169,6 +185,38 @@ TEST(Stats, ResetClearsEverything) {
   EXPECT_EQ(cl.stats().reductions, 0);
   EXPECT_EQ(cl.stats().exchange_calls, 0);
   EXPECT_TRUE(cl.stats().messages_by_depth.empty());
+}
+
+TEST(SimCluster, AllocationFailureIsATeaErrorNotTerminate) {
+  // The chunks are built inside the first-touch region; an allocation
+  // failure there must reach the caller as a TeaError naming the mesh.
+#if !defined(__linux__) || defined(TEALEAF_TEST_ASAN)
+  GTEST_SKIP() << "needs RLIMIT_AS, and ASan aborts oversize allocations "
+                  "instead of throwing";
+#else
+  parallel_region([](Team&) {});  // start the team before the limit
+  std::size_t pages = 0;
+  std::ifstream("/proc/self/statm") >> pages;
+  rlimit old{};
+  ASSERT_EQ(getrlimit(RLIMIT_AS, &old), 0);
+  rlimit low = old;
+  low.rlim_cur = pages * static_cast<rlim_t>(sysconf(_SC_PAGESIZE)) +
+                 (rlim_t{4} << 30);
+  if (old.rlim_cur != RLIM_INFINITY) {
+    low.rlim_cur = std::min(low.rlim_cur, old.rlim_cur);
+  }
+  ASSERT_EQ(setrlimit(RLIMIT_AS, &low), 0);
+  std::string msg;
+  try {
+    SimCluster cl(GlobalMesh(40000, 40000), 1, 1);  // 12.8 GB a field
+  } catch (const TeaError& e) {
+    msg = e.what();
+  }
+  ASSERT_EQ(setrlimit(RLIMIT_AS, &old), 0);
+  EXPECT_NE(msg.find("cannot allocate the 40000x40000 mesh on 1 rank"),
+            std::string::npos)
+      << msg;
+#endif
 }
 
 }  // namespace

@@ -71,6 +71,22 @@ TEST(Deck, RoundTripsThroughToString) {
   EXPECT_EQ(b.coefficient, a.coefficient);
 }
 
+TEST(Deck, ToStringKeepsEveryDigit) {
+  // Doubles are written in their shortest exact form, so a value with
+  // more than six significant digits survives the round trip.
+  InputDeck deck = decks::hot_block(16, 2);
+  deck.xmax = 1.23456789012345;
+  deck.initial_timestep = 1.0 / 3.0;
+  deck.states[1].energy = 0.1 + 0.2;
+  const InputDeck back = InputDeck::parse_string(deck.to_string());
+  EXPECT_EQ(back.xmax, deck.xmax);
+  EXPECT_EQ(back.initial_timestep, deck.initial_timestep);
+  EXPECT_EQ(back.states[1].energy, deck.states[1].energy);
+  EXPECT_NE(deck.to_string().find("initial_timestep=0.3333333333333333\n"),
+            std::string::npos)
+      << deck.to_string();
+}
+
 TEST(Deck, NumStepsFromTimeOrStep) {
   InputDeck d = decks::hot_block(16, 7);
   EXPECT_EQ(d.num_steps(), 7);
@@ -107,6 +123,11 @@ TEST(Deck, RejectsMalformedInput) {
         "sweep_mesh_sizes=32,48.5", "state 2 density=1x energy=1"}) {
     EXPECT_THROW(InputDeck::parse_string(with_line(bad)), TeaError) << bad;
   }
+  // A step count beyond int range: num_steps() could not hold it.
+  EXPECT_THROW(InputDeck::parse_string(
+                   "*tea\nx_cells=4\ny_cells=4\ninitial_timestep=1e-10\n"
+                   "end_time=1e10\nstate 1 density=1 energy=1\n*endtea\n"),
+               TeaError);
   EXPECT_EQ(InputDeck::parse_string(with_line("x_cells=64.0")).x_cells, 64);
   EXPECT_EQ(InputDeck::parse_string(with_line("tl_max_iters=1e3"))
                 .solver.max_iters,
@@ -433,6 +454,86 @@ TEST(Deck, RetiredKeysAreUnknown) {
           << e.what();
     }
   }
+}
+
+TEST(Deck, MistypedStateKeysSuggestTheRealOnes) {
+  try {
+    InputDeck::parse_string(
+        "*tea\nx_cells=8\ny_cells=8\nend_step=1\n"
+        "state 1 density=1 energy=1\nstate 2 densty=3\n*endtea\n");
+    FAIL() << "densty must not be silently ignored";
+  } catch (const TeaError& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("unknown state key 'densty'"), std::string::npos)
+        << msg;
+    EXPECT_NE(msg.find("did you mean 'density'?"), std::string::npos) << msg;
+  }
+}
+
+TEST(Deck, SetReadsOneKeyByItsRule) {
+  InputDeck deck;
+  deck.set("tl_tile_rows", "auto");
+  EXPECT_EQ(deck.solver.tile_rows, -1);
+  deck.set("nz", "4");  // an alias
+  EXPECT_EQ(deck.z_cells, 4);
+  deck.set("sweep_geometry", "2d,3d");
+  EXPECT_EQ(deck.sweep.geometries, (std::vector<int>{2, 3}));
+  deck.set("tl_use_ppcg", "");
+  EXPECT_EQ(deck.solver.type, SolverType::kPPCG);
+  deck.set("state", "1 density=2 energy=3");
+  ASSERT_EQ(deck.states.size(), 1u);
+  EXPECT_DOUBLE_EQ(deck.states[0].density, 2.0);
+  EXPECT_THROW(deck.set("tl_cg_fuse_reductions", "maybe"), TeaError);
+  EXPECT_THROW(deck.set("sweep_tile_rows", "0,x"), TeaError);
+  try {
+    deck.set("tl_tile_row", "8");
+    FAIL() << "an unknown key must throw";
+  } catch (const TeaError& e) {
+    EXPECT_NE(std::string(e.what()).find("did you mean 'tl_tile_rows'?"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(DeckFlags, FlagsThatRepeatDeckKeysParseByTheKeysRules) {
+  const std::vector<Flag> flags = {
+      {"mesh", Flag::kInt},
+      deck_flag("tiles", "sweep_tile_rows", "0"),
+      deck_flag("geometry", "sweep_geometry"),
+      deck_flag("depth", "tl_halo_depth", "2"),
+      deck_flag("fuse", "tl_cg_fuse_reductions")};
+  EXPECT_EQ(flags[2].rule, Flag::kText);
+  EXPECT_EQ(flags[4].rule, Flag::kBool);  // a deck flag is a switch
+  const auto deck_from = [&flags](std::vector<const char*> argv) {
+    argv.insert(argv.begin(), "prog");
+    InputDeck deck;
+    deck.set(Args(static_cast<int>(argv.size()), argv.data(), flags, 0));
+    return deck;
+  };
+  const InputDeck given = deck_from({"--tiles", "0,8", "--fuse"});
+  EXPECT_EQ(given.sweep.tile_rows, (std::vector<int>{0, 8}));
+  EXPECT_TRUE(given.sweep.geometries.empty());  // absent, no fallback
+  EXPECT_EQ(given.solver.halo_depth, 2);        // absent, its fallback
+  EXPECT_TRUE(given.solver.fuse_cg_reductions);
+  EXPECT_FALSE(deck_from({"--fuse=off"}).solver.fuse_cg_reductions);
+  EXPECT_EQ(deck_from({"--geometry=3d"}).sweep.geometries,
+            (std::vector<int>{3}));
+  // Value errors name the flag the user typed.
+  for (const auto& [argv, flag] :
+       std::vector<std::pair<std::vector<const char*>, std::string>>{
+           {{"--tiles", "0,x"}, "--tiles"},
+           {{"--geometry", "4d"}, "--geometry"},
+           {{"--depth", "1.5"}, "--depth"}}) {
+    try {
+      (void)deck_from(argv);
+      FAIL() << flag << " must reject its value";
+    } catch (const TeaError& e) {
+      EXPECT_NE(std::string(e.what()).find(flag), std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_THROW((void)deck_from({"--fuse", "0"}), TeaError);
+  EXPECT_THROW((void)deck_flag("tiles", "sweep_tiles"), TeaError);
 }
 
 // ---- engine keys: fused + auto by default --------------------------------

@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <fstream>
+#include <set>
+#include <utility>
+#include <vector>
 
 #include "driver/deck.hpp"
+#include "driver/decks.hpp"
 #include "driver/tealeaf_app.hpp"
 
 namespace tealeaf {
@@ -95,6 +100,72 @@ TEST(DeckFiles, AllShippedDecksValidate) {
        {"tea_bm_crooked_pipe.in", "tea_bm_short.in",
         "tea_bm_block_jacobi.in", "tea_bm_fused_cg.in", "tea_3d_heat.in"}) {
     EXPECT_NO_THROW(load_deck(name).validate()) << name;
+  }
+}
+
+TEST(DeckFiles, EveryShippedAndBuiltinDeckRoundTrips) {
+  std::vector<std::pair<std::string, InputDeck>> all = {
+      {"crooked_pipe(64)", decks::crooked_pipe(64)},
+      {"crooked_pipe(64, 3)", decks::crooked_pipe(64, 3)},
+      {"hot_block(32)", decks::hot_block(32)},
+      {"layered_material(32, 2)", decks::layered_material(32, 2)}};
+  for (const auto& entry :
+       std::filesystem::directory_iterator(TEALEAF_DECKS_DIR)) {
+    if (entry.path().extension() != ".in") continue;
+    all.emplace_back(entry.path().filename().string(),
+                     load_deck(entry.path().filename().string()));
+  }
+  ASSERT_GE(all.size(), 9u);
+  for (const auto& [name, deck] : all) {
+    const std::string text = deck.to_string();
+    const InputDeck back = InputDeck::parse_string(text);
+    EXPECT_EQ(back.to_string(), text) << name;
+    for (const KeyRow<InputDeck>& key : deck_keys()) {
+      if (key.get != nullptr) {
+        EXPECT_EQ(key.get(back), key.get(deck)) << name << ": " << key.name;
+      }
+    }
+    ASSERT_EQ(back.states.size(), deck.states.size()) << name;
+    for (std::size_t i = 0; i < deck.states.size(); ++i) {
+      for (const KeyRow<StateDef>& key : state_keys()) {
+        EXPECT_EQ(key.get(back.states[i]), key.get(deck.states[i]))
+            << name << ": state " << i + 1 << " " << key.name;
+      }
+    }
+  }
+}
+
+TEST(DeckReference, DocumentsExactlyTheKeysOfTheTable) {
+  // docs/deck_reference.md: the first cell of every table row names keys
+  // (and aliases) in backticks.  Those must be exactly the table's.
+  std::ifstream doc(std::string(TEALEAF_DECKS_DIR) +
+                    "/../docs/deck_reference.md");
+  ASSERT_TRUE(doc.is_open());
+  std::set<std::string> documented;
+  for (std::string line; std::getline(doc, line);) {
+    if (line.rfind("| `", 0) != 0) continue;
+    const std::string cell = line.substr(1, line.find('|', 1) - 1);
+    for (std::size_t at = cell.find('`'); at != std::string::npos;) {
+      const std::size_t end = cell.find('`', at + 1);
+      ASSERT_NE(end, std::string::npos) << "unmatched backtick: " << line;
+      documented.insert(cell.substr(at + 1, end - at - 1));
+      at = cell.find('`', end + 1);
+    }
+  }
+  std::set<std::string> table;
+  const auto add = [&table](const auto& rows) {
+    for (const auto& row : rows) {
+      table.insert(row.name);
+      if (*row.alias) table.insert(row.alias);
+    }
+  };
+  add(deck_keys());
+  add(state_keys());
+  for (const std::string& key : table) {
+    EXPECT_TRUE(documented.count(key)) << key << " is not documented";
+  }
+  for (const std::string& key : documented) {
+    EXPECT_TRUE(table.count(key)) << key << " is documented but unknown";
   }
 }
 

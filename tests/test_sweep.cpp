@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <utility>
 #include <vector>
@@ -450,6 +453,34 @@ TEST(SweepBreakdown, BreakdownRowFailsWithoutAbortingTheSweep) {
     if (line.find(",failed,") != std::string::npos) ++failed_rows;
   }
   EXPECT_EQ(failed_rows, 2);
+}
+
+TEST(SweepBreakdown, DivergingChebyshevIsABreakdownAndItsJsonIsWritten) {
+  // The nightly 3-D cell: fp64 unpreconditioned Chebyshev on the 24³
+  // layered material diverges on the interval its presteps estimate.  The
+  // solve must stop as a breakdown with a finite norm, so the sweep JSON,
+  // which refuses non-finite numbers, is still written.
+  InputDeck base = decks::layered_material(24, 1);
+  base.solver.eps = 1e-8;
+  base.sweep.solvers = {"chebyshev"};
+  base.sweep.geometries = {3};
+  base.sweep.ranks = 4;
+  const SweepReport rep = run_sweep(base);
+  ASSERT_EQ(rep.cells.size(), 1u);
+  const SweepOutcome& c = rep.cells[0];
+  EXPECT_FALSE(c.converged);
+  EXPECT_NE(c.fail_reason.find("Chebyshev diverged"), std::string::npos)
+      << c.fail_reason;
+  EXPECT_NE(c.fail_reason.find("eigenvalue interval ["), std::string::npos)
+      << c.fail_reason;
+  EXPECT_TRUE(std::isfinite(c.final_norm)) << c.final_norm;
+  const std::string path = testing::TempDir() + "sweep_diverge.json";
+  rep.write_json(path);
+  std::ifstream in(path);
+  const std::string text((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  EXPECT_EQ(SweepReport::from_json_string(text).cells[0].fail_reason,
+            c.fail_reason);
 }
 
 TEST(SweepScalingBridge, SpeedupsComeFromScalingModelHelper) {

@@ -13,15 +13,17 @@ namespace tealeaf {
 namespace {
 
 TEST(Args, ParsesKeyValueForms) {
-  // Positionals precede options: `--verbose input.deck` would bind as a
+  // Built from argc/argv alone, every flag is kept as given: positionals
+  // precede options, since `--verbose input.deck` would bind as a
   // key/value pair (the documented `--key value` form).
   const char* argv[] = {"prog", "input.deck", "--mesh", "128", "--eps=1e-8",
                         "--verbose"};
   Args args(6, argv);
   EXPECT_EQ(args.get_int("mesh", 0), 128);
   EXPECT_DOUBLE_EQ(args.get_double("eps", 0.0), 1e-8);
-  EXPECT_TRUE(args.get_bool("verbose", false));
-  EXPECT_FALSE(args.get_bool("quiet", false));
+  EXPECT_TRUE(args.has("verbose"));
+  EXPECT_EQ(args.get("verbose", "unset"), "");
+  EXPECT_FALSE(args.has("quiet"));
   ASSERT_EQ(args.positional().size(), 1u);
   EXPECT_EQ(args.positional()[0], "input.deck");
   EXPECT_EQ(args.program(), "prog");
@@ -30,7 +32,7 @@ TEST(Args, ParsesKeyValueForms) {
 TEST(Args, FlagFollowedByOptionIsBoolean) {
   const char* argv[] = {"prog", "--flag", "--mesh", "64"};
   Args args(4, argv);
-  EXPECT_TRUE(args.get_bool("flag", false));
+  EXPECT_TRUE(args.has("flag"));
   EXPECT_EQ(args.get_int("mesh", 0), 64);
 }
 
@@ -42,13 +44,87 @@ TEST(Args, FallbacksApplyWhenMissing) {
   EXPECT_DOUBLE_EQ(args.get_double("x", 2.5), 2.5);
 }
 
+/// A program's flags: a number, a switch and a text value.
+const std::vector<Flag> kFlags = {
+    {"mesh", Flag::kInt}, {"learn", Flag::kBool}, {"tiles"}, {"threads"}};
+
+/// `argv` parsed against kFlags; TeaError's message, or "" if none.
+std::string parse_error(std::vector<const char*> argv, int positionals = 0) {
+  argv.insert(argv.begin(), "prog");
+  try {
+    (void)Args(static_cast<int>(argv.size()), argv.data(), kFlags, positionals);
+  } catch (const TeaError& e) {
+    return e.what();
+  }
+  return "";
+}
+
 TEST(Args, ExplicitBooleanValues) {
-  const char* argv[] = {"prog", "--a=true", "--b=0", "--c=yes", "--d=off"};
-  Args args(5, argv);
-  EXPECT_TRUE(args.get_bool("a", false));
-  EXPECT_FALSE(args.get_bool("b", true));
-  EXPECT_TRUE(args.get_bool("c", false));
-  EXPECT_FALSE(args.get_bool("d", true));
+  // The deck's flag rule: bare, 1|true|on or 0|false|off, nothing else.
+  const std::vector<Flag> flags = {{"a", Flag::kBool}, {"b", Flag::kBool},
+                                   {"c", Flag::kBool}, {"d", Flag::kBool},
+                                   {"e", Flag::kBool}};
+  const char* argv[] = {"prog", "--a=true", "--b=0", "--d=off", "--e"};
+  Args args(5, argv, flags, 0);
+  EXPECT_TRUE(args.enabled("a"));
+  EXPECT_FALSE(args.enabled("b"));
+  EXPECT_FALSE(args.enabled("c"));
+  EXPECT_FALSE(args.enabled("d"));
+  EXPECT_TRUE(args.enabled("e"));
+  const char* yes[] = {"prog", "--c=yes"};
+  EXPECT_THROW(Args(2, yes, flags, 0), TeaError);
+}
+
+TEST(Args, LearnZeroIsOffAndMaybeIsAnError) {
+  const char* off[] = {"prog", "--learn=0"};
+  EXPECT_FALSE(Args(2, off, kFlags, 0).enabled("learn"));
+  const char* on[] = {"prog", "--learn"};
+  EXPECT_TRUE(Args(2, on, kFlags, 0).enabled("learn"));
+  const std::string msg = parse_error({"--learn=maybe"});
+  EXPECT_NE(msg.find("--learn: 'maybe'"), std::string::npos) << msg;
+}
+
+TEST(Args, SwitchDoesNotTakeTheNextToken) {
+  // `--learn 0` would once have read as learn = "0" (on, by has()).
+  const std::string msg = parse_error({"--learn", "0"});
+  EXPECT_NE(msg.find("write --learn=0"), std::string::npos) << msg;
+  // Even where positionals are accepted: the token is not silently moved.
+  EXPECT_NE(parse_error({"--learn", "input.deck"}, 1), "");
+  EXPECT_EQ(parse_error({"--learn", "--mesh", "4"}), "");
+  EXPECT_EQ(parse_error({"input.deck", "--learn"}, 1), "");
+}
+
+TEST(Args, UnknownFlagSuggestsTheNearest) {
+  const std::string msg = parse_error({"--tilez", "0,8"});
+  EXPECT_NE(msg.find("unknown flag --tilez"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("did you mean --tiles?"), std::string::npos) << msg;
+  // Nothing within two edits: no suggestion.
+  const std::string far = parse_error({"--bogus-option"});
+  EXPECT_NE(far.find("unknown flag --bogus-option"), std::string::npos);
+  EXPECT_EQ(far.find("did you mean"), std::string::npos) << far;
+}
+
+TEST(Args, StrayPositionalIsRejected) {
+  const std::string msg = parse_error({"stray-arg"});
+  EXPECT_NE(msg.find("unexpected argument 'stray-arg'"), std::string::npos)
+      << msg;
+  EXPECT_EQ(parse_error({"deck.in", "--mesh", "8"}, 1), "");
+  EXPECT_NE(parse_error({"deck.in", "other.in"}, 1), "");
+}
+
+TEST(Args, ValueFlagsNeedAValueOfTheirRule) {
+  EXPECT_NE(parse_error({"--mesh"}).find("--mesh needs a value"),
+            std::string::npos);
+  EXPECT_NE(parse_error({"--mesh", "--learn"}), "");
+  EXPECT_NE(parse_error({"--mesh", "2abc"}).find("--mesh: '2abc'"),
+            std::string::npos);
+  EXPECT_EQ(parse_error({"--mesh", "-4", "--tiles=0,8"}), "");
+  const char* argv[] = {"prog", "--mesh=32"};
+  const Args args(2, argv, kFlags, 0);
+  EXPECT_EQ(args.get_int("mesh", 1), 32);
+  EXPECT_EQ(args.get("tiles", "0"), "0");
+  // Reading a flag the program never declared is a bug in the program.
+  EXPECT_THROW((void)args.get("ranks", ""), TeaError);
 }
 
 TEST(Args, NumbersParseStrictly) {
@@ -71,15 +147,22 @@ TEST(Args, NumbersParseStrictly) {
 
 TEST(Args, RunMainTurnsTeaErrorIntoExitOne) {
   const char* argv[] = {"/some/dir/prog", "--ranks", "0"};
+  const std::vector<Flag> flags = {{"ranks", Flag::kInt}};
   testing::internal::CaptureStderr();
-  const int code = run_main(3, argv, [](const Args& args) -> int {
+  const int code = run_main(3, argv, flags, [](const Args& args) -> int {
     TEA_REQUIRE(args.get_int("ranks", 1) > 0, "need at least one rank");
     return 0;
   });
   EXPECT_EQ(code, 1);
   EXPECT_EQ(testing::internal::GetCapturedStderr(),
             "prog: error: need at least one rank\n");
-  EXPECT_EQ(run_main(1, argv, [](const Args&) { return 3; }), 3);
+  EXPECT_EQ(run_main(1, argv, flags, [](const Args&) { return 3; }), 3);
+  // A flag the program does not declare ends the same way.
+  const char* typo[] = {"/some/dir/prog", "--rank", "2"};
+  testing::internal::CaptureStderr();
+  EXPECT_EQ(run_main(3, typo, flags, [](const Args&) { return 0; }), 1);
+  EXPECT_EQ(testing::internal::GetCapturedStderr(),
+            "prog: error: unknown flag --rank (did you mean --ranks?)\n");
 }
 
 TEST(Require, ThrowsWithContext) {
