@@ -192,9 +192,10 @@ SolveStats solve_pipe(int n, SolverConfig cfg) {
   return st;
 }
 
-MeasuredMap measure_configs(JsonValue& out) {
-  MeasuredMap measured;
+/// The solver configuration of a named config.
+SolverConfig config_of(const std::string& name) {
   for (const Config& c : kConfigs) {
+    if (name != c.name) continue;
     // The paper's engine: untiled sweeps, so the model prices the
     // streaming sweeps the paper ran rather than its L2-blocked variant.
     SolverConfig cfg;
@@ -205,6 +206,15 @@ MeasuredMap measure_configs(JsonValue& out) {
     cfg.halo_depth = c.halo_depth;
     cfg.inner_steps = c.inner_steps;
     cfg.fuse_cg_reductions = c.fused_cg;
+    return cfg;
+  }
+  throw TeaError("unknown config " + name);
+}
+
+MeasuredMap measure_configs(JsonValue& out) {
+  MeasuredMap measured;
+  for (const Config& c : kConfigs) {
+    const SolverConfig cfg = config_of(c.name);
     const SolveStats st = solve_pipe(kMeasureMesh, cfg);
     const SolverRunSummary run = project_to_mesh(
         SolverRunSummary::from(cfg, st, kMeasureMesh), kPaperMesh);
@@ -364,17 +374,23 @@ JsonValue fused_cg_ablation(const SeriesMap& series) {
   });
 }
 
-/// Matrix-powers depth on Titan at 2048 nodes and Spruce (hybrid) at 512,
-/// reusing one measured structure: depth does not change the maths.  20
-/// inner steps, so even depth-16 halos are consumed (⌊m/d⌋ ≥ 1).
+/// Matrix-powers depth on Titan at 2048 nodes and Spruce (hybrid) at 512:
+/// one fixed-iteration trace per depth, each held at the depth-1 run's
+/// projected outer iterations, since depth does not change the maths.
+/// 20 inner steps, so even depth-16 halos are consumed (⌊m/d⌋ ≥ 1).
 JsonValue halo_depth_ablation(const MeasuredMap& measured) {
   const std::vector<int> depths = {1, 2, 4, 8, 12, 16, 24, 32};
   const ScalingModel titan = model("titan");
   const ScalingModel spruce = model("spruce_hybrid");
-  SolverRunSummary run = measured.at("PPCG - 1 (20 inner)").run;
+  const char* config = "PPCG - 1 (20 inner)";
+  const int outer_iters = measured.at(config).run.outer_iters;
   std::vector<double> t_titan, t_spruce;
   for (const int depth : depths) {
-    run.halo_depth = depth;
+    SolverConfig cfg = config_of(config);
+    cfg.halo_depth = depth;
+    SolverRunSummary run =
+        with_outer_iters(fixed_iteration_run(cfg, 2), outer_iters);
+    run.mesh_n = kPaperMesh;
     t_titan.push_back(titan.run_seconds(run, 2048));
     t_spruce.push_back(spruce.run_seconds(run, 512));
   }

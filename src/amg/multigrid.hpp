@@ -36,10 +36,11 @@ struct MGLevel {
 };
 
 /// Geometric multigrid V-cycle for the TeaLeaf operator — the
-/// reproduction's stand-in for Hypre BoomerAMG (DESIGN.md §2.3), applied
-/// as CG's preconditioner (PreconType::kMultigrid, "mg-pcg"): on this
-/// regular 5-point/7-point problem AMG's behaviour (near mesh-independent
-/// convergence, latency-bound coarse levels) matches geometric MG.
+/// reproduction's stand-in for Hypre BoomerAMG (docs/architecture.md,
+/// "Performance model"), applied as CG's preconditioner
+/// (PreconType::kMultigrid, "mg-pcg"): on this regular 5-point/7-point
+/// problem AMG's behaviour (near mesh-independent convergence,
+/// latency-bound coarse levels) matches geometric MG.
 ///
 /// Dimension-generic like the kernel/solver stack: one hierarchy serves
 /// the 2-D 5-point and the 3-D 7-point operator.  Coarsening picks

@@ -1,14 +1,15 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
+
+#include "mesh/decomposition.hpp"
 
 namespace tealeaf {
 
 /// Byte-exact accounting of the communication a solver run would perform
-/// on a real distributed machine.  Filled in by SimCluster2D; consumed by
-/// the performance model (src/model) and validated against the analytic
-/// TraceBuilder in tests.
+/// on a real distributed machine.  Filled in by SimCluster; the
+/// performance model prices the same communication from a solve's trace
+/// (predict_comm_counts), and tests hold the two equal.
 ///
 /// Conventions (matching upstream TeaLeaf's MPI layer):
 ///  * One halo exchange packs all requested fields per direction into a
@@ -23,11 +24,6 @@ struct CommStats {
   std::int64_t message_bytes = 0;    ///< payload bytes over all sends
   std::int64_t reductions = 0;       ///< global allreduce calls
 
-  /// Sends broken down by halo depth (matrix-powers analysis).
-  std::map<int, std::int64_t> messages_by_depth;
-  /// Payload bytes broken down by halo depth.
-  std::map<int, std::int64_t> bytes_by_depth;
-
   void reset() { *this = CommStats{}; }
 
   CommStats& operator+=(const CommStats& o) {
@@ -35,10 +31,17 @@ struct CommStats {
     messages += o.messages;
     message_bytes += o.message_bytes;
     reductions += o.reductions;
-    for (const auto& [d, n] : o.messages_by_depth) messages_by_depth[d] += n;
-    for (const auto& [d, n] : o.bytes_by_depth) bytes_by_depth[d] += n;
     return *this;
   }
 };
+
+/// The messages and bytes of one halo exchange of `nfields` fields at
+/// `depth` over a decomposition, `elem_bytes` per element on the wire (8
+/// for fp64 fields, 4 when an fp32-active solve moves the fp32 bank).
+/// The one description of the exchange geometry: SimCluster accounts its
+/// exchanges through it, and the model prices traces with it.
+[[nodiscard]] CommStats exchange_counts(const Decomposition& decomp,
+                                        int depth, int nfields,
+                                        int elem_bytes = 8);
 
 }  // namespace tealeaf

@@ -9,6 +9,43 @@
 
 namespace tealeaf {
 
+CommStats exchange_counts(const Decomposition& decomp, int depth,
+                          int nfields, int elem_bytes) {
+  CommStats cc;
+  cc.exchange_calls = 1;
+  const auto send = [&](std::int64_t cells) {
+    ++cc.messages;
+    cc.message_bytes += static_cast<std::int64_t>(depth) * cells * nfields *
+                        static_cast<std::int64_t>(elem_bytes);
+  };
+  // One send per rank per populated direction; all fields share the
+  // message.  x payload: depth columns of ny·nz cells.  y payload: depth
+  // rows of nx·nz cells plus only the x-halo corner columns that hold
+  // neighbour data (a rank at a physical left/right boundary sends shorter
+  // rows).  z payload: depth planes whose rows and columns the x and y
+  // phases extended the same way.
+  for (int r = 0; r < decomp.nranks(); ++r) {
+    const ChunkExtent& e = decomp.extent(r);
+    const auto has = [&](Face f) { return decomp.neighbor(r, f) >= 0; };
+    for (const Face face : {Face::kLeft, Face::kRight}) {
+      if (has(face)) send(static_cast<std::int64_t>(e.ny) * e.nz);
+    }
+    const std::int64_t row_len =
+        e.nx + static_cast<std::int64_t>(has(Face::kLeft) + has(Face::kRight)) *
+                   depth;
+    for (const Face face : {Face::kBottom, Face::kTop}) {
+      if (has(face)) send(row_len * e.nz);
+    }
+    const std::int64_t col_len =
+        e.ny + static_cast<std::int64_t>(has(Face::kBottom) + has(Face::kTop)) *
+                   depth;
+    for (const Face face : {Face::kBack, Face::kFront}) {
+      if (has(face)) send(row_len * col_len);
+    }
+  }
+  return cc;
+}
+
 SimCluster::SimCluster(const GlobalMesh& mesh, int nranks, int halo_depth)
     : mesh_(mesh),
       decomp_(Decomposition::create(nranks, mesh)),
@@ -51,46 +88,31 @@ SimCluster::SimCluster(const GlobalMesh& mesh, int nranks, int halo_depth)
   team_partials2_.assign(static_cast<std::size_t>(nranks), {0.0, 0.0});
 }
 
-void SimCluster::exchange(std::initializer_list<FieldId> fields, int depth) {
-  exchange_impl(fields.begin(), static_cast<int>(fields.size()), depth);
-}
-
-void SimCluster::exchange(const std::vector<FieldId>& fields, int depth) {
-  exchange_impl(fields.data(), static_cast<int>(fields.size()), depth);
-}
-
-void SimCluster::exchange(const Team& team,
-                          std::initializer_list<FieldId> fields, int depth) {
-  exchange_impl(team, fields.begin(), static_cast<int>(fields.size()), depth);
-}
-
-void SimCluster::exchange(const Team& team,
-                          const std::vector<FieldId>& fields, int depth) {
-  exchange_impl(team, fields.data(), static_cast<int>(fields.size()), depth);
-}
-
 // Phase ordering matters: x completes for all ranks before y starts so
 // that the y messages carry fresh corner columns, and (in 3-D) z runs last
 // carrying the xy-halo rows so edges and corners propagate (see class
 // comment).
 
-void SimCluster::exchange_impl(const FieldId* fields, int nfields,
-                               int depth) {
+void SimCluster::exchange(std::initializer_list<FieldId> fields, int depth) {
   // Validated before the region, where a throw would terminate.
   TEA_REQUIRE(depth >= 1 && depth <= halo_depth_,
               "exchange depth exceeds allocated halo");
-  parallel_region(
-      [&](Team& t) { exchange_impl(t, fields, nfields, depth); });
+  parallel_region([&](Team& t) { exchange(t, fields, depth); });
 }
 
-void SimCluster::exchange_impl(const Team& team, const FieldId* fields,
-                               int nfields, int depth) {
+void SimCluster::exchange(const Team& team,
+                          std::initializer_list<FieldId> field_list,
+                          int depth) {
   // Contract check inside the solve's region, where a throw would
   // terminate the process (see parallel_region's docs) — callers must
   // validate the depth before entering the region, as the solvers do via
   // SolverConfig/halo checks.
   TEA_REQUIRE(depth >= 1 && depth <= halo_depth_,
               "exchange depth exceeds allocated halo");
+  // The per-rank copy bodies read the list's backing array directly: no
+  // per-call (and per-thread) allocation inside a solve.
+  const FieldId* fields = field_list.begin();
+  const int nfields = static_cast<int>(field_list.size());
   if (nfields == 0) return;
   const bool has_z = (mesh_.dims == 3);
   // Producers must finish before the x phase reads interiors, and each
@@ -134,8 +156,8 @@ void SimCluster::exchange_impl(const Team& team, const FieldId* fields,
     }
   }
   team.single([&] {
-    ++stats_.exchange_calls;
-    account_exchange(nfields, depth);
+    stats_ += exchange_counts(decomp_, depth, nfields, elem_bytes());
+    trace_.add_exchange(phase_, depth, nfields, elem_bytes());
   });
   team.barrier();
 }
@@ -262,56 +284,6 @@ void SimCluster::exchange_z_rank_face(int rank, Face face,
       copy_face(me.field32(fields[f]), other.field32(fields[f]));
     } else {
       copy_face(me.field(fields[f]), other.field(fields[f]));
-    }
-  }
-}
-
-void SimCluster::account_exchange(int nfields, int depth) {
-  const int nf = nfields;
-  const auto record = [&](std::int64_t bytes) {
-    ++stats_.messages;
-    stats_.message_bytes += bytes;
-    ++stats_.messages_by_depth[depth];
-    stats_.bytes_by_depth[depth] += bytes;
-  };
-  // One send per rank per populated direction; all fields share the
-  // message.  x payload: depth columns of ny·nz cells per field.  y
-  // payload: depth rows of nx·nz cells per field plus only the corner
-  // columns that carry neighbour data (a rank at a physical left/right
-  // boundary sends shorter rows — see exchange_y_rank).  z payload: depth
-  // planes whose rows and columns are extended the same way by the x and
-  // y neighbours that populated them.
-  for (int r = 0; r < nranks(); ++r) {
-    const Chunk& me = *chunks_[static_cast<std::size_t>(r)];
-    // fp32-active solves move the fp32 bank, so their messages carry half
-    // the bytes — the accounting (and hence the comm model) prices that.
-    const std::int64_t esz = static_cast<std::int64_t>(
-        me.fp32_active() ? sizeof(float) : sizeof(double));
-    for (const Face face : {Face::kLeft, Face::kRight}) {
-      if (decomp_.neighbor(r, face) < 0) continue;
-      record(static_cast<std::int64_t>(depth) * me.ny() * me.nz() * nf *
-             esz);
-    }
-    const int xcorners = (decomp_.neighbor(r, Face::kLeft) >= 0 ? 1 : 0) +
-                         (decomp_.neighbor(r, Face::kRight) >= 0 ? 1 : 0);
-    const std::int64_t row_len =
-        me.nx() + static_cast<std::int64_t>(xcorners) * depth;
-    for (const Face face : {Face::kBottom, Face::kTop}) {
-      if (decomp_.neighbor(r, face) < 0) continue;
-      record(static_cast<std::int64_t>(depth) * row_len * me.nz() * nf *
-             esz);
-    }
-    if (mesh_.dims == 3) {
-      const int ycorners =
-          (decomp_.neighbor(r, Face::kBottom) >= 0 ? 1 : 0) +
-          (decomp_.neighbor(r, Face::kTop) >= 0 ? 1 : 0);
-      const std::int64_t col_len =
-          me.ny() + static_cast<std::int64_t>(ycorners) * depth;
-      for (const Face face : {Face::kBack, Face::kFront}) {
-        if (decomp_.neighbor(r, face) < 0) continue;
-        record(static_cast<std::int64_t>(depth) * row_len * col_len * nf *
-               esz);
-      }
     }
   }
 }

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "comm/comm_stats.hpp"
+#include "comm/solve_trace.hpp"
 #include "mesh/chunk.hpp"
 #include "mesh/decomposition.hpp"
 #include "mesh/mesh.hpp"
@@ -16,8 +17,8 @@
 
 namespace tealeaf {
 
-/// Simulated distributed-memory cluster: the substitution for MPI
-/// documented in DESIGN.md §2.1.  One implementation serves both problem
+/// Simulated distributed-memory cluster: the substitution for MPI (see
+/// docs/architecture.md).  One implementation serves both problem
 /// dimensions — the mesh's `dims` selects the 2-D or 3-D decomposition,
 /// chunk layout and halo-exchange scheme, so every execution-engine
 /// feature (team reductions, row tiling) applies to both.
@@ -28,8 +29,10 @@ namespace tealeaf {
 /// `for_each_chunk` / `sum_over_chunks`), and all inter-rank data motion
 /// goes through `exchange` (halo swap, real byte copies) and the
 /// rank-ordered global reductions.  Every message and byte is recorded in
-/// CommStats so the performance model can replay the run on a modelled
-/// machine.
+/// CommStats, and every exchange, reduction and named kernel pass of a
+/// solve in its SolveTrace, which the performance model prices on a
+/// modelled machine (thread 0 of the team records; nothing else touches
+/// the trace during a solve).
 ///
 /// Halo exchange is staged per axis (x first, then y carrying the x-halo
 /// columns, then z carrying the xy-halo rows), which propagates corner
@@ -65,7 +68,6 @@ class SimCluster {
   /// Swap `depth` halo layers of each listed field with all face
   /// neighbours.  All fields travel in one message per direction.
   void exchange(std::initializer_list<FieldId> fields, int depth);
-  void exchange(const std::vector<FieldId>& fields, int depth);
 
   /// Team-aware halo exchange for use inside a parallel region:
   /// worksharing over ranks through `team` with barriers between the axis
@@ -73,19 +75,24 @@ class SimCluster {
   /// skip their own).
   void exchange(const Team& team, std::initializer_list<FieldId> fields,
                 int depth);
-  void exchange(const Team& team, const std::vector<FieldId>& fields,
-                int depth);
 
   /// Run `body(rank, chunk)` for every rank, parallelised over ranks.
+  /// The form with `kernels` counts them into the trace, each one launch
+  /// over every chunk (extended by kernels.ext()).
   template <class Body>
   void for_each_chunk(Body&& body) {
-    parallel_region([&](Team& t) { for_each_chunk(t, body); });
+    for_each_chunk(Kernels{}, body);
+  }
+  template <class Body>
+  void for_each_chunk(const Kernels& kernels, Body&& body) {
+    parallel_region([&](Team& t) { for_each_chunk(t, kernels, body); });
   }
 
   /// Team-aware form: workshares the ranks through `team`.  No implied
   /// barrier.
   template <class Body>
-  void for_each_chunk(const Team& team, Body&& body) {
+  void for_each_chunk(const Team& team, const Kernels& kernels, Body&& body) {
+    record(team, kernels);
     team.for_range(0, nranks(), [&](std::int64_t r) {
       body(static_cast<int>(r), *chunks_[r]);
     });
@@ -129,11 +136,14 @@ class SimCluster {
 
   /// Run `body(rank, chunk, tile)` for every tile of every rank, where
   /// `tile` is `bounds_of(rank, chunk)` restricted to one plane and one
-  /// row-block.  `bounds_of` must be a pure function of (rank, chunk).
-  /// No implied barrier.
+  /// row-block.  `bounds_of` must be a pure function of (rank, chunk),
+  /// extended kernels.ext() cells into the halo.  The trace counts one
+  /// launch of each of `kernels` (a deferred edge pass names none).  No
+  /// implied barrier.
   template <class BoundsFn, class Body>
   void for_each_tile(const Team& team, int tile_rows, BoundsFn&& bounds_of,
-                     Body&& body) {
+                     const Kernels& kernels, Body&& body) {
+    record(team, kernels);
     const auto run_tile = [&](int r, Chunk& c, const Bounds& b, int t) {
       const int rows = b.khi - b.klo;
       const int h = (tile_rows <= 0 || tile_rows >= rows) ? rows : tile_rows;
@@ -200,15 +210,16 @@ class SimCluster {
     return reduce_team_partials(team);
   }
 
-  /// Tiled team reduction: `body(rank, chunk, tb)` sweeps the interior
-  /// rows of tile `tb` and deposits one partial per row into the chunk's
-  /// `row_scratch()[ρ]`, then the partials combine via
+  /// Tiled team reduction: `body(rank, chunk, tb)` runs `kernels` over
+  /// the interior rows of tile `tb` and deposits one partial per row into
+  /// the chunk's `row_scratch()[ρ]`, then the partials combine via
   /// combine_row_partials.  Counts ONE allreduce.  No entry barrier (see
   /// the barrier rule above).
   template <class Body>
-  double sum_rows_over_chunks(const Team& team, int tile_rows, Body&& body) {
+  double sum_rows_over_chunks(const Team& team, int tile_rows,
+                              const Kernels& kernels, Body&& body) {
     const auto interior = [](int, Chunk& c) { return interior_bounds(c); };
-    for_each_tile(team, tile_rows, interior, body);
+    for_each_tile(team, tile_rows, interior, kernels, body);
     return combine_row_partials(team, tile_rows);
   }
 
@@ -219,9 +230,10 @@ class SimCluster {
   template <class Body>
   std::pair<double, double> sum2_rows_over_chunks(const Team& team,
                                                   int tile_rows,
+                                                  const Kernels& kernels,
                                                   Body&& body) {
     const auto interior = [](int, Chunk& c) { return interior_bounds(c); };
-    for_each_tile(team, tile_rows, interior, body);
+    for_each_tile(team, tile_rows, interior, kernels, body);
     fold_rows(team, tile_rows, [&](int r, const Chunk& c) {
       double a = 0.0;
       double b = 0.0;
@@ -235,12 +247,17 @@ class SimCluster {
   }
 
   /// Evaluate `body(rank, chunk) -> double` on every rank and globally
-  /// reduce the partials in rank order (counts one allreduce).
+  /// reduce the partials in rank order (counts one allreduce).  The form
+  /// with `kernels` counts them into the trace, as for_each_chunk does.
   template <class Body>
   double sum_over_chunks(Body&& body) {
+    return sum_over_chunks(Kernels{}, body);
+  }
+  template <class Body>
+  double sum_over_chunks(const Kernels& kernels, Body&& body) {
     double total = 0.0;
     parallel_region([&](Team& t) {
-      const double v = sum_over_chunks(t, body);
+      const double v = sum_over_chunks(t, kernels, body);
       t.single([&] { total = v; });
     });
     return total;
@@ -251,7 +268,9 @@ class SimCluster {
   /// same sum.  Counts ONE allreduce.  Implies barriers (before the reduce
   /// and before return).
   template <class Body>
-  double sum_over_chunks(const Team& team, Body&& body) {
+  double sum_over_chunks(const Team& team, const Kernels& kernels,
+                         Body&& body) {
+    record(team, kernels);
     team.for_range(0, nranks(), [&](std::int64_t r) {
       team_partials_[static_cast<std::size_t>(r)] =
           body(static_cast<int>(r), *chunks_[r]);
@@ -263,7 +282,42 @@ class SimCluster {
   [[nodiscard]] const CommStats& stats() const { return stats_; }
   void reset_stats() { stats_.reset(); }
 
+  /// The trace recorded since the last reset_trace (run_solver resets it
+  /// as a solve starts, keeping its capacity so a repeat solve records
+  /// without allocating).  Inside a solve's region only its team's
+  /// thread 0 may read it.
+  [[nodiscard]] const SolveTrace& trace() const { return trace_; }
+  void reset_trace() {
+    trace_.kernels.clear();
+    trace_.exchanges.clear();
+    trace_.reductions = {};
+    phase_ = Phase::kSetup;
+  }
+  /// The phase the following collectives record into (thread 0 of
+  /// `team` sets it; the standalone form is for code outside a region).
+  void set_phase(const Team& team, Phase phase) {
+    if (team.thread_id() == 0) phase_ = phase;
+  }
+  void set_phase(Phase phase) { phase_ = phase; }
+
  private:
+  /// Element size the exchanges and sweeps run at: the fp32 bank's when
+  /// the solve has it active.
+  [[nodiscard]] int elem_bytes() const {
+    return chunks_.front()->fp32_active() ? 4 : 8;
+  }
+  /// Count one launch of each of `kernels` (on thread 0).
+  void record(const Team& team, const Kernels& kernels) {
+    if (team.thread_id() != 0) return;
+    for (const Kernel k : kernels) {
+      trace_.add_kernel(phase_, k, kernels.ext(), elem_bytes());
+    }
+  }
+  void count_reduction() {
+    ++stats_.reductions;
+    trace_.reductions[static_cast<std::size_t>(phase_)] += 1.0;
+  }
+
   /// Rank-ordered sum of the per-rank partials in team_partials_ (pairs:
   /// team_partials2_), returned on every thread.  Counts ONE allreduce.
   /// Implies barriers: before the sum, and before return so the buffer is
@@ -274,7 +328,7 @@ class SimCluster {
     for (int r = 0; r < nranks(); ++r) {
       total += team_partials_[static_cast<std::size_t>(r)];
     }
-    team.single([&] { ++stats_.reductions; });
+    team.single([&] { count_reduction(); });
     team.barrier();
     return total;
   }
@@ -286,7 +340,7 @@ class SimCluster {
       a += team_partials2_[static_cast<std::size_t>(r)].first;
       b += team_partials2_[static_cast<std::size_t>(r)].second;
     }
-    team.single([&] { ++stats_.reductions; });
+    team.single([&] { count_reduction(); });
     team.barrier();
     return {a, b};
   }
@@ -302,14 +356,6 @@ class SimCluster {
     });
   }
 
-  /// The exchange overloads' implementations.  They take the field list
-  /// as pointer + count so the initializer_list forms forward their
-  /// backing array directly — no per-call (and per-thread) vector
-  /// allocation inside a solve.  The standalone form validates the depth
-  /// and opens one region around the Team form.
-  void exchange_impl(const FieldId* fields, int nfields, int depth);
-  void exchange_impl(const Team& team, const FieldId* fields, int nfields,
-                     int depth);
   /// Per-rank copy bodies of the axis phases.  The per-face splits are
   /// the unit of 2-D worksharing: when the team has more threads than
   /// ranks the phases workshare (rank, face) pairs instead of ranks, so
@@ -327,14 +373,14 @@ class SimCluster {
                        int depth);
   void exchange_z_rank_face(int rank, Face face, const FieldId* fields,
                             int nfields, int depth);
-  /// Message/byte accounting of one exchange (all phases, all ranks).
-  void account_exchange(int nfields, int depth);
 
   GlobalMesh mesh_;
   Decomposition decomp_;
   int halo_depth_;
   std::vector<std::unique_ptr<Chunk>> chunks_;
   CommStats stats_;
+  SolveTrace trace_;
+  Phase phase_ = Phase::kSetup;
   /// Shared scratch for the Team-aware rank-ordered reductions.
   std::vector<double> team_partials_;
   std::vector<std::pair<double, double>> team_partials2_;

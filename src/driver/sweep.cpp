@@ -4,13 +4,16 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <numeric>
 #include <sstream>
 
 #include "api/solve_api.hpp"
+#include "driver/decks.hpp"
 #include "io/csv.hpp"
 #include "model/scaling.hpp"
 #include "util/error.hpp"
+#include "util/log.hpp"
 #include "util/numeric.hpp"
 #include "util/parallel.hpp"
 
@@ -75,26 +78,11 @@ std::vector<SweepCase> enumerate_cases(const SweepSpec& spec, int base_mesh,
 
 namespace {
 
-/// α-β pricing of the communication a run recorded: every message pays
-/// the machine's point-to-point latency plus payload/bandwidth; every
-/// allreduce pays the log-tree hop latency (the model of scaling.cpp,
-/// reduced to the counts CommStats holds).  A one-rank reduction crosses
-/// no network and costs nothing.
-double price_comm(const CommStats& stats, const MachineSpec& machine,
-                  int ranks) {
-  const double hops =
-      ranks > 1 ? std::ceil(std::log2(static_cast<double>(ranks))) : 0.0;
-  return static_cast<double>(stats.messages) * machine.net_alpha_us * 1.0e-6 +
-         static_cast<double>(stats.message_bytes) /
-             (machine.net_bw_gbs * 1.0e9) +
-         static_cast<double>(stats.reductions) * 2.0 * hops *
-             machine.reduce_alpha_us * 1.0e-6;
-}
-
 /// Run one cell through the SolveSession facade (the same entry path
 /// TeaLeafApp and the solve server use).  A cell's seconds include any
 /// preconditioner set-up (the multigrid hierarchy's build), which is part
-/// of its cost per step.
+/// of its cost per step; its comm_seconds price each solve's trace on
+/// `machine` (model/scaling.hpp).
 void run_cell(const InputDeck& deck, int ranks, int steps,
               const MachineSpec& machine, SweepOutcome& out) {
   SolveSession session(deck, ranks);
@@ -111,6 +99,8 @@ void run_cell(const InputDeck& deck, int ranks, int steps,
     out.spmv += st.spmv_applies;
     out.final_norm = st.final_norm;
     out.solve_seconds += st.setup_seconds + st.solve_seconds;
+    out.comm_seconds +=
+        comm_seconds(st.trace, machine, session.cluster().mesh(), ranks);
     if (st.breakdown) {
       // Numerical breakdown: record the row as failed and stop this cell;
       // the sweep moves on to the next configuration.
@@ -124,6 +114,21 @@ void run_cell(const InputDeck& deck, int ranks, int steps,
   out.exchanges = cs.exchange_calls;
   out.messages = cs.messages;
   out.message_bytes = cs.message_bytes;
+}
+
+/// `deck` on an n² mesh, or on an n³ brick for dims 3: a deck without its
+/// own z extents mirrors the x axis, and 2-D states extrude through z
+/// (see StateDef), so every deck has an honest 3-D reading.
+InputDeck at_shape(InputDeck deck, int n, int dims) {
+  if (dims == 3 && !(deck.dims == 3 && deck.zmax > deck.zmin)) {
+    deck.zmin = deck.xmin;
+    deck.zmax = deck.xmax;
+  }
+  deck.x_cells = n;
+  deck.y_cells = n;
+  deck.z_cells = dims == 3 ? n : 1;
+  deck.dims = dims;
+  return deck;
 }
 
 /// A JSON number that must be an integer (checked_integer's rule).
@@ -158,23 +163,8 @@ SweepReport run_sweep(const InputDeck& base, const SweepSpec& spec,
     SweepOutcome out;
     out.config = cs;
 
-    InputDeck deck = base;
+    InputDeck deck = at_shape(base, cs.mesh_n, cs.dims);
     deck.sweep = SweepSpec{};  // cells are single solves
-    deck.x_cells = cs.mesh_n;
-    deck.y_cells = cs.mesh_n;
-    deck.dims = cs.dims;
-    if (cs.dims == 3) {
-      // 3-D cells run a mesh_n³ brick; a base deck without its own z
-      // extents mirrors the x axis, and 2-D states extrude through z
-      // (see StateDef), so every deck has an honest 3-D reading.
-      deck.z_cells = cs.mesh_n;
-      if (!(base.dims == 3 && base.zmax > base.zmin)) {
-        deck.zmin = base.xmin;
-        deck.zmax = base.xmax;
-      }
-    } else {
-      deck.z_cells = 1;
-    }
     deck.end_time = 0.0;
     deck.end_step = steps;
     deck.solver.precon = cs.precon;
@@ -212,12 +202,6 @@ SweepReport run_sweep(const InputDeck& base, const SweepSpec& spec,
         out.fail_reason = e.what();
         out.converged = false;
       }
-      CommStats recorded;
-      recorded.exchange_calls = out.exchanges;
-      recorded.messages = out.messages;
-      recorded.message_bytes = out.message_bytes;
-      recorded.reductions = out.reductions;
-      out.comm_seconds = price_comm(recorded, opts.machine, ranks);
     }
 
     if (opts.echo) {
@@ -233,6 +217,39 @@ SweepReport run_sweep(const InputDeck& base, const SweepSpec& spec,
     report.cells.push_back(std::move(out));
   }
   return report;
+}
+
+SolverRunSummary fixed_iteration_run(const SolverConfig& cfg, int dims) {
+  // Small, yet hard enough that no prestep run reaches the fp32 inner
+  // tolerance (1e-5) of a mixed solve.
+  const int n = dims == 3 ? 16 : 32;
+  InputDeck deck = at_shape(decks::crooked_pipe(n, /*steps=*/1), n, dims);
+  const bool chebyshev = cfg.type == SolverType::kChebyshev;
+  const bool presteps = chebyshev || cfg.type == SolverType::kPPCG;
+  const bool mixed = cfg.precision == Precision::kMixed;
+  const int loop = chebyshev ? cfg.cheby_check_interval : 1;
+  deck.solver = cfg;
+  if (mixed) {
+    // Refinement ends only on convergence, a stall or its pass cap, so a
+    // mixed solve runs to a tolerance instead: two decades past its fp32
+    // inner solves' 1e-5, which one refinement pass reaches.
+    deck.solver.eps = 1e-7;
+  } else {
+    deck.solver.eps = std::numeric_limits<double>::min();  // never met
+    deck.solver.max_iters = loop + (presteps ? cfg.eigen_cg_iters : 0);
+  }
+  struct Quiet {  // a capped solve's "hit max_iters" warning is expected
+    log::Level was = log::level();
+    Quiet() { log::set_level(std::max(was, log::Level::kError)); }
+    ~Quiet() { log::set_level(was); }
+  } quiet;
+  const SolveStats st = SolveSession(deck, 1).solve();
+  TEA_REQUIRE(mixed ? st.converged && st.refine_steps == 1
+                    : !st.converged && !st.breakdown &&
+                          st.outer_iters - st.eigen_cg_iters == loop,
+              "the trace solve of " + std::string(to_string(cfg.type)) +
+                  " did not run its fixed course " + st.breakdown_reason);
+  return SolverRunSummary::from(cfg, st, n);
 }
 
 SweepReport run_sweep(const InputDeck& base, const SweepOptions& opts) {
@@ -391,7 +408,11 @@ SweepReport SweepReport::from_json(const io::JsonValue& doc) {
       out.config.tile_rows = json_int<int>(cell, "tile_rows");
     }
     if (cell.contains("geometry")) {
-      out.config.dims = cell.at("geometry").as_string() == "3d" ? 3 : 2;
+      const std::string& geometry = cell.at("geometry").as_string();
+      TEA_REQUIRE(geometry == "2d" || geometry == "3d",
+                  "sweep json: unknown geometry \"" + geometry +
+                      "\" (expected 2d or 3d)");
+      out.config.dims = geometry == "3d" ? 3 : 2;
     }
     if (cell.contains("operator")) {
       out.config.op = cell.at("operator").as_string();

@@ -6,6 +6,7 @@
 #include "driver/deck.hpp"
 #include "io/json.hpp"
 #include "model/machine.hpp"
+#include "model/trace.hpp"
 
 namespace tealeaf {
 
@@ -109,8 +110,8 @@ struct SweepReport {
 struct SweepOptions {
   int steps = 1;       ///< timesteps per cell (0 = the base deck's count)
   bool echo = false;   ///< print one progress line per cell
-  /// Machine whose α-β parameters price the recorded communication into
-  /// `comm_seconds` (simulated-comm time).
+  /// Machine on which the model prices each cell's recorded
+  /// communication into `comm_seconds` (simulated-comm time).
   MachineSpec machine = machines::spruce_hybrid();
 };
 
@@ -119,6 +120,16 @@ struct SweepOptions {
 [[nodiscard]] SweepReport run_sweep(const InputDeck& base,
                                     const SweepSpec& spec,
                                     const SweepOptions& opts = {});
+
+/// The run summary of `cfg` where no measured trace exists (an unseen
+/// mesh, another halo depth), for callers to hold at a measured count
+/// (with_outer_iters) and mesh_n: a solve of `cfg` on a small `dims`-D
+/// crooked pipe on one rank that runs every phase — the presteps, then
+/// one check interval of Chebyshev steps or one main-loop iteration of
+/// the other solvers, or one refinement pass of a mixed configuration.
+/// Throws TeaError if it leaves that course.
+[[nodiscard]] SolverRunSummary fixed_iteration_run(const SolverConfig& cfg,
+                                                   int dims);
 
 /// Convenience: run the sweep the deck itself declares (`base.sweep`).
 [[nodiscard]] SweepReport run_sweep(const InputDeck& base,

@@ -20,7 +20,8 @@ int auto_tile_rows(const MachineSpec& machine, int chunk_nx,
 namespace tealeaf::machines {
 
 // Constants are calibrated once against the paper's headline numbers
-// (EXPERIMENTS.md records the calibration): K20x effective STREAM
+// (docs/benchmarks.md checks the figures they produce against the
+// paper's claims): K20x effective STREAM
 // ~175 GB/s, kernel launch ~8 µs for that driver era, PCIe gen-2 staging
 // ~5 GB/s.  Gemini has both higher latency and a much slower software
 // allreduce than Aries — the cause of the 47 % Titan/Piz Daint gap the

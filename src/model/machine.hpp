@@ -6,10 +6,11 @@ namespace tealeaf {
 
 /// Analytic description of one of the paper's test systems (Table I plus
 /// public STREAM / interconnect characteristics).  This is the documented
-/// substitution for the real hardware (DESIGN.md §2.2): kernel time is
-/// memory-bandwidth bound with a fixed per-sweep launch overhead, halo
-/// exchanges follow an α-β model with optional PCIe staging, and global
-/// reductions cost a per-hop latency over a binary tree.
+/// substitution for the real hardware (docs/architecture.md, "Performance
+/// model"): kernel time is memory-bandwidth bound with a fixed per-sweep
+/// launch overhead, halo exchanges follow an α-β model with optional PCIe
+/// staging, and global reductions cost a per-hop latency over a binary
+/// tree.
 struct MachineSpec {
   std::string name;
   bool is_gpu = false;

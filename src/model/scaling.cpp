@@ -42,20 +42,19 @@ ScalingSeries measured_series(std::string label,
   return series;
 }
 
-/// Per-node-count cost accumulator.  All recipes below mirror the solver
-/// implementations sweep-for-sweep and exchange-for-exchange.
-class ScalingModel::Cost {
+namespace {
+
+/// Cost accumulator at one decomposition: kernel sweeps are memory-
+/// bandwidth bound with a per-launch overhead and an LLC capacity boost
+/// (CPU); halo exchanges pay pack/unpack memory traffic, optional PCIe
+/// staging and an α-β wire cost; allreduces pay a per-hop latency over a
+/// binary tree of the ranks.
+class Cost {
  public:
-  Cost(const MachineSpec& spec, const GlobalMesh& mesh, int nodes,
-       int tile_rows = 0, double elem_scale = 1.0)
-      : spec_(spec), nodes_(nodes), dims_(mesh.dims) {
-    const long long want_ranks =
-        static_cast<long long>(nodes) * spec.ranks_per_node;
-    // The decomposition cannot exceed one cell per rank per axis; clamp
-    // like a user would by leaving excess ranks idle (pure overhead).
-    ranks_ = static_cast<int>(std::min<long long>(
-        want_ranks, static_cast<long long>(mesh.nx) * mesh.ny * mesh.nz));
-    const Decomposition decomp = Decomposition::create(ranks_, mesh);
+  Cost(const MachineSpec& spec, const GlobalMesh& mesh, int ranks,
+       int tile_rows = 0)
+      : spec_(spec), dims_(mesh.dims), ranks_(ranks) {
+    const Decomposition decomp = Decomposition::create(ranks, mesh);
     cnx_ = decomp.max_chunk_nx();
     cny_ = decomp.max_chunk_ny();
     cnz_ = decomp.max_chunk_nz();
@@ -74,110 +73,130 @@ class ScalingModel::Cost {
     // bandwidth.
     rank_bw_ = spec.mem_bw_gbs * 1.0e9 / spec.ranks_per_node;
     if (in_cache) rank_bw_ *= spec.cache_bw_mult;
-
-    // Tiled execution engine (ROADMAP "cache blocking"): a row-block
-    // whose working set fits the per-core L2 keeps a fused kernel's
-    // intermediate field resident between its phases, so those sweeps
-    // stream the blocked bytes/cell variant instead.  An `auto` height
-    // (-1) resolves here, where the modelled chunk width is known —
-    // mirroring what run_solver does with the real chunk.
-    if (tile_rows < 0) tile_rows = auto_tile_rows(spec, cnx_, 2);
-    if (tile_rows > 0 && spec.l2_kb > 0.0) {
-      // fp32 solves stream 4-byte elements (elem_scale 0.5), so the same
-      // row-block is half the bytes and fits L2 at twice the height.
-      const double tile_bytes = static_cast<double>(tile_rows) * cnx_ *
-                                kTileWorkingSetFields * 8.0 * elem_scale;
-      blocked_ = tile_bytes <= spec.l2_kb * 1024.0;
-    }
+    // An `auto` height (-1) resolves here, where the modelled chunk width
+    // is known, as run_solver resolves it against the real chunk.
+    tile_rows_ = tile_rows < 0 ? auto_tile_rows(spec, cnx_, 2) : tile_rows;
   }
 
-  /// Scale every subsequent sweep's and exchange's byte volume: 1.0 for
-  /// fp64 phases, 0.5 while the solve streams the fp32 bank.  Launch and
-  /// α latencies are element-size independent and stay unscaled.
-  void set_byte_scale(double s) { scale_ = s; }
-
-  /// One kernel sweep over every cell (with `ext` halo extension — in z
-  /// too for 3-D meshes, mirroring extended_bounds).
-  void sweep(double bytes_per_cell, int ext = 0) {
+  /// One sweep of `bytes_per_cell` over every cell of a chunk, extended
+  /// `ext` cells into the halo on every face (in z too for 3-D meshes).
+  void sweep(double bytes_per_cell, int ext = 0, double count = 1.0) {
     const double cells = static_cast<double>(cnx_ + 2 * ext) *
                          (cny_ + 2 * ext) *
                          (dims_ == 3 ? cnz_ + 2 * ext : cnz_);
-    seconds_ += spec_.kernel_launch_us * 1.0e-6 +
-                cells * bytes_per_cell * scale_ / rank_bw_;
+    seconds_ += count * (spec_.kernel_launch_us * 1.0e-6 +
+                         cells * bytes_per_cell / rank_bw_);
   }
 
-  /// A sweep with a blocked-cache bytes/cell variant: `blocked_bytes`
-  /// applies when the configured row-block fits in L2, `streaming_bytes`
-  /// otherwise (untiled, or tiles too tall for the cache).
-  void sweep_blocked(double streaming_bytes, double blocked_bytes,
-                     int ext = 0) {
-    sweep(blocked_ ? blocked_bytes : streaming_bytes, ext);
+  /// `count` launches of kernel `k` at `elem_bytes` per element: its
+  /// declared traffic (ops/kernels.hpp), with the L2-blocked variant when
+  /// a row-block of the tile height fits the per-core L2.
+  void kernel(Kernel k, PreconType m, int ext, int elem_bytes, double count,
+              double nnz_per_row) {
+    const kernels::Traffic t = kernels::traffic(k, m);
+    const double elem = elem_bytes;
+    // Operator reads: the stencil's face-coefficient fields, or the stored
+    // CSR row (value + 8-byte column offset per entry).
+    const double op = nnz_per_row > 0.0 ? nnz_per_row * (elem + 8.0)
+                                        : dims_ * elem;
+    // M⁻¹'s own reads: the operator's diagonal, or block-Jacobi's three
+    // strip factors (ky, cp, bfp).
+    double precon = 0.0;
+    if (m == PreconType::kJacobiDiag) precon = nnz_per_row > 0.0 ? elem : op;
+    if (m == PreconType::kJacobiBlock) precon = 3.0 * elem;
+    const double fields =
+        t.reads + t.writes - (blocked(elem_bytes) ? t.blocked : 0.0);
+    sweep(fields * elem + t.op * op + t.precon * precon, ext, count);
   }
 
-  /// One halo exchange of `nfields` fields at `depth` (one phase per
+  /// `count` halo exchanges of `nfields` fields at `depth` (one phase per
   /// mesh axis).  Models the critical-path rank: an interior rank when
   /// the process grid has one, else the boundary rank.  Later phases
   /// carry only the earlier-phase halo strips that hold neighbour data
-  /// (consistent with SimCluster's accounting): p >= 3 along an axis
-  /// gives both corner strips, p == 2 one, p == 1 none — and a phase
-  /// with no neighbours along its axis costs nothing.  3-D meshes add
-  /// the z phase with face-area payloads.
-  void exchange(int depth, int nfields) {
-    const double bx = static_cast<double>(depth) * cny_ * cnz_ * 8.0 *
-                      scale_ * nfields;
+  /// (as exchange_counts does): p >= 3 along an axis gives both corner
+  /// strips, p == 2 one, p == 1 none — and a phase with no neighbours
+  /// along its axis costs nothing.  3-D meshes add the z phase with
+  /// face-area payloads.
+  void exchange(int depth, int nfields, int elem_bytes, double count = 1.0) {
+    const double unit = static_cast<double>(depth) * elem_bytes * nfields;
+    const double bx = unit * cny_ * cnz_;
     const int xcorners = std::min(px_ - 1, 2);
     const double row_len = cnx_ + static_cast<double>(xcorners) * depth;
-    const double by =
-        static_cast<double>(depth) * row_len * cnz_ * 8.0 * scale_ * nfields;
+    const double by = unit * row_len * cnz_;
     const int ycorners = std::min(py_ - 1, 2);
     const double col_len = cny_ + static_cast<double>(ycorners) * depth;
-    const double bz =
-        static_cast<double>(depth) * row_len * col_len * 8.0 * scale_ *
-        nfields;
+    const double bz = unit * row_len * col_len;
+    double seconds = 0.0;
     for (const auto& [active, bytes] :
          {std::pair{px_ > 1, bx}, std::pair{py_ > 1, by},
           std::pair{dims_ == 3 && pz_ > 1, bz}}) {
       if (!active) continue;
       // Pack + unpack both directions through node memory.
-      seconds_ += 4.0 * bytes / rank_bw_;
+      seconds += 4.0 * bytes / rank_bw_;
       if (spec_.is_gpu) {
-        seconds_ += 2.0 * spec_.kernel_launch_us * 1.0e-6;  // pack/unpack
-        seconds_ += 2.0 * bytes / (spec_.stage_bw_gbs * 1.0e9) +
-                    2.0 * spec_.stage_lat_us * 1.0e-6;
+        seconds += 2.0 * spec_.kernel_launch_us * 1.0e-6;  // pack/unpack
+        seconds += 2.0 * bytes / (spec_.stage_bw_gbs * 1.0e9) +
+                   2.0 * spec_.stage_lat_us * 1.0e-6;
       }
       // Left/right (or up/down) sends overlap; flat MPI pays extra
       // per-message software latency for the ranks sharing a node edge.
       const double alpha_factor =
           std::sqrt(static_cast<double>(spec_.ranks_per_node));
-      seconds_ += spec_.net_alpha_us * 1.0e-6 * alpha_factor +
-                  bytes / (spec_.net_bw_gbs * 1.0e9);
+      seconds += spec_.net_alpha_us * 1.0e-6 * alpha_factor +
+                 bytes / (spec_.net_bw_gbs * 1.0e9);
     }
+    seconds_ += count * seconds;
   }
 
-  /// One global allreduce over all ranks.
-  void reduce() {
-    const double hops = std::ceil(
-        std::log2(std::max(2.0, static_cast<double>(ranks_))));
-    seconds_ += 2.0 * hops * spec_.reduce_alpha_us * 1.0e-6;
+  /// `count` global allreduces over all ranks.  One rank crosses no
+  /// network; a GPU still pays its device-side partial reduction and the
+  /// result staging.
+  void reduce(double count = 1.0) {
+    const double hops =
+        ranks_ > 1 ? std::ceil(std::log2(static_cast<double>(ranks_))) : 0.0;
+    double seconds = 2.0 * hops * spec_.reduce_alpha_us * 1.0e-6;
     if (spec_.is_gpu) {
-      // Device-side partial reduction + result staging.
-      seconds_ += spec_.kernel_launch_us * 1.0e-6 +
-                  spec_.stage_lat_us * 1.0e-6;
+      seconds += spec_.kernel_launch_us * 1.0e-6 + spec_.stage_lat_us * 1.0e-6;
     }
+    seconds_ += count * seconds;
+  }
+
+  /// The communication a solve recorded: its exchanges and allreduces.
+  void comm(const SolveTrace& trace) {
+    for (const SolveTrace::ExchangeCount& e : trace.exchanges) {
+      exchange(e.depth, e.fields, e.elem_bytes, e.count);
+    }
+    for (const double n : trace.reductions) reduce(n);
+  }
+
+  /// Everything a solve recorded: its kernel launches and communication.
+  void solve(const SolveTrace& trace) {
+    for (const SolveTrace::KernelCount& e : trace.kernels) {
+      kernel(e.kernel, trace.precon, e.ext, e.elem_bytes, e.count,
+             trace.nnz_per_row);
+    }
+    comm(trace);
   }
 
   /// Add a raw cost (used by the AMG model's coarse-graph latency term).
   void add_seconds(double s) { seconds_ += s; }
 
   [[nodiscard]] double seconds() const { return seconds_; }
-  [[nodiscard]] int cnx() const { return cnx_; }
-  [[nodiscard]] int cny() const { return cny_; }
 
  private:
+  /// True when a row-block of the tile height, at `elem_bytes` per
+  /// element, fits the per-core L2 (fp32 fits twice the rows).
+  [[nodiscard]] bool blocked(int elem_bytes) const {
+    return tile_rows_ > 0 && spec_.l2_kb > 0.0 &&
+           static_cast<double>(tile_rows_) * cnx_ * kTileWorkingSetFields *
+                   elem_bytes <=
+               spec_.l2_kb * 1024.0;
+  }
+
   const MachineSpec& spec_;
-  int nodes_;
   int dims_ = 2;
   int ranks_ = 1;
+  int tile_rows_ = 0;
   int cnx_ = 1;
   int cny_ = 1;
   int cnz_ = 1;
@@ -185,10 +204,10 @@ class ScalingModel::Cost {
   int py_ = 1;
   int pz_ = 1;
   double rank_bw_ = 1.0;
-  double scale_ = 1.0;
   double seconds_ = 0.0;
-  bool blocked_ = false;
 };
+
+}  // namespace
 
 ScalingModel::ScalingModel(MachineSpec spec, GlobalMesh2D mesh,
                            int timesteps)
@@ -196,217 +215,34 @@ ScalingModel::ScalingModel(MachineSpec spec, GlobalMesh2D mesh,
   TEA_REQUIRE(timesteps >= 1, "need at least one timestep");
 }
 
-namespace {
-
-// Bytes per cell per kernel sweep (8-byte doubles; neighbour reads of the
-// same field amortise through cache).  Keep in sync with ops/kernels.
-// The constants are the 2-D (5-point) figures; sweeps that read the face
-// coefficients add one more 8-byte field (Kz) per cell under the 3-D
-// 7-point stencil — the `kface` term in run_seconds.
-constexpr double kBytesSmvp = 32.0;       // p, w, kx, ky
-constexpr double kBytesResidual = 48.0;   // u, u0, w, r, kx, ky
-constexpr double kBytesCalcUr = 48.0;     // u, r rw; p, w reads
-constexpr double kBytesXpby = 24.0;       // p rw; z read
-constexpr double kBytesCopy = 16.0;
-constexpr double kBytesDot = 16.0;
-constexpr double kBytesDiagApply = 32.0;  // r, z, kx, ky
-constexpr double kBytesBlockApply = 40.0; // src, dst, ky, cp, bfp
-constexpr double kBytesChebyInit = 16.0;  // res, dir (+16 with diag)
-constexpr double kBytesChebyFused = 56.0; // res rw, w, dir rw, acc rw
-constexpr double kBytesJacobi = 56.0;     // copy sweep + main sweep
-
-// Blocked-cache variants (tiled execution engine): when the row-block
-// fits in the per-core L2 the intermediate field of the fused sweep —
-// w between the stencil and update phases of cheby_step_tile, the old-iterate
-// copy between Jacobi's save and update phases — never round-trips DRAM,
-// saving its 16 bytes/cell of write+read traffic.
-constexpr double kBytesChebyFusedBlocked = 40.0;
-constexpr double kBytesJacobiBlocked = 40.0;
-
-}  // namespace
+int ScalingModel::ranks(int nodes) const {
+  // The decomposition cannot exceed one cell per rank per axis; clamp
+  // like a user would by leaving excess ranks idle (pure overhead).
+  return static_cast<int>(std::min<long long>(
+      static_cast<long long>(nodes) * spec_.ranks_per_node,
+      static_cast<long long>(mesh_.nx) * mesh_.ny * mesh_.nz));
+}
 
 double ScalingModel::run_seconds(const SolverRunSummary& run,
                                  int nodes) const {
-  // Reduced-precision solves stream 4-byte elements through every
-  // solver-phase sweep and exchange — the mixed-precision layer's whole
-  // bandwidth case.  The per-step field setup, the fp64 refinement guard
-  // and the energy recovery stay at full width.
-  const double fscale = run.precision == Precision::kDouble ? 1.0 : 0.5;
-  Cost cost(spec_, mesh_, nodes, run.tile_rows, fscale);
-  const bool diag = run.precon == PreconType::kJacobiDiag;
-  const bool block = run.precon == PreconType::kJacobiBlock;
-  // 7-point stencil sweeps stream the extra Kz face-coefficient field.
-  const double kface = (mesh_.dims == 3) ? 8.0 : 0.0;
-  // Assembled operators (nnz_per_row > 0) stream the stored row — 8-byte
-  // value + 8-byte column index per entry — plus the source read and
-  // destination write, instead of the stencil's fixed coefficient fields.
-  const double bytes_smvp = run.nnz_per_row > 0.0
-                                ? 16.0 * run.nnz_per_row + 16.0
-                                : kBytesSmvp + kface;
-  const double precon_bytes =
-      block ? kBytesBlockApply : kBytesDiagApply + kface;
-  const double diag_extra = diag ? 16.0 + kface : 0.0;
-
-  // --- per-timestep field setup (driver): exchange materials at full
-  // halo depth + u/u0 init + conduction build.
-  cost.exchange(std::max(2, run.halo_depth), 2);
-  cost.sweep(32.0);  // init_u_u0: density, energy, u, u0
-  cost.sweep(24.0 + kface);  // init_conduction: density read, face writes
-
-  // --- solver setup: exchange(u,1); residual (+ precon init/apply) ------
-  cost.set_byte_scale(fscale);
-  cost.exchange(1, 1);
-  cost.sweep(kBytesResidual + kface);
-  if (block) cost.sweep(40.0 + kface);  // block_jacobi_init
-  if (diag || block) {
-    cost.sweep(precon_bytes);
-    cost.sweep(kBytesCopy);  // p = z
-  } else {
-    cost.sweep(kBytesCopy);  // p = r (dot fused in residual sweep)
-  }
-  cost.reduce();
-
-  const auto cg_iteration = [&] {
-    cost.exchange(1, 1);
-    cost.sweep(bytes_smvp);
-    cost.reduce();  // pw
-    cost.sweep(kBytesCalcUr);
-    if (diag || block) cost.sweep(precon_bytes);
-    cost.reduce();  // rrn (dot fused with the precon/update sweep)
-    cost.sweep(kBytesXpby);
-  };
-
-  switch (run.type) {
-    case SolverType::kJacobi: {
-      for (int i = 0; i < run.outer_iters; ++i) {
-        cost.exchange(1, 1);
-        cost.sweep_blocked(kBytesJacobi + kface, kBytesJacobiBlocked + kface);
-        cost.reduce();
-      }
-      break;
-    }
-    case SolverType::kCG: {
-      if (run.fused_cg) {
-        // Chronopoulos-Gear: z = M⁻¹r, exchange(z), w = A·z with both
-        // dots fused into one reduction, then the paired vector updates.
-        const auto fused_iteration = [&] {
-          cost.sweep(24.0);  // u += αp
-          cost.sweep(24.0);  // r −= αs
-          cost.sweep(precon_bytes);
-          cost.exchange(1, 1);
-          cost.sweep(bytes_smvp + 16.0);  // A·z with fused dots
-          cost.reduce();
-          cost.sweep(kBytesXpby);  // p update
-          cost.sweep(kBytesXpby);  // s update
-        };
-        for (int i = 0; i < run.outer_iters; ++i) fused_iteration();
-        break;
-      }
-      for (int i = 0; i < run.outer_iters; ++i) cg_iteration();
-      break;
-    }
-    case SolverType::kChebyshev: {
-      cost.reduce();  // ‖r‖² baseline
-      for (int i = 0; i < run.eigen_cg_iters; ++i) cg_iteration();
-      cost.sweep(kBytesChebyInit + diag_extra);  // bootstrap
-      for (int i = 0; i < run.outer_iters; ++i) {
-        cost.exchange(1, 1);
-        cost.sweep(bytes_smvp);
-        cost.sweep_blocked(kBytesChebyFused + diag_extra,
-                           kBytesChebyFusedBlocked + diag_extra);
-        if ((i + 1) % run.cheby_check_interval == 0) cost.reduce();
-      }
-      break;
-    }
-    case SolverType::kPPCG: {
-      for (int i = 0; i < run.eigen_cg_iters; ++i) cg_iteration();
-      const int d = run.halo_depth;
-      const auto apply_inner = [&] {
-        cost.sweep(kBytesCopy);  // rtemp = r
-        if (d > 1) cost.exchange(d, 1);
-        int ext = d - 1;
-        cost.sweep(kBytesChebyInit + diag_extra, ext);
-        cost.sweep(kBytesCopy, ext);  // z = sd
-        for (int s = 1; s <= run.inner_steps; ++s) {
-          if (ext == 0) {
-            cost.exchange(d, d == 1 ? 1 : 2);
-            ext = d;
-          }
-          --ext;
-          cost.sweep(bytes_smvp, ext);
-          if (block) {
-            cost.sweep(24.0, ext);        // rtemp -= w
-            cost.sweep(kBytesBlockApply); // block solve (interior only)
-            cost.sweep(24.0, ext);        // sd update
-            cost.sweep(24.0, ext);        // z += sd
-          } else {
-            cost.sweep_blocked(kBytesChebyFused + diag_extra,
-                               kBytesChebyFusedBlocked + diag_extra, ext);
-          }
-        }
-      };
-      apply_inner();
-      cost.sweep(kBytesDot);
-      cost.reduce();  // rro
-      cost.sweep(kBytesCopy);  // p = z
-      for (int i = 0; i < run.outer_iters; ++i) {
-        cost.exchange(1, 1);
-        cost.sweep(bytes_smvp);
-        cost.reduce();  // pw
-        cost.sweep(kBytesCalcUr);
-        apply_inner();
-        cost.sweep(kBytesDot);
-        cost.reduce();  // rrn
-        cost.sweep(kBytesXpby);
-      }
-      break;
-    }
-  }
-
-  cost.set_byte_scale(1.0);
-
-  if (run.precision != Precision::kDouble) {
-    // One-time fp32 operator build: downcast each face-coefficient field
-    // (8-byte read + 4-byte write per cell).
-    cost.sweep(12.0 * (mesh_.dims == 3 ? 3.0 : 2.0));
-  }
-  if (run.precision == Precision::kSingle) {
-    cost.sweep(28.0);  // clear the fp32 workspace (7 field writes)
-    cost.sweep(24.0);  // downcast u and u0 into the fp32 bank
-    cost.sweep(12.0);  // upcast the converged iterate (4r + 8w)
-  }
-  if (run.precision == Precision::kMixed) {
-    // fp64-guarded iterative refinement: each inner solve clears the fp32
-    // workspace, downcasts the fp64 residual into its right-hand side and
-    // accumulates u += δ in fp64; each guard — the initial true residual
-    // plus one after every inner solve — pays an fp64 u-exchange, the
-    // residual sweep and its norm reduction.  Refinement passes beyond
-    // the first also replay the fp32 solver setup (their iterations are
-    // already inside the aggregated counts above).
-    const int inner_solves = run.refine_steps + 1;
-    for (int i = 0; i < inner_solves; ++i) {
-      cost.sweep(28.0);  // clear the fp32 workspace
-      cost.sweep(12.0);  // downcast the fp64 residual (8r + 4w)
-      cost.sweep(20.0);  // u += δ in fp64 (u rw + 4-byte δ read)
-    }
-    for (int g = 0; g < inner_solves + 1; ++g) {
-      cost.exchange(1, 1);
-      cost.sweep(kBytesResidual + kface);
-      cost.reduce();
-    }
-    cost.set_byte_scale(fscale);
-    for (int i = 0; i < run.refine_steps; ++i) {
-      cost.exchange(1, 1);
-      cost.sweep(kBytesResidual + kface);
-      cost.sweep(kBytesCopy);  // p = z / p = r
-      cost.reduce();
-    }
-    cost.set_byte_scale(1.0);
-  }
-
-  // Energy recovery sweep at the end of the step.
+  Cost cost(spec_, mesh_, ranks(nodes), run.tile_rows);
+  // The driver's per-step term: materials exchanged at full halo depth,
+  // u/u0 initialised (density, energy → u, u0), the face coefficients
+  // built from density (one more field under the 7-point stencil) and,
+  // after the solve, the energy recovered from u.
+  cost.exchange(std::max(2, run.halo_depth), 2, 8);
+  cost.sweep(32.0);
+  cost.sweep(mesh_.dims == 3 ? 32.0 : 24.0);
+  cost.solve(run.trace);
   cost.sweep(24.0);
   return cost.seconds() * timesteps_;
+}
+
+double comm_seconds(const SolveTrace& trace, const MachineSpec& machine,
+                    const GlobalMesh& mesh, int ranks) {
+  Cost cost(machine, mesh, ranks);
+  cost.comm(trace);
+  return cost.seconds();
 }
 
 ScalingSeries ScalingModel::sweep(const SolverRunSummary& run,
@@ -422,14 +258,13 @@ ScalingSeries ScalingModel::sweep(const SolverRunSummary& run,
 
 double ScalingModel::amg_run_seconds(int pcg_iters, int nodes,
                                      double setup_vcycles) const {
-  Cost cost(spec_, mesh_, nodes);
+  Cost cost(spec_, mesh_, ranks(nodes));
   const bool is3d = mesh_.dims == 3;
-  // 7-point sweeps stream the extra Kz face-coefficient field, exactly
-  // as run_seconds prices the native solvers.
+  // 7-point sweeps stream the extra Kz face-coefficient field.
   const double kface = is3d ? 8.0 : 0.0;
 
   // Per-step field setup, as for the native solvers.
-  cost.exchange(2, 2);
+  cost.exchange(2, 2, 8);
   cost.sweep(32.0);
   cost.sweep(24.0 + kface);
 
@@ -448,7 +283,7 @@ double ScalingModel::amg_run_seconds(int pcg_iters, int nodes,
   //    8× per coarsening (one factor 2 per axis), so the coarse-level
   //    latency wall arrives one to two levels sooner.
   const double vcycle = [&] {
-    Cost vc(spec_, mesh_, nodes);
+    Cost vc(spec_, mesh_, ranks(nodes));
     const double total_ranks =
         static_cast<double>(nodes) * spec_.ranks_per_node;
     int nx = mesh_.nx;
@@ -476,13 +311,13 @@ double ScalingModel::amg_run_seconds(int pcg_iters, int nodes,
       for (int s = 0; s < 4; ++s) {
         vc.sweep(16.0 * frac);
         vc.sweep((40.0 + kface) * frac);
-        vc.exchange(1, 1);  // halo for the next simultaneous sweep
+        vc.exchange(1, 1, 8);  // halo for the next simultaneous sweep
       }
       vc.sweep((32.0 + kface) * frac);  // residual
-      vc.exchange(1, 1);
+      vc.exchange(1, 1, 8);
       vc.sweep((is3d ? 9.0 : 8.0) * frac);    // restriction
       vc.sweep((is3d ? 17.0 : 16.0) * frac);  // prolongation + correction
-      vc.exchange(1, 1);
+      vc.exchange(1, 1, 8);
       vc.add_seconds(level_alpha_s);
       if (nx > 4) nx = (nx + 1) / 2;
       if (ny > 4) ny = (ny + 1) / 2;
@@ -494,14 +329,15 @@ double ScalingModel::amg_run_seconds(int pcg_iters, int nodes,
 
   double seconds = cost.seconds();
   seconds += setup_vcycles * vcycle;  // AMG setup (per step: fresh matrix)
+  // Each PCG iteration: the p exchange, A·p, two allreduces, the u/r
+  // update and the direction update around one V-cycle.
   for (int i = 0; i < pcg_iters; ++i) {
-    Cost it(spec_, mesh_, nodes);
-    it.exchange(1, 1);
-    it.sweep(kBytesSmvp + kface);
-    it.reduce();
-    it.sweep(kBytesCalcUr);
-    it.reduce();
-    it.sweep(kBytesXpby);
+    Cost it(spec_, mesh_, ranks(nodes));
+    it.exchange(1, 1, 8);
+    for (const Kernel k : {Kernel::kSmvp, Kernel::kCalcUr, Kernel::kXpby}) {
+      it.kernel(k, PreconType::kNone, 0, 8, 1.0, 0.0);
+    }
+    it.reduce(2.0);
     seconds += it.seconds() + vcycle;
   }
   return seconds * timesteps_;

@@ -39,19 +39,21 @@ struct ScalingSeries {
     std::string label, const std::vector<ScalingPoint>& points);
 
 /// Projects a measured solver run onto a modelled machine across node
-/// counts (DESIGN.md §2.2).  Kernel cost is memory-bandwidth bound with a
-/// per-sweep launch overhead and an LLC capacity boost (CPU); halo
-/// exchanges pay pack/unpack memory traffic, optional PCIe staging and an
-/// α-β wire cost; reductions pay a per-hop latency over a binary tree of
-/// all ranks.  The per-iteration kernel/exchange recipes mirror the
-/// solver implementations exactly (see trace.cpp for the validated
-/// communication counts).
+/// counts (docs/architecture.md, "Performance model").  It prices the
+/// run's own trace — the kernel launches, halo exchanges and allreduces
+/// the solve recorded — at the decomposition of each node count: kernel
+/// cost is memory-bandwidth bound (each kernel's traffic as declared in
+/// ops/kernels.hpp) with a per-launch overhead and an LLC capacity boost
+/// (CPU); halo exchanges pay pack/unpack memory traffic, optional PCIe
+/// staging and an α-β wire cost; allreduces pay a per-hop latency over a
+/// binary tree of the ranks.  It keeps no description of the solvers.
 class ScalingModel {
  public:
   ScalingModel(MachineSpec spec, GlobalMesh2D mesh, int timesteps);
 
-  /// Modelled wall-clock of the full run (timesteps × one solve of the
-  /// given structure + per-step field setup) on `nodes` nodes.
+  /// Modelled wall-clock of the full run on `nodes` nodes: timesteps ×
+  /// (the driver's per-step field set-up and energy recovery + the run's
+  /// trace).
   [[nodiscard]] double run_seconds(const SolverRunSummary& run,
                                    int nodes) const;
 
@@ -71,15 +73,21 @@ class ScalingModel {
                                         const std::vector<int>& node_counts,
                                         double setup_vcycles = 25.0) const;
 
-  [[nodiscard]] const MachineSpec& spec() const { return spec_; }
-  [[nodiscard]] const GlobalMesh2D& mesh() const { return mesh_; }
 
  private:
-  class Cost;
+  /// Ranks on `nodes` nodes, at most one per cell.
+  [[nodiscard]] int ranks(int nodes) const;
 
   MachineSpec spec_;
   GlobalMesh2D mesh_;
   int timesteps_;
 };
+
+/// Seconds the communication of `trace` costs on `machine` with `mesh`
+/// decomposed over `ranks` ranks: its halo exchanges and allreduces,
+/// priced as run_seconds prices them (the sweep's comm_seconds).
+[[nodiscard]] double comm_seconds(const SolveTrace& trace,
+                                  const MachineSpec& machine,
+                                  const GlobalMesh& mesh, int ranks);
 
 }  // namespace tealeaf

@@ -1,5 +1,7 @@
 #pragma once
 
+#include <cstdint>
+
 #include "mesh/chunk.hpp"
 #include "ops/bounds.hpp"
 #include "precon/preconditioner.hpp"
@@ -272,5 +274,91 @@ void jacobi_tile(Chunk& c, const Bounds& tb, double* row_sums);
 /// rows tb.klo and tb.khi−1 on the 2-D stencil, every row of the tile
 /// otherwise.
 void jacobi_tile_edges(Chunk& c, const Bounds& tb, double* row_sums);
+
+// ---- declared traffic -----------------------------------------------------
+// What one sweep of each solver kernel streams per cell, declared once,
+// here beside the kernels.  The solvers name the kernels each tile pass
+// or per-rank loop runs (SimCluster's `Kernels` argument), the cluster
+// counts them into the solve's trace (comm/solve_trace.hpp), and the
+// performance model prices every count as one launch plus this traffic
+// over the pass's cells (model/scaling.cpp) — it keeps no description of
+// the solvers of its own.
+
+/// The priced kernels.  A kernel whose work a tile pass splits across an
+/// in-tile sweep and a deferred edge pass (cheby_step_tile(_edges),
+/// jacobi_tile(_edges)) is one kernel, named by the first pass.
+enum class Kernel : std::uint8_t {
+  kResidual,      ///< calc_residual: w = A·u, r = u0 − w
+  kSmvp,          ///< smvp_dot_rows, and the A·dir half of cheby_step_tile
+  kSmvpDot2,      ///< smvp_dot2_rows
+  kCopy,          ///< copy
+  kAxpy,          ///< axpy
+  kXpby,          ///< xpby
+  kDot,           ///< dot_rows / dot of two fields
+  kNorm2,         ///< dot_rows / norm2_sq of one field
+  kCalcUr,        ///< cg_calc_ur_rows
+  kCalcUrDot,     ///< calc_ur_dot_rows
+  kChronoUpdate,  ///< cg_chrono_update_rows
+  kPrecon,        ///< apply_preconditioner
+  kBlockInit,     ///< block_jacobi_init
+  kChebyInit,     ///< cheby_init_dir
+  kChebyUpdate,   ///< the update half of cheby_step_tile(_edges)
+  kJacobi,        ///< jacobi_tile(_edges): save, then update
+  // The mixed-precision layer's own loops (solvers/solver.cpp).
+  kDowncast,      ///< one fp64 field into the fp32 bank
+  kUpcast,        ///< the fp32 iterate back into the fp64 u
+  kClearFp32,     ///< zero the fp32 iterate and its six work vectors
+  kAddCorrection, ///< u += δ in fp64
+};
+
+/// Streamed traffic of one sweep, per cell, in fields of the sweep's
+/// element size (a read-modify-write field counts once in each; the
+/// mixed layer's loops run at fp64, so an fp32 field counts ½).
+struct Traffic {
+  double reads = 0.0;
+  double writes = 0.0;
+  int op = 0;      ///< operator reads: the face coefficients, or a CSR row
+  int precon = 0;  ///< M⁻¹ applications: the preconditioner's own reads
+  /// Field transfers a tile that fits in L2 keeps out of DRAM: the
+  /// intermediate written by one phase of the pass and read by the next.
+  double blocked = 0.0;
+};
+
+/// The traffic of `k` under preconditioner `m` (the fields a kernel reads
+/// and writes can depend on whether it applies M⁻¹).
+[[nodiscard]] constexpr Traffic traffic(Kernel k, PreconType m) {
+  const int apply = m == PreconType::kNone ? 0 : 1;
+  switch (k) {
+    case Kernel::kResidual: return {2, 2, 1};  // u, u0 → w, r
+    case Kernel::kSmvp: return {1, 1, 1};      // src → dst
+    case Kernel::kSmvpDot2: return {2, 1, 1};  // src, other → dst
+    case Kernel::kCopy: return {1, 1};
+    case Kernel::kAxpy:
+    case Kernel::kXpby: return {2, 1};
+    case Kernel::kDot: return {2, 0};
+    case Kernel::kNorm2: return {1, 0};
+    case Kernel::kCalcUr: return {4, 2};  // u, r, p, w → u, r
+    // ... and z = M⁻¹r under a preconditioner.
+    case Kernel::kCalcUrDot: return {4, 2.0 + apply, 0, apply};
+    // z, p, s, w, u, r → p, s, u, r, z (z = r without one).
+    case Kernel::kChronoUpdate: return {6, 5, 0, apply};
+    case Kernel::kPrecon: return {1, 1, 0, 1};    // kNone copies
+    case Kernel::kBlockInit: return {0, 2, 1};    // → cp, bfp
+    case Kernel::kChebyInit:                      // res → dir
+      return m == PreconType::kJacobiBlock ? Traffic{2, 2, 0, 1}
+                                           : Traffic{1, 1, 0, apply};
+    // res, w, dir, acc → res, dir, acc; w stays in L2 between the halves
+    // (block-Jacobi also writes its M⁻¹·res into w).
+    case Kernel::kChebyUpdate:
+      return {4, m == PreconType::kJacobiBlock ? 4.0 : 3.0, 0, apply, 2};
+    // u, u0, saved u → saved u, u; the saved copy stays in L2.
+    case Kernel::kJacobi: return {3, 2, 1, 0, 2};
+    case Kernel::kDowncast: return {1, 0.5};
+    case Kernel::kUpcast: return {0.5, 1};
+    case Kernel::kClearFp32: return {0, 3.5};
+    case Kernel::kAddCorrection: return {1.5, 1};
+  }
+  return {};
+}
 
 }  // namespace tealeaf::kernels

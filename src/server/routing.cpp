@@ -6,7 +6,6 @@
 #include <sstream>
 
 #include "model/scaling.hpp"
-#include "model/trace.hpp"
 #include "precon/preconditioner.hpp"
 #include "util/error.hpp"
 
@@ -88,11 +87,11 @@ RoutingTable RoutingTable::from_sweep(const SweepReport& report) {
     mc.entry.threads = cell.config.threads;
     mc.entry.mesh_n = cell.config.mesh_n;
     mc.entry.dims = cell.config.dims;
-    // Rank on per-step seconds so tables swept with different step counts
-    // stay comparable.
+    // Rank and project per step, so tables swept with different step
+    // counts stay comparable.
     mc.entry.seconds = cell.solve_seconds / table.steps_;
-    mc.iterations = cell.iterations;
-    mc.inner_steps = cell.inner_steps;
+    mc.iterations = static_cast<int>(
+        std::lround(static_cast<double>(cell.iterations) / table.steps_));
     table.cells_.push_back(std::move(mc));
   }
   return table;
@@ -154,16 +153,17 @@ std::vector<RouteEntry> RoutingTable::route(int dims, int mesh_n, int nranks,
       RouteEntry e = mc.entry;
       e.projected = true;
       if (!multigrid(e)) {
-        SolveStats stats;
-        stats.outer_iters = std::max(1, mc.iterations);
-        stats.inner_steps = mc.inner_steps;
-        if (e.config.op != OperatorKind::kStencil) {
-          // Stencil-assembled fill: the measured nnz/row is not in the
-          // sweep table, but the conduction operator's is exactly this.
-          stats.nnz_per_row = 2.0 * dims + 1.0;
+        auto traced = traces_.find(e.route_key());
+        if (traced == traces_.end()) {
+          traced = traces_
+                       .emplace(e.route_key(),
+                                fixed_iteration_run(e.overlay(e.config), dims))
+                       .first;
         }
-        const SolverRunSummary measured =
-            SolverRunSummary::from(e.config, stats, nearest);
+        SolverRunSummary measured = with_outer_iters(
+            traced->second,
+            std::max(0, mc.iterations - traced->second.presteps));
+        measured.mesh_n = nearest;
         const double base = source_model.run_seconds(measured, nranks);
         const double proj = target_model.run_seconds(
             project_to_mesh(measured, mesh_n), nranks);

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <map>
 #include <string>
 #include <vector>
 
@@ -85,7 +86,10 @@ struct RouteEntry {
 /// sweep's result table (typically the nightly sweep JSON artifact).
 /// For a shape the sweep measured, ranking is by measured seconds; for an
 /// unseen mesh size, the nearest measured mesh's entries are re-ranked by
-/// the scaling model's projection (iterations ∝ n — model/trace.hpp).
+/// the scaling model's projection (iterations ∝ n — model/trace.hpp) of
+/// the route's trace, recorded from a fixed-iteration solve of the route
+/// (fixed_iteration_run) the first time the route is projected and kept
+/// per route key.  Not thread-safe: route() may fill that cache.
 class RoutingTable {
  public:
   RoutingTable() = default;
@@ -151,12 +155,14 @@ class RoutingTable {
  private:
   struct MeasuredCell {
     RouteEntry entry;
-    /// Iteration structure backing the scaling-model projection.
+    /// Outer iterations per step (presteps included), backing the
+    /// scaling-model projection.
     int iterations = 0;
-    long long inner_steps = 0;
   };
 
   std::vector<MeasuredCell> cells_;
+  /// Fixed-iteration traces of the routes projected so far, by route key.
+  mutable std::map<std::string, SolverRunSummary> traces_;
   int ranks_ = 0;
   int steps_ = 1;  ///< timesteps each cell ran (seconds are per cell run)
   RouteLearnOptions learn_;

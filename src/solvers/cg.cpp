@@ -15,17 +15,18 @@ constexpr const char* kPwBreakdown =
     "CG breakdown: ⟨p, A·p⟩ <= 0 (operator not SPD?)";
 
 /// z = one V-cycle of r on the whole team, then ⟨r, z⟩ as a row-ordered
-/// reduction (`then_rows` also runs on each tile of that pass).  The
-/// V-cycle reads every r row, so a barrier orders it after the caller's
-/// r update; it ends in a barrier itself.
+/// reduction (`then_rows`, the kernels `then` names, also runs on each
+/// tile of that pass).  The V-cycle reads every r row, so a barrier
+/// orders it after the caller's r update; it ends in a barrier itself.
+/// The trace does not price the V-cycle (mg-pcg keeps its own model).
 template <class Rows>
 double v_cycle_dot(SimCluster2D& cl, Multigrid& mg, const Team& team,
-                   int tile_rows, Rows&& then_rows) {
+                   int tile_rows, const Kernels& then, Rows&& then_rows) {
   Chunk2D& c0 = cl.chunk(0);
   team.barrier();
   mg.v_cycle(c0.field(FieldId::kR), c0.field(FieldId::kZ), team);
   return cl.sum_rows_over_chunks(
-      team, tile_rows, [&](int, Chunk2D& c, const Bounds& tb) {
+      team, tile_rows, then, [&](int, Chunk2D& c, const Bounds& tb) {
         then_rows(c, tb);
         kernels::dot_rows(c, FieldId::kR, FieldId::kZ, tb, c.row_scratch());
       });
@@ -41,26 +42,33 @@ double cg_setup(SimCluster2D& cl, PreconType precon, const Team& team,
   cl.exchange(team, {FieldId::kU}, 1);
   if (precon == PreconType::kNone) {
     // r = u0 − A·u, p = r; rro = ⟨r,r⟩ folded into the residual sweep.
-    return cl.sum_over_chunks(team, [](int, Chunk2D& c) {
-      const double rr = kernels::calc_residual(c);
-      kernels::copy(c, FieldId::kP, FieldId::kR, interior_bounds(c));
-      return rr;
-    });
+    return cl.sum_over_chunks(
+        team, {Kernel::kResidual, Kernel::kCopy}, [](int, Chunk2D& c) {
+          const double rr = kernels::calc_residual(c);
+          kernels::copy(c, FieldId::kP, FieldId::kR, interior_bounds(c));
+          return rr;
+        });
   }
   if (precon == PreconType::kMultigrid) {
-    cl.for_each_chunk(team,
+    cl.for_each_chunk(team, {Kernel::kResidual},
                       [](int, Chunk2D& c) { kernels::calc_residual(c); });
-    return v_cycle_dot(cl, *mg, team, 0, [](Chunk2D& c, const Bounds& tb) {
-      kernels::copy(c, FieldId::kP, FieldId::kZ, tb);
-    });
+    return v_cycle_dot(cl, *mg, team, 0, {Kernel::kCopy, Kernel::kDot},
+                       [](Chunk2D& c, const Bounds& tb) {
+                         kernels::copy(c, FieldId::kP, FieldId::kZ, tb);
+                       });
   }
-  cl.for_each_chunk(team, [&](int, Chunk2D& c) {
+  const bool block = precon == PreconType::kJacobiBlock;
+  const Kernels set_up =
+      block ? Kernels{Kernel::kResidual, Kernel::kBlockInit, Kernel::kPrecon,
+                      Kernel::kCopy}
+            : Kernels{Kernel::kResidual, Kernel::kPrecon, Kernel::kCopy};
+  cl.for_each_chunk(team, set_up, [&](int, Chunk2D& c) {
     kernels::calc_residual(c);
-    if (precon == PreconType::kJacobiBlock) kernels::block_jacobi_init(c);
+    if (block) kernels::block_jacobi_init(c);
     kernels::apply_preconditioner(c, precon, FieldId::kR, FieldId::kZ);
     kernels::copy(c, FieldId::kP, FieldId::kZ, interior_bounds(c));
   });
-  return cl.sum_over_chunks(team, [](int, const Chunk2D& c) {
+  return cl.sum_over_chunks(team, {Kernel::kDot}, [](int, const Chunk2D& c) {
     return kernels::dot(c, FieldId::kR, FieldId::kZ);
   });
 }
@@ -71,7 +79,7 @@ double cg_iteration(SimCluster2D& cl, PreconType precon, double rro,
   const auto interior = [](int, Chunk2D& c) { return interior_bounds(c); };
   cl.exchange(team, {FieldId::kP}, 1);
   const double pw = cl.sum_rows_over_chunks(
-      team, tile_rows, [](int, Chunk2D& c, const Bounds& tb) {
+      team, tile_rows, {Kernel::kSmvp}, [](int, Chunk2D& c, const Bounds& tb) {
         kernels::smvp_dot_rows(c, FieldId::kP, FieldId::kW,
                                interior_bounds(c), tb, c.row_scratch());
       });
@@ -88,15 +96,16 @@ double cg_iteration(SimCluster2D& cl, PreconType precon, double rro,
   if (precon == PreconType::kMultigrid) {
     // The V-cycle couples the whole grid: row-tile the pointwise update,
     // then precondition and reduce ⟨r,z⟩.
-    cl.for_each_tile(team, tile_rows, interior,
+    cl.for_each_tile(team, tile_rows, interior, {Kernel::kCalcUr},
                      [&](int, Chunk2D& c, const Bounds& tb) {
                        kernels::cg_calc_ur_rows(c, alpha, tb);
                      });
-    rrn = v_cycle_dot(cl, *mg, team, tile_rows,
+    rrn = v_cycle_dot(cl, *mg, team, tile_rows, {Kernel::kDot},
                       [](Chunk2D&, const Bounds&) {});
   } else {
     rrn = cl.sum_rows_over_chunks(
-        team, tile_rows, [&](int, Chunk2D& c, const Bounds& tb) {
+        team, tile_rows, {Kernel::kCalcUrDot},
+        [&](int, Chunk2D& c, const Bounds& tb) {
           kernels::calc_ur_dot_rows(c, alpha, precon, tb, c.row_scratch());
         });
   }
@@ -104,7 +113,7 @@ double cg_iteration(SimCluster2D& cl, PreconType precon, double rro,
   const double beta = rrn / rro;
   const FieldId zsrc =
       (precon == PreconType::kNone) ? FieldId::kR : FieldId::kZ;
-  cl.for_each_tile(team, tile_rows, interior,
+  cl.for_each_tile(team, tile_rows, interior, {Kernel::kXpby},
                    [&](int, Chunk2D& c, const Bounds& tb) {
                      kernels::xpby(c, FieldId::kP, zsrc, beta, tb);
                    });
@@ -119,19 +128,24 @@ double cg_iteration(SimCluster2D& cl, PreconType precon, double rro,
 bool cg_presteps(SimCluster2D& cl, const SolverConfig& cfg, int steps,
                  double target, double& rro, CGRecurrence& rec,
                  SolveStats& st, const Team& team) {
+  cl.set_phase(team, Phase::kPrestep);
+  const auto done = [&](bool broke) {
+    cl.set_phase(team, Phase::kSetup);
+    return broke;
+  };
   for (int i = 0; i < steps; ++i) {
     bool broke = false;
     rro = cg_iteration(cl, cfg.precon, rro, &rec, broke, team,
                        cfg.tile_rows);
     ++st.spmv_applies;
-    if (broke) return true;
+    if (broke) return done(true);
     ++st.eigen_cg_iters;
     if (std::sqrt(std::fabs(rro)) <= target) {
       st.converged = true;
       break;
     }
   }
-  return false;
+  return done(false);
 }
 
 SolveStats CGSolver::solve_classic(SimCluster2D& cl, const SolverConfig& cfg,
@@ -151,6 +165,7 @@ SolveStats CGSolver::solve_classic(SimCluster2D& cl, const SolverConfig& cfg,
   const double target = cfg.eps * st.initial_norm;
 
   double rrn = rro;
+  cl.set_phase(team, Phase::kIteration);
   while (st.outer_iters < cfg.max_iters) {
     // Every thread computed the same rank-ordered sums, so the breakdown
     // and convergence branches are uniform across the team.
@@ -190,7 +205,8 @@ SolveStats CGSolver::solve_chrono(SimCluster2D& cl, const SolverConfig& cfg,
   const auto interior = [](int, Chunk2D& c) { return interior_bounds(c); };
   const auto smvp_dot2_pair = [&] {
     return cl.sum2_rows_over_chunks(
-        team, tile, [](int, Chunk2D& c, const Bounds& tb) {
+        team, tile, {Kernel::kSmvpDot2},
+        [](int, Chunk2D& c, const Bounds& tb) {
           kernels::smvp_dot2_rows(c, FieldId::kZ, FieldId::kW, FieldId::kR,
                                   interior_bounds(c), tb, c.row_scratch());
         });
@@ -198,9 +214,13 @@ SolveStats CGSolver::solve_chrono(SimCluster2D& cl, const SolverConfig& cfg,
 
   // Bootstrap: r = u0 − A·u, z = M⁻¹r, then the first fused pair.
   cl.exchange(team, {FieldId::kU}, 1);
-  cl.for_each_chunk(team, [&](int, Chunk2D& c) {
+  const bool block = cfg.precon == PreconType::kJacobiBlock;
+  const Kernels set_up =
+      block ? Kernels{Kernel::kResidual, Kernel::kBlockInit, Kernel::kPrecon}
+            : Kernels{Kernel::kResidual, Kernel::kPrecon};
+  cl.for_each_chunk(team, set_up, [&](int, Chunk2D& c) {
     kernels::calc_residual(c);
-    if (cfg.precon == PreconType::kJacobiBlock) kernels::block_jacobi_init(c);
+    if (block) kernels::block_jacobi_init(c);
     kernels::apply_preconditioner(c, cfg.precon, FieldId::kR, FieldId::kZ);
   });
   cl.exchange(team, {FieldId::kZ}, 1);
@@ -225,8 +245,9 @@ SolveStats CGSolver::solve_chrono(SimCluster2D& cl, const SolverConfig& cfg,
   double alpha = gamma / delta;
   double beta = 0.0;  // first step: p = z, s = w
 
+  cl.set_phase(team, Phase::kIteration);
   while (st.outer_iters < cfg.max_iters) {
-    cl.for_each_tile(team, tile, interior,
+    cl.for_each_tile(team, tile, interior, {Kernel::kChronoUpdate},
                      [&](int, Chunk2D& c, const Bounds& tb) {
                        kernels::cg_chrono_update_rows(c, alpha, beta,
                                                       cfg.precon, tb);

@@ -20,13 +20,14 @@ void cheby_step(SimCluster2D& cl, const Team& team, int tile_rows, int ext,
     return extended_bounds(c, ext);
   };
   cl.for_each_tile(team, tile_rows, ext_bounds,
+                   Kernels({Kernel::kSmvp, Kernel::kChebyUpdate}, ext),
                    [&](int, Chunk2D& c, const Bounds& tb) {
                      kernels::cheby_step_tile(c, res, dir, acc, alpha, beta,
                                               precon, extended_bounds(c, ext),
                                               tb);
                    });
   team.barrier();  // edge rows must see every block's stencil pass
-  cl.for_each_tile(team, tile_rows, ext_bounds,
+  cl.for_each_tile(team, tile_rows, ext_bounds, {},
                    [&](int, Chunk2D& c, const Bounds& tb) {
                      kernels::cheby_step_tile_edges(
                          c, res, dir, acc, alpha, beta, precon,
@@ -47,7 +48,8 @@ double cheby_iterate(SimCluster2D& cl, PreconType precon, double alpha,
              FieldId::kU, alpha, beta);
   if (!check) return 0.0;
   return cl.sum_rows_over_chunks(
-      team, tile_rows, [](int, Chunk2D& c, const Bounds& tb) {
+      team, tile_rows, {Kernel::kNorm2},
+      [](int, Chunk2D& c, const Bounds& tb) {
         kernels::dot_rows(c, FieldId::kR, FieldId::kR, tb, c.row_scratch());
       });
 }
@@ -71,9 +73,10 @@ SolveStats ChebyshevSolver::solve_team(SimCluster2D& cl,
 
   // True 2-norm of the initial residual: the Chebyshev phase converges on
   // ‖r‖₂ (it has no ⟨r,z⟩ byproduct), so record the matching baseline.
-  const double bb_rr = cl.sum_over_chunks(team, [](int, const Chunk2D& c) {
-    return kernels::norm2_sq(c, FieldId::kR);
-  });
+  const double bb_rr =
+      cl.sum_over_chunks(team, {Kernel::kNorm2}, [](int, const Chunk2D& c) {
+        return kernels::norm2_sq(c, FieldId::kR);
+      });
   const double target_rr = cfg.eps * std::sqrt(bb_rr);
 
   // Breakdown before the Chebyshev phase: the presteps' recurrence.
@@ -125,6 +128,7 @@ SolveStats ChebyshevSolver::solve_team(SimCluster2D& cl,
   team.barrier();
   cl.for_each_tile(team, cfg.tile_rows,
                    [](int, Chunk2D& c) { return interior_bounds(c); },
+                   {Kernel::kChebyInit, Kernel::kAxpy},
                    [&](int, Chunk2D& c, const Bounds& tb) {
                      kernels::cheby_init_dir(c, FieldId::kR, FieldId::kP,
                                              cc.theta, cfg.precon, tb);
@@ -132,6 +136,7 @@ SolveStats ChebyshevSolver::solve_team(SimCluster2D& cl,
                    });
   int step = 0;
   double rr = bb_rr;
+  cl.set_phase(team, Phase::kIteration);
   while (st.eigen_cg_iters + step < cfg.max_iters) {
     const bool check = (step + 1) % cfg.cheby_check_interval == 0;
     const double rr_t = cheby_iterate(cl, cfg.precon, cc.alphas[step],

@@ -34,7 +34,7 @@ void PPCGSolver::apply_inner(SimCluster2D& cl, const SolverConfig& cfg,
   // because the bootstrap touches only the interior.
   cl.for_each_tile(team, tile,
                    [](int, Chunk2D& c) { return interior_bounds(c); },
-                   [](int, Chunk2D& c, const Bounds& tb) {
+                   {Kernel::kCopy}, [](int, Chunk2D& c, const Bounds& tb) {
                      kernels::copy(c, FieldId::kRtemp, FieldId::kR, tb);
                    });
   if (d > 1) cl.exchange(team, {FieldId::kRtemp}, d);
@@ -45,6 +45,7 @@ void PPCGSolver::apply_inner(SimCluster2D& cl, const SolverConfig& cfg,
   if (d == 1) team.barrier();  // rtemp copy visible
   cl.for_each_tile(team, tile,
                    [ext](int, Chunk2D& c) { return extended_bounds(c, ext); },
+                   Kernels({Kernel::kChebyInit, Kernel::kCopy}, ext),
                    [&](int, Chunk2D& c, const Bounds& tb) {
                      kernels::cheby_init_dir(c, FieldId::kRtemp,
                                              FieldId::kSd, cc.theta,
@@ -152,7 +153,7 @@ SolveStats PPCGSolver::solve_team(SimCluster2D& cl, const SolverConfig& cfg,
   /// ⟨r, z⟩ after apply_inner (which leaves z ordered for this reduction).
   const auto dot_rz = [&] {
     return cl.sum_rows_over_chunks(
-        team, tile, [](int, Chunk2D& c, const Bounds& tb) {
+        team, tile, {Kernel::kDot}, [](int, Chunk2D& c, const Bounds& tb) {
           kernels::dot_rows(c, FieldId::kR, FieldId::kZ, tb,
                             c.row_scratch());
         });
@@ -161,7 +162,7 @@ SolveStats PPCGSolver::solve_team(SimCluster2D& cl, const SolverConfig& cfg,
   // --- restart the outer PCG with the polynomial preconditioner ---------
   apply_inner(cl, cfg, cc, nullptr, team);
   rro = dot_rz();
-  cl.for_each_tile(team, tile, interior,
+  cl.for_each_tile(team, tile, interior, {Kernel::kCopy},
                    [](int, Chunk2D& c, const Bounds& tb) {
                      kernels::copy(c, FieldId::kP, FieldId::kZ, tb);
                    });
@@ -174,6 +175,7 @@ SolveStats PPCGSolver::solve_team(SimCluster2D& cl, const SolverConfig& cfg,
   }
 
   double rrn = rro;
+  cl.set_phase(team, Phase::kIteration);
   while (st.eigen_cg_iters + st.outer_iters < cfg.max_iters) {
     // This whole body runs in the caller's ONE region: p exchange, fused
     // smvp+dot, u/r update, the inner
@@ -181,7 +183,7 @@ SolveStats PPCGSolver::solve_team(SimCluster2D& cl, const SolverConfig& cfg,
     // and both reductions.
     cl.exchange(team, {FieldId::kP}, 1);
     const double pw = cl.sum_rows_over_chunks(
-        team, tile, [](int, Chunk2D& c, const Bounds& tb) {
+        team, tile, {Kernel::kSmvp}, [](int, Chunk2D& c, const Bounds& tb) {
           kernels::smvp_dot_rows(c, FieldId::kP, FieldId::kW,
                                  interior_bounds(c), tb, c.row_scratch());
         });
@@ -195,14 +197,14 @@ SolveStats PPCGSolver::solve_team(SimCluster2D& cl, const SolverConfig& cfg,
     const double alpha = rro / pw;
     // apply_inner's first pass copies r through the same tile
     // decomposition, so each r row is read by the thread that wrote it.
-    cl.for_each_tile(team, tile, interior,
+    cl.for_each_tile(team, tile, interior, {Kernel::kCalcUr},
                      [&](int, Chunk2D& c, const Bounds& tb) {
                        kernels::cg_calc_ur_rows(c, alpha, tb);
                      });
     apply_inner(cl, cfg, cc, nullptr, team);
     const double rrn_t = dot_rz();
     const double beta = rrn_t / rro;
-    cl.for_each_tile(team, tile, interior,
+    cl.for_each_tile(team, tile, interior, {Kernel::kXpby},
                      [&](int, Chunk2D& c, const Bounds& tb) {
                        kernels::xpby(c, FieldId::kP, FieldId::kZ, beta, tb);
                      });

@@ -22,13 +22,18 @@ namespace tealeaf {
 
 namespace {
 
-/// Record the measured fill of an assembled operator so the scaling model
-/// can price SpMV traffic from real nnz instead of the stencil constant.
-void note_operator_fill(const SimCluster2D& cl, SolveStats& stats) {
+/// Record the measured fill of an assembled operator, and hand the solve
+/// its trace: what the cluster counted since the solve began, with the
+/// preconditioner and fill its kernels' traffic depends on.
+void finish_stats(const SimCluster2D& cl, const SolverConfig& resolved,
+                  SolveStats& stats) {
   const Chunk& c = cl.chunk(0);
   if (c.op_kind() != OperatorKind::kStencil && c.csr() != nullptr) {
     stats.nnz_per_row = c.csr()->nnz_per_row();
   }
+  stats.trace = cl.trace();
+  stats.trace.precon = resolved.precon;
+  stats.trace.nnz_per_row = stats.nnz_per_row;
 }
 
 /// Resolve tile_rows = -1 ("auto"): size the row-blocks from the modelled
@@ -62,6 +67,7 @@ SolverConfig resolve(const SimCluster2D& cl, const SolverConfig& cfg,
 /// multigrid config (see dispatch_native).
 SolveStats solve_body(SimCluster2D& cl, const SolverConfig& resolved,
                       const Team& team, Multigrid* mg) {
+  cl.set_phase(team, Phase::kSetup);
   switch (resolved.type) {
     case SolverType::kJacobi:
       return JacobiSolver::solve_team(cl, resolved, team);
@@ -128,7 +134,13 @@ void downcast_field(Chunk& c, FieldId dst32, FieldId src64) {
 /// by downcasting fp64-assembled values — so the fp32 stencil and the
 /// fp32 CSR stay bitwise equal to each other.
 void build_fp32_operator(SimCluster2D& cl) {
-  cl.for_each_chunk([&](int, Chunk& c) {
+  const int h = cl.halo_depth();
+  const Kernels downcasts =
+      cl.mesh().dims == 3
+          ? Kernels({Kernel::kDowncast, Kernel::kDowncast, Kernel::kDowncast},
+                    h)
+          : Kernels({Kernel::kDowncast, Kernel::kDowncast}, h);
+  cl.for_each_chunk(downcasts, [&](int, Chunk& c) {
     c.enable_fp32();
     downcast_field(c, FieldId::kKx, FieldId::kKx);
     downcast_field(c, FieldId::kKy, FieldId::kKy);
@@ -155,10 +167,13 @@ void set_fp32_active(SimCluster2D& cl, bool active) {
 }
 
 /// fp64 true residual r = u0 − A·u on the fp64 bank (fp32 must be
-/// inactive).  Exchanges u to depth 1 first; returns ‖r‖².
+/// inactive), the refinement guard.  Exchanges u to depth 1 first;
+/// returns ‖r‖².
 double fp64_true_residual(SimCluster2D& cl) {
+  cl.set_phase(Phase::kGuard);
   cl.exchange({FieldId::kU}, 1);
   return cl.sum_over_chunks(
+      {Kernel::kResidual},
       [](int, Chunk& c) { return kernels::calc_residual(c); });
 }
 
@@ -181,7 +196,10 @@ void accumulate_inner(SolveStats& agg, const SolveStats& inner) {
 /// recorded honestly for the sweep to price), upcast the iterate.
 SolveStats solve_single(SimCluster2D& cl, const SolverConfig& resolved) {
   build_fp32_operator(cl);
-  cl.for_each_chunk([&](int, Chunk& c) {
+  const Kernels inputs(
+      {Kernel::kClearFp32, Kernel::kDowncast, Kernel::kDowncast},
+      cl.halo_depth());
+  cl.for_each_chunk(inputs, [&](int, Chunk& c) {
     clear_fp32_workspace(c);
     downcast_field(c, FieldId::kU, FieldId::kU);
     downcast_field(c, FieldId::kU0, FieldId::kU0);
@@ -189,7 +207,8 @@ SolveStats solve_single(SimCluster2D& cl, const SolverConfig& resolved) {
   set_fp32_active(cl, true);
   SolveStats stats = dispatch_native(cl, resolved);
   set_fp32_active(cl, false);
-  cl.for_each_chunk([&](int, Chunk& c) {
+  cl.set_phase(Phase::kSetup);
+  cl.for_each_chunk({Kernel::kUpcast}, [&](int, Chunk& c) {
     Field<double>& u = c.u();
     const Field<float>& u32 = c.field32(FieldId::kU);
     const Bounds b = interior_bounds(c);
@@ -228,13 +247,17 @@ SolveStats solve_mixed(SimCluster2D& cl, const SolverConfig& resolved) {
   }
   const double target = resolved.eps * stats.initial_norm;
 
+  cl.set_phase(Phase::kSetup);
   build_fp32_operator(cl);
   double norm = stats.initial_norm;
   int stalls = 0;
   for (int ref = 0; ref <= kMaxRefines; ++ref) {
     // Correction system: fp32 right-hand side = the current fp64
     // residual; zero fp32 initial guess.
-    cl.for_each_chunk([&](int, Chunk& c) {
+    cl.set_phase(Phase::kSetup);
+    const Kernels rhs({Kernel::kClearFp32, Kernel::kDowncast},
+                      cl.halo_depth());
+    cl.for_each_chunk(rhs, [&](int, Chunk& c) {
       clear_fp32_workspace(c);
       downcast_field(c, FieldId::kU0, FieldId::kR);
     });
@@ -251,7 +274,8 @@ SolveStats solve_mixed(SimCluster2D& cl, const SolverConfig& resolved) {
       break;
     }
     // u += δ in fp64, then the fp64 truth test.
-    cl.for_each_chunk([&](int, Chunk& c) {
+    cl.set_phase(Phase::kGuard);
+    cl.for_each_chunk({Kernel::kAddCorrection}, [&](int, Chunk& c) {
       Field<double>& u = c.u();
       const Field<float>& du = c.field32(FieldId::kU);
       const Bounds b = interior_bounds(c);
@@ -310,21 +334,24 @@ SolveStats run_solver(SimCluster2D& cl, const SolverConfig& cfg,
                       const MachineSpec& machine) {
   check_solvable(cl, cfg);
   const SolverConfig resolved = resolve(cl, cfg, machine);
+  cl.reset_trace();
   SolveStats stats;
   switch (resolved.precision) {
     case Precision::kDouble: stats = dispatch_native(cl, resolved); break;
     case Precision::kSingle: stats = solve_single(cl, resolved); break;
     case Precision::kMixed: stats = solve_mixed(cl, resolved); break;
   }
-  note_operator_fill(cl, stats);
+  finish_stats(cl, resolved, stats);
   return stats;
 }
 
 SolveStats run_solver_team(SimCluster2D& cl, const SolverConfig& cfg,
                            const Team& team, const MachineSpec& machine) {
-  SolveStats stats =
-      solve_body(cl, resolve(cl, cfg, machine), team, /*mg=*/nullptr);
-  note_operator_fill(cl, stats);
+  const SolverConfig resolved = resolve(cl, cfg, machine);
+  // Only thread 0 records, so only its stats carry the trace.
+  if (team.thread_id() == 0) cl.reset_trace();
+  SolveStats stats = solve_body(cl, resolved, team, /*mg=*/nullptr);
+  if (team.thread_id() == 0) finish_stats(cl, resolved, stats);
   return stats;
 }
 

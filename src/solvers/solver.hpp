@@ -39,7 +39,8 @@ void check_solvable(const SimCluster2D& cl, const SolverConfig& cfg);
 /// Team-injected dispatch: the ENTIRE solve runs on `team` inside the
 /// caller's already-open parallel region.  Every thread of the team must
 /// call with identical arguments; the returned stats are identical on
-/// every thread (up to per-thread wall-clock).  `team` may be a sub-team
+/// every thread (up to per-thread wall-clock), except that only thread
+/// 0's carry the trace (thread 0 records it) and the operator fill.  `team` may be a sub-team
 /// — the solve-server's batch engine runs one request per sub-team,
 /// concurrently, inside ONE region.  cfg must have passed check_solvable
 /// on `cl` and be batchable (fp64 and no multigrid preconditioner: both

@@ -3,6 +3,7 @@
 #include <string>
 #include <vector>
 
+#include "comm/solve_trace.hpp"
 #include "ops/operator_kind.hpp"
 #include "precon/preconditioner.hpp"
 
@@ -241,9 +242,11 @@ struct SolveStats {
   /// preconditioner.
   double setup_seconds = 0.0;
   /// Measured fill of the assembled operator (0 = matrix-free stencil).
-  /// The scaling model prices SpMV traffic from this instead of the
-  /// stencil's fixed bytes-per-cell when it is set.
   double nnz_per_row = 0.0;
+  /// What the solve ran — kernel launches, halo exchanges and reductions
+  /// per phase — as its cluster counted them: the performance model's
+  /// one description of the solve (model/trace.hpp).
+  SolveTrace trace;
 };
 
 }  // namespace tealeaf

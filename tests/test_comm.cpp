@@ -100,8 +100,9 @@ TEST(Exchange, MessageAndByteAccounting2x2) {
   // only toward the single x-neighbour (the other side is the physical
   // boundary and holds no exchanged data): depth·(nx+d)·8 = 2*10*8 = 160.
   EXPECT_EQ(cl.stats().message_bytes, 4 * 128 + 4 * 160);
-  EXPECT_EQ(cl.stats().messages_by_depth.at(2), 8);
   EXPECT_EQ(cl.stats().exchange_calls, 1);
+  ASSERT_EQ(cl.trace().exchanges.size(), 1u);
+  EXPECT_EQ(cl.trace().exchanges[0].depth, 2);
 }
 
 TEST(Exchange, ColumnDecompositionChargesNoCornerColumns) {
@@ -184,7 +185,6 @@ TEST(Stats, ResetClearsEverything) {
   EXPECT_EQ(cl.stats().messages, 0);
   EXPECT_EQ(cl.stats().reductions, 0);
   EXPECT_EQ(cl.stats().exchange_calls, 0);
-  EXPECT_TRUE(cl.stats().messages_by_depth.empty());
 }
 
 TEST(SimCluster, AllocationFailureIsATeaErrorNotTerminate) {

@@ -50,7 +50,7 @@ TEST_P(ExchangeProperty, HaloConsistencyAndAccounting) {
     }
   }
 
-  const CommCounts cc =
+  const CommStats cc =
       exchange_counts(cl.decomposition(), ec.depth, /*nfields=*/1);
   EXPECT_EQ(cc.messages, cl.stats().messages);
   EXPECT_EQ(cc.message_bytes, cl.stats().message_bytes);
@@ -126,7 +126,7 @@ TEST_P(Exchange3DProperty, HaloConsistencyAndAccounting) {
     }
   }
 
-  const CommCounts cc =
+  const CommStats cc =
       exchange_counts(cl.decomposition(), ec.depth, /*nfields=*/1);
   EXPECT_EQ(cc.messages, cl.stats().messages);
   EXPECT_EQ(cc.message_bytes, cl.stats().message_bytes);
@@ -159,7 +159,9 @@ TEST(Exchange3DProperty, MultiFieldDeepExchangeSharesMessages) {
   two.exchange({FieldId::kU, FieldId::kP}, 3);
   EXPECT_EQ(two.stats().messages, one.stats().messages);
   EXPECT_EQ(two.stats().message_bytes, 2 * one.stats().message_bytes);
-  EXPECT_EQ(two.stats().bytes_by_depth.at(3), two.stats().message_bytes);
+  ASSERT_EQ(two.trace().exchanges.size(), 1u);
+  EXPECT_EQ(two.trace().exchanges[0].depth, 3);
+  EXPECT_EQ(two.trace().exchanges[0].fields, 2);
 }
 
 TEST(ExchangeProperty, RepeatedExchangeIsIdempotent) {
@@ -215,13 +217,16 @@ TEST(ExchangeProperty, StatsAggregateAcrossCalls) {
   cl.exchange({FieldId::kU}, 1);
   cl.exchange({FieldId::kU, FieldId::kP}, 3);
   EXPECT_EQ(cl.stats().exchange_calls, 2);
-  EXPECT_EQ(cl.stats().messages_by_depth.at(1), 8);
-  EXPECT_EQ(cl.stats().messages_by_depth.at(3), 8);
+  EXPECT_EQ(cl.stats().messages, 16);
+  // The trace keeps the two exchanges apart by depth.
+  ASSERT_EQ(cl.trace().exchanges.size(), 2u);
+  EXPECT_EQ(cl.trace().exchanges[0].depth, 1);
+  EXPECT_EQ(cl.trace().exchanges[1].depth, 3);
   CommStats copy;
   copy += cl.stats();
   copy += cl.stats();
   EXPECT_EQ(copy.messages, 2 * cl.stats().messages);
-  EXPECT_EQ(copy.bytes_by_depth.at(3), 2 * cl.stats().bytes_by_depth.at(3));
+  EXPECT_EQ(copy.message_bytes, 2 * cl.stats().message_bytes);
 }
 
 }  // namespace

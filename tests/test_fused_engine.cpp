@@ -76,9 +76,10 @@ TEST(TeamCluster, SumOverChunksMatchesStandaloneBitwise) {
   cl->reset_stats();
   double team_total = 0.0;
   parallel_region([&](Team& t) {
-    const double v = cl->sum_over_chunks(t, [](int, const Chunk2D& c) {
-      return kernels::norm2_sq(c, FieldId::kU);
-    });
+    const double v =
+        cl->sum_over_chunks(t, {Kernel::kNorm2}, [](int, const Chunk2D& c) {
+          return kernels::norm2_sq(c, FieldId::kU);
+        });
     t.single([&] { team_total = v; });
   });
   EXPECT_EQ(team_total, serial);  // rank-ordered partials: bitwise equal
@@ -214,13 +215,13 @@ TEST(FusedKernels, CalcUrDotMatchesComposedSweeps) {
       if (block) {
         b->for_each_tile(
             t, 0, [](int, Chunk2D& c) { return interior_bounds(c); },
-            [&](int, Chunk2D& c, const Bounds& tb) {
+            {Kernel::kCalcUr}, [&](int, Chunk2D& c, const Bounds& tb) {
               kernels::cg_calc_ur_rows(c, alpha, tb);
             });
         return;
       }
       const double v = b->sum_rows_over_chunks(
-          t, 0, [&](int, Chunk2D& c, const Bounds& tb) {
+          t, 0, {Kernel::kCalcUrDot}, [&](int, Chunk2D& c, const Bounds& tb) {
             kernels::calc_ur_dot_rows(c, alpha, precon, tb, c.row_scratch());
           });
       t.single([&] { got = v; });

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
+#include "driver/sweep.hpp"
 #include "model/machine.hpp"
 #include "model/scaling.hpp"
 #include "model/trace.hpp"
@@ -11,122 +14,160 @@ namespace {
 
 using testing::make_test_problem;
 
-/// The heart of the substitution argument (DESIGN.md §2.2): the analytic
-/// trace must reproduce the counted communication of real runs exactly —
-/// same exchanges, same messages, same bytes, same reductions.
+/// A fixed-iteration configuration: eps at the smallest normal double
+/// (validate() rejects 0), so no solve converges and every run of the
+/// same configuration performs the same iterations whatever its
+/// decomposition; `loop` main-loop iterations after the presteps.
+SolverConfig fixed_config(SolverType type, int loop) {
+  SolverConfig cfg;
+  cfg.type = type;
+  cfg.eps = std::numeric_limits<double>::min();
+  cfg.eigen_cg_iters = 10;
+  cfg.inner_steps = 9;
+  cfg.cheby_check_interval = 5;
+  const bool presteps =
+      type == SolverType::kChebyshev || type == SolverType::kPPCG;
+  cfg.max_iters = loop + (presteps ? cfg.eigen_cg_iters : 0);
+  return cfg;
+}
+
+/// A run of `cfg` with no measured trace: a fixed-iteration trace held at
+/// `outer_iters` main-loop iterations on an n² mesh.
+SolverRunSummary held_run(const SolverConfig& cfg, int outer_iters,
+                          int mesh_n) {
+  SolverRunSummary run =
+      with_outer_iters(fixed_iteration_run(cfg, 2), outer_iters);
+  run.mesh_n = mesh_n;
+  return run;
+}
+
+/// The heart of the substitution argument: the trace one solve records
+/// is its communication at ANY decomposition.  A trace recorded on one
+/// rank, priced at 2, 4 and 8 ranks, equals what those runs count —
+/// same exchanges, messages, bytes and reductions.
 struct TraceCase {
   SolverType type;
-  PreconType precon;
-  int halo_depth;
-  int nranks;
+  PreconType precon = PreconType::kNone;
+  int halo_depth = 1;
+  Precision precision = Precision::kDouble;
+  int dims = 2;
 };
+
+std::unique_ptr<SimCluster> problem(const TraceCase& tc, int nranks) {
+  const int halo = std::max(2, tc.halo_depth);
+  return tc.dims == 3 ? testing::make_test_problem_3d(16, nranks, halo, 8.0)
+                      : make_test_problem(36, nranks, halo, 8.0);
+}
 
 class TraceValidation : public ::testing::TestWithParam<TraceCase> {};
 
-TEST_P(TraceValidation, PredictedCommCountsMatchCountedStats) {
+TEST_P(TraceValidation, OneRankTracePricesEveryDecomposition) {
   const TraceCase tc = GetParam();
-  SolverConfig cfg;
-  cfg.type = tc.type;
+  SolverConfig cfg =
+      fixed_config(tc.type, tc.type == SolverType::kChebyshev ? 10 : 3);
   cfg.precon = tc.precon;
   cfg.halo_depth = tc.halo_depth;
-  cfg.eps = (tc.type == SolverType::kJacobi) ? 1e-6 : 1e-10;
-  cfg.max_iters = 100000;
-  cfg.eigen_cg_iters = 10;
-  cfg.inner_steps = 9;
+  cfg.precision = tc.precision;
 
-  const int n = 36;
-  auto cl = make_test_problem(n, tc.nranks, std::max(2, tc.halo_depth), 8.0);
-  const SolveStats st = run_solver(*cl, cfg);
-  ASSERT_TRUE(st.converged);
-
-  const SolverRunSummary run = SolverRunSummary::from(cfg, st, n);
-  const CommCounts predicted =
-      predict_comm_counts(run, cl->decomposition(), cl->mesh());
-  const CommStats& counted = cl->stats();
-
-  EXPECT_EQ(predicted.exchange_calls, counted.exchange_calls);
-  EXPECT_EQ(predicted.messages, counted.messages);
-  EXPECT_EQ(predicted.message_bytes, counted.message_bytes);
-  EXPECT_EQ(predicted.reductions, counted.reductions);
+  auto one = problem(tc, 1);
+  const SolveStats recorded = run_solver(*one, cfg);
+  ASSERT_FALSE(recorded.converged);
+  // A mixed solve refines until its stall guard stops it.
+  ASSERT_EQ(recorded.breakdown, tc.precision == Precision::kMixed);
+  for (const int nranks : {2, 4, 8}) {
+    auto cl = problem(tc, nranks);
+    const SolveStats st = run_solver(*cl, cfg);
+    ASSERT_EQ(st.outer_iters, recorded.outer_iters) << nranks;
+    ASSERT_EQ(st.refine_steps, recorded.refine_steps) << nranks;
+    const CommStats predicted =
+        predict_comm_counts(recorded.trace, cl->decomposition());
+    const CommStats& counted = cl->stats();
+    EXPECT_EQ(predicted.exchange_calls, counted.exchange_calls) << nranks;
+    EXPECT_EQ(predicted.messages, counted.messages) << nranks;
+    EXPECT_EQ(predicted.message_bytes, counted.message_bytes) << nranks;
+    EXPECT_EQ(predicted.reductions, counted.reductions) << nranks;
+  }
 }
 
+constexpr SolverType kJacobi = SolverType::kJacobi;
+constexpr SolverType kCG = SolverType::kCG;
+constexpr SolverType kCheby = SolverType::kChebyshev;
+constexpr SolverType kPPCG = SolverType::kPPCG;
+constexpr PreconType kNone = PreconType::kNone;
+constexpr PreconType kDiag = PreconType::kJacobiDiag;
+constexpr PreconType kBlock = PreconType::kJacobiBlock;
+
 INSTANTIATE_TEST_SUITE_P(
-    SolversAndDepths, TraceValidation,
+    SolversDepthsPrecisionsAndGeometries, TraceValidation,
     ::testing::Values(
-        TraceCase{SolverType::kCG, PreconType::kNone, 1, 4},
-        TraceCase{SolverType::kCG, PreconType::kJacobiDiag, 1, 6},
-        TraceCase{SolverType::kCG, PreconType::kJacobiBlock, 1, 4},
-        TraceCase{SolverType::kJacobi, PreconType::kNone, 1, 4},
-        TraceCase{SolverType::kChebyshev, PreconType::kNone, 1, 4},
-        TraceCase{SolverType::kPPCG, PreconType::kNone, 1, 4},
-        TraceCase{SolverType::kPPCG, PreconType::kNone, 2, 4},
-        TraceCase{SolverType::kPPCG, PreconType::kNone, 4, 6},
-        TraceCase{SolverType::kPPCG, PreconType::kJacobiDiag, 3, 9},
-        TraceCase{SolverType::kPPCG, PreconType::kNone, 8, 2}),
+        TraceCase{kCG}, TraceCase{kCG, kDiag}, TraceCase{kCG, kBlock},
+        TraceCase{kJacobi}, TraceCase{kCheby}, TraceCase{kPPCG},
+        TraceCase{kPPCG, kNone, 2}, TraceCase{kPPCG, kNone, 4},
+        TraceCase{kPPCG, kDiag, 3}, TraceCase{kPPCG, kNone, 8},
+        TraceCase{kCG, kNone, 1, Precision::kSingle},
+        TraceCase{kJacobi, kNone, 1, Precision::kSingle},
+        TraceCase{kCG, kNone, 1, Precision::kMixed},
+        TraceCase{kPPCG, kNone, 2, Precision::kMixed},
+        TraceCase{kJacobi, kNone, 1, Precision::kDouble, 3},
+        TraceCase{kCG, kNone, 1, Precision::kDouble, 3},
+        TraceCase{kCheby, kNone, 1, Precision::kDouble, 3},
+        TraceCase{kPPCG, kNone, 2, Precision::kDouble, 3}),
     [](const auto& info) {
       const TraceCase& tc = info.param;
-      return std::string(to_string(tc.type)) + "_" +
-             to_string(tc.precon) + "_d" + std::to_string(tc.halo_depth) +
-             "_r" + std::to_string(tc.nranks);
+      return std::string(to_string(tc.type)) + "_" + to_string(tc.precon) +
+             "_d" + std::to_string(tc.halo_depth) + "_" +
+             to_string(tc.precision) + "_" + std::to_string(tc.dims) + "d";
     });
 
-/// The substitution argument extends to the precision axis: fp32-active
-/// solves move 4-byte halos and the mixed refinement loop adds its fp64
-/// guard exchanges — the analytic trace must reproduce both byte-exactly.
-TEST(TraceValidationPrecision, ReducedPrecisionCommCountsMatchCountedStats) {
-  struct Case {
-    SolverType type;
-    Precision precision;
-    int halo_depth;
-    double eps;
-  };
-  const Case cases[] = {
-      {SolverType::kCG, Precision::kSingle, 1, 1e-4},
-      {SolverType::kJacobi, Precision::kSingle, 1, 1e-4},
-      {SolverType::kCG, Precision::kMixed, 1, 1e-8},
-      {SolverType::kPPCG, Precision::kMixed, 2, 1e-8},
-  };
-  for (const Case& c : cases) {
-    SolverConfig cfg;
-    cfg.type = c.type;
-    cfg.precision = c.precision;
-    cfg.halo_depth = c.halo_depth;
-    cfg.eps = c.eps;
-    cfg.max_iters = 100000;
-    cfg.eigen_cg_iters = 10;
-    cfg.inner_steps = 9;
-
-    const int n = 36;
-    auto cl = make_test_problem(n, 4, std::max(2, c.halo_depth), 8.0);
+/// PPCG's matrix-powers schedule (paper §IV-C2), read from the traces of
+/// real solves: per inner application of m steps, depth 1 exchanges {sd}
+/// before every step; depth d > 1 exchanges {rtemp} once, then
+/// {sd, rtemp} every d steps.
+TEST(PpcgSchedule, MatrixPowersExchangesPerInnerApplication) {
+  constexpr int kLoop = 3;
+  for (const auto& [m, d] : {std::pair{10, 1}, std::pair{10, 4},
+                             std::pair{10, 16}, std::pair{9, 3}}) {
+    SolverConfig cfg = fixed_config(kPPCG, kLoop);
+    cfg.inner_steps = m;
+    cfg.halo_depth = d;
+    auto cl = make_test_problem(36, 1, std::max(2, d), 8.0);
     const SolveStats st = run_solver(*cl, cfg);
-    ASSERT_TRUE(st.converged) << to_string(c.type);
-
-    const SolverRunSummary run = SolverRunSummary::from(cfg, st, n);
-    const CommCounts predicted =
-        predict_comm_counts(run, cl->decomposition(), cl->mesh());
-    const CommStats& counted = cl->stats();
-    EXPECT_EQ(predicted.exchange_calls, counted.exchange_calls)
-        << to_string(c.type);
-    EXPECT_EQ(predicted.messages, counted.messages) << to_string(c.type);
-    EXPECT_EQ(predicted.message_bytes, counted.message_bytes)
-        << to_string(c.type);
-    EXPECT_EQ(predicted.reductions, counted.reductions) << to_string(c.type);
+    ASSERT_FALSE(st.converged || st.breakdown);
+    const auto exchanges = [&](Phase phase, int depth, int fields) {
+      double n = 0.0;
+      for (const SolveTrace::ExchangeCount& e : st.trace.exchanges) {
+        if (e.phase == phase && e.depth == depth && e.fields == fields) {
+          n += e.count;
+        }
+      }
+      return n;
+    };
+    // Each main-loop iteration exchanges p at depth 1 and runs one inner
+    // application; the set-up runs one more after exchanging u.
+    const double single = d == 1 ? m : 1;
+    const double dual = d == 1 ? 0 : m / d;
+    for (const auto& [phase, applies] :
+         {std::pair{Phase::kIteration, kLoop}, std::pair{Phase::kSetup, 1}}) {
+      if (d == 1) {
+        EXPECT_EQ(exchanges(phase, 1, 1), applies * (1 + single)) << m << d;
+      } else {
+        EXPECT_EQ(exchanges(phase, 1, 1), applies) << m << d;
+        EXPECT_EQ(exchanges(phase, d, 1), applies * single) << m << d;
+        EXPECT_EQ(exchanges(phase, d, 2), applies * dual) << m << d;
+      }
+    }
   }
 }
 
 TEST(ScalingModelTest, ReducedPrecisionPricesBelowFp64PerIteration) {
-  SolverRunSummary run;
-  run.type = SolverType::kCG;
-  run.outer_iters = 4000;
-  run.mesh_n = 4000;
+  SolverConfig cfg;
   const ScalingModel model(machines::titan(),
                            GlobalMesh2D(4000, 4000, 0, 10, 0, 10), 10);
-  const double fp64 = model.run_seconds(run, 4);
-  run.precision = Precision::kSingle;
-  const double fp32 = model.run_seconds(run, 4);
-  run.precision = Precision::kMixed;
-  run.refine_steps = 2;
-  const double mixed = model.run_seconds(run, 4);
+  const double fp64 = model.run_seconds(held_run(cfg, 4000, 4000), 4);
+  cfg.precision = Precision::kSingle;
+  const double fp32 = model.run_seconds(held_run(cfg, 4000, 4000), 4);
+  cfg.precision = Precision::kMixed;
+  const double mixed = model.run_seconds(held_run(cfg, 4000, 4000), 4);
   // Bandwidth-bound at this scale: halved element size must show, but the
   // per-sweep launch overheads keep it under a full 2x.
   EXPECT_LT(fp32, 0.75 * fp64);
@@ -136,45 +177,51 @@ TEST(ScalingModelTest, ReducedPrecisionPricesBelowFp64PerIteration) {
   EXPECT_LT(mixed, fp64);
 }
 
+/// A one-rank allreduce crosses no network, so a CPU rank pays nothing
+/// for it; two ranks pay the hop latency.
+TEST(ScalingModelTest, OneCpuRankPricesNoReduction) {
+  const SolverRunSummary run = held_run(SolverConfig{}, 100, 512);
+  SolverRunSummary more = run;
+  more.trace.reductions[static_cast<int>(Phase::kIteration)] += 1.0;
+  const ScalingModel model(machines::spruce_hybrid(),
+                           GlobalMesh2D(512, 512, 0, 10, 0, 10), 1);
+  EXPECT_EQ(model.run_seconds(more, 1), model.run_seconds(run, 1));
+  EXPECT_GT(model.run_seconds(more, 2), model.run_seconds(run, 2));
+}
+
 TEST(ExchangeCounts, MatchesSingleExchange) {
   const GlobalMesh2D mesh(30, 30);
   for (const int nranks : {1, 2, 4, 6, 9}) {
     SimCluster2D cl(mesh, nranks, 3);
     cl.exchange({FieldId::kU, FieldId::kP}, 3);
-    const CommCounts cc = exchange_counts(cl.decomposition(), 3, 2);
+    const CommStats cc = exchange_counts(cl.decomposition(), 3, 2);
     EXPECT_EQ(cc.messages, cl.stats().messages) << nranks;
     EXPECT_EQ(cc.message_bytes, cl.stats().message_bytes) << nranks;
   }
 }
 
-TEST(InnerPlan, MatchesPaperSchedule) {
-  // d=1: one {sd} exchange per inner step.
-  auto p = ppcg_inner_exchange_plan(10, 1);
-  EXPECT_EQ(p.single_field_rounds, 10);
-  EXPECT_EQ(p.dual_field_rounds, 0);
-  // d=4, m=10: initial {rtemp} + ⌊10/4⌋ dual rounds.
-  p = ppcg_inner_exchange_plan(10, 4);
-  EXPECT_EQ(p.single_field_rounds, 1);
-  EXPECT_EQ(p.dual_field_rounds, 2);
-  // d=16 > m: only the initial exchange — fully communication-free inner.
-  p = ppcg_inner_exchange_plan(10, 16);
-  EXPECT_EQ(p.single_field_rounds, 1);
-  EXPECT_EQ(p.dual_field_rounds, 0);
-}
-
-TEST(Projection, ScalesOuterItersLinearly) {
-  SolverRunSummary run;
-  run.type = SolverType::kCG;
-  run.outer_iters = 100;
-  run.eigen_cg_iters = 20;
+TEST(Projection, ScalesOnlyTheIterationPhaseLinearly) {
+  SolverRunSummary run = fixed_iteration_run(fixed_config(kPPCG, 1), 2);
+  ASSERT_EQ(run.outer_iters, 1);
+  run = with_outer_iters(run, 100);
   run.mesh_n = 500;
   const SolverRunSummary proj = project_to_mesh(run, 4000);
   EXPECT_EQ(proj.outer_iters, 800);
-  EXPECT_EQ(proj.eigen_cg_iters, 20);  // fixed configuration cost
   EXPECT_EQ(proj.mesh_n, 4000);
+  ASSERT_EQ(proj.trace.kernels.size(), run.trace.kernels.size());
+  for (std::size_t i = 0; i < run.trace.kernels.size(); ++i) {
+    const SolveTrace::KernelCount& a = run.trace.kernels[i];
+    const double want = a.phase == Phase::kIteration ? 8.0 * a.count : a.count;
+    EXPECT_DOUBLE_EQ(proj.trace.kernels[i].count, want);
+  }
+  // The presteps are a fixed configuration cost.
+  EXPECT_EQ(proj.trace.reductions[static_cast<int>(Phase::kPrestep)],
+            run.trace.reductions[static_cast<int>(Phase::kPrestep)]);
+  EXPECT_DOUBLE_EQ(proj.trace.reductions[static_cast<int>(Phase::kIteration)],
+                   8.0 * run.trace.reductions[static_cast<int>(
+                             Phase::kIteration)]);
   // Identity projection is a no-op.
-  const SolverRunSummary same = project_to_mesh(run, 500);
-  EXPECT_EQ(same.outer_iters, 100);
+  EXPECT_EQ(project_to_mesh(run, 500).outer_iters, 100);
 }
 
 TEST(Projection, EmpiricalIterationScalingIsRoughlyLinear) {
@@ -229,10 +276,7 @@ TEST(ScalingModelTest, StrongScalingThenPlateau) {
   // CG on Titan: time must drop with nodes while compute-bound, then
   // flatten/rise once the 4000² problem starves the GPUs (paper Fig. 5:
   // knee around 1k nodes).
-  SolverRunSummary run;
-  run.type = SolverType::kCG;
-  run.outer_iters = 4000;
-  run.mesh_n = 4000;
+  const SolverRunSummary run = held_run(SolverConfig{}, 4000, 4000);
   const ScalingModel model(machines::titan(),
                            GlobalMesh2D(4000, 4000, 0, 10, 0, 10), 10);
   const double t1 = model.run_seconds(run, 1);
@@ -245,19 +289,13 @@ TEST(ScalingModelTest, StrongScalingThenPlateau) {
 }
 
 TEST(ScalingModelTest, DeepHaloBeatsShallowAtScale) {
-  SolverRunSummary run;
-  run.type = SolverType::kPPCG;
-  run.precon = PreconType::kNone;
-  run.inner_steps = 10;
-  run.eigen_cg_iters = 20;
-  run.outer_iters = 400;
-  run.mesh_n = 4000;
+  SolverConfig cfg;
+  cfg.type = SolverType::kPPCG;
   const ScalingModel model(machines::titan(),
                            GlobalMesh2D(4000, 4000, 0, 10, 0, 10), 10);
-  run.halo_depth = 1;
-  const double shallow = model.run_seconds(run, 4096);
-  run.halo_depth = 16;
-  const double deep = model.run_seconds(run, 4096);
+  const double shallow = model.run_seconds(held_run(cfg, 400, 4000), 4096);
+  cfg.halo_depth = 16;
+  const double deep = model.run_seconds(held_run(cfg, 400, 4000), 4096);
   EXPECT_LT(deep, shallow);
 }
 
@@ -287,13 +325,10 @@ TEST(ScalingModelTest, AmgBaselinePeaksEarly) {
 }
 
 TEST(ScalingModelTest, SweepProducesLabelledSeries) {
-  SolverRunSummary run;
-  run.type = SolverType::kCG;
-  run.outer_iters = 100;
-  run.mesh_n = 512;
   const ScalingModel model(machines::piz_daint(),
                            GlobalMesh2D(512, 512, 0, 10, 0, 10), 5);
-  const auto series = model.sweep(run, "CG - 1", {1, 2, 4, 8});
+  const auto series =
+      model.sweep(held_run(SolverConfig{}, 100, 512), "CG - 1", {1, 2, 4, 8});
   EXPECT_EQ(series.label, "CG - 1");
   ASSERT_EQ(series.points.size(), 4u);
   for (const auto& pt : series.points) EXPECT_GT(pt.seconds, 0.0);

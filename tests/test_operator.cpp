@@ -625,22 +625,21 @@ TEST(LoadedMatrixOracle, CsrSolveMeetsToleranceOnTheTrueResidual) {
 TEST(OperatorModel, AssembledFillPricesSpmvFromMeasuredNnz) {
   SolverConfig cfg;
   cfg.type = SolverType::kCG;
-  SolveStats stats;
-  stats.outer_iters = 200;
-  stats.nnz_per_row = 5.0;
-  SolverRunSummary run = SolverRunSummary::from(cfg, stats, 1024);
-  EXPECT_EQ(run.nnz_per_row, 5.0);
+  cfg.op = OperatorKind::kCsr;
+  SolverRunSummary run = with_outer_iters(fixed_iteration_run(cfg, 2), 200);
+  run.mesh_n = 1024;
+  EXPECT_EQ(run.trace.nnz_per_row, 5.0);
 
   const GlobalMesh2D mesh(1024, 1024);
   const ScalingModel model(machines::spruce_hybrid(), mesh, 1);
   SolverRunSummary stencil = run;
-  stencil.nnz_per_row = 0.0;
+  stencil.trace.nnz_per_row = 0.0;
   // 5 nnz/row streams 16·5 + 16 = 96 B/cell per SpMV against the
   // stencil's 32: the assembled prediction must be strictly slower, and
   // monotone in the fill.
   EXPECT_GT(model.run_seconds(run, 1), model.run_seconds(stencil, 1));
   SolverRunSummary denser = run;
-  denser.nnz_per_row = 9.0;
+  denser.trace.nnz_per_row = 9.0;
   EXPECT_GT(model.run_seconds(denser, 1), model.run_seconds(run, 1));
 }
 

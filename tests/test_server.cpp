@@ -139,6 +139,27 @@ TEST(RoutingTable, UnseenMeshFallsBackToModelProjection) {
   EXPECT_TRUE(table.route(3, 16, 2).empty());
 }
 
+TEST(RoutingTable, ProjectionReadsPerStepIterations) {
+  // The same per-step measurement, swept over one step and over four,
+  // projects an unseen mesh to the same seconds.
+  const SweepReport one = synthetic_report();
+  SweepReport four = one;
+  four.steps = 4;
+  for (SweepOutcome& c : four.cells) {
+    c.iterations *= 4;
+    c.inner_steps *= 4;
+    c.solve_seconds *= 4.0;
+  }
+  const std::vector<RouteEntry> a = RoutingTable::from_sweep(one).route(2, 48, 2);
+  const std::vector<RouteEntry> b =
+      RoutingTable::from_sweep(four).route(2, 48, 2);
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].label(), b[i].label());
+    EXPECT_DOUBLE_EQ(a[i].seconds, b[i].seconds) << a[i].label();
+  }
+}
+
 TEST(RoutingTable, RoundTripsThroughSweepJson) {
   const SweepReport rep = synthetic_report();
   const RoutingTable table =

@@ -291,7 +291,8 @@ TEST_F(SweepRun, JsonRoundTrips) {
 
 TEST(SweepJson, IntegerKeysRejectNonIntegralNumbers) {
   // JSON numbers are doubles: integer keys must hold whole, in-range
-  // values, never a truncating (2.5) or out-of-range (1e30) cast.
+  // values, never a truncating (2.5) or out-of-range (1e30) cast.  The
+  // geometry is one of the two names the sweep writes.
   SweepReport rep;
   rep.ranks = 2;
   rep.steps = 1;
@@ -316,7 +317,8 @@ TEST(SweepJson, IntegerKeysRejectNonIntegralNumbers) {
            {"\"iterations\": 12", "\"iterations\": 2.5"},
            {"\"mesh\": 16", "\"mesh\": -1e19"},
            {"\"messages\": 0", "\"messages\": 1e300"},
-           {"\"spmv\": 0", "\"spmv\": 0.5"}}) {
+           {"\"spmv\": 0", "\"spmv\": 0.5"},
+           {"\"geometry\": \"2d\"", "\"geometry\": \"4d\""}}) {
     EXPECT_THROW((void)SweepReport::from_json_string(with(from, to)),
                  TeaError)
         << to;

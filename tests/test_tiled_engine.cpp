@@ -208,7 +208,7 @@ TEST(TiledKernels, CalcUrDotRowsMatchesFullKernel) {
     double v = 0.0;
     parallel_region([&](const Team& t) {
       const double s = cl.sum_rows_over_chunks(
-          t, tile, [&](int, Chunk2D& c, const Bounds& tb) {
+          t, tile, {Kernel::kCalcUrDot}, [&](int, Chunk2D& c, const Bounds& tb) {
             kernels::calc_ur_dot_rows(c, 0.61, precon, tb, c.row_scratch());
           });
       t.single([&] { v = s; });
@@ -241,12 +241,12 @@ TEST(TiledKernels, JacobiTwoPhaseMatchesFusedSweep) {
     cl.exchange({FieldId::kU}, 1);
     double err = 0.0;
     parallel_region([&](const Team& t) {
-      cl.for_each_tile(t, tile, interior,
+      cl.for_each_tile(t, tile, interior, {Kernel::kJacobi},
                        [](int, Chunk2D& c, const Bounds& tb) {
                          kernels::jacobi_tile(c, tb, c.row_scratch());
                        });
       t.barrier();
-      cl.for_each_tile(t, tile, interior,
+      cl.for_each_tile(t, tile, interior, {},
                        [](int, Chunk2D& c, const Bounds& tb) {
                          kernels::jacobi_tile_edges(c, tb, c.row_scratch());
                        });
@@ -286,7 +286,7 @@ TEST(TiledCluster, SumRowsMatchesSumOverChunksBitwise) {
         bool follows = false;
         parallel_region([&](Team& t) {
           const double v = cl->sum_rows_over_chunks(
-              t, tile, [](int, Chunk2D& c, const Bounds& tb) {
+              t, tile, {Kernel::kNorm2}, [](int, Chunk2D& c, const Bounds& tb) {
                 kernels::dot_rows(c, FieldId::kU, FieldId::kU, tb,
                                   c.row_scratch());
               });
@@ -694,9 +694,8 @@ TEST(TiledModel, BlockedBytesVariantSpeedsUpCacheFittingTiles) {
   SolverConfig cfg;
   cfg.type = SolverType::kJacobi;
   cfg.tile_rows = 0;
-  SolveStats stats;
-  stats.outer_iters = 200;
-  SolverRunSummary run = SolverRunSummary::from(cfg, stats, 1024);
+  SolverRunSummary run = with_outer_iters(fixed_iteration_run(cfg, 2), 200);
+  run.mesh_n = 1024;
   const GlobalMesh2D mesh(1024, 1024);
   const ScalingModel model(machines::spruce_hybrid(), mesh, 1);
 
@@ -732,7 +731,8 @@ TEST(TiledModel, SummaryRecordsTileHeightAndResolvesAuto) {
   // `auto` stays symbolic in the summary and resolves inside the model
   // against the modelled chunk width, like the real engine does.
   cfg.tile_rows = -1;
-  SolverRunSummary run = SolverRunSummary::from(cfg, stats, 1024);
+  SolverRunSummary run = with_outer_iters(fixed_iteration_run(cfg, 2), 100);
+  run.mesh_n = 1024;
   EXPECT_EQ(run.tile_rows, -1);
   const GlobalMesh2D mesh(1024, 1024);
   const ScalingModel model(machines::spruce_hybrid(), mesh, 1);
