@@ -87,6 +87,10 @@ using namespace tealeaf;
 std::unique_ptr<SimCluster2D> make_chunk(int n) {
   auto cl = std::make_unique<SimCluster2D>(
       GlobalMesh2D(n, n, 0.0, 10.0, 0.0, 10.0), 1, 2);
+  // The microbenchmarks below run every work field's kernels.
+  cl->allocate({.fp64 = {FieldId::kP, FieldId::kR, FieldId::kW, FieldId::kZ,
+                         FieldId::kSd, FieldId::kRtemp, FieldId::kCp,
+                         FieldId::kBfp}});
   Chunk2D& c = cl->chunk(0);
   SplitMix64 rng(42);
   c.density().fill(1.0);
@@ -137,6 +141,7 @@ void BM_SmvpExtendedBounds(benchmark::State& state) {
   const int ext = static_cast<int>(state.range(1));
   auto cl = std::make_unique<SimCluster2D>(GlobalMesh2D(2 * n, n), 2,
                                            std::max(2, ext + 1));
+  cl->allocate({.fp64 = {FieldId::kP, FieldId::kW}});
   Chunk2D& c = cl->chunk(0);
   c.density().fill(1.0);
   cl->exchange({FieldId::kDensity}, std::max(2, ext + 1));
@@ -233,6 +238,7 @@ void BM_HaloExchange(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   const int depth = static_cast<int>(state.range(1));
   SimCluster2D cl(GlobalMesh2D(n, n), 4, std::max(2, depth));
+  cl.allocate({.fp64 = {FieldId::kSd}});
   for (auto _ : state) {
     cl.exchange({FieldId::kSd}, depth);
   }
@@ -1031,6 +1037,7 @@ int run_precision_bench(const Args& args) {
 std::unique_ptr<SimCluster2D> make_spmv_problem(int n) {
   auto cl = std::make_unique<SimCluster2D>(
       GlobalMesh2D(n, n, 0.0, 10.0, 0.0, 10.0), 1, 2);
+  cl->allocate({.fp64 = {FieldId::kP, FieldId::kW}});
   Chunk2D& c = cl->chunk(0);
   SplitMix64 rng(7);
   c.density().fill(1.0);

@@ -33,6 +33,7 @@
 #include "model/trace.hpp"
 #include "solvers/cg.hpp"
 #include "solvers/cheby_coef.hpp"
+#include "solvers/solver.hpp"
 #include "util/args.hpp"
 #include "util/parallel.hpp"
 
@@ -448,6 +449,8 @@ JsonValue kappa_ablation(const MeasuredMap& measured) {
     SolverConfig cfg;
     cfg.tile_rows = 0;
     cfg.precon = precon;
+    // The CG steps run by hand, so their fields are allocated by hand.
+    session.cluster().allocate(solve_fields(session.cluster(), cfg));
     CGRecurrence rec;  // every thread records the same; thread 0's is kept
     parallel_region([&](const Team& team) {
       CGRecurrence mine;

@@ -45,6 +45,9 @@ SolveSession::SolveSession(const InputDeck& deck, int nranks,
       std::max({2, deck_.solver.halo_depth, halo_override});
   shape_ = ProblemShape::of(deck_, nranks, halo);
   cluster_ = std::make_unique<SimCluster>(mesh, nranks, halo);
+  // The deck solver's fields are first touched here, in set-up; a route
+  // that needs others adds them when it first runs (run_solver).
+  cluster_->allocate(solve_fields(*cluster_, deck_.solver));
   apply_states(*cluster_, deck_);
   // Seed u = ρ·e so a pre-solve field_summary reports the initial state.
   cluster_->for_each_chunk([](int, Chunk& c) { kernels::init_u_u0(c); });
@@ -78,13 +81,13 @@ void SolveSession::prepare(OperatorKind op) {
   // read material fields deep into the halo: one full-depth exchange.
   cl.exchange({FieldId::kDensity, FieldId::kEnergy1}, cl.halo_depth());
   cl.for_each_chunk([&](int, Chunk& c) {
+    // A step holds one assembled matrix: the last step's goes before
+    // this step's is built.
+    c.clear_assembled_operator();
     kernels::init_u_u0(c);
     kernels::init_conduction(c, deck_.coefficient, rx, ry, rz);
   });
-  if (op == OperatorKind::kStencil) {
-    cl.for_each_chunk([](int, Chunk& c) { c.clear_assembled_operator(); });
-    return;
-  }
+  if (op == OperatorKind::kStencil) return;
   if (!deck_.matrix_file.empty()) {
     // Externally supplied operator: one global matrix, so the whole mesh
     // must live in one chunk (no halo exchange can refresh loaded rows).
@@ -103,7 +106,7 @@ void SolveSession::prepare(OperatorKind op) {
   }
   // Assemble the just-built conduction stencil; coefficients change every
   // prepare, so this cannot be memoised across resets.
-  cl.for_each_chunk([](int, Chunk& c) {
+  cl.for_each_chunk_allocating({}, [](int, Chunk& c) {
     c.set_assembled_operator(
         std::make_shared<const CsrMatrix>(assemble_from_stencil(c)));
   });
@@ -209,6 +212,15 @@ std::vector<SolveSession*> SessionCache::acquire(const InputDeck& deck,
     if (victim == pool_.end()) break;
     pool_.erase(victim);
   }
+  return out;
+}
+
+std::vector<const SolveSession*> SessionCache::pooled(
+    const ProblemShape& shape) const {
+  std::vector<const SolveSession*> out;
+  const auto found = pool_.find(shape.key());
+  if (found == pool_.end()) return out;
+  for (const auto& s : found->second.sessions) out.push_back(s.get());
   return out;
 }
 

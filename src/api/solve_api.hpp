@@ -121,11 +121,13 @@ struct FieldSummary {
 /// session solve is bitwise identical to the pre-PR6 TeaLeafApp::step.
 class SolveSession {
  public:
-  /// Build the cluster and initialise fields from the deck.  Halo depth
-  /// is sized for the deck solver's matrix-powers configuration;
+  /// Build the cluster, allocate the fields the deck solver uses
+  /// (solve_fields, solvers/solver.hpp) and initialise them from the
+  /// deck; a solve with another configuration adds what it lacks.  Halo
+  /// depth is sized for the deck solver's matrix-powers configuration;
   /// `halo_override` > 0 forces a deeper allocation (the server uses this
   /// to size sessions for the deepest routed configuration).
-  /// Throws TeaError on an invalid deck.
+  /// Throws TeaError on an invalid deck or when memory runs out.
   explicit SolveSession(const InputDeck& deck, int nranks = 4,
                         int halo_override = 0);
 
@@ -150,8 +152,9 @@ class SolveSession {
   /// attempt changes nothing: energy, sim_time() and solves_taken() stay
   /// as they were, and a retry replays the same step.
   /// `prepare(op)` also installs the operator representation the coming
-  /// solve will traverse: kStencil clears any assembled matrix; kCsr
-  /// assembles the freshly built conduction stencil into CSR per chunk —
+  /// solve will traverse: it drops the last step's assembled matrices
+  /// first, then kCsr assembles the freshly built conduction stencil into
+  /// CSR per chunk (out of memory is a TeaError) —
   /// or, when the deck names a matrix_file, loads that Matrix Market
   /// operator instead (single-rank, 2-D; the file is parsed once and
   /// memoised by path).
@@ -163,6 +166,7 @@ class SolveSession {
 
   [[nodiscard]] const ProblemShape& shape() const { return shape_; }
   [[nodiscard]] SimCluster2D& cluster() { return *cluster_; }
+  [[nodiscard]] const SimCluster2D& cluster() const { return *cluster_; }
   [[nodiscard]] const InputDeck& deck() const { return deck_; }
   [[nodiscard]] double sim_time() const { return sim_time_; }
   [[nodiscard]] int solves_taken() const { return solves_taken_; }
@@ -205,6 +209,11 @@ class SessionCache {
   /// throws and leaves the pool and the counters as they were.
   std::vector<SolveSession*> acquire(const InputDeck& deck, int nranks,
                                      int halo, int count);
+
+  /// The pooled sessions of `shape`, oldest first (none when the shape
+  /// is not pooled).
+  [[nodiscard]] std::vector<const SolveSession*> pooled(
+      const ProblemShape& shape) const;
 
   [[nodiscard]] long long hits() const { return hits_; }
   [[nodiscard]] long long misses() const { return misses_; }

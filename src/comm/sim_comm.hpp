@@ -1,6 +1,7 @@
 #pragma once
 
 #include <algorithm>
+#include <functional>
 #include <initializer_list>
 #include <memory>
 #include <utility>
@@ -48,11 +49,21 @@ namespace tealeaf {
 class SimCluster {
  public:
   /// Decompose `mesh` over `nranks` ranks, allocating every chunk with
-  /// `halo_depth` ghost layers (>= the deepest exchange to be requested).
-  /// Chunks are constructed in parallel with the same rank→thread block
-  /// mapping the kernels use, so each chunk's fields are first-touched —
-  /// and hence NUMA-placed — on the thread that will process them.
+  /// `halo_depth` ghost layers (>= the deepest exchange to be requested)
+  /// and the base fields (Chunk::base_fields).  Chunks are constructed in
+  /// parallel with the same rank→thread block mapping the kernels use, so
+  /// each chunk's fields are first-touched — and hence NUMA-placed — on
+  /// the thread that will process them.  Out of memory is a TeaError
+  /// naming the mesh and the rank count.
   SimCluster(const GlobalMesh& mesh, int nranks, int halo_depth);
+
+  /// Give every chunk the fields of `fields` it lacks, zero-filled on the
+  /// thread that owns its rank (the constructor's first-touch placement).
+  /// Out of memory is a TeaError naming the mesh and the rank count, and
+  /// the chunks keep what they held.  Allocates nothing and opens no
+  /// region when every chunk already holds `fields`.  Must not be called
+  /// inside a region: run_solver and solve_batched call it before theirs.
+  void allocate(const FieldBanks& fields);
 
   [[nodiscard]] int nranks() const { return static_cast<int>(chunks_.size()); }
   [[nodiscard]] int halo_depth() const { return halo_depth_; }
@@ -86,6 +97,15 @@ class SimCluster {
   template <class Body>
   void for_each_chunk(const Kernels& kernels, Body&& body) {
     parallel_region([&](Team& t) { for_each_chunk(t, kernels, body); });
+  }
+
+  /// for_each_chunk for a `body` that allocates: a rank's failure is
+  /// caught inside the region, and the first is rethrown after it (out of
+  /// memory as a TeaError naming the mesh and the rank count), so it
+  /// cannot end the process.  Each `body` must finish with no barrier.
+  template <class Body>
+  void for_each_chunk_allocating(const Kernels& kernels, Body&& body) {
+    for_each_rank_allocating(kernels, [&](int r) { body(r, *chunks_[r]); });
   }
 
   /// Team-aware form: workshares the ranks through `team`.  No implied
@@ -301,6 +321,11 @@ class SimCluster {
   void set_phase(Phase phase) { phase_ = phase; }
 
  private:
+  /// Run `body(rank)` for every rank in one region, on the thread that
+  /// owns the rank; see for_each_chunk_allocating.
+  void for_each_rank_allocating(const Kernels& kernels,
+                                const std::function<void(int)>& body);
+
   /// Element size the exchanges and sweeps run at: the fp32 bank's when
   /// the solve has it active.
   [[nodiscard]] int elem_bytes() const {

@@ -25,7 +25,6 @@ void apply_states(SimCluster& cl, const InputDeck& deck) {
         }
       }
     }
-    c.energy0().copy_interior_from(energy);
   });
 }
 

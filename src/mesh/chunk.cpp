@@ -8,68 +8,47 @@ Chunk::Chunk(const ChunkExtent& extent, const GlobalMesh& mesh,
   TEA_REQUIRE(extent.nx > 0 && extent.ny > 0 && extent.nz > 0,
               "chunk must own cells");
   TEA_REQUIRE(halo_depth >= 1, "solvers need at least one halo layer");
-  // The zero-fill below is the first touch of every field's pages: run
-  // this constructor on the thread that owns the rank (see the parallel
-  // construction in SimCluster) and the fields are NUMA-local to it.
-  // kKz exists only under the 7-point stencil; 2-D chunks leave it
-  // unallocated rather than carry a dead field through every cache.
-  for (std::size_t i = 0; i < fields_.size(); ++i) {
-    if (mesh.dims != 3 && i == idx(FieldId::kKz)) continue;
-    fields_[i] = (mesh.dims == 3)
-                     ? Field<double>::make3d(extent.nx, extent.ny, extent.nz,
-                                             halo_depth, 0.0)
-                     : Field<double>(extent.nx, extent.ny, halo_depth, 0.0);
-  }
+  allocate({.fp64 = base_fields(mesh.dims)});
   row_scratch_.assign(
       2 * static_cast<std::size_t>(extent.ny) * extent.nz, 0.0);
 }
 
-Field<double>& Chunk::field(FieldId id) {
-  Field<double>& f = fields_[idx(id)];
-  // kKz is never allocated on 2-D chunks; handing out the empty Field
-  // would turn any element access into silent out-of-bounds reads.
-  TEA_REQUIRE(f.size() > 0,
-              "field not allocated for this geometry (kKz is 3-D only)");
-  return f;
+FieldSet Chunk::base_fields(int dims) {
+  FieldSet base{FieldId::kDensity, FieldId::kEnergy1, FieldId::kU,
+                FieldId::kU0,      FieldId::kKx,      FieldId::kKy};
+  if (dims == 3) base |= {FieldId::kKz};
+  return base;
 }
 
-const Field<double>& Chunk::field(FieldId id) const {
-  const Field<double>& f = fields_[idx(id)];
-  TEA_REQUIRE(f.size() > 0,
-              "field not allocated for this geometry (kKz is 3-D only)");
-  return f;
+template <class T>
+Field<T> Chunk::make_field() const {
+  return mesh_.dims == 3 ? Field<T>::make3d(extent_.nx, extent_.ny,
+                                            extent_.nz, halo_depth_, T{})
+                         : Field<T>(extent_.nx, extent_.ny, halo_depth_, T{});
 }
 
-void Chunk::enable_fp32() {
-  if (fp32_enabled()) return;
-  // Mirror the fp64 ctor allocation exactly (same halo, kKz only in 3-D)
-  // so both banks share one geometry and the assembled-operator column
-  // offsets index either.  The zero-fill is the NUMA first touch.
-  fields32_.resize(kNumFieldIds);
-  for (std::size_t i = 0; i < fields32_.size(); ++i) {
-    if (mesh_.dims != 3 && i == idx(FieldId::kKz)) continue;
-    fields32_[i] = (mesh_.dims == 3)
-                       ? Field<float>::make3d(extent_.nx, extent_.ny,
-                                              extent_.nz, halo_depth_, 0.0f)
-                       : Field<float>(extent_.nx, extent_.ny, halo_depth_,
-                                      0.0f);
+FieldBanks Chunk::allocated() const {
+  FieldBanks held;
+  for (int i = 0; i < kNumFieldIds; ++i) {
+    const auto id = static_cast<FieldId>(i);
+    if (field(id).size() > 0) held.fp64 |= {id};
+    if (field32(id).size() > 0) held.fp32 |= {id};
   }
+  return held;
 }
 
-Field<float>& Chunk::field32(FieldId id) {
-  TEA_REQUIRE(fp32_enabled(), "fp32 field bank not enabled on this chunk");
-  Field<float>& f = fields32_[idx(id)];
-  TEA_REQUIRE(f.size() > 0,
-              "field not allocated for this geometry (kKz is 3-D only)");
-  return f;
-}
-
-const Field<float>& Chunk::field32(FieldId id) const {
-  TEA_REQUIRE(fp32_enabled(), "fp32 field bank not enabled on this chunk");
-  const Field<float>& f = fields32_[idx(id)];
-  TEA_REQUIRE(f.size() > 0,
-              "field not allocated for this geometry (kKz is 3-D only)");
-  return f;
+void Chunk::allocate(const FieldBanks& fields) {
+  // Both banks share one geometry, so the assembled-operator column
+  // offsets index either.
+  for (int i = 0; i < kNumFieldIds; ++i) {
+    const auto id = static_cast<FieldId>(i);
+    if (fields.fp64.contains(id) && field(id).size() == 0) {
+      field(id) = make_field<double>();
+    }
+    if (fields.fp32.contains(id) && field32(id).size() == 0) {
+      field32(id) = make_field<float>();
+    }
+  }
 }
 
 bool Chunk::at_boundary(Face face) const {

@@ -1,6 +1,8 @@
 #pragma once
 
 #include <array>
+#include <cstdint>
+#include <initializer_list>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -17,13 +19,12 @@ struct CsrMatrixT;
 using CsrMatrix = CsrMatrixT<double>;
 using CsrMatrix32 = CsrMatrixT<float>;
 
-/// Identifiers for the per-chunk solver fields (mirrors the field set of
-/// upstream TeaLeaf's `chunk_type`).  Used to select fields for halo
-/// exchanges and generic access.  kKz exists on every chunk but is only
-/// built/read by the 3-D (7-point) stencil.
+/// Identifiers for the per-chunk solver fields (upstream TeaLeaf's
+/// `chunk_type` set, less its write-only `energy0`).  Used to select
+/// fields for halo exchanges, generic access and allocation.  kKz is built
+/// and read by the 3-D (7-point) stencil only.
 enum class FieldId : int {
   kDensity = 0,  ///< material density ρ
-  kEnergy0,      ///< specific energy at step start
   kEnergy1,      ///< specific energy being advanced
   kU,            ///< solution vector (temperature ρ·e)
   kU0,           ///< right-hand side (initial temperature)
@@ -40,19 +41,78 @@ enum class FieldId : int {
   kKz,           ///< z-face conduction coefficient (3-D only, scaled by rz)
 };
 
-inline constexpr int kNumFieldIds = 16;
+inline constexpr int kNumFieldIds = 15;
 
-/// One simulated rank's subdomain: geometry plus the full set of solver
-/// fields, each allocated with `halo_depth` ghost layers (in z too for
-/// 3-D meshes).  One class serves both problem dimensions — a 2-D chunk
-/// is the nz == 1 case with no z halo and the classic storage layout.
+/// A set of field ids.
+class FieldSet {
+ public:
+  constexpr FieldSet() = default;
+  constexpr FieldSet(std::initializer_list<FieldId> ids) {
+    for (const FieldId id : ids) bits_ |= bit(id);
+  }
+
+  [[nodiscard]] constexpr bool contains(FieldId id) const {
+    return (bits_ & bit(id)) != 0;
+  }
+  /// True when every id of `other` is in this set.
+  [[nodiscard]] constexpr bool covers(FieldSet other) const {
+    return (other.bits_ & ~bits_) == 0;
+  }
+  [[nodiscard]] constexpr bool empty() const { return bits_ == 0; }
+  constexpr FieldSet& operator|=(FieldSet other) {
+    bits_ |= other.bits_;
+    return *this;
+  }
+  [[nodiscard]] friend constexpr FieldSet operator|(FieldSet a, FieldSet b) {
+    return a |= b;
+  }
+  [[nodiscard]] constexpr bool operator==(const FieldSet&) const = default;
+
+ private:
+  static constexpr std::uint32_t bit(FieldId id) {
+    return std::uint32_t{1} << static_cast<int>(id);
+  }
+  std::uint32_t bits_ = 0;
+};
+
+/// One set per storage bank: the fp64 fields and their fp32 twins.  What
+/// a chunk holds (Chunk::allocated) or what a solve uses (solve_fields,
+/// solvers/solver.hpp).
+struct FieldBanks {
+  FieldSet fp64{};
+  FieldSet fp32{};
+
+  [[nodiscard]] bool covers(const FieldBanks& other) const {
+    return fp64.covers(other.fp64) && fp32.covers(other.fp32);
+  }
+};
+
+/// One simulated rank's subdomain: geometry plus the solver fields it
+/// holds, each allocated with `halo_depth` ghost layers (in z too for 3-D
+/// meshes).  One class serves both problem dimensions — a 2-D chunk is
+/// the nz == 1 case with no z halo and the classic storage layout.
+///
+/// A chunk is built holding the base set (base_fields): the material,
+/// u, u0 and the conduction coefficients.  The work fields a solver uses
+/// and the fp32 bank are added by allocate() — SimCluster::allocate, for
+/// the set solve_fields (solvers/solver.hpp) names — so a chunk holds
+/// only what the solves run on it have used (docs/architecture.md,
+/// "Field residency").  A field it does not hold reads as an empty Field
+/// (size 0); indexing one is a library bug.
 ///
 /// `halo_depth` must be at least the deepest matrix-powers halo the solver
 /// configuration will request (upstream: 2 by default, up to 16 for the
 /// communication-avoiding PPCG on GPUs).
 class Chunk {
  public:
+  /// Build the chunk holding base_fields(mesh.dims), zero-filled: run it
+  /// on the thread that owns the rank (see SimCluster's constructor), as
+  /// the fill is the first touch of the fields' pages.
   Chunk(const ChunkExtent& extent, const GlobalMesh& mesh, int halo_depth);
+
+  /// Density, energy, u, u0, Kx, Ky and, in 3-D, Kz: the fields every
+  /// session step builds whatever the solver.
+  [[nodiscard]] static FieldSet base_fields(int dims);
 
   [[nodiscard]] int nx() const { return extent_.nx; }
   [[nodiscard]] int ny() const { return extent_.ny; }
@@ -77,15 +137,23 @@ class Chunk {
     return mesh_.cell_z(extent_.z0 + l);
   }
 
-  [[nodiscard]] Field<double>& field(FieldId id);
-  [[nodiscard]] const Field<double>& field(FieldId id) const;
+  /// The fp64 field `id`; an empty Field when the chunk does not hold it.
+  [[nodiscard]] Field<double>& field(FieldId id) { return fields_[idx(id)]; }
+  [[nodiscard]] const Field<double>& field(FieldId id) const {
+    return fields_[idx(id)];
+  }
 
   /// fp32 twin of field(): the second storage bank of the mixed-precision
   /// execution layer.  Same geometry and halo as the fp64 bank (identical
-  /// strides, so assembled-operator column offsets index both), allocated
-  /// lazily by enable_fp32() — double-only runs never pay for it.
-  [[nodiscard]] Field<float>& field32(FieldId id);
-  [[nodiscard]] const Field<float>& field32(FieldId id) const;
+  /// strides, so assembled-operator column offsets index both); empty
+  /// until a single or mixed solve allocates it — double-only runs never
+  /// pay for it.
+  [[nodiscard]] Field<float>& field32(FieldId id) {
+    return fields32_[idx(id)];
+  }
+  [[nodiscard]] const Field<float>& field32(FieldId id) const {
+    return fields32_[idx(id)];
+  }
 
   /// Scalar-generic field access for templated kernel cores:
   /// field_t<double> is field(), field_t<float> is field32().
@@ -94,11 +162,17 @@ class Chunk {
   template <class T>
   [[nodiscard]] const Field<T>& field_t(FieldId id) const;
 
-  /// Allocate the fp32 field bank (no-op when already allocated).  Like
-  /// the fp64 ctor fill, the zero-fill is the NUMA first touch: call it
-  /// from the thread that owns this rank.
-  void enable_fp32();
-  [[nodiscard]] bool fp32_enabled() const { return !fields32_.empty(); }
+  /// The fields this chunk holds, per bank: the ids whose field() or
+  /// field32() is not empty.
+  [[nodiscard]] FieldBanks allocated() const;
+
+  /// Allocate, zero-filled, every field of `fields` this chunk lacks (the
+  /// rest keep their values).  The fill is the NUMA first touch: call it
+  /// from the thread that owns this rank, as SimCluster::allocate does.
+  void allocate(const FieldBanks& fields);
+
+  /// True once the chunk holds any fp32 field.
+  [[nodiscard]] bool fp32_enabled() const { return !allocated().fp32.empty(); }
 
   /// When active, op_dispatch routes the kernels over the fp32 views and
   /// halo exchanges move the fp32 bank.  Flipped by the single/mixed
@@ -106,13 +180,12 @@ class Chunk {
   [[nodiscard]] bool fp32_active() const { return fp32_active_; }
   void set_fp32_active(bool active) {
     TEA_REQUIRE(!active || fp32_enabled(),
-                "fp32 bank must be enabled before activation");
+                "fp32 bank must be allocated before activation");
     fp32_active_ = active;
   }
 
   // Named accessors for readability in kernels.
   Field<double>& density() { return fields_[idx(FieldId::kDensity)]; }
-  Field<double>& energy0() { return fields_[idx(FieldId::kEnergy0)]; }
   Field<double>& energy() { return fields_[idx(FieldId::kEnergy1)]; }
   Field<double>& u() { return fields_[idx(FieldId::kU)]; }
   Field<double>& u0() { return fields_[idx(FieldId::kU0)]; }
@@ -161,11 +234,10 @@ class Chunk {
 
   /// fp32 twin of the assembled matrix (assembled from the fp32
   /// coefficient bank, NOT downcast).  Installed by the single/mixed
-  /// drivers when op_kind() is kCsr.
+  /// drivers when op_kind() is kCsr; nullptr drops it.
   void set_assembled_operator32(std::shared_ptr<const CsrMatrix32> csr) {
     TEA_REQUIRE(op_kind_ != OperatorKind::kStencil,
                 "stencil operator carries no assembled matrix");
-    TEA_REQUIRE(csr != nullptr, "assembled fp32 operator needs a CSR matrix");
     csr32_ = std::move(csr);
   }
 
@@ -188,13 +260,15 @@ class Chunk {
 
  private:
   static std::size_t idx(FieldId id) { return static_cast<std::size_t>(id); }
+  /// A zero-filled field of this chunk's geometry.
+  template <class T>
+  [[nodiscard]] Field<T> make_field() const;
 
   ChunkExtent extent_;
   GlobalMesh mesh_;
   int halo_depth_;
   std::array<Field<double>, kNumFieldIds> fields_;
-  /// Lazily allocated fp32 twin bank (empty until enable_fp32()).
-  std::vector<Field<float>> fields32_;
+  std::array<Field<float>, kNumFieldIds> fields32_;
   bool fp32_active_ = false;
   std::vector<double> row_scratch_;
   OperatorKind op_kind_ = OperatorKind::kStencil;

@@ -64,8 +64,10 @@ class Cost {
 
     const double cells_per_node =
         static_cast<double>(cnx_) * cny_ * cnz_ * spec.ranks_per_node;
-    // 2-D chunks do not allocate the kKz field (see Chunk's constructor).
-    const int fields = (dims_ == 3) ? kNumFieldIds : kNumFieldIds - 1;
+    // The modelled machine runs upstream TeaLeaf, whose chunks hold every
+    // field of its chunk_type whatever the solver: 15 in 2-D, and Kz in
+    // 3-D.
+    const int fields = (dims_ == 3) ? 16 : 15;
     const double working_set_bytes = cells_per_node * fields * 8.0;
     const bool in_cache = spec.cache_mb > 0.0 &&
                           working_set_bytes < spec.cache_mb * 1.0e6;

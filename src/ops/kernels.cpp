@@ -505,6 +505,8 @@ void init_u_u0(Chunk& c) {
       }
     }
   }
+  // The work vectors the chunk holds start at zero; one it does not hold
+  // is empty, and its fill does nothing.
   for (const FieldId f : {FieldId::kP, FieldId::kR, FieldId::kW, FieldId::kZ,
                           FieldId::kSd, FieldId::kRtemp}) {
     c.field(f).fill(0.0);

@@ -45,7 +45,8 @@ enum class Coefficient : int {
 [[nodiscard]] double diag_at(const Chunk& c, int j, int k, int l = 0);
 
 /// u = energy · density (temperature), u0 = u; also clears the solver
-/// work vectors.  Upstream: tea_leaf_common_init (first half).
+/// work vectors the chunk holds.  Upstream: tea_leaf_common_init (first
+/// half).
 void init_u_u0(Chunk& c);
 
 /// Compute the face coefficient fields Kx, Ky (and Kz on 3-D chunks) from

@@ -21,6 +21,7 @@ void solve_batched(std::vector<BatchItem>& items) {
     TEA_REQUIRE(batchable(it.config),
                 "solve_batched: single/mixed and multigrid configs run "
                 "through run_solver, outside the batch engine");
+    it.cluster->allocate(solve_fields(*it.cluster, it.config));
   }
   const int nitems = static_cast<int>(items.size());
 

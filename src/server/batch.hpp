@@ -34,8 +34,9 @@ struct BatchItem {
 /// Enforced by tests/test_server.cpp.
 ///
 /// Items must reference distinct clusters.  Every item passes
-/// check_solvable (solvers/solver.hpp) and must be batchable; both checks
-/// throw before the region opens.
+/// check_solvable (solvers/solver.hpp) and must be batchable, and its
+/// cluster gets the solve_fields it lacks: all of it before the region
+/// opens, so a failed check or allocation throws there.
 /// Numerical breakdowns surface through stats.breakdown as usual.
 void solve_batched(std::vector<BatchItem>& items);
 

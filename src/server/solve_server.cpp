@@ -236,7 +236,13 @@ std::vector<SolveResult> SolveServer::drain() {
         const bool in_batch = batchable(p.routed.config);
         try {
           p.session->reset(p.req->deck);
-          if (in_batch) p.session->prepare(p.routed.config.op);
+          if (in_batch) {
+            // Allocated here, so a request whose fields do not fit fails
+            // alone; solve_batched then finds them present.
+            SimCluster& cl = p.session->cluster();
+            cl.allocate(solve_fields(cl, p.routed.config));
+            p.session->prepare(p.routed.config.op);
+          }
         } catch (const TeaError& e) {
           results[i].error = e.what();
           continue;

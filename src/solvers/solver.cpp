@@ -93,14 +93,16 @@ std::unique_ptr<Multigrid> hierarchy_of(const Chunk2D& c) {
 /// access and every operator traversal goes through the kernels' scalar
 /// dispatch).  A multigrid config first builds its hierarchy from the
 /// chunk's coefficients — its constructors check their inputs and may
-/// throw, so before the region — and reports the build time as
-/// SolveStats::setup_seconds.
+/// throw, so before the solve's region, on the one rank's owner thread,
+/// where running out of memory is a TeaError — and reports the build
+/// time as SolveStats::setup_seconds.
 SolveStats dispatch_native(SimCluster2D& cl, const SolverConfig& resolved) {
   std::unique_ptr<Multigrid> mg;
   double setup_seconds = 0.0;
   if (resolved.precon == PreconType::kMultigrid) {
     const Timer setup;
-    mg = hierarchy_of(cl.chunk(0));
+    cl.for_each_chunk_allocating(
+        {}, [&](int, Chunk2D& c) { mg = hierarchy_of(c); });
     setup_seconds = setup.elapsed_s();
   }
   SolveStats st = solve_in_region(cl, [&](const Team& t) {
@@ -112,11 +114,11 @@ SolveStats dispatch_native(SimCluster2D& cl, const SolverConfig& resolved) {
 
 // ---- mixed-precision execution layer ------------------------------------
 // Storage orchestration for Precision::kSingle / kMixed.  The fp32 bank is
-// a per-chunk twin of the fp64 fields (Chunk::enable_fp32); activation
-// flips Chunk::fp32_active(), which routes op_dispatch, the scalar
-// kernels and the halo exchanges over the fp32 bank.  The fp64 fields are
-// never touched by an active-fp32 solve, so the outer refinement loop can
-// read them back untouched.
+// a per-chunk twin of the fp64 fields, allocated by run_solver from
+// solve_fields; activation flips Chunk::fp32_active(), which routes
+// op_dispatch, the scalar kernels and the halo exchanges over the fp32
+// bank.  The fp64 fields are never touched by an active-fp32 solve, so
+// the outer refinement loop can read them back untouched.
 
 void downcast_field(Chunk& c, FieldId dst32, FieldId src64) {
   const Field<double>& s = c.field(src64);
@@ -127,12 +129,13 @@ void downcast_field(Chunk& c, FieldId dst32, FieldId src64) {
   for (std::size_t i = 0; i < n; ++i) dp[i] = static_cast<float>(sp[i]);
 }
 
-/// Allocate the fp32 bank and build the fp32 operator: coefficient fields
-/// by storage downcast of the freshly built fp64 Kx/Ky/Kz (the direct
-/// analogue of downcasting the solve's inputs), assembled CSR by
-/// re-assembling from those fp32 coefficients IN fp32 arithmetic — never
-/// by downcasting fp64-assembled values — so the fp32 stencil and the
-/// fp32 CSR stay bitwise equal to each other.
+/// Build the fp32 operator: coefficient fields by storage downcast of the
+/// freshly built fp64 Kx/Ky/Kz (the direct analogue of downcasting the
+/// solve's inputs), assembled CSR by re-assembling from those fp32
+/// coefficients IN fp32 arithmetic — never by downcasting fp64-assembled
+/// values — so the fp32 stencil and the fp32 CSR stay bitwise equal to
+/// each other.  The old twin goes before the new one is assembled, and an
+/// assembly that runs out of memory is a TeaError after the region.
 void build_fp32_operator(SimCluster2D& cl) {
   const int h = cl.halo_depth();
   const Kernels downcasts =
@@ -140,12 +143,12 @@ void build_fp32_operator(SimCluster2D& cl) {
           ? Kernels({Kernel::kDowncast, Kernel::kDowncast, Kernel::kDowncast},
                     h)
           : Kernels({Kernel::kDowncast, Kernel::kDowncast}, h);
-  cl.for_each_chunk(downcasts, [&](int, Chunk& c) {
-    c.enable_fp32();
+  cl.for_each_chunk_allocating(downcasts, [&](int, Chunk& c) {
     downcast_field(c, FieldId::kKx, FieldId::kKx);
     downcast_field(c, FieldId::kKy, FieldId::kKy);
     if (c.dims() == 3) downcast_field(c, FieldId::kKz, FieldId::kKz);
     if (c.op_kind() != OperatorKind::kStencil) {
+      c.set_assembled_operator32(nullptr);
       c.set_assembled_operator32(
           std::make_shared<CsrMatrix32>(assemble_from_stencil_t<float>(c)));
     }
@@ -153,11 +156,11 @@ void build_fp32_operator(SimCluster2D& cl) {
 }
 
 /// Zero the fp32 iterate and work vectors ahead of an inner solve (the
-/// refinement loop re-enters with a dirty bank).
+/// refinement loop re-enters with a dirty bank); a field the solve does
+/// not use is empty, and its fill does nothing.
 void clear_fp32_workspace(Chunk& c) {
-  c.field32(FieldId::kU).fill(0.0f);
-  for (const FieldId f : {FieldId::kP, FieldId::kR, FieldId::kW, FieldId::kZ,
-                          FieldId::kSd, FieldId::kRtemp}) {
+  for (const FieldId f : {FieldId::kU, FieldId::kP, FieldId::kR, FieldId::kW,
+                          FieldId::kZ, FieldId::kSd, FieldId::kRtemp}) {
     c.field32(f).fill(0.0f);
   }
 }
@@ -318,6 +321,33 @@ SolveStats solve_mixed(SimCluster2D& cl, const SolverConfig& resolved) {
 
 }  // namespace
 
+FieldBanks solve_fields(const SimCluster2D& cl, const SolverConfig& cfg) {
+  FieldSet work{FieldId::kR};
+  if (cfg.type != SolverType::kJacobi) {
+    work |= {FieldId::kP, FieldId::kW};
+    if (cfg.precon != PreconType::kNone) work |= {FieldId::kZ};
+    if (cfg.precon == PreconType::kJacobiBlock) {
+      work |= {FieldId::kCp, FieldId::kBfp};
+    }
+    if (cfg.fuse_cg_reductions) work |= {FieldId::kZ, FieldId::kSd};
+    if (cfg.type == SolverType::kPPCG) {
+      work |= {FieldId::kZ, FieldId::kSd, FieldId::kRtemp};
+    }
+  }
+  const int dims = cl.mesh().dims;
+  const FieldSet base = Chunk::base_fields(dims);
+  FieldSet operands{FieldId::kU, FieldId::kU0, FieldId::kKx, FieldId::kKy};
+  if (dims == 3) operands |= {FieldId::kKz};
+  switch (cfg.precision) {
+    case Precision::kDouble: return {.fp64 = base | work};
+    case Precision::kSingle: return {.fp64 = base, .fp32 = operands | work};
+    case Precision::kMixed:
+      return {.fp64 = base | FieldSet{FieldId::kR, FieldId::kW},
+              .fp32 = operands | work};
+  }
+  TEA_ASSERT(false, "invalid precision");
+}
+
 void check_solvable(const SimCluster2D& cl, const SolverConfig& cfg) {
   cfg.validate();
   TEA_REQUIRE(cfg.halo_depth <= cl.halo_depth(),
@@ -334,6 +364,7 @@ SolveStats run_solver(SimCluster2D& cl, const SolverConfig& cfg,
                       const MachineSpec& machine) {
   check_solvable(cl, cfg);
   const SolverConfig resolved = resolve(cl, cfg, machine);
+  cl.allocate(solve_fields(cl, resolved));
   cl.reset_trace();
   SolveStats stats;
   switch (resolved.precision) {
@@ -347,6 +378,8 @@ SolveStats run_solver(SimCluster2D& cl, const SolverConfig& cfg,
 
 SolveStats run_solver_team(SimCluster2D& cl, const SolverConfig& cfg,
                            const Team& team, const MachineSpec& machine) {
+  TEA_ASSERT(cl.chunk(0).allocated().covers(solve_fields(cl, cfg)),
+             "allocate a team solve's fields before its region");
   const SolverConfig resolved = resolve(cl, cfg, machine);
   // Only thread 0 records, so only its stats carry the trace.
   if (team.thread_id() == 0) cl.reset_trace();

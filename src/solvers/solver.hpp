@@ -14,6 +14,23 @@ namespace tealeaf {
 /// before its region.
 void check_solvable(const SimCluster2D& cl, const SolverConfig& cfg);
 
+/// The fields a solve of `cfg` on `cl` uses, per bank: the fp64 bank's
+/// base set (Chunk::base_fields) plus the solver's work fields, and the
+/// fp32 bank of a single or mixed solve.  The work fields, read from the
+/// solver bodies:
+///  * Jacobi: r (its sweep saves u there);
+///  * CG, Chebyshev and PPCG: p, r and w; any preconditioner adds z, and
+///    block-Jacobi also cp and bfp (its Thomas factors);
+///  * Chronopoulos–Gear CG adds z and sd whatever the preconditioner;
+///  * PPCG adds z, sd and rtemp (its inner Chebyshev solve).
+/// A single solve runs them on the fp32 bank, which also holds u, u0 and
+/// the coefficients; a mixed solve does the same, and its fp64 bank adds
+/// only r and w, for the guard residual.  Every solve allocates these
+/// before its region (run_solver, solve_batched), and a chunk holds only
+/// what its solves have used (docs/architecture.md, "Field residency").
+[[nodiscard]] FieldBanks solve_fields(const SimCluster2D& cl,
+                                      const SolverConfig& cfg);
+
 /// The one way into a solve: run the configured solver on A·u = u0.
 ///
 /// Preconditions (normally established by SolveSession / the driver's
@@ -23,13 +40,14 @@ void check_solvable(const SimCluster2D& cl, const SolverConfig& cfg);
 ///    exchange.
 /// Postcondition: u holds the converged solution on chunk interiors.
 ///
-/// Makes the check_solvable checks, then resolves the tile height before
-/// dispatch: tile_rows < 0 ("auto") sizes the row-blocks from `machine`'s
-/// per-core L2 and the chunk width (a height covering a whole plane is
-/// one block per plane), and a block-Jacobi height rounds up to whole
-/// 4-row strips.  Pass the machine the run models (SolveSession and the
-/// sweep thread theirs through); the default is the same spruce_hybrid
-/// SweepOptions prices communication against.  The whole native solve
+/// Makes the check_solvable checks, resolves the tile height and
+/// allocates the solve_fields the chunks lack (a TeaError when memory
+/// runs out) before dispatch.  tile_rows < 0 ("auto") sizes the
+/// row-blocks from `machine`'s per-core L2 and the chunk width (a height
+/// covering a whole plane is one block per plane), and a block-Jacobi
+/// height rounds up to whole 4-row strips.  Pass the machine the run
+/// models (SolveSession and the sweep thread theirs through); the default
+/// is the same spruce_hybrid SweepOptions prices communication against.  The whole native solve
 /// runs in one parallel region; the multigrid preconditioner's hierarchy
 /// is built before it opens (SolveStats::setup_seconds).
 [[nodiscard]] SolveStats run_solver(
@@ -44,10 +62,11 @@ void check_solvable(const SimCluster2D& cl, const SolverConfig& cfg);
 /// — the solve-server's batch engine runs one request per sub-team,
 /// concurrently, inside ONE region.  cfg must have passed check_solvable
 /// on `cl` and be batchable (fp64 and no multigrid preconditioner: both
-/// need work outside the region; see server/batch.hpp).  Those checks
-/// throw, so the caller makes them before its region opens.  The tile
-/// height resolves as in run_solver, and the result is bitwise identical
-/// to run_solver's, which opens a region of its own.
+/// need work outside the region; see server/batch.hpp), and `cl` must
+/// hold its solve_fields.  Those checks throw and the allocation may, so
+/// the caller makes them before its region opens.  The tile height
+/// resolves as in run_solver, and the result is bitwise identical to
+/// run_solver's, which opens a region of its own.
 [[nodiscard]] SolveStats run_solver_team(
     SimCluster2D& cl, const SolverConfig& cfg, const Team& team,
     const MachineSpec& machine = machines::spruce_hybrid());

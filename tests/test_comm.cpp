@@ -1,23 +1,9 @@
 #include <gtest/gtest.h>
 
-#include <fstream>
-
-#if defined(__linux__)
-#include <sys/resource.h>
-#include <unistd.h>
-#endif
-
 #include "comm/gather.hpp"
 #include "comm/sim_comm.hpp"
+#include "test_helpers.hpp"
 #include "util/parallel.hpp"
-
-#if defined(__SANITIZE_ADDRESS__)
-#define TEALEAF_TEST_ASAN 1
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer)
-#define TEALEAF_TEST_ASAN 1
-#endif
-#endif
 
 namespace tealeaf {
 namespace {
@@ -78,6 +64,7 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(Exchange, MultipleFieldsTravelTogether) {
   const GlobalMesh2D mesh(24, 24);
   SimCluster2D cl(mesh, 4, 2);
+  cl.allocate({.fp64 = {FieldId::kP, FieldId::kSd}});
   fill_global(cl, FieldId::kP, 1.0);
   fill_global(cl, FieldId::kSd, 3.0);
   cl.exchange({FieldId::kP, FieldId::kSd}, 2);
@@ -188,34 +175,44 @@ TEST(Stats, ResetClearsEverything) {
 }
 
 TEST(SimCluster, AllocationFailureIsATeaErrorNotTerminate) {
-  // The chunks are built inside the first-touch region; an allocation
-  // failure there must reach the caller as a TeaError naming the mesh.
-#if !defined(__linux__) || defined(TEALEAF_TEST_ASAN)
-  GTEST_SKIP() << "needs RLIMIT_AS, and ASan aborts oversize allocations "
+  // The chunks are built inside the first-touch region, and the fields a
+  // solve adds in a region of their own; an allocation failure there must
+  // reach the caller as a TeaError naming the mesh.
+#if !TEALEAF_TEST_LIMITS_MEMORY
+  GTEST_SKIP() << "needs RLIMIT_DATA, and ASan aborts oversize allocations "
                   "instead of throwing";
 #else
   parallel_region([](Team&) {});  // start the team before the limit
-  std::size_t pages = 0;
-  std::ifstream("/proc/self/statm") >> pages;
-  rlimit old{};
-  ASSERT_EQ(getrlimit(RLIMIT_AS, &old), 0);
-  rlimit low = old;
-  low.rlim_cur = pages * static_cast<rlim_t>(sysconf(_SC_PAGESIZE)) +
-                 (rlim_t{4} << 30);
-  if (old.rlim_cur != RLIM_INFINITY) {
-    low.rlim_cur = std::min(low.rlim_cur, old.rlim_cur);
+  std::string built;
+  {
+    const testing::MemoryLimit limit(std::size_t{4} << 30);
+    try {
+      SimCluster cl(GlobalMesh(40000, 40000), 1, 1);  // 12.8 GB a field
+    } catch (const TeaError& e) {
+      built = e.what();
+    }
   }
-  ASSERT_EQ(setrlimit(RLIMIT_AS, &low), 0);
-  std::string msg;
-  try {
-    SimCluster cl(GlobalMesh(40000, 40000), 1, 1);  // 12.8 GB a field
-  } catch (const TeaError& e) {
-    msg = e.what();
+  SimCluster cl(GlobalMesh(1000, 1000), 2, 1);  // 4 MB a field a rank
+  std::string grown;
+  {
+    const testing::MemoryLimit limit(std::size_t{1} << 20);
+    try {
+      cl.allocate({.fp64 = {FieldId::kP}});
+    } catch (const TeaError& e) {
+      grown = e.what();
+    }
   }
-  ASSERT_EQ(setrlimit(RLIMIT_AS, &old), 0);
-  EXPECT_NE(msg.find("cannot allocate the 40000x40000 mesh on 1 rank"),
+  // The fields the chunks held are untouched, and p stays unallocated.
+  for (int r = 0; r < cl.nranks(); ++r) {
+    EXPECT_EQ(cl.chunk(r).allocated().fp64, Chunk::base_fields(2));
+    EXPECT_EQ(cl.chunk(r).field(FieldId::kP).size(), 0u);
+  }
+  EXPECT_NE(built.find("cannot allocate the 40000x40000 mesh on 1 rank"),
             std::string::npos)
-      << msg;
+      << built;
+  EXPECT_NE(grown.find("cannot allocate the 1000x1000 mesh on 2 ranks"),
+            std::string::npos)
+      << grown;
 #endif
 }
 

@@ -26,6 +26,7 @@ TEST_P(ExchangeProperty, HaloConsistencyAndAccounting) {
   const ExchangeCase ec = GetParam();
   const GlobalMesh2D mesh(ec.nx, ec.ny);
   SimCluster2D cl(mesh, ec.nranks, ec.depth);
+  cl.allocate({.fp64 = {FieldId::kW}});
 
   cl.for_each_chunk([&](int, Chunk2D& c) {
     auto& f = c.field(FieldId::kW);
@@ -93,6 +94,7 @@ TEST_P(Exchange3DProperty, HaloConsistencyAndAccounting) {
   const Exchange3DCase ec = GetParam();
   const GlobalMesh mesh = GlobalMesh::brick3d(ec.nx, ec.ny, ec.nz);
   SimCluster cl(mesh, ec.nranks, ec.depth);
+  cl.allocate({.fp64 = {FieldId::kW}});
 
   cl.for_each_chunk([&](int, Chunk& c) {
     auto& f = c.field(FieldId::kW);
@@ -155,6 +157,7 @@ TEST(Exchange3DProperty, MultiFieldDeepExchangeSharesMessages) {
   const GlobalMesh mesh = GlobalMesh::brick3d(12, 12, 12);
   SimCluster one(mesh, 8, 3);
   SimCluster two(mesh, 8, 3);
+  two.allocate({.fp64 = {FieldId::kP}});
   one.exchange({FieldId::kU}, 3);
   two.exchange({FieldId::kU, FieldId::kP}, 3);
   EXPECT_EQ(two.stats().messages, one.stats().messages);
@@ -214,6 +217,7 @@ TEST(ExchangeProperty, ShallowerExchangeLeavesDeepHaloAlone) {
 TEST(ExchangeProperty, StatsAggregateAcrossCalls) {
   const GlobalMesh2D mesh(24, 24);
   SimCluster2D cl(mesh, 4, 3);
+  cl.allocate({.fp64 = {FieldId::kP}});
   cl.exchange({FieldId::kU}, 1);
   cl.exchange({FieldId::kU, FieldId::kP}, 3);
   EXPECT_EQ(cl.stats().exchange_calls, 2);

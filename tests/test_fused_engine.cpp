@@ -136,6 +136,8 @@ TEST(FusedKernels, ChebyStepMatchesSmvpPlusUpdate) {
     auto a = make_test_problem(28, 2, 3);
     auto b = make_test_problem(28, 2, 3);
     for (auto* cl : {a.get(), b.get()}) {
+      cl->allocate({.fp64 = {FieldId::kW, FieldId::kZ, FieldId::kSd,
+                             FieldId::kRtemp}});
       cl->for_each_chunk([](int r, Chunk2D& c) {
         for (int k = -3; k < c.ny() + 3; ++k)
           for (int j = -3; j < c.nx() + 3; ++j) {
@@ -186,6 +188,8 @@ TEST(FusedKernels, CalcUrDotMatchesComposedSweeps) {
     auto a = make_test_problem(20, 2, 2);
     auto b = make_test_problem(20, 2, 2);
     for (auto* cl : {a.get(), b.get()}) {
+      cl->allocate({.fp64 = {FieldId::kP, FieldId::kR, FieldId::kW,
+                             FieldId::kZ, FieldId::kCp, FieldId::kBfp}});
       parallel_region([&](const Team& t) { (void)cg_setup(*cl, precon, t); });
       cl->exchange({FieldId::kP}, 1);
       cl->for_each_chunk([](int, Chunk2D& c) {
@@ -241,6 +245,7 @@ TEST(FusedKernels, CalcUrDotMatchesComposedSweeps) {
 
 TEST(Breakdown, CgIterationReportsInsteadOfThrowing) {
   auto cl = make_test_problem(16, 2, 2);
+  cl->allocate({.fp64 = {FieldId::kP, FieldId::kR, FieldId::kW}});
   double rro = 0.0;
   parallel_region([&](const Team& t) {
     const double v = cg_setup(*cl, PreconType::kNone, t);

@@ -47,6 +47,8 @@ TEST(CrossDimension, SlabCGRecurrenceScalarsMatch2DExactly) {
     // each iteration, and the recurrence (thread 0's copy).
     const auto run_cg = [&](SimCluster& cl, CGRecurrence& rec) {
       std::vector<double> rros;
+      cl.allocate({.fp64 = {FieldId::kP, FieldId::kR, FieldId::kW,
+                            FieldId::kZ, FieldId::kCp, FieldId::kBfp}});
       parallel_region([&](const Team& t) {
         CGRecurrence mine;
         std::vector<double> seen{cg_setup(cl, precon, t)};

@@ -27,6 +27,11 @@
 // guess on the serial path of the retired standalone mg-pcg solver; the
 // CG body must reproduce them at every thread count and tile height.
 //
+// Every route also declares the work fields its solver uses (the
+// residency table of docs/architecture.md): after a fresh cluster solves,
+// each bank must hold exactly the declared fields, so a solver that
+// starts using another field, or a field set that grows, fails here.
+//
 // The values come from the repo's default x86-64 build flags (Release,
 // no -march), which is what CI builds.  A build with other flags may
 // contract floating-point differently (e.g. FMA under -march=native) and
@@ -53,27 +58,52 @@ using testing::install_operator;
 using testing::make_test_problem;
 using testing::make_test_problem_3d;
 
+using enum FieldId;
+
 struct Variant {
   const char* name;
   SolverType type;
   PreconType precon;
   bool chrono;    ///< CG's Chronopoulos–Gear recurrence
   int halo_depth; ///< matrix-powers depth on the stencil (csr uses 1)
+  FieldSet work;  ///< the work fields the solver uses
 };
 
 // clang-format off
 const Variant kVariants[] = {
-    {"jacobi",          SolverType::kJacobi,    PreconType::kNone,        false, 1},
-    {"cg",              SolverType::kCG,        PreconType::kNone,        false, 1},
-    {"cg-block",        SolverType::kCG,        PreconType::kJacobiBlock, false, 1},
-    {"cg-chrono-diag",  SolverType::kCG,        PreconType::kJacobiDiag,  true,  1},
-    {"cg-chrono-block", SolverType::kCG,        PreconType::kJacobiBlock, true,  1},
-    {"cheby-diag",      SolverType::kChebyshev, PreconType::kJacobiDiag,  false, 1},
-    {"cheby-block",     SolverType::kChebyshev, PreconType::kJacobiBlock, false, 1},
-    {"ppcg-mp2",        SolverType::kPPCG,      PreconType::kNone,        false, 2},
-    {"ppcg-block",      SolverType::kPPCG,      PreconType::kJacobiBlock, false, 1},
+    {"jacobi",          SolverType::kJacobi,    PreconType::kNone,        false, 1, {kR}},
+    {"cg",              SolverType::kCG,        PreconType::kNone,        false, 1, {kP, kR, kW}},
+    {"cg-block",        SolverType::kCG,        PreconType::kJacobiBlock, false, 1, {kP, kR, kW, kZ, kCp, kBfp}},
+    {"cg-chrono-diag",  SolverType::kCG,        PreconType::kJacobiDiag,  true,  1, {kP, kR, kW, kZ, kSd}},
+    {"cg-chrono-block", SolverType::kCG,        PreconType::kJacobiBlock, true,  1, {kP, kR, kW, kZ, kSd, kCp, kBfp}},
+    {"cheby-diag",      SolverType::kChebyshev, PreconType::kJacobiDiag,  false, 1, {kP, kR, kW, kZ}},
+    {"cheby-block",     SolverType::kChebyshev, PreconType::kJacobiBlock, false, 1, {kP, kR, kW, kZ, kCp, kBfp}},
+    {"ppcg-mp2",        SolverType::kPPCG,      PreconType::kNone,        false, 2, {kP, kR, kW, kZ, kSd, kRtemp}},
+    {"ppcg-block",      SolverType::kPPCG,      PreconType::kJacobiBlock, false, 1, {kP, kR, kW, kZ, kSd, kRtemp, kCp, kBfp}},
 };
 // clang-format on
+
+/// What a route's banks hold: the fp64 bank the base set and the work
+/// fields; under mixed precision the fp64 bank only adds the guard
+/// residual's r and w, and the fp32 bank holds u, u0, the coefficients
+/// and the work fields.
+FieldBanks declared_fields(FieldSet work, Precision prec, int dims) {
+  const FieldSet base = Chunk::base_fields(dims);
+  if (prec == Precision::kDouble) return {base | work, {}};
+  FieldSet operands{kU, kU0, kKx, kKy};
+  if (dims == 3) operands |= {kKz};
+  return {base | FieldSet{kR, kW}, operands | work};
+}
+
+/// Expect every chunk of `cl` to hold exactly `want`.
+void expect_resident(const SimCluster& cl, const FieldBanks& want,
+                     const std::string& where) {
+  for (int r = 0; r < cl.nranks(); ++r) {
+    EXPECT_EQ(testing::field_names(cl.chunk(r).allocated()),
+              testing::field_names(want))
+        << where << " rank " << r;
+  }
+}
 
 struct Golden {
   const char* cell;
@@ -314,6 +344,9 @@ TEST(GoldenIterates, EveryRouteReproducesItsRecordedChecksum) {
                                st.spmv_applies,
                                static_cast<long long>(cl->stats().reductions),
                                static_cast<long long>(cl->stats().messages)};
+              expect_resident(*cl, declared_fields(v.work, prec, dims),
+                              cell + " at " + std::to_string(threads) +
+                                  " threads");
               const Golden* want = find_golden(cell);
               ++checked;
               if (want == nullptr) {
@@ -378,6 +411,10 @@ TEST(GoldenIterates, MgPcgReproducesItsSerialChecksumAtEveryThreadCount) {
             << at;
         EXPECT_EQ(res.initial_norm, one.initial_norm) << at;
         EXPECT_EQ(res.final_norm, one.final_norm) << at;
+        expect_resident(*cl,
+                        declared_fields({kP, kR, kW, kZ}, Precision::kDouble,
+                                        g.dims),
+                        at);
       }
     }
   }

@@ -1,7 +1,15 @@
 #pragma once
 
+#include <algorithm>
 #include <cmath>
+#include <fstream>
 #include <memory>
+#include <stdexcept>
+#include <string>
+
+#if defined(__linux__)
+#include <sys/resource.h>
+#endif
 
 #include "comm/gather.hpp"
 #include "comm/sim_comm.hpp"
@@ -71,8 +79,10 @@ inline void install_operator(SimCluster& cl, OperatorKind op) {
 }
 
 /// Relative residual ‖u0 − A·u‖ / ‖u0‖ over the whole cluster, computed
-/// from scratch (independent of any solver-internal bookkeeping).
+/// from scratch (independent of any solver-internal bookkeeping) in r and
+/// w, which it allocates when the cluster lacks them.
 inline double relative_residual(SimCluster2D& cl) {
+  cl.allocate({.fp64 = {FieldId::kR, FieldId::kW}});
   cl.exchange({FieldId::kU}, 1);
   const double rr = cl.sum_over_chunks(
       [](int, Chunk2D& c) { return kernels::calc_residual(c); });
@@ -157,5 +167,76 @@ inline std::unique_ptr<SimCluster> make_test_problem_3d(
   cl->reset_stats();
   return cl;
 }
+
+/// The fields of both banks by name, "density energy1 … | u u0 …", for
+/// comparisons whose failure should say which field differs.
+inline std::string field_names(const FieldBanks& banks) {
+  static const char* const kNames[kNumFieldIds] = {
+      "density", "energy1", "u",  "u0", "p",  "r",   "w", "z",
+      "sd",      "rtemp",   "kx", "ky", "cp", "bfp", "kz"};
+  std::string out;
+  const auto add = [&](FieldSet set) {
+    for (int i = 0; i < kNumFieldIds; ++i) {
+      if (set.contains(static_cast<FieldId>(i))) {
+        out += std::string(" ") + kNames[i];
+      }
+    }
+  };
+  add(banks.fp64);
+  out += " |";
+  add(banks.fp32);
+  return out;
+}
+
+/// Where MemoryLimit works: Linux, without ASan (which aborts an oversize
+/// allocation instead of throwing std::bad_alloc).
+#if defined(__SANITIZE_ADDRESS__)
+#define TEALEAF_TEST_LIMITS_MEMORY 0
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define TEALEAF_TEST_LIMITS_MEMORY 0
+#endif
+#endif
+#if !defined(TEALEAF_TEST_LIMITS_MEMORY) && defined(__linux__)
+#define TEALEAF_TEST_LIMITS_MEMORY 1
+#elif !defined(TEALEAF_TEST_LIMITS_MEMORY)
+#define TEALEAF_TEST_LIMITS_MEMORY 0
+#endif
+
+#if TEALEAF_TEST_LIMITS_MEMORY
+/// Lowers this process's data limit (RLIMIT_DATA: its private writable
+/// memory, every malloc arena included) to what it holds now plus
+/// `headroom` bytes until destroyed, so an allocation beyond that throws
+/// std::bad_alloc without using the memory.  Start the thread team first
+/// (an empty parallel_region): a new thread's stack counts.
+class MemoryLimit {
+ public:
+  explicit MemoryLimit(std::size_t headroom) {
+    std::ifstream status("/proc/self/status");
+    std::string key;
+    std::size_t kb = 0;
+    while (status >> key && key != "VmData:") {
+    }
+    status >> kb;
+    if (kb == 0 || getrlimit(RLIMIT_DATA, &old_) != 0) {
+      throw std::runtime_error("cannot read the data size or its limit");
+    }
+    rlimit low = old_;
+    low.rlim_cur = static_cast<rlim_t>(kb) * 1024 + headroom;
+    if (old_.rlim_cur != RLIM_INFINITY) {
+      low.rlim_cur = std::min(low.rlim_cur, old_.rlim_cur);
+    }
+    if (setrlimit(RLIMIT_DATA, &low) != 0) {
+      throw std::runtime_error("setrlimit(RLIMIT_DATA) failed");
+    }
+  }
+  ~MemoryLimit() { setrlimit(RLIMIT_DATA, &old_); }
+  MemoryLimit(const MemoryLimit&) = delete;
+  MemoryLimit& operator=(const MemoryLimit&) = delete;
+
+ private:
+  rlimit old_{};
+};
+#endif
 
 }  // namespace tealeaf::testing

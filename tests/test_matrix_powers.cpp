@@ -80,6 +80,8 @@ TEST(MatrixPowers, InnerApplyBitwiseAcrossDepths) {
   // Drive apply_inner directly with a fixed residual and compare z.
   const auto build = [&](int depth) {
     auto cl = make_test_problem(24, 4, std::max(depth, 1), 8.0);
+    cl->allocate({.fp64 = {FieldId::kR, FieldId::kW, FieldId::kZ,
+                           FieldId::kSd, FieldId::kRtemp}});
     cl->for_each_chunk([](int, Chunk2D& c) {
       for (int k = 0; k < c.ny(); ++k)
         for (int j = 0; j < c.nx(); ++j)

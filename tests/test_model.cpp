@@ -193,6 +193,7 @@ TEST(ExchangeCounts, MatchesSingleExchange) {
   const GlobalMesh2D mesh(30, 30);
   for (const int nranks : {1, 2, 4, 6, 9}) {
     SimCluster2D cl(mesh, nranks, 3);
+    cl.allocate({.fp64 = {FieldId::kP}});
     cl.exchange({FieldId::kU, FieldId::kP}, 3);
     const CommStats cc = exchange_counts(cl.decomposition(), 3, 2);
     EXPECT_EQ(cc.messages, cl.stats().messages) << nranks;

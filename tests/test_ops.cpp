@@ -16,6 +16,8 @@ class OpsFixture : public ::testing::Test {
   void SetUp() override {
     mesh_ = GlobalMesh2D(8, 6, 0.0, 8.0, 0.0, 6.0);
     cl_ = std::make_unique<SimCluster2D>(mesh_, 1, 2);
+    cl_->allocate({.fp64 = {FieldId::kP, FieldId::kR, FieldId::kW,
+                            FieldId::kZ}});
     Chunk2D& c = cl_->chunk(0);
     SplitMix64 rng(1234);
     c.density().fill(0.0);
@@ -204,6 +206,7 @@ TEST(ExtendedBounds, GrowOnlyTowardNeighbours) {
 TEST(JacobiKernel, OneSweepReducesError) {
   const GlobalMesh2D mesh(12, 12);
   SimCluster2D cl(mesh, 1, 2);
+  cl.allocate({.fp64 = {FieldId::kR}});
   Chunk2D& c = cl.chunk(0);
   c.density().fill(1.0);
   c.energy().fill(1.0);

@@ -82,12 +82,15 @@ TEST_P(Fp64BitwiseIdentity, Fp32BankDoesNotPerturbDoubleSolves) {
   const SolveStats ss = run_solver(*ref, cfg);
   ASSERT_TRUE(ss.converged) << engine;
 
-  // Same problem, but every chunk carries the (inactive) fp32 field bank
-  // and the config names its precision explicitly.  kDouble never touches
-  // the bank, so nothing may differ — not even ULPs.
+  // Same problem, but every chunk carries the (inactive) fp32 bank a mixed
+  // solve of this config uses, and the config names its precision
+  // explicitly.  kDouble never touches the bank, so nothing may differ —
+  // not even ULPs.
   auto cl = make();
   install_operator(*cl, op);
-  cl->for_each_chunk([](int, Chunk& c) { c.enable_fp32(); });
+  SolverConfig mcfg = cfg;
+  mcfg.precision = Precision::kMixed;
+  cl->allocate(solve_fields(*cl, mcfg));
   SolverConfig dcfg = cfg;
   dcfg.precision = Precision::kDouble;
   const SolveStats sd = run_solver(*cl, dcfg);
@@ -281,8 +284,11 @@ TEST(PrecisionShape, MatrixFileOperatorRejectsReducedPrecision) {
 /// values, then activate the bank.  The values span 2^-20..2^20, so the
 /// fp64 row sums round and depend on their order of accumulation.
 void activate_fp32_bank(SimCluster& cl) {
+  FieldSet bank{FieldId::kU,  FieldId::kP,  FieldId::kR, FieldId::kW,
+                FieldId::kZ,  FieldId::kKx, FieldId::kKy};
+  if (cl.mesh().dims == 3) bank |= {FieldId::kKz};
+  cl.allocate({.fp32 = bank});
   cl.for_each_chunk([](int rank, Chunk& c) {
-    c.enable_fp32();
     for (const FieldId f : {FieldId::kKx, FieldId::kKy, FieldId::kKz}) {
       if (f == FieldId::kKz && c.dims() == 2) continue;
       const Field<double>& k64 = c.field(f);
@@ -492,9 +498,13 @@ class BlockJacobiStripTiles : public ::testing::TestWithParam<StripCase> {
     auto cl = dims == 3 ? make_test_problem_3d(9, 2, 2)
                         : make_test_problem(18, 2, 2);
     install_operator(*cl, op);
+    const FieldSet strips{FieldId::kR, FieldId::kZ, FieldId::kCp,
+                          FieldId::kBfp};
     if (fp32) {
+      cl->allocate({.fp32 = strips});
       activate_fp32_bank(*cl);
     } else {
+      cl->allocate({.fp64 = strips});
       cl->for_each_chunk([](int rank, Chunk& c) {
         Field<double>& r = c.field(FieldId::kR);
         for (std::size_t i = 0; i < r.size(); ++i) {

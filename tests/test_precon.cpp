@@ -12,6 +12,8 @@ class PreconFixture : public ::testing::Test {
  protected:
   void SetUp() override {
     cl_ = std::make_unique<SimCluster2D>(GlobalMesh2D(10, 11), 1, 2);
+    cl_->allocate({.fp64 = {FieldId::kP, FieldId::kR, FieldId::kW,
+                            FieldId::kZ, FieldId::kCp, FieldId::kBfp}});
     Chunk2D& c = cl_->chunk(0);
     SplitMix64 rng(5150);
     c.density().fill(1.0);
@@ -123,6 +125,8 @@ TEST_F(PreconFixture, TruncatedStripsDecoupleAcrossBlockBoundary) {
 TEST(PreconSmall, SingleCellStrip) {
   // ny = 1 forces strips of length 1: M = diag, so block == diag solve.
   SimCluster2D cl(GlobalMesh2D(6, 1), 1, 2);
+  cl.allocate({.fp64 = {FieldId::kR, FieldId::kW, FieldId::kZ, FieldId::kCp,
+                        FieldId::kBfp}});
   Chunk2D& c = cl.chunk(0);
   c.density().fill(2.0);
   kernels::init_conduction(c, kernels::Coefficient::kConductivity, 0.5,

@@ -84,6 +84,7 @@ class OperatorInvariants : public ::testing::TestWithParam<int> {};
 TEST_P(OperatorInvariants, SymmetricPositiveConservative) {
   const int seed = GetParam();
   SimCluster2D cl(GlobalMesh2D(14, 17), 1, 2);
+  cl.allocate({.fp64 = {FieldId::kP, FieldId::kW, FieldId::kZ}});
   Chunk2D& c = cl.chunk(0);
   SplitMix64 rng(static_cast<std::uint64_t>(seed));
   c.density().fill(1.0);
@@ -133,6 +134,7 @@ class CGMonotonicity : public ::testing::TestWithParam<int> {};
 
 TEST_P(CGMonotonicity, MetricContractsOverall) {
   auto cl = make_test_problem(24, GetParam(), 2, 8.0);
+  cl->allocate({.fp64 = {FieldId::kP, FieldId::kR, FieldId::kW}});
   double initial = 0.0;
   double rro = 0.0;
   int increases = 0;

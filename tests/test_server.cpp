@@ -2,14 +2,17 @@
 
 #include <bit>
 #include <cstdint>
+#include <cstring>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "api/solve_api.hpp"
+#include "comm/gather.hpp"
 #include "driver/decks.hpp"
 #include "server/batch.hpp"
 #include "server/routing.hpp"
@@ -664,6 +667,203 @@ TEST(ServerPrecision, RoutesMixedCellsAndFiltersDoubleOnlyBaselines) {
   EXPECT_FALSE(res.batched);
   EXPECT_LE(res.stats.final_norm,
             res.config.eps * res.stats.initial_norm);
+}
+
+// ---- field residency ------------------------------------------------------
+
+/// An mg-pcg request whose multigrid hierarchy does not fit fails alone
+/// with a TeaError, as any other allocation a solve makes does.
+TEST(ServerMgPcg, HierarchyThatDoesNotFitFailsAlone) {
+#if !TEALEAF_TEST_LIMITS_MEMORY
+  GTEST_SKIP() << "needs RLIMIT_DATA, and ASan aborts oversize allocations "
+                  "instead of throwing";
+#else
+  parallel_region([](Team&) {});  // start the team before the limit
+  // A capped CG + jac_diag request leaves a cached session holding every
+  // field mg-pcg uses; the hierarchy, several MB, does not fit in 2 MB
+  // more.
+  InputDeck deck = decks::hot_block(640, 1);
+  deck.solver.precon = PreconType::kJacobiDiag;
+  deck.solver.max_iters = 2;
+  SolveRequest warm;
+  warm.deck = deck;
+  warm.nranks = 1;
+  SolveServer server;
+  ASSERT_TRUE(server.solve_one(warm).error.empty());
+
+  SolveRequest small = hot_block_request(32, "small");
+  small.nranks = 1;
+  SolveRequest mg = warm;
+  SolverConfig mg_cfg = deck.solver;
+  mg_cfg.precon = PreconType::kMultigrid;
+  mg.config = mg_cfg;
+  server.submit(small);
+  server.submit(mg);
+  std::vector<SolveResult> results;
+  {
+    const testing::MemoryLimit limit(std::size_t{2} << 20);
+    results = server.drain();
+  }
+  ASSERT_EQ(results.size(), 2u);
+  EXPECT_TRUE(results[0].ok()) << results[0].error;
+  EXPECT_NE(results[1].error.find(
+                "cannot allocate the 640x640 mesh on 1 rank: out of memory"),
+            std::string::npos)
+      << results[1].error;
+#endif
+}
+
+/// True when the interior u of `a` and `b` agree bit for bit.
+bool same_u(const SimCluster& a, const SimCluster& b) {
+  const Field<double> ua = gather_field(a, FieldId::kU);
+  const Field<double> ub = gather_field(b, FieldId::kU);
+  return ua.size() == ub.size() &&
+         std::memcmp(ua.data(), ub.data(), ua.size() * sizeof(double)) == 0;
+}
+
+/// One cached session serves three routes in turn: CG without a
+/// preconditioner, PPCG with stale eigenvalue hints (it breaks down and
+/// is re-solved prestepped), then a block-Jacobi CG override.  The
+/// session gains each field when a route first needs it, and each
+/// result's u equals the same request served by a fresh server, bit for
+/// bit.  The deck is mixed precision, so the three requests share one
+/// shape (the shape key carries the precision): the fp32 bank grows, and
+/// the fp64 bank keeps the base set plus the guard residual's r and w.
+TEST(ServerResidency, CachedSessionGrowsFieldsOnlyWhenARouteNeedsThem) {
+  using enum FieldId;
+  InputDeck deck = decks::hot_block(24, 1);
+  deck.solver.precision = Precision::kMixed;
+  const auto request = [&](std::optional<SolverConfig> cfg,
+                           const std::string& tag) {
+    SolveRequest req;
+    req.deck = deck;
+    req.nranks = 2;
+    req.config = cfg;
+    req.tag = tag;
+    return req;
+  };
+  SolverConfig stale = deck.solver;
+  stale.type = SolverType::kPPCG;
+  // An odd degree on a below-spectrum interval: ⟨r, M⁻¹r⟩ < 0 at the
+  // restart (StaleHintBreakdownReroutesOnceAndCompletes).
+  stale.inner_steps = 3;
+  stale.eig_hint_min = 0.1;
+  stale.eig_hint_max = 0.2;
+  SolverConfig block = deck.solver;
+  block.precon = PreconType::kJacobiBlock;
+
+  const FieldSet fp64 = Chunk::base_fields(2) | FieldSet{kR, kW};
+  const FieldSet cg{kU, kU0, kKx, kKy, kP, kR, kW};
+  const FieldSet ppcg = cg | FieldSet{kZ, kSd, kRtemp};
+  const struct {
+    SolveRequest req;
+    FieldSet fp32;
+  } steps[] = {
+      {request(std::nullopt, "cg"), cg},
+      {request(stale, "stale-ppcg"), ppcg},
+      {request(block, "cg-block"), ppcg | FieldSet{kCp, kBfp}},
+  };
+  const ProblemShape shape = ProblemShape::of(deck, 2, 2);
+  SolveServer server;
+  for (const auto& step : steps) {
+    const SolveResult res = server.solve_one(step.req);
+    ASSERT_TRUE(res.ok()) << step.req.tag << ": " << res.error;
+    EXPECT_EQ(res.rerouted, step.req.tag == "stale-ppcg");
+    const std::vector<const SolveSession*> pooled =
+        server.sessions().pooled(shape);
+    ASSERT_EQ(pooled.size(), 1u) << step.req.tag;
+    const SimCluster& cl = pooled.front()->cluster();
+    for (int r = 0; r < cl.nranks(); ++r) {
+      EXPECT_EQ(testing::field_names(cl.chunk(r).allocated()),
+                testing::field_names({fp64, step.fp32}))
+          << step.req.tag << " rank " << r;
+    }
+
+    SolveServer fresh;
+    const SolveResult ref = fresh.solve_one(step.req);
+    ASSERT_TRUE(ref.ok()) << step.req.tag;
+    EXPECT_TRUE(same_u(cl, fresh.sessions().pooled(shape).front()->cluster()))
+        << step.req.tag;
+    EXPECT_EQ(res.stats.final_norm, ref.stats.final_norm) << step.req.tag;
+    EXPECT_EQ(res.stats.outer_iters, ref.stats.outer_iters) << step.req.tag;
+  }
+  EXPECT_EQ(server.sessions().hits(), 2);
+}
+
+/// A mixed CSR solve whose fp32 side cannot be allocated is a TeaError,
+/// not the end of the process, and through the server that request fails
+/// alone while the one beside it is served.
+TEST(ServerResidency, Fp32AllocationFailureFailsTheRequestAlone) {
+#if !TEALEAF_TEST_LIMITS_MEMORY
+  GTEST_SKIP() << "needs RLIMIT_DATA, and ASan aborts oversize allocations "
+                  "instead of throwing";
+#else
+  using enum FieldId;
+  parallel_region([](Team&) {});  // start the team before the limit
+  SolverConfig mixed;
+  mixed.op = OperatorKind::kCsr;
+  mixed.precision = Precision::kMixed;
+  {
+    // The fp64 side of the solve is in place; its fp32 bank, 7.4 MB,
+    // does not fit in 1 MB more.
+    auto cl = testing::make_test_problem(512, 1, 2);
+    testing::install_operator(*cl, OperatorKind::kCsr);
+    cl->allocate({.fp64 = {kR, kW}});
+    std::string msg;
+    {
+      const testing::MemoryLimit limit(std::size_t{1} << 20);
+      try {
+        (void)run_solver(*cl, mixed);
+      } catch (const TeaError& e) {
+        msg = e.what();
+      }
+    }
+    EXPECT_NE(msg.find("cannot allocate the 512x512 mesh on 1 rank: out of "
+                       "memory"),
+              std::string::npos)
+        << msg;
+    EXPECT_FALSE(cl->chunk(0).fp32_active());
+  }
+
+  // A capped mixed CSR Jacobi request leaves a cached session with five
+  // fp32 fields.  A Chronopoulos–Gear block-Jacobi CG request on it needs
+  // six more (24 bytes a cell, 10 MB): its step frees and re-assembles
+  // both matrices, and the rest does not fit in 2 MB more.
+  InputDeck deck = decks::hot_block(640, 1);
+  deck.solver.type = SolverType::kJacobi;
+  deck.solver.op = OperatorKind::kCsr;
+  deck.solver.precision = Precision::kMixed;
+  deck.solver.max_iters = 2;
+  SolveRequest warm;
+  warm.deck = deck;
+  warm.nranks = 1;
+  SolveServer server;
+  ASSERT_TRUE(server.solve_one(warm).error.empty());
+
+  SolveRequest small = hot_block_request(32, "small");
+  small.nranks = 1;
+  SolveRequest big = warm;
+  big.tag = "big";
+  SolverConfig chrono = deck.solver;
+  chrono.type = SolverType::kCG;
+  chrono.fuse_cg_reductions = true;
+  chrono.precon = PreconType::kJacobiBlock;
+  big.config = chrono;
+  server.submit(small);
+  server.submit(big);
+  std::vector<SolveResult> results;
+  {
+    const testing::MemoryLimit limit(std::size_t{2} << 20);
+    results = server.drain();
+  }
+  ASSERT_EQ(results.size(), 2u);
+  EXPECT_TRUE(results[0].ok()) << results[0].error;
+  EXPECT_NE(results[1].error.find(
+                "cannot allocate the 640x640 mesh on 1 rank: out of memory"),
+            std::string::npos)
+      << results[1].error;
+  EXPECT_TRUE(results[1].cache_hit);
+#endif
 }
 
 }  // namespace

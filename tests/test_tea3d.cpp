@@ -129,6 +129,7 @@ TEST(Exchange3D, CornersAndEdgesPropagate) {
 
 TEST(Operator3D, SevenPointConservationAndSPD) {
   auto cl = make_problem_3d(8, 1, 2);
+  cl->allocate({.fp64 = {FieldId::kP, FieldId::kW, FieldId::kZ}});
   Chunk& c = cl->chunk(0);
   // A·1 = 1 (unit row sums).
   c.p().fill(1.0);

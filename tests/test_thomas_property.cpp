@@ -43,6 +43,8 @@ TEST_P(ThomasProperty, MatchesDenseEliminationPerStrip) {
   const int ny = 5 + seed;  // 6..15
   const int nx = 7;
   SimCluster2D cl(GlobalMesh2D(nx, ny), 1, 2);
+  cl.allocate({.fp64 = {FieldId::kR, FieldId::kW, FieldId::kZ, FieldId::kCp,
+                        FieldId::kBfp}});
   Chunk2D& c = cl.chunk(0);
   c.density().fill(1.0);
   for (int k = -2; k < ny + 2; ++k)
@@ -87,6 +89,8 @@ TEST(ThomasEdge, ExtremeCoefficientContrast) {
   // 1000:1 density contrast (the crooked-pipe regime) must not break the
   // factorisation.
   SimCluster2D cl(GlobalMesh2D(4, 8), 1, 2);
+  cl.allocate({.fp64 = {FieldId::kR, FieldId::kW, FieldId::kZ, FieldId::kCp,
+                        FieldId::kBfp}});
   Chunk2D& c = cl.chunk(0);
   for (int k = -2; k < 10; ++k)
     for (int j = -2; j < 6; ++j)
@@ -111,6 +115,8 @@ TEST(ThomasEdge, IdentityLimitWhenCouplingVanishes) {
   // With ky = 0 (e.g. ry = 0) the strips decouple into scalars:
   // M = diag(A) and the block solve must equal the diagonal solve.
   SimCluster2D cl(GlobalMesh2D(5, 9), 1, 2);
+  cl.allocate({.fp64 = {FieldId::kR, FieldId::kW, FieldId::kZ, FieldId::kCp,
+                        FieldId::kBfp}});
   Chunk2D& c = cl.chunk(0);
   c.density().fill(2.0);
   kernels::init_conduction(c, kernels::Coefficient::kConductivity, 3.0,

@@ -73,8 +73,11 @@ TEST(TiledCluster, NumRowTilesEdgeCases) {
 
 // ---- tiled kernels vs their untiled forms (bitwise) ----------------------
 
-/// Deterministic non-trivial fill of the solver work fields.
+/// Deterministic non-trivial fill of the solver work fields (allocated
+/// here).
 void fill_work_fields(SimCluster2D& cl, int halo) {
+  cl.allocate({.fp64 = {FieldId::kP, FieldId::kR, FieldId::kW, FieldId::kZ,
+                        FieldId::kSd, FieldId::kRtemp}});
   cl.for_each_chunk([&](int r, Chunk2D& c) {
     for (int k = -halo; k < c.ny() + halo; ++k) {
       for (int j = -halo; j < c.nx() + halo; ++j) {
@@ -258,6 +261,8 @@ TEST(TiledKernels, JacobiTwoPhaseMatchesFusedSweep) {
   for (const int tile : {1, 2, 5, 7}) {
     auto a = make_test_problem(24, 2, 2);
     auto b = make_test_problem(24, 2, 2);
+    a->allocate({.fp64 = {FieldId::kR}});
+    b->allocate({.fp64 = {FieldId::kR}});
     for (int it = 0; it < 3; ++it) {
       const double one_block = sweep(*a, 0);
       const double tiled = sweep(*b, tile);
