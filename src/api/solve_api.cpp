@@ -36,7 +36,9 @@ std::string ProblemShape::key() const {
 }
 
 SolveSession::SolveSession(const InputDeck& deck, int nranks,
-                           int halo_override) : deck_(deck) {
+                           int halo_override,
+                           const std::optional<SolverConfig>& first)
+    : deck_(deck) {
   deck_.validate();
   const GlobalMesh mesh = deck_.mesh();
   // Upstream allocates at least two halo layers; matrix powers needs the
@@ -45,9 +47,9 @@ SolveSession::SolveSession(const InputDeck& deck, int nranks,
       std::max({2, deck_.solver.halo_depth, halo_override});
   shape_ = ProblemShape::of(deck_, nranks, halo);
   cluster_ = std::make_unique<SimCluster>(mesh, nranks, halo);
-  // The deck solver's fields are first touched here, in set-up; a route
+  // The first solve's fields are first touched here, in set-up; a route
   // that needs others adds them when it first runs (run_solver).
-  cluster_->allocate(solve_fields(*cluster_, deck_.solver));
+  cluster_->allocate(solve_fields(*cluster_, first.value_or(deck_.solver)));
   apply_states(*cluster_, deck_);
   // Seed u = ρ·e so a pre-solve field_summary reports the initial state.
   cluster_->for_each_chunk([](int, Chunk& c) { kernels::init_u_u0(c); });
@@ -106,7 +108,7 @@ void SolveSession::prepare(OperatorKind op) {
   }
   // Assemble the just-built conduction stencil; coefficients change every
   // prepare, so this cannot be memoised across resets.
-  cl.for_each_chunk_allocating({}, [](int, Chunk& c) {
+  cl.for_each_chunk([](int, Chunk& c) {
     c.set_assembled_operator(
         std::make_shared<const CsrMatrix>(assemble_from_stencil(c)));
   });
@@ -172,10 +174,11 @@ FieldSummary SolveSession::field_summary() {
   return fs;
 }
 
-std::vector<SolveSession*> SessionCache::acquire(const InputDeck& deck,
-                                                 int nranks, int halo,
-                                                 int count) {
-  TEA_REQUIRE(count >= 1, "SessionCache::acquire: count must be >= 1");
+std::vector<SolveSession*> SessionCache::acquire(
+    const InputDeck& deck, int nranks, int halo,
+    const std::vector<SolverConfig>& routes) {
+  const int count = static_cast<int>(routes.size());
+  TEA_REQUIRE(count >= 1, "SessionCache::acquire: needs at least one route");
   const ProblemShape shape = ProblemShape::of(deck, nranks, halo);
   const auto found = pool_.find(shape.key());
   const int have = found == pool_.end()
@@ -185,7 +188,8 @@ std::vector<SolveSession*> SessionCache::acquire(const InputDeck& deck,
   // cannot build leaves the pool and the counters as they were.
   std::vector<std::unique_ptr<SolveSession>> built;
   for (int i = have; i < count; ++i) {
-    built.push_back(std::make_unique<SolveSession>(deck, nranks, halo));
+    built.push_back(std::make_unique<SolveSession>(
+        deck, nranks, halo, routes[static_cast<std::size_t>(i)]));
   }
   ShapeEntry& entry = pool_[shape.key()];
   entry.last_use = ++clock_;

@@ -121,15 +121,17 @@ struct FieldSummary {
 /// session solve is bitwise identical to the pre-PR6 TeaLeafApp::step.
 class SolveSession {
  public:
-  /// Build the cluster, allocate the fields the deck solver uses
-  /// (solve_fields, solvers/solver.hpp) and initialise them from the
-  /// deck; a solve with another configuration adds what it lacks.  Halo
-  /// depth is sized for the deck solver's matrix-powers configuration;
-  /// `halo_override` > 0 forces a deeper allocation (the server uses this
-  /// to size sessions for the deepest routed configuration).
-  /// Throws TeaError on an invalid deck or when memory runs out.
+  /// Build the cluster, allocate the fields the first solve uses
+  /// (solve_fields, solvers/solver.hpp, of `first`: the deck solver when
+  /// not given) and initialise them from the deck; a solve with another
+  /// configuration adds what it lacks.  Halo depth is sized for the deck
+  /// solver's matrix-powers configuration; `halo_override` > 0 forces a
+  /// deeper allocation.  The server passes both from the request's route,
+  /// so a session holds what its route uses, not what the deck solver
+  /// would.  Throws TeaError on an invalid deck or when memory runs out.
   explicit SolveSession(const InputDeck& deck, int nranks = 4,
-                        int halo_override = 0);
+                        int halo_override = 0,
+                        const std::optional<SolverConfig>& first = {});
 
   /// Re-initialise density/energy/u from a (possibly different) deck of
   /// the SAME shape — the cache-reuse path.  Cheap: no allocation.
@@ -200,15 +202,18 @@ class SessionCache {
   explicit SessionCache(std::size_t max_sessions = 8)
       : max_sessions_(max_sessions) {}
 
-  /// Borrow `count` sessions for the given shape, constructing what the
-  /// pool lacks.  The pooled sessions come first, so the first (hits()
-  /// this call added) entries are the reused ones.  Each returned session
-  /// still holds its previous deck's fields — `reset` it before use.
-  /// Pointers stay valid until the next `acquire` (which may evict other
-  /// shapes, never the one returned).  A session the deck cannot build
-  /// throws and leaves the pool and the counters as they were.
+  /// Borrow one session per entry of `routes` for the given shape,
+  /// constructing what the pool lacks.  The pooled sessions come first,
+  /// so the first (hits() this call added) entries are the reused ones; a
+  /// session built here for entry i holds the fields routes[i] uses.
+  /// Each returned session still holds its previous deck's values —
+  /// `reset` it before use.  Pointers stay valid until the next `acquire`
+  /// (which may evict other shapes, never the one returned).  A session
+  /// the deck cannot build throws and leaves the pool and the counters as
+  /// they were.
   std::vector<SolveSession*> acquire(const InputDeck& deck, int nranks,
-                                     int halo, int count);
+                                     int halo,
+                                     const std::vector<SolverConfig>& routes);
 
   /// The pooled sessions of `shape`, oldest first (none when the shape
   /// is not pooled).

@@ -57,7 +57,7 @@ SimCluster::SimCluster(const GlobalMesh& mesh, int nranks, int halo_depth)
   // so the zero-fill of each chunk's fields (the first touch of those
   // pages) happens on the thread, and hence the NUMA node, that will
   // process the chunk for the rest of the run.
-  for_each_rank_allocating({}, [&](int r) {
+  for_each_rank({}, [&](int r) {
     chunks_[static_cast<std::size_t>(r)] =
         std::make_unique<Chunk>(decomp_.extent(r), mesh, halo_depth);
   });
@@ -70,13 +70,13 @@ void SimCluster::allocate(const FieldBanks& fields) {
       chunks_.begin(), chunks_.end(),
       [&](const auto& c) { return c->allocated().covers(fields); });
   if (held) return;
-  for_each_chunk_allocating({}, [&](int, Chunk& c) { c.allocate(fields); });
+  for_each_chunk([&](int, Chunk& c) { c.allocate(fields); });
 }
 
-void SimCluster::for_each_rank_allocating(
-    const Kernels& kernels, const std::function<void(int)>& body) {
-  // The loop has no barrier, so a rank whose allocation fails keeps the
-  // first failure and the region still joins; it is rethrown after.
+void SimCluster::for_each_rank(const Kernels& kernels,
+                               const std::function<void(int)>& body) {
+  // The loop has no barrier, so a rank whose body throws keeps the first
+  // failure and the region still joins; it is rethrown after.
   std::exception_ptr failure;
   std::mutex failure_mu;
   parallel_region([&](Team& t) {
@@ -211,9 +211,11 @@ void SimCluster::exchange_x_rank_face(int rank, Face face,
   };
   for (int f = 0; f < nfields; ++f) {
     if (me.fp32_active()) {
-      copy_face(me.field32(fields[f]), other.field32(fields[f]));
+      copy_face(me.field_t<float>(fields[f]),
+                other.field_t<float>(fields[f]));
     } else {
-      copy_face(me.field(fields[f]), other.field(fields[f]));
+      copy_face(me.field_t<double>(fields[f]),
+                other.field_t<double>(fields[f]));
     }
   }
 }
@@ -252,9 +254,11 @@ void SimCluster::exchange_y_rank_face(int rank, Face face,
   };
   for (int f = 0; f < nfields; ++f) {
     if (me.fp32_active()) {
-      copy_face(me.field32(fields[f]), other.field32(fields[f]));
+      copy_face(me.field_t<float>(fields[f]),
+                other.field_t<float>(fields[f]));
     } else {
-      copy_face(me.field(fields[f]), other.field(fields[f]));
+      copy_face(me.field_t<double>(fields[f]),
+                other.field_t<double>(fields[f]));
     }
   }
 }
@@ -296,9 +300,11 @@ void SimCluster::exchange_z_rank_face(int rank, Face face,
   };
   for (int f = 0; f < nfields; ++f) {
     if (me.fp32_active()) {
-      copy_face(me.field32(fields[f]), other.field32(fields[f]));
+      copy_face(me.field_t<float>(fields[f]),
+                other.field_t<float>(fields[f]));
     } else {
-      copy_face(me.field(fields[f]), other.field(fields[f]));
+      copy_face(me.field_t<double>(fields[f]),
+                other.field_t<double>(fields[f]));
     }
   }
 }

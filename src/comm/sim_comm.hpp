@@ -45,7 +45,8 @@ namespace tealeaf {
 /// prepare, the mixed-precision fp64 guard residual, test and harness
 /// set-up — uses the standalone `exchange`, `for_each_chunk` and
 /// `sum_over_chunks`, thin wrappers that open one region around the Team
-/// form (so they must not be called inside a region).
+/// form (so they must not be called inside a region); an exception from
+/// a standalone `for_each_chunk` body is rethrown after its region.
 class SimCluster {
  public:
   /// Decompose `mesh` over `nranks` ranks, allocating every chunk with
@@ -87,25 +88,20 @@ class SimCluster {
   void exchange(const Team& team, std::initializer_list<FieldId> fields,
                 int depth);
 
-  /// Run `body(rank, chunk)` for every rank, parallelised over ranks.
-  /// The form with `kernels` counts them into the trace, each one launch
-  /// over every chunk (extended by kernels.ext()).
+  /// Run `body(rank, chunk)` for every rank in one region, on the thread
+  /// that owns the rank.  The form with `kernels` counts them into the
+  /// trace, each one launch over every chunk (extended by kernels.ext()).
+  /// A rank's exception is caught inside the region and the first is
+  /// rethrown after it (out of memory as a TeaError naming the mesh and
+  /// the rank count), so a body that allocates or checks its input cannot
+  /// end the process.
   template <class Body>
   void for_each_chunk(Body&& body) {
     for_each_chunk(Kernels{}, body);
   }
   template <class Body>
   void for_each_chunk(const Kernels& kernels, Body&& body) {
-    parallel_region([&](Team& t) { for_each_chunk(t, kernels, body); });
-  }
-
-  /// for_each_chunk for a `body` that allocates: a rank's failure is
-  /// caught inside the region, and the first is rethrown after it (out of
-  /// memory as a TeaError naming the mesh and the rank count), so it
-  /// cannot end the process.  Each `body` must finish with no barrier.
-  template <class Body>
-  void for_each_chunk_allocating(const Kernels& kernels, Body&& body) {
-    for_each_rank_allocating(kernels, [&](int r) { body(r, *chunks_[r]); });
+    for_each_rank(kernels, [&](int r) { body(r, *chunks_[r]); });
   }
 
   /// Team-aware form: workshares the ranks through `team`.  No implied
@@ -322,9 +318,10 @@ class SimCluster {
 
  private:
   /// Run `body(rank)` for every rank in one region, on the thread that
-  /// owns the rank; see for_each_chunk_allocating.
-  void for_each_rank_allocating(const Kernels& kernels,
-                                const std::function<void(int)>& body);
+  /// owns the rank, catching as the standalone for_each_chunk does (the
+  /// constructor builds the chunks through it).
+  void for_each_rank(const Kernels& kernels,
+                     const std::function<void(int)>& body);
 
   /// Element size the exchanges and sweeps run at: the fp32 bank's when
   /// the solve has it active.

@@ -156,7 +156,10 @@ class Chunk {
   }
 
   /// Scalar-generic field access for templated kernel cores:
-  /// field_t<double> is field(), field_t<float> is field32().
+  /// field_t<double> is field(), field_t<float> is field32().  The kernels
+  /// and halo exchanges reach fields through it, so it requires the field
+  /// to be allocated: a solver body that drifts from solve_fields stops
+  /// with "field not allocated" instead of indexing an empty field.
   template <class T>
   [[nodiscard]] Field<T>& field_t(FieldId id);
   template <class T>
@@ -260,6 +263,13 @@ class Chunk {
 
  private:
   static std::size_t idx(FieldId id) { return static_cast<std::size_t>(id); }
+  /// `f`, checked to be allocated (field_t).
+  template <class F>
+  static F& held(F& f) {
+    TEA_ASSERT(f.size() > 0,
+               "field not allocated: allocate solve_fields first");
+    return f;
+  }
   /// A zero-filled field of this chunk's geometry.
   template <class T>
   [[nodiscard]] Field<T> make_field() const;
@@ -278,19 +288,19 @@ class Chunk {
 
 template <>
 inline Field<double>& Chunk::field_t<double>(FieldId id) {
-  return field(id);
+  return held(field(id));
 }
 template <>
 inline const Field<double>& Chunk::field_t<double>(FieldId id) const {
-  return field(id);
+  return held(field(id));
 }
 template <>
 inline Field<float>& Chunk::field_t<float>(FieldId id) {
-  return field32(id);
+  return held(field32(id));
 }
 template <>
 inline const Field<float>& Chunk::field_t<float>(FieldId id) const {
-  return field32(id);
+  return held(field32(id));
 }
 
 /// Compatibility spelling from before the dimension-generic core.

@@ -133,11 +133,11 @@ inline double calc_ur_dot_row(Chunk& c, const View& A, double alpha,
   auto& r = c.field_t<S>(FieldId::kR);
   const auto& p = c.field_t<S>(FieldId::kP);
   const auto& w = c.field_t<S>(FieldId::kW);
-  auto& z = c.field_t<S>(FieldId::kZ);
   const S a = static_cast<S>(alpha);
   if constexpr (std::is_same_v<S, double>) {
     double acc = 0.0;
     if (diag) {
+      auto& z = c.field_t<S>(FieldId::kZ);  // unallocated without a precon
       for (int j = 0; j < c.nx(); ++j) {
         u(j, k, l) += a * p(j, k, l);
         const S rv = r(j, k, l) - a * w(j, k, l);
@@ -163,6 +163,7 @@ inline double calc_ur_dot_row(Chunk& c, const View& A, double alpha,
       cg_calc_ur_row<S>(c, alpha, k, l);
       return dot_row(r, r, c.nx(), k, l);
     }
+    auto& z = c.field_t<S>(FieldId::kZ);
     for (int j = 0; j < c.nx(); ++j) {
       u(j, k, l) += a * p(j, k, l);
       r(j, k, l) -= a * w(j, k, l);

@@ -208,12 +208,18 @@ std::vector<SolveResult> SolveServer::drain() {
       const std::size_t chunk = std::min(
           members.size() - at, static_cast<std::size_t>(opts_.max_batch));
       const Pending& first = pending[members[at]];
+      std::vector<SolverConfig> routes;
+      for (std::size_t b = 0; b < chunk; ++b) {
+        routes.push_back(pending[members[at + b]].routed.config);
+      }
       const long long hits_before = cache_.hits();
       std::vector<SolveSession*> sessions;
       try {
+        // A session built here holds its request's route fields, not the
+        // deck solver's.
         sessions = cache_.acquire(first.req->deck, first.req->nranks,
                                   std::max(2, first.routed.config.halo_depth),
-                                  static_cast<int>(chunk));
+                                  routes);
       } catch (const TeaError& e) {
         // The chunk shares one shape: none of it can be served.
         for (std::size_t b = 0; b < chunk; ++b) {

@@ -101,8 +101,7 @@ SolveStats dispatch_native(SimCluster2D& cl, const SolverConfig& resolved) {
   double setup_seconds = 0.0;
   if (resolved.precon == PreconType::kMultigrid) {
     const Timer setup;
-    cl.for_each_chunk_allocating(
-        {}, [&](int, Chunk2D& c) { mg = hierarchy_of(c); });
+    cl.for_each_chunk([&](int, Chunk2D& c) { mg = hierarchy_of(c); });
     setup_seconds = setup.elapsed_s();
   }
   SolveStats st = solve_in_region(cl, [&](const Team& t) {
@@ -143,7 +142,7 @@ void build_fp32_operator(SimCluster2D& cl) {
           ? Kernels({Kernel::kDowncast, Kernel::kDowncast, Kernel::kDowncast},
                     h)
           : Kernels({Kernel::kDowncast, Kernel::kDowncast}, h);
-  cl.for_each_chunk_allocating(downcasts, [&](int, Chunk& c) {
+  cl.for_each_chunk(downcasts, [&](int, Chunk& c) {
     downcast_field(c, FieldId::kKx, FieldId::kKx);
     downcast_field(c, FieldId::kKy, FieldId::kKy);
     if (c.dims() == 3) downcast_field(c, FieldId::kKz, FieldId::kKz);

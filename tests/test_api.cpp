@@ -79,16 +79,16 @@ TEST(SolveSession, HintedSolveSkipsTheEigenPresteps) {
 TEST(SessionCache, CountsHitsAndMissesPerBorrowedSession) {
   const InputDeck deck = decks::hot_block(24, 1);
   SessionCache cache(8);
-  const std::vector<SolveSession*> first = cache.acquire(deck, 2, 2, 2);
+  const std::vector<SolveSession*> first = cache.acquire(deck, 2, 2, {deck.solver, deck.solver});
   ASSERT_EQ(first.size(), 2u);
   EXPECT_EQ(cache.misses(), 2);
   EXPECT_EQ(cache.hits(), 0);
 
-  (void)cache.acquire(deck, 2, 2, 2);
+  (void)cache.acquire(deck, 2, 2, {deck.solver, deck.solver});
   EXPECT_EQ(cache.hits(), 2);
 
   // Growing the borrow mixes hits (pooled) and misses (constructed).
-  (void)cache.acquire(deck, 2, 2, 3);
+  (void)cache.acquire(deck, 2, 2, std::vector(3, deck.solver));
   EXPECT_EQ(cache.hits(), 4);
   EXPECT_EQ(cache.misses(), 3);
   EXPECT_EQ(cache.shapes(), 1u);
@@ -97,9 +97,11 @@ TEST(SessionCache, CountsHitsAndMissesPerBorrowedSession) {
 
 TEST(SessionCache, EvictsLeastRecentShapeWholeWhenOverCapacity) {
   SessionCache cache(2);
-  (void)cache.acquire(decks::hot_block(24, 1), 2, 2, 2);
+  const InputDeck small = decks::hot_block(24, 1);
+  const InputDeck large = decks::hot_block(32, 1);
+  (void)cache.acquire(small, 2, 2, {small.solver, small.solver});
   EXPECT_EQ(cache.size(), 2u);
-  (void)cache.acquire(decks::hot_block(32, 1), 2, 2, 1);
+  (void)cache.acquire(large, 2, 2, {large.solver});
   // 24×24 (2 sessions) was least recent and the pool was over capacity:
   // evicted as a whole, never the shape just returned.
   EXPECT_EQ(cache.shapes(), 1u);

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "comm/gather.hpp"
 #include "comm/sim_comm.hpp"
 #include "test_helpers.hpp"
+#include "util/error.hpp"
 #include "util/parallel.hpp"
 
 namespace tealeaf {
@@ -172,6 +175,25 @@ TEST(Stats, ResetClearsEverything) {
   EXPECT_EQ(cl.stats().messages, 0);
   EXPECT_EQ(cl.stats().reductions, 0);
   EXPECT_EQ(cl.stats().exchange_calls, 0);
+}
+
+TEST(SimCluster, StandaloneForEachChunkRethrowsAfterItsRegion) {
+  // A standalone body's throw is caught per rank, so the other ranks run
+  // and the caller gets the error instead of the process ending.
+  SimCluster cl(GlobalMesh(32, 32), 4, 1);
+  std::vector<int> ran(4, 0);
+  EXPECT_THROW(cl.for_each_chunk([&](int r, Chunk&) {
+    ran[static_cast<std::size_t>(r)] = 1;
+    TEA_REQUIRE(r != 2, "rank 2 refuses");
+  }),
+               TeaError);
+  EXPECT_EQ(ran, std::vector<int>(4, 1));
+  // Activating an fp32 bank the chunks do not hold is such a throw.
+  EXPECT_THROW(cl.for_each_chunk([](int, Chunk& c) {
+    c.set_fp32_active(true);
+  }),
+               TeaError);
+  EXPECT_FALSE(cl.chunk(0).fp32_active());
 }
 
 TEST(SimCluster, AllocationFailureIsATeaErrorNotTerminate) {

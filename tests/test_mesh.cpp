@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "mesh/chunk.hpp"
 #include "mesh/field.hpp"
 #include "mesh/mesh.hpp"
@@ -84,6 +86,28 @@ TEST(ChunkTest, FieldsAllocatedWithHalo) {
   EXPECT_EQ(c.field(FieldId::kKy).nx(), 8);
   c.u()(-3, -3) = 1.0;  // deepest halo corner is addressable
   EXPECT_DOUBLE_EQ(c.u()(-3, -3), 1.0);
+}
+
+TEST(ChunkTest, UnallocatedFieldIsEmptyAndKernelAccessStopsByName) {
+  const GlobalMesh2D mesh(8, 8);
+  Chunk2D c(ChunkExtent{0, 0, 8, 8}, mesh, 2);
+  // A 2-D chunk's Kz is unallocated like any work field or fp32 twin.
+  for (const FieldId id : {FieldId::kP, FieldId::kKz}) {
+    EXPECT_EQ(c.field(id).size(), 0u);
+    EXPECT_THROW((void)c.field_t<double>(id), TeaError);
+  }
+  EXPECT_EQ(c.field32(FieldId::kU).size(), 0u);
+  try {
+    (void)c.field_t<float>(FieldId::kU);
+    ADD_FAILURE() << "field_t handed out an unallocated fp32 field";
+  } catch (const TeaError& e) {
+    EXPECT_NE(std::string(e.what()).find("field not allocated"),
+              std::string::npos)
+        << e.what();
+  }
+  c.allocate({.fp64 = {FieldId::kP}, .fp32 = {FieldId::kU}});
+  EXPECT_EQ(c.field_t<double>(FieldId::kP).size(), c.u().size());
+  EXPECT_EQ(c.field_t<float>(FieldId::kU).size(), c.u().size());
 }
 
 TEST(ChunkTest, BoundaryDetection) {

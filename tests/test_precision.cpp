@@ -251,9 +251,9 @@ TEST(PrecisionShape, KeySuffixesDistinguishPrecisions) {
 TEST(PrecisionShape, SessionCacheNeverSharesAcrossPrecisions) {
   SessionCache cache(8);
   InputDeck deck = decks::hot_block(16);
-  const auto dbl = cache.acquire(deck, 2, 2, 1);
+  const auto dbl = cache.acquire(deck, 2, 2, {deck.solver});
   deck.solver.precision = Precision::kMixed;
-  const auto mix = cache.acquire(deck, 2, 2, 1);
+  const auto mix = cache.acquire(deck, 2, 2, {deck.solver});
   ASSERT_EQ(dbl.size(), 1u);
   ASSERT_EQ(mix.size(), 1u);
   // Same geometry, different precision: two distinct sessions (a cache

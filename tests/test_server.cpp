@@ -790,6 +790,49 @@ TEST(ServerResidency, CachedSessionGrowsFieldsOnlyWhenARouteNeedsThem) {
   EXPECT_EQ(server.sessions().hits(), 2);
 }
 
+/// A session the server builds holds its request's route fields, not the
+/// deck solver's: a default-CG deck routed to Jacobi never holds p or w.
+/// One drain batches two routes of one shape into two new sessions, and
+/// each holds exactly its own route's set (the Jacobi one second, so it
+/// cannot inherit the first route's set either).
+TEST(ServerResidency, NewSessionHoldsItsRouteNotTheDeckSolver) {
+  using enum FieldId;
+  SolverConfig block = decks::hot_block(24, 1).solver;
+  block.precon = PreconType::kJacobiBlock;
+  SolverConfig jacobi = decks::hot_block(24, 1).solver;
+  jacobi.type = SolverType::kJacobi;
+  SolveRequest a = hot_block_request(24, "cg-block");
+  a.config = block;
+  SolveRequest b = hot_block_request(24, "jacobi");
+  b.config = jacobi;
+  ASSERT_EQ(a.deck.solver.type, SolverType::kCG);
+  ASSERT_EQ(a.deck.solver.precon, PreconType::kNone);
+
+  SolveServer server;
+  server.submit(a);
+  server.submit(b);
+  const std::vector<SolveResult> results = server.drain();
+  ASSERT_EQ(results.size(), 2u);
+  for (const SolveResult& res : results) {
+    EXPECT_TRUE(res.error.empty()) << res.tag << ": " << res.error;
+    EXPECT_TRUE(res.batched) << res.tag;
+  }
+  const FieldSet base = Chunk::base_fields(2);
+  const FieldSet want[] = {base | FieldSet{kP, kR, kW, kZ, kCp, kBfp},
+                           base | FieldSet{kR}};
+  const std::vector<const SolveSession*> pooled =
+      server.sessions().pooled(ProblemShape::of(a.deck, 2, 2));
+  ASSERT_EQ(pooled.size(), 2u);
+  for (std::size_t i = 0; i < 2; ++i) {
+    const SimCluster& cl = pooled[i]->cluster();
+    for (int r = 0; r < cl.nranks(); ++r) {
+      EXPECT_EQ(testing::field_names(cl.chunk(r).allocated()),
+                testing::field_names({want[i], {}}))
+          << results[i].tag << " rank " << r;
+    }
+  }
+}
+
 /// A mixed CSR solve whose fp32 side cannot be allocated is a TeaError,
 /// not the end of the process, and through the server that request fails
 /// alone while the one beside it is served.
