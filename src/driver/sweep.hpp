@@ -126,7 +126,8 @@ struct SweepOptions {
 /// (with_outer_iters) and mesh_n: a solve of `cfg` on a small `dims`-D
 /// crooked pipe on one rank that runs every phase — the presteps, then
 /// one check interval of Chebyshev steps or one main-loop iteration of
-/// the other solvers, or one refinement pass of a mixed configuration.
+/// the other solvers (a mixed configuration runs them in one fp32 pass
+/// between its fp64 guard residuals).
 /// Throws TeaError if it leaves that course.
 [[nodiscard]] SolverRunSummary fixed_iteration_run(const SolverConfig& cfg,
                                                    int dims);

@@ -57,30 +57,20 @@ inline double dot_row(const Field<S>& a, const Field<S>& b, int nx, int k,
 /// One operator row with the dot folded in: dst = A·src over
 /// [b.jlo, b.jhi), returning the interior part of Σ src·dst (0.0 when row
 /// (l,k) is outside the interior).  src and dst must be distinct fields.
+/// The operator store and the dot run as separate j-loops: with the
+/// interior test inside one loop, the store does not vectorize.  The dot
+/// reads back the stored values in ascending j, so the sum is bitwise the
+/// fused loop's.
 template <class View, class S = typename View::Scalar>
 inline double smvp_dot_row(const View& A, const Field<S>& src, Field<S>& dst,
                            const Bounds& b, const Bounds& in, int k, int l) {
-  const bool row_in = (k >= in.klo && k < in.khi && l >= in.llo &&
-                       l < in.lhi);
+  for (int j = b.jlo; j < b.jhi; ++j) dst(j, k, l) = A.apply(src, j, k, l);
   double acc = 0.0;
-  if constexpr (std::is_same_v<S, double>) {
-    for (int j = b.jlo; j < b.jhi; ++j) {
-      const S w = A.apply(src, j, k, l);
-      dst(j, k, l) = w;
-      if (row_in && j >= in.jlo && j < in.jhi)
-        acc += static_cast<double>(src(j, k, l)) * static_cast<double>(w);
-    }
-  } else {
-    // fp32: the operator store and the fp64 dot run as separate j-loops
-    // (see jacobi_update_row).  The dot reads back the stored values in
-    // ascending j, so the sum is bitwise the fused loop's.
-    for (int j = b.jlo; j < b.jhi; ++j) dst(j, k, l) = A.apply(src, j, k, l);
-    if (row_in) {
-      const int j1 = std::min(b.jhi, in.jhi);
-      for (int j = std::max(b.jlo, in.jlo); j < j1; ++j)
-        acc += static_cast<double>(src(j, k, l)) *
-               static_cast<double>(dst(j, k, l));
-    }
+  if (k >= in.klo && k < in.khi && l >= in.llo && l < in.lhi) {
+    const int j1 = std::min(b.jhi, in.jhi);
+    for (int j = std::max(b.jlo, in.jlo); j < j1; ++j)
+      acc += static_cast<double>(src(j, k, l)) *
+             static_cast<double>(dst(j, k, l));
   }
   return acc;
 }

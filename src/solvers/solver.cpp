@@ -224,11 +224,13 @@ SolveStats solve_single(SimCluster2D& cl, const SolverConfig& resolved) {
 
 /// Precision::kMixed — fp64-guarded iterative refinement: each pass
 /// recomputes the TRUE residual in fp64 (r = u0 − A·u on the fp64 bank),
-/// re-solves the correction A·δ = r entirely in fp32 at a loose inner
-/// tolerance, and accumulates u += δ in fp64.  Refinement converges when
-/// the fp64 residual meets the caller's eps relative to the INITIAL fp64
-/// residual — the same contract as a double solve — and reports
-/// breakdown when it stalls (the server answers that with a re-route).
+/// re-solves the correction A·δ = r entirely in fp32 to the contraction
+/// still missing, and accumulates u += δ in fp64.  Refinement converges
+/// when the fp64 residual meets the caller's eps relative to the INITIAL
+/// fp64 residual — the same contract as a double solve.  max_iters bounds
+/// the passes together: a spent budget ends the solve unconverged, as a
+/// capped double solve ends; a stall, or the pass cap, is a breakdown
+/// (the server answers that with a re-route).
 SolveStats solve_mixed(SimCluster2D& cl, const SolverConfig& resolved) {
   // The native solvers time their own iteration loops; the refinement
   // wrapper times the WHOLE mixed solve — inner solves, downcasts and the
@@ -237,8 +239,12 @@ SolveStats solve_mixed(SimCluster2D& cl, const SolverConfig& resolved) {
   constexpr int kMaxRefines = 12;
   // fp32 has ~7.2 decimal digits; pushing an inner solve past ~1e-5
   // relative buys nothing the next fp64 refinement pass doesn't redo.
+  constexpr double kFp32Floor = 1e-5;
+  // A pass asks for half the contraction still missing: the true
+  // residual an fp32 pass leaves sits above the norm its recurrence
+  // reports (up to ~90x at the floor).
+  constexpr double kPassMargin = 0.5;
   SolverConfig inner_cfg = resolved;
-  inner_cfg.eps = std::max(resolved.eps, 1e-5);
 
   SolveStats stats;
   const double rr0 = fp64_true_residual(cl);
@@ -255,7 +261,12 @@ SolveStats solve_mixed(SimCluster2D& cl, const SolverConfig& resolved) {
   int stalls = 0;
   for (int ref = 0; ref <= kMaxRefines; ++ref) {
     // Correction system: fp32 right-hand side = the current fp64
-    // residual; zero fp32 initial guess.
+    // residual; zero fp32 initial guess.  The pass stops once it has
+    // bought the contraction to the target (norm > target here), or
+    // spent what is left of the budget.
+    inner_cfg.eps =
+        std::max({resolved.eps, kFp32Floor, kPassMargin * target / norm});
+    inner_cfg.max_iters = resolved.max_iters - stats.outer_iters;
     cl.set_phase(Phase::kSetup);
     const Kernels rhs({Kernel::kClearFp32, Kernel::kDowncast},
                       cl.halo_depth());
@@ -292,6 +303,8 @@ SolveStats solve_mixed(SimCluster2D& cl, const SolverConfig& resolved) {
       stats.converged = true;
       break;
     }
+    // A spent budget ends the solve as a capped double solve ends.
+    if (stats.outer_iters >= resolved.max_iters) break;
     // Reuse the inner solve's eigenvalue estimates: the fp32 operator
     // does not change between refinement passes, so later inner solves
     // skip their CG presteps.
@@ -309,7 +322,8 @@ SolveStats solve_mixed(SimCluster2D& cl, const SolverConfig& resolved) {
       break;
     }
   }
-  if (!stats.converged && !stats.breakdown) {
+  if (!stats.converged && !stats.breakdown &&
+      stats.outer_iters < resolved.max_iters) {
     stats.breakdown = true;
     stats.breakdown_reason = "mixed: refinement cap reached above tl_eps";
   }

@@ -47,7 +47,9 @@ struct SolverConfig {
   SolverType type = SolverType::kCG;
   PreconType precon = PreconType::kNone;
 
-  int max_iters = 10000;   ///< outer-iteration cap (tl_max_iters)
+  /// Outer-iteration cap (tl_max_iters); the fp32 passes of a mixed
+  /// solve share it.
+  int max_iters = 10000;
   double eps = 1e-10;      ///< relative convergence tolerance (tl_eps)
 
   /// Matrix-powers halo depth (paper §IV-C2).  1 = classic exchange per

@@ -34,6 +34,7 @@
 #include "solvers/solver.hpp"
 #include "test_helpers.hpp"
 #include "util/error.hpp"
+#include "util/log.hpp"
 #include "util/parallel.hpp"
 
 #if defined(__x86_64__)
@@ -172,6 +173,39 @@ TEST(MixedPrecision, TightToleranceForcesRefinementPasses) {
   // And the fp64 guard really left an fp64 solution behind: recomputing
   // the residual from scratch in fp64 agrees with the claim.
   EXPECT_LT(testing::relative_residual(*cl), 1e-9);
+}
+
+TEST(MixedPrecision, MaxItersBoundsAllPassesTogether) {
+  // tl_max_iters bounds a mixed solve as it bounds a double one: each fp32
+  // pass gets what the passes before it left, and a spent budget ends the
+  // solve unconverged, with no breakdown.  Jacobi spends its budget in
+  // its first pass, CG and Chebyshev theirs in the second.
+  const log::Level was = log::level();
+  log::set_level(log::Level::kError);  // capped solves warn at max_iters
+  const struct {
+    SolverType type;
+    double eps;
+    int max_iters;
+    int refine_steps;
+  } cases[] = {{SolverType::kJacobi, 1e-5, 25, 0},
+               {SolverType::kCG, 1e-9, 50, 1},
+               {SolverType::kChebyshev, 1e-9, 55, 1}};
+  for (const auto& c : cases) {
+    auto cl = make_test_problem(20, 2, 2);
+    SolverConfig cfg;
+    cfg.type = c.type;
+    cfg.eps = c.eps;
+    cfg.max_iters = c.max_iters;
+    cfg.precision = Precision::kMixed;
+    const SolveStats st = run_solver(*cl, cfg);
+    const char* name = to_string(c.type);
+    EXPECT_EQ(st.outer_iters, c.max_iters) << name;
+    EXPECT_EQ(st.refine_steps, c.refine_steps) << name;
+    EXPECT_FALSE(st.converged) << name;
+    EXPECT_FALSE(st.breakdown) << name << ": " << st.breakdown_reason;
+    EXPECT_GT(st.final_norm, cfg.eps * st.initial_norm) << name;
+  }
+  log::set_level(was);
 }
 
 // ---- single: honest, deterministic all-fp32 ------------------------------
