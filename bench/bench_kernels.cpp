@@ -426,13 +426,16 @@ int run_tile_scan(const Args& args) {
 
   const int chunk_n = mesh / std::max(1, static_cast<int>(
                                              std::lround(std::sqrt(ranks))));
+  // `auto` sized for Spruce's 256 KB L2 (the rung the committed baseline
+  // holds) and for this host's, the height a solve here runs at.
   const int auto_rows =
       auto_tile_rows(machines::spruce_hybrid(), chunk_n, 2);
-  // Ladder: small blocks (L2-sized and below), the auto-derived height,
-  // and the whole chunk (one block per rank — the pure 2-D-scheduling
-  // point, no blocking overhead).
+  const int host_rows = auto_tile_rows(machines::host(), chunk_n, 2);
+  // Ladder: small blocks (L2-sized and below), the two auto heights, and
+  // the whole chunk (one block per rank — the pure 2-D-scheduling point,
+  // no blocking overhead).
   std::vector<int> tiles = {8, 32, 128};
-  for (const int extra : {auto_rows, chunk_n}) {
+  for (const int extra : {auto_rows, host_rows, chunk_n}) {
     if (std::find(tiles.begin(), tiles.end(), extra) == tiles.end()) {
       tiles.push_back(extra);
     }
@@ -445,6 +448,7 @@ int run_tile_scan(const Args& args) {
   doc.set("threads", num_threads());
   doc.set("reps", reps);
   doc.set("auto_tile_rows", auto_rows);
+  doc.set("host_auto_tile_rows", host_rows);
   io::JsonValue arr = io::JsonValue::array();
 
   double worst_tiled_vs_fused = 0.0;

@@ -9,7 +9,9 @@ between batched and solo solves).  The old CI check was
 ``! grep -q '"identical_iterations": false'`` — which passes vacuously
 when the key is missing or the file is empty.  This script fails on BOTH:
 every solver entry must carry at least one equivalence flag (directly or
-in a nested object) and every flag must be true.
+in a nested object) and every flag must be true.  A tile-size scan must
+also record ``host_auto_tile_rows`` (the height ``auto`` resolves to on
+the host that ran it) and time every solver at that height.
 
 Usage: check_bench_smoke.py BENCH_PR2.json [BENCH_PR3.json ...]
 """
@@ -50,7 +52,25 @@ def check(path):
                 f"{path}: solver '{name}' produced differing results "
                 f"across engines — the engines must be bitwise equivalent"
             )
+    if "tile-size scan" in str(doc.get("benchmark", "")):
+        check_host_rung(path, doc, solvers)
     print(f"{path}: {len(solvers)} solvers, all engine pairs identical")
+
+
+def check_host_rung(path, doc, solvers):
+    rows = doc.get("host_auto_tile_rows")
+    if not isinstance(rows, int) or isinstance(rows, bool) or rows < 1:
+        raise SystemExit(
+            f"{path}: no host_auto_tile_rows — the scan must record the "
+            f"height `auto` runs at on its host"
+        )
+    for entry in solvers:
+        heights = [t.get("tile_rows") for t in entry.get("tiles", [])]
+        if rows not in heights:
+            raise SystemExit(
+                f"{path}: solver '{entry.get('solver', '<unnamed>')}' has "
+                f"no rung at the host's auto height {rows}"
+            )
 
 
 def main():

@@ -67,8 +67,10 @@ int run(const tealeaf::Args& args) {
     }
   });
 
+  // `auto` resolves against this host's L2 (resolve_tile_rows).
+  const std::string rows = std::to_string(resolve_tile_rows(cl, cfg));
   const std::string tile =
-      cfg.tile_rows < 0 ? "auto" : std::to_string(cfg.tile_rows);
+      cfg.tile_rows < 0 ? "auto: " + rows + " rows" : rows;
 
   std::printf("heat3d: %d^3 cells on %d simulated ranks (%dx%dx%d), "
               "PPCG depth %d [tile %s]\n", n, cl.nranks(),

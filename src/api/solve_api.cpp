@@ -144,7 +144,7 @@ SolveStats SolveSession::solve(const SolverConfig& cfg) {
               "(no stencil coefficients to assemble in fp32); use "
               "tl_precision = double");
   prepare(checked.op);
-  const SolveStats stats = run_solver(*cluster_, checked, machine_);
+  const SolveStats stats = run_solver(*cluster_, checked, machine());
   finish_solve(stats);
   return stats;
 }

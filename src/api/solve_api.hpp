@@ -173,12 +173,13 @@ class SolveSession {
   [[nodiscard]] double sim_time() const { return sim_time_; }
   [[nodiscard]] int solves_taken() const { return solves_taken_; }
 
-  /// Machine the session's runs model (default spruce_hybrid): resolves
-  /// `auto` tile heights against ITS per-core L2 instead of always the
-  /// default machine's.  The sweep sets this from SweepOptions::machine
-  /// so a swept auto cell and the comm pricing describe the same system.
-  void set_machine(const MachineSpec& machine) { machine_ = machine; }
-  [[nodiscard]] const MachineSpec& machine() const { return machine_; }
+  /// The machine the session's solves resolve `auto` tile heights
+  /// against: machines::host(), whose per-core L2 they run in.  A caller
+  /// that runs the solver itself passes it to run_solver, so its solves
+  /// resolve the heights the session's own would.
+  [[nodiscard]] const MachineSpec& machine() const {
+    return machines::host();
+  }
 
  private:
   InputDeck deck_;
@@ -186,7 +187,6 @@ class SolveSession {
   std::unique_ptr<SimCluster2D> cluster_;
   double sim_time_ = 0.0;
   int solves_taken_ = 0;
-  MachineSpec machine_ = machines::spruce_hybrid();
   /// Matrix Market memo: the CSR built from deck_.matrix_file, keyed by
   /// the path it came from (reloaded only when the path changes).
   std::string loaded_matrix_path_;

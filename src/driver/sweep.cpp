@@ -86,9 +86,6 @@ namespace {
 void run_cell(const InputDeck& deck, int ranks, int steps,
               const MachineSpec& machine, SweepOutcome& out) {
   SolveSession session(deck, ranks);
-  // An `auto` tile height resolves against the swept machine's L2, so the
-  // cell's execution and its comm pricing describe the same system.
-  session.set_machine(machine);
   session.cluster().reset_stats();
   out.converged = true;
   for (int s = 0; s < steps; ++s) {

@@ -2,6 +2,10 @@
 
 #include <algorithm>
 
+#if __has_include(<unistd.h>)
+#include <unistd.h>
+#endif
+
 namespace tealeaf {
 
 int auto_tile_rows(const MachineSpec& machine, int chunk_nx,
@@ -79,6 +83,19 @@ MachineSpec spruce_mpi() {
   m.ranks_per_node = 20;  // one rank per core, 2 × 10-core sockets
   m.kernel_launch_us = 0.3;  // plain loop startup, no thread fork
   return m;
+}
+
+const MachineSpec& host() {
+  static const MachineSpec spec = [] {
+    MachineSpec m;
+    m.name = "host";
+#ifdef _SC_LEVEL2_CACHE_SIZE
+    const long bytes = sysconf(_SC_LEVEL2_CACHE_SIZE);
+    if (bytes > 0) m.l2_kb = static_cast<double>(bytes) / 1024.0;
+#endif
+    return m;
+  }();
+  return spec;
 }
 
 }  // namespace tealeaf::machines

@@ -23,10 +23,12 @@ struct MachineSpec {
   double mem_bw_gbs = 100.0;     ///< effective streaming bandwidth per node
   double cache_mb = 0.0;         ///< last-level cache per node (0 = none)
   double cache_bw_mult = 1.0;    ///< bandwidth boost when resident in cache
-  /// Private L2 per core (0 = not modelled).  Feeds the tiled execution
-  /// engine's `auto` tile height and the scaling model's blocked-cache
-  /// bytes/cell variant: a row-block whose working set fits here keeps a
-  /// fused kernel's intermediate field out of DRAM.
+  /// Private L2 per core (0 = not known).  Sizes `auto` tile heights
+  /// (auto_tile_rows): a row-block whose working set fits here keeps a
+  /// fused kernel's intermediate field out of DRAM.  A solve resolves
+  /// `auto` against machines::host()'s, the cache it runs in; the scaling
+  /// model resolves it against the modelled machine's, to price that
+  /// machine's blocked-cache bytes/cell variant.
   double l2_kb = 0.0;
   double kernel_launch_us = 1.0; ///< fixed overhead per kernel sweep
 
@@ -55,6 +57,14 @@ namespace machines {
 /// Spruce running flat MPI: 20 ranks per node (one per core).
 [[nodiscard]] MachineSpec spruce_mpi();
 
+/// The machine this process runs on: one process-wide spec, read once.
+/// Its l2_kb is the per-core L2 the OS reports
+/// (`sysconf(_SC_LEVEL2_CACHE_SIZE)`), 0 where it reports none, so
+/// auto_tile_rows falls back to 64 rows there.  Nothing else is measured:
+/// the remaining fields keep their defaults, so host() sizes tiles and
+/// prices nothing.  Allocates nothing after the first call.
+[[nodiscard]] const MachineSpec& host();
+
 }  // namespace machines
 
 /// Number of double fields a fused sweep streams per row — the working-set
@@ -66,8 +76,8 @@ inline constexpr int kTileWorkingSetFields = 6;
 /// the number of halo-extended rows of kTileWorkingSetFields double fields
 /// that fit in HALF the machine's per-core L2 (the other half is left to
 /// the read-ahead of neighbouring rows and everything else that lives in
-/// the cache).  Falls back to 64 rows when the machine does not model an
-/// L2.  Always >= 1.
+/// the cache).  Falls back to 64 rows when the machine has no known L2.
+/// Always >= 1.
 [[nodiscard]] int auto_tile_rows(const MachineSpec& machine, int chunk_nx,
                                  int halo_depth);
 

@@ -24,7 +24,8 @@ struct SolverRunSummary {
   int halo_depth = 1;
   /// Row-block height the run asked for (0 = one block per plane; -1 =
   /// auto, resolved by the model against the modelled machine's L2 and
-  /// chunk width): selects the kernels' L2-blocked traffic.
+  /// chunk width, not against the host's as the run was): selects the
+  /// kernels' L2-blocked traffic.
   int tile_rows = 0;
 
   [[nodiscard]] static SolverRunSummary from(const SolverConfig& cfg,

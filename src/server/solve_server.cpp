@@ -10,17 +10,6 @@
 
 namespace tealeaf {
 
-double ServerStats::percentile(double q) const {
-  if (latencies.empty()) return 0.0;
-  std::vector<double> sorted = latencies;
-  std::sort(sorted.begin(), sorted.end());
-  const double pos = q * (static_cast<double>(sorted.size()) - 1.0);
-  const std::size_t lo = static_cast<std::size_t>(pos);
-  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
-  const double frac = pos - static_cast<double>(lo);
-  return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
-}
-
 SolveServer::SolveServer(ServerOptions opts)
     : opts_(std::move(opts)), cache_(opts_.max_sessions) {
   TEA_REQUIRE(opts_.max_batch >= 1, "solve server: max_batch must be >= 1");
@@ -305,7 +294,7 @@ std::vector<SolveResult> SolveServer::drain() {
   stats_.cache_misses = cache_.misses();
   for (const SolveResult& res : results) {
     if (!res.ok()) ++stats_.failures;
-    if (res.error.empty()) stats_.latencies.push_back(res.latency_seconds);
+    if (res.error.empty()) stats_.latency.add(res.latency_seconds);
   }
   return results;
 }

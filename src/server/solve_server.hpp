@@ -8,6 +8,7 @@
 
 #include "api/solve_api.hpp"
 #include "server/routing.hpp"
+#include "util/stats.hpp"
 
 namespace tealeaf {
 
@@ -53,17 +54,17 @@ struct ServerStats {
   long long demotions = 0;          ///< routes newly demoted this server
   long long promotions = 0;         ///< demotions cleared by fresh evidence
   double busy_seconds = 0.0;        ///< wall time spent solving in drain()
-  /// Per-request seconds in arrival order; rejected requests have none.
-  std::vector<double> latencies;
+  /// Per-request seconds; rejected requests have none.  Fixed-size, so a
+  /// long-lived server's stats stay the same size however many it serves.
+  LogHistogram latency;
 
-  [[nodiscard]] double p50() const { return percentile(0.50); }
-  [[nodiscard]] double p99() const { return percentile(0.99); }
+  [[nodiscard]] double p50() const { return latency.quantile(0.50); }
+  [[nodiscard]] double p99() const { return latency.quantile(0.99); }
   /// Requests (rejected ones included) per busy second.
   [[nodiscard]] double throughput() const {
     return busy_seconds > 0.0 ? static_cast<double>(requests) / busy_seconds
                               : 0.0;
   }
-  [[nodiscard]] double percentile(double q) const;
 };
 
 /// Long-lived solve service: accepts a stream of SolveRequests, coalesces

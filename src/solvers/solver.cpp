@@ -22,44 +22,20 @@ namespace tealeaf {
 
 namespace {
 
-/// Record the measured fill of an assembled operator, and hand the solve
-/// its trace: what the cluster counted since the solve began, with the
-/// preconditioner and fill its kernels' traffic depends on.
+/// Record the tile height the solve ran at and the measured fill of an
+/// assembled operator, and hand the solve its trace: what the cluster
+/// counted since the solve began, with the preconditioner and fill its
+/// kernels' traffic depends on.
 void finish_stats(const SimCluster2D& cl, const SolverConfig& resolved,
                   SolveStats& stats) {
   const Chunk& c = cl.chunk(0);
   if (c.op_kind() != OperatorKind::kStencil && c.csr() != nullptr) {
     stats.nnz_per_row = c.csr()->nnz_per_row();
   }
+  stats.tile_rows = resolved.tile_rows;
   stats.trace = cl.trace();
   stats.trace.precon = resolved.precon;
   stats.trace.nnz_per_row = stats.nnz_per_row;
-}
-
-/// Resolve tile_rows = -1 ("auto"): size the row-blocks from the modelled
-/// machine's per-core L2 and this run's chunk width.  The machine is the
-/// caller's — SolveSession and the sweep pass the one their run models —
-/// so an auto height tracks the machine being studied instead of always
-/// assuming the default.  A height that covers a whole plane is one block
-/// per plane, the same schedule as tile_rows = 0.  Under block-Jacobi a
-/// positive height rounds up to whole 4-row strips: tiles start at
-/// interior row 0, so every tile then holds whole strips and the strip
-/// solve runs inside the tile pass.
-SolverConfig resolve(const SimCluster2D& cl, const SolverConfig& cfg,
-                     const MachineSpec& machine) {
-  SolverConfig resolved = cfg;
-  if (resolved.tile_rows < 0) {
-    resolved.tile_rows =
-        auto_tile_rows(machine, cl.chunk(0).nx(), cl.halo_depth());
-  }
-  if (resolved.precon == PreconType::kJacobiBlock && resolved.tile_rows > 0) {
-    // Capped to stay an int; a height that large covers every plane.
-    constexpr std::int64_t kCap =
-        std::numeric_limits<int>::max() / kJacBlockSize * kJacBlockSize;
-    resolved.tile_rows = static_cast<int>(
-        std::min(round_up(resolved.tile_rows, kJacBlockSize), kCap));
-  }
-  return resolved;
 }
 
 /// The solver body of `resolved.type` on `team`: the one type switch
@@ -373,10 +349,28 @@ void check_solvable(const SimCluster2D& cl, const SolverConfig& cfg) {
   }
 }
 
+int resolve_tile_rows(const SimCluster2D& cl, const SolverConfig& cfg,
+                      const MachineSpec& machine) {
+  std::int64_t rows = cfg.tile_rows;
+  if (rows < 0) {
+    rows = auto_tile_rows(machine, cl.chunk(0).nx(), cl.halo_depth());
+  }
+  if (cfg.precon == PreconType::kJacobiBlock && rows > 0) {
+    // Tiles start at interior row 0, so a height of whole strips keeps the
+    // strip solve inside the tile pass.  Capped to stay an int; a height
+    // that large covers every plane.
+    constexpr std::int64_t kCap =
+        std::numeric_limits<int>::max() / kJacBlockSize * kJacBlockSize;
+    rows = std::min(round_up(rows, kJacBlockSize), kCap);
+  }
+  return static_cast<int>(rows);
+}
+
 SolveStats run_solver(SimCluster2D& cl, const SolverConfig& cfg,
                       const MachineSpec& machine) {
   check_solvable(cl, cfg);
-  const SolverConfig resolved = resolve(cl, cfg, machine);
+  SolverConfig resolved = cfg;
+  resolved.tile_rows = resolve_tile_rows(cl, cfg, machine);
   cl.allocate(solve_fields(cl, resolved));
   cl.reset_trace();
   SolveStats stats;
@@ -390,10 +384,11 @@ SolveStats run_solver(SimCluster2D& cl, const SolverConfig& cfg,
 }
 
 SolveStats run_solver_team(SimCluster2D& cl, const SolverConfig& cfg,
-                           const Team& team, const MachineSpec& machine) {
+                           const Team& team) {
   TEA_ASSERT(cl.chunk(0).allocated().covers(solve_fields(cl, cfg)),
              "allocate a team solve's fields before its region");
-  const SolverConfig resolved = resolve(cl, cfg, machine);
+  SolverConfig resolved = cfg;
+  resolved.tile_rows = resolve_tile_rows(cl, cfg);
   // Only thread 0 records, so only its stats carry the trace.
   if (team.thread_id() == 0) cl.reset_trace();
   SolveStats stats = solve_body(cl, resolved, team, /*mg=*/nullptr);

@@ -31,6 +31,18 @@ void check_solvable(const SimCluster2D& cl, const SolverConfig& cfg);
 [[nodiscard]] FieldBanks solve_fields(const SimCluster2D& cl,
                                       const SolverConfig& cfg);
 
+/// The row-block height a solve of `cfg` on `cl` runs at.  A height
+/// `auto` (tile_rows < 0) is auto_tile_rows of `machine`'s per-core L2 and
+/// the chunk width at the cluster's halo depth; a height covering a whole
+/// plane is one block per plane, the schedule of tile_rows = 0.  Under
+/// block-Jacobi a positive height rounds up to whole 4-row strips.  Every
+/// solve resolves against machines::host(): `auto` fits the L2 of the
+/// machine the solve runs on, and a modelled machine only prices
+/// (ScalingModel resolves `auto` against the machine it prices).
+[[nodiscard]] int resolve_tile_rows(
+    const SimCluster2D& cl, const SolverConfig& cfg,
+    const MachineSpec& machine = machines::host());
+
 /// The one way into a solve: run the configured solver on A·u = u0.
 ///
 /// Preconditions (normally established by SolveSession / the driver's
@@ -40,35 +52,33 @@ void check_solvable(const SimCluster2D& cl, const SolverConfig& cfg);
 ///    exchange.
 /// Postcondition: u holds the converged solution on chunk interiors.
 ///
-/// Makes the check_solvable checks, resolves the tile height and
-/// allocates the solve_fields the chunks lack (a TeaError when memory
-/// runs out) before dispatch.  tile_rows < 0 ("auto") sizes the
-/// row-blocks from `machine`'s per-core L2 and the chunk width (a height
-/// covering a whole plane is one block per plane), and a block-Jacobi
-/// height rounds up to whole 4-row strips.  Pass the machine the run
-/// models (SolveSession and the sweep thread theirs through); the default
-/// is the same spruce_hybrid SweepOptions prices communication against.  The whole native solve
-/// runs in one parallel region; the multigrid preconditioner's hierarchy
-/// is built before it opens (SolveStats::setup_seconds).
+/// Makes the check_solvable checks, resolves the tile height
+/// (resolve_tile_rows against `machine`, by default the host; SolveStats::
+/// tile_rows records it) and allocates the solve_fields the chunks lack (a
+/// TeaError when memory runs out) before dispatch.  The whole native
+/// solve runs in one parallel region; the multigrid preconditioner's
+/// hierarchy is built before it opens (SolveStats::setup_seconds).
 [[nodiscard]] SolveStats run_solver(
     SimCluster2D& cl, const SolverConfig& cfg,
-    const MachineSpec& machine = machines::spruce_hybrid());
+    const MachineSpec& machine = machines::host());
 
 /// Team-injected dispatch: the ENTIRE solve runs on `team` inside the
 /// caller's already-open parallel region.  Every thread of the team must
 /// call with identical arguments; the returned stats are identical on
 /// every thread (up to per-thread wall-clock), except that only thread
-/// 0's carry the trace (thread 0 records it) and the operator fill.  `team` may be a sub-team
+/// 0's carry the trace (thread 0 records it), the operator fill and the
+/// tile height.  `team` may be a sub-team
 /// — the solve-server's batch engine runs one request per sub-team,
 /// concurrently, inside ONE region.  cfg must have passed check_solvable
 /// on `cl` and be batchable (fp64 and no multigrid preconditioner: both
 /// need work outside the region; see server/batch.hpp), and `cl` must
 /// hold its solve_fields.  Those checks throw and the allocation may, so
 /// the caller makes them before its region opens.  The tile height
-/// resolves as in run_solver, and the result is bitwise identical to
-/// run_solver's, which opens a region of its own.
-[[nodiscard]] SolveStats run_solver_team(
-    SimCluster2D& cl, const SolverConfig& cfg, const Team& team,
-    const MachineSpec& machine = machines::spruce_hybrid());
+/// resolves against machines::host(), as run_solver's does by default,
+/// and the result is bitwise identical to run_solver's, which opens a
+/// region of its own.
+[[nodiscard]] SolveStats run_solver_team(SimCluster2D& cl,
+                                         const SolverConfig& cfg,
+                                         const Team& team);
 
 }  // namespace tealeaf

@@ -111,9 +111,10 @@ struct SolverConfig {
   ///      rounds the height up to whole 4-row strips, so the strip solve
   ///      runs inside the tile.
   ///   0: one block per plane ("untiled": one block per rank in 2-D).
-  ///  -1: "auto", the default — derived at solve time from the modelled
-  ///      machine's per-core L2 and the chunk width (see auto_tile_rows
-  ///      and run_solver).
+  ///  -1: "auto", the default — derived at solve time from the per-core
+  ///      L2 of the host the solve runs on and the chunk width (see
+  ///      resolve_tile_rows); a 2-D chunk whose rows fit one host tile
+  ///      runs as one block per rank.
   /// Iterates and iteration counts are bitwise identical for every value.
   /// Under the multigrid preconditioner the height tiles the CG sweeps;
   /// the V-cycle's row loops workshare over the team as they are.
@@ -245,6 +246,9 @@ struct SolveStats {
   double setup_seconds = 0.0;
   /// Measured fill of the assembled operator (0 = matrix-free stencil).
   double nnz_per_row = 0.0;
+  /// Row-block height the solve ran at: the config's, with `auto`
+  /// resolved (resolve_tile_rows).
+  int tile_rows = 0;
   /// What the solve ran — kernel launches, halo exchanges and reductions
   /// per phase — as its cluster counted them: the performance model's
   /// one description of the solve (model/trace.hpp).

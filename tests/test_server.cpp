@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
@@ -8,6 +9,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -269,6 +271,79 @@ TEST(SolveServer, MixedShapeStreamBatchesPerShapeInArrivalOrder) {
   EXPECT_EQ(server.stats().batched_requests, 6);
 }
 
+/// `auto` tile heights fit the L2 of the host the solve runs on, on the
+/// session path and on the server's batch path alike; the modelled
+/// machines only price.  On 512-wide chunks a 2 MiB L2 gives 42 rows
+/// where the Spruce core solves used to assume gave 5.
+TEST(SolveServer, AutoTilesFitTheHostL2) {
+  InputDeck deck = decks::hot_block(16, 1);
+  deck.x_cells = 1024;
+  deck.xmax = 640.0;  // square cells, as the 16² deck's
+  ASSERT_EQ(deck.solver.tile_rows, -1);
+  SolveSession session(deck, 2);
+  const SimCluster2D& cl = session.cluster();
+  ASSERT_EQ(cl.chunk(0).nx(), 512);
+  EXPECT_EQ(&session.machine(), &machines::host());
+  const int host_rows =
+      auto_tile_rows(machines::host(), 512, cl.halo_depth());
+  EXPECT_EQ(resolve_tile_rows(cl, deck.solver), host_rows);
+  const SolveStats solo = session.solve();
+  ASSERT_TRUE(solo.converged);
+  EXPECT_EQ(solo.tile_rows, host_rows);
+
+  SolveServer server;
+  for (const char* tag : {"a", "b"}) {
+    SolveRequest req;
+    req.deck = deck;
+    req.nranks = 2;
+    req.tag = tag;
+    server.submit(std::move(req));
+  }
+  const std::vector<SolveResult> results = server.drain();
+  EXPECT_EQ(server.stats().batched_requests, 2);
+  for (const SolveResult& r : results) {
+    EXPECT_TRUE(r.ok()) << r.error;
+    EXPECT_EQ(r.stats.tile_rows, host_rows);
+    EXPECT_EQ(r.stats.final_norm, solo.final_norm);
+  }
+}
+
+/// A long-lived server's latency record is a fixed log-bucket histogram:
+/// a million observations add nothing to the stats' size, and p50/p99
+/// land within one bucket of the exact quantiles.
+TEST(ServerStats, LatencyRecordIsBoundedAndAccurate) {
+  static_assert(std::is_trivially_copyable_v<ServerStats>,
+                "a heap-owning member would grow with the requests served");
+  // The k-th smallest of n observations is 0.1 ms·10^(3k/n), so the
+  // exact quantiles need no stored copy; they arrive in a scrambled
+  // order (7919 is coprime to n).
+  constexpr long long n = 1000000;
+  const auto sorted = [](double k) {
+    return 1e-4 * std::pow(10.0, 3.0 * k / n);
+  };
+  ServerStats stats;
+  for (long long i = 0; i < n; ++i) {
+    stats.latency.add(sorted(static_cast<double>(i * 7919 % n)));
+  }
+  EXPECT_EQ(stats.latency.count(), n);
+  const double bucket = std::pow(10.0, 1.0 / LogHistogram::kPerDecade);
+  for (const double q : {0.50, 0.99}) {
+    const double pos = q * static_cast<double>(n - 1);
+    const double lo = std::floor(pos);
+    const double want =
+        sorted(lo) + (pos - lo) * (sorted(lo + 1.0) - sorted(lo));
+    const double got = q == 0.50 ? stats.p50() : stats.p99();
+    EXPECT_LE(got / want, bucket) << "q " << q;
+    EXPECT_GE(got / want, 1.0 / bucket) << "q " << q;
+  }
+  // No observation reads 0; one reads back exactly.
+  ServerStats one;
+  EXPECT_EQ(one.p50(), 0.0);
+  one.latency.add(1.5e-3);
+  EXPECT_EQ(one.p50(), 1.5e-3);
+  EXPECT_EQ(one.p99(), 1.5e-3);
+}
+
 TEST(SolveServer, ShapeCacheReusesSessionsAcrossDrains) {
   SolveServer server;
   SolveRequest req;
@@ -479,7 +554,7 @@ TEST(SolveServer, RejectedRequestFailsAlone) {
   EXPECT_EQ(server.pending(), 0u);
   EXPECT_EQ(server.stats().requests, 4);
   EXPECT_EQ(server.stats().failures, 2);
-  EXPECT_EQ(server.stats().latencies.size(), 2u);
+  EXPECT_EQ(server.stats().latency.count(), 2);
 }
 
 /// The other refusals — a session the cache cannot build (zero ranks) and

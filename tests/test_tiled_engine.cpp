@@ -4,6 +4,10 @@
 #include <utility>
 #include <vector>
 
+#if __has_include(<unistd.h>)
+#include <unistd.h>
+#endif
+
 #include "driver/decks.hpp"
 #include "driver/deck.hpp"
 #include "driver/sweep.hpp"
@@ -497,15 +501,26 @@ TEST(AutoTile, DerivesFromMachineL2AndFallsBack) {
   const MachineSpec spruce = machines::spruce_hybrid();
   ASSERT_GT(spruce.l2_kb, 0.0);
   const int rows = auto_tile_rows(spruce, 512, 2);
-  EXPECT_GE(rows, 1);
-  // Half of 256 KB over 6 fields × 8 B × (512+4) cells ≈ 5 rows.
-  EXPECT_LT(rows, 64);
+  // Half of 256 KB over 6 fields × 8 B × (512+4) cells: 5.3 rows.
+  EXPECT_EQ(rows, 5);
   // Narrower chunks fit more rows per block.
   EXPECT_GT(auto_tile_rows(spruce, 64, 2), rows);
   // No modelled L2: the documented 64-row fallback.
   MachineSpec no_l2 = spruce;
   no_l2.l2_kb = 0.0;
   EXPECT_EQ(auto_tile_rows(no_l2, 512, 2), 64);
+}
+
+TEST(HostMachine, L2IsWhatTheOsReports) {
+  const MachineSpec& host = machines::host();
+  double reported_kb = 0.0;
+#ifdef _SC_LEVEL2_CACHE_SIZE
+  const long bytes = sysconf(_SC_LEVEL2_CACHE_SIZE);
+  if (bytes > 0) reported_kb = static_cast<double>(bytes) / 1024.0;
+#endif
+  EXPECT_EQ(host.l2_kb, reported_kb);
+  // One process-wide spec: every call returns the same object.
+  EXPECT_EQ(&machines::host(), &host);
 }
 
 TEST(AutoTile, AutoConfigSolvesBitwiseIdenticalToUntiled) {
@@ -745,6 +760,30 @@ TEST(TiledModel, SummaryRecordsTileHeightAndResolvesAuto) {
   untiled.tile_rows = 0;
   // spruce L2 fits the auto-derived block → the blocked variant applies.
   EXPECT_LT(model.run_seconds(run, 1), model.run_seconds(untiled, 1));
+}
+
+TEST(TiledModel, AutoResolvesAgainstTheMachineItPrices) {
+  // Solves size `auto` for the host; the model keeps sizing it for the
+  // machine it prices.  On 4 Spruce nodes the 1024² chunks are 512 wide,
+  // where `auto` is 5 rows: the blocked variant, which a 42-row tile (the
+  // height a 2 MiB L2 gives) spills out of Spruce's 256 KB.
+  SolverConfig cfg;
+  cfg.type = SolverType::kJacobi;
+  cfg.tile_rows = -1;
+  SolverRunSummary run = with_outer_iters(fixed_iteration_run(cfg, 2), 100);
+  run.mesh_n = 1024;
+  const ScalingModel model(machines::spruce_hybrid(),
+                           GlobalMesh2D(1024, 1024), 1);
+  const auto priced = [&](int tile_rows) {
+    SolverRunSummary r = run;
+    r.tile_rows = tile_rows;
+    return model.run_seconds(r, 4);
+  };
+  MachineSpec two_mib = machines::spruce_hybrid();
+  two_mib.l2_kb = 2048.0;
+  ASSERT_EQ(auto_tile_rows(two_mib, 512, 2), 42);
+  EXPECT_EQ(priced(-1), priced(5));
+  EXPECT_NE(priced(-1), priced(42));
 }
 
 }  // namespace
