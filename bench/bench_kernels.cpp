@@ -1188,6 +1188,10 @@ int run_spmv_bench(const Args& args) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  // Every series runs at the thread count its record states,
+  // num_threads(): unpinned, a small mesh's solves would run on the
+  // narrower team_width of its cells.
+  const ThreadScope recorded(num_threads());
 #if defined(TEALEAF_HAVE_BENCHMARK)
   if (Args(argc, argv).has("gbench")) {
     benchmark::Initialize(&argc, argv);

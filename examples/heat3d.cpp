@@ -73,9 +73,10 @@ int run(const tealeaf::Args& args) {
       cfg.tile_rows < 0 ? "auto: " + rows + " rows" : rows;
 
   std::printf("heat3d: %d^3 cells on %d simulated ranks (%dx%dx%d), "
-              "PPCG depth %d [tile %s]\n", n, cl.nranks(),
-              cl.decomposition().px(), cl.decomposition().py(),
-              cl.decomposition().pz(), depth, tile.c_str());
+              "PPCG depth %d [tile %s] [team width %d of %d threads]\n", n,
+              cl.nranks(), cl.decomposition().px(), cl.decomposition().py(),
+              cl.decomposition().pz(), depth, tile.c_str(), cl.team_width(),
+              num_threads());
 
   const double rx = dt / (mesh.dx() * mesh.dx());
   const double ry = dt / (mesh.dy() * mesh.dy());

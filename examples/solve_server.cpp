@@ -38,6 +38,7 @@
 // with --no-poison, for the learning half).
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <map>
@@ -50,6 +51,7 @@
 #include "server/solve_server.hpp"
 #include "util/args.hpp"
 #include "util/error.hpp"
+#include "util/parallel.hpp"
 
 namespace {
 
@@ -191,6 +193,14 @@ int run(const tealeaf::Args& args) {
     }
   }
   SolveServer server(std::move(opts));
+  // Each shape's solves run on the threads its cells can use (team_width);
+  // OMP_NUM_THREADS is the cap.
+  const auto print_width = [](int n) {
+    std::printf("shape %dx%d: team width %d of %d threads\n", n, n,
+                team_width(static_cast<std::int64_t>(n) * n), num_threads());
+  };
+  print_width(mesh);
+  if (mesh2 != mesh) print_width(mesh2);
 
   // Mixed-shape stream: two meshes interleaved 2:1, so drain() coalesces
   // each shape into batches while exercising the shape-keyed cache.

@@ -18,11 +18,16 @@ namespace tealeaf {
 ///  * `messages` counts sends; a matching receive is implied.
 ///  * A global reduction counts once per allreduce call regardless of
 ///    rank count (the model expands it to a log-tree cost).
+///  * `barriers` is the one count of this process's own threads: the team
+///    barrier episodes inside solver bodies (thread 0's Team::barrier
+///    calls), which a real machine's ranks would not pay.  The model does
+///    not price them (predict_comm_counts leaves them 0).
 struct CommStats {
   std::int64_t exchange_calls = 0;   ///< halo-exchange invocations
   std::int64_t messages = 0;         ///< point-to-point sends
   std::int64_t message_bytes = 0;    ///< payload bytes over all sends
   std::int64_t reductions = 0;       ///< global allreduce calls
+  std::int64_t barriers = 0;         ///< team barrier episodes of solves
 
   void reset() { *this = CommStats{}; }
 
@@ -31,6 +36,7 @@ struct CommStats {
     messages += o.messages;
     message_bytes += o.message_bytes;
     reductions += o.reductions;
+    barriers += o.barriers;
     return *this;
   }
 };

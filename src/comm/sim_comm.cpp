@@ -61,8 +61,8 @@ SimCluster::SimCluster(const GlobalMesh& mesh, int nranks, int halo_depth)
     chunks_[static_cast<std::size_t>(r)] =
         std::make_unique<Chunk>(decomp_.extent(r), mesh, halo_depth);
   });
-  team_partials_.assign(static_cast<std::size_t>(nranks), 0.0);
-  team_partials2_.assign(static_cast<std::size_t>(nranks), {0.0, 0.0});
+  team_partials_.assign(static_cast<std::size_t>(2 * nranks), 0.0);
+  team_partials2_.assign(static_cast<std::size_t>(2 * nranks), {0.0, 0.0});
 }
 
 void SimCluster::allocate(const FieldBanks& fields) {
@@ -79,7 +79,7 @@ void SimCluster::for_each_rank(const Kernels& kernels,
   // failure and the region still joins; it is rethrown after.
   std::exception_ptr failure;
   std::mutex failure_mu;
-  parallel_region([&](Team& t) {
+  parallel_region(team_width(), [&](Team& t) {
     record(t, kernels);
     t.for_range(0, nranks(), [&](std::int64_t r) {
       try {
@@ -112,7 +112,7 @@ void SimCluster::exchange(std::initializer_list<FieldId> fields, int depth) {
   // Validated before the region, where a throw would terminate.
   TEA_REQUIRE(depth >= 1 && depth <= halo_depth_,
               "exchange depth exceeds allocated halo");
-  parallel_region([&](Team& t) { exchange(t, fields, depth); });
+  parallel_region(team_width(), [&](Team& t) { exchange(t, fields, depth); });
 }
 
 void SimCluster::exchange(const Team& team,
@@ -129,47 +129,37 @@ void SimCluster::exchange(const Team& team,
   const FieldId* fields = field_list.begin();
   const int nfields = static_cast<int>(field_list.size());
   if (nfields == 0) return;
-  const bool has_z = (mesh_.dims == 3);
-  // Producers must finish before the x phase reads interiors, and each
-  // later phase carries the earlier phases' halos.  With more threads than
-  // ranks each phase workshares (rank, face) pairs — the per-face copies
-  // touch disjoint halo regions.
-  team.barrier();
-  if (team.num_threads() > nranks()) {
-    team.for_range(0, 2 * nranks(), [&](std::int64_t i) {
-      exchange_x_rank_face(static_cast<int>(i >> 1),
-                           (i & 1) ? Face::kRight : Face::kLeft, fields,
-                           nfields, depth);
-    });
+  // Producers must finish before the first phase reads interiors, and each
+  // later phase carries the earlier phases' halos, so a barrier precedes
+  // every phase that runs.  An axis the decomposition does not split has
+  // no neighbours and copies nothing: it runs no phase and no barrier.
+  // With more threads than ranks each phase workshares (rank, face) pairs
+  // — the per-face copies touch disjoint halo regions.
+  const bool by_face = team.num_threads() > nranks();
+  using FaceCopy = void (SimCluster::*)(int, Face, const FieldId*, int, int);
+  const auto phase = [&](bool split, FaceCopy copy, Face low, Face high) {
+    if (!split) return;
     team.barrier();
-    team.for_range(0, 2 * nranks(), [&](std::int64_t i) {
-      exchange_y_rank_face(static_cast<int>(i >> 1),
-                           (i & 1) ? Face::kTop : Face::kBottom, fields,
-                           nfields, depth);
-    });
-    if (has_z) {
-      team.barrier();
+    const auto run = [&](std::int64_t r, Face face) {
+      (this->*copy)(static_cast<int>(r), face, fields, nfields, depth);
+    };
+    if (by_face) {
       team.for_range(0, 2 * nranks(), [&](std::int64_t i) {
-        exchange_z_rank_face(static_cast<int>(i >> 1),
-                             (i & 1) ? Face::kFront : Face::kBack, fields,
-                             nfields, depth);
+        run(i >> 1, (i & 1) ? high : low);
       });
-    }
-  } else {
-    team.for_range(0, nranks(), [&](std::int64_t r) {
-      exchange_x_rank(static_cast<int>(r), fields, nfields, depth);
-    });
-    team.barrier();
-    team.for_range(0, nranks(), [&](std::int64_t r) {
-      exchange_y_rank(static_cast<int>(r), fields, nfields, depth);
-    });
-    if (has_z) {
-      team.barrier();
+    } else {
       team.for_range(0, nranks(), [&](std::int64_t r) {
-        exchange_z_rank(static_cast<int>(r), fields, nfields, depth);
+        run(r, low);
+        run(r, high);
       });
     }
-  }
+  };
+  phase(decomp_.px() > 1, &SimCluster::exchange_x_face, Face::kLeft,
+        Face::kRight);
+  phase(decomp_.py() > 1, &SimCluster::exchange_y_face, Face::kBottom,
+        Face::kTop);
+  phase(mesh_.dims == 3 && decomp_.pz() > 1, &SimCluster::exchange_z_face,
+        Face::kBack, Face::kFront);
   team.single([&] {
     stats_ += exchange_counts(decomp_, depth, nfields, elem_bytes());
     trace_.add_exchange(phase_, depth, nfields, elem_bytes());
@@ -177,15 +167,9 @@ void SimCluster::exchange(const Team& team,
   team.barrier();
 }
 
-void SimCluster::exchange_x_rank(int rank, const FieldId* fields,
-                                 int nfields, int depth) {
-  exchange_x_rank_face(rank, Face::kLeft, fields, nfields, depth);
-  exchange_x_rank_face(rank, Face::kRight, fields, nfields, depth);
-}
-
-void SimCluster::exchange_x_rank_face(int rank, Face face,
-                                      const FieldId* fields, int nfields,
-                                      int depth) {
+void SimCluster::exchange_x_face(int rank, Face face,
+                                 const FieldId* fields, int nfields,
+                                 int depth) {
   Chunk& me = *chunks_[static_cast<std::size_t>(rank)];
   // Each rank "sends" its edge columns into the neighbour's halo.  In the
   // simulation the copy is done by the receiving side reading the
@@ -220,15 +204,9 @@ void SimCluster::exchange_x_rank_face(int rank, Face face,
   }
 }
 
-void SimCluster::exchange_y_rank(int rank, const FieldId* fields,
-                                 int nfields, int depth) {
-  exchange_y_rank_face(rank, Face::kBottom, fields, nfields, depth);
-  exchange_y_rank_face(rank, Face::kTop, fields, nfields, depth);
-}
-
-void SimCluster::exchange_y_rank_face(int rank, Face face,
-                                      const FieldId* fields, int nfields,
-                                      int depth) {
+void SimCluster::exchange_y_face(int rank, Face face,
+                                 const FieldId* fields, int nfields,
+                                 int depth) {
   Chunk& me = *chunks_[static_cast<std::size_t>(rank)];
   // Rows travel with their x-halo corner columns so corners propagate —
   // but only columns that actually carry neighbour data: at a physical
@@ -263,15 +241,9 @@ void SimCluster::exchange_y_rank_face(int rank, Face face,
   }
 }
 
-void SimCluster::exchange_z_rank(int rank, const FieldId* fields,
-                                 int nfields, int depth) {
-  exchange_z_rank_face(rank, Face::kBack, fields, nfields, depth);
-  exchange_z_rank_face(rank, Face::kFront, fields, nfields, depth);
-}
-
-void SimCluster::exchange_z_rank_face(int rank, Face face,
-                                      const FieldId* fields, int nfields,
-                                      int depth) {
+void SimCluster::exchange_z_face(int rank, Face face,
+                                 const FieldId* fields, int nfields,
+                                 int depth) {
   Chunk& me = *chunks_[static_cast<std::size_t>(rank)];
   // z slabs travel with the x- and y-halo rows the earlier phases filled,
   // so edges and corners propagate — again only where a neighbour

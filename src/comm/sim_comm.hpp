@@ -47,6 +47,11 @@ namespace tealeaf {
 /// `sum_over_chunks`, thin wrappers that open one region around the Team
 /// form (so they must not be called inside a region); an exception from
 /// a standalone `for_each_chunk` body is rethrown after its region.
+///
+/// Every region the cluster opens — its constructor's, `allocate`'s, the
+/// standalone collectives' and a solve's (solve_in_region) — runs
+/// `team_width()` threads: a small mesh does not pay for threads it
+/// cannot use (docs/architecture.md, "Team width").
 class SimCluster {
  public:
   /// Decompose `mesh` over `nranks` ranks, allocating every chunk with
@@ -67,6 +72,12 @@ class SimCluster {
   void allocate(const FieldBanks& fields);
 
   [[nodiscard]] int nranks() const { return static_cast<int>(chunks_.size()); }
+  /// The thread count of the regions the cluster opens: team_width of the
+  /// global mesh's cells (util/parallel.hpp), a ThreadScope's count when
+  /// one pins it.
+  [[nodiscard]] int team_width() const {
+    return tealeaf::team_width(mesh_.cell_count());
+  }
   [[nodiscard]] int halo_depth() const { return halo_depth_; }
   [[nodiscard]] const GlobalMesh& mesh() const { return mesh_; }
   [[nodiscard]] const Decomposition& decomposition() const {
@@ -82,9 +93,12 @@ class SimCluster {
   void exchange(std::initializer_list<FieldId> fields, int depth);
 
   /// Team-aware halo exchange for use inside a parallel region:
-  /// worksharing over ranks through `team` with barriers between the axis
-  /// phases (and entry/exit barriers so neighbouring kernel phases can
-  /// skip their own).
+  /// worksharing over ranks through `team`, a barrier before each axis
+  /// phase (the first orders it after the producers) and one at exit, so
+  /// neighbouring kernel phases can skip their own.  An axis the
+  /// decomposition does not split (px, py or pz == 1) has no neighbours:
+  /// its phase and the barrier before it are skipped, and the exchange
+  /// still counts every message.
   void exchange(const Team& team, std::initializer_list<FieldId> fields,
                 int depth);
 
@@ -131,11 +145,15 @@ class SimCluster {
   // combines in row order, then rank order.
   //
   // Barrier rule of the row reductions: they have no entry barrier.  The
-  // phase before one must end in a barrier (an exchange or a reduction) or
-  // have written its rows through the same tile decomposition — interior
+  // phase before one must end in an exchange or a reduction, or have
+  // written its rows through the same tile decomposition — interior
   // bounds, same height — which puts every row on the thread that reads
   // it.  A caller whose previous phase ran per rank or over other bounds
-  // places a `team.barrier()` itself.
+  // places a `team.barrier()` itself.  An exchange ends in a barrier.  A
+  // reduction has only its entry barrier: every write before it is
+  // visible to every phase after it, and past that barrier its threads
+  // only read their double-buffered partials (Team::reduction_parity), so
+  // no later phase can race them.
 
   /// Number of row-blocks covering `rows` rows at height `tile_rows`.
   [[nodiscard]] static int num_row_tiles(int rows, int tile_rows) {
@@ -218,10 +236,11 @@ class SimCluster {
   /// it deposited itself, with no barrier; otherwise one barrier makes
   /// every deposit visible first.
   double combine_row_partials(const Team& team, int tile_rows) {
+    double* partials = partials_of(team);
     fold_rows(team, tile_rows, [&](int r, const Chunk& c) {
       double p = 0.0;
       for (int rho = 0; rho < c.num_rows(); ++rho) p += c.row_scratch()[rho];
-      team_partials_[static_cast<std::size_t>(r)] = p;
+      partials[r] = p;
     });
     return reduce_team_partials(team);
   }
@@ -250,6 +269,7 @@ class SimCluster {
                                                   Body&& body) {
     const auto interior = [](int, Chunk& c) { return interior_bounds(c); };
     for_each_tile(team, tile_rows, interior, kernels, body);
+    std::pair<double, double>* partials = pair_partials_of(team);
     fold_rows(team, tile_rows, [&](int r, const Chunk& c) {
       double a = 0.0;
       double b = 0.0;
@@ -257,7 +277,7 @@ class SimCluster {
         a += c.row_scratch()[2 * rho];
         b += c.row_scratch()[2 * rho + 1];
       }
-      team_partials2_[static_cast<std::size_t>(r)] = {a, b};
+      partials[r] = {a, b};
     });
     return reduce_team_partials2(team);
   }
@@ -272,7 +292,7 @@ class SimCluster {
   template <class Body>
   double sum_over_chunks(const Kernels& kernels, Body&& body) {
     double total = 0.0;
-    parallel_region([&](Team& t) {
+    parallel_region(team_width(), [&](Team& t) {
       const double v = sum_over_chunks(t, kernels, body);
       t.single([&] { total = v; });
     });
@@ -281,15 +301,15 @@ class SimCluster {
 
   /// Team-aware form: per-rank partials land in a shared buffer, then
   /// every thread reduces them in rank order — all threads return the
-  /// same sum.  Counts ONE allreduce.  Implies barriers (before the reduce
-  /// and before return).
+  /// same sum.  Counts ONE allreduce.  Implies a barrier before the
+  /// reduce (see the barrier rule above).
   template <class Body>
   double sum_over_chunks(const Team& team, const Kernels& kernels,
                          Body&& body) {
     record(team, kernels);
+    double* partials = partials_of(team);
     team.for_range(0, nranks(), [&](std::int64_t r) {
-      team_partials_[static_cast<std::size_t>(r)] =
-          body(static_cast<int>(r), *chunks_[r]);
+      partials[r] = body(static_cast<int>(r), *chunks_[r]);
     });
     return reduce_team_partials(team);
   }
@@ -340,30 +360,42 @@ class SimCluster {
     trace_.reductions[static_cast<std::size_t>(phase_)] += 1.0;
   }
 
-  /// Rank-ordered sum of the per-rank partials in team_partials_ (pairs:
-  /// team_partials2_), returned on every thread.  Counts ONE allreduce.
-  /// Implies barriers: before the sum, and before return so the buffer is
-  /// free for the next collective.
+  /// The buffer `team`'s next reduction deposits its per-rank partials
+  /// in (pairs: pair_partials_of): one of two, by the team's reduction
+  /// parity.
+  double* partials_of(const Team& team) {
+    return team_partials_.data() +
+           static_cast<std::size_t>(team.reduction_parity()) * chunks_.size();
+  }
+  std::pair<double, double>* pair_partials_of(const Team& team) {
+    return team_partials2_.data() +
+           static_cast<std::size_t>(team.reduction_parity()) * chunks_.size();
+  }
+
+  /// Rank-ordered sum of the per-rank partials in partials_of(team)
+  /// (pairs: pair_partials_of), returned on every thread.  Counts ONE
+  /// allreduce.  Implies a barrier before the sum; the next reduction
+  /// deposits in the other buffer, so none is needed after it.
   double reduce_team_partials(const Team& team) {
     team.barrier();
+    const double* partials = partials_of(team);
     double total = 0.0;
-    for (int r = 0; r < nranks(); ++r) {
-      total += team_partials_[static_cast<std::size_t>(r)];
-    }
+    for (int r = 0; r < nranks(); ++r) total += partials[r];
     team.single([&] { count_reduction(); });
-    team.barrier();
+    team.flip_reduction_parity();
     return total;
   }
   std::pair<double, double> reduce_team_partials2(const Team& team) {
     team.barrier();
+    const std::pair<double, double>* partials = pair_partials_of(team);
     double a = 0.0;
     double b = 0.0;
     for (int r = 0; r < nranks(); ++r) {
-      a += team_partials2_[static_cast<std::size_t>(r)].first;
-      b += team_partials2_[static_cast<std::size_t>(r)].second;
+      a += partials[r].first;
+      b += partials[r].second;
     }
     team.single([&] { count_reduction(); });
-    team.barrier();
+    team.flip_reduction_parity();
     return {a, b};
   }
 
@@ -378,23 +410,17 @@ class SimCluster {
     });
   }
 
-  /// Per-rank copy bodies of the axis phases.  The per-face splits are
-  /// the unit of 2-D worksharing: when the team has more threads than
-  /// ranks the phases workshare (rank, face) pairs instead of ranks, so
-  /// the halo copies of a wide-and-shallow decomposition also use the
-  /// whole team.
-  void exchange_x_rank(int rank, const FieldId* fields, int nfields,
-                       int depth);
-  void exchange_x_rank_face(int rank, Face face, const FieldId* fields,
-                            int nfields, int depth);
-  void exchange_y_rank(int rank, const FieldId* fields, int nfields,
-                       int depth);
-  void exchange_y_rank_face(int rank, Face face, const FieldId* fields,
-                            int nfields, int depth);
-  void exchange_z_rank(int rank, const FieldId* fields, int nfields,
-                       int depth);
-  void exchange_z_rank_face(int rank, Face face, const FieldId* fields,
-                            int nfields, int depth);
+  /// Copy bodies of the axis phases: `rank`'s halo across `face`.  The
+  /// per-face split is the unit of 2-D worksharing: when the team has more
+  /// threads than ranks the phases workshare (rank, face) pairs instead of
+  /// ranks, so the halo copies of a wide-and-shallow decomposition also
+  /// use the whole team.
+  void exchange_x_face(int rank, Face face, const FieldId* fields,
+                       int nfields, int depth);
+  void exchange_y_face(int rank, Face face, const FieldId* fields,
+                       int nfields, int depth);
+  void exchange_z_face(int rank, Face face, const FieldId* fields,
+                       int nfields, int depth);
 
   GlobalMesh mesh_;
   Decomposition decomp_;
@@ -403,7 +429,8 @@ class SimCluster {
   CommStats stats_;
   SolveTrace trace_;
   Phase phase_ = Phase::kSetup;
-  /// Shared scratch for the Team-aware rank-ordered reductions.
+  /// Shared scratch for the Team-aware rank-ordered reductions: two
+  /// buffers each (by reduction parity), one slot a rank.
   std::vector<double> team_partials_;
   std::vector<std::pair<double, double>> team_partials2_;
 };

@@ -16,7 +16,7 @@ struct SweepCase {
   PreconType precon = PreconType::kNone;
   int halo_depth = 1;  ///< matrix-powers depth (PPCG)
   int mesh_n = 0;      ///< square mesh edge of this run
-  int threads = 0;     ///< worker threads (0 = runtime default)
+  int threads = 0;     ///< worker threads (0 = the mesh's team_width)
   int tile_rows = 0;   ///< engine row-block height (0 = untiled)
   int dims = 2;        ///< problem geometry: 2 (5-point) or 3 (7-point, n³)
   /// Operator representation: "stencil" | "csr"

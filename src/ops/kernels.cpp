@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <type_traits>
 
 #include "ops/operator_view.hpp"
@@ -45,13 +46,56 @@ inline void scalar_dispatch(const Chunk& c, Fn&& fn) {
 // arithmetic — each cast is a no-op — which is the structural guarantee
 // behind the tl_precision=double bitwise-identity contract.
 
+/// Σ a·b over [j0, j1) of row (l, k), accumulated in ascending j.
+template <class S>
+inline double dot_span(const Field<S>& a, const Field<S>& b, int j0, int j1,
+                       int k, int l) {
+  double acc = 0.0;
+  for (int j = j0; j < j1; ++j)
+    acc += static_cast<double>(a(j, k, l)) * static_cast<double>(b(j, k, l));
+  return acc;
+}
+
 template <class S>
 inline double dot_row(const Field<S>& a, const Field<S>& b, int nx, int k,
                       int l) {
-  double acc = 0.0;
-  for (int j = 0; j < nx; ++j)
-    acc += static_cast<double>(a(j, k, l)) * static_cast<double>(b(j, k, l));
-  return acc;
+  return dot_span(a, b, 0, nx, k, l);
+}
+
+/// dot_span of rows k..k+3 of plane l into out[0..3].  Each row keeps its
+/// own accumulator in ascending j, so each partial is bitwise dot_span's;
+/// the four independent add chains overlap where one row's chain waits on
+/// every add before it.
+template <class S>
+inline void dot_span4(const Field<S>& a, const Field<S>& b, int j0, int j1,
+                      int k, int l, double* out) {
+  const S* a0 = &a(0, k, l);
+  const S* b0 = &b(0, k, l);
+  const std::int64_t as = a.stride();
+  const std::int64_t bs = b.stride();
+  double acc0 = 0.0;
+  double acc1 = 0.0;
+  double acc2 = 0.0;
+  double acc3 = 0.0;
+  for (int j = j0; j < j1; ++j) {
+    acc0 += static_cast<double>(a0[j]) * static_cast<double>(b0[j]);
+    acc1 += static_cast<double>(a0[as + j]) * static_cast<double>(b0[bs + j]);
+    acc2 += static_cast<double>(a0[2 * as + j]) *
+            static_cast<double>(b0[2 * bs + j]);
+    acc3 += static_cast<double>(a0[3 * as + j]) *
+            static_cast<double>(b0[3 * bs + j]);
+  }
+  out[0] = acc0;
+  out[1] = acc1;
+  out[2] = acc2;
+  out[3] = acc3;
+}
+
+/// One operator row: dst = A·src over [b.jlo, b.jhi).
+template <class View, class S = typename View::Scalar>
+inline void smvp_row(const View& A, const Field<S>& src, Field<S>& dst,
+                     const Bounds& b, int k, int l) {
+  for (int j = b.jlo; j < b.jhi; ++j) dst(j, k, l) = A.apply(src, j, k, l);
 }
 
 /// One operator row with the dot folded in: dst = A·src over
@@ -64,15 +108,10 @@ inline double dot_row(const Field<S>& a, const Field<S>& b, int nx, int k,
 template <class View, class S = typename View::Scalar>
 inline double smvp_dot_row(const View& A, const Field<S>& src, Field<S>& dst,
                            const Bounds& b, const Bounds& in, int k, int l) {
-  for (int j = b.jlo; j < b.jhi; ++j) dst(j, k, l) = A.apply(src, j, k, l);
-  double acc = 0.0;
-  if (k >= in.klo && k < in.khi && l >= in.llo && l < in.lhi) {
-    const int j1 = std::min(b.jhi, in.jhi);
-    for (int j = std::max(b.jlo, in.jlo); j < j1; ++j)
-      acc += static_cast<double>(src(j, k, l)) *
-             static_cast<double>(dst(j, k, l));
-  }
-  return acc;
+  smvp_row(A, src, dst, b, k, l);
+  if (!in.contains(0, k, l)) return 0.0;
+  return dot_span(src, dst, std::max(b.jlo, in.jlo), std::min(b.jhi, in.jhi),
+                  k, l);
 }
 
 /// One Chronopoulos-Gear operator row: writes the pair (Σ other·src,
@@ -636,15 +675,29 @@ void cheby_init_dir(Chunk& c, FieldId res_id, FieldId dir_id, double theta,
 
 // ---- row-blocked (tiled) kernels -----------------------------------------
 
+// The row dots run four rows at a time on stencil chunks.  Assembled
+// (CSR) chunks keep one row at a time: grouped, the mixed CSR pipe solve
+// read 3-5% slower (docs/benchmarks.md, "Small solves on the threads they
+// can use").
+
 void dot_rows(const Chunk& c, FieldId a_id, FieldId b_id, const Bounds& tb,
               double* row_sums) {
+  const bool grouped = c.op_kind() == OperatorKind::kStencil;
   scalar_dispatch(c, [&](auto tag) {
     using S = decltype(tag);
     const auto& a = c.field_t<S>(a_id);
     const auto& b = c.field_t<S>(b_id);
-    for_rows(tb, [&](int l, int k) {
-      row_sums[l * c.ny() + k] = dot_row(a, b, c.nx(), k, l);
-    });
+    for (int l = tb.llo; l < tb.lhi; ++l) {
+      int k = tb.klo;
+      if (grouped) {
+        for (; k + 4 <= tb.khi; k += 4) {
+          dot_span4(a, b, 0, c.nx(), k, l, row_sums + l * c.ny() + k);
+        }
+      }
+      for (; k < tb.khi; ++k) {
+        row_sums[l * c.ny() + k] = dot_row(a, b, c.nx(), k, l);
+      }
+    }
   });
 }
 
@@ -652,14 +705,34 @@ void smvp_dot_rows(Chunk& c, FieldId src_id, FieldId dst_id, const Bounds& b,
                    const Bounds& tb, double* row_sums) {
   TEA_ASSERT(src_id != dst_id, "smvp_dot_rows: src and dst must be distinct");
   const Bounds in = interior_bounds(c);
+  const int j0 = std::max(b.jlo, in.jlo);
+  const int j1 = std::min(b.jhi, in.jhi);
   op_dispatch(c, [&](const auto& A) {
-    using S = typename std::decay_t<decltype(A)>::Scalar;
+    using View = std::decay_t<decltype(A)>;
+    using S = typename View::Scalar;
     const auto& src = c.field_t<S>(src_id);
     auto& dst = c.field_t<S>(dst_id);
-    for_rows(tb, [&](int l, int k) {
-      const double s = smvp_dot_row(A, src, dst, b, in, k, l);
-      if (in.contains(0, k, l)) row_sums[l * c.ny() + k] = s;
-    });
+    const int group = std::is_same_v<View, CsrViewT<S>> ? 1 : 4;
+    // Store up to `group` rows, then their dots: four interior rows in
+    // one dot_span4, any other row alone.  One store loop serves both:
+    // with a copy of it per case GCC ran out of inlining budget and
+    // called the stencil's apply per cell (5x slower on 3-D chunks).
+    for (int l = tb.llo; l < tb.lhi; ++l) {
+      for (int k = tb.klo; k < tb.khi; k += group) {
+        const int n = std::min(group, tb.khi - k);
+        for (int i = 0; i < n; ++i) smvp_row(A, src, dst, b, k + i, l);
+        if (n == 4 && in.contains(0, k, l) && in.contains(0, k + 3, l)) {
+          dot_span4(src, dst, j0, j1, k, l, row_sums + l * c.ny() + k);
+          continue;
+        }
+        for (int i = 0; i < n; ++i) {
+          if (in.contains(0, k + i, l)) {
+            row_sums[l * c.ny() + k + i] =
+                dot_span(src, dst, j0, j1, k + i, l);
+          }
+        }
+      }
+    }
   });
 }
 

@@ -24,13 +24,18 @@ void solve_batched(std::vector<BatchItem>& items) {
     it.cluster->allocate(solve_fields(*it.cluster, it.config));
   }
   const int nitems = static_cast<int>(items.size());
+  // The region runs the threads its items can use, capped by
+  // num_threads(); under a ThreadScope pin both are the pinned count.
+  int width = 0;
+  for (const BatchItem& it : items) width += it.cluster->team_width();
+  width = std::min(width, num_threads());
 
   // Sub-team barriers are sized from the region's ACTUAL thread count,
   // which is only known inside, so thread 0 builds them and a region-wide
   // barrier publishes before any sub-team forms.
   std::vector<std::unique_ptr<SpinBarrier>> bars;
   int ngroups = 1;
-  parallel_region([&](Team& region) {
+  parallel_region(width, [&](Team& region) {
     region.single([&] {
       const int nt = region.num_threads();
       ngroups = std::min(nitems, nt);

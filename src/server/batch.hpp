@@ -22,7 +22,9 @@ struct BatchItem {
 /// the server solves such requests on the solo path (run_solver).
 [[nodiscard]] bool batchable(const SolverConfig& cfg);
 
-/// Solve every item of the batch inside ONE parallel region: the region's
+/// Solve every item of the batch inside ONE parallel region of
+/// min(num_threads(), Σ items' team_width) threads, so a batch of small
+/// requests runs one-thread sub-teams: the region's
 /// threads are partitioned into min(nitems, nthreads) sub-teams, each
 /// sub-team runs whole solves via run_solver_team and works through
 /// the items assigned to it (item k goes to sub-team k mod ngroups).

@@ -6,10 +6,11 @@
 
 namespace tealeaf {
 
-/// Run one native solve as ONE parallel region around the whole solve:
-/// `body(team)` is the solver body, every collective of which workshares
-/// on the region's Team (row-tiled at the config's tile_rows).  The
-/// body returns identical stats on every thread; thread 0's are returned.
+/// Run one native solve as ONE parallel region of the cluster's
+/// team_width around the whole solve: `body(team)` is the solver body,
+/// every collective of which workshares on the region's Team (row-tiled
+/// at the config's tile_rows).  The body returns identical stats on every
+/// thread; thread 0's are returned.
 /// Exceptions must not escape `body` (see parallel_region), so callers
 /// validate the config first and the bodies report breakdown in the
 /// stats.
@@ -24,7 +25,7 @@ template <class Body>
 SolveStats solve_in_region(const SimCluster2D& cl, const Body& body) {
   const bool fp32 = cl.chunk(0).fp32_active();
   SolveStats out;
-  parallel_region([&](Team& t) {
+  parallel_region(cl.team_width(), [&](Team& t) {
     const SubnormalFlush flush(fp32);
     const SolveStats st = body(t);
     t.single([&] { out = st; });

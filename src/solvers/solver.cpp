@@ -40,19 +40,30 @@ void finish_stats(const SimCluster2D& cl, const SolverConfig& resolved,
 
 /// The solver body of `resolved.type` on `team`: the one type switch
 /// behind run_solver and run_solver_team.  `mg` is the hierarchy of a
-/// multigrid config (see dispatch_native).
+/// multigrid config (see dispatch_native).  Records the team's size in
+/// the stats and its barrier episodes in the cluster's CommStats.
 SolveStats solve_body(SimCluster2D& cl, const SolverConfig& resolved,
                       const Team& team, Multigrid* mg) {
   cl.set_phase(team, Phase::kSetup);
-  switch (resolved.type) {
-    case SolverType::kJacobi:
-      return JacobiSolver::solve_team(cl, resolved, team);
-    case SolverType::kCG: return CGSolver::solve_team(cl, resolved, team, mg);
-    case SolverType::kChebyshev:
-      return ChebyshevSolver::solve_team(cl, resolved, team);
-    case SolverType::kPPCG: return PPCGSolver::solve_team(cl, resolved, team);
-  }
-  TEA_ASSERT(false, "invalid solver type");
+  const std::int64_t barriers_before = team.barriers();
+  const auto solve = [&]() -> SolveStats {
+    switch (resolved.type) {
+      case SolverType::kJacobi:
+        return JacobiSolver::solve_team(cl, resolved, team);
+      case SolverType::kCG:
+        return CGSolver::solve_team(cl, resolved, team, mg);
+      case SolverType::kChebyshev:
+        return ChebyshevSolver::solve_team(cl, resolved, team);
+      case SolverType::kPPCG:
+        return PPCGSolver::solve_team(cl, resolved, team);
+    }
+    TEA_ASSERT(false, "invalid solver type");
+  };
+  SolveStats st = solve();
+  st.threads = team.num_threads();
+  team.single(
+      [&] { cl.stats().barriers += team.barriers() - barriers_before; });
+  return st;
 }
 
 /// Build the multigrid hierarchy from the one chunk's coefficients.
@@ -162,6 +173,7 @@ void accumulate_inner(SolveStats& agg, const SolveStats& inner) {
   agg.inner_steps += inner.inner_steps;
   agg.spmv_applies += inner.spmv_applies;
   agg.eigen_cg_iters += inner.eigen_cg_iters;
+  agg.threads = inner.threads;
   if (inner.eigmax > 0.0) {
     agg.eigmin = inner.eigmin;
     agg.eigmax = inner.eigmax;

@@ -182,7 +182,7 @@ struct SweepSpec {
   std::vector<PreconType> precons = {PreconType::kNone};
   std::vector<int> halo_depths = {1};    ///< matrix-powers depth (PPCG)
   std::vector<int> mesh_sizes;           ///< empty = the base deck's mesh
-  std::vector<int> thread_counts = {0};  ///< 0 = runtime default threads
+  std::vector<int> thread_counts = {0};  ///< 0 = each mesh's team_width
   /// Tile-height axis (SolverConfig::tile_rows; 0 = untiled): the
   /// execution-engine dimension of the design space.
   std::vector<int> tile_rows = {0};
@@ -249,6 +249,10 @@ struct SolveStats {
   /// Row-block height the solve ran at: the config's, with `auto`
   /// resolved (resolve_tile_rows).
   int tile_rows = 0;
+  /// Threads of the team the solver body ran on: the cluster's
+  /// team_width for run_solver, the sub-team's size in a batch.  0 when
+  /// no solver body ran (a mixed solve of a zero right-hand side).
+  int threads = 0;
   /// What the solve ran — kernel launches, halo exchanges and reductions
   /// per phase — as its cluster counted them: the performance model's
   /// one description of the solve (model/trace.hpp).

@@ -27,13 +27,43 @@ inline int num_threads() {
 #endif
 }
 
-/// True while executing inside an active parallel region (a
-/// `parallel_region` body or any OpenMP parallel construct).
+/// True while executing inside a parallel region (a `parallel_region`
+/// body or any OpenMP parallel construct), one-thread regions included.
 inline bool in_parallel_region() {
 #if defined(TEALEAF_HAVE_OPENMP)
-  return omp_in_parallel() != 0;
+  return omp_get_level() > 0;
 #else
   return false;
+#endif
+}
+
+/// Cells each thread of a cluster's team must have before another thread
+/// pays for itself.  Below it the fixed costs of a thread — a barrier at
+/// every halo exchange and reduction, and waking a sleeping worker for
+/// every region — outweigh its share of the arithmetic.  Measured on a
+/// 4-core host with 2-rank 2-D CG requests from 48² to 160²
+/// (docs/benchmarks.md, "Small solves on the threads they can use"):
+/// ⌊cells / 4096⌋ threads was the fastest width at 48², 64², 96² and
+/// 160², and within 4% of the fastest at 80², 112² and 128².
+inline constexpr std::int64_t kCellsPerThread = 4096;
+
+namespace detail {
+/// The count a ThreadScope on this thread pins regions to (0: none).
+inline thread_local int pinned_threads = 0;
+}  // namespace detail
+
+/// The thread count of the regions a cluster of `cells` cells opens: the
+/// count a ThreadScope on the calling thread pins, else
+/// min(num_threads(), max(1, ⌊cells / kCellsPerThread⌋)) — OMP_NUM_THREADS
+/// (num_threads()) is the cap, never the target.
+inline int team_width(std::int64_t cells) {
+#if defined(TEALEAF_HAVE_OPENMP)
+  if (detail::pinned_threads > 0) return detail::pinned_threads;
+  const std::int64_t fit = std::max<std::int64_t>(1, cells / kCellsPerThread);
+  return static_cast<int>(std::min<std::int64_t>(num_threads(), fit));
+#else
+  (void)cells;
+  return 1;
 #endif
 }
 
@@ -232,6 +262,7 @@ class Team {
   /// works from any call depth); a sub-team synchronises only its own
   /// threads through its SpinBarrier.
   void barrier() const {
+    ++barriers_;
     if (spin_ != nullptr) {
       spin_->arrive_and_wait(sense_);
       return;
@@ -249,11 +280,26 @@ class Team {
     if (tid_ == 0) body();
   }
 
+  /// The barriers this thread has passed through this handle; thread 0's
+  /// count is the team's barrier episodes.
+  [[nodiscard]] std::int64_t barriers() const { return barriers_; }
+
+  /// Which of two buffers this thread's next team reduction deposits its
+  /// partials in, flipped as each reduction ends.  Every thread of a team
+  /// runs the same reductions, so every thread holds the same parity.  A
+  /// reduction reads its buffer after its entry barrier, and the next
+  /// write to that buffer comes after the next reduction's entry barrier,
+  /// so the buffers need no exit barrier.
+  [[nodiscard]] int reduction_parity() const { return parity_; }
+  void flip_reduction_parity() const { parity_ ^= 1; }
+
  private:
   int tid_ = 0;
   int nthreads_ = 1;
   SpinBarrier* spin_ = nullptr;
   mutable bool sense_ = false;  ///< this thread's SpinBarrier episode parity
+  mutable int parity_ = 0;
+  mutable std::int64_t barriers_ = 0;
 };
 
 /// Placement of one region thread in a partition of the region into
@@ -302,32 +348,44 @@ inline SubTeamSlot sub_team_slot(int tid, int nthreads, int ngroups) {
 ///
 /// Nesting is a contract violation: a region inside a region would either
 /// oversubscribe or silently serialise depending on the OpenMP runtime.
+///
+/// The region runs `width` threads (a SimCluster passes its team_width);
+/// the one-argument form runs num_threads().
 template <class Body>
-void parallel_region(const Body& body) {
+void parallel_region(int width, const Body& body) {
   TEA_ASSERT(!in_parallel_region(),
              "parallel_region must not nest inside an active region");
+  TEA_ASSERT(width >= 1, "parallel_region: width must be >= 1");
 #if defined(TEALEAF_HAVE_OPENMP)
-#pragma omp parallel
+#pragma omp parallel num_threads(width)
   {
     Team team(omp_get_thread_num(), omp_get_num_threads());
     body(team);
   }
 #else
+  (void)width;
   Team team(0, 1);
   body(team);
 #endif
 }
+template <class Body>
+void parallel_region(const Body& body) {
+  parallel_region(num_threads(), body);
+}
 
-/// RAII override of the thread count later regions run with (no-op when
-/// threads == 0 or without OpenMP); the previous count is restored on
-/// scope exit.
+/// RAII pin of the thread count the regions this thread opens run with:
+/// num_threads() and every cluster's team_width read `threads`, whatever
+/// the cluster's size (no-op when threads == 0 or without OpenMP).  The
+/// previous count and pin are restored on scope exit.
 class ThreadScope {
  public:
   explicit ThreadScope(int threads) {
 #if defined(TEALEAF_HAVE_OPENMP)
     if (threads > 0) {
       saved_ = omp_get_max_threads();
+      saved_pin_ = detail::pinned_threads;
       omp_set_num_threads(threads);
+      detail::pinned_threads = threads;
     }
 #else
     (void)threads;
@@ -335,7 +393,10 @@ class ThreadScope {
   }
   ~ThreadScope() {
 #if defined(TEALEAF_HAVE_OPENMP)
-    if (saved_ > 0) omp_set_num_threads(saved_);
+    if (saved_ > 0) {
+      omp_set_num_threads(saved_);
+      detail::pinned_threads = saved_pin_;
+    }
 #endif
   }
   ThreadScope(const ThreadScope&) = delete;
@@ -343,6 +404,7 @@ class ThreadScope {
 
  private:
   int saved_ = 0;
+  int saved_pin_ = 0;
 };
 
 /// Parallel loop over [begin, end).  `body(i)` must be safe to run
@@ -356,7 +418,7 @@ class ThreadScope {
 template <class Body>
 void parallel_for(std::int64_t begin, std::int64_t end, const Body& body) {
 #if defined(TEALEAF_HAVE_OPENMP)
-#pragma omp parallel for schedule(static) if (!omp_in_parallel())
+#pragma omp parallel for schedule(static) if (!in_parallel_region())
   for (std::int64_t i = begin; i < end; ++i) body(i);
 #else
   for (std::int64_t i = begin; i < end; ++i) body(i);

@@ -3,10 +3,16 @@
 #include "api/solve_api.hpp"
 #include "driver/decks.hpp"
 #include "driver/tealeaf_app.hpp"
+#include "test_helpers.hpp"
 #include "util/error.hpp"
 
 namespace tealeaf {
 namespace {
+
+// These tests' meshes are too small for a threaded team_width: pin three
+// threads so their solves and collectives keep a threaded team.
+[[maybe_unused]] ::testing::Environment* const kPinnedTeam =
+    ::testing::AddGlobalTestEnvironment(new testing::PinnedThreads(3));
 
 TEST(ProblemShape, KeyEncodesEverythingThatSizesACluster) {
   const InputDeck deck = decks::hot_block(24, 1);

@@ -4,6 +4,8 @@
 
 #include "comm/gather.hpp"
 #include "comm/sim_comm.hpp"
+#include "server/batch.hpp"
+#include "solvers/solver.hpp"
 #include "test_helpers.hpp"
 #include "util/error.hpp"
 #include "util/parallel.hpp"
@@ -204,37 +206,135 @@ TEST(SimCluster, AllocationFailureIsATeaErrorNotTerminate) {
   GTEST_SKIP() << "needs RLIMIT_DATA, and ASan aborts oversize allocations "
                   "instead of throwing";
 #else
-  parallel_region([](Team&) {});  // start the team before the limit
-  std::string built;
-  {
-    const testing::MemoryLimit limit(std::size_t{4} << 30);
-    try {
-      SimCluster cl(GlobalMesh(40000, 40000), 1, 1);  // 12.8 GB a field
-    } catch (const TeaError& e) {
-      built = e.what();
+  testing::run_in_own_process([] {
+    parallel_region([](Team&) {});  // start the team before the limit
+    std::string built;
+    {
+      const testing::MemoryLimit limit(std::size_t{4} << 30);
+      try {
+        SimCluster cl(GlobalMesh(40000, 40000), 1, 1);  // 12.8 GB a field
+      } catch (const TeaError& e) {
+        built = e.what();
+      }
     }
-  }
-  SimCluster cl(GlobalMesh(1000, 1000), 2, 1);  // 4 MB a field a rank
-  std::string grown;
-  {
-    const testing::MemoryLimit limit(std::size_t{1} << 20);
-    try {
-      cl.allocate({.fp64 = {FieldId::kP}});
-    } catch (const TeaError& e) {
-      grown = e.what();
+    SimCluster cl(GlobalMesh(1000, 1000), 2, 1);  // 4 MB a field a rank
+    std::string grown;
+    {
+      const testing::MemoryLimit limit(std::size_t{1} << 20);
+      try {
+        cl.allocate({.fp64 = {FieldId::kP}});
+      } catch (const TeaError& e) {
+        grown = e.what();
+      }
     }
+    // The fields the chunks held are untouched, and p stays unallocated.
+    for (int r = 0; r < cl.nranks(); ++r) {
+      EXPECT_EQ(cl.chunk(r).allocated().fp64, Chunk::base_fields(2));
+      EXPECT_EQ(cl.chunk(r).field(FieldId::kP).size(), 0u);
+    }
+    EXPECT_NE(built.find("cannot allocate the 40000x40000 mesh on 1 rank"),
+              std::string::npos)
+        << built;
+    EXPECT_NE(grown.find("cannot allocate the 1000x1000 mesh on 2 ranks"),
+              std::string::npos)
+        << grown;
+  });
+#endif
+}
+
+// ---- team width ----------------------------------------------------------
+
+/// A 64² mesh has one thread's worth of cells: at a default of four
+/// threads its solve runs on one, and the result is bitwise the solve
+/// pinned to four.
+TEST(TeamWidth, SmallSolveRunsOneThreadBitwiseEqualToPinned) {
+#if defined(TEALEAF_HAVE_OPENMP)
+  const testing::DefaultThreads four(4);
+  SolverConfig cfg;
+  cfg.type = SolverType::kCG;
+  cfg.eps = 1e-10;
+  auto sized = testing::make_test_problem(64, 2, 1);
+  auto pinned = testing::make_test_problem(64, 2, 1);
+  EXPECT_EQ(sized->team_width(), 1);
+  const SolveStats one = run_solver(*sized, cfg);
+  const SolveStats st = [&] {
+    const ThreadScope pin(4);
+    EXPECT_EQ(pinned->team_width(), 4);
+    return run_solver(*pinned, cfg);
+  }();
+  ASSERT_TRUE(one.converged);
+  EXPECT_EQ(one.threads, 1);
+  EXPECT_EQ(st.threads, 4);
+  EXPECT_EQ(one.outer_iters, st.outer_iters);
+  EXPECT_EQ(one.final_norm, st.final_norm);
+  EXPECT_EQ(testing::max_field_diff(*sized, *pinned, FieldId::kU), 0.0);
+#else
+  GTEST_SKIP() << "OpenMP disabled: every team has one thread";
+#endif
+}
+
+/// The width is a function of the cells alone: a 1024² shape takes the
+/// cap, and a shape just under two threads' cells takes one, with no mesh
+/// allocated.
+TEST(TeamWidth, FollowsTheCellsUpToTheCap) {
+#if defined(TEALEAF_HAVE_OPENMP)
+  const testing::DefaultThreads three(3);
+  EXPECT_EQ(team_width(GlobalMesh(1024, 1024).cell_count()), 3);
+  EXPECT_EQ(team_width(GlobalMesh(96, 96).cell_count()), 2);
+  EXPECT_EQ(team_width(2 * kCellsPerThread - 1), 1);
+  EXPECT_EQ(team_width(0), 1);
+  const ThreadScope pin(5);
+  EXPECT_EQ(team_width(GlobalMesh(16, 16).cell_count()), 5);
+#else
+  EXPECT_EQ(team_width(GlobalMesh(1024, 1024).cell_count()), 1);
+#endif
+}
+
+/// A batch region runs the threads its items can use: two small items at a
+/// default of four threads run as two one-thread sub-teams.
+TEST(TeamWidth, BatchOfTwoSmallItemsRunsTwoOneThreadSubTeams) {
+#if defined(TEALEAF_HAVE_OPENMP)
+  const testing::DefaultThreads four(4);
+  SolverConfig cfg;
+  cfg.type = SolverType::kCG;
+  cfg.eps = 1e-10;
+  auto a = testing::make_test_problem(24, 2, 1);
+  auto b = testing::make_test_problem(24, 2, 1, 4.0);
+  std::vector<BatchItem> items = {{a.get(), cfg, {}}, {b.get(), cfg, {}}};
+  solve_batched(items);
+  for (const BatchItem& it : items) {
+    EXPECT_TRUE(it.stats.converged);
+    EXPECT_EQ(it.stats.threads, 1);
   }
-  // The fields the chunks held are untouched, and p stays unallocated.
-  for (int r = 0; r < cl.nranks(); ++r) {
-    EXPECT_EQ(cl.chunk(r).allocated().fp64, Chunk::base_fields(2));
-    EXPECT_EQ(cl.chunk(r).field(FieldId::kP).size(), 0u);
-  }
-  EXPECT_NE(built.find("cannot allocate the 40000x40000 mesh on 1 rank"),
-            std::string::npos)
-      << built;
-  EXPECT_NE(grown.find("cannot allocate the 1000x1000 mesh on 2 ranks"),
-            std::string::npos)
-      << grown;
+#else
+  GTEST_SKIP() << "OpenMP disabled: every team has one thread";
+#endif
+}
+
+/// Barrier episodes per CG iteration at three pinned threads on two
+/// ranks: the one split axis of the exchange and its exit (2), and one
+/// barrier for each of the two reductions — plus, where a rank runs
+/// several tiles on a team wider than the ranks, the barrier before each
+/// fold.  Set-up adds the u exchange (2) and the first reduction (1).
+TEST(TeamWidth, BarrierEpisodesPerCgIteration) {
+#if defined(TEALEAF_HAVE_OPENMP)
+  const ThreadScope three(3);
+  SolverConfig cfg;
+  cfg.type = SolverType::kCG;
+  cfg.eps = 1e-10;
+  cfg.tile_rows = 0;
+  // 2-D: one tile a rank, so the folds need no barrier.
+  auto flat = testing::make_test_problem(64, 2, 1);
+  const SolveStats st2 = run_solver(*flat, cfg);
+  ASSERT_TRUE(st2.converged);
+  EXPECT_EQ(flat->stats().barriers, 4 * st2.spmv_applies - 1);
+  // 3-D: a tile a plane, so each fold waits on a barrier.
+  auto brick = testing::make_test_problem_3d(16, 2, 1);
+  const SolveStats st3 = run_solver(*brick, cfg);
+  ASSERT_TRUE(st3.converged);
+  EXPECT_EQ(brick->stats().barriers, 6 * st3.spmv_applies - 3);
+#else
+  GTEST_SKIP() << "OpenMP disabled: the team never exceeds one thread";
 #endif
 }
 

@@ -6,9 +6,15 @@
 #include "comm/sim_comm.hpp"
 #include "model/trace.hpp"
 #include "util/numeric.hpp"
+#include "test_helpers.hpp"
 
 namespace tealeaf {
 namespace {
+
+// These tests' meshes are too small for a threaded team_width: pin three
+// threads so their solves and collectives keep a threaded team.
+[[maybe_unused]] ::testing::Environment* const kPinnedTeam =
+    ::testing::AddGlobalTestEnvironment(new testing::PinnedThreads(3));
 
 /// Property sweep over rectangular meshes × rank counts × depths: after
 /// an exchange, every in-domain halo cell equals the unique global value

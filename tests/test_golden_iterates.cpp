@@ -350,6 +350,7 @@ TEST(GoldenIterates, EveryRouteReproducesItsRecordedChecksum) {
               expect_resident(*cl, declared_fields(v.work, prec, dims),
                               cell + " at " + std::to_string(threads) +
                                   " threads");
+              EXPECT_EQ(st.threads, testing::pinned_width(threads)) << cell;
               if (prec == Precision::kMixed) {
                 EXPECT_GE(st.refine_steps, 1) << cell << " ran one pass";
               }
@@ -445,6 +446,7 @@ TEST(GoldenIterates, MgPcgReproducesItsSerialChecksumAtEveryThreadCount) {
                                std::to_string(threads) + " threads, b" +
                                std::to_string(tile_rows);
         EXPECT_TRUE(res.converged) << at;
+        EXPECT_EQ(res.threads, testing::pinned_width(threads)) << at;
         EXPECT_EQ(res.outer_iters, g.iterations) << at;
         EXPECT_EQ(hash_field(gather_field(*cl, FieldId::kU)), g.u_hash)
             << at;

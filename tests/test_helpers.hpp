@@ -2,13 +2,22 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 
 #if defined(__linux__)
 #include <sys/resource.h>
+#endif
+
+#include <gtest/gtest.h>
+
+#if defined(TEALEAF_HAVE_OPENMP)
+#include <omp.h>
 #endif
 
 #include "comm/gather.hpp"
@@ -18,6 +27,42 @@
 #include "util/numeric.hpp"
 
 namespace tealeaf::testing {
+
+/// The team width a ThreadScope(threads) pins regions to: `threads`, or 1
+/// in a build without OpenMP, where the scope does nothing.
+inline int pinned_width(int threads) {
+#if defined(TEALEAF_HAVE_OPENMP)
+  return threads;
+#else
+  (void)threads;
+  return 1;
+#endif
+}
+
+/// Sets the default thread count — num_threads(), the cap of every
+/// team_width — to `threads` for its scope without pinning regions to it
+/// (ThreadScope pins).  A no-op without OpenMP.
+class DefaultThreads {
+ public:
+  explicit DefaultThreads(int threads) {
+#if defined(TEALEAF_HAVE_OPENMP)
+    saved_ = omp_get_max_threads();
+    omp_set_num_threads(threads);
+#else
+    (void)threads;
+#endif
+  }
+  ~DefaultThreads() {
+#if defined(TEALEAF_HAVE_OPENMP)
+    omp_set_num_threads(saved_);
+#endif
+  }
+  DefaultThreads(const DefaultThreads&) = delete;
+  DefaultThreads& operator=(const DefaultThreads&) = delete;
+
+ private:
+  int saved_ = 0;
+};
 
 /// Deterministic, decomposition-independent material: density and energy
 /// are functions of the *global* cell index (smooth bands plus a hashed
@@ -202,6 +247,53 @@ inline std::string field_names(const FieldBanks& banks) {
 #elif !defined(TEALEAF_TEST_LIMITS_MEMORY)
 #define TEALEAF_TEST_LIMITS_MEMORY 0
 #endif
+
+/// Pins every region the tests of a binary open to `threads`: a
+/// ThreadScope held from before the first test to after the last, which a
+/// test's own ThreadScope overrides.  A binary whose meshes are too small
+/// for a threaded team_width registers one, so its solves keep crossing
+/// threads.
+class PinnedThreads : public ::testing::Environment {
+ public:
+  explicit PinnedThreads(int threads) : threads_(threads) {}
+  void SetUp() override { scope_.emplace(threads_); }
+  void TearDown() override { scope_.reset(); }
+
+ private:
+  int threads_;
+  std::optional<ThreadScope> scope_;
+};
+
+/// Ends a death test's child with the current test's outcome: its failed
+/// assertions printed to stderr (the child reports nothing itself; the
+/// death test shows its stderr) and exit status 1 if there were any.
+[[noreturn]] inline void exit_with_test_result() {
+  const ::testing::TestResult& result =
+      *::testing::UnitTest::GetInstance()->current_test_info()->result();
+  for (int i = 0; i < result.total_part_count(); ++i) {
+    const ::testing::TestPartResult& part = result.GetTestPartResult(i);
+    if (part.failed()) {
+      std::fprintf(stderr, "%s:%d: %s\n", part.file_name(),
+                   part.line_number(), part.message());
+    }
+  }
+  std::exit(result.Failed() ? 1 : 0);
+}
+
+/// Run `body` in a process of its own: a gtest "threadsafe" death test,
+/// which starts the test binary again for this one test, so nothing an
+/// earlier test allocated and freed is left in the heap `body` measures.
+/// The test passes when `body` makes no failing assertion.
+template <class Body>
+void run_in_own_process(Body&& body) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_EXIT(
+      {
+        body();
+        exit_with_test_result();
+      },
+      ::testing::ExitedWithCode(0), "");
+}
 
 #if TEALEAF_TEST_LIMITS_MEMORY
 /// Lowers this process's data limit (RLIMIT_DATA: its private writable

@@ -37,6 +37,11 @@
 namespace tealeaf {
 namespace {
 
+// These tests' meshes are too small for a threaded team_width: pin three
+// threads so their solves and collectives keep a threaded team.
+[[maybe_unused]] ::testing::Environment* const kPinnedTeam =
+    ::testing::AddGlobalTestEnvironment(new testing::PinnedThreads(3));
+
 using testing::install_operator;
 using testing::make_test_problem;
 using testing::make_test_problem_3d;

@@ -44,6 +44,11 @@
 namespace tealeaf {
 namespace {
 
+// These tests' meshes are too small for a threaded team_width: pin three
+// threads so their solves and collectives keep a threaded team.
+[[maybe_unused]] ::testing::Environment* const kPinnedTeam =
+    ::testing::AddGlobalTestEnvironment(new testing::PinnedThreads(3));
+
 using testing::install_operator;
 using testing::make_test_problem;
 using testing::make_test_problem_3d;
@@ -707,7 +712,9 @@ TEST(SubnormalFlush, RestoredOnEveryThreadAfterMixedSolve) {
     const unsigned before = _mm_getcsr();
 #endif
     SolveSession session(cold_pipe_deck(), 2);
-    ASSERT_TRUE(session.solve().converged) << threads << " threads";
+    const SolveStats st = session.solve();
+    ASSERT_TRUE(st.converged) << threads << " threads";
+    EXPECT_EQ(st.threads, testing::pinned_width(threads));
 #if defined(__x86_64__)
     EXPECT_EQ(_mm_getcsr(), before) << threads << " threads";
 #endif

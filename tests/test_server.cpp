@@ -26,6 +26,11 @@
 namespace tealeaf {
 namespace {
 
+// These tests' meshes are too small for a threaded team_width: pin three
+// threads so their solves and collectives keep a threaded team.
+[[maybe_unused]] ::testing::Environment* const kPinnedTeam =
+    ::testing::AddGlobalTestEnvironment(new testing::PinnedThreads(3));
+
 SolverConfig native_config(SolverType t) {
   SolverConfig cfg;
   cfg.type = t;
@@ -753,38 +758,40 @@ TEST(ServerMgPcg, HierarchyThatDoesNotFitFailsAlone) {
   GTEST_SKIP() << "needs RLIMIT_DATA, and ASan aborts oversize allocations "
                   "instead of throwing";
 #else
-  parallel_region([](Team&) {});  // start the team before the limit
-  // A capped CG + jac_diag request leaves a cached session holding every
-  // field mg-pcg uses; the hierarchy, several MB, does not fit in 2 MB
-  // more.
-  InputDeck deck = decks::hot_block(640, 1);
-  deck.solver.precon = PreconType::kJacobiDiag;
-  deck.solver.max_iters = 2;
-  SolveRequest warm;
-  warm.deck = deck;
-  warm.nranks = 1;
-  SolveServer server;
-  ASSERT_TRUE(server.solve_one(warm).error.empty());
+  testing::run_in_own_process([] {
+    parallel_region([](Team&) {});  // start the team before the limit
+    // A capped CG + jac_diag request leaves a cached session holding every
+    // field mg-pcg uses; the hierarchy, several MB, does not fit in 2 MB
+    // more.
+    InputDeck deck = decks::hot_block(640, 1);
+    deck.solver.precon = PreconType::kJacobiDiag;
+    deck.solver.max_iters = 2;
+    SolveRequest warm;
+    warm.deck = deck;
+    warm.nranks = 1;
+    SolveServer server;
+    ASSERT_TRUE(server.solve_one(warm).error.empty());
 
-  SolveRequest small = hot_block_request(32, "small");
-  small.nranks = 1;
-  SolveRequest mg = warm;
-  SolverConfig mg_cfg = deck.solver;
-  mg_cfg.precon = PreconType::kMultigrid;
-  mg.config = mg_cfg;
-  server.submit(small);
-  server.submit(mg);
-  std::vector<SolveResult> results;
-  {
-    const testing::MemoryLimit limit(std::size_t{2} << 20);
-    results = server.drain();
-  }
-  ASSERT_EQ(results.size(), 2u);
-  EXPECT_TRUE(results[0].ok()) << results[0].error;
-  EXPECT_NE(results[1].error.find(
-                "cannot allocate the 640x640 mesh on 1 rank: out of memory"),
-            std::string::npos)
-      << results[1].error;
+    SolveRequest small = hot_block_request(32, "small");
+    small.nranks = 1;
+    SolveRequest mg = warm;
+    SolverConfig mg_cfg = deck.solver;
+    mg_cfg.precon = PreconType::kMultigrid;
+    mg.config = mg_cfg;
+    server.submit(small);
+    server.submit(mg);
+    std::vector<SolveResult> results;
+    {
+      const testing::MemoryLimit limit(std::size_t{2} << 20);
+      results = server.drain();
+    }
+    ASSERT_EQ(results.size(), 2u);
+    EXPECT_TRUE(results[0].ok()) << results[0].error;
+    EXPECT_NE(results[1].error.find(
+                  "cannot allocate the 640x640 mesh on 1 rank: out of memory"),
+              std::string::npos)
+        << results[1].error;
+  });
 #endif
 }
 
@@ -916,71 +923,73 @@ TEST(ServerResidency, Fp32AllocationFailureFailsTheRequestAlone) {
   GTEST_SKIP() << "needs RLIMIT_DATA, and ASan aborts oversize allocations "
                   "instead of throwing";
 #else
-  using enum FieldId;
-  parallel_region([](Team&) {});  // start the team before the limit
-  SolverConfig mixed;
-  mixed.op = OperatorKind::kCsr;
-  mixed.precision = Precision::kMixed;
-  {
-    // The fp64 side of the solve is in place; its fp32 bank, 7.4 MB,
-    // does not fit in 1 MB more.
-    auto cl = testing::make_test_problem(512, 1, 2);
-    testing::install_operator(*cl, OperatorKind::kCsr);
-    cl->allocate({.fp64 = {kR, kW}});
-    std::string msg;
+  testing::run_in_own_process([] {
+    using enum FieldId;
+    parallel_region([](Team&) {});  // start the team before the limit
+    SolverConfig mixed;
+    mixed.op = OperatorKind::kCsr;
+    mixed.precision = Precision::kMixed;
     {
-      const testing::MemoryLimit limit(std::size_t{1} << 20);
-      try {
-        (void)run_solver(*cl, mixed);
-      } catch (const TeaError& e) {
-        msg = e.what();
+      // The fp64 side of the solve is in place; its fp32 bank, 7.4 MB,
+      // does not fit in 1 MB more.
+      auto cl = testing::make_test_problem(512, 1, 2);
+      testing::install_operator(*cl, OperatorKind::kCsr);
+      cl->allocate({.fp64 = {kR, kW}});
+      std::string msg;
+      {
+        const testing::MemoryLimit limit(std::size_t{1} << 20);
+        try {
+          (void)run_solver(*cl, mixed);
+        } catch (const TeaError& e) {
+          msg = e.what();
+        }
       }
+      EXPECT_NE(msg.find("cannot allocate the 512x512 mesh on 1 rank: out of "
+                         "memory"),
+                std::string::npos)
+          << msg;
+      EXPECT_FALSE(cl->chunk(0).fp32_active());
     }
-    EXPECT_NE(msg.find("cannot allocate the 512x512 mesh on 1 rank: out of "
-                       "memory"),
+
+    // A capped mixed CSR Jacobi request leaves a cached session with five
+    // fp32 fields.  A Chronopoulos–Gear block-Jacobi CG request on it needs
+    // six more (24 bytes a cell, 10 MB): its step frees and re-assembles
+    // both matrices, and the rest does not fit in 2 MB more.
+    InputDeck deck = decks::hot_block(640, 1);
+    deck.solver.type = SolverType::kJacobi;
+    deck.solver.op = OperatorKind::kCsr;
+    deck.solver.precision = Precision::kMixed;
+    deck.solver.max_iters = 2;
+    SolveRequest warm;
+    warm.deck = deck;
+    warm.nranks = 1;
+    SolveServer server;
+    ASSERT_TRUE(server.solve_one(warm).error.empty());
+
+    SolveRequest small = hot_block_request(32, "small");
+    small.nranks = 1;
+    SolveRequest big = warm;
+    big.tag = "big";
+    SolverConfig chrono = deck.solver;
+    chrono.type = SolverType::kCG;
+    chrono.fuse_cg_reductions = true;
+    chrono.precon = PreconType::kJacobiBlock;
+    big.config = chrono;
+    server.submit(small);
+    server.submit(big);
+    std::vector<SolveResult> results;
+    {
+      const testing::MemoryLimit limit(std::size_t{2} << 20);
+      results = server.drain();
+    }
+    ASSERT_EQ(results.size(), 2u);
+    EXPECT_TRUE(results[0].ok()) << results[0].error;
+    EXPECT_NE(results[1].error.find(
+                  "cannot allocate the 640x640 mesh on 1 rank: out of memory"),
               std::string::npos)
-        << msg;
-    EXPECT_FALSE(cl->chunk(0).fp32_active());
-  }
-
-  // A capped mixed CSR Jacobi request leaves a cached session with five
-  // fp32 fields.  A Chronopoulos–Gear block-Jacobi CG request on it needs
-  // six more (24 bytes a cell, 10 MB): its step frees and re-assembles
-  // both matrices, and the rest does not fit in 2 MB more.
-  InputDeck deck = decks::hot_block(640, 1);
-  deck.solver.type = SolverType::kJacobi;
-  deck.solver.op = OperatorKind::kCsr;
-  deck.solver.precision = Precision::kMixed;
-  deck.solver.max_iters = 2;
-  SolveRequest warm;
-  warm.deck = deck;
-  warm.nranks = 1;
-  SolveServer server;
-  ASSERT_TRUE(server.solve_one(warm).error.empty());
-
-  SolveRequest small = hot_block_request(32, "small");
-  small.nranks = 1;
-  SolveRequest big = warm;
-  big.tag = "big";
-  SolverConfig chrono = deck.solver;
-  chrono.type = SolverType::kCG;
-  chrono.fuse_cg_reductions = true;
-  chrono.precon = PreconType::kJacobiBlock;
-  big.config = chrono;
-  server.submit(small);
-  server.submit(big);
-  std::vector<SolveResult> results;
-  {
-    const testing::MemoryLimit limit(std::size_t{2} << 20);
-    results = server.drain();
-  }
-  ASSERT_EQ(results.size(), 2u);
-  EXPECT_TRUE(results[0].ok()) << results[0].error;
-  EXPECT_NE(results[1].error.find(
-                "cannot allocate the 640x640 mesh on 1 rank: out of memory"),
-            std::string::npos)
-      << results[1].error;
-  EXPECT_TRUE(results[1].cache_hit);
+        << results[1].error;
+    EXPECT_TRUE(results[1].cache_hit);
+  });
 #endif
 }
 

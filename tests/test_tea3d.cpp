@@ -13,9 +13,15 @@
 #include "ops/kernels.hpp"
 #include "solvers/solver.hpp"
 #include "util/numeric.hpp"
+#include "test_helpers.hpp"
 
 namespace tealeaf {
 namespace {
+
+// These tests' meshes are too small for a threaded team_width: pin three
+// threads so their solves and collectives keep a threaded team.
+[[maybe_unused]] ::testing::Environment* const kPinnedTeam =
+    ::testing::AddGlobalTestEnvironment(new testing::PinnedThreads(3));
 
 /// Decomposition-independent 3-D test material.
 double density3d(int gj, int gk, int gl) {

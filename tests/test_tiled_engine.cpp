@@ -23,6 +23,11 @@
 namespace tealeaf {
 namespace {
 
+// These tests' meshes are too small for a threaded team_width: pin three
+// threads so their solves and collectives keep a threaded team.
+[[maybe_unused]] ::testing::Environment* const kPinnedTeam =
+    ::testing::AddGlobalTestEnvironment(new testing::PinnedThreads(3));
+
 using testing::make_test_problem;
 using testing::max_field_diff;
 
@@ -293,6 +298,7 @@ TEST(TiledCluster, SumRowsMatchesSumOverChunksBitwise) {
         cl->reset_stats();
         double tiled = 0.0;
         bool follows = false;
+        int team = 0;
         parallel_region([&](Team& t) {
           const double v = cl->sum_rows_over_chunks(
               t, tile, {Kernel::kNorm2}, [](int, Chunk2D& c, const Bounds& tb) {
@@ -302,8 +308,10 @@ TEST(TiledCluster, SumRowsMatchesSumOverChunksBitwise) {
           t.single([&] {
             tiled = v;
             follows = cl->tiles_follow_ranks(t, tile);
+            team = t.num_threads();
           });
         });
+        EXPECT_EQ(team, testing::pinned_width(threads));
         (follows ? owner_fold : barrier_fold) = true;
         EXPECT_EQ(tiled, untiled) << nranks << " ranks, " << threads
                                   << " threads, tile=" << tile;
@@ -365,6 +373,10 @@ TEST_P(TiledEngineEquivalence, BitwiseIdenticalToUntiledFused) {
 
   ASSERT_TRUE(su.converged);
   ASSERT_TRUE(st.converged);
+  if (tc.threads > 0) {
+    EXPECT_EQ(su.threads, 1);
+    EXPECT_EQ(st.threads, testing::pinned_width(tc.threads));
+  }
   // The tiled engine only re-blocks the row loops: per-row arithmetic and
   // the row/rank-ordered reductions are shared with the untiled fused
   // path, so everything must match exactly.
@@ -487,6 +499,7 @@ TEST(TiledScheduling, MoreThreadsThanRanksStaysBitwiseIdentical) {
   }();
 
   ASSERT_TRUE(st.converged);
+  EXPECT_EQ(st.threads, 5);
   EXPECT_EQ(st.outer_iters, su.outer_iters);
   EXPECT_EQ(st.final_norm, su.final_norm);
   EXPECT_EQ(max_field_diff(*a, *b, FieldId::kU), 0.0);

@@ -235,6 +235,22 @@ TEST(Parallel, ForCoversRangeOnce) {
   for (const int h : hits) EXPECT_EQ(h, 1);
 }
 
+/// A one-thread region is still a region: a region opened inside it is
+/// caught by the nesting assert, as inside a wider one (its throw ends the
+/// process: no exception leaves a region).
+TEST(Parallel, NestingInsideAOneThreadRegionIsCaught) {
+#if defined(TEALEAF_HAVE_OPENMP)
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_DEATH(parallel_region(1,
+                               [](const Team&) {
+                                 parallel_region([](const Team&) {});
+                               }),
+               "terminate");
+#else
+  GTEST_SKIP() << "OpenMP disabled: regions are plain calls";
+#endif
+}
+
 TEST(Parallel, SubnormalFlushIsScopedToTheGuard) {
   volatile float tiny = FLT_MIN;
   EXPECT_NE(tiny / 4.0f, 0.0f);
