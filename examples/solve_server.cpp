@@ -6,7 +6,7 @@
 // The stream mixes two problem shapes (so same-shape requests coalesce
 // into sub-team batches while the shapes keep separate session pools),
 // a sprinkling of mixed-precision requests (fp32 inner solves under the
-// fp64 refinement guard, served solo from precision-keyed sessions), one
+// fp64 refinement guard, batched per precision-keyed session shape), one
 // Matrix-Market-backed request (the example writes a small 5-point SPD
 // system and solves it through the assembled CSR path), and, unless
 // --no-poison, two poisoned requests: a mixed-precision one carrying a

@@ -3,7 +3,7 @@
 #include <exception>
 #include <mutex>
 #include <new>
-#include <string>
+#include <sstream>
 
 #include "util/error.hpp"
 
@@ -94,13 +94,17 @@ void SimCluster::for_each_rank(const Kernels& kernels,
   try {
     std::rethrow_exception(failure);
   } catch (const std::bad_alloc&) {
-    std::string shape = std::to_string(mesh_.nx) + "x" +
-                        std::to_string(mesh_.ny);
-    if (mesh_.dims == 3) shape += "x" + std::to_string(mesh_.nz);
-    throw TeaError("cannot allocate the " + shape + " mesh on " +
-                   std::to_string(nranks()) +
-                   (nranks() == 1 ? " rank" : " ranks") + ": out of memory");
+    throw_out_of_memory();
   }
+}
+
+void SimCluster::throw_out_of_memory() const {
+  std::ostringstream os;
+  os << "cannot allocate the " << mesh_.nx << "x" << mesh_.ny;
+  if (mesh_.dims == 3) os << "x" << mesh_.nz;
+  os << " mesh on " << nranks() << (nranks() == 1 ? " rank" : " ranks")
+     << ": out of memory";
+  throw TeaError(os.str());
 }
 
 // Phase ordering matters: x completes for all ranks before y starts so
@@ -136,12 +140,11 @@ void SimCluster::exchange(const Team& team,
   // With more threads than ranks each phase workshares (rank, face) pairs
   // — the per-face copies touch disjoint halo regions.
   const bool by_face = team.num_threads() > nranks();
-  using FaceCopy = void (SimCluster::*)(int, Face, const FieldId*, int, int);
-  const auto phase = [&](bool split, FaceCopy copy, Face low, Face high) {
+  const auto phase = [&](bool split, Face low, Face high) {
     if (!split) return;
     team.barrier();
     const auto run = [&](std::int64_t r, Face face) {
-      (this->*copy)(static_cast<int>(r), face, fields, nfields, depth);
+      exchange_face(static_cast<int>(r), face, fields, nfields, depth);
     };
     if (by_face) {
       team.for_range(0, 2 * nranks(), [&](std::int64_t i) {
@@ -154,12 +157,9 @@ void SimCluster::exchange(const Team& team,
       });
     }
   };
-  phase(decomp_.px() > 1, &SimCluster::exchange_x_face, Face::kLeft,
-        Face::kRight);
-  phase(decomp_.py() > 1, &SimCluster::exchange_y_face, Face::kBottom,
-        Face::kTop);
-  phase(mesh_.dims == 3 && decomp_.pz() > 1, &SimCluster::exchange_z_face,
-        Face::kBack, Face::kFront);
+  phase(decomp_.px() > 1, Face::kLeft, Face::kRight);
+  phase(decomp_.py() > 1, Face::kBottom, Face::kTop);
+  phase(mesh_.dims == 3 && decomp_.pz() > 1, Face::kBack, Face::kFront);
   team.single([&] {
     stats_ += exchange_counts(decomp_, depth, nfields, elem_bytes());
     trace_.add_exchange(phase_, depth, nfields, elem_bytes());
@@ -167,116 +167,66 @@ void SimCluster::exchange(const Team& team,
   team.barrier();
 }
 
-void SimCluster::exchange_x_face(int rank, Face face,
-                                 const FieldId* fields, int nfields,
-                                 int depth) {
+void SimCluster::exchange_face(int rank, Face face, const FieldId* fields,
+                               int nfields, int depth) {
+  const int nb = decomp_.neighbor(rank, face);
+  if (nb < 0) return;
   Chunk& me = *chunks_[static_cast<std::size_t>(rank)];
-  // Each rank "sends" its edge columns into the neighbour's halo.  In the
+  const Chunk& other = *chunks_[static_cast<std::size_t>(nb)];
+  // Each rank "sends" its edge layers into the neighbour's halo.  In the
   // simulation the copy is done by the receiving side reading the
   // neighbour's interior, which is bitwise the same data motion.
-  const int nb = decomp_.neighbor(rank, face);
-  if (nb < 0) return;
-  Chunk& other = *chunks_[static_cast<std::size_t>(nb)];
-  TEA_ASSERT(other.ny() == me.ny() && other.nz() == me.nz(),
-             "x-neighbours must share rows and planes");
-  // The copy body is generic over the storage bank: an fp32-active solve
-  // moves the fp32 halos (half the bytes — the mixed-precision layer's
-  // communication saving), the default path moves fp64 exactly as before.
-  const auto copy_face = [&](auto& dst, const auto& src) {
-    for (int d = 0; d < depth; ++d) {
-      // Halo column -1-d maps to the right edge of the left neighbour;
-      // column nx+d maps to the left edge of the right neighbour.
-      const int dst_j = (face == Face::kLeft) ? -1 - d : me.nx() + d;
-      const int src_j = (face == Face::kLeft) ? other.nx() - 1 - d : d;
-      for (int l = 0; l < me.nz(); ++l)
-        for (int k = 0; k < me.ny(); ++k)
-          dst(dst_j, k, l) = src(src_j, k, l);
+  const int axis = static_cast<int>(face) / 2;
+  const bool low = static_cast<int>(face) % 2 == 0;
+  const int n[3] = {me.nx(), me.ny(), me.nz()};
+  const int other_n[3] = {other.nx(), other.ny(), other.nz()};
+  // The halo box the face fills, [lo, hi) per axis (j, k, l).  The face
+  // axis carries the depth layers.  Axes the earlier phases exchanged
+  // carry their halos too, so edges and corners propagate — but only
+  // toward sides with a neighbour: a physical boundary's halo holds no
+  // exchanged values, so it is neither copied nor charged to the message
+  // (exchange_counts).  Later axes span the interior.
+  int lo[3];
+  int hi[3];
+  int shift[3] = {0, 0, 0};
+  for (int a = 0; a < 3; ++a) {
+    if (a == axis) {
+      lo[a] = low ? -depth : n[a];
+      hi[a] = lo[a] + depth;
+      continue;
     }
-  };
-  for (int f = 0; f < nfields; ++f) {
-    if (me.fp32_active()) {
-      copy_face(me.field_t<float>(fields[f]),
-                other.field_t<float>(fields[f]));
-    } else {
-      copy_face(me.field_t<double>(fields[f]),
-                other.field_t<double>(fields[f]));
-    }
+    TEA_ASSERT(other_n[a] == n[a],
+               "face neighbours must share the extents across their face");
+    const bool earlier = a < axis;
+    const auto has = [&](int side) {
+      return decomp_.neighbor(rank, static_cast<Face>(2 * a + side)) >= 0;
+    };
+    lo[a] = earlier && has(0) ? -depth : 0;
+    hi[a] = n[a] + (earlier && has(1) ? depth : 0);
   }
-}
-
-void SimCluster::exchange_y_face(int rank, Face face,
-                                 const FieldId* fields, int nfields,
-                                 int depth) {
-  Chunk& me = *chunks_[static_cast<std::size_t>(rank)];
-  // Rows travel with their x-halo corner columns so corners propagate —
-  // but only columns that actually carry neighbour data: at a physical
-  // left/right boundary the x-halo holds no exchanged values, so it is
-  // neither copied nor charged to the message payload.
-  const bool has_left = decomp_.neighbor(rank, Face::kLeft) >= 0;
-  const bool has_right = decomp_.neighbor(rank, Face::kRight) >= 0;
-  const int jlo = has_left ? -depth : 0;
-  const int jhi = me.nx() + (has_right ? depth : 0);
-  const int nb = decomp_.neighbor(rank, face);
-  if (nb < 0) return;
-  Chunk& other = *chunks_[static_cast<std::size_t>(nb)];
-  TEA_ASSERT(other.nx() == me.nx() && other.nz() == me.nz(),
-             "y-neighbours must share columns and planes");
-  const auto copy_face = [&](auto& dst, const auto& src) {
-    for (int d = 0; d < depth; ++d) {
-      const int dst_k = (face == Face::kBottom) ? -1 - d : me.ny() + d;
-      const int src_k = (face == Face::kBottom) ? other.ny() - 1 - d : d;
-      for (int l = 0; l < me.nz(); ++l)
-        for (int j = jlo; j < jhi; ++j)
-          dst(j, dst_k, l) = src(j, src_k, l);
+  // The source layers sit one chunk extent away along the axis: halo
+  // layer -1-d is the low neighbour's layer n-1-d, layer n+d the high
+  // neighbour's layer d.
+  shift[axis] = low ? other_n[axis] : -n[axis];
+  // Generic over the storage bank: an fp32-active solve moves the fp32
+  // halos (half the bytes — the mixed-precision layer's communication
+  // saving), the default path moves fp64.
+  const auto copy_box = [&](auto& dst, const auto& src) {
+    const int width = hi[0] - lo[0];
+    for (int l = lo[2]; l < hi[2]; ++l) {
+      for (int k = lo[1]; k < hi[1]; ++k) {
+        auto* d = &dst(lo[0], k, l);
+        const auto* s = &src(lo[0] + shift[0], k + shift[1], l + shift[2]);
+        for (int j = 0; j < width; ++j) d[j] = s[j];
+      }
     }
   };
   for (int f = 0; f < nfields; ++f) {
     if (me.fp32_active()) {
-      copy_face(me.field_t<float>(fields[f]),
-                other.field_t<float>(fields[f]));
+      copy_box(me.field_t<float>(fields[f]), other.field_t<float>(fields[f]));
     } else {
-      copy_face(me.field_t<double>(fields[f]),
-                other.field_t<double>(fields[f]));
-    }
-  }
-}
-
-void SimCluster::exchange_z_face(int rank, Face face,
-                                 const FieldId* fields, int nfields,
-                                 int depth) {
-  Chunk& me = *chunks_[static_cast<std::size_t>(rank)];
-  // z slabs travel with the x- and y-halo rows the earlier phases filled,
-  // so edges and corners propagate — again only where a neighbour
-  // actually supplied data (physical boundaries send trimmed slabs).
-  const bool has_left = decomp_.neighbor(rank, Face::kLeft) >= 0;
-  const bool has_right = decomp_.neighbor(rank, Face::kRight) >= 0;
-  const bool has_bottom = decomp_.neighbor(rank, Face::kBottom) >= 0;
-  const bool has_top = decomp_.neighbor(rank, Face::kTop) >= 0;
-  const int jlo = has_left ? -depth : 0;
-  const int jhi = me.nx() + (has_right ? depth : 0);
-  const int klo = has_bottom ? -depth : 0;
-  const int khi = me.ny() + (has_top ? depth : 0);
-  const int nb = decomp_.neighbor(rank, face);
-  if (nb < 0) return;
-  Chunk& other = *chunks_[static_cast<std::size_t>(nb)];
-  TEA_ASSERT(other.nx() == me.nx() && other.ny() == me.ny(),
-             "z-neighbours must share columns and rows");
-  const auto copy_face = [&](auto& dst, const auto& src) {
-    for (int d = 0; d < depth; ++d) {
-      const int dst_l = (face == Face::kBack) ? -1 - d : me.nz() + d;
-      const int src_l = (face == Face::kBack) ? other.nz() - 1 - d : d;
-      for (int k = klo; k < khi; ++k)
-        for (int j = jlo; j < jhi; ++j)
-          dst(j, k, dst_l) = src(j, k, src_l);
-    }
-  };
-  for (int f = 0; f < nfields; ++f) {
-    if (me.fp32_active()) {
-      copy_face(me.field_t<float>(fields[f]),
-                other.field_t<float>(fields[f]));
-    } else {
-      copy_face(me.field_t<double>(fields[f]),
-                other.field_t<double>(fields[f]));
+      copy_box(me.field_t<double>(fields[f]),
+               other.field_t<double>(fields[f]));
     }
   }
 }

@@ -4,6 +4,7 @@
 #include <functional>
 #include <initializer_list>
 #include <memory>
+#include <new>
 #include <utility>
 #include <vector>
 
@@ -41,17 +42,19 @@ namespace tealeaf {
 /// required for matrix-powers halo depths > 1.
 ///
 /// Every collective has a Team form that workshares inside the one
-/// `parallel_region` a solve opens.  Work outside a solver body — session
-/// prepare, the mixed-precision fp64 guard residual, test and harness
-/// set-up — uses the standalone `exchange`, `for_each_chunk` and
-/// `sum_over_chunks`, thin wrappers that open one region around the Team
-/// form (so they must not be called inside a region); an exception from
-/// a standalone `for_each_chunk` body is rethrown after its region.
+/// `parallel_region` a solve opens (solve_batched, solvers/solver.hpp);
+/// the mixed-precision layer's downcasts, corrections and fp64 guard
+/// residuals run there too.  Work outside a solve — session prepare,
+/// test and harness set-up — uses the standalone `exchange`,
+/// `for_each_chunk` and `sum_over_chunks`, thin wrappers that open one
+/// region around the Team form (so they must not be called inside a
+/// region); an exception from a standalone `for_each_chunk` body is
+/// rethrown after its region.
 ///
-/// Every region the cluster opens — its constructor's, `allocate`'s, the
-/// standalone collectives' and a solve's (solve_in_region) — runs
-/// `team_width()` threads: a small mesh does not pay for threads it
-/// cannot use (docs/architecture.md, "Team width").
+/// Every region the cluster opens — its constructor's, `allocate`'s and
+/// the standalone collectives' — runs `team_width()` threads, and a
+/// solve's region the sum of its items' widths: a small mesh does not pay
+/// for threads it cannot use (docs/architecture.md, "Team width").
 class SimCluster {
  public:
   /// Decompose `mesh` over `nranks` ranks, allocating every chunk with
@@ -68,7 +71,7 @@ class SimCluster {
   /// Out of memory is a TeaError naming the mesh and the rank count, and
   /// the chunks keep what they held.  Allocates nothing and opens no
   /// region when every chunk already holds `fields`.  Must not be called
-  /// inside a region: run_solver and solve_batched call it before theirs.
+  /// inside a region: solve_batched calls it before its own.
   void allocate(const FieldBanks& fields);
 
   [[nodiscard]] int nranks() const { return static_cast<int>(chunks_.size()); }
@@ -116,6 +119,21 @@ class SimCluster {
   template <class Body>
   void for_each_chunk(const Kernels& kernels, Body&& body) {
     for_each_rank(kernels, [&](int r) { body(r, *chunks_[r]); });
+  }
+
+  /// Serial form: `body(rank, chunk)` for every rank in rank order on the
+  /// calling thread, opening no region — the set-up a solve makes before
+  /// its region (solve_batched), which may allocate and check its input.
+  /// Counts `kernels` as for_each_chunk does; out of memory is the same
+  /// TeaError naming the mesh and the rank count.
+  template <class Body>
+  void for_each_chunk_serial(const Kernels& kernels, Body&& body) {
+    record(Team(0, 1), kernels);
+    try {
+      for (int r = 0; r < nranks(); ++r) body(r, *chunks_[r]);
+    } catch (const std::bad_alloc&) {
+      throw_out_of_memory();
+    }
   }
 
   /// Team-aware form: workshares the ranks through `team`.  No implied
@@ -318,7 +336,7 @@ class SimCluster {
   [[nodiscard]] const CommStats& stats() const { return stats_; }
   void reset_stats() { stats_.reset(); }
 
-  /// The trace recorded since the last reset_trace (run_solver resets it
+  /// The trace recorded since the last reset_trace (solve_batched resets it
   /// as a solve starts, keeping its capacity so a repeat solve records
   /// without allocating).  Inside a solve's region only its team's
   /// thread 0 may read it.
@@ -342,6 +360,9 @@ class SimCluster {
   /// constructor builds the chunks through it).
   void for_each_rank(const Kernels& kernels,
                      const std::function<void(int)>& body);
+  /// Throw the TeaError an allocation that ran out of memory becomes,
+  /// naming the mesh and the rank count.
+  [[noreturn]] void throw_out_of_memory() const;
 
   /// Element size the exchanges and sweeps run at: the fp32 bank's when
   /// the solve has it active.
@@ -410,17 +431,13 @@ class SimCluster {
     });
   }
 
-  /// Copy bodies of the axis phases: `rank`'s halo across `face`.  The
-  /// per-face split is the unit of 2-D worksharing: when the team has more
-  /// threads than ranks the phases workshare (rank, face) pairs instead of
-  /// ranks, so the halo copies of a wide-and-shallow decomposition also
-  /// use the whole team.
-  void exchange_x_face(int rank, Face face, const FieldId* fields,
-                       int nfields, int depth);
-  void exchange_y_face(int rank, Face face, const FieldId* fields,
-                       int nfields, int depth);
-  void exchange_z_face(int rank, Face face, const FieldId* fields,
-                       int nfields, int depth);
+  /// Copy body of the axis phases: `rank`'s halo across `face`, from the
+  /// neighbour's edge layers.  The per-face split is the unit of 2-D
+  /// worksharing: when the team has more threads than ranks the phases
+  /// workshare (rank, face) pairs instead of ranks, so the halo copies of
+  /// a wide-and-shallow decomposition also use the whole team.
+  void exchange_face(int rank, Face face, const FieldId* fields, int nfields,
+                     int depth);
 
   GlobalMesh mesh_;
   Decomposition decomp_;

@@ -71,19 +71,11 @@ void smvp(Chunk& c, FieldId src, FieldId dst, const Bounds& bounds);
 /// dst = src over `bounds`.
 void copy(Chunk& c, FieldId dst, FieldId src, const Bounds& bounds);
 
-/// f = value over `bounds`.
-void fill(Chunk& c, FieldId f, double value, const Bounds& bounds);
-
 /// y = y + a·x over `bounds`.
 void axpy(Chunk& c, FieldId y, double a, FieldId x, const Bounds& bounds);
 
 /// y = x + b·y over `bounds`  (CG direction update p = z + β·p).
 void xpby(Chunk& c, FieldId y, FieldId x, double b, const Bounds& bounds);
-
-/// y = a·y + b·x over `bounds`  (Chebyshev direction update with a
-/// non-fusable preconditioner, e.g. block Jacobi).
-void axpby(Chunk& c, FieldId y, double a, double b, FieldId x,
-           const Bounds& bounds);
 
 /// Σ a·b over the interior.
 [[nodiscard]] double dot(const Chunk& c, FieldId a, FieldId b);
@@ -130,8 +122,8 @@ void cheby_init_dir(Chunk& c, FieldId res, FieldId dir, double theta,
 // ρ = l·ny + k (the chunk's `row_scratch`); the engine then combines rows
 // in row order followed by ranks in rank order.  The block-Jacobi strip
 // solve couples the rows of a strip, so a kernel that applies it needs a
-// tile of whole strips (resolve() rounds a block-Jacobi height up to
-// whole strips); the strips never leave the tile.
+// tile of whole strips (resolve_tile_rows rounds a block-Jacobi height
+// up to whole strips); the strips never leave the tile.
 
 /// Rows of `tb` of `dot` (use a == b for norm²).
 void dot_rows(const Chunk& c, FieldId a, FieldId b, const Bounds& tb,

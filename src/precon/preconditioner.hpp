@@ -41,7 +41,8 @@ void block_jacobi_init(Chunk& c);
 /// over 4×1 vertical strips (tb's j range is ignored: every interior
 /// column).  The box must start on a strip boundary and end on one or at
 /// the chunk top, so it covers whole strips — the tile engine's boxes do
-/// once resolve() has rounded a block-Jacobi height up to whole strips.
+/// once resolve_tile_rows has rounded a block-Jacobi height up to whole
+/// strips.
 /// The whole-chunk solve is the same call on interior_bounds(c).
 /// Upstream: tea_block_solve.
 void block_jacobi_solve(Chunk& c, FieldId src, FieldId dst, const Bounds& tb);

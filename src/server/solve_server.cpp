@@ -4,7 +4,7 @@
 #include <map>
 #include <utility>
 
-#include "server/batch.hpp"
+#include "solvers/solver.hpp"
 #include "util/error.hpp"
 #include "util/timer.hpp"
 
@@ -222,55 +222,40 @@ std::vector<SolveResult> SolveServer::drain() {
 
       Timer batch_timer;
       std::vector<BatchItem> items;
-      std::vector<std::size_t> batch;  // batchable members, aligned with items
+      std::vector<std::size_t> batch;  // the members in items, aligned
       for (std::size_t b = 0; b < chunk; ++b) {
         const std::size_t i = members[at + b];
         Pending& p = pending[i];
         p.session = sessions[b];
         results[i].cache_hit = b < hits;
-        const bool in_batch = batchable(p.routed.config);
         try {
           p.session->reset(p.req->deck);
-          if (in_batch) {
-            // Allocated here, so a request whose fields do not fit fails
-            // alone; solve_batched then finds them present.
-            SimCluster& cl = p.session->cluster();
-            cl.allocate(solve_fields(cl, p.routed.config));
-            p.session->prepare(p.routed.config.op);
-          }
+          p.session->prepare(p.routed.config.op);
         } catch (const TeaError& e) {
           results[i].error = e.what();
           continue;
         }
-        if (!in_batch) continue;  // solo below
-        items.push_back({&p.session->cluster(), p.routed.config, {}});
+        items.push_back({&p.session->cluster(), p.routed.config, {}, {}});
         batch.push_back(i);
       }
+      // A member whose fields, hierarchy or fp32 operator do not fit, or
+      // whose config its cluster cannot run, fails alone.
       solve_batched(items);
+      const auto ran = static_cast<long long>(std::count_if(
+          items.begin(), items.end(),
+          [](const BatchItem& it) { return it.error.empty(); }));
       for (std::size_t b = 0; b < items.size(); ++b) {
         SolveResult& res = results[batch[b]];
+        if (!items[b].error.empty()) {
+          res.error = items[b].error;
+          continue;
+        }
         pending[batch[b]].session->finish_solve(items[b].stats);
         res.stats = items[b].stats;
-        res.batched = items.size() > 1;
-      }
-
-      // Members the batch engine cannot run solve solo: run_solver builds
-      // the multigrid hierarchy and dispatches the fp32 storage and the
-      // iterative-refinement outer loop itself, outside any region.
-      for (std::size_t b = 0; b < chunk; ++b) {
-        const std::size_t i = members[at + b];
-        Pending& p = pending[i];
-        if (!results[i].error.empty() || batchable(p.routed.config)) continue;
-        try {
-          results[i].stats = p.session->solve(p.routed.config);
-        } catch (const TeaError& e) {
-          results[i].error = e.what();
-        }
+        res.batched = ran > 1;
       }
       ++stats_.batches;
-      if (items.size() > 1) {
-        stats_.batched_requests += static_cast<long long>(items.size());
-      }
+      if (ran > 1) stats_.batched_requests += ran;
 
       const double batch_seconds = batch_timer.elapsed_s();
       for (std::size_t b = 0; b < chunk; ++b) {

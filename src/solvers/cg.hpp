@@ -70,9 +70,9 @@ class CGSolver {
   /// returned stats are identical on every thread (up to each thread's
   /// own wall-clock).  `team` may be a sub-team — the batch engine runs
   /// one request per sub-team concurrently.  cfg must be resolved and
-  /// checked by run_solver / run_solver_team (checks throw; regions
-  /// cannot).  A multigrid config needs `mg` (see cg_setup), which
-  /// run_solver builds before its region opens.
+  /// checked by solve_batched (checks throw; regions cannot).  A
+  /// multigrid config needs `mg` (see cg_setup), which solve_batched
+  /// builds before its region opens.
   static SolveStats solve_team(SimCluster2D& cl, const SolverConfig& cfg,
                                const Team& team, Multigrid* mg = nullptr);
 

@@ -27,7 +27,7 @@ class PPCGSolver {
   /// cfg.eig_hint_min/max (skip the presteps, build the polynomial on the
   /// hinted interval); a stale hint surfaces as the ⟨r, M⁻¹r⟩ breakdown
   /// flag, a prestep recurrence with no usable spectrum as a breakdown
-  /// too.  run_solver / run_solver_team check cfg.validate() and the
+  /// too.  solve_batched checks cfg.validate() and the
   /// cluster's halo depth against cfg.halo_depth before the region opens
   /// — checks throw, and regions cannot.
   static SolveStats solve_team(SimCluster2D& cl, const SolverConfig& cfg,

@@ -4,6 +4,8 @@
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "amg/multigrid.hpp"
 #include "model/machine.hpp"
@@ -13,9 +15,9 @@
 #include "solvers/chebyshev.hpp"
 #include "solvers/jacobi.hpp"
 #include "solvers/ppcg.hpp"
-#include "solvers/schedule.hpp"
 #include "util/error.hpp"
 #include "util/numeric.hpp"
+#include "util/parallel.hpp"
 #include "util/timer.hpp"
 
 namespace tealeaf {
@@ -39,9 +41,9 @@ void finish_stats(const SimCluster2D& cl, const SolverConfig& resolved,
 }
 
 /// The solver body of `resolved.type` on `team`: the one type switch
-/// behind run_solver and run_solver_team.  `mg` is the hierarchy of a
-/// multigrid config (see dispatch_native).  Records the team's size in
-/// the stats and its barrier episodes in the cluster's CommStats.
+/// behind solve_batched.  `mg` is the hierarchy of a multigrid config,
+/// built before the region.  Records the team's size in the stats and its
+/// barrier episodes in the cluster's CommStats.
 SolveStats solve_body(SimCluster2D& cl, const SolverConfig& resolved,
                       const Team& team, Multigrid* mg) {
   cl.set_phase(team, Phase::kSetup);
@@ -75,36 +77,14 @@ std::unique_ptr<Multigrid> hierarchy_of(const Chunk2D& c) {
   return std::make_unique<Multigrid>(c.kx(), c.ky(), c.nx(), c.ny());
 }
 
-/// Run one native solve in one parallel region at the chunks' CURRENT
-/// precision activation (the solvers are precision-oblivious: every field
-/// access and every operator traversal goes through the kernels' scalar
-/// dispatch).  A multigrid config first builds its hierarchy from the
-/// chunk's coefficients — its constructors check their inputs and may
-/// throw, so before the solve's region, on the one rank's owner thread,
-/// where running out of memory is a TeaError — and reports the build
-/// time as SolveStats::setup_seconds.
-SolveStats dispatch_native(SimCluster2D& cl, const SolverConfig& resolved) {
-  std::unique_ptr<Multigrid> mg;
-  double setup_seconds = 0.0;
-  if (resolved.precon == PreconType::kMultigrid) {
-    const Timer setup;
-    cl.for_each_chunk([&](int, Chunk2D& c) { mg = hierarchy_of(c); });
-    setup_seconds = setup.elapsed_s();
-  }
-  SolveStats st = solve_in_region(cl, [&](const Team& t) {
-    return solve_body(cl, resolved, t, mg.get());
-  });
-  st.setup_seconds = setup_seconds;
-  return st;
-}
-
 // ---- mixed-precision execution layer ------------------------------------
 // Storage orchestration for Precision::kSingle / kMixed.  The fp32 bank is
-// a per-chunk twin of the fp64 fields, allocated by run_solver from
+// a per-chunk twin of the fp64 fields, allocated before the region from
 // solve_fields; activation flips Chunk::fp32_active(), which routes
 // op_dispatch, the scalar kernels and the halo exchanges over the fp32
 // bank.  The fp64 fields are never touched by an active-fp32 solve, so
-// the outer refinement loop can read them back untouched.
+// the outer refinement loop can read them back untouched.  Only the fp32
+// operator is built before the region; the rest runs on the item's team.
 
 void downcast_field(Chunk& c, FieldId dst32, FieldId src64) {
   const Field<double>& s = c.field(src64);
@@ -115,13 +95,14 @@ void downcast_field(Chunk& c, FieldId dst32, FieldId src64) {
   for (std::size_t i = 0; i < n; ++i) dp[i] = static_cast<float>(sp[i]);
 }
 
-/// Build the fp32 operator: coefficient fields by storage downcast of the
-/// freshly built fp64 Kx/Ky/Kz (the direct analogue of downcasting the
-/// solve's inputs), assembled CSR by re-assembling from those fp32
-/// coefficients IN fp32 arithmetic — never by downcasting fp64-assembled
-/// values — so the fp32 stencil and the fp32 CSR stay bitwise equal to
-/// each other.  The old twin goes before the new one is assembled, and an
-/// assembly that runs out of memory is a TeaError after the region.
+/// Build the fp32 operator before the region, on the calling thread:
+/// coefficient fields by storage downcast of the freshly built fp64
+/// Kx/Ky/Kz (the direct analogue of downcasting the solve's inputs),
+/// assembled CSR by re-assembling from those fp32 coefficients IN fp32
+/// arithmetic — never by downcasting fp64-assembled values — so the fp32
+/// stencil and the fp32 CSR stay bitwise equal to each other.  The old
+/// twin goes before the new one is assembled, and an assembly that runs
+/// out of memory is a TeaError.
 void build_fp32_operator(SimCluster2D& cl) {
   const int h = cl.halo_depth();
   const Kernels downcasts =
@@ -129,7 +110,7 @@ void build_fp32_operator(SimCluster2D& cl) {
           ? Kernels({Kernel::kDowncast, Kernel::kDowncast, Kernel::kDowncast},
                     h)
           : Kernels({Kernel::kDowncast, Kernel::kDowncast}, h);
-  cl.for_each_chunk(downcasts, [&](int, Chunk& c) {
+  cl.for_each_chunk_serial(downcasts, [&](int, Chunk& c) {
     downcast_field(c, FieldId::kKx, FieldId::kKx);
     downcast_field(c, FieldId::kKy, FieldId::kKy);
     if (c.dims() == 3) downcast_field(c, FieldId::kKz, FieldId::kKz);
@@ -151,18 +132,45 @@ void clear_fp32_workspace(Chunk& c) {
   }
 }
 
-void set_fp32_active(SimCluster2D& cl, bool active) {
-  cl.for_each_chunk([&](int, Chunk& c) { c.set_fp32_active(active); });
+/// Route every chunk's kernels and exchanges over the fp32 bank, or back.
+/// Barrier, flip on thread 0, barrier: no thread still reads the old flag
+/// or bank (a Chebyshev pass can end in its deferred edge pass, which has
+/// no barrier after it, on tiles spread over the team), and every thread
+/// — the kernels' scalar dispatch, the exchange, elem_bytes() on thread 0
+/// — reads the new one.
+void set_fp32_active(SimCluster2D& cl, const Team& team, bool active) {
+  team.barrier();
+  team.single([&] {
+    for (int r = 0; r < cl.nranks(); ++r) cl.chunk(r).set_fp32_active(active);
+  });
+  team.barrier();
 }
 
-/// fp64 true residual r = u0 − A·u on the fp64 bank (fp32 must be
-/// inactive), the refinement guard.  Exchanges u to depth 1 first;
-/// returns ‖r‖².
-double fp64_true_residual(SimCluster2D& cl) {
-  cl.set_phase(Phase::kGuard);
-  cl.exchange({FieldId::kU}, 1);
+/// One pass of the configured solver over the fp32 bank, with subnormals
+/// flushed to zero.  The FP control register is per thread, so every
+/// thread of the team holds a SubnormalFlush around the pass alone: the
+/// downcasts, corrections and guard residuals around it keep gradual
+/// underflow, and nothing outside an fp32 pass ever runs flushed.
+SolveStats fp32_pass(SimCluster2D& cl, const SolverConfig& cfg,
+                     const Team& team) {
+  set_fp32_active(cl, team, true);
+  SolveStats st;
+  {
+    const SubnormalFlush flush(true);
+    st = solve_body(cl, cfg, team, /*mg=*/nullptr);
+  }
+  set_fp32_active(cl, team, false);
+  return st;
+}
+
+/// fp64 true residual r = u0 − A·u on the fp64 bank (fp32 inactive), the
+/// refinement guard.  Exchanges u to depth 1 first; returns ‖r‖² on every
+/// thread of the team.
+double fp64_true_residual(SimCluster2D& cl, const Team& team) {
+  cl.set_phase(team, Phase::kGuard);
+  cl.exchange(team, {FieldId::kU}, 1);
   return cl.sum_over_chunks(
-      {Kernel::kResidual},
+      team, {Kernel::kResidual},
       [](int, Chunk& c) { return kernels::calc_residual(c); });
 }
 
@@ -180,25 +188,23 @@ void accumulate_inner(SolveStats& agg, const SolveStats& inner) {
   }
 }
 
-/// Precision::kSingle — the honest all-fp32 mode: downcast the operator
-/// and the solve's inputs, run the configured solver entirely over the
-/// fp32 bank (same eps; it may stall before a tight tolerance, which is
-/// recorded honestly for the sweep to price), upcast the iterate.
-SolveStats solve_single(SimCluster2D& cl, const SolverConfig& resolved) {
-  build_fp32_operator(cl);
+/// Precision::kSingle — the honest all-fp32 mode: downcast the solve's
+/// inputs, run the configured solver entirely over the fp32 bank (same
+/// eps; it may stall before a tight tolerance, which is recorded honestly
+/// for the sweep to price), upcast the iterate.
+SolveStats solve_single(SimCluster2D& cl, const SolverConfig& resolved,
+                        const Team& team) {
   const Kernels inputs(
       {Kernel::kClearFp32, Kernel::kDowncast, Kernel::kDowncast},
       cl.halo_depth());
-  cl.for_each_chunk(inputs, [&](int, Chunk& c) {
+  cl.for_each_chunk(team, inputs, [&](int, Chunk& c) {
     clear_fp32_workspace(c);
     downcast_field(c, FieldId::kU, FieldId::kU);
     downcast_field(c, FieldId::kU0, FieldId::kU0);
   });
-  set_fp32_active(cl, true);
-  SolveStats stats = dispatch_native(cl, resolved);
-  set_fp32_active(cl, false);
-  cl.set_phase(Phase::kSetup);
-  cl.for_each_chunk({Kernel::kUpcast}, [&](int, Chunk& c) {
+  SolveStats stats = fp32_pass(cl, resolved, team);
+  cl.set_phase(team, Phase::kSetup);
+  cl.for_each_chunk(team, {Kernel::kUpcast}, [&](int, Chunk& c) {
     Field<double>& u = c.u();
     const Field<float>& u32 = c.field32(FieldId::kU);
     const Bounds b = interior_bounds(c);
@@ -218,11 +224,14 @@ SolveStats solve_single(SimCluster2D& cl, const SolverConfig& resolved) {
 /// fp64 residual — the same contract as a double solve.  max_iters bounds
 /// the passes together: a spent budget ends the solve unconverged, as a
 /// capped double solve ends; a stall, or the pass cap, is a breakdown
-/// (the server answers that with a re-route).
-SolveStats solve_mixed(SimCluster2D& cl, const SolverConfig& resolved) {
+/// (the server answers that with a re-route).  Every reduction is a team
+/// reduction, so every thread takes the same branches.
+SolveStats solve_mixed(SimCluster2D& cl, const SolverConfig& resolved,
+                       const Team& team) {
   // The native solvers time their own iteration loops; the refinement
   // wrapper times the WHOLE mixed solve — inner solves, downcasts and the
-  // fp64 guard residuals — so the sweep and bench price its true cost.
+  // fp64 guard residuals (solve_batched adds the fp32 operator's build) —
+  // so the sweep and bench price its true cost.
   Timer timer;
   constexpr int kMaxRefines = 12;
   // fp32 has ~7.2 decimal digits; pushing an inner solve past ~1e-5
@@ -235,7 +244,7 @@ SolveStats solve_mixed(SimCluster2D& cl, const SolverConfig& resolved) {
   SolverConfig inner_cfg = resolved;
 
   SolveStats stats;
-  const double rr0 = fp64_true_residual(cl);
+  const double rr0 = fp64_true_residual(cl, team);
   stats.initial_norm = std::sqrt(std::fabs(rr0));
   if (stats.initial_norm == 0.0) {
     stats.converged = true;
@@ -243,8 +252,6 @@ SolveStats solve_mixed(SimCluster2D& cl, const SolverConfig& resolved) {
   }
   const double target = resolved.eps * stats.initial_norm;
 
-  cl.set_phase(Phase::kSetup);
-  build_fp32_operator(cl);
   double norm = stats.initial_norm;
   int stalls = 0;
   for (int ref = 0; ref <= kMaxRefines; ++ref) {
@@ -255,16 +262,14 @@ SolveStats solve_mixed(SimCluster2D& cl, const SolverConfig& resolved) {
     inner_cfg.eps =
         std::max({resolved.eps, kFp32Floor, kPassMargin * target / norm});
     inner_cfg.max_iters = resolved.max_iters - stats.outer_iters;
-    cl.set_phase(Phase::kSetup);
+    cl.set_phase(team, Phase::kSetup);
     const Kernels rhs({Kernel::kClearFp32, Kernel::kDowncast},
                       cl.halo_depth());
-    cl.for_each_chunk(rhs, [&](int, Chunk& c) {
+    cl.for_each_chunk(team, rhs, [&](int, Chunk& c) {
       clear_fp32_workspace(c);
       downcast_field(c, FieldId::kU0, FieldId::kR);
     });
-    set_fp32_active(cl, true);
-    const SolveStats inner = dispatch_native(cl, inner_cfg);
-    set_fp32_active(cl, false);
+    const SolveStats inner = fp32_pass(cl, inner_cfg, team);
     accumulate_inner(stats, inner);
     stats.refine_steps = ref;
     if (inner.breakdown) {
@@ -275,8 +280,8 @@ SolveStats solve_mixed(SimCluster2D& cl, const SolverConfig& resolved) {
       break;
     }
     // u += δ in fp64, then the fp64 truth test.
-    cl.set_phase(Phase::kGuard);
-    cl.for_each_chunk({Kernel::kAddCorrection}, [&](int, Chunk& c) {
+    cl.set_phase(team, Phase::kGuard);
+    cl.for_each_chunk(team, {Kernel::kAddCorrection}, [&](int, Chunk& c) {
       Field<double>& u = c.u();
       const Field<float>& du = c.field32(FieldId::kU);
       const Bounds b = interior_bounds(c);
@@ -286,7 +291,7 @@ SolveStats solve_mixed(SimCluster2D& cl, const SolverConfig& resolved) {
             u(j, k, l) += static_cast<double>(du(j, k, l));
     });
     const double prev = norm;
-    norm = std::sqrt(std::fabs(fp64_true_residual(cl)));
+    norm = std::sqrt(std::fabs(fp64_true_residual(cl, team)));
     if (norm <= target) {
       stats.converged = true;
       break;
@@ -318,6 +323,48 @@ SolveStats solve_mixed(SimCluster2D& cl, const SolverConfig& resolved) {
   stats.final_norm = norm;
   stats.solve_seconds = timer.elapsed_s();
   return stats;
+}
+
+/// The step of `it` before the batch's region: everything a solve does
+/// that may throw.  Resolves the item's tile height, allocates the fields
+/// its cluster lacks, resets the trace, and builds the multigrid
+/// hierarchy into `mg` (timed as the item's setup_seconds) or the fp32
+/// operator (a mixed solve's solve_seconds count its build).
+void set_up_item(BatchItem& it, std::unique_ptr<Multigrid>* mg) {
+  TEA_REQUIRE(it.cluster != nullptr, "solve_batched: null cluster");
+  SimCluster2D& cl = *it.cluster;
+  check_solvable(cl, it.config);
+  it.config.tile_rows = resolve_tile_rows(cl, it.config);
+  cl.allocate(solve_fields(cl, it.config));
+  cl.reset_trace();
+  if (mg != nullptr) {
+    // Its constructors check their inputs and allocate every level.
+    const Timer setup;
+    cl.for_each_chunk_serial({}, [&](int, Chunk2D& c) { *mg = hierarchy_of(c); });
+    it.stats.setup_seconds = setup.elapsed_s();
+  }
+  if (it.config.precision != Precision::kDouble) {
+    const Timer build;
+    build_fp32_operator(cl);
+    if (it.config.precision == Precision::kMixed) {
+      it.stats.solve_seconds = build.elapsed_s();
+    }
+  }
+}
+
+/// The solve of a set-up item on `team`, inside the batch's region: the
+/// precision layer around the solver body.  Thread 0 records the tile
+/// height, the fill and the trace.
+SolveStats solve_item(const BatchItem& it, const Team& team, Multigrid* mg) {
+  SimCluster2D& cl = *it.cluster;
+  SolveStats st;
+  switch (it.config.precision) {
+    case Precision::kDouble: st = solve_body(cl, it.config, team, mg); break;
+    case Precision::kSingle: st = solve_single(cl, it.config, team); break;
+    case Precision::kMixed: st = solve_mixed(cl, it.config, team); break;
+  }
+  if (team.thread_id() == 0) finish_stats(cl, it.config, st);
+  return st;
 }
 
 }  // namespace
@@ -378,34 +425,88 @@ int resolve_tile_rows(const SimCluster2D& cl, const SolverConfig& cfg,
   return static_cast<int>(rows);
 }
 
-SolveStats run_solver(SimCluster2D& cl, const SolverConfig& cfg,
-                      const MachineSpec& machine) {
-  check_solvable(cl, cfg);
-  SolverConfig resolved = cfg;
-  resolved.tile_rows = resolve_tile_rows(cl, cfg, machine);
-  cl.allocate(solve_fields(cl, resolved));
-  cl.reset_trace();
-  SolveStats stats;
-  switch (resolved.precision) {
-    case Precision::kDouble: stats = dispatch_native(cl, resolved); break;
-    case Precision::kSingle: stats = solve_single(cl, resolved); break;
-    case Precision::kMixed: stats = solve_mixed(cl, resolved); break;
+void solve_batched(std::span<BatchItem> items) {
+  // The hierarchies of the mg-pcg items, by item; sized at the first one,
+  // so a batch without one allocates nothing here.
+  std::vector<std::unique_ptr<Multigrid>> hierarchies;
+  int runnable = 0;
+  int width = 0;
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    BatchItem& it = items[i];
+    it.stats = {};
+    it.error.clear();
+    try {
+      std::unique_ptr<Multigrid>* mg = nullptr;
+      if (it.config.precon == PreconType::kMultigrid) {
+        if (hierarchies.empty()) hierarchies.resize(items.size());
+        mg = &hierarchies[i];
+      }
+      set_up_item(it, mg);
+    } catch (const TeaError& e) {
+      it.error = e.what();
+      continue;
+    }
+    ++runnable;
+    width += it.cluster->team_width();
   }
-  finish_stats(cl, resolved, stats);
-  return stats;
+  if (runnable == 0) return;
+  // The region runs the threads its items can use, capped by
+  // num_threads(); under a ThreadScope pin both are the pinned count.
+  width = std::min(width, num_threads());
+
+  // Sub-team barriers are sized from the region's ACTUAL thread count,
+  // which is only known inside, so thread 0 builds them and a region-wide
+  // barrier publishes before any sub-team forms.  One group needs none.
+  std::vector<std::unique_ptr<SpinBarrier>> bars;
+  parallel_region(width, [&](Team& region) {
+    const int nt = region.num_threads();
+    const int ngroups = std::min(runnable, nt);
+    // The runnable items of `group` (the k-th goes to group k mod
+    // ngroups), one after another on `team`.  No barrier between items:
+    // they run on distinct clusters, and each solve orders its own work.
+    const auto run_group = [&](const Team& team, int group) {
+      int k = 0;
+      for (std::size_t i = 0; i < items.size(); ++i) {
+        BatchItem& it = items[i];
+        if (!it.error.empty() || k++ % ngroups != group) continue;
+        SolveStats st = solve_item(
+            it, team, hierarchies.empty() ? nullptr : hierarchies[i].get());
+        team.single([&] {
+          // Keep what the step before the region measured.
+          st.setup_seconds += it.stats.setup_seconds;
+          st.solve_seconds += it.stats.solve_seconds;
+          it.stats = std::move(st);
+        });
+      }
+    };
+    if (ngroups == 1) {
+      run_group(region, 0);
+      return;
+    }
+    region.single([&] {
+      bars.resize(ngroups);
+      for (int g = 0; g < ngroups; ++g) {
+        bars[g] = std::make_unique<SpinBarrier>(nt / ngroups +
+                                                (g < nt % ngroups ? 1 : 0));
+      }
+    });
+    region.barrier();
+    const SubTeamSlot slot = sub_team_slot(region.thread_id(), nt, ngroups);
+    const Team sub(slot.local_id, slot.size, bars[slot.group].get());
+    run_group(sub, slot.group);
+  });
 }
 
-SolveStats run_solver_team(SimCluster2D& cl, const SolverConfig& cfg,
-                           const Team& team) {
-  TEA_ASSERT(cl.chunk(0).allocated().covers(solve_fields(cl, cfg)),
-             "allocate a team solve's fields before its region");
-  SolverConfig resolved = cfg;
-  resolved.tile_rows = resolve_tile_rows(cl, cfg);
-  // Only thread 0 records, so only its stats carry the trace.
-  if (team.thread_id() == 0) cl.reset_trace();
-  SolveStats stats = solve_body(cl, resolved, team, /*mg=*/nullptr);
-  if (team.thread_id() == 0) finish_stats(cl, resolved, stats);
-  return stats;
+SolveStats run_solver(SimCluster2D& cl, const SolverConfig& cfg,
+                      const MachineSpec& machine) {
+  // Checked before the height resolves against `machine`; solve_batched
+  // keeps a resolved height.
+  check_solvable(cl, cfg);
+  BatchItem item{&cl, cfg, {}, {}};
+  item.config.tile_rows = resolve_tile_rows(cl, cfg, machine);
+  solve_batched({&item, 1});
+  if (!item.error.empty()) throw TeaError(item.error);
+  return std::move(item.stats);
 }
 
 }  // namespace tealeaf

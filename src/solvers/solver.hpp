@@ -1,5 +1,8 @@
 #pragma once
 
+#include <span>
+#include <string>
+
 #include "comm/sim_comm.hpp"
 #include "model/machine.hpp"
 #include "solvers/solver_config.hpp"
@@ -9,9 +12,8 @@ namespace tealeaf {
 /// Throws TeaError unless `cfg` can run on `cl`: cfg.validate(), the
 /// config's matrix-powers depth against the cluster's halo, and mg-pcg's
 /// one-rank rule.  A solve's region cannot throw, so every solve passes
-/// these checks before its region opens: run_solver makes them itself,
-/// and the batch engine (server/batch.hpp) makes them for every item
-/// before its region.
+/// these checks before its region opens (solve_batched makes them for
+/// every item).
 void check_solvable(const SimCluster2D& cl, const SolverConfig& cfg);
 
 /// The fields a solve of `cfg` on `cl` uses, per bank: the fp64 bank's
@@ -26,7 +28,7 @@ void check_solvable(const SimCluster2D& cl, const SolverConfig& cfg);
 /// A single solve runs them on the fp32 bank, which also holds u, u0 and
 /// the coefficients; a mixed solve does the same, and its fp64 bank adds
 /// only r and w, for the guard residual.  Every solve allocates these
-/// before its region (run_solver, solve_batched), and a chunk holds only
+/// before its region (solve_batched), and a chunk holds only
 /// what its solves have used (docs/architecture.md, "Field residency").
 [[nodiscard]] FieldBanks solve_fields(const SimCluster2D& cl,
                                       const SolverConfig& cfg);
@@ -43,7 +45,45 @@ void check_solvable(const SimCluster2D& cl, const SolverConfig& cfg);
     const SimCluster2D& cl, const SolverConfig& cfg,
     const MachineSpec& machine = machines::host());
 
-/// The one way into a solve: run the configured solver on A·u = u0.
+/// One solve of a batch: a prepared cluster (u0/u seeded, coefficients
+/// built — see SolveSession::prepare) plus the configuration to run it
+/// with.  solve_batched resolves `config.tile_rows` (resolve_tile_rows)
+/// and fills the outputs: `stats`, or `error` when the solve could not
+/// start.
+struct BatchItem {
+  SimCluster2D* cluster = nullptr;
+  SolverConfig config;  ///< tile_rows = -1 (auto) is fine
+  SolveStats stats;     ///< output
+  std::string error;    ///< output: the TeaError that kept the item out
+};
+
+/// The one way into a solve: every item of the batch, of any precision
+/// and preconditioner, solved inside ONE parallel region.
+///
+/// Before the region, item by item, on the calling thread: check_solvable,
+/// resolve_tile_rows (against machines::host()), the solve_fields the
+/// cluster lacks, the multigrid hierarchy of an mg-pcg config
+/// (SolveStats::setup_seconds) and the fp32 operator of a single or mixed
+/// one.  A region cannot throw, so these are where a solve fails: an item
+/// whose step throws a TeaError records its message in `error` and stays
+/// out of the region, and the rest of the batch runs.
+///
+/// The region runs min(num_threads(), Σ the items' team_width) threads.
+/// One item — or a region of one thread — runs on the region's own Team
+/// with the OpenMP barrier; more items split the region into
+/// min(items, threads) SpinBarrier sub-teams, item k on sub-team
+/// k mod sub-teams, so a batch of small requests runs one-thread
+/// sub-teams.  A single or mixed item runs its downcasts, fp32 passes,
+/// corrections and fp64 guard residuals on its team too.
+///
+/// Every solver derives its control flow from deterministic rank/row-
+/// ordered reductions, so each item is bitwise identical to solving it
+/// alone: the team geometry changes who computes, never what is computed
+/// (enforced by tests/test_server.cpp).  Items must reference distinct
+/// clusters.  Numerical breakdowns surface through stats.breakdown.
+void solve_batched(std::span<BatchItem> items);
+
+/// One solve: a batch of one item (solve_batched) on A·u = u0.
 ///
 /// Preconditions (normally established by SolveSession / the driver's
 /// timestep):
@@ -52,33 +92,12 @@ void check_solvable(const SimCluster2D& cl, const SolverConfig& cfg);
 ///    exchange.
 /// Postcondition: u holds the converged solution on chunk interiors.
 ///
-/// Makes the check_solvable checks, resolves the tile height
-/// (resolve_tile_rows against `machine`, by default the host; SolveStats::
-/// tile_rows records it) and allocates the solve_fields the chunks lack (a
-/// TeaError when memory runs out) before dispatch.  The whole native
-/// solve runs in one parallel region; the multigrid preconditioner's
-/// hierarchy is built before it opens (SolveStats::setup_seconds).
+/// An `auto` tile height resolves against `machine`, by default the host
+/// (SolveStats::tile_rows records it).  The step before the region throws
+/// its TeaError here: a config the cluster cannot run, or fields,
+/// hierarchy or fp32 operator that do not fit in memory.
 [[nodiscard]] SolveStats run_solver(
     SimCluster2D& cl, const SolverConfig& cfg,
     const MachineSpec& machine = machines::host());
-
-/// Team-injected dispatch: the ENTIRE solve runs on `team` inside the
-/// caller's already-open parallel region.  Every thread of the team must
-/// call with identical arguments; the returned stats are identical on
-/// every thread (up to per-thread wall-clock), except that only thread
-/// 0's carry the trace (thread 0 records it), the operator fill and the
-/// tile height.  `team` may be a sub-team
-/// — the solve-server's batch engine runs one request per sub-team,
-/// concurrently, inside ONE region.  cfg must have passed check_solvable
-/// on `cl` and be batchable (fp64 and no multigrid preconditioner: both
-/// need work outside the region; see server/batch.hpp), and `cl` must
-/// hold its solve_fields.  Those checks throw and the allocation may, so
-/// the caller makes them before its region opens.  The tile height
-/// resolves against machines::host(), as run_solver's does by default,
-/// and the result is bitwise identical to run_solver's, which opens a
-/// region of its own.
-[[nodiscard]] SolveStats run_solver_team(SimCluster2D& cl,
-                                         const SolverConfig& cfg,
-                                         const Team& team);
 
 }  // namespace tealeaf

@@ -101,7 +101,7 @@ struct SolverConfig {
   /// Row-block height of the tiled execution engine (tl_tile_rows).  Every
   /// solve runs as ONE parallel region around the whole solve
   /// (worksharing loops, team reductions and team-aware halo exchanges
-  /// inside; see solve_in_region), and every sweep runs through the tile
+  /// inside; see solve_batched), and every sweep runs through the tile
   /// engine; this knob only sets the block height.
   /// > 0: sweeps iterate over row-blocks of this many rows so the
   ///      per-block working set fits in L2, and the engine workshares

@@ -4,7 +4,6 @@
 
 #include "comm/gather.hpp"
 #include "comm/sim_comm.hpp"
-#include "server/batch.hpp"
 #include "solvers/solver.hpp"
 #include "test_helpers.hpp"
 #include "util/error.hpp"

@@ -155,16 +155,14 @@ TEST_F(OpsFixture, InitUSetsTemperatureAndClearsWork) {
 TEST_F(OpsFixture, VectorKernelsBasics) {
   Chunk2D& c = cl_->chunk(0);
   const Bounds in = interior_bounds(c);
-  kernels::fill(c, FieldId::kP, 2.0, in);
-  kernels::fill(c, FieldId::kZ, 3.0, in);
+  c.p().fill(2.0);
+  c.z().fill(3.0);
   kernels::axpy(c, FieldId::kP, 0.5, FieldId::kZ, in);  // p = 2 + 1.5
   EXPECT_DOUBLE_EQ(c.p()(1, 1), 3.5);
   kernels::xpby(c, FieldId::kP, FieldId::kZ, 2.0, in);  // p = 3 + 2*3.5
   EXPECT_DOUBLE_EQ(c.p()(1, 1), 10.0);
-  kernels::axpby(c, FieldId::kP, 0.5, 2.0, FieldId::kZ, in);  // 5 + 6
-  EXPECT_DOUBLE_EQ(c.p()(1, 1), 11.0);
   kernels::copy(c, FieldId::kW, FieldId::kP, in);
-  EXPECT_DOUBLE_EQ(c.w()(2, 2), 11.0);
+  EXPECT_DOUBLE_EQ(c.w()(2, 2), 10.0);
   EXPECT_DOUBLE_EQ(kernels::norm2_sq(c, FieldId::kZ), 9.0 * 8 * 6);
 }
 

@@ -213,6 +213,52 @@ TEST(MixedPrecision, MaxItersBoundsAllPassesTogether) {
   log::set_level(was);
 }
 
+/// A capped mixed Chebyshev solve whose last fp32 pass spends its budget
+/// on a step without a norm check, so the pass ends in the deferred edge
+/// pass, which has no barrier after it.  On one rank at tile height 4 the
+/// tiles spread over the team, so the fp64 correction reads edge rows
+/// other threads wrote: it must be ordered after them.  Bitwise equal at
+/// one and three threads, run after run.
+TEST(MixedPrecision, CappedChebyshevEndingInAnEdgePassIsThreadIndependent) {
+  const log::Level was = log::level();
+  log::set_level(log::Level::kError);  // capped solves warn at max_iters
+  SolverConfig cfg;
+  cfg.type = SolverType::kChebyshev;
+  cfg.precision = Precision::kMixed;
+  cfg.eps = 1e-12;
+  cfg.tile_rows = 4;
+  // The first pass runs the 20 presteps and converges on a check step
+  // (every 20th), so the passes after it get an odd budget: never a
+  // check step.
+  cfg.max_iters = 67;
+  const auto solve = [&](int threads, SolveStats& st) {
+    const ThreadScope scope(threads);
+    auto cl = make_test_problem(48, 1, 2);
+    st = run_solver(*cl, cfg);
+    EXPECT_EQ(st.threads, testing::pinned_width(threads));
+    return cl;
+  };
+  SolveStats ref;
+  const auto ref_cl = solve(1, ref);
+  ASSERT_EQ(ref.outer_iters, cfg.max_iters);
+  ASSERT_GE(ref.refine_steps, 1);
+  ASSERT_FALSE(ref.converged);
+  ASSERT_FALSE(ref.breakdown) << ref.breakdown_reason;
+  ASSERT_NE((cfg.max_iters - cfg.eigen_cg_iters) % cfg.cheby_check_interval,
+            0);
+  for (int run = 0; run < 20; ++run) {
+    SolveStats st;
+    const auto cl = solve(3, st);
+    EXPECT_EQ(st.outer_iters, ref.outer_iters) << "run " << run;
+    EXPECT_EQ(st.refine_steps, ref.refine_steps) << "run " << run;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(st.final_norm),
+              std::bit_cast<std::uint64_t>(ref.final_norm))
+        << "run " << run;
+    EXPECT_EQ(max_field_diff(*cl, *ref_cl, FieldId::kU), 0.0) << "run " << run;
+  }
+  log::set_level(was);
+}
+
 // ---- single: honest, deterministic all-fp32 ------------------------------
 
 TEST(SinglePrecision, DeterministicAcrossRuns) {

@@ -16,7 +16,6 @@
 #include "api/solve_api.hpp"
 #include "comm/gather.hpp"
 #include "driver/decks.hpp"
-#include "server/batch.hpp"
 #include "server/routing.hpp"
 #include "server/solve_server.hpp"
 #include "solvers/solver.hpp"
@@ -45,53 +44,128 @@ SolverConfig native_config(SolverType t) {
   return cfg;
 }
 
-/// The tentpole invariant: a batch of N requests coalesced through one
-/// parallel region is bitwise identical to solving each alone, for every
-/// native solver, in both geometries.  Sub-team scheduling changes who
-/// computes, never what is computed.
-TEST(BatchEngine, BatchOfNBitwiseEqualsSolo2D) {
-  const double conditioning[] = {2.0, 4.0, 6.0};
+/// One input of the batch-engine invariant: a configuration and the
+/// cluster it runs on.
+struct BatchCase {
+  const char* name;
+  SolverConfig config;
+  int nranks = 2;
+};
+
+/// Every configuration the batch engine runs: the four native solvers in
+/// fp64, single and mixed precision on the stencil and on CSR, and mg-pcg
+/// (one rank).
+std::vector<BatchCase> batch_cases() {
+  std::vector<BatchCase> cases;
   for (SolverType t : {SolverType::kJacobi, SolverType::kCG,
                        SolverType::kChebyshev, SolverType::kPPCG}) {
-    std::vector<std::unique_ptr<SimCluster2D>> batched, solo;
-    std::vector<BatchItem> items;
-    for (double rxy : conditioning) {
-      batched.push_back(testing::make_test_problem(24, 2, 2, rxy));
-      solo.push_back(testing::make_test_problem(24, 2, 2, rxy));
-      items.push_back({batched.back().get(), native_config(t), {}});
+    cases.push_back({to_string(t), native_config(t)});
+  }
+  const auto reduced = [&](const char* name, SolverType t, Precision prec,
+                           OperatorKind op) {
+    SolverConfig cfg = native_config(t);
+    cfg.precision = prec;
+    cfg.op = op;
+    // An fp32 solve stalls above the fp64 tolerances, and assembled
+    // operators hold no halo rows for matrix powers.
+    if (prec == Precision::kSingle) cfg.eps = 1e-4;
+    if (op == OperatorKind::kCsr) cfg.halo_depth = 1;
+    cases.push_back({name, cfg});
+  };
+  reduced("single-cg-stencil", SolverType::kCG, Precision::kSingle,
+          OperatorKind::kStencil);
+  reduced("single-ppcg-csr", SolverType::kPPCG, Precision::kSingle,
+          OperatorKind::kCsr);
+  reduced("mixed-chebyshev-stencil", SolverType::kChebyshev,
+          Precision::kMixed, OperatorKind::kStencil);
+  reduced("mixed-cg-csr", SolverType::kCG, Precision::kMixed,
+          OperatorKind::kCsr);
+  SolverConfig mg = native_config(SolverType::kCG);
+  mg.precon = PreconType::kMultigrid;
+  cases.push_back({"mg-pcg", mg, 1});
+  return cases;
+}
+
+/// The tentpole invariant: a batch of N requests coalesced through one
+/// parallel region is bitwise identical to solving each alone, for every
+/// configuration, in both geometries.  One batch holds every case at
+/// three conditionings, so sub-teams run different solvers, precisions
+/// and operators side by side.  Sub-team scheduling changes who computes,
+/// never what is computed.
+template <class MakeProblem>
+void expect_batch_of_n_bitwise_equals_solo(const MakeProblem& make) {
+  const double conditioning[] = {2.0, 4.0, 6.0};
+  const std::vector<BatchCase> cases = batch_cases();
+  std::vector<std::unique_ptr<SimCluster>> batched, solo;
+  std::vector<BatchItem> items;
+  for (const BatchCase& c : cases) {
+    for (double r : conditioning) {
+      batched.push_back(make(c.nranks, r));
+      solo.push_back(make(c.nranks, r));
+      for (SimCluster* cl : {batched.back().get(), solo.back().get()}) {
+        testing::install_operator(*cl, c.config.op);
+      }
+      items.push_back({batched.back().get(), c.config, {}, {}});
     }
-    solve_batched(items);
-    for (std::size_t i = 0; i < items.size(); ++i) {
-      const SolveStats ref = run_solver(*solo[i], native_config(t));
-      EXPECT_TRUE(items[i].stats.converged);
-      EXPECT_EQ(items[i].stats.outer_iters, ref.outer_iters);
-      EXPECT_EQ(items[i].stats.final_norm, ref.final_norm);
-      EXPECT_EQ(testing::max_field_diff(*batched[i], *solo[i], FieldId::kU),
-                0.0);
-    }
+  }
+  solve_batched(items);
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    const BatchCase& c = cases[i / std::size(conditioning)];
+    SCOPED_TRACE(c.name);
+    const SolveStats ref = run_solver(*solo[i], c.config);
+    ASSERT_TRUE(items[i].error.empty()) << items[i].error;
+    EXPECT_TRUE(items[i].stats.converged);
+    EXPECT_EQ(items[i].stats.outer_iters, ref.outer_iters);
+    EXPECT_EQ(items[i].stats.refine_steps, ref.refine_steps);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(items[i].stats.final_norm),
+              std::bit_cast<std::uint64_t>(ref.final_norm));
+    EXPECT_EQ(testing::max_field_diff(*batched[i], *solo[i], FieldId::kU),
+              0.0);
   }
 }
 
+TEST(BatchEngine, BatchOfNBitwiseEqualsSolo2D) {
+  expect_batch_of_n_bitwise_equals_solo([](int nranks, double rxy) {
+    return testing::make_test_problem(24, nranks, 2, rxy);
+  });
+}
+
 TEST(BatchEngine, BatchOfNBitwiseEqualsSolo3D) {
-  const double conditioning[] = {2.0, 4.0, 6.0};
-  for (SolverType t : {SolverType::kJacobi, SolverType::kCG,
-                       SolverType::kChebyshev, SolverType::kPPCG}) {
-    std::vector<std::unique_ptr<SimCluster>> batched, solo;
-    std::vector<BatchItem> items;
-    for (double rxyz : conditioning) {
-      batched.push_back(testing::make_test_problem_3d(10, 2, 2, rxyz));
-      solo.push_back(testing::make_test_problem_3d(10, 2, 2, rxyz));
-      items.push_back({batched.back().get(), native_config(t), {}});
-    }
-    solve_batched(items);
-    for (std::size_t i = 0; i < items.size(); ++i) {
-      const SolveStats ref = run_solver(*solo[i], native_config(t));
-      EXPECT_TRUE(items[i].stats.converged);
-      EXPECT_EQ(items[i].stats.outer_iters, ref.outer_iters);
-      EXPECT_EQ(items[i].stats.final_norm, ref.final_norm);
-      EXPECT_EQ(testing::max_field_diff(*batched[i], *solo[i], FieldId::kU),
-                0.0);
-    }
+  expect_batch_of_n_bitwise_equals_solo([](int nranks, double rxyz) {
+    return testing::make_test_problem_3d(10, nranks, 2, rxyz);
+  });
+}
+
+/// An item whose step before the region throws (mg-pcg on two ranks)
+/// records its error and stays out of the region; the rest of the batch
+/// runs, bitwise as if solved alone.
+TEST(BatchEngine, ItemThatCannotStartFailsAlone) {
+  SolverConfig mg = native_config(SolverType::kCG);
+  mg.precon = PreconType::kMultigrid;
+  SolverConfig mixed = native_config(SolverType::kCG);
+  mixed.precision = Precision::kMixed;
+  auto a = testing::make_test_problem(24, 2, 2);
+  auto b = testing::make_test_problem(24, 2, 2);
+  auto c = testing::make_test_problem(24, 2, 2, 6.0);
+  std::vector<BatchItem> items = {{a.get(), native_config(SolverType::kCG), {}, {}},
+                                  {b.get(), mg, {}, {}},
+                                  {c.get(), mixed, {}, {}}};
+  solve_batched(items);
+  EXPECT_NE(items[1].error.find("one rank"), std::string::npos)
+      << items[1].error;
+  EXPECT_EQ(items[1].stats.outer_iters, 0);
+  EXPECT_EQ(testing::max_field_diff(*b, *testing::make_test_problem(24, 2, 2),
+                                    FieldId::kU),
+            0.0);
+  for (std::size_t i : {0u, 2u}) {
+    auto alone = testing::make_test_problem(24, 2, 2, i == 0 ? 4.0 : 6.0);
+    const SolveStats ref = run_solver(*alone, items[i].config);
+    EXPECT_TRUE(items[i].error.empty()) << items[i].error;
+    EXPECT_EQ(items[i].stats.outer_iters, ref.outer_iters);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(items[i].stats.final_norm),
+              std::bit_cast<std::uint64_t>(ref.final_norm));
+    EXPECT_EQ(testing::max_field_diff(*items[i].cluster, *alone, FieldId::kU),
+              0.0);
   }
 }
 
@@ -673,10 +747,11 @@ TEST(ServerPrecision, SessionsNeverSharedAcrossPrecisions) {
   EXPECT_EQ(second.stats.eigen_cg_iters, ref_second.stats.eigen_cg_iters);
 }
 
-/// run_solver_team is fp64-only, so reduced-precision members of a drain
-/// group bypass the team engine and solve solo — bitwise identical to a
-/// lone session solving the same deck.
-TEST(ServerPrecision, ReducedPrecisionMembersBypassTheTeamEngine) {
+/// Reduced-precision members of a drain group batch like fp64 ones: the
+/// batch engine runs the fp32 passes, corrections and guard residuals on
+/// each member's sub-team, bitwise identical to a lone session solving
+/// the same deck.
+TEST(ServerPrecision, ReducedPrecisionMembersBatch) {
   InputDeck deck = decks::hot_block(24, 1);
   deck.solver.precision = Precision::kMixed;
   SolveServer server;
@@ -692,14 +767,15 @@ TEST(ServerPrecision, ReducedPrecisionMembersBypassTheTeamEngine) {
   SolveSession solo(deck, 2);
   const SolveStats ref = solo.solve();
   for (const SolveResult& r : results) {
-    EXPECT_TRUE(r.ok());
-    EXPECT_FALSE(r.batched);
+    EXPECT_TRUE(r.ok()) << r.error;
+    EXPECT_TRUE(r.batched);
     EXPECT_EQ(r.config.precision, Precision::kMixed);
-    EXPECT_EQ(r.stats.final_norm, ref.final_norm);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(r.stats.final_norm),
+              std::bit_cast<std::uint64_t>(ref.final_norm));
     EXPECT_EQ(r.stats.outer_iters, ref.outer_iters);
     EXPECT_EQ(r.stats.refine_steps, ref.refine_steps);
   }
-  EXPECT_EQ(server.stats().batched_requests, 0);
+  EXPECT_EQ(server.stats().batched_requests, 2);
 }
 
 /// A sweep-measured mixed cell routes like any other: the routed config
