@@ -333,6 +333,7 @@ int run_engine_comparison(const Args& args) {
   doc.set("mesh", mesh);
   doc.set("ranks", ranks);
   doc.set("threads", num_threads());
+  doc.set("vector_isa", kernels::vector_isa());
   doc.set("reps", reps);
   doc.set("steps", steps);
   io::JsonValue arr = io::JsonValue::array();
@@ -446,6 +447,7 @@ int run_tile_scan(const Args& args) {
   doc.set("mesh", mesh);
   doc.set("ranks", ranks);
   doc.set("threads", num_threads());
+  doc.set("vector_isa", kernels::vector_isa());
   doc.set("reps", reps);
   doc.set("auto_tile_rows", auto_rows);
   doc.set("host_auto_tile_rows", host_rows);
@@ -600,6 +602,7 @@ int run_dim_compare(const Args& args) {
   doc.set("mesh_3d", mesh3d);
   doc.set("ranks", ranks);
   doc.set("threads", num_threads());
+  doc.set("vector_isa", kernels::vector_isa());
   doc.set("reps", reps);
   doc.set("tile_rows", tile);
   io::JsonValue arr = io::JsonValue::array();
@@ -806,6 +809,7 @@ int run_server_bench(const Args& args) {
   doc.set("mesh", mesh);
   doc.set("ranks", ranks);
   doc.set("threads", num_threads());
+  doc.set("vector_isa", kernels::vector_isa());
   doc.set("reps", reps);
   doc.set("requests", nreq);
   io::JsonValue arr = io::JsonValue::array();
@@ -912,6 +916,7 @@ int run_precision_bench(const Args& args) {
   doc.set("conv_mesh", conv_mesh);
   doc.set("ranks", ranks);
   doc.set("threads", num_threads());
+  doc.set("vector_isa", kernels::vector_isa());
   doc.set("reps", reps);
   io::JsonValue arr = io::JsonValue::array();
 
@@ -1071,6 +1076,7 @@ int run_spmv_bench(const Args& args) {
   doc.set("spmv_mesh", spmv_mesh);
   doc.set("ranks", ranks);
   doc.set("threads", num_threads());
+  doc.set("vector_isa", kernels::vector_isa());
   doc.set("reps", reps);
   doc.set("sweeps", sweeps);
   io::JsonValue arr = io::JsonValue::array();

@@ -11,7 +11,9 @@ when the key is missing or the file is empty.  This script fails on BOTH:
 every solver entry must carry at least one equivalence flag (directly or
 in a nested object) and every flag must be true.  A tile-size scan must
 also record ``host_auto_tile_rows`` (the height ``auto`` resolves to on
-the host that ran it) and time every solver at that height.
+the host that ran it) and time every solver at that height.  Every file
+must record ``vector_isa``, the kernel copy the run used ("avx2" or
+"baseline"): times from different copies do not compare.
 
 Usage: check_bench_smoke.py BENCH_PR2.json [BENCH_PR3.json ...]
 """
@@ -35,6 +37,11 @@ def collect_flags(node, out):
 def check(path):
     with open(path) as f:
         doc = json.load(f)
+    if doc.get("vector_isa") not in ("avx2", "baseline"):
+        raise SystemExit(
+            f"{path}: no vector_isa (\"avx2\" or \"baseline\") — the "
+            f"kernel copy that ran is unrecorded"
+        )
     solvers = doc.get("solvers")
     if not isinstance(solvers, list) or not solvers:
         raise SystemExit(f"{path}: no 'solvers' array — nothing was benched")

@@ -192,6 +192,7 @@ def warn_config_drift(base, fresh):
         "ranks",
         "threads",
         "reps",
+        "vector_isa",
     ):
         if key in base and key in fresh and base[key] != fresh[key]:
             print(

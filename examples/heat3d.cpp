@@ -77,6 +77,7 @@ int run(const tealeaf::Args& args) {
               cl.nranks(), cl.decomposition().px(), cl.decomposition().py(),
               cl.decomposition().pz(), depth, tile.c_str(), cl.team_width(),
               num_threads());
+  std::printf("kernels: %s\n", kernels::vector_isa());
 
   const double rx = dt / (mesh.dx() * mesh.dx());
   const double ry = dt / (mesh.dy() * mesh.dy());

@@ -47,6 +47,7 @@
 
 #include "driver/decks.hpp"
 #include "io/matrix_market.hpp"
+#include "ops/kernels.hpp"
 #include "server/routing.hpp"
 #include "server/solve_server.hpp"
 #include "util/args.hpp"
@@ -193,6 +194,9 @@ int run(const tealeaf::Args& args) {
     }
   }
   SolveServer server(std::move(opts));
+  // The kernel copy the loader bound from this CPU: its latencies compare
+  // only with runs on the same one.
+  std::printf("kernels: %s\n", kernels::vector_isa());
   // Each shape's solves run on the threads its cells can use (team_width);
   // OMP_NUM_THREADS is the cap.
   const auto print_width = [](int n) {

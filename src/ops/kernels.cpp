@@ -8,13 +8,34 @@
 #include "ops/operator_view.hpp"
 #include "util/error.hpp"
 
+/// An entry point's two copies (kernels.hpp, TEALEAF_KERNEL_CLONES):
+/// baseline x86-64 and AVX2.  Never FMA: GCC contracts a·b + c in C++
+/// even under -std=c++20, and a fused multiply-add rounds once where the
+/// source rounds twice, so every solve's bits would change.  A copy is
+/// only as wide as what inlines into it, so every callee below is forced
+/// inline (TEALEAF_FORCE_INLINE).
+#if TEALEAF_KERNEL_CLONES
+#define TEALEAF_CLONES __attribute__((target_clones("avx2", "default")))
+#else
+#define TEALEAF_CLONES
+#endif
+
 namespace tealeaf::kernels {
 
 namespace {
 
+#if TEALEAF_KERNEL_CLONES
+// One function in two versions, bound by the loader from the CPU the way
+// it binds the entry points' copies.
+__attribute__((target("default"))) const char* bound_isa() {
+  return "baseline";
+}
+__attribute__((target("avx2"))) const char* bound_isa() { return "avx2"; }
+#endif
+
 /// Iterate the (plane, row) pairs of a box in flattened-row order.
 template <class Fn>
-inline void for_rows(const Bounds& b, Fn&& fn) {
+TEALEAF_FORCE_INLINE inline void for_rows(const Bounds& b, Fn&& fn) {
   for (int l = b.llo; l < b.lhi; ++l)
     for (int k = b.klo; k < b.khi; ++k) fn(l, k);
 }
@@ -24,7 +45,7 @@ inline void for_rows(const Bounds& b, Fn&& fn) {
 /// scalar analogue of op_dispatch.  The double branch is the historical
 /// code path, bit for bit.
 template <class Fn>
-inline void scalar_dispatch(const Chunk& c, Fn&& fn) {
+TEALEAF_FORCE_INLINE inline void scalar_dispatch(const Chunk& c, Fn&& fn) {
   if (c.fp32_active()) {
     fn(float{});
   } else {
@@ -34,15 +55,16 @@ inline void scalar_dispatch(const Chunk& c, Fn&& fn) {
 
 /// y = a·y + b·x over `bnd`: the Chebyshev direction update of
 /// block-Jacobi's edge pass, which cannot fuse the strip solve.
-void axpby(Chunk& c, FieldId y_id, double a, double b, FieldId x_id,
-           const Bounds& bnd) {
-  scalar_dispatch(c, [&](auto tag) {
+TEALEAF_FORCE_INLINE inline void axpby(Chunk& c, FieldId y_id, double a,
+                                       double b, FieldId x_id,
+                                       const Bounds& bnd) {
+  scalar_dispatch(c, [&](auto tag) TEALEAF_FORCE_INLINE {
     using S = decltype(tag);
     auto& y = c.field_t<S>(y_id);
     const auto& x = c.field_t<S>(x_id);
     const S av = static_cast<S>(a);
     const S bv = static_cast<S>(b);
-    for_rows(bnd, [&](int l, int k) {
+    for_rows(bnd, [&](int l, int k) TEALEAF_FORCE_INLINE {
       for (int j = bnd.jlo; j < bnd.jhi; ++j)
         y(j, k, l) = av * y(j, k, l) + bv * x(j, k, l);
     });
@@ -65,8 +87,9 @@ void axpby(Chunk& c, FieldId y_id, double a, double b, FieldId x_id,
 
 /// Σ a·b over [j0, j1) of row (l, k), accumulated in ascending j.
 template <class S>
-inline double dot_span(const Field<S>& a, const Field<S>& b, int j0, int j1,
-                       int k, int l) {
+TEALEAF_FORCE_INLINE inline double dot_span(const Field<S>& a,
+                                            const Field<S>& b, int j0, int j1,
+                                            int k, int l) {
   double acc = 0.0;
   for (int j = j0; j < j1; ++j)
     acc += static_cast<double>(a(j, k, l)) * static_cast<double>(b(j, k, l));
@@ -74,8 +97,8 @@ inline double dot_span(const Field<S>& a, const Field<S>& b, int j0, int j1,
 }
 
 template <class S>
-inline double dot_row(const Field<S>& a, const Field<S>& b, int nx, int k,
-                      int l) {
+TEALEAF_FORCE_INLINE inline double dot_row(const Field<S>& a, const Field<S>& b,
+                                           int nx, int k, int l) {
   return dot_span(a, b, 0, nx, k, l);
 }
 
@@ -84,8 +107,9 @@ inline double dot_row(const Field<S>& a, const Field<S>& b, int nx, int k,
 /// the four independent add chains overlap where one row's chain waits on
 /// every add before it.
 template <class S>
-inline void dot_span4(const Field<S>& a, const Field<S>& b, int j0, int j1,
-                      int k, int l, double* out) {
+TEALEAF_FORCE_INLINE inline void dot_span4(const Field<S>& a, const Field<S>& b,
+                                           int j0, int j1, int k, int l,
+                                           double* out) {
   const S* a0 = &a(0, k, l);
   const S* b0 = &b(0, k, l);
   const std::int64_t as = a.stride();
@@ -110,8 +134,9 @@ inline void dot_span4(const Field<S>& a, const Field<S>& b, int j0, int j1,
 
 /// One operator row: dst = A·src over [b.jlo, b.jhi).
 template <class View, class S = typename View::Scalar>
-inline void smvp_row(const View& A, const Field<S>& src, Field<S>& dst,
-                     const Bounds& b, int k, int l) {
+TEALEAF_FORCE_INLINE inline void smvp_row(const View& A, const Field<S>& src,
+                                          Field<S>& dst, const Bounds& b, int k,
+                                          int l) {
   for (int j = b.jlo; j < b.jhi; ++j) dst(j, k, l) = A.apply(src, j, k, l);
 }
 
@@ -123,8 +148,11 @@ inline void smvp_row(const View& A, const Field<S>& src, Field<S>& dst,
 /// reads back the stored values in ascending j, so the sum is bitwise the
 /// fused loop's.
 template <class View, class S = typename View::Scalar>
-inline double smvp_dot_row(const View& A, const Field<S>& src, Field<S>& dst,
-                           const Bounds& b, const Bounds& in, int k, int l) {
+TEALEAF_FORCE_INLINE inline double smvp_dot_row(const View& A,
+                                                const Field<S>& src,
+                                                Field<S>& dst, const Bounds& b,
+                                                const Bounds& in, int k,
+                                                int l) {
   smvp_row(A, src, dst, b, k, l);
   if (!in.contains(0, k, l)) return 0.0;
   return dot_span(src, dst, std::max(b.jlo, in.jlo), std::min(b.jhi, in.jhi),
@@ -138,9 +166,13 @@ inline double smvp_dot_row(const View& A, const Field<S>& src, Field<S>& dst,
 /// separate smvp + dot + dot sweeps.  Each sum still accumulates in
 /// ascending j.
 template <class View, class S = typename View::Scalar>
-inline void smvp_dot2_row(const View& A, const Field<S>& src, Field<S>& dst,
-                          const Field<S>& other, const Bounds& b,
-                          const Bounds& in, int k, int l, double* pair_out) {
+TEALEAF_FORCE_INLINE inline void smvp_dot2_row(const View& A,
+                                               const Field<S>& src,
+                                               Field<S>& dst,
+                                               const Field<S>& other,
+                                               const Bounds& b,
+                                               const Bounds& in, int k, int l,
+                                               double* pair_out) {
   for (int j = b.jlo; j < b.jhi; ++j) dst(j, k, l) = A.apply(src, j, k, l);
   double dot_other = 0.0;
   double dot_dst = 0.0;
@@ -158,7 +190,8 @@ inline void smvp_dot2_row(const View& A, const Field<S>& src, Field<S>& dst,
 
 /// One row of the CG update u += α·p, r −= α·w.
 template <class S>
-inline void cg_calc_ur_row(Chunk& c, double alpha, int k, int l) {
+TEALEAF_FORCE_INLINE inline void cg_calc_ur_row(Chunk& c, double alpha, int k,
+                                                int l) {
   auto& u = c.field_t<S>(FieldId::kU);
   auto& r = c.field_t<S>(FieldId::kR);
   const auto& p = c.field_t<S>(FieldId::kP);
@@ -172,8 +205,9 @@ inline void cg_calc_ur_row(Chunk& c, double alpha, int k, int l) {
 
 /// One row of the fused CG update + ⟨r,z⟩ for the local preconditioners.
 template <class View>
-inline double calc_ur_dot_row(Chunk& c, const View& A, double alpha,
-                              bool diag, int k, int l) {
+TEALEAF_FORCE_INLINE inline double calc_ur_dot_row(Chunk& c, const View& A,
+                                                   double alpha, bool diag,
+                                                   int k, int l) {
   using S = typename View::Scalar;
   auto& u = c.field_t<S>(FieldId::kU);
   auto& r = c.field_t<S>(FieldId::kR);
@@ -224,9 +258,10 @@ inline double calc_ur_dot_row(Chunk& c, const View& A, double alpha,
 /// slower than the separate vector kernels it replaces.  Per-cell
 /// arithmetic is unchanged.
 template <class View>
-inline void cg_chrono_update_row(Chunk& c, const View& A, double alpha,
-                                 double beta, bool diag, bool local, int k,
-                                 int l) {
+TEALEAF_FORCE_INLINE inline void cg_chrono_update_row(Chunk& c, const View& A,
+                                                      double alpha, double beta,
+                                                      bool diag, bool local,
+                                                      int k, int l) {
   using S = typename View::Scalar;
   auto& u = c.field_t<S>(FieldId::kU);
   auto& r = c.field_t<S>(FieldId::kR);
@@ -251,15 +286,73 @@ inline void cg_chrono_update_row(Chunk& c, const View& A, double alpha,
 
 /// One row of the Jacobi save phase (r = u, halo columns included).
 template <class S>
-inline void jacobi_save_row(Chunk& c, int k, int l) {
+TEALEAF_FORCE_INLINE inline void jacobi_save_row(Chunk& c, int k, int l) {
   auto& r = c.field_t<S>(FieldId::kR);
   const auto& u = c.field_t<S>(FieldId::kU);
   for (int j = -1; j < c.nx() + 1; ++j) r(j, k, l) = u(j, k, l);
 }
 
+/// The fp32 Jacobi update store of row (l, k):
+/// u = (u0 + Σ positive couplings · r) / diag.
+template <class View>
+TEALEAF_FORCE_INLINE inline void jacobi_store_row(Chunk& c, const View& A,
+                                                  int k, int l) {
+  using S = typename View::Scalar;
+  auto& u = c.field_t<S>(FieldId::kU);
+  const auto& r = c.field_t<S>(FieldId::kR);
+  const auto& u0 = c.field_t<S>(FieldId::kU0);
+  for (int j = 0; j < c.nx(); ++j) {
+    u(j, k, l) = A.neigh_plus(u0(j, k, l), r, j, k, l) / A.diag(j, k, l);
+  }
+}
+
+/// Σ|a − b| over row (l, k), in double and ascending j.
+template <class S>
+TEALEAF_FORCE_INLINE inline double abs_diff_row(const Field<S>& a,
+                                                const Field<S>& b, int nx,
+                                                int k, int l) {
+  double acc = 0.0;
+  for (int j = 0; j < nx; ++j) {
+    acc += std::fabs(static_cast<double>(a(j, k, l)) -
+                     static_cast<double>(b(j, k, l)));
+  }
+  return acc;
+}
+
+/// abs_diff_row of rows k..k+3 of plane l into out[0..3], one accumulator
+/// a row, so each sum is bitwise abs_diff_row's (as dot_span4).
+template <class S>
+TEALEAF_FORCE_INLINE inline void abs_diff_row4(const Field<S>& a,
+                                               const Field<S>& b, int nx,
+                                               int k, int l, double* out) {
+  const S* a0 = &a(0, k, l);
+  const S* b0 = &b(0, k, l);
+  const std::int64_t as = a.stride();
+  const std::int64_t bs = b.stride();
+  double acc0 = 0.0;
+  double acc1 = 0.0;
+  double acc2 = 0.0;
+  double acc3 = 0.0;
+  for (int j = 0; j < nx; ++j) {
+    acc0 += std::fabs(static_cast<double>(a0[j]) -
+                      static_cast<double>(b0[j]));
+    acc1 += std::fabs(static_cast<double>(a0[as + j]) -
+                      static_cast<double>(b0[bs + j]));
+    acc2 += std::fabs(static_cast<double>(a0[2 * as + j]) -
+                      static_cast<double>(b0[2 * bs + j]));
+    acc3 += std::fabs(static_cast<double>(a0[3 * as + j]) -
+                      static_cast<double>(b0[3 * bs + j]));
+  }
+  out[0] = acc0;
+  out[1] = acc1;
+  out[2] = acc2;
+  out[3] = acc3;
+}
+
 /// One row of the Jacobi update sweep; returns Σ|u_new − u_old|.
 template <class View>
-inline double jacobi_update_row(Chunk& c, const View& A, int k, int l) {
+TEALEAF_FORCE_INLINE inline double jacobi_update_row(Chunk& c, const View& A,
+                                                     int k, int l) {
   using S = typename View::Scalar;
   auto& u = c.field_t<S>(FieldId::kU);
   const auto& r = c.field_t<S>(FieldId::kR);
@@ -280,25 +373,21 @@ inline double jacobi_update_row(Chunk& c, const View& A, int k, int l) {
     // defeats the vectorizer — the scalar divss sweep was SLOWER than
     // fp64.  The double path keeps its fused single pass, which already
     // vectorizes and would pay a second pass over the row for nothing.
-    for (int j = 0; j < c.nx(); ++j) {
-      u(j, k, l) = A.neigh_plus(u0(j, k, l), r, j, k, l) / A.diag(j, k, l);
-    }
-    double err = 0.0;
-    for (int j = 0; j < c.nx(); ++j) {
-      err += std::fabs(static_cast<double>(u(j, k, l)) -
-                       static_cast<double>(r(j, k, l)));
-    }
-    return err;
+    jacobi_store_row(c, A, k, l);
+    return abs_diff_row(u, r, c.nx(), k, l);
   }
 }
 
 /// One row of the Chebyshev update (shared by the in-tile pass and the
 /// deferred edge pass).
 template <class View, class S = typename View::Scalar>
-inline void cheby_update_row(const View& A, Field<S>& res, Field<S>& dir,
-                             Field<S>& acc, const Field<S>& w, double alpha,
-                             double beta, bool diag_precon, const Bounds& b,
-                             int k, int l) {
+TEALEAF_FORCE_INLINE inline void cheby_update_row(const View& A, Field<S>& res,
+                                                  Field<S>& dir, Field<S>& acc,
+                                                  const Field<S>& w,
+                                                  double alpha, double beta,
+                                                  bool diag_precon,
+                                                  const Bounds& b, int k,
+                                                  int l) {
   const S a = static_cast<S>(alpha);
   const S bt = static_cast<S>(beta);
   // One loop per preconditioner: a select inside the loop keeps it from
@@ -323,25 +412,27 @@ inline void cheby_update_row(const View& A, Field<S>& res, Field<S>& dir,
 // ---- operator-dispatched kernel bodies -----------------------------------
 
 template <class View, class S = typename View::Scalar>
-double smvp_dot_impl(Chunk& c, const View& A, const Field<S>& src,
-                     Field<S>& dst, const Bounds& b) {
+TEALEAF_FORCE_INLINE inline double smvp_dot_impl(Chunk& c, const View& A,
+                                                 const Field<S>& src,
+                                                 Field<S>& dst,
+                                                 const Bounds& b) {
   const Bounds in = interior_bounds(c);
   double acc = 0.0;
-  for_rows(b, [&](int l, int k) {
+  for_rows(b, [&](int l, int k) TEALEAF_FORCE_INLINE {
     acc += smvp_dot_row(A, src, dst, b, in, k, l);
   });
   return acc;
 }
 
 template <class View>
-double calc_residual_impl(Chunk& c, const View& A) {
+TEALEAF_FORCE_INLINE inline double calc_residual_impl(Chunk& c, const View& A) {
   using S = typename View::Scalar;
   const auto& u = c.field_t<S>(FieldId::kU);
   const auto& u0 = c.field_t<S>(FieldId::kU0);
   auto& w = c.field_t<S>(FieldId::kW);
   auto& r = c.field_t<S>(FieldId::kR);
   double acc = 0.0;
-  for_rows(interior_bounds(c), [&](int l, int k) {
+  for_rows(interior_bounds(c), [&](int l, int k) TEALEAF_FORCE_INLINE {
     for (int j = 0; j < c.nx(); ++j) {
       const S wv = A.apply(u, j, k, l);
       w(j, k, l) = wv;
@@ -354,13 +445,16 @@ double calc_residual_impl(Chunk& c, const View& A) {
 }
 
 template <class View, class S = typename View::Scalar>
-void cheby_init_dir_impl(Chunk& c, const View& A, const Field<S>& res,
-                         Field<S>& dir, double theta, bool diag_precon,
-                         const Bounds& b) {
+TEALEAF_FORCE_INLINE inline void cheby_init_dir_impl(Chunk& c, const View& A,
+                                                     const Field<S>& res,
+                                                     Field<S>& dir,
+                                                     double theta,
+                                                     bool diag_precon,
+                                                     const Bounds& b) {
   (void)c;
   const S theta_inv = static_cast<S>(1.0 / theta);
   // One loop per preconditioner, as in cheby_update_row.
-  for_rows(b, [&](int l, int k) {
+  for_rows(b, [&](int l, int k) TEALEAF_FORCE_INLINE {
     if (diag_precon) {
       for (int j = b.jlo; j < b.jhi; ++j) {
         const S m_inv = S(1) / A.diag(j, k, l);
@@ -375,15 +469,19 @@ void cheby_init_dir_impl(Chunk& c, const View& A, const Field<S>& res,
 }
 
 template <class View, class S = typename View::Scalar>
-void cheby_step_tile_impl(Chunk& c, const View& A, Field<S>& res,
-                          Field<S>& dir, Field<S>& acc, double alpha,
-                          double beta, PreconType precon, const Bounds& b,
-                          const Bounds& tb) {
+TEALEAF_FORCE_INLINE inline void cheby_step_tile_impl(Chunk& c, const View& A,
+                                                      Field<S>& res,
+                                                      Field<S>& dir,
+                                                      Field<S>& acc,
+                                                      double alpha, double beta,
+                                                      PreconType precon,
+                                                      const Bounds& b,
+                                                      const Bounds& tb) {
   // Two sweeps: w = A·dir over the tile, then the update.  A row-lagged
   // single sweep (update row k−1 as soon as w row k is in place) computes
   // the same cells but ran 2–5× slower on one x86-64 core.
   auto& w = c.field_t<S>(FieldId::kW);
-  for_rows(tb, [&](int l, int k) {
+  for_rows(tb, [&](int l, int k) TEALEAF_FORCE_INLINE {
     for (int j = b.jlo; j < b.jhi; ++j) w(j, k, l) = A.apply(dir, j, k, l);
   });
   // A neighbouring block's stencil reads dir rows tb.klo and tb.khi−1, so
@@ -402,10 +500,16 @@ void cheby_step_tile_impl(Chunk& c, const View& A, Field<S>& res,
 }
 
 template <class View, class S = typename View::Scalar>
-void cheby_step_tile_edges_impl(Chunk& c, const View& A, Field<S>& res,
-                                Field<S>& dir, Field<S>& acc, double alpha,
-                                double beta, bool diag_precon,
-                                const Bounds& b, const Bounds& tb) {
+TEALEAF_FORCE_INLINE inline void cheby_step_tile_edges_impl(Chunk& c,
+                                                            const View& A,
+                                                            Field<S>& res,
+                                                            Field<S>& dir,
+                                                            Field<S>& acc,
+                                                            double alpha,
+                                                            double beta,
+                                                            bool diag_precon,
+                                                            const Bounds& b,
+                                                            const Bounds& tb) {
   auto& w = c.field_t<S>(FieldId::kW);
   if constexpr (View::kInTileUpdate) {
     if (tb.khi <= tb.klo) return;
@@ -416,7 +520,7 @@ void cheby_step_tile_edges_impl(Chunk& c, const View& A, Field<S>& res,
                        tb.khi - 1, 0);
     }
   } else {
-    for_rows(tb, [&](int l, int k) {
+    for_rows(tb, [&](int l, int k) TEALEAF_FORCE_INLINE {
       cheby_update_row(A, res, dir, acc, w, alpha, beta, diag_precon, b, k,
                        l);
     });
@@ -424,8 +528,9 @@ void cheby_step_tile_edges_impl(Chunk& c, const View& A, Field<S>& res,
 }
 
 template <class View>
-void jacobi_tile_impl(Chunk& c, const View& A, const Bounds& tb,
-                      double* row_sums) {
+TEALEAF_FORCE_INLINE inline void jacobi_tile_impl(Chunk& c, const View& A,
+                                                  const Bounds& tb,
+                                                  double* row_sums) {
   using S = typename View::Scalar;
   // Save phase: the tile's rows plus the halo rows and planes its boundary
   // position uniquely owns, so the union over all tiles is exactly the
@@ -449,9 +554,20 @@ void jacobi_tile_impl(Chunk& c, const View& A, const Bounds& tb,
   // (team barrier, then jacobi_tile_edges).  Other operators read rows or
   // planes of other tiles, so every update defers.
   if constexpr (View::kInTileUpdate) {
-    for (int k = tb.klo + 1; k < tb.khi - 1; ++k) {
-      row_sums[k] = jacobi_update_row(c, A, k, 0);
+    int k = tb.klo + 1;
+    if constexpr (std::is_same_v<S, float>) {
+      // fp32: four rows' stores, then their error sums side by side.  One
+      // row's sum is a chain of dependent adds; four chains overlap.  A
+      // store reads only saved rows, so it may run before the sums of the
+      // rows above it.
+      const auto& u = c.field_t<S>(FieldId::kU);
+      const auto& r = c.field_t<S>(FieldId::kR);
+      for (; k + 4 <= tb.khi - 1; k += 4) {
+        for (int i = 0; i < 4; ++i) jacobi_store_row(c, A, k + i, 0);
+        abs_diff_row4(u, r, c.nx(), k, 0, row_sums + k);
+      }
     }
+    for (; k < tb.khi - 1; ++k) row_sums[k] = jacobi_update_row(c, A, k, 0);
   } else {
     (void)A;
     (void)row_sums;
@@ -459,8 +575,9 @@ void jacobi_tile_impl(Chunk& c, const View& A, const Bounds& tb,
 }
 
 template <class View>
-void jacobi_tile_edges_impl(Chunk& c, const View& A, const Bounds& tb,
-                            double* row_sums) {
+TEALEAF_FORCE_INLINE inline void jacobi_tile_edges_impl(Chunk& c, const View& A,
+                                                        const Bounds& tb,
+                                                        double* row_sums) {
   if constexpr (View::kInTileUpdate) {
     if (tb.khi <= tb.klo) return;
     row_sums[tb.klo] = jacobi_update_row(c, A, tb.klo, 0);
@@ -468,7 +585,7 @@ void jacobi_tile_edges_impl(Chunk& c, const View& A, const Bounds& tb,
       row_sums[tb.khi - 1] = jacobi_update_row(c, A, tb.khi - 1, 0);
     }
   } else {
-    for_rows(tb, [&](int l, int k) {
+    for_rows(tb, [&](int l, int k) TEALEAF_FORCE_INLINE {
       row_sums[l * c.ny() + k] = jacobi_update_row(c, A, k, l);
     });
   }
@@ -543,6 +660,14 @@ void init_conduction_impl(Chunk& c, Coefficient coef, double rx, double ry,
 
 }  // namespace
 
+const char* vector_isa() {
+#if TEALEAF_KERNEL_CLONES
+  return bound_isa();
+#else
+  return "baseline";
+#endif
+}
+
 double diag_at(const Chunk& c, int j, int k, int l) {
   double d = 0.0;
   op_dispatch(c, [&](const auto& A) {
@@ -587,21 +712,23 @@ void init_conduction(Chunk& c, Coefficient coef, double rx, double ry,
   }
 }
 
-void smvp(Chunk& c, FieldId src_id, FieldId dst_id, const Bounds& b) {
-  op_dispatch(c, [&](const auto& A) {
+TEALEAF_CLONES void smvp(Chunk& c, FieldId src_id, FieldId dst_id,
+                         const Bounds& b) {
+  op_dispatch(c, [&](const auto& A) TEALEAF_FORCE_INLINE {
     using S = typename std::decay_t<decltype(A)>::Scalar;
     const auto& src = c.field_t<S>(src_id);
     auto& dst = c.field_t<S>(dst_id);
-    for_rows(b, [&](int l, int k) {
+    for_rows(b, [&](int l, int k) TEALEAF_FORCE_INLINE {
       for (int j = b.jlo; j < b.jhi; ++j) dst(j, k, l) = A.apply(src, j, k, l);
     });
   });
 }
 
-double smvp_dot(Chunk& c, FieldId src_id, FieldId dst_id, const Bounds& b) {
+TEALEAF_CLONES double smvp_dot(Chunk& c, FieldId src_id, FieldId dst_id,
+                               const Bounds& b) {
   TEA_ASSERT(src_id != dst_id, "smvp_dot: src and dst must be distinct");
   double acc = 0.0;
-  op_dispatch(c, [&](const auto& A) {
+  op_dispatch(c, [&](const auto& A) TEALEAF_FORCE_INLINE {
     using S = typename std::decay_t<decltype(A)>::Scalar;
     const auto& src = c.field_t<S>(src_id);
     auto& dst = c.field_t<S>(dst_id);
@@ -610,37 +737,39 @@ double smvp_dot(Chunk& c, FieldId src_id, FieldId dst_id, const Bounds& b) {
   return acc;
 }
 
-void copy(Chunk& c, FieldId dst_id, FieldId src_id, const Bounds& b) {
-  scalar_dispatch(c, [&](auto tag) {
+TEALEAF_CLONES void copy(Chunk& c, FieldId dst_id, FieldId src_id,
+                         const Bounds& b) {
+  scalar_dispatch(c, [&](auto tag) TEALEAF_FORCE_INLINE {
     using S = decltype(tag);
     const auto& src = c.field_t<S>(src_id);
     auto& dst = c.field_t<S>(dst_id);
-    for_rows(b, [&](int l, int k) {
+    for_rows(b, [&](int l, int k) TEALEAF_FORCE_INLINE {
       for (int j = b.jlo; j < b.jhi; ++j) dst(j, k, l) = src(j, k, l);
     });
   });
 }
 
-void axpy(Chunk& c, FieldId y_id, double a, FieldId x_id, const Bounds& b) {
-  scalar_dispatch(c, [&](auto tag) {
+TEALEAF_CLONES void axpy(Chunk& c, FieldId y_id, double a, FieldId x_id,
+                         const Bounds& b) {
+  scalar_dispatch(c, [&](auto tag) TEALEAF_FORCE_INLINE {
     using S = decltype(tag);
     auto& y = c.field_t<S>(y_id);
     const auto& x = c.field_t<S>(x_id);
     const S av = static_cast<S>(a);
-    for_rows(b, [&](int l, int k) {
+    for_rows(b, [&](int l, int k) TEALEAF_FORCE_INLINE {
       for (int j = b.jlo; j < b.jhi; ++j) y(j, k, l) += av * x(j, k, l);
     });
   });
 }
 
-void xpby(Chunk& c, FieldId y_id, FieldId x_id, double bcoef,
-          const Bounds& b) {
-  scalar_dispatch(c, [&](auto tag) {
+TEALEAF_CLONES void xpby(Chunk& c, FieldId y_id, FieldId x_id, double bcoef,
+                         const Bounds& b) {
+  scalar_dispatch(c, [&](auto tag) TEALEAF_FORCE_INLINE {
     using S = decltype(tag);
     auto& y = c.field_t<S>(y_id);
     const auto& x = c.field_t<S>(x_id);
     const S bv = static_cast<S>(bcoef);
-    for_rows(b, [&](int l, int k) {
+    for_rows(b, [&](int l, int k) TEALEAF_FORCE_INLINE {
       for (int j = b.jlo; j < b.jhi; ++j)
         y(j, k, l) = x(j, k, l) + bv * y(j, k, l);
     });
@@ -667,14 +796,15 @@ double calc_residual(Chunk& c) {
   return acc;
 }
 
-void cheby_init_dir(Chunk& c, FieldId res_id, FieldId dir_id, double theta,
-                    PreconType precon, const Bounds& b) {
+TEALEAF_CLONES void cheby_init_dir(Chunk& c, FieldId res_id, FieldId dir_id,
+                                   double theta, PreconType precon,
+                                   const Bounds& b) {
   if (precon == PreconType::kJacobiBlock) {
     block_jacobi_solve(c, res_id, FieldId::kW, b);
     res_id = FieldId::kW;
   }
   const bool diag = (precon == PreconType::kJacobiDiag);
-  op_dispatch(c, [&](const auto& A) {
+  op_dispatch(c, [&](const auto& A) TEALEAF_FORCE_INLINE {
     using S = typename std::decay_t<decltype(A)>::Scalar;
     const auto& res = c.field_t<S>(res_id);
     auto& dir = c.field_t<S>(dir_id);
@@ -710,13 +840,14 @@ void dot_rows(const Chunk& c, FieldId a_id, FieldId b_id, const Bounds& tb,
   });
 }
 
-void smvp_dot_rows(Chunk& c, FieldId src_id, FieldId dst_id, const Bounds& b,
-                   const Bounds& tb, double* row_sums) {
+TEALEAF_CLONES void smvp_dot_rows(Chunk& c, FieldId src_id, FieldId dst_id,
+                                  const Bounds& b, const Bounds& tb,
+                                  double* row_sums) {
   TEA_ASSERT(src_id != dst_id, "smvp_dot_rows: src and dst must be distinct");
   const Bounds in = interior_bounds(c);
   const int j0 = std::max(b.jlo, in.jlo);
   const int j1 = std::min(b.jhi, in.jhi);
-  op_dispatch(c, [&](const auto& A) {
+  op_dispatch(c, [&](const auto& A) TEALEAF_FORCE_INLINE {
     using View = std::decay_t<decltype(A)>;
     using S = typename View::Scalar;
     const auto& src = c.field_t<S>(src_id);
@@ -745,16 +876,16 @@ void smvp_dot_rows(Chunk& c, FieldId src_id, FieldId dst_id, const Bounds& b,
   });
 }
 
-void smvp_dot2_rows(Chunk& c, FieldId src_id, FieldId dst_id,
-                    FieldId other_id, const Bounds& b, const Bounds& tb,
-                    double* row_sums) {
+TEALEAF_CLONES void smvp_dot2_rows(Chunk& c, FieldId src_id, FieldId dst_id,
+                                   FieldId other_id, const Bounds& b,
+                                   const Bounds& tb, double* row_sums) {
   const Bounds in = interior_bounds(c);
-  op_dispatch(c, [&](const auto& A) {
+  op_dispatch(c, [&](const auto& A) TEALEAF_FORCE_INLINE {
     using S = typename std::decay_t<decltype(A)>::Scalar;
     const auto& src = c.field_t<S>(src_id);
     const auto& other = c.field_t<S>(other_id);
     auto& dst = c.field_t<S>(dst_id);
-    for_rows(tb, [&](int l, int k) {
+    for_rows(tb, [&](int l, int k) TEALEAF_FORCE_INLINE {
       double pair[2];
       smvp_dot2_row(A, src, dst, other, b, in, k, l, pair);
       if (in.contains(0, k, l)) {
@@ -765,15 +896,17 @@ void smvp_dot2_rows(Chunk& c, FieldId src_id, FieldId dst_id,
   });
 }
 
-void cg_calc_ur_rows(Chunk& c, double alpha, const Bounds& tb) {
-  scalar_dispatch(c, [&](auto tag) {
+TEALEAF_CLONES void cg_calc_ur_rows(Chunk& c, double alpha, const Bounds& tb) {
+  scalar_dispatch(c, [&](auto tag) TEALEAF_FORCE_INLINE {
     using S = decltype(tag);
-    for_rows(tb, [&](int l, int k) { cg_calc_ur_row<S>(c, alpha, k, l); });
+    for_rows(tb, [&](int l, int k) TEALEAF_FORCE_INLINE {
+      cg_calc_ur_row<S>(c, alpha, k, l);
+    });
   });
 }
 
-void calc_ur_dot_rows(Chunk& c, double alpha, PreconType precon,
-                      const Bounds& tb, double* row_sums) {
+TEALEAF_CLONES void calc_ur_dot_rows(Chunk& c, double alpha, PreconType precon,
+                                     const Bounds& tb, double* row_sums) {
   if (precon == PreconType::kJacobiBlock) {
     cg_calc_ur_rows(c, alpha, tb);
     block_jacobi_solve(c, FieldId::kR, FieldId::kZ, tb);
@@ -781,29 +914,30 @@ void calc_ur_dot_rows(Chunk& c, double alpha, PreconType precon,
     return;
   }
   const bool diag = (precon == PreconType::kJacobiDiag);
-  op_dispatch(c, [&](const auto& A) {
-    for_rows(tb, [&](int l, int k) {
+  op_dispatch(c, [&](const auto& A) TEALEAF_FORCE_INLINE {
+    for_rows(tb, [&](int l, int k) TEALEAF_FORCE_INLINE {
       row_sums[l * c.ny() + k] = calc_ur_dot_row(c, A, alpha, diag, k, l);
     });
   });
 }
 
-void cg_chrono_update_rows(Chunk& c, double alpha, double beta,
-                           PreconType precon, const Bounds& tb) {
+TEALEAF_CLONES void cg_chrono_update_rows(Chunk& c, double alpha, double beta,
+                                          PreconType precon, const Bounds& tb) {
   const bool diag = (precon == PreconType::kJacobiDiag);
   const bool block = (precon == PreconType::kJacobiBlock);
-  op_dispatch(c, [&](const auto& A) {
-    for_rows(tb, [&](int l, int k) {
+  op_dispatch(c, [&](const auto& A) TEALEAF_FORCE_INLINE {
+    for_rows(tb, [&](int l, int k) TEALEAF_FORCE_INLINE {
       cg_chrono_update_row(c, A, alpha, beta, diag, !block, k, l);
     });
   });
   if (block) block_jacobi_solve(c, FieldId::kR, FieldId::kZ, tb);
 }
 
-void cheby_step_tile(Chunk& c, FieldId res_id, FieldId dir_id,
-                     FieldId acc_id, double alpha, double beta,
-                     PreconType precon, const Bounds& b, const Bounds& tb) {
-  op_dispatch(c, [&](const auto& A) {
+TEALEAF_CLONES void cheby_step_tile(Chunk& c, FieldId res_id, FieldId dir_id,
+                                    FieldId acc_id, double alpha, double beta,
+                                    PreconType precon, const Bounds& b,
+                                    const Bounds& tb) {
+  op_dispatch(c, [&](const auto& A) TEALEAF_FORCE_INLINE {
     using S = typename std::decay_t<decltype(A)>::Scalar;
     auto& res = c.field_t<S>(res_id);
     auto& dir = c.field_t<S>(dir_id);
@@ -812,10 +946,11 @@ void cheby_step_tile(Chunk& c, FieldId res_id, FieldId dir_id,
   });
 }
 
-void cheby_step_tile_edges(Chunk& c, FieldId res_id, FieldId dir_id,
-                           FieldId acc_id, double alpha, double beta,
-                           PreconType precon, const Bounds& b,
-                           const Bounds& tb) {
+TEALEAF_CLONES void cheby_step_tile_edges(Chunk& c, FieldId res_id,
+                                          FieldId dir_id, FieldId acc_id,
+                                          double alpha, double beta,
+                                          PreconType precon, const Bounds& b,
+                                          const Bounds& tb) {
   if (precon == PreconType::kJacobiBlock) {
     // The strip solve reads every row of the tile, so res −= w runs on
     // all of them first; then w = M⁻¹·res, dir = α·dir + β·w, acc += dir.
@@ -826,7 +961,7 @@ void cheby_step_tile_edges(Chunk& c, FieldId res_id, FieldId dir_id,
     return;
   }
   const bool diag = (precon == PreconType::kJacobiDiag);
-  op_dispatch(c, [&](const auto& A) {
+  op_dispatch(c, [&](const auto& A) TEALEAF_FORCE_INLINE {
     using S = typename std::decay_t<decltype(A)>::Scalar;
     auto& res = c.field_t<S>(res_id);
     auto& dir = c.field_t<S>(dir_id);
@@ -836,13 +971,15 @@ void cheby_step_tile_edges(Chunk& c, FieldId res_id, FieldId dir_id,
   });
 }
 
-void jacobi_tile(Chunk& c, const Bounds& tb, double* row_sums) {
-  op_dispatch(c,
-              [&](const auto& A) { jacobi_tile_impl(c, A, tb, row_sums); });
+TEALEAF_CLONES void jacobi_tile(Chunk& c, const Bounds& tb, double* row_sums) {
+  op_dispatch(c, [&](const auto& A) TEALEAF_FORCE_INLINE {
+    jacobi_tile_impl(c, A, tb, row_sums);
+  });
 }
 
-void jacobi_tile_edges(Chunk& c, const Bounds& tb, double* row_sums) {
-  op_dispatch(c, [&](const auto& A) {
+TEALEAF_CLONES void jacobi_tile_edges(Chunk& c, const Bounds& tb,
+                                      double* row_sums) {
+  op_dispatch(c, [&](const auto& A) TEALEAF_FORCE_INLINE {
     jacobi_tile_edges_impl(c, A, tb, row_sums);
   });
 }

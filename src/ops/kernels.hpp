@@ -32,7 +32,29 @@
 /// classic depth-1 solver and the matrix-powers extended sweeps.
 /// Reductions are always over the chunk interior only, regardless of the
 /// sweep bounds, so redundant overlap computation never double-counts.
+///
+/// The solver kernels compile twice from one source, for baseline x86-64
+/// and for AVX2, and the dynamic loader binds one copy per process from
+/// the CPU (docs/architecture.md, "Vector width").  TEALEAF_KERNEL_CLONES
+/// is 1 where the toolchain supports that (GCC, or Clang 17 and later,
+/// which export the dispatcher under the function's own name; x86-64
+/// glibc ELF), 0 elsewhere: one baseline copy.
+#if defined(__x86_64__) && defined(__ELF__) && defined(__GLIBC__) && \
+    defined(__has_attribute) &&                                     \
+    (!defined(__clang__) || __clang_major__ >= 17)
+#if __has_attribute(target_clones)
+#define TEALEAF_KERNEL_CLONES 1
+#endif
+#endif
+#ifndef TEALEAF_KERNEL_CLONES
+#define TEALEAF_KERNEL_CLONES 0
+#endif
+
 namespace tealeaf::kernels {
+
+/// The instruction set of the kernel copy this process runs: "avx2" or
+/// "baseline".
+[[nodiscard]] const char* vector_isa();
 
 /// Which material property becomes the conduction coefficient
 /// (upstream `CONDUCTIVITY` / `RECIP_CONDUCTIVITY`).

@@ -9,16 +9,19 @@
 #include "ops/operator_kind.hpp"
 #include "ops/sparse_matrix.hpp"
 
-/// Forces a view primitive inline.  The kernels call `diag` and `apply`
-/// once a cell; GCC's inliner leaves some instantiations out of line,
-/// and the call then clobbers memory for the vectorizer ("statement
-/// clobbers memory" under -fopt-info-vec), which leaves the loop scalar.
-/// The build targets baseline x86-64 (no FMA), so inlining contracts no
-/// arithmetic.  Other compilers get a plain `inline`.
+/// Forces a function or lambda inline into its caller.  The kernels call
+/// the view primitives once a cell; GCC's inliner leaves some
+/// instantiations out of line, and the call then clobbers memory for the
+/// vectorizer ("statement clobbers memory" under -fopt-info-vec), which
+/// leaves the loop scalar.  The kernels' AVX2 copies (ops/kernels.hpp)
+/// need it for more: a callee left out of line compiles for the baseline
+/// target, so the copy runs baseline code.  Neither copy enables FMA, so
+/// inlining contracts no arithmetic.  Spelled after a lambda's parameter
+/// list, before a function's declaration; other compilers get nothing.
 #if defined(__GNUC__)
-#define TEALEAF_VIEW_INLINE [[gnu::always_inline]] inline
+#define TEALEAF_FORCE_INLINE __attribute__((always_inline))
 #else
-#define TEALEAF_VIEW_INLINE inline
+#define TEALEAF_FORCE_INLINE
 #endif
 
 namespace tealeaf {
@@ -69,7 +72,7 @@ struct StencilView {
               const Field<T>* kz_in)
       : kx(kx_in), ky(ky_in), kz(kz_in) {}
 
-  [[nodiscard]] TEALEAF_VIEW_INLINE T diag(int j, int k, int l) const {
+  [[nodiscard]] TEALEAF_FORCE_INLINE T diag(int j, int k, int l) const {
     if constexpr (Dims == 3) {
       return T(1) + ((*ky)(j, k + 1, l) + (*ky)(j, k, l)) +
              ((*kx)(j + 1, k, l) + (*kx)(j, k, l)) +
@@ -80,8 +83,8 @@ struct StencilView {
     }
   }
 
-  [[nodiscard]] TEALEAF_VIEW_INLINE T apply(const Field<T>& src, int j,
-                                           int k, int l) const {
+  [[nodiscard]] TEALEAF_FORCE_INLINE T apply(const Field<T>& src, int j,
+                                            int k, int l) const {
     if constexpr (Dims == 3) {
       return diag(j, k, l) * src(j, k, l) -
              ((*ky)(j, k + 1, l) * src(j, k + 1, l) +
@@ -101,8 +104,8 @@ struct StencilView {
     }
   }
 
-  [[nodiscard]] T neigh_plus(T seed, const Field<T>& src, int j, int k,
-                             int l) const {
+  [[nodiscard]] TEALEAF_FORCE_INLINE T neigh_plus(T seed, const Field<T>& src,
+                                                 int j, int k, int l) const {
     T acc = seed;
     acc += ((*ky)(j, k + 1, l) * src(j, k + 1, l) +
             (*ky)(j, k, l) * src(j, k - 1, l));
@@ -128,8 +131,9 @@ namespace detail {
 /// makes stencil-assembled matrices bitwise-reproduce the matrix-free
 /// grouping, per scalar.
 template <class T>
-[[nodiscard]] inline T row_apply(const T* v, const std::int64_t* c, int n,
-                                 const T* s) {
+[[nodiscard]] TEALEAF_FORCE_INLINE inline T row_apply_n(const T* v,
+                                                        const std::int64_t* c,
+                                                        int n, const T* s) {
   T acc = v[0] * s[c[0]];
   int i = 1;
   for (; i + 1 < n; i += 2) acc += (v[i] * s[c[i]] + v[i + 1] * s[c[i + 1]]);
@@ -138,14 +142,35 @@ template <class T>
 }
 
 template <class T>
-[[nodiscard]] inline T row_neigh_plus(const T* v, const std::int64_t* c, int n,
-                                      T seed, const T* s) {
+[[nodiscard]] TEALEAF_FORCE_INLINE inline T row_neigh_plus_n(
+    const T* v, const std::int64_t* c, int n, T seed, const T* s) {
   T acc = seed;
   int i = 1;
   for (; i + 1 < n; i += 2)
     acc += ((-v[i]) * s[c[i]] + (-v[i + 1]) * s[c[i + 1]]);
   if (i < n) acc += (-v[i]) * s[c[i]];
   return acc;
+}
+
+/// Rows assembled from the stencil hold 5 (2-D) or 7 (3-D) entries,
+/// boundary zeros kept; for those lengths the same body runs with a
+/// constant count, which unrolls it.  Other rows (.mtx inputs) take the
+/// counted loop.
+template <class T>
+[[nodiscard]] TEALEAF_FORCE_INLINE inline T row_apply(const T* v,
+                                                      const std::int64_t* c,
+                                                      int n, const T* s) {
+  if (n == 5) return row_apply_n(v, c, 5, s);
+  if (n == 7) return row_apply_n(v, c, 7, s);
+  return row_apply_n(v, c, n, s);
+}
+
+template <class T>
+[[nodiscard]] TEALEAF_FORCE_INLINE inline T row_neigh_plus(
+    const T* v, const std::int64_t* c, int n, T seed, const T* s) {
+  if (n == 5) return row_neigh_plus_n(v, c, 5, seed, s);
+  if (n == 7) return row_neigh_plus_n(v, c, 7, seed, s);
+  return row_neigh_plus_n(v, c, n, seed, s);
 }
 
 template <class T>
@@ -180,20 +205,22 @@ struct CsrViewT {
     TEA_ASSERT(m != nullptr, "chunk has no assembled CSR operator");
   }
 
-  [[nodiscard]] std::int64_t row(int j, int k, int l) const {
+  [[nodiscard]] TEALEAF_FORCE_INLINE std::int64_t row(int j, int k,
+                                                      int l) const {
     return (static_cast<std::int64_t>(l) * ny + k) * nx + j;
   }
 
-  [[nodiscard]] T diag(int j, int k, int l) const {
+  [[nodiscard]] TEALEAF_FORCE_INLINE T diag(int j, int k, int l) const {
     return m->vals[m->row_ptr[row(j, k, l)]];
   }
-  [[nodiscard]] T apply(const Field<T>& src, int j, int k, int l) const {
+  [[nodiscard]] TEALEAF_FORCE_INLINE T apply(const Field<T>& src, int j, int k,
+                                            int l) const {
     const std::int64_t r = row(j, k, l), b = m->row_ptr[r];
     return detail::row_apply(m->vals.data() + b, m->cols.data() + b,
                              m->row_len(r), src.data());
   }
-  [[nodiscard]] T neigh_plus(T seed, const Field<T>& src, int j, int k,
-                             int l) const {
+  [[nodiscard]] TEALEAF_FORCE_INLINE T neigh_plus(T seed, const Field<T>& src,
+                                                 int j, int k, int l) const {
     const std::int64_t r = row(j, k, l), b = m->row_ptr[r];
     return detail::row_neigh_plus(m->vals.data() + b, m->cols.data() + b,
                                   m->row_len(r), seed, src.data());
@@ -217,7 +244,7 @@ using CsrView = CsrViewT<double>;
 /// the float instantiation of the same view, so every kernel (and with
 /// them every engine) runs on either scalar without a second code path.
 template <class Fn>
-inline void op_dispatch(const Chunk& c, Fn&& fn) {
+TEALEAF_FORCE_INLINE inline void op_dispatch(const Chunk& c, Fn&& fn) {
   if (c.fp32_active()) {
     if (c.op_kind() == OperatorKind::kCsr) {
       fn(CsrViewT<float>(c));

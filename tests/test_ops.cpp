@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "comm/sim_comm.hpp"
@@ -242,6 +243,17 @@ TEST(JacobiKernel, OneSweepReducesError) {
   const double e2 = sweep();
   EXPECT_GT(e1, 0.0);
   EXPECT_LT(e2, e1);
+}
+
+// The loader binds the kernels' AVX2 copy exactly where the CPU has AVX2;
+// a toolchain without the copies always runs the baseline one.
+TEST(VectorIsa, FollowsTheCpu) {
+  const std::string isa = kernels::vector_isa();
+#if TEALEAF_KERNEL_CLONES
+  EXPECT_EQ(isa, __builtin_cpu_supports("avx2") ? "avx2" : "baseline");
+#else
+  EXPECT_EQ(isa, "baseline");
+#endif
 }
 
 }  // namespace

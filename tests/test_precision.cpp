@@ -361,16 +361,37 @@ TEST(PrecisionShape, MatrixFileOperatorRejectsReducedPrecision) {
   EXPECT_THROW(session.solve(cfg), TeaError);
 }
 
-// ---- fp32 row cores: kernel-level oracle --------------------------------
+// ---- row cores: kernel-level oracle ------------------------------------
+// The references below are written per cell in this file, which builds
+// for baseline x86-64 only: where the kernels run their AVX2 copy
+// (kernels::vector_isa()), these cases check that copy bitwise against
+// baseline code, in both scalars.
+
+/// Fill the work fields of bank S (halos included) with deterministic
+/// values spanning 2^-20..2^20, so the fp64 row sums round and depend on
+/// their order of accumulation.
+template <class S>
+void fill_work_fields(Chunk& c, int rank) {
+  int seed = 0;
+  for (const FieldId f : {FieldId::kU, FieldId::kP, FieldId::kR, FieldId::kW,
+                          FieldId::kZ, FieldId::kU0}) {
+    Field<S>& x = c.field_t<S>(f);
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      x.data()[i] = static_cast<S>(std::ldexp(
+          0.5 + 0.25 * std::sin(0.37 * static_cast<double>(i) + 1.3 * seed +
+                                0.7 * rank),
+          static_cast<int>(i % 41) - 20));
+    }
+    ++seed;
+  }
+}
 
 /// Put every chunk on its fp32 bank as the single/mixed drivers do — the
 /// coefficients downcast, an assembled operator re-assembled in fp32 —
-/// and fill the fp32 work fields (halos included) with deterministic
-/// values, then activate the bank.  The values span 2^-20..2^20, so the
-/// fp64 row sums round and depend on their order of accumulation.
+/// fill the fp32 work fields, then activate the bank.
 void activate_fp32_bank(SimCluster& cl) {
-  FieldSet bank{FieldId::kU,  FieldId::kP,  FieldId::kR, FieldId::kW,
-                FieldId::kZ,  FieldId::kKx, FieldId::kKy};
+  FieldSet bank{FieldId::kU,  FieldId::kU0, FieldId::kP,  FieldId::kR,
+                FieldId::kW,  FieldId::kZ,  FieldId::kKx, FieldId::kKy};
   if (cl.mesh().dims == 3) bank |= {FieldId::kKz};
   cl.allocate({.fp32 = bank});
   cl.for_each_chunk([](int rank, Chunk& c) {
@@ -385,31 +406,20 @@ void activate_fp32_bank(SimCluster& cl) {
       c.set_assembled_operator32(
           std::make_shared<CsrMatrix32>(assemble_from_stencil_t<float>(c)));
     }
-    int seed = 0;
-    for (const FieldId f : {FieldId::kU, FieldId::kP, FieldId::kR,
-                            FieldId::kW, FieldId::kZ}) {
-      Field<float>& x = c.field32(f);
-      for (std::size_t i = 0; i < x.size(); ++i) {
-        x.data()[i] = static_cast<float>(std::ldexp(
-            0.5 + 0.25 * std::sin(0.37 * static_cast<double>(i) +
-                                  1.3 * seed + 0.7 * rank),
-            static_cast<int>(i % 41) - 20));
-      }
-      ++seed;
-    }
+    fill_work_fields<float>(c, rank);
     c.set_fp32_active(true);
   });
 }
 
-/// Call `fn` with the chunk's float operator view.
-template <class Fn>
-void with_view32(const Chunk& c, Fn&& fn) {
+/// Call `fn` with the chunk's operator view in scalar S.
+template <class S, class Fn>
+void with_view(const Chunk& c, Fn&& fn) {
   if (c.op_kind() == OperatorKind::kCsr) {
-    fn(CsrViewT<float>(c));
+    fn(CsrViewT<S>(c));
   } else if (c.dims() == 3) {
-    fn(StencilView<3, float>(c));
+    fn(StencilView<3, S>(c));
   } else {
-    fn(StencilView<2, float>(c));
+    fn(StencilView<2, S>(c));
   }
 }
 
@@ -435,16 +445,17 @@ std::vector<Bounds> interior_tiles(const Chunk& c, int tile) {
 
 /// Reference smvp_dot over the interior in the fused order: per cell,
 /// store A·src, then add double(src)·double(stored) in ascending j.
+template <class S>
 std::vector<double> reference_smvp_dot(Chunk& c) {
   std::vector<double> rows(static_cast<std::size_t>(c.ny() * c.nz()));
-  const Field<float>& p = c.field32(FieldId::kP);
-  Field<float>& w = c.field32(FieldId::kW);
-  with_view32(c, [&](const auto& A) {
+  const Field<S>& p = c.field_t<S>(FieldId::kP);
+  Field<S>& w = c.field_t<S>(FieldId::kW);
+  with_view<S>(c, [&](const auto& A) {
     for (int l = 0; l < c.nz(); ++l) {
       for (int k = 0; k < c.ny(); ++k) {
         double acc = 0.0;
         for (int j = 0; j < c.nx(); ++j) {
-          const float wv = A.apply(p, j, k, l);
+          const S wv = A.apply(p, j, k, l);
           w(j, k, l) = wv;
           acc += static_cast<double>(p(j, k, l)) * static_cast<double>(wv);
         }
@@ -456,24 +467,25 @@ std::vector<double> reference_smvp_dot(Chunk& c) {
 }
 
 /// Reference calc_ur_dot over the interior in the fused order.
+template <class S>
 std::vector<double> reference_calc_ur_dot(Chunk& c, double alpha, bool diag) {
   std::vector<double> rows(static_cast<std::size_t>(c.ny() * c.nz()));
-  Field<float>& u = c.field32(FieldId::kU);
-  Field<float>& r = c.field32(FieldId::kR);
-  Field<float>& z = c.field32(FieldId::kZ);
-  const Field<float>& p = c.field32(FieldId::kP);
-  const Field<float>& w = c.field32(FieldId::kW);
-  const float a = static_cast<float>(alpha);
-  with_view32(c, [&](const auto& A) {
+  Field<S>& u = c.field_t<S>(FieldId::kU);
+  Field<S>& r = c.field_t<S>(FieldId::kR);
+  Field<S>& z = c.field_t<S>(FieldId::kZ);
+  const Field<S>& p = c.field_t<S>(FieldId::kP);
+  const Field<S>& w = c.field_t<S>(FieldId::kW);
+  const S a = static_cast<S>(alpha);
+  with_view<S>(c, [&](const auto& A) {
     for (int l = 0; l < c.nz(); ++l) {
       for (int k = 0; k < c.ny(); ++k) {
         double acc = 0.0;
         for (int j = 0; j < c.nx(); ++j) {
           u(j, k, l) += a * p(j, k, l);
-          const float rv = r(j, k, l) - a * w(j, k, l);
+          const S rv = r(j, k, l) - a * w(j, k, l);
           r(j, k, l) = rv;
           if (diag) {
-            const float zv = rv / A.diag(j, k, l);
+            const S zv = rv / A.diag(j, k, l);
             z(j, k, l) = zv;
             acc += static_cast<double>(rv) * static_cast<double>(zv);
           } else {
@@ -487,32 +499,82 @@ std::vector<double> reference_calc_ur_dot(Chunk& c, double alpha, bool diag) {
   return rows;
 }
 
-/// (geometry, operator).
-using RowCoreCase = std::tuple<int, OperatorKind>;
+/// Reference Jacobi sweep: save u into r over the halo-extended rows,
+/// then per cell u = (u0 + Σ couplings·r) / diag, adding |u − r| in
+/// double in ascending j.
+template <class S>
+std::vector<double> reference_jacobi(Chunk& c) {
+  std::vector<double> rows(static_cast<std::size_t>(c.ny() * c.nz()));
+  Field<S>& u = c.field_t<S>(FieldId::kU);
+  Field<S>& r = c.field_t<S>(FieldId::kR);
+  const Field<S>& u0 = c.field_t<S>(FieldId::kU0);
+  const int hz = c.dims() == 3 ? 1 : 0;
+  for (int l = -hz; l < c.nz() + hz; ++l) {
+    for (int k = -1; k <= c.ny(); ++k) {
+      for (int j = -1; j <= c.nx(); ++j) r(j, k, l) = u(j, k, l);
+    }
+  }
+  with_view<S>(c, [&](const auto& A) {
+    for (int l = 0; l < c.nz(); ++l) {
+      for (int k = 0; k < c.ny(); ++k) {
+        double acc = 0.0;
+        for (int j = 0; j < c.nx(); ++j) {
+          const S uv = A.neigh_plus(u0(j, k, l), r, j, k, l) / A.diag(j, k, l);
+          u(j, k, l) = uv;
+          acc += std::fabs(static_cast<double>(uv) -
+                           static_cast<double>(r(j, k, l)));
+        }
+        rows[static_cast<std::size_t>(l * c.ny() + k)] = acc;
+      }
+    }
+  });
+  return rows;
+}
 
-class Fp32RowCores : public ::testing::TestWithParam<RowCoreCase> {
+/// (geometry, operator, fp32 bank active).
+using RowCoreCase = std::tuple<int, OperatorKind, bool>;
+
+class RowCores : public ::testing::TestWithParam<RowCoreCase> {
  protected:
   std::unique_ptr<SimCluster> make_active() const {
-    const auto [dims, op] = GetParam();
+    const auto [dims, op, fp32] = GetParam();
     auto cl = dims == 3 ? make_test_problem_3d(9, 2, 2)
                         : make_test_problem(18, 2, 2);
     install_operator(*cl, op);
-    activate_fp32_bank(*cl);
+    if (fp32) {
+      activate_fp32_bank(*cl);
+    } else {
+      cl->allocate({.fp64 = {FieldId::kP, FieldId::kR, FieldId::kW,
+                             FieldId::kZ}});
+      cl->for_each_chunk(
+          [](int rank, Chunk& c) { fill_work_fields<double>(c, rank); });
+    }
     return cl;
   }
 
-  /// Every fp32 work field and the per-row partials of `got` equal
-  /// `want`'s bit for bit.
+  /// Run `body` with the case's scalar as its argument's type.
+  template <class Fn>
+  static void for_scalar(Fn&& body) {
+    if (std::get<2>(GetParam())) {
+      body(float{});
+    } else {
+      body(double{});
+    }
+  }
+
+  /// The fields `fields` of the active bank and the per-row partials of
+  /// `got` equal `want`'s bit for bit.
+  template <class S>
   static void expect_same(SimCluster& got, SimCluster& want,
                           const std::vector<std::vector<double>>& rows,
+                          const std::vector<FieldId>& fields,
                           const std::string& what) {
     for (int rank = 0; rank < got.nranks(); ++rank) {
       Chunk& g = got.chunk(rank);
       Chunk& e = want.chunk(rank);
-      for (const FieldId f : {FieldId::kU, FieldId::kP, FieldId::kR,
-                              FieldId::kW, FieldId::kZ}) {
-        const Field<float>& a = g.field32(f);
-        EXPECT_TRUE(same_bits(a.data(), e.field32(f).data(), a.size()))
+      for (const FieldId f : fields) {
+        const Field<S>& a = g.field_t<S>(f);
+        EXPECT_TRUE(same_bits(a.data(), e.field_t<S>(f).data(), a.size()))
             << what << " rank " << rank << " field "
             << static_cast<int>(f);
       }
@@ -521,30 +583,14 @@ class Fp32RowCores : public ::testing::TestWithParam<RowCoreCase> {
           << what << " rank " << rank << " row partials";
     }
   }
+
+  inline static const std::vector<FieldId> kWorkFields = {
+      FieldId::kU, FieldId::kP, FieldId::kR, FieldId::kW, FieldId::kZ};
 };
 
-TEST_P(Fp32RowCores, SmvpDotRowsMatchFusedReferenceBitwise) {
-  for (const int tile : {1, 3, 0}) {
-    auto got = make_active();
-    auto want = make_active();
-    std::vector<std::vector<double>> rows;
-    for (int rank = 0; rank < got->nranks(); ++rank) {
-      Chunk& c = got->chunk(rank);
-      for (const Bounds& tb : interior_tiles(c, tile)) {
-        kernels::smvp_dot_rows(c, FieldId::kP, FieldId::kW,
-                               interior_bounds(c), tb, c.row_scratch());
-      }
-      rows.push_back(reference_smvp_dot(want->chunk(rank)));
-    }
-    expect_same(*got, *want, rows, "smvp_dot tile=" + std::to_string(tile));
-  }
-}
-
-TEST_P(Fp32RowCores, CalcUrDotRowsMatchFusedReferenceBitwise) {
-  constexpr double kAlpha = 0.61;
-  for (const PreconType precon :
-       {PreconType::kNone, PreconType::kJacobiDiag}) {
-    const bool diag = (precon == PreconType::kJacobiDiag);
+TEST_P(RowCores, SmvpDotRowsMatchFusedReferenceBitwise) {
+  for_scalar([&](auto tag) {
+    using S = decltype(tag);
     for (const int tile : {1, 3, 0}) {
       auto got = make_active();
       auto want = make_active();
@@ -552,23 +598,78 @@ TEST_P(Fp32RowCores, CalcUrDotRowsMatchFusedReferenceBitwise) {
       for (int rank = 0; rank < got->nranks(); ++rank) {
         Chunk& c = got->chunk(rank);
         for (const Bounds& tb : interior_tiles(c, tile)) {
-          kernels::calc_ur_dot_rows(c, kAlpha, precon, tb, c.row_scratch());
+          kernels::smvp_dot_rows(c, FieldId::kP, FieldId::kW,
+                                 interior_bounds(c), tb, c.row_scratch());
         }
-        rows.push_back(
-            reference_calc_ur_dot(want->chunk(rank), kAlpha, diag));
+        rows.push_back(reference_smvp_dot<S>(want->chunk(rank)));
       }
-      expect_same(*got, *want, rows,
-                  std::string("calc_ur_dot ") + to_string(precon) +
-                      " tile=" + std::to_string(tile));
+      expect_same<S>(*got, *want, rows, kWorkFields,
+                     "smvp_dot tile=" + std::to_string(tile));
     }
-  }
+  });
+}
+
+TEST_P(RowCores, CalcUrDotRowsMatchFusedReferenceBitwise) {
+  constexpr double kAlpha = 0.61;
+  for_scalar([&](auto tag) {
+    using S = decltype(tag);
+    for (const PreconType precon :
+         {PreconType::kNone, PreconType::kJacobiDiag}) {
+      const bool diag = (precon == PreconType::kJacobiDiag);
+      for (const int tile : {1, 3, 0}) {
+        auto got = make_active();
+        auto want = make_active();
+        std::vector<std::vector<double>> rows;
+        for (int rank = 0; rank < got->nranks(); ++rank) {
+          Chunk& c = got->chunk(rank);
+          for (const Bounds& tb : interior_tiles(c, tile)) {
+            kernels::calc_ur_dot_rows(c, kAlpha, precon, tb,
+                                      c.row_scratch());
+          }
+          rows.push_back(
+              reference_calc_ur_dot<S>(want->chunk(rank), kAlpha, diag));
+        }
+        expect_same<S>(*got, *want, rows, kWorkFields,
+                       std::string("calc_ur_dot ") + to_string(precon) +
+                           " tile=" + std::to_string(tile));
+      }
+    }
+  });
+}
+
+// The 2-D stencil updates rows klo+1 … khi−2 of a tile inside the tile
+// pass, the fp32 ones four at a time: a 6-row tile leaves one group of
+// four, a 7-row tile one group and one row alone.
+TEST_P(RowCores, JacobiTileMatchesRowReferenceBitwise) {
+  for_scalar([&](auto tag) {
+    using S = decltype(tag);
+    for (const int tile : {1, 3, 6, 7, 0}) {
+      auto got = make_active();
+      auto want = make_active();
+      std::vector<std::vector<double>> rows;
+      for (int rank = 0; rank < got->nranks(); ++rank) {
+        Chunk& c = got->chunk(rank);
+        const std::vector<Bounds> tiles = interior_tiles(c, tile);
+        for (const Bounds& tb : tiles) {
+          kernels::jacobi_tile(c, tb, c.row_scratch());
+        }
+        for (const Bounds& tb : tiles) {
+          kernels::jacobi_tile_edges(c, tb, c.row_scratch());
+        }
+        rows.push_back(reference_jacobi<S>(want->chunk(rank)));
+      }
+      expect_same<S>(*got, *want, rows, {FieldId::kU},
+                     "jacobi tile=" + std::to_string(tile));
+    }
+  });
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    GeometriesOperators, Fp32RowCores,
+    GeometriesOperatorsPrecisions, RowCores,
     ::testing::Combine(::testing::Values(2, 3),
                        ::testing::Values(OperatorKind::kStencil,
-                                         OperatorKind::kCsr)));
+                                         OperatorKind::kCsr),
+                       ::testing::Bool()));
 
 // ---- block-Jacobi strips inside tiles -------------------------------------
 
